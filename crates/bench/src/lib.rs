@@ -3,8 +3,8 @@
 //! Each Criterion bench target under `benches/` regenerates one table or
 //! figure of the paper's evaluation: it first prints the regenerated
 //! rows/series (computed once), then measures representative
-//! configurations with Criterion.  The printed output is what
-//! `EXPERIMENTS.md` records as "measured".
+//! configurations with Criterion.  End-to-end and per-layer figures of
+//! record come from the repository benchmark, `perfbench/README.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -168,9 +168,13 @@ mod tests {
         let report = QueryEngine::with_config(system, config, 3..=3).check(&Query::new());
         let profile = report.solver_profile().expect("telemetry was enabled");
         assert!(profile.propagate.count > 0);
+        // Proving freedom takes theory lemmas, so the theory side is filled.
+        assert!(profile.lemmas > 0 && profile.extract.count >= profile.lemmas);
+        assert!(profile.average_core_size() >= 1.0);
         let summary = report.summary();
         assert!(summary.contains("solver profile: propagate"), "{summary}");
         assert!(summary.contains("analyze"), "{summary}");
+        assert!(summary.contains("lemmas, avg core"), "{summary}");
     }
 
     #[test]

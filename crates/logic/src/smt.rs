@@ -19,13 +19,13 @@
 //! the asserted formulas, so in persistent mode they are added as permanent
 //! clauses and keep pruning the search in every later query.
 
-use crate::cnf::Encoder;
+use crate::cnf::{Encoder, LinearAtom};
 use crate::expr::{BoolVar, Formula, IntVar, VarPool};
 use crate::model::Model;
 use crate::sat::{Lit, SatSolver, SatStats, SolveOutcome, SolverConfig};
 use crate::share::{CancelFlag, ClauseExchange};
 use crate::theory::{self, Constraint, TheoryVerdict};
-use advocat_telemetry::SolverProfile;
+use advocat_telemetry::{PhaseCost, SolverProfile};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -367,6 +367,7 @@ impl SmtSolver {
             self.profile = race.profile;
             (race.result, race.sat_after)
         } else {
+            let mut profile = SolverProfile::default();
             let outcome = refine(
                 &self.pool,
                 &self.assertions,
@@ -375,9 +376,11 @@ impl SmtSolver {
                 &assumed,
                 config,
                 &mut self.stats,
+                &mut profile,
                 None,
             );
-            self.profile = sat.take_profile();
+            profile.merge(&sat.take_profile());
+            self.profile = profile;
             (outcome.into_result(), sat.stats())
         };
         self.stats.sat_conflicts = after.conflicts;
@@ -457,6 +460,7 @@ impl SmtSolver {
             inc.sat.set_exchange(None);
             (race.result, race.sat_after)
         } else {
+            let mut profile = SolverProfile::default();
             let outcome = refine(
                 &self.pool,
                 &self.assertions,
@@ -465,9 +469,11 @@ impl SmtSolver {
                 &assumed,
                 config,
                 &mut self.stats,
+                &mut profile,
                 None,
             );
-            self.profile = inc.sat.take_profile();
+            profile.merge(&inc.sat.take_profile());
+            self.profile = profile;
             (outcome.into_result(), inc.sat.stats())
         };
         self.stats.sat_conflicts = after.conflicts - before.conflicts;
@@ -510,6 +516,15 @@ impl RefineOutcome {
 /// problem clauses here and never through the portfolio glue exchange
 /// (the exchange carries only CDCL learnt clauses, which are).
 ///
+/// A theory conflict found by propagation is explained from the reasons
+/// propagation recorded ([`theory::solve`]); the explanation is shrunk to
+/// an irreducible core ([`theory::minimize_core`]), re-checked without
+/// those reasons, and blocked.  A conflict only branch & bound could find
+/// blocks the whole model assignment of the atoms.
+///
+/// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
+/// theory-side phases and lemma sizes are charged to `profile`.
+///
 /// With a cancel flag attached the loop polls it between refinements (the
 /// SAT core additionally polls once per conflict) and reports
 /// [`RefineOutcome::Interrupted`] without a verdict.
@@ -522,9 +537,19 @@ fn refine(
     assumptions: &[Lit],
     config: &CheckConfig,
     stats: &mut SolverStats,
+    profile: &mut SolverProfile,
     cancel: Option<&CancelFlag>,
 ) -> RefineOutcome {
     let bounds: Vec<(i64, i64)> = pool.int_vars().map(|v| pool.int_bounds(v)).collect();
+    // Every linear atom as a theory constraint in both polarities, built
+    // once per check; each refinement picks one per atom by its SAT value.
+    let polarised: Vec<[Constraint; 2]> = encoder
+        .linear_atoms()
+        .map(|(atom, _)| [constraint_of(&atom.negated()), constraint_of(atom)])
+        .collect();
+    let profiling = config.solver.telemetry.is_enabled();
+    let mut constraints: Vec<&Constraint> = Vec::new();
+    let mut atom_lits: Vec<Lit> = Vec::new();
 
     loop {
         if let Some(flag) = cancel {
@@ -550,30 +575,22 @@ fn refine(
         // model value carries no information and forcing its theory
         // counterpart would only shrink — or wrongly empty — the
         // feasible space of long-lived sessions.
-        let mut constraints: Vec<Constraint> = Vec::new();
-        let mut atom_lits: Vec<Lit> = Vec::new();
-        for (atom, sat_var) in encoder.linear_atoms() {
+        let start = profiling.then(Instant::now);
+        constraints.clear();
+        atom_lits.clear();
+        for ((_, sat_var), both) in encoder.linear_atoms().zip(&polarised) {
             if !sat.is_constrained(sat_var) {
                 continue;
             }
             let assigned_true = sat_model[sat_var];
-            let effective = if assigned_true {
-                atom.clone()
-            } else {
-                atom.negated()
-            };
-            constraints.push(Constraint::new(
-                effective
-                    .terms
-                    .iter()
-                    .map(|(c, v)| (*c, v.index()))
-                    .collect(),
-                effective.bound,
-            ));
+            constraints.push(&both[usize::from(assigned_true)]);
             atom_lits.push(Lit::new(sat_var, assigned_true));
         }
+        let start = lap(start, &mut profile.extract);
 
-        match theory::solve(&bounds, &constraints, config.theory_node_budget) {
+        let verdict = theory::solve(&bounds, &constraints, config.theory_node_budget);
+        let start = lap(start, &mut profile.theory);
+        match verdict {
             TheoryVerdict::Sat(values) => {
                 let mut model = Model::new();
                 for v in pool.int_vars() {
@@ -594,16 +611,39 @@ fn refine(
                 return RefineOutcome::Done(SmtResult::Sat(model));
             }
             TheoryVerdict::Unknown => return RefineOutcome::Done(SmtResult::Unknown),
-            TheoryVerdict::Unsat => {
+            TheoryVerdict::Unsat(explanation) => {
                 stats.theory_conflicts += 1;
-                let core = minimize_core(&bounds, &constraints);
+                let core = match explanation {
+                    Some(explanation) => {
+                        let core = theory::minimize_core(&bounds, &constraints, explanation);
+                        // The lemma must be refuted without the recorded
+                        // reasons: an unsound one would turn into a wrong
+                        // "deadlock-free".
+                        let lemma: Vec<&Constraint> =
+                            core.iter().map(|&i| constraints[i]).collect();
+                        assert!(
+                            theory::refuted_by_propagation(&bounds, &lemma),
+                            "internal error: theory core {lemma:?} is not refuted by propagation"
+                        );
+                        core
+                    }
+                    // Branch & bound refuted the model's atoms: block them all.
+                    None => (0..constraints.len()).collect(),
+                };
+                let start = lap(start, &mut profile.core);
                 if core.is_empty() {
                     // The theory is unsatisfiable regardless of the
                     // propositional skeleton: the whole problem is unsat.
                     return RefineOutcome::Done(SmtResult::Unsat);
                 }
                 let blocking: Vec<Lit> = core.iter().map(|&idx| atom_lits[idx].negated()).collect();
-                if !sat.add_clause(&blocking) {
+                let added = sat.add_clause(&blocking);
+                if profiling {
+                    lap(start, &mut profile.block);
+                    profile.lemmas += 1;
+                    profile.lemma_atoms += core.len() as u64;
+                }
+                if !added {
                     return RefineOutcome::Done(SmtResult::Unsat);
                 }
             }
@@ -669,6 +709,7 @@ fn race_portfolio(
                 sat.set_exchange(Some(handle));
                 sat.set_config(worker_config.solver.clone());
                 let mut stats = SolverStats::default();
+                let mut profile = SolverProfile::default();
                 let outcome = refine(
                     pool,
                     assertions,
@@ -677,9 +718,11 @@ fn race_portfolio(
                     assumed,
                     &worker_config,
                     &mut stats,
+                    &mut profile,
                     Some(&cancel),
                 );
-                let _ = tx.send((i, outcome, stats, sat.stats(), sat.take_profile()));
+                profile.merge(&sat.take_profile());
+                let _ = tx.send((i, outcome, stats, sat.stats(), profile));
             });
         }
         drop(tx);
@@ -763,34 +806,21 @@ fn race_portfolio(
     (outcome, exchange)
 }
 
-/// Deletion-based minimisation of an infeasible constraint set.
-///
-/// Starting from all constraint indices, repeatedly drops constraints whose
-/// removal keeps the set refutable *by interval propagation alone*.  The
-/// result is always a genuinely infeasible subset (possibly not minimal),
-/// which is all that soundness of the blocking clause requires.  When
-/// propagation alone cannot refute even the full set (the conflict was found
-/// by branching), the full index set is returned.
-fn minimize_core(bounds: &[(i64, i64)], constraints: &[Constraint]) -> Vec<usize> {
-    let all: Vec<usize> = (0..constraints.len()).collect();
-    let subset = |keep: &[usize]| -> Vec<Constraint> {
-        keep.iter().map(|&i| constraints[i].clone()).collect()
-    };
-    if !theory::refuted_by_propagation(bounds, &subset(&all)) {
-        return all;
-    }
-    let mut core = all;
-    let mut idx = 0;
-    while idx < core.len() {
-        let mut candidate = core.clone();
-        candidate.remove(idx);
-        if theory::refuted_by_propagation(bounds, &subset(&candidate)) {
-            core = candidate;
-        } else {
-            idx += 1;
-        }
-    }
-    core
+/// The theory constraint of a linear atom.
+fn constraint_of(atom: &LinearAtom) -> Constraint {
+    Constraint::new(
+        atom.terms.iter().map(|(c, v)| (*c, v.index())).collect(),
+        atom.bound,
+    )
+}
+
+/// Charges the time since `start` to `phase` and returns the new start;
+/// `None` (profiling off) passes straight through.
+fn lap(start: Option<Instant>, phase: &mut PhaseCost) -> Option<Instant> {
+    let start = start?;
+    let now = Instant::now();
+    phase.add(now - start);
+    Some(now)
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Solver profiles: per-query attribution of time and conflicts to the
-//! CDCL search phases, plus the restart / LBD-EMA timeline.
+//! CDCL search phases and to the theory side of the DPLL(T) loop, plus the
+//! restart / LBD-EMA timeline.
 //!
-//! A profile is collected by the SAT solver **only while telemetry is
-//! enabled** (the phase timers cost two monotonic-clock reads per phase
-//! entry, which the disabled path must not pay) and rides the analysis up
-//! the stack: `SatSolver → SmtSolver → Analysis → Report`/`JobOutcome`,
-//! where `Report::summary()` renders it.
+//! A profile is collected by the SAT solver and the SMT refinement loop
+//! **only while telemetry is enabled** (the phase timers cost two
+//! monotonic-clock reads per phase entry, which the disabled path must not
+//! pay) and rides the analysis up the stack:
+//! `SatSolver`/`SmtSolver → Analysis → Report`/`JobOutcome`, where
+//! `Report::summary()` renders it.
 
 use std::fmt;
 use std::time::Duration;
@@ -57,6 +59,21 @@ pub struct SolverProfile {
     pub reduce: PhaseCost,
     /// Restarts (backtracking to level zero and EMA re-alignment).
     pub restart: PhaseCost,
+    /// Theory constraint extraction from each SAT model.
+    pub extract: PhaseCost,
+    /// Theory feasibility checks: propagation, the walk back over its
+    /// reasons after a conflict, and branch & bound.
+    pub theory: PhaseCost,
+    /// Core minimisation of theory conflicts: deletion over the
+    /// explanation and the lemma's soundness re-check.
+    pub core: PhaseCost,
+    /// Blocking-clause (theory lemma) insertion into the SAT solver.
+    pub block: PhaseCost,
+    /// Theory lemmas added.
+    pub lemmas: u64,
+    /// Atoms over all theory lemmas (see
+    /// [`SolverProfile::average_core_size`]).
+    pub lemma_atoms: u64,
     /// Conflicts attributed to this profile.  At most one more than
     /// `analyze.count`: a conflict at decision level zero ends the query
     /// without a conflict analysis.
@@ -83,20 +100,37 @@ impl SolverProfile {
         self.analyze.merge(&other.analyze);
         self.reduce.merge(&other.reduce);
         self.restart.merge(&other.restart);
+        self.extract.merge(&other.extract);
+        self.theory.merge(&other.theory);
+        self.core.merge(&other.core);
+        self.block.merge(&other.block);
+        self.lemmas += other.lemmas;
+        self.lemma_atoms += other.lemma_atoms;
         self.conflicts += other.conflicts;
         self.restarts.extend_from_slice(&other.restarts);
     }
 
-    /// Total time attributed to the four phases.
+    /// Total time attributed to the four CDCL phases; the theory-side
+    /// phases are not included.
     pub fn attributed_time(&self) -> Duration {
         self.propagate.time + self.analyze.time + self.reduce.time + self.restart.time
+    }
+
+    /// Mean number of atoms per theory lemma; zero without lemmas.
+    pub fn average_core_size(&self) -> f64 {
+        if self.lemmas == 0 {
+            0.0
+        } else {
+            self.lemma_atoms as f64 / self.lemmas as f64
+        }
     }
 }
 
 impl fmt::Display for SolverProfile {
     /// One line of phase attribution, as rendered into
-    /// `Report::summary()`: each phase as `time/count`, then the restart
-    /// count and the final LBD-EMA point of the timeline.
+    /// `Report::summary()`: each CDCL phase as `time/count`, the final
+    /// LBD-EMA point of the timeline, then each theory phase as
+    /// `time/count` with the lemma count and average core size.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -117,7 +151,21 @@ impl fmt::Display for SolverProfile {
                 last.lbd_ema_fast, last.lbd_ema_slow
             )?;
         }
-        Ok(())
+        write!(
+            f,
+            "; theory: extract {:.2?}/{}, check {:.2?}/{}, core {:.2?}/{}, block {:.2?}/{}; \
+             {} lemmas, avg core {:.1} atoms",
+            self.extract.time,
+            self.extract.count,
+            self.theory.time,
+            self.theory.count,
+            self.core.time,
+            self.core.count,
+            self.block.time,
+            self.block.count,
+            self.lemmas,
+            self.average_core_size(),
+        )
     }
 }
 
@@ -157,6 +205,26 @@ mod tests {
     }
 
     #[test]
+    fn theory_phases_stay_out_of_the_cdcl_attribution() {
+        let mut a = SolverProfile::default();
+        a.propagate.add(Duration::from_micros(5));
+        a.theory.add(Duration::from_micros(40));
+        a.lemmas = 2;
+        a.lemma_atoms = 7;
+        let mut b = SolverProfile::default();
+        b.core.add(Duration::from_micros(3));
+        b.lemmas = 1;
+        b.lemma_atoms = 2;
+        a.merge(&b);
+        assert_eq!(a.attributed_time(), Duration::from_micros(5));
+        assert_eq!(a.theory.time, Duration::from_micros(40));
+        assert_eq!(a.core.count, 1);
+        assert_eq!(a.lemmas, 3);
+        assert_eq!(a.average_core_size(), 3.0);
+        assert_eq!(SolverProfile::default().average_core_size(), 0.0);
+    }
+
+    #[test]
     fn display_names_every_phase() {
         let mut profile = SolverProfile::default();
         profile.analyze.add(Duration::from_micros(3));
@@ -166,7 +234,18 @@ mod tests {
             lbd_ema_slow: 2.5,
         });
         let text = profile.to_string();
-        for phase in ["propagate", "analyze", "reduce", "restart", "lbd-ema"] {
+        for phase in [
+            "propagate",
+            "analyze",
+            "reduce",
+            "restart",
+            "lbd-ema",
+            "extract",
+            "check",
+            "core",
+            "block",
+            "lemmas",
+        ] {
             assert!(text.contains(phase), "{text}");
         }
     }

@@ -40,7 +40,8 @@ fn a_rich_set_of_cross_layer_invariants_is_derived() {
     // equations deliberately skip production equations for transitions that
     // only sometimes emit (see `advocat-invariants`), so the derived basis
     // is smaller; it must still contain several genuine cross-layer
-    // equalities (the measured count is recorded in EXPERIMENTS.md).
+    // equalities (`examples/full_mi` prints the measured count; the
+    // benchmark's figures of record are in `perfbench/README.md`).
     assert!(
         invariants.len() >= 6,
         "only {} invariants derived",
