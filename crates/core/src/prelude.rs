@@ -30,7 +30,7 @@ pub use advocat_deadlock::{
     verify_system, CapacitySelection, DeadlockSpec, DeadlockTarget, EncodingTemplate, Query,
     Verdict,
 };
-pub use advocat_explorer::{explore, explore_parallel, random_walk, ExplorerConfig};
+pub use advocat_explorer::{explore, random_walk, ExplorerConfig};
 pub use advocat_invariants::{derive_invariants, format_invariant};
 pub use advocat_logic::{CheckConfig, SolverConfig};
 pub use advocat_noc::{

@@ -402,15 +402,6 @@ impl QueryEngine {
         &self.config
     }
 
-    /// Races `workers` diversified CDCL workers on every subsequent query
-    /// (see [`advocat_logic::SolverConfig::portfolio`]); `1` restores
-    /// sequential solving.  Verdicts, witnesses and sizing thresholds are
-    /// identical in both modes — the portfolio only changes how fast the
-    /// engine gets there — so this can be flipped mid-session.
-    pub fn set_portfolio(&mut self, workers: usize) {
-        self.config.solver.portfolio = workers.max(1);
-    }
-
     /// Cumulative statistics over all queries answered so far.
     pub fn stats(&self) -> SessionStats {
         self.stats

@@ -92,10 +92,6 @@ impl Fingerprint {
         mix.u64(config.solver.luby_base);
         mix.u64(config.solver.restart_ema_ratio.to_bits());
         mix.bool(config.solver.phase_saving);
-        mix.bool(config.solver.default_phase);
-        mix.u64(config.solver.portfolio as u64);
-        mix.u64(u64::from(config.solver.glue_share_lbd));
-        mix.u64(config.solver.diversity_seed);
         mix.bool(spec.stuck_packet);
         mix.bool(spec.dead_automaton);
         Fingerprint(mix.a, mix.b)

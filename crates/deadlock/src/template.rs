@@ -31,17 +31,14 @@ use std::time::Instant;
 use advocat_automata::System;
 use advocat_invariants::{InterfaceContract, InvariantSet};
 use advocat_logic::sat::SatStats;
-use advocat_logic::{
-    BoolVar, CheckConfig, Formula, IntVar, LinExpr, Model, SmtResult, SmtSolver, SolverConfig,
-    Telemetry,
-};
+use advocat_logic::{BoolVar, CheckConfig, Formula, IntVar, LinExpr, Model, SmtSolver};
 use advocat_xmas::{ColorMap, Primitive};
 
 use crate::boundary::Boundary;
 use crate::counterexample::Counterexample;
-use crate::encode::{build_encoding_symbolic, DeadlockSpec, Encoding, EncodingVars};
+use crate::encode::{build_encoding_symbolic, Encoding, EncodingVars};
 use crate::query::{CapacitySelection, Query};
-use crate::verify::{analysis_from_result, witnessed_targets, Analysis, AnalysisStats, Verdict};
+use crate::verify::{analysis_from_result, witnessed_targets, Analysis};
 
 /// The name tables needed to render a model as a counterexample, captured
 /// from the system at template-construction time.  Owning them makes the
@@ -191,9 +188,6 @@ pub struct EncodingTemplate {
     /// `(capacity var, structural queue size)` pairs, sorted by variable,
     /// for answering [`CapacitySelection::Structural`] queries.
     structural: Vec<(IntVar, i64)>,
-    /// The spec a deprecated [`EncodingTemplate::new`] constructor froze
-    /// in, replayed by the deprecated [`EncodingTemplate::check_capacity`].
-    legacy_spec: DeadlockSpec,
     /// The boundary interface the encoding was built over; empty for the
     /// classic flat (whole-fabric) encoding.
     boundary: Boundary,
@@ -287,7 +281,6 @@ impl EncodingTemplate {
             invariants: invariants.len(),
             capacities,
             structural,
-            legacy_spec: DeadlockSpec::default(),
             boundary,
         }
     }
@@ -296,24 +289,6 @@ impl EncodingTemplate {
     /// flat template).
     pub fn boundary(&self) -> &Boundary {
         &self.boundary
-    }
-
-    /// Builds a template with a frozen deadlock specification.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build a spec-less template with `EncodingTemplate::build` and select the \
-                target per query via `check`"
-    )]
-    pub fn new(
-        system: &System,
-        colors: &ColorMap,
-        invariants: &InvariantSet,
-        spec: &DeadlockSpec,
-        capacities: RangeInclusive<usize>,
-    ) -> Self {
-        let mut template = EncodingTemplate::build(system, colors, invariants, capacities);
-        template.legacy_spec = *spec;
-        template
     }
 
     /// The capacity range the template was built for.
@@ -381,9 +356,6 @@ impl EncodingTemplate {
         let result = self.smt.check_assuming(&assumptions, config);
         let solver_stats = self.smt.stats();
         let profile = self.smt.take_profile();
-        // Stats and profile above describe the *deciding* check only; the
-        // canonicalisation probes below are bookkeeping, not search effort.
-        let result = self.canonicalize_witness(result, &assumptions, config);
         self.smt.pop();
         telemetry.event_with("smt.pop", || {
             vec![("depth", self.smt.scope_depth().to_string())]
@@ -403,105 +375,6 @@ impl EncodingTemplate {
             start.elapsed(),
             |m| self.labels.extract(m),
         )
-    }
-
-    /// Replaces a satisfiable result's model with the **canonical
-    /// witness**: the lexicographically minimal assignment to the
-    /// counterexample-visible variables, in a fixed name-sorted order.
-    ///
-    /// Any model the solver happens to return is a valid witness, but
-    /// *which* one depends on search order — and under portfolio solving
-    /// (`SolverConfig::portfolio`) on which diversified worker won the
-    /// race.  Pinning each variable to its smallest feasible value, one at
-    /// a time in a deterministic order, lands every mode on the same model
-    /// of the same formula, which is what lets the differential harness
-    /// demand byte-identical counterexamples at 1, 2 and 8 workers.
-    ///
-    /// The probes run inside the query's capacity scope, so the pinning
-    /// assertions are retracted by the caller's `pop`.  They always run
-    /// sequentially with telemetry disabled: the probe must not itself
-    /// depend on the portfolio dimension, and its spans would pollute the
-    /// query's trace.  If a probe comes back [`SmtResult::Unknown`] (budget
-    /// exhaustion) the raw model is kept — still sound, merely not pinned.
-    fn canonicalize_witness(
-        &mut self,
-        result: SmtResult,
-        assumptions: &[(BoolVar, bool)],
-        config: &CheckConfig,
-    ) -> SmtResult {
-        let SmtResult::Sat(mut witness) = result else {
-            return result;
-        };
-        let probe = CheckConfig {
-            solver: SolverConfig {
-                portfolio: 1,
-                telemetry: Telemetry::disabled(),
-                ..config.solver.clone()
-            },
-            ..config.clone()
-        };
-        // The label tables are built from hash maps, so sort owned copies
-        // by name to fix the pinning order once and for all.
-        let mut int_order: Vec<(IntVar, (u8, String, String))> = Vec::new();
-        for (var, queue, packet) in &self.labels.occupancy {
-            int_order.push((*var, (0, queue.clone(), packet.clone())));
-        }
-        for (var, automaton, state) in &self.labels.state {
-            int_order.push((*var, (1, automaton.clone(), state.clone())));
-        }
-        int_order.sort_by(|a, b| a.1.cmp(&b.1));
-        for (var, _) in int_order {
-            let (lo, _) = self.smt.pool().int_bounds(var);
-            let current = witness.int_value(var);
-            let mut pinned = current;
-            for candidate in lo..current {
-                let sel = self.smt.new_bool_var("canon!sel");
-                self.smt.assert(Formula::implies(
-                    Formula::bool_var(sel),
-                    Formula::eq(LinExpr::var(var), LinExpr::constant(candidate)),
-                ));
-                let mut trial = assumptions.to_vec();
-                trial.push((sel, true));
-                match self.smt.check_assuming(&trial, &probe) {
-                    SmtResult::Sat(model) => {
-                        witness = model;
-                        pinned = candidate;
-                        break;
-                    }
-                    SmtResult::Unsat => continue,
-                    SmtResult::Unknown => return SmtResult::Sat(witness),
-                }
-            }
-            self.smt
-                .assert(Formula::eq(LinExpr::var(var), LinExpr::constant(pinned)));
-        }
-        let mut bool_order: Vec<(BoolVar, String)> = self
-            .labels
-            .dead
-            .iter()
-            .map(|(var, automaton)| (*var, automaton.clone()))
-            .collect();
-        bool_order.sort_by(|a, b| a.1.cmp(&b.1));
-        let goals = [self.labels.goal_stuck, self.labels.goal_dead];
-        bool_order.extend(goals.into_iter().flatten().map(|var| (var, String::new())));
-        for (var, _) in bool_order {
-            if witness.bool_value(var) {
-                let mut trial = assumptions.to_vec();
-                trial.push((var, false));
-                match self.smt.check_assuming(&trial, &probe) {
-                    SmtResult::Sat(model) => witness = model,
-                    SmtResult::Unsat => {}
-                    SmtResult::Unknown => return SmtResult::Sat(witness),
-                }
-            }
-            let pin = if witness.bool_value(var) {
-                Formula::bool_var(var)
-            } else {
-                Formula::not(Formula::bool_var(var))
-            };
-            self.smt.assert(pin);
-        }
-        SmtResult::Sat(witness)
     }
 
     /// Decides `query` with a neighbouring tile's [`InterfaceContract`]
@@ -560,35 +433,6 @@ impl EncodingTemplate {
         }
     }
 
-    /// Decides the deadlock question of the frozen legacy spec with every
-    /// queue capacity pinned to `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` lies outside [`EncodingTemplate::capacity_range`].
-    #[deprecated(since = "0.3.0", note = "use `check` with a `Query`")]
-    pub fn check_capacity(&mut self, capacity: usize, config: &CheckConfig) -> Analysis {
-        match self.legacy_spec.as_target() {
-            Some(target) => self.check(&Query::new().capacity(capacity).target(target), config),
-            None => {
-                assert!(
-                    self.capacities.contains(&capacity),
-                    "capacity {capacity} outside the template range {:?}",
-                    self.capacities
-                );
-                // Nothing counts as a deadlock: trivially free, no solving.
-                Analysis {
-                    verdict: Verdict::DeadlockFree,
-                    stats: AnalysisStats {
-                        invariants: self.invariants,
-                        ..AnalysisStats::default()
-                    },
-                    profile: None,
-                }
-            }
-        }
-    }
-
     /// Cumulative statistics of the underlying SAT solver over the life of
     /// the template (all queries so far).
     pub fn sat_stats(&self) -> SatStats {
@@ -605,7 +449,7 @@ mod tests {
     use advocat_noc::{build_mesh, MeshConfig};
 
     use crate::query::DeadlockTarget;
-    use crate::{verify_system, verify_with};
+    use crate::{verify_system, verify_with, DeadlockSpec};
 
     fn mesh_parts(config: &MeshConfig) -> (System, ColorMap, InvariantSet) {
         let system = build_mesh(config).unwrap();
@@ -832,31 +676,5 @@ mod tests {
             .check(&query, &CheckConfig::default())
             .verdict
             .is_deadlock_free());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_constructor_and_check_capacity_still_answer() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let (system, colors, invariants) = mesh_parts(&config);
-        let spec = DeadlockSpec::default();
-        let mut template = EncodingTemplate::new(&system, &colors, &invariants, &spec, 2..=4);
-        assert!(!template
-            .check_capacity(2, &CheckConfig::default())
-            .verdict
-            .is_deadlock_free());
-        assert!(template
-            .check_capacity(3, &CheckConfig::default())
-            .verdict
-            .is_deadlock_free());
-        // A spec with both conditions disabled is trivially free.
-        let neither = DeadlockSpec {
-            stuck_packet: false,
-            dead_automaton: false,
-        };
-        let mut template = EncodingTemplate::new(&system, &colors, &invariants, &neither, 2..=2);
-        let analysis = template.check_capacity(2, &CheckConfig::default());
-        assert!(analysis.verdict.is_deadlock_free());
-        assert_eq!(analysis.stats.sat_effort(), 0);
     }
 }

@@ -9,9 +9,6 @@
 //! * [`explore`] — bounded breadth-first reachability with deadlock-state
 //!   detection and a visitor hook (used, e.g., to check that every derived
 //!   invariant holds in every reachable state),
-//! * [`explore_parallel`] — the same search with multi-threaded frontier
-//!   expansion over a sharded seen-set, reporting the identical reachable
-//!   set with a schedule-independent (sorted) deadlock list,
 //! * [`random_walk`] — long random simulations for larger systems where
 //!   exhaustive exploration is not feasible.
 //!
@@ -52,9 +49,7 @@ mod simulate;
 mod state;
 mod transfer;
 
-pub use reach::{
-    explore, explore_parallel, explore_with_visitor, Exploration, ExplorerConfig, Outcome,
-};
+pub use reach::{explore, explore_with_visitor, Exploration, ExplorerConfig, Outcome};
 pub use simulate::{random_walk, SimulationReport, XorShift64};
 pub use state::GlobalState;
 pub use transfer::enabled_events;

@@ -1,10 +1,6 @@
 //! Bounded breadth-first reachability.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use advocat_automata::System;
 
@@ -119,130 +115,6 @@ where
     }
 }
 
-/// Explores the reachable states with `workers` threads expanding the
-/// breadth-first frontier in parallel.
-///
-/// The search is *level-synchronous*: each BFS level is split across the
-/// workers, which claim newly discovered states through a sharded seen-set
-/// (one mutex-guarded hash set per shard, shard chosen by state hash) so
-/// that no state is expanded twice.  Because every worker expands states of
-/// the same formula-independent transition relation, the set of states
-/// reached — and therefore `states_explored` and the deadlock verdict — is
-/// identical to the sequential [`explore`] whenever the search is
-/// exhaustive.  Deadlock states are reported in sorted order (rather than
-/// discovery order) so the result is deterministic across thread schedules;
-/// under the state bound the *frontier cut* may differ from the sequential
-/// one, exactly as two sequential runs with different queue orders would.
-///
-/// `workers <= 1` delegates to the sequential implementation (including its
-/// discovery-order deadlock list, re-sorted for consistency).
-pub fn explore_parallel(system: &System, config: &ExplorerConfig, workers: usize) -> Exploration {
-    if workers <= 1 {
-        let mut result = explore(system, config);
-        result.deadlocks.sort();
-        return result;
-    }
-    // More shards than workers keeps lock contention low without changing
-    // results: the seen-set is a plain union of its shards.
-    explore_parallel_sharded(system, config, workers, (workers * 4).next_power_of_two())
-}
-
-fn shard_of(state: &GlobalState, shards: usize) -> usize {
-    let mut hasher = DefaultHasher::new();
-    state.hash(&mut hasher);
-    (hasher.finish() as usize) % shards
-}
-
-fn explore_parallel_sharded(
-    system: &System,
-    config: &ExplorerConfig,
-    workers: usize,
-    shards: usize,
-) -> Exploration {
-    let seen: Vec<Mutex<HashSet<GlobalState>>> =
-        (0..shards).map(|_| Mutex::new(HashSet::new())).collect();
-    let visited = AtomicUsize::new(1);
-    let bounded = AtomicBool::new(false);
-    let initial = GlobalState::initial(system);
-    seen[shard_of(&initial, shards)]
-        .lock()
-        .expect("seen shard poisoned")
-        .insert(initial.clone());
-    let mut frontier = vec![initial];
-    let mut deadlocks: Vec<GlobalState> = Vec::new();
-
-    while !frontier.is_empty() {
-        let chunk = frontier.len().div_ceil(workers);
-        let results: Vec<(Vec<GlobalState>, Vec<GlobalState>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = frontier
-                .chunks(chunk)
-                .map(|slice| {
-                    let (seen, visited, bounded) = (&seen, &visited, &bounded);
-                    scope.spawn(move || {
-                        let mut next = Vec::new();
-                        let mut dead = Vec::new();
-                        for state in slice {
-                            let events = enabled_events(system, state, config.requeue_stalled);
-                            if events.is_empty() {
-                                dead.push(state.clone());
-                            }
-                            for event in events {
-                                let succ = event.apply(state);
-                                let mut shard = seen[shard_of(&succ, shards)]
-                                    .lock()
-                                    .expect("seen shard poisoned");
-                                if shard.contains(&succ) {
-                                    continue;
-                                }
-                                // Reserve a slot under the state bound while
-                                // holding the shard lock, so a state is
-                                // either counted and owned by exactly one
-                                // worker or rejected by every worker.
-                                let reserved = visited
-                                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                                        (n < config.max_states).then_some(n + 1)
-                                    })
-                                    .is_ok();
-                                if !reserved {
-                                    bounded.store(true, Ordering::Relaxed);
-                                    continue;
-                                }
-                                shard.insert(succ.clone());
-                                drop(shard);
-                                next.push(succ);
-                            }
-                        }
-                        (next, dead)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("explorer worker panicked"))
-                .collect()
-        });
-        frontier = Vec::new();
-        for (next, dead) in results {
-            frontier.extend(next);
-            deadlocks.extend(dead);
-        }
-    }
-
-    // Frontier states are globally distinct, so the deadlock list has no
-    // duplicates; sorting makes it schedule-independent.
-    deadlocks.sort();
-    deadlocks.truncate(config.max_deadlocks);
-    Exploration {
-        outcome: if bounded.load(Ordering::Relaxed) {
-            Outcome::Bounded
-        } else {
-            Outcome::Exhaustive
-        },
-        states_explored: visited.load(Ordering::Relaxed),
-        deadlocks,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,105 +184,6 @@ mod tests {
         let mut seen = 0usize;
         let result = explore_with_visitor(&system, &ExplorerConfig::default(), |_| seen += 1);
         assert_eq!(seen, result.states_explored);
-    }
-
-    #[test]
-    fn parallel_exploration_matches_sequential_counts_and_deadlocks() {
-        let system = running_example(2);
-        let sequential = explore(&system, &ExplorerConfig::default());
-        for workers in [2, 4] {
-            let parallel = explore_parallel(&system, &ExplorerConfig::default(), workers);
-            assert_eq!(parallel.outcome, sequential.outcome);
-            assert_eq!(parallel.states_explored, sequential.states_explored);
-            assert_eq!(parallel.deadlocks, sequential.deadlocks);
-        }
-    }
-
-    #[test]
-    fn parallel_exploration_matches_sequential_on_random_fabrics() {
-        // Randomised pipelines: a source feeding a chain of queues into
-        // either a live sink (deadlock-free) or a dead sink (the chain
-        // fills up and deadlocks).  The parallel explorer must reach the
-        // same state count and find a witness exactly when the sequential
-        // one does.
-        let mut seed = 0x5eed_cafe_u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..12 {
-            let mut net = Network::new();
-            let p = net.intern(Packet::kind("p"));
-            let src = net.add_source("src", vec![p]);
-            let stages = 1 + (next() % 3) as usize;
-            let mut prev = (src, 0);
-            for i in 0..stages {
-                let q = net.add_queue(format!("q{i}"), 1 + (next() % 3) as usize);
-                net.connect(prev.0, prev.1, q, 0);
-                prev = (q, 0);
-            }
-            let lively = next() % 2 == 0;
-            let sink = if lively {
-                net.add_sink("sink")
-            } else {
-                net.add_dead_sink("dead")
-            };
-            net.connect(prev.0, prev.1, sink, 0);
-            let system = System::new(net);
-            let sequential = explore(&system, &ExplorerConfig::default());
-            assert_eq!(
-                sequential.deadlocks.is_empty(),
-                lively,
-                "round {round}: dead sink must be the only source of deadlock"
-            );
-            let mut expected = sequential.deadlocks.clone();
-            expected.sort();
-            for workers in [2, 4] {
-                let parallel = explore_parallel(&system, &ExplorerConfig::default(), workers);
-                assert_eq!(parallel.outcome, sequential.outcome, "round {round}");
-                assert_eq!(
-                    parallel.states_explored, sequential.states_explored,
-                    "round {round} at {workers} workers"
-                );
-                assert_eq!(parallel.deadlocks, expected, "round {round}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_forces_every_collision_and_still_agrees() {
-        // With one shard every state contends for the same lock; the result
-        // must still be the plain sequential reachable set.
-        let mut net = Network::new();
-        let p = net.intern(Packet::kind("p"));
-        let src = net.add_source("src", vec![p]);
-        let q = net.add_queue("q", 3);
-        let dead = net.add_dead_sink("dead");
-        net.connect(src, 0, q, 0);
-        net.connect(q, 0, dead, 0);
-        let system = System::new(net);
-        let sequential = explore(&system, &ExplorerConfig::default());
-        let collided = explore_parallel_sharded(&system, &ExplorerConfig::default(), 4, 1);
-        assert_eq!(collided.outcome, sequential.outcome);
-        assert_eq!(collided.states_explored, sequential.states_explored);
-        let mut expected = sequential.deadlocks.clone();
-        expected.sort();
-        assert_eq!(collided.deadlocks, expected);
-        assert!(shard_of(&GlobalState::initial(&system), 1) == 0);
-    }
-
-    #[test]
-    fn parallel_state_bound_still_reports_bounded() {
-        let system = running_example(2);
-        let config = ExplorerConfig {
-            max_states: 2,
-            ..ExplorerConfig::default()
-        };
-        let result = explore_parallel(&system, &config, 4);
-        assert_eq!(result.outcome, Outcome::Bounded);
-        assert_eq!(result.states_explored, 2);
     }
 
     #[test]

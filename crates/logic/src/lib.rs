@@ -48,7 +48,6 @@ pub mod cnf;
 mod expr;
 mod model;
 pub mod sat;
-pub mod share;
 pub mod smt;
 pub mod theory;
 
@@ -56,5 +55,4 @@ pub use advocat_telemetry::{SolverProfile, Telemetry};
 pub use expr::{BoolVar, CmpOp, Formula, IntVar, LinExpr, VarPool};
 pub use model::Model;
 pub use sat::{SatStats, SolverConfig};
-pub use share::{ClauseExchange, ExchangeHandle, SharedClause};
 pub use smt::{CheckConfig, SmtResult, SmtSolver, SolverStats};

@@ -43,10 +43,8 @@
 //! assert!(model[b]);
 //! ```
 
-use crate::share::{CancelFlag, ExchangeHandle};
 use advocat_telemetry::{SolverProfile, Telemetry};
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// A propositional variable, identified by index.
@@ -159,25 +157,6 @@ pub struct SolverConfig {
     /// Branch on the polarity each variable last held instead of a fixed
     /// negative default, keeping locality across restarts and queries.
     pub phase_saving: bool,
-    /// Polarity of a branching decision when [`SolverConfig::phase_saving`]
-    /// is off.  `false` (the default) is the historical behaviour and a
-    /// good fit for the mostly-Horn deadlock encodings; portfolio
-    /// diversification flips it on some workers.
-    pub default_phase: bool,
-    /// Number of diversified solver workers raced by
-    /// [`crate::smt::SmtSolver`] per `check`.  `1` (the default) keeps the
-    /// sequential path; `n > 1` races `n` clones configured by
-    /// [`SolverConfig::diversify`], first definitive verdict wins.
-    pub portfolio: usize,
-    /// Learnt clauses with an LBD at or below this are exported to the
-    /// other portfolio workers (glue clauses, in Glucose terms).  Only
-    /// consulted while a clause exchange is attached.
-    pub glue_share_lbd: u32,
-    /// Non-zero on diversified portfolio workers: applying a config with a
-    /// new non-zero seed perturbs the branching activities once (a
-    /// deterministic multiplicative jitter) so clones explore the search
-    /// space in different orders.  Zero leaves activities untouched.
-    pub diversity_seed: u64,
     /// Observability handle (disabled by default).  When enabled the
     /// solver collects a phase-attributed [`SolverProfile`] per query and
     /// emits `sat.restart` / `sat.reduce_db` trace events; when disabled
@@ -197,64 +176,8 @@ impl Default for SolverConfig {
             luby_base: 100,
             restart_ema_ratio: 1.25,
             phase_saving: true,
-            default_phase: false,
-            portfolio: 1,
-            glue_share_lbd: 2,
-            diversity_seed: 0,
             telemetry: Telemetry::disabled(),
         }
-    }
-}
-
-impl SolverConfig {
-    /// The default configuration with `workers` portfolio workers.
-    pub fn portfolio(workers: usize) -> Self {
-        SolverConfig {
-            portfolio: workers.max(1),
-            ..SolverConfig::default()
-        }
-    }
-
-    /// The configuration of portfolio worker `worker`, derived from this
-    /// one.  Worker 0 is the canonical configuration, unchanged, so a
-    /// one-worker portfolio searches exactly like the sequential path;
-    /// higher workers vary the restart schedule, phase polarity,
-    /// reduction cadence and branching-activity seed.  The derivation is
-    /// deterministic: the same base and index always yield the same
-    /// worker.
-    pub fn diversify(&self, worker: usize) -> SolverConfig {
-        let mut c = self.clone();
-        c.portfolio = 1;
-        if worker == 0 {
-            return c;
-        }
-        c.diversity_seed = worker as u64;
-        match worker % 4 {
-            // Positive-phase branching: explores the "everything blocked"
-            // side of the deadlock encodings first.
-            1 => {
-                c.phase_saving = false;
-                c.default_phase = true;
-            }
-            // Conservative restarts: long pure-Luby intervals, letting
-            // deep searches finish.
-            2 => {
-                c.restart_ema_ratio = 0.0;
-                c.luby_base = self.luby_base.saturating_mul(4);
-            }
-            // Aggressive restarts with negative-phase branching.
-            3 => {
-                c.luby_base = (self.luby_base / 4).max(8);
-                c.phase_saving = false;
-            }
-            // Eager clause-database reduction with a twitchier EMA.
-            _ => {
-                c.first_reduce = (self.first_reduce / 2).max(50);
-                c.reduce_interval = (self.reduce_interval / 2).max(50);
-                c.restart_ema_ratio = 1.1;
-            }
-        }
-        c
     }
 }
 
@@ -370,14 +293,6 @@ impl VarHeap {
         self.pos[self.heap[i]] = i;
         self.pos[self.heap[j]] = j;
     }
-
-    /// Restores the heap property after a bulk rewrite of the activities
-    /// (diversification jitter): bottom-up heapify in O(n).
-    fn rebuild(&mut self, activity: &[f64]) {
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i, activity);
-        }
-    }
 }
 
 /// An exponential moving average with initialization-bias correction: the
@@ -484,13 +399,6 @@ pub struct SatSolver {
     /// session scope) trigger another sweep at the next solve.
     simplified_trail_len: usize,
     config: SolverConfig,
-    /// Cooperative-cancellation flag of a portfolio race, polled once per
-    /// conflict.  `None` (the default) costs one branch per conflict.
-    interrupt: Option<CancelFlag>,
-    /// Glue-clause exchange of a portfolio race: learnt clauses with
-    /// LBD ≤ [`SolverConfig::glue_share_lbd`] are published at learn time
-    /// and foreign clauses are imported at every restart.
-    exchange: Option<ExchangeHandle>,
     /// Cached `config.telemetry.is_enabled()`: the only thing the hot
     /// search loop branches on when telemetry is disabled.
     profiling: bool,
@@ -505,21 +413,6 @@ pub struct SatSolver {
 /// Result returned when the solver proves unsatisfiability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Unsat;
-
-/// Outcome of [`SatSolver::solve_limited`], the interruptible entry point
-/// used by portfolio workers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SolveOutcome {
-    /// Satisfiable, with one Boolean per variable.
-    Sat(Vec<bool>),
-    /// Proven unsatisfiable under the given assumptions
-    /// ([`SatSolver::last_core`] holds the failing assumption subset).
-    Unsat,
-    /// The attached interrupt flag flipped before the search concluded:
-    /// another portfolio worker won the race.  No verdict; the solver is
-    /// back at decision level zero with its learnt state intact.
-    Interrupted,
-}
 
 impl Default for SatSolver {
     fn default() -> Self {
@@ -558,8 +451,6 @@ impl SatSolver {
             ema_slow: Ema::new(1.0 / 4096.0),
             next_reduce: config.first_reduce,
             simplified_trail_len: 0,
-            interrupt: None,
-            exchange: None,
             profiling: config.telemetry.is_enabled(),
             profile: SolverProfile::default(),
             config,
@@ -581,45 +472,8 @@ impl SatSolver {
         if self.config != config {
             self.next_reduce = self.stats.conflicts + config.first_reduce;
             self.profiling = config.telemetry.is_enabled();
-            if config.diversity_seed != self.config.diversity_seed && config.diversity_seed != 0 {
-                self.jitter_activities(config.diversity_seed);
-            }
             self.config = config;
         }
-    }
-
-    /// Perturbs every branching activity with a deterministic
-    /// multiplicative jitter derived from `seed`, so diversified portfolio
-    /// clones branch in different orders even before their configs have
-    /// had time to matter.  Relative magnitudes are roughly preserved
-    /// (factor in `[0.5, 1.5)` plus a tiny tie-breaking offset).
-    fn jitter_activities(&mut self, seed: u64) {
-        let mut state = seed | 1;
-        for a in &mut self.activity {
-            // xorshift64
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let r = (state % 1024) as f64 / 1024.0;
-            *a = *a * (0.5 + r) + r * 1e-9;
-        }
-        self.order.rebuild(&self.activity);
-    }
-
-    /// Attaches (or clears) the cooperative-cancellation flag of a
-    /// portfolio race.  While set, the solver polls it once per conflict
-    /// and [`SatSolver::solve_limited`] returns
-    /// [`SolveOutcome::Interrupted`] promptly after it flips.
-    pub fn set_interrupt(&mut self, interrupt: Option<CancelFlag>) {
-        self.interrupt = interrupt;
-    }
-
-    /// Attaches (or clears) this solver's view of a portfolio glue-clause
-    /// exchange: learnt clauses with LBD ≤
-    /// [`SolverConfig::glue_share_lbd`] are published at learn time, and
-    /// foreign clauses are imported at every restart.
-    pub fn set_exchange(&mut self, exchange: Option<ExchangeHandle>) {
-        self.exchange = exchange;
     }
 
     /// Takes (and resets) the phase-attributed profile accumulated since
@@ -1171,24 +1025,9 @@ impl SatSolver {
     /// Panics if an assumption refers to a variable that was never
     /// allocated.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Result<Vec<bool>, Unsat> {
-        match self.solve_limited(assumptions) {
-            SolveOutcome::Sat(model) => Ok(model),
-            SolveOutcome::Unsat => Err(Unsat),
-            SolveOutcome::Interrupted => {
-                unreachable!("solve_with_assumptions is only used without an interrupt flag")
-            }
-        }
-    }
-
-    /// [`SatSolver::solve_with_assumptions`] with cooperative cancellation:
-    /// while an interrupt flag is attached ([`SatSolver::set_interrupt`])
-    /// the solver polls it once per conflict and returns
-    /// [`SolveOutcome::Interrupted`] promptly after it flips, leaving the
-    /// solver at decision level zero with all learnt state intact.
-    pub fn solve_limited(&mut self, assumptions: &[Lit]) -> SolveOutcome {
         self.last_core.clear();
         if !self.ok {
-            return SolveOutcome::Unsat;
+            return Err(Unsat);
         }
         for lit in assumptions {
             assert!(
@@ -1199,7 +1038,7 @@ impl SatSolver {
         self.cancel_until(0);
         if self.timed_propagate().is_some() {
             self.ok = false;
-            return SolveOutcome::Unsat;
+            return Err(Unsat);
         }
         if self.config.clause_reduction {
             self.simplify();
@@ -1214,17 +1053,9 @@ impl SatSolver {
                 if self.profiling {
                     self.profile.conflicts += 1;
                 }
-                if let Some(flag) = &self.interrupt {
-                    // Polled once per conflict: cheap enough for the hot
-                    // loop, frequent enough for prompt cancellation.
-                    if flag.load(Ordering::Relaxed) {
-                        self.cancel_until(0);
-                        return SolveOutcome::Interrupted;
-                    }
-                }
                 if self.decision_level() == 0 {
                     self.ok = false;
-                    return SolveOutcome::Unsat;
+                    return Err(Unsat);
                 }
                 let analyze_start = self.profiling.then(Instant::now);
                 let (learnt, backjump) = self.analyze(conflict);
@@ -1236,14 +1067,6 @@ impl SatSolver {
                     self.profile.analyze.add(start.elapsed());
                 }
                 self.cancel_until(backjump);
-                // Learnt clauses are consequences of the clause set alone
-                // (assumptions are decisions, never resolved on), so glue
-                // clauses are sound to hand to every portfolio sibling.
-                if let Some(exchange) = &self.exchange {
-                    if learnt.len() == 1 || lbd <= self.config.glue_share_lbd {
-                        exchange.publish(&learnt, lbd.max(1));
-                    }
-                }
                 if learnt.len() == 1 {
                     let ok = self.enqueue(learnt[0], None);
                     debug_assert!(ok, "asserting literal must be enqueueable");
@@ -1289,17 +1112,6 @@ impl SatSolver {
                 let long_run = self.ema_slow.get();
                 self.ema_fast.align_to(long_run);
                 self.cancel_until(0);
-                if self.exchange.is_some() {
-                    // Back at level zero anyway: fold in whatever glue the
-                    // portfolio siblings published since the last restart.
-                    // The propagation at the top of the loop absorbs any
-                    // imported units (a level-zero conflict there is a
-                    // sound Unsat: imported clauses are implied).
-                    self.import_pending_shared();
-                    if !self.ok {
-                        return SolveOutcome::Unsat;
-                    }
-                }
                 if let Some(start) = restart_start {
                     self.profile.restart.add(start.elapsed());
                 }
@@ -1337,7 +1149,7 @@ impl SatSolver {
                     Some(false) => {
                         self.last_core = self.analyze_final(p);
                         self.cancel_until(0);
-                        return SolveOutcome::Unsat;
+                        return Err(Unsat);
                     }
                     None => {
                         self.stats.decisions += 1;
@@ -1353,7 +1165,7 @@ impl SatSolver {
                     let model: Vec<bool> =
                         self.assigns.iter().map(|a| a.unwrap_or(false)).collect();
                     self.cancel_until(0);
-                    return SolveOutcome::Sat(model);
+                    return Ok(model);
                 }
                 Some(v) => {
                     self.stats.decisions += 1;
@@ -1362,94 +1174,6 @@ impl SatSolver {
                     let ok = self.enqueue(Lit::new(v, polarity), None);
                     debug_assert!(ok, "decision variable was unassigned");
                 }
-            }
-        }
-    }
-
-    /// Imports every clause currently pending in the attached exchange
-    /// inbox (no-op without an exchange), then propagates the imported
-    /// units.  Called automatically at every restart while racing; also
-    /// the entry point for folding a finished race's leftover glue into
-    /// the persistent session solver via a drain handle
-    /// ([`crate::share::ClauseExchange::drain_handle`] +
-    /// [`SatSolver::set_exchange`]).
-    ///
-    /// Returns the number of clauses imported.  Imported clauses are
-    /// consequences of the shared clause set, so a conflict during the
-    /// closing propagation soundly marks the solver unsatisfiable.
-    pub fn import_shared_now(&mut self) -> u64 {
-        if self.exchange.is_none() || !self.ok {
-            return 0;
-        }
-        self.cancel_until(0);
-        let imported = self.import_pending_shared();
-        if self.ok && self.propagate().is_some() {
-            self.ok = false;
-        }
-        imported
-    }
-
-    /// Drains the exchange inbox into the learnt arena.  Must be called at
-    /// decision level zero.  Filters each clause against the current
-    /// permanent state: clauses already satisfied at level zero (for
-    /// example, those mentioning the disabled activation literal of a
-    /// popped scope) are skipped, and level-zero-falsified literals are
-    /// stripped.  Units are enqueued at level zero; an empty survivor
-    /// marks the solver unsatisfiable (sound — imports are implied).
-    fn import_pending_shared(&mut self) -> u64 {
-        debug_assert_eq!(self.decision_level(), 0);
-        let Some(exchange) = self.exchange.clone() else {
-            return 0;
-        };
-        let mut imported = 0u64;
-        while let Some(shared) = exchange.try_recv() {
-            if self.import_clause(&shared.lits, shared.lbd) {
-                imported += 1;
-            }
-            if !self.ok {
-                break;
-            }
-        }
-        exchange.note_imported(imported);
-        imported
-    }
-
-    /// Filters and attaches one foreign clause; returns `true` when the
-    /// clause was actually added (as a learnt clause or a level-zero unit).
-    fn import_clause(&mut self, lits: &[Lit], lbd: u32) -> bool {
-        // Defensive range filter: a foreign clause over variables this
-        // clone has never allocated cannot be interpreted.  (Portfolio
-        // clones share one allocation history, so this never fires there.)
-        if lits.iter().any(|l| l.var() >= self.num_vars()) {
-            return false;
-        }
-        let mut clause = Vec::with_capacity(lits.len());
-        for &lit in lits {
-            match self.value(lit) {
-                // Permanently satisfied (e.g. by a popped scope's disabled
-                // activation literal): nothing to learn.
-                Some(true) if self.levels[lit.var()] == 0 => return false,
-                // Permanently falsified literal: strip it.
-                Some(false) if self.levels[lit.var()] == 0 => {}
-                _ => clause.push(lit),
-            }
-        }
-        match clause.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                if !self.enqueue(clause[0], None) {
-                    self.ok = false;
-                }
-                true
-            }
-            _ => {
-                self.attach(clause, true, lbd.max(1));
-                self.stats.learnt_clauses += 1;
-                self.stats.total_learnt += 1;
-                true
             }
         }
     }
@@ -1968,178 +1692,5 @@ mod tests {
         }
         let stats = s.stats();
         assert!(stats.learnt_clauses <= stats.total_learnt);
-    }
-
-    #[test]
-    fn diversified_configs_are_deterministic_and_worker_zero_is_canonical() {
-        let base = SolverConfig::default();
-        // Worker 0 must search exactly like the sequential path.
-        let canonical = base.diversify(0);
-        assert_eq!(
-            canonical,
-            SolverConfig {
-                portfolio: 1,
-                ..base.clone()
-            }
-        );
-        // Derivation is deterministic and actually diversifies.
-        for w in 1..12 {
-            assert_eq!(base.diversify(w), base.diversify(w));
-            assert_ne!(base.diversify(w), canonical, "worker {w} not diversified");
-        }
-        assert_ne!(base.diversify(1), base.diversify(2));
-    }
-
-    #[test]
-    fn interrupt_flag_stops_the_search_without_a_verdict() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        // All eight 3-literal clauses over three variables: unsatisfiable,
-        // and provably so only through conflicts — which is where the
-        // interrupt flag is polled.
-        let mut s = SatSolver::new();
-        for _ in 0..3 {
-            s.new_var();
-        }
-        for bits in 0..8u32 {
-            let clause: Vec<Lit> = (0..3).map(|v| Lit::new(v, (bits >> v) & 1 == 0)).collect();
-            s.add_clause(&clause);
-        }
-        let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(Some(Arc::clone(&flag)));
-        assert_eq!(s.solve_limited(&[]), SolveOutcome::Interrupted);
-        // The solver survives the interruption: clearing the flag lets the
-        // same search run to its real verdict.
-        flag.store(false, Ordering::Relaxed);
-        assert_eq!(s.solve_limited(&[]), SolveOutcome::Unsat);
-    }
-
-    /// The portfolio soundness property: every clause a solver publishes
-    /// to the exchange must be a logical consequence of the clause set
-    /// **alone** — never of the assumptions in force when it was learnt.
-    /// Cross-checked against brute-force enumeration on random instances,
-    /// with scope-style guard literals active (a guarded sub-formula plus
-    /// an assumption enabling it, exactly how [`crate::smt`] encodes
-    /// push/pop scopes).
-    #[test]
-    fn exported_clauses_are_implied_by_the_clause_set_alone() {
-        use crate::share::ClauseExchange;
-        let mut seed = 0xC0FFEE123456789u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let mut exported_total = 0u64;
-        for instance in 0..40 {
-            let num_vars = 7usize; // 6 problem variables + 1 scope guard
-            let guard = 6usize;
-            let mut clauses: Vec<Vec<Lit>> = (0..(16 + instance % 5))
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Lit::new((next() % 6) as usize, next() % 2 == 0))
-                        .collect()
-                })
-                .collect();
-            // A "scope": four clauses only active while the guard is
-            // assumed true (¬guard satisfies them), as in SMT push/pop.
-            for _ in 0..4 {
-                let mut c: Vec<Lit> = (0..2)
-                    .map(|_| Lit::new((next() % 6) as usize, next() % 2 == 0))
-                    .collect();
-                c.push(Lit::negative(guard));
-                clauses.push(c);
-            }
-            let exchange = ClauseExchange::new(2, 4096);
-            let mut s = SatSolver::with_config(SolverConfig {
-                // Export every learnt clause, not only glue: the property
-                // must hold for anything the hook could ever publish.
-                glue_share_lbd: u32::MAX,
-                ..churn_config()
-            });
-            s.set_exchange(Some(exchange.handle(0)));
-            for _ in 0..num_vars {
-                s.new_var();
-            }
-            for c in &clauses {
-                s.add_clause(c);
-            }
-            for _ in 0..4 {
-                let mut assumptions = vec![Lit::new(guard, next() % 2 == 0)];
-                for _ in 0..(next() % 3) {
-                    assumptions.push(Lit::new((next() % 6) as usize, next() % 2 == 0));
-                }
-                let _ = s.solve_with_assumptions(&assumptions);
-            }
-            // Drain what worker 0 published to inbox 1 and check each
-            // clause against brute force: clauses ∧ ¬c must be UNSAT.
-            let collector = exchange.drain_handle(1);
-            while let Some(shared) = collector.try_recv() {
-                exported_total += 1;
-                let negation: Vec<Lit> = shared.lits.iter().map(|l| l.negated()).collect();
-                assert!(
-                    !brute_force_sat(num_vars, &clauses, &negation),
-                    "instance {instance}: exported clause {:?} is not implied \
-                     by the clause set alone",
-                    shared.lits
-                );
-            }
-        }
-        assert!(
-            exported_total > 0,
-            "the fuzz instances never exercised the export hook"
-        );
-    }
-
-    #[test]
-    fn importing_shared_clauses_preserves_verdicts_under_assumptions() {
-        use crate::share::ClauseExchange;
-        // A two-solver mini-portfolio on one instance: both export, both
-        // import (at restarts and explicitly between rounds), and both
-        // must keep agreeing with brute force on every assumption round.
-        let mut seed = 0xDEAD_BEEF_CAFE_0001u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _instance in 0..12 {
-            let num_vars = 7usize;
-            let clauses: Vec<Vec<Lit>> = (0..24)
-                .map(|_| {
-                    (0..3)
-                        .map(|_| Lit::new((next() % num_vars as u64) as usize, next() % 2 == 0))
-                        .collect()
-                })
-                .collect();
-            let exchange = ClauseExchange::new(2, 4096);
-            let mut a = SatSolver::with_config(churn_config());
-            let mut b = SatSolver::with_config(SolverConfig::default().diversify(1));
-            a.set_exchange(Some(exchange.handle(0)));
-            b.set_exchange(Some(exchange.handle(1)));
-            for s in [&mut a, &mut b] {
-                for _ in 0..num_vars {
-                    s.new_var();
-                }
-                for c in &clauses {
-                    s.add_clause(c);
-                }
-            }
-            for round in 0..8 {
-                let assumptions: Vec<Lit> = (0..(next() % 4) as usize)
-                    .map(|_| Lit::new((next() % num_vars as u64) as usize, next() % 2 == 0))
-                    .collect();
-                let expected = brute_force_sat(num_vars, &clauses, &assumptions);
-                let got_a = a.solve_with_assumptions(&assumptions).is_ok();
-                let got_b = b.solve_with_assumptions(&assumptions).is_ok();
-                assert_eq!(got_a, expected, "solver A, round {round}");
-                assert_eq!(got_b, expected, "solver B, round {round}");
-                // Explicit absorption outside any search, mid-session.
-                a.import_shared_now();
-                b.import_shared_now();
-            }
-        }
     }
 }

@@ -22,12 +22,9 @@
 use crate::cnf::{Encoder, LinearAtom};
 use crate::expr::{BoolVar, Formula, IntVar, VarPool};
 use crate::model::Model;
-use crate::sat::{Lit, SatSolver, SatStats, SolveOutcome, SolverConfig};
-use crate::share::{CancelFlag, ClauseExchange};
+use crate::sat::{Lit, SatSolver, SatStats, SolverConfig};
 use crate::theory::{self, Constraint, TheoryVerdict};
 use advocat_telemetry::{PhaseCost, SolverProfile};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Resource limits and search parameters for a satisfiability check.
@@ -353,36 +350,8 @@ impl SmtSolver {
             sat_variables: sat.num_vars(),
             ..SolverStats::default()
         };
-        let (result, after) = if config.solver.portfolio > 1 {
-            let (race, _exchange) = race_portfolio(
-                &self.pool,
-                &self.assertions,
-                &encoder,
-                &sat,
-                &assumed,
-                config,
-            );
-            self.stats.refinements = race.refinements;
-            self.stats.theory_conflicts = race.theory_conflicts;
-            self.profile = race.profile;
-            (race.result, race.sat_after)
-        } else {
-            let mut profile = SolverProfile::default();
-            let outcome = refine(
-                &self.pool,
-                &self.assertions,
-                &encoder,
-                &mut sat,
-                &assumed,
-                config,
-                &mut self.stats,
-                &mut profile,
-                None,
-            );
-            profile.merge(&sat.take_profile());
-            self.profile = profile;
-            (outcome.into_result(), sat.stats())
-        };
+        let result = self.refine(&encoder, &mut sat, &assumed, config);
+        let after = sat.stats();
         self.stats.sat_conflicts = after.conflicts;
         self.stats.sat_propagations = after.propagations;
         self.stats.sat_reduced_dbs = after.reduced_dbs;
@@ -429,7 +398,7 @@ impl SmtSolver {
             sat_variables: inc.sat.num_vars(),
             ..SolverStats::default()
         };
-        inc.sat.set_config(config.solver.diversify(0));
+        inc.sat.set_config(config.solver.clone());
         let before = inc.sat.stats();
         let mut assumed = inc.scope_lits.clone();
         assumed.extend(
@@ -437,45 +406,8 @@ impl SmtSolver {
                 .iter()
                 .map(|&(v, sign)| Lit::new(inc.encoder.sat_var_for_bool(v, &mut inc.sat), sign)),
         );
-        let (result, after) = if config.solver.portfolio > 1 {
-            // Race diversified clones of the session solver; the session
-            // solver itself does not search, but afterwards it absorbs the
-            // glue clauses the race published (inbox `portfolio` of the
-            // exchange belongs to no worker and saw every export), so the
-            // next check — portfolio or not — starts ahead.
-            let (race, exchange) = race_portfolio(
-                &self.pool,
-                &self.assertions,
-                &inc.encoder,
-                &inc.sat,
-                &assumed,
-                config,
-            );
-            self.stats.refinements = race.refinements;
-            self.stats.theory_conflicts = race.theory_conflicts;
-            self.profile = race.profile;
-            inc.sat
-                .set_exchange(Some(exchange.drain_handle(config.solver.portfolio)));
-            inc.sat.import_shared_now();
-            inc.sat.set_exchange(None);
-            (race.result, race.sat_after)
-        } else {
-            let mut profile = SolverProfile::default();
-            let outcome = refine(
-                &self.pool,
-                &self.assertions,
-                &inc.encoder,
-                &mut inc.sat,
-                &assumed,
-                config,
-                &mut self.stats,
-                &mut profile,
-                None,
-            );
-            profile.merge(&inc.sat.take_profile());
-            self.profile = profile;
-            (outcome.into_result(), inc.sat.stats())
-        };
+        let result = self.refine(&inc.encoder, &mut inc.sat, &assumed, config);
+        let after = inc.sat.stats();
         self.stats.sat_conflicts = after.conflicts - before.conflicts;
         self.stats.sat_propagations = after.propagations - before.propagations;
         self.stats.sat_reduced_dbs = after.reduced_dbs - before.reduced_dbs;
@@ -484,326 +416,140 @@ impl SmtSolver {
         self.stats.sat_total_learnt = after.total_learnt;
         result
     }
-}
 
-/// Outcome of one [`refine`] run: either a verdict, or the cancellation
-/// flag of a portfolio race flipped mid-search.
-enum RefineOutcome {
-    Done(SmtResult),
-    Interrupted,
-}
+    /// The lazy SAT/theory refinement loop shared by both modes.
+    ///
+    /// Blocking clauses are justified by the variable bounds alone, so they
+    /// are always added as permanent clauses — in persistent mode they are
+    /// the "theory lemmas" that survive into later checks.
+    ///
+    /// A theory conflict found by propagation is explained from the reasons
+    /// propagation recorded ([`theory::solve`]); the explanation is shrunk to
+    /// an irreducible core ([`theory::minimize_core`]), re-checked without
+    /// those reasons, and blocked.  A conflict only branch & bound could find
+    /// blocks the whole model assignment of the atoms.
+    ///
+    /// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
+    /// theory-side phases and lemma sizes are charged to the check's
+    /// profile, next to the SAT core's CDCL phases.
+    fn refine(
+        &mut self,
+        encoder: &Encoder,
+        sat: &mut SatSolver,
+        assumptions: &[Lit],
+        config: &CheckConfig,
+    ) -> SmtResult {
+        let mut profile = SolverProfile::default();
+        let bounds: Vec<(i64, i64)> = self
+            .pool
+            .int_vars()
+            .map(|v| self.pool.int_bounds(v))
+            .collect();
+        // Every linear atom as a theory constraint in both polarities, built
+        // once per check; each refinement picks one per atom by its SAT value.
+        let polarised: Vec<[Constraint; 2]> = encoder
+            .linear_atoms()
+            .map(|(atom, _)| [constraint_of(&atom.negated()), constraint_of(atom)])
+            .collect();
+        let profiling = config.solver.telemetry.is_enabled();
+        let mut constraints: Vec<&Constraint> = Vec::new();
+        let mut atom_lits: Vec<Lit> = Vec::new();
 
-impl RefineOutcome {
-    /// Unwraps the verdict of an uninterruptible run (no cancel flag).
-    fn into_result(self) -> SmtResult {
-        match self {
-            RefineOutcome::Done(result) => result,
-            RefineOutcome::Interrupted => {
-                unreachable!("refine only reports Interrupted when a cancel flag is attached")
+        let result = loop {
+            if self.stats.refinements >= config.max_refinements {
+                break SmtResult::Unknown;
             }
-        }
-    }
-}
+            self.stats.refinements += 1;
 
-/// The lazy SAT/theory refinement loop shared by both modes (and, in
-/// portfolio mode, run by every racing worker on its own clone of the SAT
-/// solver against the shared encoder).
-///
-/// Blocking clauses are justified by the variable bounds alone, so they
-/// are always added as permanent clauses — in persistent mode they are
-/// the "theory lemmas" that survive into later checks.  They are *not*
-/// consequences of the clause set by itself, which is why they travel as
-/// problem clauses here and never through the portfolio glue exchange
-/// (the exchange carries only CDCL learnt clauses, which are).
-///
-/// A theory conflict found by propagation is explained from the reasons
-/// propagation recorded ([`theory::solve`]); the explanation is shrunk to
-/// an irreducible core ([`theory::minimize_core`]), re-checked without
-/// those reasons, and blocked.  A conflict only branch & bound could find
-/// blocks the whole model assignment of the atoms.
-///
-/// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
-/// theory-side phases and lemma sizes are charged to `profile`.
-///
-/// With a cancel flag attached the loop polls it between refinements (the
-/// SAT core additionally polls once per conflict) and reports
-/// [`RefineOutcome::Interrupted`] without a verdict.
-#[allow(clippy::too_many_arguments)]
-fn refine(
-    pool: &VarPool,
-    assertions: &[Formula],
-    encoder: &Encoder,
-    sat: &mut SatSolver,
-    assumptions: &[Lit],
-    config: &CheckConfig,
-    stats: &mut SolverStats,
-    profile: &mut SolverProfile,
-    cancel: Option<&CancelFlag>,
-) -> RefineOutcome {
-    let bounds: Vec<(i64, i64)> = pool.int_vars().map(|v| pool.int_bounds(v)).collect();
-    // Every linear atom as a theory constraint in both polarities, built
-    // once per check; each refinement picks one per atom by its SAT value.
-    let polarised: Vec<[Constraint; 2]> = encoder
-        .linear_atoms()
-        .map(|(atom, _)| [constraint_of(&atom.negated()), constraint_of(atom)])
-        .collect();
-    let profiling = config.solver.telemetry.is_enabled();
-    let mut constraints: Vec<&Constraint> = Vec::new();
-    let mut atom_lits: Vec<Lit> = Vec::new();
+            let sat_model = match sat.solve_with_assumptions(assumptions) {
+                Ok(model) => model,
+                Err(_) => break SmtResult::Unsat,
+            };
 
-    loop {
-        if let Some(flag) = cancel {
-            if flag.load(Ordering::Relaxed) {
-                return RefineOutcome::Interrupted;
-            }
-        }
-        if stats.refinements >= config.max_refinements {
-            return RefineOutcome::Done(SmtResult::Unknown);
-        }
-        stats.refinements += 1;
-
-        let sat_model = match sat.solve_limited(assumptions) {
-            SolveOutcome::Sat(model) => model,
-            SolveOutcome::Unsat => return RefineOutcome::Done(SmtResult::Unsat),
-            SolveOutcome::Interrupted => return RefineOutcome::Interrupted,
-        };
-
-        // Extract the theory constraints implied by the SAT model.
-        // Atoms whose SAT variable no longer occurs in any live clause
-        // (their scope was popped and garbage-collected) are skipped:
-        // nothing propositional constrains them, so their default
-        // model value carries no information and forcing its theory
-        // counterpart would only shrink — or wrongly empty — the
-        // feasible space of long-lived sessions.
-        let start = profiling.then(Instant::now);
-        constraints.clear();
-        atom_lits.clear();
-        for ((_, sat_var), both) in encoder.linear_atoms().zip(&polarised) {
-            if !sat.is_constrained(sat_var) {
-                continue;
-            }
-            let assigned_true = sat_model[sat_var];
-            constraints.push(&both[usize::from(assigned_true)]);
-            atom_lits.push(Lit::new(sat_var, assigned_true));
-        }
-        let start = lap(start, &mut profile.extract);
-
-        let verdict = theory::solve(&bounds, &constraints, config.theory_node_budget);
-        let start = lap(start, &mut profile.theory);
-        match verdict {
-            TheoryVerdict::Sat(values) => {
-                let mut model = Model::new();
-                for v in pool.int_vars() {
-                    model.set_int(v, values[v.index()]);
+            // Extract the theory constraints implied by the SAT model.
+            // Atoms whose SAT variable no longer occurs in any live clause
+            // (their scope was popped and garbage-collected) are skipped:
+            // nothing propositional constrains them, so their default
+            // model value carries no information and forcing its theory
+            // counterpart would only shrink — or wrongly empty — the
+            // feasible space of long-lived sessions.
+            let start = profiling.then(Instant::now);
+            constraints.clear();
+            atom_lits.clear();
+            for ((_, sat_var), both) in encoder.linear_atoms().zip(&polarised) {
+                if !sat.is_constrained(sat_var) {
+                    continue;
                 }
-                for v in pool.bool_vars() {
-                    if let Some(sat_var) = encoder.lookup_bool(v) {
-                        model.set_bool(v, sat_model[sat_var]);
+                let assigned_true = sat_model[sat_var];
+                constraints.push(&both[usize::from(assigned_true)]);
+                atom_lits.push(Lit::new(sat_var, assigned_true));
+            }
+            let start = lap(start, &mut profile.extract);
+
+            let verdict = theory::solve(&bounds, &constraints, config.theory_node_budget);
+            let start = lap(start, &mut profile.theory);
+            match verdict {
+                TheoryVerdict::Sat(values) => {
+                    let mut model = Model::new();
+                    for v in self.pool.int_vars() {
+                        model.set_int(v, values[v.index()]);
                     }
-                }
-                debug_assert!(
-                    assertions
-                        .iter()
-                        .all(|f| f
+                    for v in self.pool.bool_vars() {
+                        if let Some(sat_var) = encoder.lookup_bool(v) {
+                            model.set_bool(v, sat_model[sat_var]);
+                        }
+                    }
+                    debug_assert!(
+                        self.assertions.iter().all(|f| f
                             .evaluate(&mut |b| model.bool_value(b), &mut |i| model.int_value(i))),
-                    "internal error: SMT model does not satisfy the assertions"
-                );
-                return RefineOutcome::Done(SmtResult::Sat(model));
-            }
-            TheoryVerdict::Unknown => return RefineOutcome::Done(SmtResult::Unknown),
-            TheoryVerdict::Unsat(explanation) => {
-                stats.theory_conflicts += 1;
-                let core = match explanation {
-                    Some(explanation) => {
-                        let core = theory::minimize_core(&bounds, &constraints, explanation);
-                        // The lemma must be refuted without the recorded
-                        // reasons: an unsound one would turn into a wrong
-                        // "deadlock-free".
-                        let lemma: Vec<&Constraint> =
-                            core.iter().map(|&i| constraints[i]).collect();
-                        assert!(
-                            theory::refuted_by_propagation(&bounds, &lemma),
-                            "internal error: theory core {lemma:?} is not refuted by propagation"
-                        );
-                        core
+                        "internal error: SMT model does not satisfy the assertions"
+                    );
+                    break SmtResult::Sat(model);
+                }
+                TheoryVerdict::Unknown => break SmtResult::Unknown,
+                TheoryVerdict::Unsat(explanation) => {
+                    self.stats.theory_conflicts += 1;
+                    let core = match explanation {
+                        Some(explanation) => {
+                            let core = theory::minimize_core(&bounds, &constraints, explanation);
+                            // The lemma must be refuted without the recorded
+                            // reasons: an unsound one would turn into a wrong
+                            // "deadlock-free".
+                            let lemma: Vec<&Constraint> =
+                                core.iter().map(|&i| constraints[i]).collect();
+                            assert!(
+                                theory::refuted_by_propagation(&bounds, &lemma),
+                                "internal error: theory core {lemma:?} is not refuted by propagation"
+                            );
+                            core
+                        }
+                        // Branch & bound refuted the model's atoms: block them all.
+                        None => (0..constraints.len()).collect(),
+                    };
+                    let start = lap(start, &mut profile.core);
+                    if core.is_empty() {
+                        // The theory is unsatisfiable regardless of the
+                        // propositional skeleton: the whole problem is unsat.
+                        break SmtResult::Unsat;
                     }
-                    // Branch & bound refuted the model's atoms: block them all.
-                    None => (0..constraints.len()).collect(),
-                };
-                let start = lap(start, &mut profile.core);
-                if core.is_empty() {
-                    // The theory is unsatisfiable regardless of the
-                    // propositional skeleton: the whole problem is unsat.
-                    return RefineOutcome::Done(SmtResult::Unsat);
-                }
-                let blocking: Vec<Lit> = core.iter().map(|&idx| atom_lits[idx].negated()).collect();
-                let added = sat.add_clause(&blocking);
-                if profiling {
-                    lap(start, &mut profile.block);
-                    profile.lemmas += 1;
-                    profile.lemma_atoms += core.len() as u64;
-                }
-                if !added {
-                    return RefineOutcome::Done(SmtResult::Unsat);
-                }
-            }
-        }
-    }
-}
-
-/// What the winning (or, failing a definitive verdict, the first) worker
-/// of a portfolio race reported.
-struct RaceOutcome {
-    result: SmtResult,
-    refinements: u64,
-    theory_conflicts: u64,
-    /// The winner's cumulative SAT statistics (its clone started from the
-    /// session solver's counters, so deltas against `before` attribute the
-    /// race's work exactly as in the sequential path).
-    sat_after: SatStats,
-    profile: SolverProfile,
-}
-
-/// Races `config.solver.portfolio` diversified clones of `base_sat` on the
-/// shared encoding; the first definitive (`Sat`/`Unsat`) verdict wins and
-/// the losers are cancelled promptly (polled once per conflict).  Glue
-/// clauses flow between the workers through a [`ClauseExchange`] whose
-/// extra last inbox saw every export; the exchange is returned so a
-/// persistent session solver can drain it.
-///
-/// Verdicts are *semantic* — every worker decides the same formula, so
-/// whichever worker wins, `Sat`/`Unsat` agree with the sequential path.
-/// `Unknown` is not definitive: it only becomes the race verdict when no
-/// worker produced a better one.
-fn race_portfolio(
-    pool: &VarPool,
-    assertions: &[Formula],
-    encoder: &Encoder,
-    base_sat: &SatSolver,
-    assumed: &[Lit],
-    config: &CheckConfig,
-) -> (RaceOutcome, ClauseExchange) {
-    let workers = config.solver.portfolio;
-    let telemetry = config.solver.telemetry.clone();
-    let _span = telemetry.span_with("sat.portfolio", || vec![("workers", workers.to_string())]);
-    let cancel: CancelFlag = Arc::new(AtomicBool::new(false));
-    let exchange = ClauseExchange::new(workers + 1, 4096);
-    let (tx, rx) = mpsc::channel();
-
-    let mut winner: Option<(usize, RaceOutcome)> = None;
-    let mut fallback: Option<(usize, RaceOutcome)> = None;
-    let mut cancelled_at: Option<Instant> = None;
-    let mut cancel_latency = None;
-    std::thread::scope(|scope| {
-        for i in 0..workers {
-            let tx = tx.clone();
-            let cancel = Arc::clone(&cancel);
-            let handle = exchange.handle(i);
-            let mut sat = base_sat.clone();
-            let worker_config = CheckConfig {
-                solver: config.solver.diversify(i),
-                ..config.clone()
-            };
-            scope.spawn(move || {
-                sat.set_interrupt(Some(Arc::clone(&cancel)));
-                sat.set_exchange(Some(handle));
-                sat.set_config(worker_config.solver.clone());
-                let mut stats = SolverStats::default();
-                let mut profile = SolverProfile::default();
-                let outcome = refine(
-                    pool,
-                    assertions,
-                    encoder,
-                    &mut sat,
-                    assumed,
-                    &worker_config,
-                    &mut stats,
-                    &mut profile,
-                    Some(&cancel),
-                );
-                profile.merge(&sat.take_profile());
-                let _ = tx.send((i, outcome, stats, sat.stats(), profile));
-            });
-        }
-        drop(tx);
-        // Every worker sends exactly one message (interrupted ones too),
-        // so this loop sees all of them and the scope join is immediate.
-        for (i, outcome, stats, sat_after, profile) in rx.iter() {
-            let now = Instant::now();
-            if let Some(t) = cancelled_at {
-                // Updated on every post-cancel report: by loop end it holds
-                // the straggler latency, i.e. how long cancellation took.
-                cancel_latency = Some(now.duration_since(t));
-            }
-            let race = |result| RaceOutcome {
-                result,
-                refinements: stats.refinements,
-                theory_conflicts: stats.theory_conflicts,
-                sat_after,
-                profile,
-            };
-            match outcome {
-                RefineOutcome::Done(result @ (SmtResult::Sat(_) | SmtResult::Unsat))
-                    if winner.is_none() =>
-                {
-                    winner = Some((i, race(result)));
-                    cancel.store(true, Ordering::Relaxed);
-                    cancelled_at = Some(now);
-                }
-                RefineOutcome::Done(_) | RefineOutcome::Interrupted => {
-                    if fallback.is_none() {
-                        fallback = Some((i, race(SmtResult::Unknown)));
+                    let blocking: Vec<Lit> =
+                        core.iter().map(|&idx| atom_lits[idx].negated()).collect();
+                    let added = sat.add_clause(&blocking);
+                    if profiling {
+                        lap(start, &mut profile.block);
+                        profile.lemmas += 1;
+                        profile.lemma_atoms += core.len() as u64;
+                    }
+                    if !added {
+                        break SmtResult::Unsat;
                     }
                 }
             }
-        }
-    });
-
-    let (winner_id, outcome) = winner
-        .or(fallback)
-        .expect("every portfolio worker reports exactly once");
-    let (exported, imported, dropped) = exchange.stats();
-    let cancel_us = cancel_latency.unwrap_or_default().as_micros() as u64;
-    telemetry.event_with("sat.portfolio.race", || {
-        vec![
-            ("winner", winner_id.to_string()),
-            ("workers", workers.to_string()),
-            ("exported", exported.to_string()),
-            ("imported", imported.to_string()),
-            ("dropped", dropped.to_string()),
-            ("cancel_us", cancel_us.to_string()),
-        ]
-    });
-    if let Some(metrics) = telemetry.metrics() {
-        metrics
-            .counter("sat_portfolio_races_total", "Portfolio races run")
-            .inc();
-        metrics
-            .counter(
-                "sat_portfolio_clauses_exported_total",
-                "Glue clauses published to the portfolio exchange",
-            )
-            .add(exported);
-        metrics
-            .counter(
-                "sat_portfolio_clauses_imported_total",
-                "Glue clauses imported from the portfolio exchange",
-            )
-            .add(imported);
-        metrics
-            .gauge(
-                "sat_portfolio_last_winner",
-                "Index of the worker that won the most recent race",
-            )
-            .set(winner_id as i64);
-        metrics
-            .histogram(
-                "sat_portfolio_cancel_seconds",
-                "Latency between the winning verdict and the last loser exiting",
-            )
-            .observe_us(cancel_us);
+        };
+        profile.merge(&sat.take_profile());
+        self.profile = profile;
+        result
     }
-    (outcome, exchange)
 }
 
 /// The theory constraint of a linear atom.
@@ -1157,54 +903,6 @@ mod tests {
             .check_assuming(&[(free, false)], &CheckConfig::default())
             .expect_sat();
         assert!(!m.bool_value(free));
-    }
-
-    #[test]
-    fn portfolio_checks_agree_with_sequential_in_both_modes() {
-        // The same scope/assumption sweep answered sequentially and by
-        // 2- and 4-worker portfolios must produce identical verdicts, in
-        // cold and in persistent mode.
-        let sweep = |persistent: bool, workers: usize| -> Vec<bool> {
-            let config = CheckConfig {
-                solver: SolverConfig::portfolio(workers),
-                ..CheckConfig::default()
-            };
-            let mut smt = if persistent {
-                SmtSolver::persistent()
-            } else {
-                SmtSolver::new()
-            };
-            let sel = smt.new_bool_var("sel");
-            let x = smt.new_int_var("x", 0, 12);
-            let y = smt.new_int_var("y", 0, 12);
-            smt.assert(Formula::eq(
-                LinExpr::var(x) + LinExpr::var(y),
-                LinExpr::constant(9),
-            ));
-            smt.assert(Formula::implies(
-                Formula::bool_var(sel),
-                Formula::ge(LinExpr::var(y), LinExpr::constant(6)),
-            ));
-            let mut verdicts = Vec::new();
-            for cap in 0..=12i64 {
-                smt.push();
-                smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(cap)));
-                verdicts.push(smt.check_with(&config).is_sat());
-                verdicts.push(smt.check_assuming(&[(sel, true)], &config).is_sat());
-                smt.pop();
-            }
-            verdicts
-        };
-        for persistent in [false, true] {
-            let sequential = sweep(persistent, 1);
-            for workers in [2, 4] {
-                assert_eq!(
-                    sweep(persistent, workers),
-                    sequential,
-                    "portfolio({workers}) disagrees with sequential (persistent: {persistent})"
-                );
-            }
-        }
     }
 
     #[test]

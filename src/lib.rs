@@ -18,5 +18,4 @@ pub use advocat_logic as logic;
 pub use advocat_noc as noc;
 pub use advocat_num as num;
 pub use advocat_protocols as protocols;
-pub use advocat_service as service;
 pub use advocat_xmas as xmas;

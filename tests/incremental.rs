@@ -7,9 +7,12 @@
 //! (`Verifier::analyze`, `VerificationSession`, `minimal_queue_size`): it
 //! is the regression net proving the shims still deliver the historical
 //! verdicts now that they are thin drivers over `QueryEngine`.  The new
-//! surface is covered by `tests/spec_ablation.rs`.
+//! surface is covered by `tests/spec_ablation.rs`; the last two tests here
+//! pin what one warm `QueryEngine` may and may not carry from one answer
+//! into the next.
 #![allow(deprecated)]
 
+use advocat::deadlock::Counterexample;
 use advocat::explorer::XorShift64;
 use advocat::logic::sat::{Lit, SatSolver, Var};
 use advocat::prelude::*;
@@ -270,4 +273,63 @@ fn session_accumulates_per_query_stats() {
     assert_eq!(after_two.queries, 2);
     assert!(after_two.sat_effort() >= after_one.sat_effort());
     assert!(after_two.query_elapsed >= after_one.query_elapsed);
+}
+
+/// The 2×2 mesh with the directory at node 3 on a warm engine spanning
+/// capacities 1..=4; its pinned minimal capacity is 3.
+fn warm_mesh_engine() -> QueryEngine {
+    let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+    QueryEngine::for_fabric(&config, 1..=4).expect("fabric builds")
+}
+
+/// A satisfiable answer leaves nothing behind in the warm engine's
+/// encoding: asking the same deadlocking question three times reports the
+/// same number of linear atoms every time.
+#[test]
+fn repeated_candidate_answers_leave_the_encoding_unchanged() {
+    let mut engine = warm_mesh_engine();
+    let atoms: Vec<usize> = (0..3)
+        .map(|_| {
+            let report = engine.check(&Query::new().capacity(1));
+            assert!(report.counterexample().is_some(), "capacity 1 deadlocks");
+            report.analysis().stats.linear_atoms
+        })
+        .collect();
+    assert!(
+        atoms.iter().all(|&n| n == atoms[0]),
+        "linear atoms per answer: {atoms:?}"
+    );
+}
+
+/// Re-asking a warm engine every capacity out of order after a sweep
+/// changes no verdict and builds no second template.  Witness bytes are
+/// not compared: a warm engine may return a different valid model the
+/// second time.  Every candidate must still witness the target it answers.
+#[test]
+fn re_asking_a_warm_engine_out_of_order_keeps_every_verdict() {
+    let mut engine = warm_mesh_engine();
+    let mut ask = |cap: usize| {
+        let query = Query::new().capacity(cap);
+        let report = engine.check(&query);
+        if let Some(cex) = report.counterexample() {
+            assert!(
+                cex.witnesses(query.deadlock_target()),
+                "capacity {cap}: candidate witnesses {:?}",
+                cex.witnessed
+            );
+        }
+        std::mem::discriminant(report.verdict())
+    };
+    let sweep: Vec<_> = (1..=4).map(&mut ask).collect();
+    let free = std::mem::discriminant(&Verdict::DeadlockFree);
+    let candidate = std::mem::discriminant(&Verdict::PotentialDeadlock(Counterexample::default()));
+    assert_eq!(
+        sweep,
+        [candidate, candidate, free, free],
+        "pinned threshold 3"
+    );
+    for cap in [3, 1, 4, 2, 2, 4, 1, 3] {
+        assert_eq!(ask(cap), sweep[cap - 1], "capacity {cap} re-asked");
+    }
+    assert_eq!(engine.stats().templates_built, 1);
 }
