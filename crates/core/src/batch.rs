@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use advocat_automata::System;
-use advocat_deadlock::DeadlockSpec;
+use advocat_deadlock::DeadlockTarget;
 use advocat_logic::CheckConfig;
 use advocat_noc::{
     build_fabric_for_sweep, build_tile_fabric, FabricConfig, FabricError, MeshConfig, Partition,
@@ -92,8 +92,8 @@ pub struct BatchScenario {
     pub name: String,
     /// The fabric to build and verify.
     pub fabric: ScenarioFabric,
-    /// Which conditions count as a deadlock.
-    pub spec: DeadlockSpec,
+    /// Which deadlock symptom to look for.
+    pub target: DeadlockTarget,
     /// SMT resource limits for this scenario.
     pub config: CheckConfig,
     /// Optional capacity sweep: when set, the scenario's one session
@@ -103,13 +103,13 @@ pub struct BatchScenario {
 }
 
 impl BatchScenario {
-    /// Creates a mesh scenario with the default deadlock specification and
+    /// Creates a mesh scenario with the default deadlock target and
     /// solver limits.
     pub fn new(name: impl Into<String>, mesh: MeshConfig) -> Self {
         BatchScenario {
             name: name.into(),
             fabric: ScenarioFabric::Mesh(mesh),
-            spec: DeadlockSpec::default(),
+            target: DeadlockTarget::default(),
             config: CheckConfig::default(),
             sweep: None,
         }
@@ -120,15 +120,15 @@ impl BatchScenario {
         BatchScenario {
             name: name.into(),
             fabric: ScenarioFabric::Fabric(Box::new(fabric)),
-            spec: DeadlockSpec::default(),
+            target: DeadlockTarget::default(),
             config: CheckConfig::default(),
             sweep: None,
         }
     }
 
-    /// Replaces the deadlock specification.
-    pub fn with_spec(mut self, spec: DeadlockSpec) -> Self {
-        self.spec = spec;
+    /// Replaces the deadlock target.
+    pub fn with_target(mut self, target: DeadlockTarget) -> Self {
+        self.target = target;
         self
     }
 
@@ -299,21 +299,11 @@ pub fn run_batch(scenarios: &[BatchScenario], workers: usize) -> Vec<BatchOutcom
         .collect()
 }
 
-/// Verifies every scenario at its own queue size.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `run_batch` (same signature, same outcomes, \
-                                      plus per-scenario sweeps and session stats)"
-)]
-pub fn verify_batch(scenarios: &[BatchScenario], workers: usize) -> Vec<BatchOutcome> {
-    run_batch(scenarios, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::QueryEngine;
-    use advocat_deadlock::{DeadlockTarget, Query};
+    use advocat_deadlock::Query;
     use advocat_noc::Topology;
 
     #[test]
@@ -445,31 +435,28 @@ mod tests {
     #[test]
     fn batch_scenarios_honour_the_deadlock_target() {
         let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-        let scenarios = vec![
-            BatchScenario::new("stuck", mesh)
-                .with_spec(DeadlockSpec::from(DeadlockTarget::StuckPacket)),
-            BatchScenario::new("neither", mesh).with_spec(DeadlockSpec {
-                stuck_packet: false,
-                dead_automaton: false,
-            }),
-        ];
+        let targets = [DeadlockTarget::StuckPacket, DeadlockTarget::DeadAutomaton];
+        let scenarios: Vec<BatchScenario> = targets
+            .iter()
+            .map(|&target| BatchScenario::new(target.to_string(), mesh).with_target(target))
+            .collect();
         let outcomes = run_batch(&scenarios, 2);
-        let cex = outcomes[0]
-            .result
-            .as_ref()
-            .unwrap()
-            .counterexample()
-            .expect("size 2 deadlocks");
-        assert!(cex.witnesses(DeadlockTarget::StuckPacket));
-        assert!(outcomes[1].is_deadlock_free(), "nothing to look for");
+        for (outcome, target) in outcomes.iter().zip(targets) {
+            let cex = outcome
+                .result
+                .as_ref()
+                .unwrap()
+                .counterexample()
+                .expect("size 2 deadlocks");
+            assert!(cex.witnesses(target), "{target}");
+        }
     }
 
     #[test]
-    #[allow(deprecated)]
     fn empty_batch_and_oversized_worker_counts_are_fine() {
-        assert!(verify_batch(&[], 8).is_empty());
+        assert!(run_batch(&[], 8).is_empty());
         let scenarios = vec![BatchScenario::new("one", MeshConfig::new(2, 2, 3))];
-        let outcomes = verify_batch(&scenarios, 64);
+        let outcomes = run_batch(&scenarios, 64);
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].sweep.len(), 1);
     }

@@ -51,7 +51,7 @@ use std::time::Instant;
 use advocat_automata::{derive_colors, System, SystemStats};
 use advocat_deadlock::{
     check_composition, Analysis, AnalysisStats, BoundaryOutcome, CapacitySelection,
-    CompositionModel, Counterexample, DeadlockSpec, DeadlockTarget, InterfacePort, Query, Verdict,
+    CompositionModel, Counterexample, DeadlockTarget, InterfacePort, Query, Verdict,
 };
 use advocat_invariants::{
     derive_invariants, project_interface, ContractPort, InterfaceContract, InvariantSet,
@@ -291,7 +291,6 @@ impl Composition {
             CapacitySelection::Uniform(capacity) => capacity,
             CapacitySelection::Structural => self.config.queue_size,
         };
-        let spec = DeadlockSpec::from(query.deadlock_target());
         let certify_span = telemetry.span_with("compose.certify", || {
             vec![
                 ("tiles", self.tiles.len().to_string()),
@@ -309,7 +308,7 @@ impl Composition {
                         tile: index,
                     },
                 )
-                .with_spec(spec)
+                .with_target(query.deadlock_target())
                 .with_config(self.options.check.clone())
                 .at_capacity(capacity)
                 .with_engine_range(self.options.capacities.clone())

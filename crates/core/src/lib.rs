@@ -23,11 +23,12 @@
 //! × invariant-strengthening space, every dimension a retractable selector
 //! in the same session.  On top of it sit [`QueryEngine::minimal_capacity`]
 //! (the queue-sizing search behind Figure 4 of the paper) and [`run_batch`]
-//! (parallel scenarios, one session per scenario).  The pre-query entry
-//! points — [`Verifier::analyze`], [`VerificationSession`],
-//! [`minimal_queue_size`], [`minimal_queue_size_for_fabric`] and
-//! [`verify_batch`] — remain as deprecated shims over the same engine for
-//! one release.
+//! (parallel scenarios, one session per scenario).  A `Query` is the only
+//! way to name the deadlock question: every layer — the engine, batches,
+//! the service, composition and the JSON wire form — carries one
+//! [`DeadlockTarget`], and every "deadlock-free" verdict comes from a
+//! solver run.  [`verify_system`](advocat_deadlock::verify_system) is the
+//! cold, fixed-capacity path, kept as an independent oracle.
 //!
 //! # Examples
 //!
@@ -58,12 +59,8 @@ pub mod prelude;
 mod query;
 mod report;
 pub mod service;
-mod session;
 mod sizing;
-mod verifier;
 
-#[allow(deprecated)]
-pub use batch::verify_batch;
 pub use batch::{run_batch, BatchOutcome, BatchScenario, ScenarioFabric};
 pub use compose::{ComposeOptions, ComposeStats, Composition};
 pub use family::{FamilyOutcome, ProtocolComparison, ProtocolFamily};
@@ -73,12 +70,7 @@ pub use service::{
     Fingerprint, JobError, JobId, JobOutcome, JobRequest, JsonSubmitError, OutcomeError, PoolStats,
     Service, ServiceConfig, ServiceStats, SubmitError, TopologySpec, VerifyJob,
 };
-#[allow(deprecated)]
-pub use session::VerificationSession;
-#[allow(deprecated)]
-pub use sizing::{minimal_queue_size, minimal_queue_size_for_fabric};
-pub use sizing::{SizingOptions, SizingProbe, SizingResult};
-pub use verifier::Verifier;
+pub use sizing::SizingResult;
 
 // The query vocabulary lives next to the encoding in `advocat-deadlock`;
 // re-export it here so engine users need only this crate.

@@ -9,15 +9,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#[allow(deprecated)]
-pub use crate::{
-    minimal_queue_size, minimal_queue_size_for_fabric, verify_batch, VerificationSession,
-};
-
 pub use crate::{
     run_batch, BatchOutcome, BatchScenario, ComposeOptions, ComposeStats, Composition,
     FamilyOutcome, ProtocolComparison, ProtocolFamily, QueryEngine, Report, ScenarioFabric,
-    SessionStats, SizingOptions, SizingProbe, SizingResult, Verifier,
+    SessionStats, SizingResult,
 };
 
 pub use crate::service::{
@@ -27,8 +22,7 @@ pub use crate::service::{
 
 pub use advocat_automata::{derive_colors, AutomatonBuilder, System};
 pub use advocat_deadlock::{
-    verify_system, CapacitySelection, DeadlockSpec, DeadlockTarget, EncodingTemplate, Query,
-    Verdict,
+    verify_system, CapacitySelection, DeadlockTarget, EncodingTemplate, Query, Verdict,
 };
 pub use advocat_explorer::{explore, random_walk, ExplorerConfig};
 pub use advocat_invariants::{derive_invariants, format_invariant};

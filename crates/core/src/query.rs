@@ -146,7 +146,7 @@ pub struct QueryEngine {
 /// built over it can answer the structural-capacity query for a (possibly
 /// heterogeneous) system.  Queue-less systems get the degenerate `1..=1`
 /// (the encoding requires a non-empty range).
-pub(crate) fn structural_range(system: &System) -> RangeInclusive<usize> {
+fn structural_range(system: &System) -> RangeInclusive<usize> {
     advocat_deadlock::structural_capacity_range(system).unwrap_or(1..=1)
 }
 
@@ -186,36 +186,6 @@ impl QueryEngine {
     ) -> Self {
         let colors = derive_colors(&system);
         let invariants = derive_invariants(&system, &colors);
-        QueryEngine::assemble(system, &colors, invariants, config, capacities)
-    }
-
-    /// Builds an engine over a precomputed invariant set (which must have
-    /// been derived for `system`, or be empty to skip strengthening
-    /// entirely — note queries can also retract a derived set per query
-    /// via [`Query::invariants`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacities` is empty.
-    pub fn with_invariants(
-        system: System,
-        invariants: InvariantSet,
-        config: CheckConfig,
-        capacities: RangeInclusive<usize>,
-    ) -> Self {
-        let colors = derive_colors(&system);
-        QueryEngine::assemble(system, &colors, invariants, config, capacities)
-    }
-
-    /// Shared tail of every constructor: builds the one template of the
-    /// engine's life from an already-derived color map.
-    fn assemble(
-        system: System,
-        colors: &advocat_xmas::ColorMap,
-        invariants: InvariantSet,
-        config: CheckConfig,
-        capacities: RangeInclusive<usize>,
-    ) -> Self {
         let _span = config.solver.telemetry.span_with("template.build", || {
             vec![
                 ("primitives", system.network().primitive_count().to_string()),
@@ -223,7 +193,7 @@ impl QueryEngine {
                 ("capacities", format!("{capacities:?}")),
             ]
         });
-        let template = EncodingTemplate::build(&system, colors, &invariants, capacities);
+        let template = EncodingTemplate::build(&system, &colors, &invariants, capacities);
         QueryEngine {
             system,
             invariants,
@@ -348,30 +318,13 @@ impl QueryEngine {
         self.stats.total_learnt = analysis.stats.sat_total_learnt;
         self.stats.query_elapsed += analysis.stats.elapsed;
         // An ablated query used no invariants: its report must not list
-        // them (matching the historical `with_invariants(false)` surface).
+        // them.
         let invariants = if query.invariants_enabled() {
             self.invariants.clone()
         } else {
             InvariantSet::default()
         };
         Report::new(&self.system, invariants, analysis)
-    }
-
-    /// A report for a question with nothing to look for (the legacy
-    /// "no deadlock condition enabled" spec): trivially deadlock-free,
-    /// no solving.
-    pub(crate) fn trivially_free(&mut self) -> Report {
-        use advocat_deadlock::{Analysis, AnalysisStats, Verdict};
-        self.stats.queries += 1;
-        let analysis = Analysis {
-            verdict: Verdict::DeadlockFree,
-            stats: AnalysisStats {
-                invariants: self.invariants.len(),
-                ..AnalysisStats::default()
-            },
-            profile: None,
-        };
-        Report::new(&self.system, self.invariants.clone(), analysis)
     }
 
     /// Cumulative statistics of the engine's shared SAT solver (all
@@ -424,12 +377,9 @@ mod tests {
                 .check(&Query::new().capacity(capacity))
                 .is_deadlock_free();
             let cold_system = build_mesh(&config.with_queue_size(capacity)).unwrap();
-            let cold_free = advocat_deadlock::verify_system(
-                &cold_system,
-                &advocat_deadlock::DeadlockSpec::default(),
-            )
-            .verdict
-            .is_deadlock_free();
+            let cold_free = advocat_deadlock::verify_system(&cold_system, DeadlockTarget::Any)
+                .verdict
+                .is_deadlock_free();
             assert_eq!(engine_free, cold_free, "capacity {capacity}");
         }
         assert_eq!(engine.stats().queries, 4);
@@ -483,6 +433,24 @@ mod tests {
         let strengthened = engine.check(&Query::new().capacity(3));
         assert_eq!(strengthened.invariants().len(), engine.invariants().len());
         assert!(!strengthened.invariants().is_empty());
+    }
+
+    #[test]
+    fn structural_ranges_cover_heterogeneous_queues() {
+        let system = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1)).unwrap();
+        assert_eq!(structural_range(&system), 3..=3);
+        let empty = System::new(advocat_xmas::Network::new());
+        assert_eq!(structural_range(&empty), 1..=1);
+    }
+
+    #[test]
+    fn structural_engines_ablate_invariants_on_the_2x2_mesh() {
+        let system = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1)).unwrap();
+        let mut engine = QueryEngine::structural(system);
+        assert!(engine.check(&Query::new()).is_deadlock_free());
+        let without = engine.check(&Query::new().invariants(false));
+        assert!(!without.is_deadlock_free());
+        assert_eq!(without.invariants().len(), 0);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! A pooled [`crate::QueryEngine`] is reusable for a job exactly when the
 //! job would have built an identical engine: same fabric structure
 //! ([`advocat_noc::ConfigDigest`]), same capacity range (the template is
-//! built over the whole sweep range), same solver limits
-//! ([`CheckConfig`]), and the same deadlock specification shape.  The
-//! [`Fingerprint`] hashes all four; equal fingerprints hit the same pool
-//! entry.
+//! built over the whole sweep range) and same solver limits
+//! ([`CheckConfig`]).  The [`Fingerprint`] hashes all three; equal
+//! fingerprints hit the same pool entry.  The deadlock target is not
+//! hashed: every template encodes all three goals and each query selects
+//! one by assumption, so the target does not determine the engine.
 
 use std::fmt;
 use std::ops::RangeInclusive;
 
-use advocat_deadlock::DeadlockSpec;
 use advocat_logic::CheckConfig;
 use advocat_noc::ConfigDigest;
 
@@ -58,12 +58,11 @@ impl Mix {
 
 impl Fingerprint {
     /// Computes the pool key for a job over `fabric`, solved for every
-    /// capacity in `range` under `config`, looking for `spec`.
+    /// capacity in `range` under `config`.
     pub(crate) fn of_job(
         fabric: &ScenarioFabric,
         range: &RangeInclusive<usize>,
         config: &CheckConfig,
-        spec: &DeadlockSpec,
     ) -> Fingerprint {
         let mut mix = Mix::new();
         match fabric_digest(fabric) {
@@ -92,8 +91,6 @@ impl Fingerprint {
         mix.u64(config.solver.luby_base);
         mix.u64(config.solver.restart_ema_ratio.to_bits());
         mix.bool(config.solver.phase_saving);
-        mix.bool(spec.stuck_packet);
-        mix.bool(spec.dead_automaton);
         Fingerprint(mix.a, mix.b)
     }
 
@@ -148,43 +145,44 @@ mod tests {
         let fabric = ScenarioFabric::Fabric(Box::new(
             FabricConfig::new(Topology::mesh(2, 2).unwrap(), 9).with_directory(3),
         ));
-        let (range, config, spec) = (1..=4, CheckConfig::default(), DeadlockSpec::default());
+        let (range, config) = (1..=4, CheckConfig::default());
         assert_eq!(
-            Fingerprint::of_job(&mesh, &range, &config, &spec),
-            Fingerprint::of_job(&fabric, &range, &config, &spec),
+            Fingerprint::of_job(&mesh, &range, &config),
+            Fingerprint::of_job(&fabric, &range, &config),
         );
     }
 
     #[test]
-    fn range_config_and_spec_split_the_pool() {
+    fn range_and_config_split_the_pool_but_the_target_does_not() {
+        use crate::service::{Service, ServiceConfig, VerifyJob};
+        use advocat_deadlock::DeadlockTarget;
+
         let fabric = ScenarioFabric::Mesh(MeshConfig::new(2, 2, 2));
-        let base = Fingerprint::of_job(
-            &fabric,
-            &(1..=4),
-            &CheckConfig::default(),
-            &DeadlockSpec::default(),
-        );
-        let other_range = Fingerprint::of_job(
-            &fabric,
-            &(1..=5),
-            &CheckConfig::default(),
-            &DeadlockSpec::default(),
-        );
+        let base = Fingerprint::of_job(&fabric, &(1..=4), &CheckConfig::default());
+        let other_range = Fingerprint::of_job(&fabric, &(1..=5), &CheckConfig::default());
         let tighter = CheckConfig {
             max_refinements: 7,
             ..CheckConfig::default()
         };
-        let other_config =
-            Fingerprint::of_job(&fabric, &(1..=4), &tighter, &DeadlockSpec::default());
-        let stuck_only = DeadlockSpec {
-            stuck_packet: true,
-            dead_automaton: false,
-        };
-        let other_spec =
-            Fingerprint::of_job(&fabric, &(1..=4), &CheckConfig::default(), &stuck_only);
+        let other_config = Fingerprint::of_job(&fabric, &(1..=4), &tighter);
         assert_ne!(base, other_range);
         assert_ne!(base, other_config);
-        assert_ne!(base, other_spec);
+
+        let service = Service::new(ServiceConfig::default().with_workers(1));
+        for target in [
+            DeadlockTarget::Any,
+            DeadlockTarget::StuckPacket,
+            DeadlockTarget::DeadAutomaton,
+        ] {
+            service.submit(
+                VerifyJob::over(target.to_string(), fabric.clone())
+                    .with_target(target)
+                    .at_capacity(2)
+                    .with_engine_range(1..=4),
+            );
+        }
+        let outcomes = service.drain();
+        assert!(outcomes.iter().all(|o| o.fingerprint == base));
     }
 
     #[test]
@@ -199,38 +197,29 @@ mod tests {
             partition: Arc::clone(&partition),
             tile,
         };
-        let (range, check, spec) = (1..=3, CheckConfig::default(), DeadlockSpec::default());
+        let (range, check) = (1..=3, CheckConfig::default());
         // All four corner tiles are one structural class; the directory
         // node in the centre is its own.
-        let corner = Fingerprint::of_job(&tile_job(0), &range, &check, &spec);
-        assert_eq!(
-            corner,
-            Fingerprint::of_job(&tile_job(2), &range, &check, &spec)
-        );
-        assert_eq!(
-            corner,
-            Fingerprint::of_job(&tile_job(6), &range, &check, &spec)
-        );
-        assert_eq!(
-            corner,
-            Fingerprint::of_job(&tile_job(8), &range, &check, &spec)
-        );
-        let centre = Fingerprint::of_job(&tile_job(4), &range, &check, &spec);
+        let corner = Fingerprint::of_job(&tile_job(0), &range, &check);
+        assert_eq!(corner, Fingerprint::of_job(&tile_job(2), &range, &check));
+        assert_eq!(corner, Fingerprint::of_job(&tile_job(6), &range, &check));
+        assert_eq!(corner, Fingerprint::of_job(&tile_job(8), &range, &check));
+        let centre = Fingerprint::of_job(&tile_job(4), &range, &check);
         assert_ne!(corner, centre);
     }
 
     #[test]
     fn invalid_meshes_still_fingerprint_deterministically() {
         let bad = ScenarioFabric::Mesh(MeshConfig::new(1, 1, 1));
-        let (range, config, spec) = (1..=1, CheckConfig::default(), DeadlockSpec::default());
+        let (range, config) = (1..=1, CheckConfig::default());
         assert_eq!(
-            Fingerprint::of_job(&bad, &range, &config, &spec),
-            Fingerprint::of_job(&bad, &range, &config, &spec),
+            Fingerprint::of_job(&bad, &range, &config),
+            Fingerprint::of_job(&bad, &range, &config),
         );
         let other_bad = ScenarioFabric::Mesh(MeshConfig::new(1, 1, 2));
         assert_ne!(
-            Fingerprint::of_job(&bad, &range, &config, &spec),
-            Fingerprint::of_job(&other_bad, &range, &config, &spec),
+            Fingerprint::of_job(&bad, &range, &config),
+            Fingerprint::of_job(&other_bad, &range, &config),
         );
     }
 }

@@ -28,7 +28,7 @@ use std::fmt;
 use std::ops::RangeInclusive;
 use std::time::Duration;
 
-use advocat_deadlock::DeadlockSpec;
+use advocat_deadlock::DeadlockTarget;
 use advocat_logic::CheckConfig;
 use advocat_noc::{FabricConfig, MeshConfig, ProtocolKind, Topology};
 
@@ -112,8 +112,8 @@ pub struct JobRequest {
     pub message_class_vcs: bool,
     /// The capacities to verify (inclusive); also the engine range.
     pub capacities: RangeInclusive<usize>,
-    /// Which conditions count as a deadlock.
-    pub spec: DeadlockSpec,
+    /// Which deadlock symptom to look for.
+    pub target: DeadlockTarget,
     /// Whether derived invariants strengthen the encoding.
     pub invariants: bool,
     /// Per-job wall-clock budget in milliseconds.
@@ -137,7 +137,7 @@ impl JobRequest {
             directory: None,
             message_class_vcs: false,
             capacities: 2..=2,
-            spec: DeadlockSpec::default(),
+            target: DeadlockTarget::default(),
             invariants: true,
             timeout_ms: None,
             max_refinements: None,
@@ -166,7 +166,7 @@ impl JobRequest {
             .clone()
             .map(|capacity| {
                 let mut job = VerifyJob::over(self.name.clone(), fabric.clone())
-                    .with_spec(self.spec)
+                    .with_target(self.target)
                     .with_config(config.clone())
                     .at_capacity(capacity)
                     .with_engine_range(self.capacities.clone())
@@ -256,7 +256,7 @@ impl JobRequest {
             self.capacities.start(),
             self.capacities.end()
         ));
-        out.push_str(&format!(",\"target\":\"{}\"", spec_name(&self.spec)));
+        out.push_str(&format!(",\"target\":\"{}\"", self.target));
         out.push_str(&format!(",\"invariants\":{}", self.invariants));
         if let Some(ms) = self.timeout_ms {
             out.push_str(&format!(",\"timeout_ms\":{ms}"));
@@ -367,15 +367,6 @@ fn protocol_name(protocol: ProtocolKind) -> &'static str {
     }
 }
 
-fn spec_name(spec: &DeadlockSpec) -> &'static str {
-    match (spec.stuck_packet, spec.dead_automaton) {
-        (true, true) => "any",
-        (true, false) => "stuck-packet",
-        (false, true) => "dead-automaton",
-        (false, false) => "none",
-    }
-}
-
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
@@ -481,28 +472,15 @@ fn request_from_value(value: &Json) -> Result<JobRequest, JsonError> {
             single..=single
         }
     };
-    let spec = match get(fields, "target") {
-        None => DeadlockSpec::default(),
+    let target = match get(fields, "target") {
+        None => DeadlockTarget::default(),
         Some(Json::String(s)) => match s.as_str() {
-            "any" => DeadlockSpec {
-                stuck_packet: true,
-                dead_automaton: true,
-            },
-            "stuck-packet" => DeadlockSpec {
-                stuck_packet: true,
-                dead_automaton: false,
-            },
-            "dead-automaton" => DeadlockSpec {
-                stuck_packet: false,
-                dead_automaton: true,
-            },
-            "none" => DeadlockSpec {
-                stuck_packet: false,
-                dead_automaton: false,
-            },
+            "any" => DeadlockTarget::Any,
+            "stuck-packet" => DeadlockTarget::StuckPacket,
+            "dead-automaton" => DeadlockTarget::DeadAutomaton,
             other => {
                 return Err(JsonError::semantic(format!(
-                    "unknown target `{other}` (expected any, stuck-packet, dead-automaton or none)"
+                    "unknown target `{other}` (expected any, stuck-packet or dead-automaton)"
                 )))
             }
         },
@@ -533,7 +511,7 @@ fn request_from_value(value: &Json) -> Result<JobRequest, JsonError> {
         directory,
         message_class_vcs,
         capacities,
-        spec,
+        target,
         invariants,
         timeout_ms,
         max_refinements,
@@ -887,6 +865,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{JsonSubmitError, Service, ServiceConfig};
 
     #[test]
     fn a_full_request_round_trips() {
@@ -916,6 +895,30 @@ mod tests {
         let reparsed = requests_from_json(&request.to_json()).unwrap();
         assert_eq!(&reparsed[0], request);
         assert_eq!(request.to_jobs().unwrap().len(), 3);
+    }
+
+    /// Only the three targets parse.  `none` would name a question with
+    /// nothing to look for, whose "deadlock-free" needs no solving, so it
+    /// is malformed input and nothing is submitted.
+    #[test]
+    fn the_none_target_is_refused_and_submits_nothing() {
+        let text = r#"{"name": "x", "topology": {"kind": "mesh", "width": 2, "height": 2},
+                       "target": "none"}"#;
+        let error = requests_from_json(text).unwrap_err();
+        assert!(
+            error
+                .message
+                .contains("expected any, stuck-packet or dead-automaton"),
+            "{error}"
+        );
+        let service = Service::new(ServiceConfig::default().with_workers(1));
+        assert!(service.submit_json(text).is_err());
+        assert!(matches!(
+            service.try_submit_json(text),
+            Err(JsonSubmitError::Json(_))
+        ));
+        assert_eq!(service.stats().submitted, 0);
+        assert!(service.drain().is_empty());
     }
 
     #[test]
@@ -986,9 +989,10 @@ mod tests {
         request.message_class_vcs = rng.chance(30);
         let low = 1 + rng.below(3) as usize;
         request.capacities = low..=low + rng.below(3) as usize;
-        request.spec = DeadlockSpec {
-            stuck_packet: rng.chance(70),
-            dead_automaton: rng.chance(70),
+        request.target = match rng.below(3) {
+            0 => DeadlockTarget::Any,
+            1 => DeadlockTarget::StuckPacket,
+            _ => DeadlockTarget::DeadAutomaton,
         };
         request.invariants = rng.chance(80);
         if rng.chance(40) {

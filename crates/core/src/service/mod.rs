@@ -6,11 +6,12 @@
 //! submissions.  Three layers:
 //!
 //! * a **sharded warm-engine pool** ([`PoolStats`]): engines are keyed by
-//!   a [`Fingerprint`] of the canonical fabric structure, capacity range,
-//!   solver limits and deadlock spec, so a job whose fabric the service
-//!   has already seen checks out a warm [`crate::QueryEngine`] — template,
-//!   invariants and every learnt clause included — instead of cold-building
-//!   its own;
+//!   a [`Fingerprint`] of the canonical fabric structure, capacity range
+//!   and solver limits, so a job whose fabric the service has already
+//!   seen checks out a warm [`crate::QueryEngine`] — template, invariants
+//!   and every learnt clause included — instead of cold-building its own.
+//!   The deadlock target is not part of the key: every engine encodes all
+//!   three goals and each job picks one by assumption;
 //! * a **work-stealing scheduler**: per-worker deques with steal-half and
 //!   a bounded injector for admission control (see
 //!   [`Service::try_submit`]);
@@ -62,7 +63,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use advocat_deadlock::{DeadlockSpec, Query};
+use advocat_deadlock::{DeadlockTarget, Query};
 use advocat_logic::CheckConfig;
 use advocat_noc::{FabricConfig, FabricError, MeshConfig};
 use advocat_telemetry::{Counter, Gauge, Histogram, Telemetry};
@@ -169,15 +170,15 @@ pub struct VerifyJob {
     pub name: String,
     /// The fabric to verify.
     pub fabric: ScenarioFabric,
-    /// Which conditions count as a deadlock.
-    pub spec: DeadlockSpec,
+    /// Which deadlock symptom to look for.
+    pub target: DeadlockTarget,
     /// SMT resource limits.
     pub config: CheckConfig,
     /// The queue capacity to ask about; `None` means the fabric's own
     /// configured queue size.
     pub capacity: Option<usize>,
     /// The capacity range the pooled engine is built over.  Jobs agreeing
-    /// on fabric, spec, solver limits *and* this range share an engine;
+    /// on fabric, solver limits *and* this range share an engine;
     /// defaults to `capacity..=capacity`.  Widened if it does not contain
     /// the queried capacity.
     pub engine_range: Option<RangeInclusive<usize>>,
@@ -204,7 +205,7 @@ impl VerifyJob {
         VerifyJob {
             name: name.into(),
             fabric,
-            spec: DeadlockSpec::default(),
+            target: DeadlockTarget::default(),
             config: CheckConfig::default(),
             capacity: None,
             engine_range: None,
@@ -213,9 +214,9 @@ impl VerifyJob {
         }
     }
 
-    /// Replaces the deadlock specification.
-    pub fn with_spec(mut self, spec: DeadlockSpec) -> Self {
-        self.spec = spec;
+    /// Replaces the deadlock target.
+    pub fn with_target(mut self, target: DeadlockTarget) -> Self {
+        self.target = target;
         self
     }
 
@@ -648,7 +649,7 @@ impl Service {
             .map(|capacity| {
                 self.submit(
                     VerifyJob::over(scenario.name.clone(), scenario.fabric.clone())
-                        .with_spec(scenario.spec)
+                        .with_target(scenario.target)
                         .with_config(scenario.config.clone())
                         .at_capacity(capacity)
                         .with_engine_range(range.clone()),
@@ -719,7 +720,7 @@ impl Service {
             None => capacity..=capacity,
             Some(range) => *range.start().min(&capacity)..=*range.end().max(&capacity),
         };
-        let fingerprint = Fingerprint::of_job(&job.fabric, &range, &job.config, &job.spec);
+        let fingerprint = Fingerprint::of_job(&job.fabric, &range, &job.config);
         let (entry, turn) = if shared.warm_pool {
             let (entry, turn) = shared.pool.ticket(fingerprint);
             (Some(entry), turn)
@@ -1134,8 +1135,10 @@ fn run_on_engine(
 ) -> (Option<Box<QueryEngine>>, JobOutcome) {
     let started = Instant::now();
     let capacity = sj.capacity;
-    let target = sj.job.spec.as_target();
-    let invariants = sj.job.invariants;
+    let query = Query::new()
+        .capacity(capacity)
+        .target(sj.job.target)
+        .invariants(sj.job.invariants);
     let attempt = catch_unwind(AssertUnwindSafe(move || {
         // A warm engine's cumulative stats belong to earlier jobs; the
         // delta below isolates this job's share.  The cold baseline is
@@ -1145,15 +1148,7 @@ fn run_on_engine(
         } else {
             SessionStats::default()
         };
-        let report = match target {
-            None => engine.trivially_free(),
-            Some(target) => engine.check(
-                &Query::new()
-                    .capacity(capacity)
-                    .target(target)
-                    .invariants(invariants),
-            ),
-        };
+        let report = engine.check(&query);
         let delta = engine.stats().delta_since(&baseline);
         (engine, report, delta)
     }));

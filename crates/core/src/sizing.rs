@@ -1,55 +1,12 @@
-//! Minimal-queue-size search (Figure 4 of the paper).
-//!
-//! The search itself is one generic bisection driver over a
-//! [`QueryEngine`] ([`QueryEngine::minimal_capacity`]); the historical
-//! mesh- and fabric-specific entry points survive as deprecated shims
-//! that build an engine and delegate.
+//! Minimal-queue-size search (Figure 4 of the paper): one generic
+//! bisection driver over a [`QueryEngine`]
+//! ([`QueryEngine::minimal_capacity`]).
 
 use std::ops::RangeInclusive;
 
-use advocat_deadlock::{DeadlockSpec, DeadlockTarget, Query, Verdict};
-use advocat_logic::CheckConfig;
-use advocat_noc::{
-    build_fabric_for_sweep, build_mesh_for_sweep, FabricConfig, FabricError, MeshConfig, MeshError,
-};
+use advocat_deadlock::{Query, Verdict};
 
 use crate::query::QueryEngine;
-
-/// Options for the queue-sizing search.
-#[derive(Clone, Debug)]
-pub struct SizingOptions {
-    /// Smallest queue size to try (inclusive).
-    pub min: usize,
-    /// Largest queue size to try (inclusive).
-    pub max: usize,
-    /// Deadlock specification to verify against.
-    pub spec: DeadlockSpec,
-    /// SMT resource limits per verification.
-    pub config: CheckConfig,
-}
-
-impl Default for SizingOptions {
-    fn default() -> Self {
-        SizingOptions {
-            min: 1,
-            max: 16,
-            spec: DeadlockSpec::default(),
-            config: CheckConfig::default(),
-        }
-    }
-}
-
-/// One probe of a queue-sizing search: which size was checked, against
-/// which deadlock target, and what came back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SizingProbe {
-    /// The uniform queue capacity the probe pinned.
-    pub queue_size: usize,
-    /// The deadlock target the probe answered.
-    pub target: DeadlockTarget,
-    /// Whether the probe proved the system deadlock-free at this size.
-    pub deadlock_free: bool,
-}
 
 /// The outcome of a queue-sizing search.
 #[derive(Clone, Debug, Default)]
@@ -66,12 +23,6 @@ pub struct SizingResult {
     /// Unprobed sizes carry no entry even though the search's verdict
     /// determines them (deadlock-freedom is monotone in the capacity).
     pub evaluations: Vec<(usize, bool)>,
-    /// The probes again, each recording the deadlock target it answered —
-    /// the attribution needed when sizing results from different spec
-    /// ablations are compared.  Probes a trivial specification answered
-    /// without the engine (a legacy spec with no condition enabled) do not
-    /// appear here.
-    pub probes: Vec<SizingProbe>,
 }
 
 impl SizingResult {
@@ -137,7 +88,7 @@ impl QueryEngine {
     /// Finds the smallest capacity in the engine's range for which the
     /// system is proven deadlock-free under `base`'s target and invariant
     /// dimensions — the computation behind Figure 4 of the paper, for any
-    /// spec ablation.
+    /// target.
     ///
     /// `base`'s capacity selection is ignored; the search pins each probe
     /// uniformly.  Every probe is one incremental query, so colors,
@@ -157,199 +108,58 @@ impl QueryEngine {
     /// assert_eq!(result.minimal_queue_size, Some(3));
     /// // Probe order: the midpoint 3 first (free), then 2 (deadlocks).
     /// assert_eq!(result.evaluations, vec![(3, true), (2, false)]);
-    /// assert!(result.probes.iter().all(|p| p.target == DeadlockTarget::Any));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn minimal_capacity(&mut self, base: &Query) -> SizingResult {
-        let target = base.deadlock_target();
-        let mut probes = Vec::new();
         let (minimal, evaluations) = bisect_minimal(self.capacity_range(), |size| {
             let report = self.check(&base.capacity(size));
             let undecided = matches!(report.verdict(), Verdict::Unknown);
-            let free = report.is_deadlock_free();
-            probes.push(SizingProbe {
-                queue_size: size,
-                target,
-                deadlock_free: free,
-            });
-            (free, undecided)
+            (report.is_deadlock_free(), undecided)
         });
         SizingResult {
             minimal_queue_size: minimal,
             evaluations,
-            probes,
         }
     }
-}
-
-/// Runs the sizing search for a legacy two-flag spec on a freshly built
-/// engine: a spec with no condition enabled answers every probe trivially
-/// free without touching the engine, reproducing the historical trace.
-fn sizing_for_spec(mut engine: QueryEngine, spec: &DeadlockSpec) -> SizingResult {
-    match spec.as_target() {
-        Some(target) => engine.minimal_capacity(&Query::new().target(target)),
-        None => {
-            let (minimal, evaluations) = bisect_minimal(engine.capacity_range(), |_| (true, false));
-            SizingResult {
-                minimal_queue_size: minimal,
-                evaluations,
-                probes: Vec::new(),
-            }
-        }
-    }
-}
-
-/// Finds the smallest queue size in `[options.min, options.max]` for which
-/// the mesh described by `config` (ignoring its own `queue_size`) is proven
-/// deadlock-free.
-///
-/// The mesh is built **once** (at the largest size of the range) and every
-/// probe is answered by one incremental [`QueryEngine`].  An empty range
-/// (`min > max`) returns no evaluations and no minimal size.
-///
-/// # Migration
-///
-/// Build the sweep engine yourself and call
-/// [`QueryEngine::minimal_capacity`]; `SizingOptions::spec` becomes the
-/// base query's target:
-///
-/// ```
-/// use advocat::prelude::*;
-///
-/// let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-/// // Before: minimal_queue_size(&config, &SizingOptions { min: 2, max: 4, ..Default::default() })
-/// let result = QueryEngine::on(build_mesh_for_sweep(&config, 4)?, 2..=4)
-///     .minimal_capacity(&Query::new());
-/// assert_eq!(result.minimal_queue_size, Some(3));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Errors
-///
-/// Returns a [`MeshError`] when the mesh configuration is invalid.
-#[deprecated(
-    since = "0.3.0",
-    note = "build a `QueryEngine` (`QueryEngine::on` / `for_fabric`) and call \
-            `minimal_capacity` with a `Query`"
-)]
-pub fn minimal_queue_size(
-    config: &MeshConfig,
-    options: &SizingOptions,
-) -> Result<SizingResult, MeshError> {
-    if options.min > options.max {
-        return Ok(SizingResult::default());
-    }
-    let system = build_mesh_for_sweep(config, options.max)?;
-    let engine =
-        QueryEngine::with_config(system, options.config.clone(), options.min..=options.max);
-    Ok(sizing_for_spec(engine, &options.spec))
-}
-
-/// The topology-generic sibling of [`minimal_queue_size`]: finds the
-/// smallest queue size for which the fabric described by `config`
-/// (ignoring its own `queue_size`) is proven deadlock-free.
-///
-/// # Migration
-///
-/// [`QueryEngine::for_fabric`] builds the sweep engine directly from the
-/// fabric configuration:
-///
-/// ```
-/// use advocat::prelude::*;
-///
-/// let config = FabricConfig::new(Topology::ring(4)?, 1).with_directory(1);
-/// // Before: minimal_queue_size_for_fabric(&config, &SizingOptions { min: 1, max: 3, ..Default::default() })
-/// let result = QueryEngine::for_fabric(&config, 1..=3)?
-///     .minimal_capacity(&Query::new());
-/// assert_eq!(result.minimal_queue_size, Some(2));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Errors
-///
-/// Returns a [`FabricError`] when the fabric configuration is invalid or
-/// its routing function fails the channel-dependency audit.
-#[deprecated(
-    since = "0.3.0",
-    note = "build a `QueryEngine` with `QueryEngine::for_fabric` and call \
-            `minimal_capacity` with a `Query`"
-)]
-pub fn minimal_queue_size_for_fabric(
-    config: &FabricConfig,
-    options: &SizingOptions,
-) -> Result<SizingResult, FabricError> {
-    if options.min > options.max {
-        return Ok(SizingResult::default());
-    }
-    let system = build_fabric_for_sweep(config, options.max)?;
-    let engine =
-        QueryEngine::with_config(system, options.config.clone(), options.min..=options.max);
-    Ok(sizing_for_spec(engine, &options.spec))
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use advocat_noc::Topology;
+    use advocat_deadlock::DeadlockTarget;
+    use advocat_logic::CheckConfig;
+    use advocat_noc::{build_mesh_for_sweep, FabricConfig, FabricError, MeshConfig, Topology};
+
+    /// A sweep engine over the 2×2 directory mesh for `range`.
+    fn mesh_engine(config: CheckConfig, range: RangeInclusive<usize>) -> QueryEngine {
+        let mesh = MeshConfig::new(2, 2, 1).with_directory(1, 1);
+        let system = build_mesh_for_sweep(&mesh, *range.end()).unwrap();
+        QueryEngine::with_config(system, config, range)
+    }
 
     #[test]
     fn two_by_two_mesh_needs_queues_of_three() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let options = SizingOptions {
-            min: 2,
-            max: 5,
-            ..SizingOptions::default()
-        };
-        let result = minimal_queue_size(&config, &options).unwrap();
+        let result = mesh_engine(CheckConfig::default(), 2..=5).minimal_capacity(&Query::new());
         assert_eq!(result.minimal_queue_size, Some(3));
         // Probes in bisection order: 3 (free), then 2 (deadlocks).
         assert_eq!(result.evaluations, vec![(3, true), (2, false)]);
         assert!(result.is_free_at(3));
         assert!(!result.is_free_at(2));
-        // Every probe answered the legacy spec's target.
-        assert_eq!(result.probes.len(), result.evaluations.len());
-        assert!(result
-            .probes
-            .iter()
-            .all(|p| p.target == DeadlockTarget::Any));
     }
 
     #[test]
-    fn probes_record_the_spec_target_each_answered() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let system = build_mesh_for_sweep(&config, 4).unwrap();
-        let mut engine = QueryEngine::on(system, 2..=4);
-        let stuck = engine.minimal_capacity(&Query::new().target(DeadlockTarget::StuckPacket));
-        assert!(stuck
-            .probes
-            .iter()
-            .all(|p| p.target == DeadlockTarget::StuckPacket));
-        let dead = engine.minimal_capacity(&Query::new().target(DeadlockTarget::DeadAutomaton));
-        assert!(dead
-            .probes
-            .iter()
-            .all(|p| p.target == DeadlockTarget::DeadAutomaton));
-        for result in [&stuck, &dead] {
-            assert_eq!(result.probes.len(), result.evaluations.len());
-            for (probe, (size, free)) in result.probes.iter().zip(&result.evaluations) {
-                assert_eq!(probe.queue_size, *size);
-                assert_eq!(probe.deadlock_free, *free);
-            }
+    fn one_engine_sizes_both_targets() {
+        let mut engine = mesh_engine(CheckConfig::default(), 2..=4);
+        for target in [DeadlockTarget::StuckPacket, DeadlockTarget::DeadAutomaton] {
+            let result = engine.minimal_capacity(&Query::new().target(target));
+            assert_eq!(result.minimal_queue_size, Some(3), "{target}");
         }
-        // One engine answered both ablations.
         assert_eq!(engine.stats().templates_built, 1);
     }
 
     #[test]
     fn search_reports_failure_when_the_range_is_too_small() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let options = SizingOptions {
-            min: 1,
-            max: 2,
-            ..SizingOptions::default()
-        };
-        let result = minimal_queue_size(&config, &options).unwrap();
+        let result = mesh_engine(CheckConfig::default(), 1..=2).minimal_capacity(&Query::new());
         assert_eq!(result.minimal_queue_size, None);
         assert_eq!(result.evaluations.len(), 2);
         assert!(result.evaluations.iter().all(|(_, free)| !free));
@@ -357,57 +167,31 @@ mod tests {
 
     #[test]
     fn single_size_ranges_probe_exactly_once() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let options = SizingOptions {
-            min: 3,
-            max: 3,
-            ..SizingOptions::default()
-        };
-        let result = minimal_queue_size(&config, &options).unwrap();
+        let result = mesh_engine(CheckConfig::default(), 3..=3).minimal_capacity(&Query::new());
         assert_eq!(result.minimal_queue_size, Some(3));
         assert_eq!(result.evaluations, vec![(3, true)]);
     }
 
     #[test]
-    fn invalid_mesh_configurations_error_out() {
-        let config = MeshConfig::new(1, 1, 1);
-        assert!(minimal_queue_size(&config, &SizingOptions::default()).is_err());
-    }
-
-    #[test]
     fn fabric_sizing_spans_topology_families() {
-        let options = SizingOptions {
-            min: 1,
-            max: 4,
-            ..SizingOptions::default()
-        };
         let ring = FabricConfig::new(Topology::ring(4).unwrap(), 1).with_directory(1);
-        let result = minimal_queue_size_for_fabric(&ring, &options).unwrap();
+        let result = QueryEngine::for_fabric(&ring, 1..=4)
+            .unwrap()
+            .minimal_capacity(&Query::new());
         assert_eq!(result.minimal_queue_size, Some(2));
         let tree = FabricConfig::new(Topology::fat_tree(2, 2).unwrap(), 1).with_directory(3);
-        let result = minimal_queue_size_for_fabric(&tree, &options).unwrap();
+        let result = QueryEngine::for_fabric(&tree, 1..=4)
+            .unwrap()
+            .minimal_capacity(&Query::new());
         assert_eq!(result.minimal_queue_size, Some(2));
         // A cyclic routing configuration errors out before any probe.
         let undatelined = FabricConfig::new(Topology::ring(4).unwrap(), 1).with_routing(
             std::sync::Arc::new(advocat_noc::DimensionOrdered::without_dateline()),
         );
         assert!(matches!(
-            minimal_queue_size_for_fabric(&undatelined, &options),
+            QueryEngine::for_fabric(&undatelined, 1..=4),
             Err(FabricError::CyclicChannelDependencies { .. })
         ));
-    }
-
-    #[test]
-    fn inverted_ranges_yield_no_evaluations() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let options = SizingOptions {
-            min: 5,
-            max: 3,
-            ..SizingOptions::default()
-        };
-        let result = minimal_queue_size(&config, &options).unwrap();
-        assert_eq!(result.minimal_queue_size, None);
-        assert!(result.evaluations.is_empty());
     }
 
     #[test]
@@ -415,39 +199,15 @@ mod tests {
         // With no refinement budget every probe is Unknown; the search must
         // still visit every size (nothing is pruned on non-evidence) and
         // prove nothing.
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let options = SizingOptions {
-            min: 2,
-            max: 5,
-            config: advocat_logic::CheckConfig {
-                max_refinements: 0,
-                ..advocat_logic::CheckConfig::default()
-            },
-            ..SizingOptions::default()
+        let config = CheckConfig {
+            max_refinements: 0,
+            ..CheckConfig::default()
         };
-        let result = minimal_queue_size(&config, &options).unwrap();
+        let result = mesh_engine(config, 2..=5).minimal_capacity(&Query::new());
         assert_eq!(result.minimal_queue_size, None);
         let mut probed: Vec<usize> = result.evaluations.iter().map(|(s, _)| *s).collect();
         probed.sort_unstable();
         assert_eq!(probed, vec![2, 3, 4, 5]);
         assert!(result.evaluations.iter().all(|(_, free)| !free));
-    }
-
-    #[test]
-    fn trivial_specs_reproduce_the_bisection_trace_without_probing() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let options = SizingOptions {
-            min: 2,
-            max: 5,
-            spec: DeadlockSpec {
-                stuck_packet: false,
-                dead_automaton: false,
-            },
-            ..SizingOptions::default()
-        };
-        let result = minimal_queue_size(&config, &options).unwrap();
-        assert_eq!(result.minimal_queue_size, Some(2));
-        assert!(result.evaluations.iter().all(|(_, free)| *free));
-        assert!(result.probes.is_empty());
     }
 }

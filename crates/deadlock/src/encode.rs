@@ -7,23 +7,7 @@ use advocat_invariants::{InvariantSet, InvariantVar};
 use advocat_logic::{BoolVar, Formula, IntVar, LinExpr, SmtSolver};
 use advocat_xmas::{ChannelId, ColorId, ColorMap, Primitive, PrimitiveId};
 
-/// Which conditions count as a deadlock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeadlockSpec {
-    /// A packet sitting in a queue whose head is permanently blocked.
-    pub stuck_packet: bool,
-    /// An automaton occupying a state all of whose transitions are dead.
-    pub dead_automaton: bool,
-}
-
-impl Default for DeadlockSpec {
-    fn default() -> Self {
-        DeadlockSpec {
-            stuck_packet: true,
-            dead_automaton: true,
-        }
-    }
-}
+use crate::DeadlockTarget;
 
 /// How queue capacities enter the encoding.
 #[derive(Clone, Copy, Debug)]
@@ -81,20 +65,20 @@ pub(crate) struct Encoding {
 }
 
 /// Builds the SMT instance for the given system, color map, invariants and
-/// deadlock specification, with queue capacities fixed to their structural
-/// sizes (the one-shot, cold-start path).  The goal the spec selects is
-/// asserted permanently.
+/// deadlock target, with queue capacities fixed to their structural sizes
+/// (the one-shot, cold-start path).  The target's goal is asserted
+/// permanently.
 pub(crate) fn build_encoding(
     system: &System,
     colors: &ColorMap,
     invariants: &InvariantSet,
-    spec: &DeadlockSpec,
+    target: DeadlockTarget,
 ) -> Encoding {
     build_encoding_with(
         system,
         colors,
         invariants,
-        Some(spec),
+        Some(target),
         SmtSolver::new(),
         CapacityMode::Fixed,
     )
@@ -124,14 +108,14 @@ pub(crate) fn build_encoding_symbolic(
 }
 
 /// Builds the SMT instance onto the given solver with the given capacity
-/// mode.  With `spec: Some(..)` the selected goal is asserted permanently
-/// (the cold path); with `None` the goal indicators stay free for
-/// assumption-based selection (the template path).
+/// mode.  With `target: Some(..)` the target's goal is asserted
+/// permanently (the cold path); with `None` the goal indicators stay free
+/// for assumption-based selection (the template path).
 fn build_encoding_with(
     system: &System,
     colors: &ColorMap,
     invariants: &InvariantSet,
-    spec: Option<&DeadlockSpec>,
+    target: Option<DeadlockTarget>,
     smt: SmtSolver,
     mode: CapacityMode,
 ) -> Encoding {
@@ -143,8 +127,8 @@ fn build_encoding_with(
     enc.assert_block_idle_definitions();
     enc.assert_automaton_dead_definitions();
     enc.define_goal_indicators();
-    if let Some(spec) = spec {
-        enc.assert_deadlock_target(spec);
+    if let Some(target) = target {
+        enc.assert_deadlock_target(target);
     }
     Encoding {
         smt: enc.smt,
@@ -682,16 +666,11 @@ impl<'a> EncodingBuilder<'a> {
         self.vars.goal_any = Some(goal_any);
     }
 
-    /// Permanently asserts the goal the legacy two-flag spec selects (the
-    /// cold path; template queries select goals via assumptions instead).
-    fn assert_deadlock_target(&mut self, spec: &DeadlockSpec) {
-        let goal = match spec.as_target() {
-            Some(target) => Formula::bool_var(self.vars.goal_var(target)),
-            // Nothing counts as a deadlock: the instance is unsatisfiable
-            // by construction, matching the historical `or([])` target.
-            None => Formula::False,
-        };
-        self.smt.assert(goal);
+    /// Permanently asserts the target's goal (the cold path; template
+    /// queries select goals via assumptions instead).
+    fn assert_deadlock_target(&mut self, target: DeadlockTarget) {
+        self.smt
+            .assert(Formula::bool_var(self.vars.goal_var(target)));
     }
 }
 
@@ -702,11 +681,11 @@ impl EncodingVars {
     ///
     /// Panics when the goal indicators have not been defined (they are
     /// defined by every complete encoding).
-    pub(crate) fn goal_var(&self, target: crate::DeadlockTarget) -> BoolVar {
+    pub(crate) fn goal_var(&self, target: DeadlockTarget) -> BoolVar {
         let goal = match target {
-            crate::DeadlockTarget::StuckPacket => self.goal_stuck,
-            crate::DeadlockTarget::DeadAutomaton => self.goal_dead,
-            crate::DeadlockTarget::Any => self.goal_any,
+            DeadlockTarget::StuckPacket => self.goal_stuck,
+            DeadlockTarget::DeadAutomaton => self.goal_dead,
+            DeadlockTarget::Any => self.goal_any,
         };
         goal.expect("goal indicators declared by the encoding builder")
     }
@@ -732,18 +711,11 @@ mod tests {
         let system = System::new(net);
         let colors = derive_colors(&system);
         let invariants = derive_invariants(&system, &colors);
-        let enc = build_encoding(&system, &colors, &invariants, &DeadlockSpec::default());
+        let enc = build_encoding(&system, &colors, &invariants, DeadlockTarget::Any);
         assert_eq!(enc.vars.occupancy.len(), 2);
         assert!(enc.vars.state.is_empty());
         // Two channels, two colors each: four block and four idle variables.
         assert_eq!(enc.vars.block.len(), 4);
         assert_eq!(enc.vars.idle.len(), 4);
-    }
-
-    #[test]
-    fn spec_default_enables_both_targets() {
-        let spec = DeadlockSpec::default();
-        assert!(spec.stuck_packet);
-        assert!(spec.dead_automaton);
     }
 }

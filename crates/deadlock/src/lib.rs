@@ -13,18 +13,24 @@
 //!
 //! The defining equations of these predicates, the structural constraints
 //! (queue capacities, one-state-per-automaton), the automatically derived
-//! cross-layer invariants (from `advocat-invariants`) and a *deadlock
-//! target* (some queue holds a permanently blocked packet, or some
-//! automaton is dead) are conjoined into one SMT instance.  If the instance
-//! is unsatisfiable the system is **deadlock-free**; if it is satisfiable
-//! the model is returned as a deadlock *candidate* (the method is sound but
-//! may produce false negatives — candidates may be unreachable).
+//! cross-layer invariants (from `advocat-invariants`) and a
+//! [`DeadlockTarget`] (some queue holds a permanently blocked packet, some
+//! automaton is dead, or either) are conjoined into one SMT instance.  If
+//! the instance is unsatisfiable the system is **deadlock-free**; if it is
+//! satisfiable the model is returned as a deadlock *candidate* (the method
+//! is sound but may produce false negatives — candidates may be
+//! unreachable).
+//!
+//! A [`Query`] names one question: a target, a capacity and whether the
+//! invariants apply.  [`EncodingTemplate`] answers any number of queries
+//! from one persistent solver; [`verify_system`] is the cold,
+//! fixed-capacity path and serves as an independent oracle for it.
 //!
 //! # Examples
 //!
 //! ```
 //! use advocat_automata::{AutomatonBuilder, System};
-//! use advocat_deadlock::{verify_system, DeadlockSpec, Verdict};
+//! use advocat_deadlock::{verify_system, DeadlockTarget, Verdict};
 //! use advocat_xmas::{Network, Packet};
 //!
 //! // A producer feeding a dead sink through a tiny queue: every packet
@@ -38,7 +44,7 @@
 //! net.connect(q, 0, dead, 0);
 //! let system = System::new(net);
 //!
-//! let analysis = verify_system(&system, &DeadlockSpec::default());
+//! let analysis = verify_system(&system, DeadlockTarget::Any);
 //! assert!(matches!(analysis.verdict, Verdict::PotentialDeadlock(_)));
 //! ```
 
@@ -56,7 +62,6 @@ pub use boundary::{
     check_composition, Boundary, BoundaryAnalysis, BoundaryOutcome, CompositionModel, InterfacePort,
 };
 pub use counterexample::Counterexample;
-pub use encode::DeadlockSpec;
 pub use query::{CapacitySelection, DeadlockTarget, Query};
 pub use template::{structural_capacity_range, ContractCheck, EncodingTemplate};
 pub use verify::{verify_system, verify_with, Analysis, AnalysisStats, Verdict};

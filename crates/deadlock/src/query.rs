@@ -8,8 +8,6 @@
 //! one persistent solver (see [`crate::EncodingTemplate`]), so sweeping any
 //! of them re-encodes nothing.
 
-use crate::encode::DeadlockSpec;
-
 /// Which deadlock formulation a query asks about.
 ///
 /// The block/idle equations admit two observable symptoms of a cross-layer
@@ -27,18 +25,6 @@ pub enum DeadlockTarget {
     Any,
 }
 
-impl DeadlockTarget {
-    /// Returns `true` when the target includes the stuck-packet symptom.
-    pub fn includes_stuck_packet(self) -> bool {
-        matches!(self, DeadlockTarget::StuckPacket | DeadlockTarget::Any)
-    }
-
-    /// Returns `true` when the target includes the dead-automaton symptom.
-    pub fn includes_dead_automaton(self) -> bool {
-        matches!(self, DeadlockTarget::DeadAutomaton | DeadlockTarget::Any)
-    }
-}
-
 impl std::fmt::Display for DeadlockTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -46,29 +32,6 @@ impl std::fmt::Display for DeadlockTarget {
             DeadlockTarget::DeadAutomaton => "dead-automaton",
             DeadlockTarget::Any => "any",
         })
-    }
-}
-
-impl DeadlockSpec {
-    /// Maps the legacy two-flag specification onto the [`DeadlockTarget`]
-    /// it describes, or `None` when both conditions are disabled (a query
-    /// with nothing to look for is trivially deadlock-free).
-    pub fn as_target(&self) -> Option<DeadlockTarget> {
-        match (self.stuck_packet, self.dead_automaton) {
-            (true, true) => Some(DeadlockTarget::Any),
-            (true, false) => Some(DeadlockTarget::StuckPacket),
-            (false, true) => Some(DeadlockTarget::DeadAutomaton),
-            (false, false) => None,
-        }
-    }
-}
-
-impl From<DeadlockTarget> for DeadlockSpec {
-    fn from(target: DeadlockTarget) -> Self {
-        DeadlockSpec {
-            stuck_packet: target.includes_stuck_packet(),
-            dead_automaton: target.includes_dead_automaton(),
-        }
     }
 }
 
@@ -178,26 +141,6 @@ mod tests {
         assert_eq!(q.capacity_selection(), CapacitySelection::Structural);
         assert_eq!(q.deadlock_target(), DeadlockTarget::DeadAutomaton);
         assert!(!q.invariants_enabled());
-    }
-
-    #[test]
-    fn spec_round_trips_through_target() {
-        assert_eq!(
-            DeadlockSpec::default().as_target(),
-            Some(DeadlockTarget::Any)
-        );
-        for target in [
-            DeadlockTarget::StuckPacket,
-            DeadlockTarget::DeadAutomaton,
-            DeadlockTarget::Any,
-        ] {
-            assert_eq!(DeadlockSpec::from(target).as_target(), Some(target));
-        }
-        let neither = DeadlockSpec {
-            stuck_packet: false,
-            dead_automaton: false,
-        };
-        assert_eq!(neither.as_target(), None);
     }
 
     #[test]

@@ -449,7 +449,7 @@ mod tests {
     use advocat_noc::{build_mesh, MeshConfig};
 
     use crate::query::DeadlockTarget;
-    use crate::{verify_system, verify_with, DeadlockSpec};
+    use crate::{verify_system, verify_with};
 
     fn mesh_parts(config: &MeshConfig) -> (System, ColorMap, InvariantSet) {
         let system = build_mesh(config).unwrap();
@@ -469,7 +469,7 @@ mod tests {
                 .verdict
                 .is_deadlock_free();
             let cold_system = build_mesh(&config.with_queue_size(capacity)).unwrap();
-            let cold = verify_system(&cold_system, &DeadlockSpec::default())
+            let cold = verify_system(&cold_system, DeadlockTarget::Any)
                 .verdict
                 .is_deadlock_free();
             assert_eq!(session, cold, "capacity {capacity}");
@@ -495,7 +495,7 @@ mod tests {
                     .verdict
                     .is_deadlock_free();
                 let cold_system = build_mesh(&config.with_queue_size(capacity)).unwrap();
-                let cold = verify_system(&cold_system, &DeadlockSpec::from(target))
+                let cold = verify_system(&cold_system, target)
                     .verdict
                     .is_deadlock_free();
                 assert_eq!(session, cold, "capacity {capacity}, target {target}");
@@ -522,7 +522,7 @@ mod tests {
             &system,
             &colors,
             &InvariantSet::default(),
-            &DeadlockSpec::default(),
+            DeadlockTarget::Any,
             &CheckConfig::default(),
         );
         assert!(!cold.verdict.is_deadlock_free());
@@ -537,7 +537,7 @@ mod tests {
         let (system, colors, invariants) = mesh_parts(&config);
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=4);
         let structural = template.check(&Query::new(), &CheckConfig::default());
-        let cold = verify_system(&system, &DeadlockSpec::default());
+        let cold = verify_system(&system, DeadlockTarget::Any);
         assert_eq!(
             structural.verdict.is_deadlock_free(),
             cold.verdict.is_deadlock_free()

@@ -8,7 +8,8 @@ use advocat_logic::{CheckConfig, Model, SmtResult, SolverProfile};
 use advocat_xmas::ColorMap;
 
 use crate::counterexample::Counterexample;
-use crate::encode::{build_encoding, DeadlockSpec, Encoding, EncodingVars};
+use crate::encode::{build_encoding, Encoding, EncodingVars};
+use crate::DeadlockTarget;
 
 /// The verdict of a deadlock analysis.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,18 +98,28 @@ pub struct Analysis {
 }
 
 /// Runs the full ADVOCAT pipeline on a system: `T`-derivation, invariant
-/// generation, deadlock-equation encoding and SMT solving.
+/// generation, deadlock-equation encoding and SMT solving, looking for
+/// `target` at the structural queue capacities.
 ///
-/// Use [`verify_with`] to supply a precomputed color map and invariant set
-/// (e.g. when sweeping queue sizes) or a custom solver configuration.
+/// This is the cold, fixed-capacity path: one fresh solver with the
+/// target's goal asserted permanently.  It shares no solver state with
+/// [`crate::EncodingTemplate`], so it serves as an independent oracle for
+/// the incremental path.  Use [`verify_with`] to supply a precomputed
+/// color map and invariant set or a custom solver configuration.
 ///
 /// # Examples
 ///
 /// See the crate-level documentation.
-pub fn verify_system(system: &System, spec: &DeadlockSpec) -> Analysis {
+pub fn verify_system(system: &System, target: DeadlockTarget) -> Analysis {
     let colors = derive_colors(system);
     let invariants = derive_invariants(system, &colors);
-    verify_with(system, &colors, &invariants, spec, &CheckConfig::default())
+    verify_with(
+        system,
+        &colors,
+        &invariants,
+        target,
+        &CheckConfig::default(),
+    )
 }
 
 /// Runs the deadlock analysis with explicit inputs.
@@ -120,11 +131,11 @@ pub fn verify_with(
     system: &System,
     colors: &ColorMap,
     invariants: &InvariantSet,
-    spec: &DeadlockSpec,
+    target: DeadlockTarget,
     config: &CheckConfig,
 ) -> Analysis {
     let start = Instant::now();
-    let Encoding { mut smt, vars } = build_encoding(system, colors, invariants, spec);
+    let Encoding { mut smt, vars } = build_encoding(system, colors, invariants, target);
     let result = smt.check_with(config);
     let stats = smt.stats();
     let profile = smt.take_profile();
@@ -185,13 +196,13 @@ pub(crate) fn witnessed_targets(
     goal_stuck: Option<advocat_logic::BoolVar>,
     goal_dead: Option<advocat_logic::BoolVar>,
     model: &Model,
-) -> Vec<crate::DeadlockTarget> {
+) -> Vec<DeadlockTarget> {
     let mut witnessed = Vec::new();
     if goal_stuck.is_some_and(|v| model.bool_value(v)) {
-        witnessed.push(crate::DeadlockTarget::StuckPacket);
+        witnessed.push(DeadlockTarget::StuckPacket);
     }
     if goal_dead.is_some_and(|v| model.bool_value(v)) {
-        witnessed.push(crate::DeadlockTarget::DeadAutomaton);
+        witnessed.push(DeadlockTarget::DeadAutomaton);
     }
     witnessed
 }
@@ -278,7 +289,7 @@ mod tests {
     #[test]
     fn running_example_is_deadlock_free_with_invariants() {
         let system = running_example(2);
-        let analysis = verify_system(&system, &DeadlockSpec::default());
+        let analysis = verify_system(&system, DeadlockTarget::Any);
         assert!(
             analysis.verdict.is_deadlock_free(),
             "{:?}",
@@ -299,7 +310,7 @@ mod tests {
             &system,
             &colors,
             &empty,
-            &DeadlockSpec::default(),
+            DeadlockTarget::Any,
             &CheckConfig::default(),
         );
         assert!(matches!(analysis.verdict, Verdict::PotentialDeadlock(_)));
@@ -315,7 +326,7 @@ mod tests {
         net.connect(src, 0, q, 0);
         net.connect(q, 0, dead, 0);
         let system = System::new(net);
-        let analysis = verify_system(&system, &DeadlockSpec::default());
+        let analysis = verify_system(&system, DeadlockTarget::Any);
         let cex = analysis
             .verdict
             .counterexample()
@@ -325,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn stuck_packet_target_can_be_disabled() {
+    fn dead_sink_net_is_free_under_the_dead_automaton_target() {
         let mut net = Network::new();
         let pkt = net.intern(Packet::kind("pkt"));
         let src = net.add_source("src", vec![pkt]);
@@ -334,13 +345,12 @@ mod tests {
         net.connect(src, 0, q, 0);
         net.connect(q, 0, dead, 0);
         let system = System::new(net);
-        // With both targets disabled there is nothing to look for.
-        let spec = DeadlockSpec {
-            stuck_packet: false,
-            dead_automaton: false,
-        };
-        let analysis = verify_system(&system, &spec);
+        // The net has a stuck packet but no automaton, so the solver
+        // proves the dead-automaton goal unsatisfiable.
+        let analysis = verify_system(&system, DeadlockTarget::DeadAutomaton);
         assert!(analysis.verdict.is_deadlock_free());
+        let stuck = verify_system(&system, DeadlockTarget::StuckPacket);
+        assert!(!stuck.verdict.is_deadlock_free());
     }
 
     #[test]

@@ -81,16 +81,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nsession: {} queries, {} template(s) built, {} conflicts, {} propagations",
         stats.queries, stats.templates_built, stats.sat_conflicts, stats.sat_propagations
     );
-
-    // Migration cheat sheet (the deprecated entry points now drive this
-    // same engine):
-    //   Verifier::new().analyze(&system)
-    //     -> QueryEngine::structural(system).check(&Query::new())
-    //   VerificationSession::new(system, spec, range)
-    //     -> QueryEngine::on(system, range)         [target moves into Query]
-    //   minimal_queue_size(&mesh, &options)
-    //     -> QueryEngine::on(system, min..=max).minimal_capacity(&Query::new())
-    //   verify_batch(&scenarios, workers)
-    //     -> run_batch(&scenarios, workers)          [sweeps + SessionStats]
     Ok(())
 }

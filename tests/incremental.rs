@@ -1,22 +1,17 @@
 //! End-to-end coverage of the incremental verification path: the
-//! assumption-based SAT solver, the session/template pipeline, and the
-//! headline claim — a session-based queue-size sweep spends strictly less
+//! assumption-based SAT solver, the engine/template pipeline, and the
+//! headline claim — one engine's queue-size sweep spends strictly less
 //! SAT effort than independent cold verifications.
 //!
-//! This file deliberately drives the **deprecated** entry points
-//! (`Verifier::analyze`, `VerificationSession`, `minimal_queue_size`): it
-//! is the regression net proving the shims still deliver the historical
-//! verdicts now that they are thin drivers over `QueryEngine`.  The new
-//! surface is covered by `tests/spec_ablation.rs`; the last two tests here
-//! pin what one warm `QueryEngine` may and may not carry from one answer
-//! into the next.
-#![allow(deprecated)]
+//! Verdicts are cross-checked against `verify_system`, the cold
+//! fixed-capacity path that shares no solver state with the engine; the
+//! last two tests pin what one warm `QueryEngine` may and may not carry
+//! from one answer into the next.
 
 use advocat::deadlock::Counterexample;
 use advocat::explorer::XorShift64;
 use advocat::logic::sat::{Lit, SatSolver, Var};
 use advocat::prelude::*;
-use advocat::SizingOptions;
 
 /// `solve_with_assumptions` agrees with a cold solve (assumptions added as
 /// unit clauses to a fresh solver) on random 3-SAT instances, and failed
@@ -113,25 +108,25 @@ fn assumption_solving_agrees_with_cold_solving_on_random_3sat() {
     }
 }
 
-/// The seed's per-size cold path, for comparison: rebuild the mesh and run
-/// the full pipeline at one queue size.
+/// The independent per-size cold path, for comparison: rebuild the mesh
+/// and run the fixed-capacity pipeline at one queue size.
 fn cold_verdict(config: &MeshConfig, queue_size: usize) -> bool {
     let system = build_mesh(&config.with_queue_size(queue_size)).unwrap();
-    Verifier::new().analyze(&system).is_deadlock_free()
+    verify_system(&system, DeadlockTarget::Any)
+        .verdict
+        .is_deadlock_free()
 }
 
-/// Regression: the session-based `minimal_queue_size` returns the same
+/// Regression: the engine's `minimal_capacity` returns the same
 /// `(size, free)` verdict for every probed size as the cold per-size path,
 /// and the same minimal size as a cold linear scan.
 #[test]
 fn session_sizing_matches_the_cold_per_size_path_on_the_2x2_mesh() {
     let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-    let options = SizingOptions {
-        min: 1,
-        max: 6,
-        ..SizingOptions::default()
-    };
-    let result = advocat::minimal_queue_size(&config, &options).unwrap();
+    let sizes = 1..=6usize;
+    let system = build_mesh_for_sweep(&config, *sizes.end()).unwrap();
+    let result = QueryEngine::with_config(system, CheckConfig::default(), sizes.clone())
+        .minimal_capacity(&Query::new());
 
     assert!(!result.evaluations.is_empty());
     for &(size, free) in &result.evaluations {
@@ -142,14 +137,14 @@ fn session_sizing_matches_the_cold_per_size_path_on_the_2x2_mesh() {
         );
     }
 
-    let cold_minimal = (options.min..=options.max).find(|&size| cold_verdict(&config, size));
+    let cold_minimal = sizes.clone().find(|&size| cold_verdict(&config, size));
     assert_eq!(result.minimal_queue_size, cold_minimal);
 }
 
 /// The acceptance criterion of the incremental refactor: sweeping sizes
-/// 1..=16 on the 2×2 directory mesh through one `VerificationSession`
-/// costs strictly fewer SAT conflicts + propagations than sixteen
-/// independent cold `Verifier::analyze` calls.
+/// 1..=16 on the 2×2 directory mesh through one `QueryEngine` costs
+/// strictly fewer SAT conflicts + propagations than sixteen independent
+/// cold engines, each answering one structural query.
 #[test]
 fn session_sweep_beats_sixteen_cold_analyzes_on_sat_effort() {
     let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
@@ -158,17 +153,21 @@ fn session_sweep_beats_sixteen_cold_analyzes_on_sat_effort() {
     let mut cold_verdicts = Vec::new();
     for size in 1..=16usize {
         let system = build_mesh(&config.with_queue_size(size)).unwrap();
-        let report = Verifier::new().analyze(&system);
+        let report = QueryEngine::structural(system).check(&Query::new());
         let stats = report.analysis().stats;
         cold_effort += stats.sat_conflicts + stats.sat_propagations;
         cold_verdicts.push(report.is_deadlock_free());
     }
 
     let system = build_mesh_for_sweep(&config, 16).unwrap();
-    let mut session = VerificationSession::new(system, DeadlockSpec::default(), 1..=16);
+    let mut session = QueryEngine::on(system, 1..=16);
     let mut session_verdicts = Vec::new();
     for size in 1..=16usize {
-        session_verdicts.push(session.check_capacity(size).is_deadlock_free());
+        session_verdicts.push(
+            session
+                .check(&Query::new().capacity(size))
+                .is_deadlock_free(),
+        );
     }
 
     assert_eq!(session_verdicts, cold_verdicts, "verdicts must not change");
@@ -202,12 +201,11 @@ fn long_sweep_keeps_per_query_cost_bounded_with_clause_deletion() {
             solver,
             ..CheckConfig::default()
         };
-        let mut session =
-            VerificationSession::with_config(system, DeadlockSpec::default(), config, 1..=32);
+        let mut session = QueryEngine::with_config(system, config, 1..=32);
         let mut verdicts = Vec::new();
         let mut efforts = Vec::new();
         for size in 1..=32usize {
-            let report = session.check_capacity(size);
+            let report = session.check(&Query::new().capacity(size));
             verdicts.push(report.is_deadlock_free());
             efforts.push(report.analysis().stats.sat_effort());
         }
@@ -262,13 +260,13 @@ fn long_sweep_keeps_per_query_cost_bounded_with_clause_deletion() {
 fn session_accumulates_per_query_stats() {
     let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
     let system = build_mesh_for_sweep(&config, 3).unwrap();
-    let mut session = VerificationSession::new(system, DeadlockSpec::default(), 2..=3);
-    let report = session.check_capacity(2);
+    let mut session = QueryEngine::on(system, 2..=3);
+    let report = session.check(&Query::new().capacity(2));
     assert!(report.analysis().stats.sat_propagations > 0);
     let after_one = session.stats();
     assert_eq!(after_one.queries, 1);
     assert!(after_one.sat_effort() > 0);
-    let _ = session.check_capacity(3);
+    let _ = session.check(&Query::new().capacity(3));
     let after_two = session.stats();
     assert_eq!(after_two.queries, 2);
     assert!(after_two.sat_effort() >= after_one.sat_effort());

@@ -4,7 +4,7 @@
 //! all queues have size 2 (Fig. 3 of the paper) and is deadlock-free when
 //! queues can hold 3 or more packets.
 
-use advocat_deadlock::{verify_system, DeadlockSpec, Verdict};
+use advocat_deadlock::{verify_system, DeadlockTarget, Verdict};
 use advocat_noc::{build_mesh, MeshConfig, ProtocolKind};
 
 fn mesh(queue_size: usize) -> MeshConfig {
@@ -16,7 +16,7 @@ fn mesh(queue_size: usize) -> MeshConfig {
 #[test]
 fn queue_size_two_has_a_cross_layer_deadlock_candidate() {
     let system = build_mesh(&mesh(2)).expect("2x2 mesh builds");
-    let analysis = verify_system(&system, &DeadlockSpec::default());
+    let analysis = verify_system(&system, DeadlockTarget::Any);
     match &analysis.verdict {
         Verdict::PotentialDeadlock(cex) => {
             // The candidate involves at least one en-route packet or a dead
@@ -35,7 +35,7 @@ fn sufficiently_large_queues_are_deadlock_free() {
     let mut free_at = None;
     for queue_size in 3..=8 {
         let system = build_mesh(&mesh(queue_size)).expect("2x2 mesh builds");
-        let analysis = verify_system(&system, &DeadlockSpec::default());
+        let analysis = verify_system(&system, DeadlockTarget::Any);
         if analysis.verdict.is_deadlock_free() {
             free_at = Some(queue_size);
             break;
@@ -54,7 +54,7 @@ fn verification_reports_model_statistics() {
     let stats = system.stats();
     assert_eq!(stats.automata, 4);
     assert_eq!(stats.queues, 8);
-    let analysis = verify_system(&system, &DeadlockSpec::default());
+    let analysis = verify_system(&system, DeadlockTarget::Any);
     assert!(analysis.stats.invariants > 0);
     assert!(analysis.stats.int_vars > 0);
     assert!(analysis.stats.bool_vars > 0);

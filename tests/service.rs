@@ -140,6 +140,43 @@ fn identical_fingerprints_share_one_engine() {
     assert_eq!(service.pool_stats().engines_built, 2);
 }
 
+/// The deadlock target is picked per query by assumption, so jobs that
+/// differ only in target share one warm engine — and each answers as a
+/// separate engine asked the same question would.
+#[test]
+fn jobs_differing_only_in_target_share_one_engine() {
+    let service = Service::new(ServiceConfig::default().with_workers(2));
+    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let targets = [DeadlockTarget::Any, DeadlockTarget::StuckPacket];
+    for target in targets {
+        service.submit(
+            VerifyJob::mesh(target.to_string(), mesh)
+                .with_target(target)
+                .at_capacity(2)
+                .with_engine_range(2..=3),
+        );
+    }
+    let outcomes = service.drain();
+    let stats = service.pool_stats();
+    assert_eq!(stats.engines_built, 1, "the target does not split the pool");
+    assert_eq!(stats.warm_hits, 1);
+    for (outcome, target) in outcomes.iter().zip(targets) {
+        let pooled = outcome.result.as_ref().expect("mesh builds");
+        let system = build_mesh_for_sweep(&mesh, 3).unwrap();
+        let separate =
+            QueryEngine::on(system, 2..=3).check(&Query::new().capacity(2).target(target));
+        assert_eq!(
+            pooled.is_deadlock_free(),
+            separate.is_deadlock_free(),
+            "{target}"
+        );
+        for report in [pooled, &separate] {
+            let cex = report.counterexample().expect("capacity 2 deadlocks");
+            assert!(cex.witnesses(target), "{target}");
+        }
+    }
+}
+
 /// Admission control: with a one-slot queue and a busy worker,
 /// `try_submit` refuses instead of blocking, and everything admitted still
 /// completes correctly.

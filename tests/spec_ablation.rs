@@ -142,42 +142,3 @@ fn invariant_ablation_round_trips_in_one_session() {
     assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
     assert_eq!(engine.stats().templates_built, 1);
 }
-
-/// The deprecated spec-frozen surfaces agree with the Query API verdict
-/// for verdict on the same sweep — the compatibility contract of the
-/// shims.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_the_query_api() {
-    let system = build_mesh_for_sweep(&mesh_config(), *SWEEP.end()).expect("valid mesh");
-    let mut engine = QueryEngine::on(system, SWEEP);
-    for (spec, target) in [
-        (
-            DeadlockSpec {
-                stuck_packet: true,
-                dead_automaton: false,
-            },
-            DeadlockTarget::StuckPacket,
-        ),
-        (
-            DeadlockSpec {
-                stuck_packet: false,
-                dead_automaton: true,
-            },
-            DeadlockTarget::DeadAutomaton,
-        ),
-        (DeadlockSpec::default(), DeadlockTarget::Any),
-    ] {
-        let system = build_mesh_for_sweep(&mesh_config(), *SWEEP.end()).expect("valid mesh");
-        let mut session = VerificationSession::new(system, spec, SWEEP);
-        for capacity in SWEEP {
-            assert_eq!(
-                session.check_capacity(capacity).is_deadlock_free(),
-                engine
-                    .check(&Query::new().capacity(capacity).target(target))
-                    .is_deadlock_free(),
-                "spec {spec:?} at capacity {capacity}"
-            );
-        }
-    }
-}

@@ -1,18 +1,15 @@
 //! Cross-topology verification: the tentpole scenario of the topology
 //! engine.
 //!
-//! One `VerificationSession`-backed sweep — build the fabric once at the
-//! largest capacity, probe every capacity incrementally — runs *unchanged*
-//! on a mesh, a torus, a ring and a fat tree.  The torus and ring are
+//! One `QueryEngine` sweep — build the fabric once at the largest
+//! capacity, probe every capacity incrementally — runs *unchanged* on a
+//! mesh, a torus, a ring and a fat tree.  The torus and ring are
 //! deadlock-free only because their routing uses dateline virtual
 //! channels; with the dateline disabled the channel-dependency-graph audit
 //! reports the cycle before anything is encoded.
 //!
-//! The sweep stays on the deprecated `VerificationSession` shim on
-//! purpose: these are the threshold regressions (mesh 3 / torus 3 /
-//! ring 2 / fat-tree 2) that must not move while the shim forwards to
-//! `QueryEngine`.
-#![allow(deprecated)]
+//! These are the threshold regressions (mesh 3 / torus 3 / ring 2 /
+//! fat-tree 2) that must not move.
 
 use std::sync::Arc;
 
@@ -23,9 +20,12 @@ use advocat::prelude::*;
 
 /// The identical sweep, parameterised only by the fabric configuration.
 fn minimal_free_capacity(config: &FabricConfig, max: usize) -> Option<usize> {
-    let mut session = VerificationSession::for_fabric(config, DeadlockSpec::default(), 1..=max)
-        .expect("fabric builds");
-    (1..=max).find(|cap| session.check_capacity(*cap).is_deadlock_free())
+    let mut engine = QueryEngine::for_fabric(config, 1..=max).expect("fabric builds");
+    (1..=max).find(|cap| {
+        engine
+            .check(&Query::new().capacity(*cap))
+            .is_deadlock_free()
+    })
 }
 
 #[test]
