@@ -3,15 +3,17 @@
 //!
 //! A mixed mesh/ring/torus/MESI workload is submitted by 1, 8 and 64
 //! concurrent client threads to one shared [`Service`].  The comparison
-//! runs the identical workload twice — once against the warm-engine pool
-//! and once with the pool disabled (every job cold-builds a private
-//! engine) — and reports throughput plus the pool's warm-hit rate.  The
-//! pooled configuration must beat the cold one outright at 8 and 64
-//! clients: that is the whole point of the service layer, so the harness
-//! *asserts* it rather than just printing it.
+//! runs the identical jobs twice — once against the warm-engine pool and
+//! once cold, each job on a fresh engine built for it alone, spread over
+//! as many threads as the service has workers — and reports throughput
+//! plus the pool's warm-hit rate.  The pooled configuration must beat the
+//! cold one outright at 8 and 64 clients: that is the whole point of the
+//! service layer, so the harness *asserts* it rather than just printing
+//! it.
 
 use advocat::prelude::*;
 use criterion::{criterion_group, Criterion};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One client's slice of the mixed workload: two mesh capacities (the
@@ -29,22 +31,63 @@ fn client_jobs(client: usize) -> Vec<VerifyJob> {
         VerifyJob::mesh(format!("c{client} mesh qs3"), mesh)
             .at_capacity(3)
             .with_engine_range(2..=3),
-        VerifyJob::fabric(format!("c{client} ring"), ring),
-        VerifyJob::fabric(format!("c{client} torus"), torus),
+        VerifyJob::fabric(format!("c{client} ring"), ring).at_capacity(2),
+        VerifyJob::fabric(format!("c{client} torus"), torus).at_capacity(3),
         VerifyJob::mesh(format!("c{client} mesi"), mesi)
             .at_capacity(2)
             .with_engine_range(2..=3),
     ]
 }
 
-/// Runs the workload for `clients` concurrent submitters and returns
-/// (wall-clock, jobs completed, pool stats).
-fn run_workload(clients: usize, warm_pool: bool) -> (Duration, usize, PoolStats) {
-    let service = Service::new(
-        ServiceConfig::default()
-            .with_queue_capacity(clients * 8)
-            .with_warm_pool(warm_pool),
-    );
+/// Every workload verdict is pinned except MESI's.
+fn check_verdict(name: &str, report: &Report) {
+    if !name.ends_with("mesi") {
+        assert_eq!(
+            report.is_deadlock_free(),
+            !name.ends_with("mesh qs2"),
+            "verdict drift in {name}"
+        );
+    }
+}
+
+/// Answers one job on a fresh engine built for it alone — the cold
+/// baseline the warm pool is measured against.
+fn cold_check(job: &VerifyJob) -> Report {
+    let capacity = job.capacity.expect("workload jobs pin their capacity");
+    let range = job.engine_range.clone().unwrap_or(capacity..=capacity);
+    let system = match &job.fabric {
+        ScenarioFabric::Mesh(mesh) => build_mesh_for_sweep(mesh, *range.end()).expect("mesh"),
+        ScenarioFabric::Fabric(fabric) => {
+            build_fabric_for_sweep(fabric, *range.end()).expect("fabric")
+        }
+        ScenarioFabric::Tile { .. } => unreachable!("the workload has no tiles"),
+    };
+    QueryEngine::on(system, range).check(&Query::new().capacity(capacity).target(job.target))
+}
+
+/// Runs the workload's jobs cold, spread over as many threads as a
+/// default service has workers; returns (wall-clock, jobs completed).
+fn run_cold(clients: usize) -> (Duration, usize) {
+    let jobs: Vec<VerifyJob> = (0..clients).flat_map(client_jobs).collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let next = AtomicUsize::new(0);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    check_verdict(&job.name, &cold_check(job));
+                }
+            });
+        }
+    });
+    (start.elapsed(), jobs.len())
+}
+
+/// Runs the workload for `clients` concurrent submitters against one warm
+/// service and returns (wall-clock, jobs completed, pool stats).
+fn run_warm(clients: usize) -> (Duration, usize, PoolStats) {
+    let service = Service::new(ServiceConfig::default().with_queue_capacity(clients * 8));
     let start = Instant::now();
     std::thread::scope(|scope| {
         for client in 0..clients {
@@ -60,15 +103,7 @@ fn run_workload(clients: usize, warm_pool: bool) -> (Duration, usize, PoolStats)
     let elapsed = start.elapsed();
     for outcome in &outcomes {
         let report = outcome.result.as_ref().expect("workload fabrics build");
-        let expect_free = !outcome.name.ends_with("mesh qs2");
-        if !outcome.name.ends_with("mesi") {
-            assert_eq!(
-                report.is_deadlock_free(),
-                expect_free,
-                "verdict drift in {}",
-                outcome.name
-            );
-        }
+        check_verdict(&outcome.name, report);
     }
     (elapsed, outcomes.len(), service.pool_stats())
 }
@@ -84,8 +119,8 @@ fn print_comparison() {
         "warm rate"
     );
     for clients in [1usize, 8, 64] {
-        let (cold_elapsed, cold_jobs, _) = run_workload(clients, false);
-        let (warm_elapsed, warm_jobs, stats) = run_workload(clients, true);
+        let (cold_elapsed, cold_jobs) = run_cold(clients);
+        let (warm_elapsed, warm_jobs, stats) = run_warm(clients);
         assert_eq!(cold_jobs, warm_jobs);
         for (label, elapsed, rate) in [
             ("cold", cold_elapsed, None),
@@ -132,16 +167,11 @@ fn bench(c: &mut Criterion) {
             warm.drain().len()
         })
     });
-    let cold = Service::new(ServiceConfig::default().with_warm_pool(false));
-    c.bench_function("service/cold_submit_drain", |b| {
-        b.iter(|| {
-            cold.submit(
-                VerifyJob::mesh("cold", mesh)
-                    .at_capacity(2)
-                    .with_engine_range(2..=3),
-            );
-            cold.drain().len()
-        })
+    let cold = VerifyJob::mesh("cold", mesh)
+        .at_capacity(2)
+        .with_engine_range(2..=3);
+    c.bench_function("service/cold_fresh_engine", |b| {
+        b.iter(|| cold_check(&cold).is_deadlock_free())
     });
 }
 

@@ -10,12 +10,12 @@
 //! sweep reuses its encoding and everything its solver learnt instead of
 //! re-analyzing cold per capacity.
 //!
-//! Since the service layer landed, `run_batch` is a thin wrapper over a
-//! private [`Service`]: each scenario expands to `(fabric, capacity)`
-//! jobs via [`Service::submit_sweep`], the work-stealing scheduler fans
-//! them out, and the warm-engine pool's ticket discipline reproduces
-//! exactly the old one-session-per-scenario behaviour (same verdicts,
-//! same witnesses, same per-scenario stats).
+//! `run_batch` is a thin wrapper over a private [`Service`]: each
+//! scenario expands to `(fabric, capacity)` jobs via
+//! [`Service::submit_sweep`], the service's workers take them from its
+//! queue, and the warm-engine pool's ticket discipline runs each
+//! scenario's jobs on one engine in capacity order (same verdicts, same
+//! witnesses, same per-scenario stats as one session per scenario).
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
@@ -197,8 +197,8 @@ impl BatchOutcome {
 /// [`Service`]; the service's warm-engine pool guarantees the whole sweep
 /// runs on one persistent [`QueryEngine`](crate::QueryEngine) session, in
 /// ascending capacity order, exactly as if the scenario ran alone on one
-/// thread — while the work-stealing scheduler keeps every worker busy
-/// across scenarios.  **`workers == 0` means machine-sized**: the pool
+/// thread — while the service's workers run other scenarios' jobs beside
+/// it.  **`workers == 0` means machine-sized**: the pool
 /// uses [`std::thread::available_parallelism`].  Any other value is
 /// clamped to the number of jobs.
 ///

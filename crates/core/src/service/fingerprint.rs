@@ -93,11 +93,6 @@ impl Fingerprint {
         mix.bool(config.solver.phase_saving);
         Fingerprint(mix.a, mix.b)
     }
-
-    /// Shard selector for the pool's lock striping.
-    pub(crate) fn shard(&self, shards: usize) -> usize {
-        (self.0 as usize) % shards
-    }
 }
 
 /// Canonical digest of a scenario fabric; for configurations whose

@@ -31,6 +31,7 @@ use std::time::Duration;
 use advocat_deadlock::DeadlockTarget;
 use advocat_logic::CheckConfig;
 use advocat_noc::{FabricConfig, MeshConfig, ProtocolKind, Topology};
+use advocat_telemetry::escape_into;
 
 use super::{JobError, JobOutcome, VerifyJob};
 
@@ -190,7 +191,7 @@ impl JobRequest {
                     if width == 0 {
                         return Err(JsonError::semantic("mesh width must be positive"));
                     }
-                    let node = node as u32;
+                    let node = u32_from_usize(node, "directory")?;
                     mesh = mesh.with_directory(node % width, node / width);
                 }
                 Ok(ScenarioFabric::Mesh(mesh))
@@ -289,6 +290,16 @@ pub fn requests_from_json(text: &str) -> Result<Vec<JobRequest>, JsonError> {
     }
 }
 
+/// Parses a request file and expands every request into its per-capacity
+/// jobs, in request order — what the service submits for a JSON payload.
+pub(crate) fn jobs_from_json(text: &str) -> Result<Vec<VerifyJob>, JsonError> {
+    let mut jobs = Vec::new();
+    for request in requests_from_json(text)? {
+        jobs.extend(request.to_jobs()?);
+    }
+    Ok(jobs)
+}
+
 /// Checks that `text` is one syntactically well-formed JSON value of any
 /// shape, with a position-carrying error when it is not.  The HTTP
 /// front-end uses this to refuse malformed payloads before touching the
@@ -371,19 +382,7 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
     out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(out, value);
     out.push('"');
 }
 
@@ -529,7 +528,7 @@ fn topology_from_value(value: &Json) -> Result<TopologySpec, JsonError> {
     };
     let dim = |key: &str| -> Result<u32, JsonError> {
         match get(fields, key) {
-            Some(value) => Ok(usize_from(value, key)? as u32),
+            Some(value) => u32_from_usize(usize_from(value, key)?, key),
             None => Err(JsonError::semantic(format!(
                 "topology kind `{kind}` requires `{key}`"
             ))),
@@ -570,6 +569,13 @@ fn usize_from(value: &Json, field: &str) -> Result<usize, JsonError> {
             "`{field}` must be a non-negative integer"
         ))),
     }
+}
+
+/// Narrows a parsed integer to the `u32` a topology dimension or mesh
+/// node index is, refusing instead of wrapping.
+fn u32_from_usize(value: usize, field: &str) -> Result<u32, JsonError> {
+    u32::try_from(value)
+        .map_err(|_| JsonError::semantic(format!("`{field}` must be at most {}", u32::MAX)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,6 +1129,23 @@ mod tests {
             .expect("60 levels is under the cap");
     }
 
+    /// A mesh directory index is a `u32` node number: one past `u32::MAX`
+    /// is refused, not wrapped onto node 3 of a 2×2 mesh.
+    #[test]
+    fn a_mesh_directory_beyond_u32_is_refused() {
+        let text = r#"{"name": "x", "topology": {"kind": "mesh", "width": 2, "height": 2},
+                      "directory": 4294967299}"#;
+        let requests = requests_from_json(text).expect("the request parses");
+        let error = requests[0].to_jobs().unwrap_err();
+        assert!(
+            error
+                .message
+                .contains("`directory` must be at most 4294967295"),
+            "{error}"
+        );
+        assert_eq!(jobs_from_json(text).unwrap_err(), error);
+    }
+
     #[test]
     fn malformed_requests_are_refused_with_a_reason() {
         for (text, needle) in [
@@ -1143,6 +1166,10 @@ mod tests {
             (
                 r#"{"name": "x", "topology": {"kind": "ring", "nodes": 4}, "capacities": [3, 1]}"#,
                 "reversed",
+            ),
+            (
+                r#"{"name": "x", "topology": {"kind": "ring", "nodes": 4294967300}}"#,
+                "`nodes` must be at most 4294967295",
             ),
         ] {
             let error = requests_from_json(text).unwrap_err();

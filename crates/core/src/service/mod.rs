@@ -1,23 +1,30 @@
 //! The long-running verification service: many clients, one warm fleet.
 //!
-//! [`run_batch`](crate::run_batch) parallelises *one* caller's scenarios;
+//! [`run_batch`](crate::run_batch) verifies *one* caller's scenarios;
 //! a [`Service`] is the production shape of the same idea — a persistent,
 //! concurrent front door that amortises engine construction **across**
 //! submissions.  Three layers:
 //!
-//! * a **sharded warm-engine pool** ([`PoolStats`]): engines are keyed by
-//!   a [`Fingerprint`] of the canonical fabric structure, capacity range
+//! * a **warm-engine pool** ([`PoolStats`]): engines are keyed by a
+//!   [`Fingerprint`] of the canonical fabric structure, capacity range
 //!   and solver limits, so a job whose fabric the service has already
 //!   seen checks out a warm [`crate::QueryEngine`] — template, invariants
 //!   and every learnt clause included — instead of cold-building its own.
 //!   The deadlock target is not part of the key: every engine encodes all
 //!   three goals and each job picks one by assumption;
-//! * a **work-stealing scheduler**: per-worker deques with steal-half and
-//!   a bounded injector for admission control (see
-//!   [`Service::try_submit`]);
+//! * a **bounded FIFO job queue** served by a fixed set of worker
+//!   threads — the admission-control point: [`Service::submit`] blocks
+//!   while it is full, [`Service::try_submit`] refuses;
 //! * a **ticket turnstile** per pool entry: same-fingerprint jobs run in
 //!   submission order, which keeps verdicts and counterexample witnesses
-//!   identical at any worker count.
+//!   identical at any worker count.  A worker that dequeues a job out of
+//!   turn parks it at the entry; the worker that retires the preceding
+//!   ticket runs it next.
+//!
+//! One mutex guards the queue and the whole pool (engine slots, tickets,
+//! parked jobs, LRU stamps and counters); a worker releases it while an
+//! engine builds or solves.  Idle workers sleep on a condition variable
+//! until a job is admitted or the service shuts down.
 //!
 //! Jobs are `(fabric, capacity)`-granular ([`VerifyJob`]), so a giant
 //! sweep becomes many schedulable units; [`Service::submit_sweep`] splits
@@ -46,20 +53,18 @@
 mod fingerprint;
 mod json;
 mod pool;
-mod scheduler;
 
 pub use fingerprint::Fingerprint;
 pub use json::{
     outcome_to_json, requests_from_json, validate_json, JobRequest, JsonError, TopologySpec,
 };
 pub use pool::PoolStats;
-pub use scheduler::SubmitError;
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,8 +77,8 @@ use crate::batch::{BatchScenario, ScenarioFabric};
 use crate::query::{QueryEngine, SessionStats};
 use crate::report::Report;
 
-use pool::{EngineEntry, EnginePool, EngineSlot};
-use scheduler::{ScheduledJob, Scheduler};
+use json::jobs_from_json;
+use pool::{Checkout, EnginePool};
 
 /// Configuration of a [`Service`].
 #[derive(Clone, Debug)]
@@ -94,13 +99,9 @@ pub struct ServiceConfig {
     /// ([`JobOutcome::deadline_exceeded`]) — queries are never interrupted
     /// mid-solve.
     pub default_timeout: Option<Duration>,
-    /// `false` disables the warm pool entirely: every job builds and
-    /// discards a private engine.  This is the cold baseline the
-    /// `--bench service` comparison runs against; production wants `true`.
-    pub warm_pool: bool,
     /// Observability handle (disabled by default).  When enabled the
     /// service traces job execution, engine checkouts and evictions,
-    /// keeps queue/steal/latency metrics in the handle's registry, and
+    /// keeps queue/pool/latency metrics in the handle's registry, and
     /// passes the handle down into every job's solver configuration
     /// (jobs that bring their own enabled handle keep it).
     pub telemetry: Telemetry,
@@ -113,7 +114,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             max_engines: 64,
             default_timeout: None,
-            warm_pool: true,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -141,12 +141,6 @@ impl ServiceConfig {
     /// Sets the default per-job timeout.
     pub fn with_default_timeout(mut self, timeout: Duration) -> Self {
         self.default_timeout = Some(timeout);
-        self
-    }
-
-    /// Enables or disables the warm-engine pool.
-    pub fn with_warm_pool(mut self, enabled: bool) -> Self {
-        self.warm_pool = enabled;
         self
     }
 
@@ -394,7 +388,7 @@ impl std::error::Error for OutcomeError {}
 /// payload of the front-end's `GET /healthz`; every field is also
 /// available through the metrics registry when telemetry is enabled,
 /// but the snapshot needs no telemetry and is always coherent (one
-/// lock acquisition for the ledger numbers).
+/// lock acquisition for the ledger numbers, one for the queue and pool).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Cumulative warm-engine pool statistics.
@@ -409,10 +403,8 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Jobs admitted but not yet finished (`submitted - completed`).
     pub pending: u64,
-    /// Worker threads serving the scheduler.
+    /// Worker threads serving the queue.
     pub workers: usize,
-    /// Successful steal operations so far.
-    pub steals: u64,
 }
 
 impl ServiceStats {
@@ -421,7 +413,7 @@ impl ServiceStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"workers\":{},\"queued\":{},\"queue_capacity\":{},\"submitted\":{},\
-             \"completed\":{},\"pending\":{},\"steals\":{},\"pool\":{{\
+             \"completed\":{},\"pending\":{},\"pool\":{{\
              \"engines_built\":{},\"warm_hits\":{},\"build_failures\":{},\
              \"evictions\":{},\"live_engines\":{},\"checkouts\":{},\"rebuilds\":{},\
              \"warm_hit_rate\":{:.4}}}}}",
@@ -431,7 +423,6 @@ impl ServiceStats {
             self.submitted,
             self.completed,
             self.pending,
-            self.steals,
             self.pool.engines_built,
             self.pool.warm_hits,
             self.pool.build_failures,
@@ -477,10 +468,29 @@ impl fmt::Display for JsonSubmitError {
 
 impl std::error::Error for JsonSubmitError {}
 
+/// Refusals from [`Service::try_submit`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The bounded job queue is at capacity; retry later or use the
+    /// blocking submit.
+    QueueFull,
+}
+
+impl fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SubmitError::QueueFull => write!(f, "the service's bounded job queue is full"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
 /// The service's pre-registered instruments (one registry lookup each at
 /// construction, plain atomic updates afterwards).  Present only when the
 /// service was configured with an enabled telemetry handle.
 struct ServiceMetrics {
+    queue_depth: Gauge,
     queue_wait: Histogram,
     work: Histogram,
     warm_hits: Counter,
@@ -494,6 +504,10 @@ impl ServiceMetrics {
     fn register(telemetry: &Telemetry) -> Option<ServiceMetrics> {
         let metrics = telemetry.metrics()?;
         Some(ServiceMetrics {
+            queue_depth: metrics.gauge(
+                "service_queue_depth",
+                "Jobs waiting in the bounded admission queue",
+            ),
             queue_wait: metrics.histogram(
                 "service_job_queue_wait_seconds",
                 "Admission-to-start wait of each job (scheduling plus turnstile)",
@@ -526,10 +540,47 @@ impl ServiceMetrics {
     }
 }
 
-struct Shared {
-    scheduler: Scheduler,
+/// A submitted job, resolved for execution: the concrete capacity, the
+/// engine range and the pool key.  Its id, ticket and admission
+/// timestamp are assigned at admission ([`Shared::admit`]).
+pub(crate) struct ScheduledJob {
+    /// Submission index — doubles as the outcome slot.
+    id: u64,
+    /// The pool key the job was filed under (reported in the outcome).
+    fingerprint: Fingerprint,
+    /// The job description as submitted.
+    job: VerifyJob,
+    /// The capacity this job queries (resolved from the job/fabric).
+    capacity: usize,
+    /// The capacity range of the engine the job runs on.
+    range: RangeInclusive<usize>,
+    /// The job's ticket on its pool entry: same-fingerprint jobs execute
+    /// in ticket order, which makes warm-engine results independent of the
+    /// worker count.
+    turn: u64,
+    /// When the job was admitted (queue wait is measured from here).
+    submitted_at: Instant,
+    /// Wall-clock budget for the job, if any.
+    timeout: Option<Duration>,
+}
+
+/// Everything the service's one lock guards.
+struct State {
+    /// The bounded FIFO admission queue.
+    queue: VecDeque<ScheduledJob>,
     pool: EnginePool,
-    warm_pool: bool,
+    shutdown: bool,
+}
+
+/// Lock order: `state` before `results`, never the reverse.
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when queue space frees up (blocked submitters wait).
+    space: Condvar,
+    /// Signalled when a job is admitted or the service shuts down (idle
+    /// workers wait).
+    work: Condvar,
+    queue_capacity: usize,
     default_timeout: Option<Duration>,
     results: Mutex<ResultStore>,
     results_cv: Condvar,
@@ -537,11 +588,72 @@ struct Shared {
     metrics: Option<ServiceMetrics>,
 }
 
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("service lock")
+    }
+
+    fn note_depth(&self, depth: usize) {
+        if let Some(metrics) = &self.metrics {
+            metrics.queue_depth.set(depth as i64);
+        }
+    }
+
+    /// Resolves a submitted job into its scheduled form: capacity, engine
+    /// range and fingerprint.  Runs outside the lock (fingerprinting a
+    /// fabric digests its whole routing table).
+    fn resolve(&self, mut job: VerifyJob) -> ScheduledJob {
+        // Jobs inherit the service's telemetry handle unless they brought
+        // their own enabled one.  The handle never reaches the
+        // fingerprint, so warm-pool keying is telemetry-blind.
+        if !job.config.solver.telemetry.is_enabled() {
+            job.config.solver.telemetry = self.telemetry.clone();
+        }
+        let capacity = job.capacity.unwrap_or_else(|| job.fabric.queue_size());
+        let range = match job.engine_range.clone() {
+            None => capacity..=capacity,
+            Some(range) => *range.start().min(&capacity)..=*range.end().max(&capacity),
+        };
+        let fingerprint = Fingerprint::of_job(&job.fabric, &range, &job.config);
+        let timeout = job.timeout.or(self.default_timeout);
+        ScheduledJob {
+            id: 0,
+            fingerprint,
+            job,
+            capacity,
+            range,
+            turn: 0,
+            submitted_at: Instant::now(),
+            timeout,
+        }
+    }
+
+    /// Admits a resolved job: allocates its outcome slot and pool ticket
+    /// (only once admission is certain, so ticket order is admission
+    /// order) and enqueues it.  The caller notifies a worker after
+    /// releasing the lock.
+    fn admit(&self, state: &mut State, mut job: ScheduledJob) -> JobId {
+        job.turn = state.pool.ticket(job.fingerprint);
+        job.id = {
+            let mut results = self.results.lock().expect("result store lock");
+            let id = results.submitted;
+            results.submitted += 1;
+            results.slots.push(Slot::Pending);
+            id
+        };
+        job.submitted_at = Instant::now();
+        let id = JobId(job.id);
+        state.queue.push_back(job);
+        self.note_depth(state.queue.len());
+        id
+    }
+}
+
 /// A long-running, concurrent verification service.  See the
 /// [module documentation](self) for the architecture and an example.
 ///
 /// Dropping the service shuts it down: workers stop after their current
-/// job and any still-queued jobs are discarded, so call
+/// job and any still-queued or parked jobs are discarded, so call
 /// [`Service::drain`] (or consume every outcome) first.
 pub struct Service {
     shared: Arc<Shared>,
@@ -552,7 +664,7 @@ impl fmt::Debug for Service {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Service")
             .field("workers", &self.workers.len())
-            .field("pool", &self.shared.pool.stats())
+            .field("pool", &self.pool_stats())
             .finish()
     }
 }
@@ -568,23 +680,15 @@ impl Service {
         } else {
             config.workers
         };
-        let registry = config.telemetry.metrics();
-        let depth_gauge = registry.as_ref().map(|m| {
-            m.gauge(
-                "service_queue_depth",
-                "Jobs waiting in the bounded admission queue",
-            )
-        });
-        let steal_counter = registry.as_ref().map(|m| {
-            m.counter(
-                "service_steals_total",
-                "Successful steal operations (each may move several jobs)",
-            )
-        });
         let shared = Arc::new(Shared {
-            scheduler: Scheduler::new(workers, config.queue_capacity, depth_gauge, steal_counter),
-            pool: EnginePool::new(config.max_engines, config.telemetry.clone()),
-            warm_pool: config.warm_pool,
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                pool: EnginePool::new(config.max_engines, config.telemetry.clone()),
+                shutdown: false,
+            }),
+            space: Condvar::new(),
+            work: Condvar::new(),
+            queue_capacity: config.queue_capacity.max(1),
             default_timeout: config.default_timeout,
             results: Mutex::new(ResultStore {
                 slots: Vec::new(),
@@ -602,7 +706,7 @@ impl Service {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("advocat-worker-{index}"))
-                    .spawn(move || worker_loop(shared, index))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning a service worker")
             })
             .collect();
@@ -616,11 +720,15 @@ impl Service {
     /// Returns its [`JobId`] (also its position in [`Service::drain`]).
     pub fn submit(&self, job: VerifyJob) -> JobId {
         let shared = &self.shared;
-        let id = shared
-            .scheduler
-            .push_with(|| self.prepare(job))
-            .expect("blocking submit never refuses");
-        JobId(id)
+        let job = shared.resolve(job);
+        let mut state = shared.lock();
+        while state.queue.len() >= shared.queue_capacity {
+            state = shared.space.wait(state).expect("service lock");
+        }
+        let id = shared.admit(&mut state, job);
+        drop(state);
+        shared.work.notify_one();
+        id
     }
 
     /// Submits one job unless the bounded queue is full — the
@@ -631,10 +739,28 @@ impl Service {
     /// Returns [`SubmitError::QueueFull`] (with the job untouched
     /// service-side) when admission would have to wait.
     pub fn try_submit(&self, job: VerifyJob) -> Result<JobId, SubmitError> {
-        self.shared
-            .scheduler
-            .try_push_with(|| self.prepare(job))
-            .map(JobId)
+        self.try_submit_all(vec![job]).map(|ids| ids[0])
+    }
+
+    /// All-or-nothing non-blocking admission: either the queue has room
+    /// for every job (they are admitted contiguously, so their ticket
+    /// order is their slot order) or none is admitted.
+    fn try_submit_all(&self, jobs: Vec<VerifyJob>) -> Result<Vec<JobId>, SubmitError> {
+        let shared = &self.shared;
+        let jobs: Vec<ScheduledJob> = jobs.into_iter().map(|job| shared.resolve(job)).collect();
+        let mut state = shared.lock();
+        if state.queue.len() + jobs.len() > shared.queue_capacity {
+            return Err(SubmitError::QueueFull);
+        }
+        let ids: Vec<JobId> = jobs
+            .into_iter()
+            .map(|job| shared.admit(&mut state, job))
+            .collect();
+        drop(state);
+        for _ in &ids {
+            shared.work.notify_one();
+        }
+        Ok(ids)
     }
 
     /// Splits a [`BatchScenario`] into per-capacity jobs sharing one
@@ -666,12 +792,10 @@ impl Service {
     /// Returns a [`JsonError`] when the text is not valid job JSON; no
     /// jobs are submitted in that case.
     pub fn submit_json(&self, text: &str) -> Result<Vec<JobId>, JsonError> {
-        let requests = requests_from_json(text)?;
-        let mut jobs = Vec::new();
-        for request in &requests {
-            jobs.extend(request.to_jobs()?);
-        }
-        Ok(jobs.into_iter().map(|job| self.submit(job)).collect())
+        Ok(jobs_from_json(text)?
+            .into_iter()
+            .map(|job| self.submit(job))
+            .collect())
     }
 
     /// Like [`Service::submit_json`], but admission is **non-blocking and
@@ -686,66 +810,13 @@ impl Service {
     /// [`JsonSubmitError::QueueFull`] when the queue lacks room for the
     /// whole set.  No jobs are admitted in either case.
     pub fn try_submit_json(&self, text: &str) -> Result<Vec<JobId>, JsonSubmitError> {
-        let requests = requests_from_json(text).map_err(JsonSubmitError::Json)?;
-        let mut jobs = Vec::new();
-        for request in &requests {
-            jobs.extend(request.to_jobs().map_err(JsonSubmitError::Json)?);
-        }
+        let jobs = jobs_from_json(text).map_err(JsonSubmitError::Json)?;
         let count = jobs.len();
-        let mut pending = jobs.into_iter();
-        self.shared
-            .scheduler
-            .try_push_all_with(count, || {
-                self.prepare(pending.next().expect("one job per reserved slot"))
-            })
-            .map(|ids| ids.into_iter().map(JobId).collect())
+        self.try_submit_all(jobs)
             .map_err(|SubmitError::QueueFull| JsonSubmitError::QueueFull {
                 jobs: count,
-                capacity: self.shared.scheduler.capacity(),
+                capacity: self.shared.queue_capacity,
             })
-    }
-
-    /// Resolves a submitted job into its scheduled form: capacity, engine
-    /// range, fingerprint, pool ticket and outcome slot.
-    fn prepare(&self, mut job: VerifyJob) -> ScheduledJob {
-        let shared = &self.shared;
-        // Jobs inherit the service's telemetry handle unless they brought
-        // their own enabled one.  The handle never reaches the
-        // fingerprint, so warm-pool keying is telemetry-blind.
-        if !job.config.solver.telemetry.is_enabled() {
-            job.config.solver.telemetry = shared.telemetry.clone();
-        }
-        let capacity = job.capacity.unwrap_or_else(|| job.fabric.queue_size());
-        let range = match job.engine_range.clone() {
-            None => capacity..=capacity,
-            Some(range) => *range.start().min(&capacity)..=*range.end().max(&capacity),
-        };
-        let fingerprint = Fingerprint::of_job(&job.fabric, &range, &job.config);
-        let (entry, turn) = if shared.warm_pool {
-            let (entry, turn) = shared.pool.ticket(fingerprint);
-            (Some(entry), turn)
-        } else {
-            (None, 0)
-        };
-        let timeout = job.timeout.or(shared.default_timeout);
-        let id = {
-            let mut results = shared.results.lock().expect("result store lock");
-            let id = results.submitted;
-            results.submitted += 1;
-            results.slots.push(Slot::Pending);
-            id
-        };
-        ScheduledJob {
-            id,
-            fingerprint,
-            job,
-            capacity,
-            range,
-            entry,
-            turn,
-            submitted_at: Instant::now(),
-            timeout,
-        }
     }
 
     /// Blocks until the next unconsumed outcome is available and returns
@@ -864,32 +935,9 @@ impl Service {
         true
     }
 
-    /// Jobs admitted but not yet finished.
-    pub fn pending(&self) -> u64 {
-        let results = self.shared.results.lock().expect("result store lock");
-        results.submitted - results.completed
-    }
-
-    /// Jobs waiting in the bounded admission queue right now.
-    pub fn queued(&self) -> usize {
-        self.shared.scheduler.queued()
-    }
-
-    /// Successful steal operations so far (each may have moved several
-    /// jobs from a victim worker's deque to an idle one's).
-    pub fn steals(&self) -> u64 {
-        self.shared.scheduler.steals()
-    }
-
     /// Cumulative statistics of the warm-engine pool.
     pub fn pool_stats(&self) -> PoolStats {
-        self.shared.pool.stats()
-    }
-
-    /// The bound of the admission queue (see
-    /// [`ServiceConfig::queue_capacity`]).
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.scheduler.capacity()
+        self.shared.lock().pool.stats()
     }
 
     /// A coherent point-in-time snapshot of the service: pool, queue and
@@ -899,15 +947,15 @@ impl Service {
             let results = self.shared.results.lock().expect("result store lock");
             (results.submitted, results.completed)
         };
+        let state = self.shared.lock();
         ServiceStats {
-            pool: self.shared.pool.stats(),
-            queued: self.shared.scheduler.queued(),
-            queue_capacity: self.shared.scheduler.capacity(),
+            pool: state.pool.stats(),
+            queued: state.queue.len(),
+            queue_capacity: self.shared.queue_capacity,
             submitted,
             completed,
             pending: submitted - completed,
             workers: self.workers.len(),
-            steals: self.shared.scheduler.steals(),
         }
     }
 }
@@ -941,24 +989,49 @@ fn poll_slot(results: &mut ResultStore, id: JobId) -> Result<Option<JobOutcome>,
 
 impl Drop for Service {
     fn drop(&mut self) {
-        self.shared.scheduler.shutdown();
+        let mut state = self.shared.lock();
+        state.shutdown = true;
+        state.queue.clear();
+        drop(state);
+        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, index: usize) {
+/// A worker: dequeues jobs in admission order, parks those whose turn
+/// has not come, and runs the rest — each followed by whatever parked
+/// successor its retired ticket releases.  Sleeps on `work` while the
+/// queue is empty.
+fn worker_loop(shared: &Shared) {
+    let mut state = shared.lock();
     loop {
-        let seen = shared.scheduler.activity();
-        match shared.scheduler.find_work(index) {
-            Some(job) => execute(&shared, index, job),
-            None => {
-                if shared.scheduler.is_shutdown() {
-                    break;
-                }
-                shared.scheduler.idle_wait(seen);
+        let Some(job) = state.queue.pop_front() else {
+            if state.shutdown {
+                return;
             }
+            state = shared.work.wait(state).expect("service lock");
+            continue;
+        };
+        shared.note_depth(state.queue.len());
+        shared.space.notify_one();
+        if !state.pool.is_serving(&job) {
+            shared.telemetry.event_with("job.park", || {
+                let mut fields = job_fields(&job);
+                fields.push(("turn", job.turn.to_string()));
+                fields
+            });
+            state.pool.park(job);
+            continue;
+        }
+        let mut next = Some(job);
+        while let Some(job) = next.take() {
+            // Parked successors are discarded with the queue on shutdown.
+            if state.shutdown {
+                break;
+            }
+            (state, next) = run_turn(shared, state, job);
         }
     }
 }
@@ -972,144 +1045,93 @@ fn job_fields(sj: &ScheduledJob) -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Runs (or parks) one scheduled job on the calling worker.
-fn execute(shared: &Shared, worker: usize, mut sj: ScheduledJob) {
-    let Some(entry) = sj.entry.take() else {
-        let _span = shared
-            .telemetry
-            .span_with("job.execute", || job_fields(&sj));
-        let outcome = run_pool_free(&sj);
-        record(shared, outcome);
-        return;
-    };
-
-    let mut state = entry.state.lock().expect("pool entry lock");
-    if state.now_serving != sj.turn {
-        // Not this job's turn yet: park it at the entry (the `entry` Arc
-        // stays out of the job to avoid a reference cycle) and free the
-        // worker.  The job is re-scheduled when its predecessor retires.
-        shared.telemetry.event_with("job.park", || {
-            let mut fields = job_fields(&sj);
-            fields.push(("turn", sj.turn.to_string()));
-            fields
-        });
-        state.parked.insert(sj.turn, sj);
-        return;
-    }
-
+/// Runs `sj`, whose turn on its pool entry has come, records its outcome
+/// and retires its ticket.  Takes and returns the service lock, releasing
+/// it while the engine builds or solves; also returns the parked
+/// successor the retired ticket releases, for the caller to run next.
+fn run_turn<'a>(
+    shared: &'a Shared,
+    mut state: MutexGuard<'a, State>,
+    sj: ScheduledJob,
+) -> (MutexGuard<'a, State>, Option<ScheduledJob>) {
     let _span = shared
         .telemetry
         .span_with("job.execute", || job_fields(&sj));
+    let fingerprint = sj.fingerprint;
+    let mut built = false;
 
     // Admission-control timeout: refuse jobs that out-waited their budget
     // before spending any engine time on them.
     let queue_wait = sj.submitted_at.elapsed();
-    if sj.timeout.is_some_and(|limit| queue_wait > limit) {
-        drop(state);
-        record(
-            shared,
-            outcome_without_work(&sj, JobError::TimedOut { waited: queue_wait }, queue_wait),
-        );
-        advance(shared, worker, &entry);
-        return;
-    }
-
-    match std::mem::replace(&mut state.slot, EngineSlot::CheckedOut) {
-        EngineSlot::CheckedOut => unreachable!("the turnstile serialises checkouts"),
-        EngineSlot::Failed(error) => {
-            state.slot = EngineSlot::Failed(error.clone());
-            drop(state);
-            shared.pool.note_build_failure();
-            record(
-                shared,
-                outcome_without_work(&sj, JobError::Fabric(error), queue_wait),
-            );
-            advance(shared, worker, &entry);
-        }
-        EngineSlot::Ready(engine) => {
-            state.last_used = shared.pool.touch();
-            drop(state);
-            shared.pool.note_warm_hit();
-            if let Some(metrics) = &shared.metrics {
-                metrics.warm_hits.inc();
+    let outcome = if sj.timeout.is_some_and(|limit| queue_wait > limit) {
+        outcome_without_work(&sj, JobError::TimedOut { waited: queue_wait }, queue_wait)
+    } else {
+        match state.pool.checkout(fingerprint) {
+            Checkout::Failed(error) => {
+                outcome_without_work(&sj, JobError::Fabric(error), queue_wait)
             }
-            shared.telemetry.event_with("engine.checkout", || {
-                let mut fields = job_fields(&sj);
-                fields.push(("slot", "warm".to_owned()));
-                fields
-            });
-            let (engine, outcome) = run_on_engine(&sj, engine, true, queue_wait, Duration::ZERO);
-            return_engine(shared, &entry, engine);
-            record(shared, outcome);
-            advance(shared, worker, &entry);
-        }
-        EngineSlot::Empty => {
-            state.last_used = shared.pool.touch();
-            drop(state);
-            let build_start = Instant::now();
-            match build_engine(&sj) {
-                Err(error) => {
-                    entry.state.lock().expect("pool entry lock").slot =
-                        EngineSlot::Failed(error.clone());
-                    shared.pool.note_build_failure();
-                    let mut outcome =
-                        outcome_without_work(&sj, JobError::Fabric(error), queue_wait);
-                    outcome.work_elapsed = build_start.elapsed();
-                    record(shared, outcome);
-                    advance(shared, worker, &entry);
-                }
-                Ok(engine) => {
-                    let rebuild = shared.pool.note_build(sj.fingerprint);
-                    if let Some(metrics) = &shared.metrics {
-                        if rebuild {
-                            metrics.rebuilds.inc();
-                        } else {
-                            metrics.cold_builds.inc();
-                        }
+            Checkout::Warm(engine) => {
+                drop(state);
+                note_checkout(shared, &sj, "warm");
+                let (engine, outcome) =
+                    run_on_engine(&sj, engine, true, queue_wait, Duration::ZERO);
+                state = shared.lock();
+                state.pool.check_in(fingerprint, engine);
+                outcome
+            }
+            Checkout::Cold => {
+                drop(state);
+                let build_start = Instant::now();
+                match build_engine(&sj) {
+                    Err(error) => {
+                        let mut outcome =
+                            outcome_without_work(&sj, JobError::Fabric(error.clone()), queue_wait);
+                        outcome.work_elapsed = build_start.elapsed();
+                        state = shared.lock();
+                        state.pool.note_build_failure(fingerprint, error);
+                        outcome
                     }
-                    shared.telemetry.event_with("engine.checkout", || {
-                        let mut fields = job_fields(&sj);
-                        fields.push(("slot", if rebuild { "rebuild" } else { "cold" }.to_owned()));
-                        fields
-                    });
-                    let (engine, outcome) =
-                        run_on_engine(&sj, engine, false, queue_wait, build_start.elapsed());
-                    return_engine(shared, &entry, engine);
-                    advance(shared, worker, &entry);
-                    // Enforce the cap before publishing the outcome, so a
-                    // drained caller observes the pool already within (or
-                    // knowingly over) its bound.
-                    shared.pool.enforce_cap();
-                    record(shared, outcome);
+                    Ok(engine) => {
+                        let rebuild = shared.lock().pool.note_build(fingerprint);
+                        note_checkout(shared, &sj, if rebuild { "rebuild" } else { "cold" });
+                        let (engine, outcome) =
+                            run_on_engine(&sj, engine, false, queue_wait, build_start.elapsed());
+                        state = shared.lock();
+                        state.pool.check_in(fingerprint, engine);
+                        built = true;
+                        outcome
+                    }
                 }
             }
         }
+    };
+    let next = state.pool.retire(fingerprint);
+    if built {
+        // Enforce the cap before publishing the outcome, so a drained
+        // caller observes the pool already within (or knowingly over) its
+        // bound.
+        state.pool.enforce_cap();
     }
+    record(shared, outcome);
+    (state, next)
 }
 
-/// Puts a checked-out engine back (or records its loss after a panic).
-fn return_engine(shared: &Shared, entry: &Arc<EngineEntry>, engine: Option<Box<QueryEngine>>) {
-    let mut state = entry.state.lock().expect("pool entry lock");
-    match engine {
-        Some(engine) => state.slot = EngineSlot::Ready(engine),
-        None => {
-            state.slot = EngineSlot::Empty;
-            shared.pool.note_engine_lost();
+/// Counts and traces one engine checkout; `slot` is `warm`, `cold` or
+/// `rebuild`.
+fn note_checkout(shared: &Shared, sj: &ScheduledJob, slot: &'static str) {
+    if let Some(metrics) = &shared.metrics {
+        match slot {
+            "warm" => &metrics.warm_hits,
+            "cold" => &metrics.cold_builds,
+            _ => &metrics.rebuilds,
         }
+        .inc();
     }
-}
-
-/// Retires the entry's serving ticket and re-schedules the next parked
-/// job, if it has already arrived.
-fn advance(shared: &Shared, worker: usize, entry: &Arc<EngineEntry>) {
-    let mut state = entry.state.lock().expect("pool entry lock");
-    state.now_serving += 1;
-    let next = state.now_serving;
-    if let Some(mut job) = state.parked.remove(&next) {
-        job.entry = Some(Arc::clone(entry));
-        drop(state);
-        shared.scheduler.push_local(worker, job);
-    }
+    shared.telemetry.event_with("engine.checkout", || {
+        let mut fields = job_fields(sj);
+        fields.push(("slot", slot.to_owned()));
+        fields
+    });
 }
 
 /// Builds the engine a job's fingerprint calls for: the fabric at the
@@ -1188,26 +1210,6 @@ fn run_on_engine(
                 session_delta: None,
             },
         ),
-    }
-}
-
-/// The pool-disabled path: build a private engine, answer, discard.
-fn run_pool_free(sj: &ScheduledJob) -> JobOutcome {
-    let queue_wait = sj.submitted_at.elapsed();
-    if sj.timeout.is_some_and(|limit| queue_wait > limit) {
-        return outcome_without_work(sj, JobError::TimedOut { waited: queue_wait }, queue_wait);
-    }
-    let build_start = Instant::now();
-    match build_engine(sj) {
-        Err(error) => {
-            let mut outcome = outcome_without_work(sj, JobError::Fabric(error), queue_wait);
-            outcome.work_elapsed = build_start.elapsed();
-            outcome
-        }
-        Ok(engine) => {
-            let (_, outcome) = run_on_engine(sj, engine, false, queue_wait, build_start.elapsed());
-            outcome
-        }
     }
 }
 

@@ -1,12 +1,12 @@
-//! The sharded warm-engine pool.
+//! The warm-engine pool.
 //!
-//! Engines are keyed by [`Fingerprint`] across a fixed number of
-//! lock-striped shards.  Each entry owns at most one [`QueryEngine`] and a
-//! **ticket turnstile**: every job is assigned a ticket at submission, and
-//! the entry serves tickets strictly in order.  A worker whose job's turn
-//! has not come parks the job *at the entry* (freeing the worker — nothing
-//! ever blocks on the turnstile) and the job is re-scheduled by whichever
-//! worker retires the preceding ticket.  The discipline buys two things:
+//! Engines are keyed by [`Fingerprint`].  Each entry owns at most one
+//! [`QueryEngine`] and a **ticket turnstile**: every job is assigned a
+//! ticket at submission, and the entry serves tickets strictly in order.
+//! A worker whose job's turn has not come parks the job *at the entry*
+//! (freeing the worker — nothing ever blocks on the turnstile) and the
+//! worker that retires the preceding ticket runs it next.  The discipline
+//! buys two things:
 //!
 //! * **checkout exclusivity** — the serving ticket is unique, so the
 //!   engine needs no lock while solving;
@@ -17,25 +17,22 @@
 //!
 //! Cold engines are evicted least-recently-used once the pool exceeds its
 //! engine cap; entries with outstanding tickets are never evicted.
+//!
+//! The pool is plain data: the service's one lock guards it together with
+//! the job queue, so every method here runs under that lock.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use advocat_noc::FabricError;
 use advocat_telemetry::Telemetry;
 
 use super::fingerprint::Fingerprint;
-use super::scheduler::ScheduledJob;
+use super::ScheduledJob;
 use crate::query::QueryEngine;
 
-/// Number of lock stripes; fixed, small, and far above any realistic
-/// worker count's contention needs.
-const SHARDS: usize = 16;
-
 /// What an entry currently holds.
-pub(crate) enum EngineSlot {
-    /// No engine yet (cold, or evicted).
+enum EngineSlot {
+    /// No engine yet (cold, or lost to a worker panic).
     Empty,
     /// A warm engine ready for checkout.
     Ready(Box<QueryEngine>),
@@ -46,21 +43,38 @@ pub(crate) enum EngineSlot {
     Failed(FabricError),
 }
 
-pub(crate) struct EntryState {
+/// One fingerprint's pool entry (the fingerprint itself is the map key).
+struct Entry {
     /// Next ticket to hand out at submission.
-    pub next_ticket: u64,
+    next_ticket: u64,
     /// The ticket currently allowed to use the engine.
-    pub now_serving: u64,
-    pub slot: EngineSlot,
+    now_serving: u64,
+    slot: EngineSlot,
     /// Jobs whose turn has not come, keyed by ticket.
-    pub parked: BTreeMap<u64, ScheduledJob>,
+    parked: BTreeMap<u64, ScheduledJob>,
     /// Logical LRU timestamp of the last checkout.
-    pub last_used: u64,
+    last_used: u64,
 }
 
-/// One fingerprint's pool entry (the fingerprint itself is the map key).
-pub(crate) struct EngineEntry {
-    pub state: Mutex<EntryState>,
+impl Entry {
+    /// Evictable: the engine is in the slot and every issued ticket has
+    /// been served — evicting under outstanding tickets would rebuild the
+    /// engine mid-stream and break the warm guarantee those jobs were
+    /// promised.
+    fn is_idle(&self) -> bool {
+        matches!(self.slot, EngineSlot::Ready(_)) && self.now_serving == self.next_ticket
+    }
+}
+
+/// What the serving job finds in its entry's slot.
+pub(crate) enum Checkout {
+    /// A warm engine, now checked out to the job.
+    Warm(Box<QueryEngine>),
+    /// No engine: the job builds one (and reports it with
+    /// [`EnginePool::note_build`] or [`EnginePool::note_build_failure`]).
+    Cold,
+    /// The fingerprint's cached build failure.
+    Failed(FabricError),
 }
 
 /// Cumulative statistics of a service's engine pool.
@@ -112,161 +126,161 @@ impl PoolStats {
 }
 
 pub(crate) struct EnginePool {
-    shards: Vec<Mutex<HashMap<Fingerprint, Arc<EngineEntry>>>>,
+    entries: HashMap<Fingerprint, Entry>,
     max_engines: usize,
-    clock: AtomicU64,
-    engines_built: AtomicU64,
-    warm_hits: AtomicU64,
-    build_failures: AtomicU64,
-    evictions: AtomicU64,
-    live: AtomicUsize,
-    checkouts: AtomicU64,
-    rebuilds: AtomicU64,
+    /// Logical clock ordering checkouts for the LRU.
+    clock: u64,
+    stats: PoolStats,
     /// Every fingerprint ever built: a later build of one of these is a
     /// *rebuild* (its engine was evicted or lost to a panic).
-    ever_built: Mutex<HashSet<Fingerprint>>,
+    ever_built: HashSet<Fingerprint>,
     telemetry: Telemetry,
 }
 
 impl EnginePool {
     pub(crate) fn new(max_engines: usize, telemetry: Telemetry) -> Self {
         EnginePool {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            entries: HashMap::new(),
             max_engines: max_engines.max(1),
-            clock: AtomicU64::new(0),
-            engines_built: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            build_failures: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            live: AtomicUsize::new(0),
-            checkouts: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
-            ever_built: Mutex::new(HashSet::new()),
+            clock: 0,
+            stats: PoolStats::default(),
+            ever_built: HashSet::new(),
             telemetry,
         }
     }
 
+    /// The entry of a fingerprint holding outstanding tickets (such an
+    /// entry is never evicted, so it exists).
+    fn entry(&mut self, fingerprint: Fingerprint) -> &mut Entry {
+        self.entries
+            .get_mut(&fingerprint)
+            .expect("entries with outstanding tickets stay in the pool")
+    }
+
     /// Issues the next ticket for `fingerprint`, creating the entry on
-    /// first sight.  Called at submission time, so ticket order equals
-    /// submission order.
-    pub(crate) fn ticket(&self, fingerprint: Fingerprint) -> (Arc<EngineEntry>, u64) {
-        let shard = &self.shards[fingerprint.shard(SHARDS)];
-        let mut map = shard.lock().expect("pool shard lock");
-        let entry = map
-            .entry(fingerprint)
-            .or_insert_with(|| {
-                Arc::new(EngineEntry {
-                    state: Mutex::new(EntryState {
-                        next_ticket: 0,
-                        now_serving: 0,
-                        slot: EngineSlot::Empty,
-                        parked: BTreeMap::new(),
-                        last_used: 0,
-                    }),
-                })
-            })
-            .clone();
-        drop(map);
-        let mut state = entry.state.lock().expect("pool entry lock");
-        let turn = state.next_ticket;
-        state.next_ticket += 1;
-        drop(state);
-        (entry, turn)
+    /// first sight.  Called at admission, so ticket order equals
+    /// admission order.
+    pub(crate) fn ticket(&mut self, fingerprint: Fingerprint) -> u64 {
+        let entry = self.entries.entry(fingerprint).or_insert_with(|| Entry {
+            next_ticket: 0,
+            now_serving: 0,
+            slot: EngineSlot::Empty,
+            parked: BTreeMap::new(),
+            last_used: 0,
+        });
+        let turn = entry.next_ticket;
+        entry.next_ticket += 1;
+        turn
     }
 
-    /// Bumps the logical clock (LRU ordering) and returns the new stamp.
-    pub(crate) fn touch(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    /// Whether `job`'s ticket is the one its entry serves now.
+    pub(crate) fn is_serving(&self, job: &ScheduledJob) -> bool {
+        self.entries[&job.fingerprint].now_serving == job.turn
     }
 
-    pub(crate) fn note_warm_hit(&self) {
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
+    /// Parks an out-of-turn job at its entry until its predecessor
+    /// retires.
+    pub(crate) fn park(&mut self, job: ScheduledJob) {
+        self.entry(job.fingerprint).parked.insert(job.turn, job);
+    }
+
+    /// Hands the serving job what its entry's slot holds, stamping the
+    /// entry for the LRU when an engine is (or is about to be) checked
+    /// out.
+    pub(crate) fn checkout(&mut self, fingerprint: Fingerprint) -> Checkout {
+        self.clock += 1;
+        let stamp = self.clock;
+        let entry = self.entry(fingerprint);
+        let slot = std::mem::replace(&mut entry.slot, EngineSlot::CheckedOut);
+        match slot {
+            EngineSlot::CheckedOut => unreachable!("the turnstile serialises checkouts"),
+            EngineSlot::Failed(error) => {
+                entry.slot = EngineSlot::Failed(error.clone());
+                self.stats.build_failures += 1;
+                Checkout::Failed(error)
+            }
+            EngineSlot::Ready(engine) => {
+                entry.last_used = stamp;
+                self.stats.warm_hits += 1;
+                self.stats.checkouts += 1;
+                Checkout::Warm(engine)
+            }
+            EngineSlot::Empty => {
+                entry.last_used = stamp;
+                Checkout::Cold
+            }
+        }
     }
 
     /// Records a cold build of `fingerprint`; returns `true` when it is a
     /// *rebuild* (the fingerprint had been built before and its engine was
     /// evicted or lost).
-    pub(crate) fn note_build(&self, fingerprint: Fingerprint) -> bool {
-        self.engines_built.fetch_add(1, Ordering::Relaxed);
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_add(1, Ordering::Relaxed);
-        let rebuild = !self
-            .ever_built
-            .lock()
-            .expect("pool history lock")
-            .insert(fingerprint);
+    pub(crate) fn note_build(&mut self, fingerprint: Fingerprint) -> bool {
+        self.stats.engines_built += 1;
+        self.stats.checkouts += 1;
+        self.stats.live_engines += 1;
+        let rebuild = !self.ever_built.insert(fingerprint);
         if rebuild {
-            self.rebuilds.fetch_add(1, Ordering::Relaxed);
+            self.stats.rebuilds += 1;
         }
         rebuild
     }
 
-    pub(crate) fn note_build_failure(&self) {
-        self.build_failures.fetch_add(1, Ordering::Relaxed);
+    /// Caches a failed fabric build for every later ticket.
+    pub(crate) fn note_build_failure(&mut self, fingerprint: Fingerprint, error: FabricError) {
+        self.entry(fingerprint).slot = EngineSlot::Failed(error);
+        self.stats.build_failures += 1;
     }
 
-    pub(crate) fn note_engine_lost(&self) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
+    /// Puts a checked-out engine back (or records its loss after a panic).
+    pub(crate) fn check_in(&mut self, fingerprint: Fingerprint, engine: Option<Box<QueryEngine>>) {
+        let entry = self.entry(fingerprint);
+        match engine {
+            Some(engine) => entry.slot = EngineSlot::Ready(engine),
+            None => {
+                entry.slot = EngineSlot::Empty;
+                self.stats.live_engines -= 1;
+            }
+        }
+    }
+
+    /// Retires the serving ticket and returns the next one's job, if it
+    /// has already arrived (parked).
+    pub(crate) fn retire(&mut self, fingerprint: Fingerprint) -> Option<ScheduledJob> {
+        let entry = self.entry(fingerprint);
+        entry.now_serving += 1;
+        let next = entry.now_serving;
+        entry.parked.remove(&next)
     }
 
     /// Evicts least-recently-used idle engines until the pool is back
-    /// under its cap.  An entry is evictable only when its engine is in
-    /// the slot (not checked out) and every issued ticket has been served
-    /// — evicting under outstanding tickets would rebuild the engine
-    /// mid-stream and break the warm guarantee those jobs were promised.
-    pub(crate) fn enforce_cap(&self) {
-        while self.live.load(Ordering::Relaxed) > self.max_engines {
-            let mut victim: Option<(u64, Fingerprint)> = None;
-            for shard in &self.shards {
-                let map = shard.lock().expect("pool shard lock");
-                for (fingerprint, entry) in map.iter() {
-                    let state = entry.state.lock().expect("pool entry lock");
-                    let idle = matches!(state.slot, EngineSlot::Ready(_))
-                        && state.now_serving == state.next_ticket;
-                    if idle && victim.is_none_or(|(best, _)| state.last_used < best) {
-                        victim = Some((state.last_used, *fingerprint));
-                    }
-                }
-            }
-            let Some((_, fingerprint)) = victim else {
-                return; // everything is busy; allow the temporary overshoot
+    /// under its cap; when every engine is busy the pool stays over it
+    /// until the next build.
+    pub(crate) fn enforce_cap(&mut self) {
+        while self.stats.live_engines > self.max_engines {
+            let Some(fingerprint) = self
+                .entries
+                .iter()
+                .filter(|(_, entry)| entry.is_idle())
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(fingerprint, _)| *fingerprint)
+            else {
+                return;
             };
-            let shard = &self.shards[fingerprint.shard(SHARDS)];
-            let mut map = shard.lock().expect("pool shard lock");
-            if let Some(entry) = map.get(&fingerprint) {
-                let mut state = entry.state.lock().expect("pool entry lock");
-                // Re-check under the lock: a ticket may have arrived since.
-                if matches!(state.slot, EngineSlot::Ready(_))
-                    && state.now_serving == state.next_ticket
-                {
-                    state.slot = EngineSlot::Empty;
-                    drop(state);
-                    map.remove(&fingerprint);
-                    self.live.fetch_sub(1, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.event_with("engine.evict", || {
-                        vec![
-                            ("fingerprint", format!("{fingerprint:?}")),
-                            ("live", self.live.load(Ordering::Relaxed).to_string()),
-                        ]
-                    });
-                } else {
-                    return; // raced with new work; try again next build
-                }
-            }
+            self.entries.remove(&fingerprint);
+            self.stats.live_engines -= 1;
+            self.stats.evictions += 1;
+            let live = self.stats.live_engines;
+            self.telemetry.event_with("engine.evict", || {
+                vec![
+                    ("fingerprint", format!("{fingerprint:?}")),
+                    ("live", live.to_string()),
+                ]
+            });
         }
     }
 
     pub(crate) fn stats(&self) -> PoolStats {
-        PoolStats {
-            engines_built: self.engines_built.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            build_failures: self.build_failures.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            live_engines: self.live.load(Ordering::Relaxed),
-            checkouts: self.checkouts.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-        }
+        self.stats
     }
 }

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use advocat::service::{
     outcome_to_json, JobError, JobId, JobOutcome, JsonSubmitError, OutcomeError, Service,
 };
-use advocat_telemetry::{Telemetry, TraceBuffer};
+use advocat_telemetry::{escape_into, Telemetry, TraceBuffer};
 
 use crate::http::{read_request, ChunkedWriter, HttpError, Request, Response};
 use crate::signal;
@@ -316,8 +316,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(None) => return,
             Err(HttpError::Io(_)) => return,
             Err(error @ (HttpError::Malformed(_) | HttpError::TooLarge(_))) => {
-                let body = format!("{{\"error\":\"{}\"}}", escape_json(&error.to_string()));
-                let _ = Response::json(400, body)
+                let _ = Response::json(400, error_body(&error.to_string(), ""))
                     .header("Connection", "close")
                     .write_to(&mut writer);
                 return;
@@ -366,27 +365,39 @@ fn route(request: &Request, shared: &Shared) -> Response {
     }
 }
 
+/// All-or-nothing admission of a request body's jobs (`POST /v1/jobs`
+/// and `POST /v1/batch`), or the response refusing them: `400` for a
+/// body that is not UTF-8 or not valid job JSON, `429` when the queue
+/// lacks room for the whole set.
+fn admit(request: &Request, shared: &Shared) -> Result<Vec<JobId>, Response> {
+    let Some(body) = request.body_utf8() else {
+        return Err(Response::json(
+            400,
+            "{\"error\":\"request body is not UTF-8\"}",
+        ));
+    };
+    shared
+        .service
+        .try_submit_json(body)
+        .map_err(|error| match error {
+            JsonSubmitError::Json(error) => Response::json(
+                400,
+                error_body(&error.message, &format!(",\"offset\":{}", error.offset)),
+            ),
+            JsonSubmitError::QueueFull { jobs, capacity } => Response::json(
+                429,
+                format!("{{\"error\":\"queue full\",\"jobs\":{jobs},\"capacity\":{capacity}}}"),
+            )
+            .header("Retry-After", "1"),
+        })
+}
+
 /// `POST /v1/jobs` — all-or-nothing admission of one request (or array
 /// of requests); the response carries every admitted job id.
 fn submit_jobs(request: &Request, shared: &Shared) -> Response {
-    let Some(body) = request.body_utf8() else {
-        return Response::json(400, "{\"error\":\"request body is not UTF-8\"}");
-    };
-    match shared.service.try_submit_json(body) {
+    match admit(request, shared) {
         Ok(ids) => Response::json(200, ids_json(&ids)),
-        Err(JsonSubmitError::Json(error)) => Response::json(
-            400,
-            format!(
-                "{{\"error\":\"{}\",\"offset\":{}}}",
-                escape_json(&error.message),
-                error.offset
-            ),
-        ),
-        Err(JsonSubmitError::QueueFull { jobs, capacity }) => Response::json(
-            429,
-            format!("{{\"error\":\"queue full\",\"jobs\":{jobs},\"capacity\":{capacity}}}"),
-        )
-        .header("Retry-After", "1"),
+        Err(refusal) => refusal,
     }
 }
 
@@ -417,29 +428,9 @@ fn poll_job(id: &str, request: &Request, shared: &Shared) -> Response {
 /// `POST /v1/batch` — submit an array and wait for all of its outcomes,
 /// reported in submission order.
 fn run_batch(request: &Request, shared: &Shared) -> Response {
-    let Some(body) = request.body_utf8() else {
-        return Response::json(400, "{\"error\":\"request body is not UTF-8\"}");
-    };
-    let ids = match shared.service.try_submit_json(body) {
+    let ids = match admit(request, shared) {
         Ok(ids) => ids,
-        Err(error) => {
-            // Same refusal mapping as /v1/jobs.
-            return match error {
-                JsonSubmitError::Json(error) => Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":\"{}\",\"offset\":{}}}",
-                        escape_json(&error.message),
-                        error.offset
-                    ),
-                ),
-                JsonSubmitError::QueueFull { jobs, capacity } => Response::json(
-                    429,
-                    format!("{{\"error\":\"queue full\",\"jobs\":{jobs},\"capacity\":{capacity}}}"),
-                )
-                .header("Retry-After", "1"),
-            };
-        }
+        Err(refusal) => return refusal,
     };
 
     let deadline = Instant::now() + wait_param(request, DEFAULT_BATCH_WAIT);
@@ -558,19 +549,13 @@ fn ids_array(ids: &[JobId]) -> String {
     out
 }
 
-/// JSON string escaping for error messages (the wire layer is serde-free).
-pub(crate) fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// An error response body, `{"error":"<message>"<fields>}`, with the
+/// message escaped; `fields` is either empty or starts with a comma.
+fn error_body(message: &str, fields: &str) -> String {
+    let mut body = String::from("{\"error\":\"");
+    escape_into(&mut body, message);
+    body.push('"');
+    body.push_str(fields);
+    body.push('}');
+    body
 }

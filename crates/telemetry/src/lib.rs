@@ -57,7 +57,7 @@ mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_US};
 pub use profile::{PhaseCost, RestartSample, SolverProfile};
-pub use trace::{FileSink, NullSink, RingBufferSink, TraceBuffer, TraceSink};
+pub use trace::{escape_into, FileSink, NullSink, RingBufferSink, TraceBuffer, TraceSink};
 
 use std::cell::RefCell;
 use std::fmt::Write as _;

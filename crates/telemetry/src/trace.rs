@@ -237,9 +237,10 @@ pub(crate) fn fields_into(out: &mut String, fields: &[(&str, String)]) {
     out.push('}');
 }
 
-/// JSON string escaping, hand-rolled in the `service/json.rs` house style
-/// (the build environment is offline — no serde).
-pub(crate) fn escape_into(out: &mut String, text: &str) {
+/// Appends `text` to `out` escaped as the body of a JSON string (quotes,
+/// backslashes and control characters).  Every hand-rolled JSON writer
+/// in the workspace shares it; the wire layer is serde-free.
+pub fn escape_into(out: &mut String, text: &str) {
     for ch in text.chars() {
         match ch {
             '"' => out.push_str("\\\""),

@@ -3,6 +3,8 @@
 
 use advocat::deadlock::Counterexample;
 use advocat::prelude::*;
+use advocat::telemetry::TraceSink;
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// A mixed workload touching several topology families, with sweeps that
@@ -433,7 +435,144 @@ fn next_outcome_streams_and_then_reports_exhaustion() {
     }
     seen.sort_unstable();
     assert_eq!(seen, vec![0, 1, 2, 3]);
-    assert_eq!(service.pending(), 0);
+    assert_eq!(service.stats().pending, 0);
+}
+
+/// Drops `service` on a helper thread; a drop that does not finish
+/// within a minute fails the test instead of hanging it.
+fn drop_within_a_minute(service: Service, case: &str) {
+    let (done, dropped) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(service);
+        let _ = done.send(());
+    });
+    dropped
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("dropping a service with {case} hung"));
+    dropper.join().expect("the dropping thread");
+}
+
+/// A trace sink that stops the thread writing its first record until
+/// every sender of `open` is gone, announcing the stop on `entered`.  A
+/// job's own first record comes from its engine build, which a worker
+/// runs outside the service's lock.
+struct Gate {
+    entered: mpsc::Sender<()>,
+    open: Option<mpsc::Receiver<()>>,
+}
+
+impl TraceSink for Gate {
+    fn record(&mut self, _line: &str) {
+        if let Some(open) = self.open.take() {
+            let _ = self.entered.send(());
+            // Errs, and so returns, once every sender is dropped.
+            let _ = open.recv();
+        }
+    }
+}
+
+/// A trace sink owning the senders that keep gates shut: dropping the
+/// job that carries it opens them.  A queued job is dropped when the
+/// service shuts down, so its gates open only after shutdown began.
+struct Key {
+    _gates: Vec<mpsc::Sender<()>>,
+}
+
+impl TraceSink for Key {
+    fn record(&mut self, _line: &str) {}
+}
+
+/// `job` with its solver's telemetry writing to `sink`; a job that brings
+/// an enabled handle keeps it, and the handle never reaches the
+/// fingerprint.
+fn traced(job: VerifyJob, sink: impl TraceSink + 'static) -> VerifyJob {
+    let mut config = CheckConfig::default();
+    config.solver.telemetry = Telemetry::with_sink(Box::new(sink));
+    job.with_config(config)
+}
+
+/// Dropping a service stops every worker — idle ones asleep on the empty
+/// queue, a busy one with jobs queued behind it, and one whose finished
+/// job releases a successor parked behind it — without running the
+/// discarded jobs.  Workers wait without a timeout, so a lost shutdown
+/// wakeup would hang here; gates hold the workers where each case needs
+/// them, and open only once the drop has begun.
+#[test]
+fn dropping_the_service_stops_every_worker() {
+    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let ring = FabricConfig::new(Topology::ring(3).unwrap(), 1).with_directory(1);
+    drop_within_a_minute(
+        Service::new(ServiceConfig::default().with_workers(2)),
+        "idle workers",
+    );
+
+    // One worker stopped inside its first job, two jobs queued behind it.
+    let busy = Service::new(ServiceConfig::default().with_workers(1));
+    let (entered, stopped) = mpsc::channel();
+    let (key, open) = mpsc::channel();
+    let gate = Gate {
+        entered,
+        open: Some(open),
+    };
+    busy.submit(traced(VerifyJob::mesh("gated", mesh), gate));
+    busy.submit(traced(
+        VerifyJob::fabric("key", ring.clone()),
+        Key { _gates: vec![key] },
+    ));
+    busy.submit(VerifyJob::mesh("queued", mesh));
+    stopped
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the worker reaches the gate");
+    assert_eq!(busy.stats().queued, 2, "two jobs wait behind the worker");
+    drop_within_a_minute(busy, "a busy worker and queued jobs");
+
+    // Two workers.  Jobs leave the queue in order: one worker stops
+    // building the engine of `first`, so the other parks `second` (same
+    // fingerprint) and then stops in `other`; the key stays queued.
+    let (telemetry, trace) = Telemetry::ring(256);
+    let parked = Service::new(
+        ServiceConfig::default()
+            .with_workers(2)
+            .with_telemetry(telemetry),
+    );
+    let (entered, stopped) = mpsc::channel();
+    let (first_key, first_open) = mpsc::channel();
+    let (other_key, other_open) = mpsc::channel();
+    let first = Gate {
+        entered: entered.clone(),
+        open: Some(first_open),
+    };
+    let other = Gate {
+        entered,
+        open: Some(other_open),
+    };
+    let sweep = |capacity| {
+        VerifyJob::mesh(format!("qs {capacity}"), mesh)
+            .at_capacity(capacity)
+            .with_engine_range(2..=3)
+    };
+    parked.submit(traced(sweep(2), first));
+    parked.submit(sweep(3));
+    parked.submit(traced(VerifyJob::fabric("other", ring.clone()), other));
+    parked.submit(traced(
+        VerifyJob::mesh("key", mesh),
+        Key {
+            _gates: vec![first_key, other_key],
+        },
+    ));
+    for _ in 0..2 {
+        stopped
+            .recv_timeout(Duration::from_secs(60))
+            .expect("both workers reach a gate");
+    }
+    assert_eq!(parked.stats().queued, 1, "only the key is still queued");
+    let parks = trace
+        .lines()
+        .iter()
+        .filter(|line| line.contains("\"name\":\"job.park\""))
+        .count();
+    assert_eq!(parks, 1, "the second sweep job is parked");
+    drop_within_a_minute(parked, "a parked job");
 }
 
 /// The 1000-job stress test (CI runs it with `-- --ignored`): a mixed
@@ -624,7 +763,6 @@ fn stats_snapshot_pins_pool_queue_and_registry() {
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.pending, 0);
     assert_eq!(stats.pool, service.pool_stats(), "one pool, one truth");
-    assert_eq!(stats.steals, service.steals());
 
     let json = stats.to_json();
     advocat::service::validate_json(&json).expect("snapshot JSON is well-formed");

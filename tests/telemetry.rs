@@ -162,7 +162,6 @@ fn service_metrics_use_the_pinned_names() {
     let prometheus = metrics.render_prometheus();
     for name in [
         "service_queue_depth",
-        "service_steals_total",
         "service_job_queue_wait_seconds",
         "service_job_work_seconds",
         "service_warm_hits_total",
