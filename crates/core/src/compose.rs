@@ -48,14 +48,12 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::Instant;
 
-use advocat_automata::{derive_colors, System, SystemStats};
+use advocat_automata::{System, SystemStats};
 use advocat_deadlock::{
     check_composition, Analysis, AnalysisStats, BoundaryOutcome, CapacitySelection,
     CompositionModel, Counterexample, DeadlockTarget, InterfacePort, Query, Verdict,
 };
-use advocat_invariants::{
-    derive_invariants, project_interface, ContractPort, InterfaceContract, InvariantSet,
-};
+use advocat_invariants::{project_interface, ContractPort, InterfaceContract, InvariantSet};
 use advocat_logic::CheckConfig;
 use advocat_noc::{
     boundary_graph, build_tile_fabric, BoundaryGraph, ConfigDigest, FabricConfig, FabricError,
@@ -64,7 +62,7 @@ use advocat_noc::{
 use advocat_xmas::ColorMap;
 
 use crate::batch::ScenarioFabric;
-use crate::query::QueryEngine;
+use crate::query::{derive_traced, QueryEngine};
 use crate::report::Report;
 use crate::service::{Service, ServiceConfig, VerifyJob};
 
@@ -193,8 +191,7 @@ impl QueryEngine {
         let mut classes: Vec<ConfigDigest> = Vec::new();
         for tile in 0..partition.num_tiles() {
             let system = build_tile_fabric(&config, &partition, tile)?;
-            let colors = derive_colors(&system);
-            let invariants = derive_invariants(&system, &colors);
+            let (colors, invariants) = derive_traced(&system, &options.check.solver.telemetry);
             let ports = partition
                 .boundary_ports(&config, tile)
                 .into_iter()

@@ -19,6 +19,8 @@ use advocat_automata::{derive_colors, System};
 use advocat_deadlock::{CapacitySelection, EncodingTemplate, Query};
 use advocat_invariants::{derive_invariants, InvariantSet};
 use advocat_logic::CheckConfig;
+use advocat_telemetry::Telemetry;
+use advocat_xmas::ColorMap;
 
 use crate::report::Report;
 
@@ -150,6 +152,18 @@ fn structural_range(system: &System) -> RangeInclusive<usize> {
     advocat_deadlock::structural_capacity_range(system).unwrap_or(1..=1)
 }
 
+/// Derives a system's colors and then its invariants, under the
+/// `colors.derive` and `invariants.derive` spans.
+pub(crate) fn derive_traced(system: &System, telemetry: &Telemetry) -> (ColorMap, InvariantSet) {
+    let primitives = || vec![("primitives", system.network().primitive_count().to_string())];
+    let span = telemetry.span_with("colors.derive", primitives);
+    let colors = derive_colors(system);
+    drop(span);
+    let _span = telemetry.span_with("invariants.derive", primitives);
+    let invariants = derive_invariants(system, &colors);
+    (colors, invariants)
+}
+
 impl QueryEngine {
     /// Builds an engine for `system` with default solver limits, deriving
     /// colors and invariants once and building the query-parameterised
@@ -184,8 +198,7 @@ impl QueryEngine {
         config: CheckConfig,
         capacities: RangeInclusive<usize>,
     ) -> Self {
-        let colors = derive_colors(&system);
-        let invariants = derive_invariants(&system, &colors);
+        let (colors, invariants) = derive_traced(&system, &config.solver.telemetry);
         let _span = config.solver.telemetry.span_with("template.build", || {
             vec![
                 ("primitives", system.network().primitive_count().to_string()),

@@ -2,9 +2,10 @@
 
 use advocat_automata::System;
 use advocat_num::{eliminate_with_bounds, LinearRow};
-use advocat_xmas::ColorMap;
+use advocat_xmas::{ColorMap, Primitive};
 
 use crate::automaton_eqs::automaton_rows;
+use crate::display::format_invariant;
 use crate::flow::primitive_flow_rows;
 use crate::vars::{Invariant, InvariantRelation, InvariantVar, VarRegistry};
 
@@ -83,6 +84,12 @@ impl IntoIterator for InvariantSet {
 /// `colors` must be the `T`-derivation of the same system (see
 /// [`advocat_automata::derive_colors`]).
 ///
+/// # Panics
+///
+/// Panics, naming the invariant, when a derived invariant fails at the
+/// system's initial configuration: that is an arithmetic slip in the
+/// derivation, never a property of the system.
+///
 /// # Examples
 ///
 /// See the crate-level documentation and the `running_example` integration
@@ -126,7 +133,36 @@ pub fn derive_invariants(system: &System, colors: &ColorMap) -> InvariantSet {
         }
         invariants.push(invariant);
     }
+    if let Some(invariant) = fails_initially(system, &invariants) {
+        panic!(
+            "derived invariant fails at the initial configuration: {}",
+            format_invariant(system, invariant)
+        );
+    }
     InvariantSet { invariants }
+}
+
+/// Returns the first invariant that does not hold at the system's initial
+/// configuration, where queues hold their `init` content and automata sit
+/// in their initial states.  Zero flow and firing counters satisfy every
+/// generated row there, so every equality and every harvested bound must
+/// hold: a failure here would otherwise surface as a wrong verdict.
+pub(crate) fn fails_initially<'a>(
+    system: &System,
+    invariants: &'a [Invariant],
+) -> Option<&'a Invariant> {
+    let network = system.network();
+    invariants.iter().find(|invariant| {
+        !invariant.holds(
+            |queue, color| match network.primitive(queue) {
+                Primitive::Queue { init, .. } => {
+                    init.iter().filter(|c| **c == color).count() as i128
+                }
+                _ => 0,
+            },
+            |node, state| system.automaton(node).is_some_and(|a| a.initial() == state),
+        )
+    })
 }
 
 fn row_to_invariant(
@@ -347,6 +383,26 @@ mod tests {
             .expect("credit conservation equality");
         assert!(!equality.holds(|q, _| if q == credits { 1 } else { 0 }, |_, _| true));
         assert!(equality.holds(|q, _| if q == credits { 2 } else { 0 }, |_, _| true));
+    }
+
+    #[test]
+    fn the_initial_configuration_check_rejects_a_false_invariant() {
+        let (system, _, _, q0, _) = running_example();
+        let colors = derive_colors(&system);
+        let set = derive_invariants(&system, &colors);
+        assert_eq!(fails_initially(&system, set.invariants()), None);
+
+        // #q0.req = 1, but q0 starts empty.
+        let req = system.network().colors().lookup(&Packet::kind("req"));
+        let color = req.expect("req is interned");
+        let wrong = Invariant {
+            terms: vec![(InvariantVar::QueueCount { queue: q0, color }, 1)],
+            constant: -1,
+            relation: InvariantRelation::Eq,
+        };
+        let mut invariants = set.invariants().to_vec();
+        invariants.push(wrong.clone());
+        assert_eq!(fails_initially(&system, &invariants), Some(&wrong));
     }
 
     #[test]

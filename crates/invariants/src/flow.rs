@@ -32,7 +32,7 @@ pub(crate) fn primitive_flow_rows(
             // ever be in the queue (incoming colors plus initial content).
             let mut all_colors: Vec<_> = colors.colors(out).iter().copied().collect();
             for c in colors.colors(inp).iter() {
-                if !all_colors.contains(c) {
+                if !colors.contains(out, *c) {
                     all_colors.push(*c);
                 }
             }

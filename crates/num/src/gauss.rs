@@ -1,5 +1,7 @@
 //! Sparse Gaussian elimination with a variable elimination predicate.
 
+use std::collections::HashMap;
+
 use crate::{LinearRow, Rational};
 
 /// Eliminates every variable for which `should_eliminate` returns `true`
@@ -44,7 +46,7 @@ where
 /// The result of [`eliminate_with_bounds`]: the surviving equalities plus
 /// the upper bounds harvested from the nonnegativity of eliminated
 /// variables.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Elimination {
     /// Rows free of eliminated variables, read as `Σ aᵢ·xᵢ + c = 0` — the
     /// same output [`eliminate`] produces.
@@ -94,44 +96,111 @@ where
     F: Fn(usize) -> bool,
     N: Fn(usize) -> bool,
 {
-    let mut rows: Vec<LinearRow> = rows.into_iter().filter(|r| !r.is_zero()).collect();
-    // `(pivot var, defining row)` pairs; later pivots are substituted into
-    // earlier definitions so every stored row ends up mentioning its own
-    // pivot variable plus (possibly) eliminated variables that were never
-    // chosen as pivots.
-    let mut pivots: Vec<(usize, LinearRow)> = Vec::new();
+    let (rows, pivots) = sweep(rows, &should_eliminate);
+    harvest(rows, pivots, should_eliminate, nonnegative)
+}
 
-    loop {
-        let mut pivot_idx = None;
-        let mut pivot_var = 0usize;
-        'outer: for (idx, row) in rows.iter().enumerate() {
-            for var in row.variables() {
-                if should_eliminate(var) {
-                    pivot_idx = Some(idx);
-                    pivot_var = var;
-                    break 'outer;
-                }
-            }
+/// The elimination loop.  Each step pivots on the first row, in the
+/// working order, that still mentions an eliminated variable, on that
+/// row's lowest such variable; it removes that row with `swap_remove`,
+/// scales it to coefficient 1 and subtracts it from every other row
+/// mentioning the variable, remaining rows and earlier pivot rows alike.
+///
+/// Returns the remaining rows in working order and the `(pivot variable,
+/// defining row)` pairs in pivot order.  Every stored pivot row ends up
+/// mentioning its own pivot variable plus (possibly) eliminated variables
+/// that were never chosen as pivots.
+///
+/// Two indexes keep a step proportional to the rows it changes:
+///
+/// * a **cursor** for the pivot search.  Only rows mentioning a pivot
+///   variable are ever modified, so a row without eliminated variables
+///   keeps none forever: the rows before the first row that still has one
+///   are final, and the search resumes there instead of at row 0;
+/// * per-variable **occurrence lists** naming every row (remaining or
+///   pivot) that mentions an eliminated variable.  A row that cancels a
+///   variable keeps its stale entry, skipped because the coefficient reads
+///   zero; fill-in appends.  After its step a pivot variable appears only
+///   in its own pivot row, so its list is dropped.
+///
+/// The pivot sequence and every row's arithmetic are those of the loop
+/// that rescans all rows per pivot, kept as the test reference, so the
+/// output is identical.
+fn sweep<F>(rows: Vec<LinearRow>, should_eliminate: &F) -> (Vec<LinearRow>, Vec<(usize, LinearRow)>)
+where
+    F: Fn(usize) -> bool,
+{
+    // Rows live at fixed indices of `store`; `order` is the working order
+    // of the remaining rows, permuted by `swap_remove` exactly as the rows
+    // themselves would be.
+    let mut store: Vec<LinearRow> = rows.into_iter().filter(|r| !r.is_zero()).collect();
+    let mut order: Vec<usize> = (0..store.len()).collect();
+    let mut occurrences: HashMap<usize, Vec<usize>> = HashMap::new();
+    for (id, row) in store.iter().enumerate() {
+        for var in row.variables().filter(|&v| should_eliminate(v)) {
+            occurrences.entry(var).or_default().push(id);
         }
-        let Some(idx) = pivot_idx else { break };
-        let mut pivot = rows.swap_remove(idx);
+    }
+    let mut pivots: Vec<(usize, usize)> = Vec::new();
+    let mut cursor = 0;
+    while cursor < order.len() {
+        let id = order[cursor];
+        let Some(pivot_var) = store[id].variables().find(|&v| should_eliminate(v)) else {
+            cursor += 1;
+            continue;
+        };
+        order.swap_remove(cursor);
+        // Taken out of `store` while it is applied, the pivot row reads as
+        // empty, so its own occurrence entry is skipped like a stale one.
+        let mut pivot = std::mem::take(&mut store[id]);
         let coef = pivot.coefficient(pivot_var);
         pivot.scale(coef.recip());
-        for row in rows.iter_mut() {
+        let holders = occurrences
+            .remove(&pivot_var)
+            .expect("every unpivoted eliminated variable has an occurrence list");
+        for other in holders {
+            let row = &mut store[other];
             let c = row.coefficient(pivot_var);
-            if !c.is_zero() {
-                row.add_scaled(&pivot, -c);
+            if c.is_zero() {
+                continue;
             }
-        }
-        for (_, row) in pivots.iter_mut() {
-            let c = row.coefficient(pivot_var);
-            if !c.is_zero() {
-                row.add_scaled(&pivot, -c);
+            for var in pivot.variables() {
+                if !row.contains(var) {
+                    if let Some(list) = occurrences.get_mut(&var) {
+                        list.push(other);
+                    }
+                }
             }
+            row.add_scaled(&pivot, -c);
         }
-        pivots.push((pivot_var, pivot));
+        store[id] = pivot;
+        pivots.push((pivot_var, id));
     }
 
+    let remaining = order
+        .iter()
+        .map(|&id| std::mem::take(&mut store[id]))
+        .collect();
+    let pivots = pivots
+        .into_iter()
+        .map(|(var, id)| (var, std::mem::take(&mut store[id])))
+        .collect();
+    (remaining, pivots)
+}
+
+/// Turns the output of [`sweep`] into an [`Elimination`]: the remaining
+/// rows become normalised, deduplicated equalities, and the pivot rows of
+/// nonnegative variables become bounds.
+fn harvest<F, N>(
+    rows: Vec<LinearRow>,
+    pivots: Vec<(usize, LinearRow)>,
+    should_eliminate: F,
+    nonnegative: N,
+) -> Elimination
+where
+    F: Fn(usize) -> bool,
+    N: Fn(usize) -> bool,
+{
     let mut equalities: Vec<LinearRow> = Vec::new();
     for mut row in rows {
         if row.is_zero() {
@@ -179,58 +248,6 @@ where
     }
 
     Elimination { equalities, bounds }
-}
-
-/// Reduces a system of equations to reduced row-echelon form over the given
-/// total variable ordering (lower index = earlier pivot), returning the
-/// non-trivial rows.
-///
-/// This is exposed for diagnostics and tests; [`eliminate`] is the
-/// production entry point.
-pub fn reduce_to_echelon(rows: Vec<LinearRow>) -> Vec<LinearRow> {
-    let mut rows: Vec<LinearRow> = rows.into_iter().filter(|r| !r.is_zero()).collect();
-    let mut result: Vec<LinearRow> = Vec::new();
-
-    // Collect all variables in increasing order.
-    let mut vars: Vec<usize> = rows
-        .iter()
-        .flat_map(|r| r.variables().collect::<Vec<_>>())
-        .collect();
-    vars.sort_unstable();
-    vars.dedup();
-
-    for var in vars {
-        let Some(idx) = rows.iter().position(|r| r.contains(var)) else {
-            continue;
-        };
-        let mut pivot = rows.swap_remove(idx);
-        let coef = pivot.coefficient(var);
-        pivot.scale(coef.recip());
-        for row in rows.iter_mut() {
-            let c = row.coefficient(var);
-            if !c.is_zero() {
-                row.add_scaled(&pivot, -c);
-            }
-        }
-        for row in result.iter_mut() {
-            let c = row.coefficient(var);
-            if !c.is_zero() {
-                row.add_scaled(&pivot, -c);
-            }
-        }
-        result.push(pivot);
-        rows.retain(|r| !r.is_zero());
-        if rows.is_empty() {
-            break;
-        }
-    }
-    // Any leftover rows are either trivial or inconsistent constants.
-    for row in rows {
-        if !row.is_zero() {
-            result.push(row);
-        }
-    }
-    result
 }
 
 /// Checks whether an assignment satisfies every equation in `rows`.
@@ -284,22 +301,152 @@ mod tests {
     }
 
     #[test]
-    fn echelon_solves_small_system() {
-        // x + y = 3, x - y = 1  =>  x = 2, y = 1.
-        let rows = vec![
-            LinearRow::from_terms([(0, 1), (1, 1)], -3),
-            LinearRow::from_terms([(0, 1), (1, -1)], -1),
-        ];
-        let ech = reduce_to_echelon(rows);
-        assert!(satisfies(&ech, |v| {
-            Rational::from_integer(if v == 0 { 2 } else { 1 })
-        }));
-    }
-
-    #[test]
     fn satisfies_rejects_wrong_assignment() {
         let rows = vec![LinearRow::from_terms([(0, 1)], -3)];
         assert!(!satisfies(&rows, |_| Rational::ZERO));
         assert!(satisfies(&rows, |_| Rational::from_integer(3)));
+    }
+
+    /// The rescanning elimination loop that [`sweep`] must match exactly:
+    /// every pivot rescans the rows from index 0 and looks its variable up
+    /// in every remaining and every earlier pivot row.
+    fn reference_sweep<F>(
+        rows: Vec<LinearRow>,
+        should_eliminate: &F,
+    ) -> (Vec<LinearRow>, Vec<(usize, LinearRow)>)
+    where
+        F: Fn(usize) -> bool,
+    {
+        let mut rows: Vec<LinearRow> = rows.into_iter().filter(|r| !r.is_zero()).collect();
+        let mut pivots: Vec<(usize, LinearRow)> = Vec::new();
+
+        loop {
+            let mut pivot_idx = None;
+            let mut pivot_var = 0usize;
+            'outer: for (idx, row) in rows.iter().enumerate() {
+                for var in row.variables() {
+                    if should_eliminate(var) {
+                        pivot_idx = Some(idx);
+                        pivot_var = var;
+                        break 'outer;
+                    }
+                }
+            }
+            let Some(idx) = pivot_idx else { break };
+            let mut pivot = rows.swap_remove(idx);
+            let coef = pivot.coefficient(pivot_var);
+            pivot.scale(coef.recip());
+            for row in rows.iter_mut() {
+                let c = row.coefficient(pivot_var);
+                if !c.is_zero() {
+                    row.add_scaled(&pivot, -c);
+                }
+            }
+            for (_, row) in pivots.iter_mut() {
+                let c = row.coefficient(pivot_var);
+                if !c.is_zero() {
+                    row.add_scaled(&pivot, -c);
+                }
+            }
+            pivots.push((pivot_var, pivot));
+        }
+        (rows, pivots)
+    }
+
+    /// A deterministic xorshift64 stream.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo + 1) as u64) as i64
+        }
+    }
+
+    /// A random sparse system over `vars` variables: fresh rows of one to
+    /// four terms, mixed with zero rows, duplicates and combinations of
+    /// two earlier rows (dependent rows, which elimination can cancel to
+    /// zero).
+    fn random_system(rng: &mut XorShift, vars: usize) -> Vec<LinearRow> {
+        let mut rows: Vec<LinearRow> = Vec::new();
+        for _ in 0..rng.range(1, 14) {
+            let pick = |rng: &mut XorShift, n: usize| rng.range(0, n as i64 - 1) as usize;
+            let row = match rng.range(0, 7) {
+                0 => LinearRow::new(),
+                1 if !rows.is_empty() => rows[pick(rng, rows.len())].clone(),
+                2 if !rows.is_empty() => {
+                    let mut row = rows[pick(rng, rows.len())].clone();
+                    let other = rows[pick(rng, rows.len())].clone();
+                    row.add_scaled(&other, Rational::from_integer(rng.range(-2, 2).into()));
+                    row
+                }
+                _ => {
+                    let constant = rng.range(-2, 2).into();
+                    let terms: Vec<(usize, i128)> = (0..rng.range(1, 4))
+                        .map(|_| {
+                            let coef = [-3, -2, -1, 1, 2, 3][rng.range(0, 5) as usize];
+                            (pick(rng, vars), coef)
+                        })
+                        .collect();
+                    LinearRow::from_terms(terms, constant)
+                }
+            };
+            rows.push(row);
+        }
+        rows
+    }
+
+    #[test]
+    fn occurrence_indexed_sweep_matches_the_rescanning_reference() {
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        let (mut cancelled, mut fill_in, mut never_pivoted, mut bounded) = (0, 0, 0, 0);
+        for case in 0..1_000 {
+            let vars = rng.range(1, 12) as usize;
+            let rows = random_system(&mut rng, vars);
+            let (eliminated, nonnegative) = (rng.next(), rng.next());
+            let elim = |v: usize| eliminated >> v & 1 == 1;
+            let nonneg = |v: usize| nonnegative >> v & 1 == 1;
+
+            let expected = reference_sweep(rows.clone(), &elim);
+            assert_eq!(sweep(rows.clone(), &elim), expected, "case {case}");
+            // Without fill-in an update only keeps or cancels terms, so a
+            // variable held by more rows afterwards means some row gained it.
+            let (remaining, pivots) = &expected;
+            let mut holders = vec![0i64; vars];
+            for row in &rows {
+                row.variables().for_each(|v| holders[v] -= 1);
+            }
+            for row in remaining.iter().chain(pivots.iter().map(|(_, row)| row)) {
+                row.variables().for_each(|v| holders[v] += 1);
+            }
+            cancelled += remaining.iter().any(LinearRow::is_zero) as usize;
+            fill_in += holders.iter().any(|&h| h > 0) as usize;
+            never_pivoted += pivots
+                .iter()
+                .any(|(var, row)| row.variables().any(|v| v != *var && elim(v)))
+                as usize;
+
+            let reference = harvest(expected.0, expected.1, elim, nonneg);
+            let result = eliminate_with_bounds(rows, elim, nonneg);
+            assert_eq!(result, reference, "case {case}");
+            bounded += !result.bounds.is_empty() as usize;
+        }
+        // Each shape the sweep must handle shows up in a good share of
+        // the cases.
+        for (shape, count) in [
+            ("cancellation to zero", cancelled),
+            ("fill-in", fill_in),
+            ("never-pivoted eliminated variables", never_pivoted),
+            ("harvested bounds", bounded),
+        ] {
+            assert!(count >= 50, "only {count} cases with {shape}");
+        }
     }
 }

@@ -38,6 +38,6 @@ mod gauss;
 mod rational;
 mod row;
 
-pub use gauss::{eliminate, eliminate_with_bounds, reduce_to_echelon, satisfies, Elimination};
+pub use gauss::{eliminate, eliminate_with_bounds, satisfies, Elimination};
 pub use rational::{ParseRationalError, Rational};
 pub use row::LinearRow;

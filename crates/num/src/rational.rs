@@ -129,7 +129,9 @@ impl Rational {
     }
 }
 
-fn gcd(mut a: u128, mut b: u128) -> u128 {
+/// The greatest common divisor, with `gcd(0, 0) = 1` so that dividing
+/// by it is always defined.
+pub(crate) fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;
         a = b;

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::rational::gcd;
 use crate::Rational;
 
 /// A sparse linear equation `Σ aᵢ·xᵢ + c = 0` over variables identified by
@@ -143,42 +144,19 @@ impl LinearRow {
         self.add_constant(other.constant * factor);
     }
 
-    /// Normalises the row so that its leading (lowest-index) coefficient is
-    /// `1`.  Leaves empty rows untouched.
-    pub fn normalize_leading(&mut self) {
-        if let Some((_, lead)) = self.terms.iter().next().map(|(v, c)| (*v, *c)) {
-            let inv = lead.recip();
-            self.scale(inv);
-        }
-    }
-
     /// Normalises the row so that all coefficients are integers with overall
     /// gcd 1 and the leading coefficient is positive.  This produces the
     /// human-friendly form used when printing invariants.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the integral form does not fit in `i128` (the lcm of the
+    /// denominators overflows, say), the way [`Rational`] arithmetic
+    /// panics instead of wrapping.
     pub fn normalize_integral(&mut self) {
-        if self.terms.is_empty() {
-            return;
-        }
-        // Scale by the lcm of all denominators.
-        let mut lcm: i128 = 1;
-        for (_, c) in self.iter() {
-            lcm = lcm_i128(lcm, c.denominator());
-        }
-        lcm = lcm_i128(lcm, self.constant.denominator());
-        self.scale(Rational::from_integer(lcm));
-        // Divide by the gcd of all numerators.
-        let mut g: i128 = 0;
-        for (_, c) in self.iter() {
-            g = gcd_i128(g, c.numerator().abs());
-        }
-        if !self.constant.is_zero() {
-            g = gcd_i128(g, self.constant.numerator().abs());
-        }
-        if g > 1 {
-            self.scale(Rational::new(1, g));
-        }
+        self.normalize_integral_signed();
         // Make the leading coefficient positive.
-        if let Some((_, lead)) = self.terms.iter().next().map(|(v, c)| (*v, *c)) {
+        if let Some((_, lead)) = self.terms.first_key_value() {
             if lead.is_negative() {
                 self.scale(Rational::from_integer(-1));
             }
@@ -189,24 +167,40 @@ impl LinearRow {
     /// **without** flipping the sign — the variant for rows read as
     /// inequalities (`Σ aᵢ·xᵢ + c ≤ 0`), where negating the row would
     /// reverse the relation.
+    ///
+    /// # Panics
+    ///
+    /// As [`LinearRow::normalize_integral`].
     pub fn normalize_integral_signed(&mut self) {
         if self.terms.is_empty() {
             return;
         }
+        // Scale by the lcm of all denominators (all positive).
         let mut lcm: i128 = 1;
-        for (_, c) in self.iter() {
-            lcm = lcm_i128(lcm, c.denominator());
+        for den in self
+            .terms
+            .values()
+            .chain([&self.constant])
+            .map(Rational::denominator)
+        {
+            let g = gcd(lcm.unsigned_abs(), den.unsigned_abs()) as i128;
+            lcm = (lcm / g)
+                .checked_mul(den)
+                .expect("row normalisation overflow: lcm of the denominators exceeds i128");
         }
-        lcm = lcm_i128(lcm, self.constant.denominator());
         self.scale(Rational::from_integer(lcm));
-        let mut g: i128 = 0;
-        for (_, c) in self.iter() {
-            g = gcd_i128(g, c.numerator().abs());
-        }
-        if !self.constant.is_zero() {
-            g = gcd_i128(g, self.constant.numerator().abs());
+        // Divide by the gcd of all numerators.
+        let mut g: u128 = 0;
+        for num in self
+            .terms
+            .values()
+            .chain([&self.constant])
+            .map(Rational::numerator)
+        {
+            g = gcd(g, num.unsigned_abs());
         }
         if g > 1 {
+            let g = i128::try_from(g).expect("row normalisation overflow: gcd exceeds i128");
             self.scale(Rational::new(1, g));
         }
     }
@@ -278,20 +272,6 @@ impl FromIterator<(usize, Rational)> for LinearRow {
     }
 }
 
-fn gcd_i128(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.max(1)
-}
-
-fn lcm_i128(a: i128, b: i128) -> i128 {
-    a / gcd_i128(a, b) * b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +321,16 @@ mod tests {
         row.normalize_integral();
         assert_eq!(row.coefficient(5), Rational::ONE);
         assert_eq!(row.coefficient(7), Rational::from_integer(-1));
+    }
+
+    #[test]
+    #[should_panic(expected = "row normalisation")]
+    fn normalisation_overflow_panics_instead_of_wrapping() {
+        // lcm(2^70, 3^45) needs about 141 bits.
+        let mut row = LinearRow::new();
+        row.add_term(0, Rational::new(1, 1 << 70));
+        row.add_term(1, Rational::new(1, 3i128.pow(45)));
+        row.normalize_integral();
     }
 
     #[test]

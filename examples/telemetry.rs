@@ -126,6 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The documented taxonomy is all present in one run.
     for required in [
+        "colors.derive",
+        "invariants.derive",
         "compose.certify",
         "compose.boundary",
         "job.execute",

@@ -95,6 +95,23 @@ fn one_check_reconstructs_the_documented_timeline() {
     assert!(enters
         .iter()
         .any(|l| l.contains("\"name\":\"query.check\"")));
+    // Engine construction derives colors, then invariants, then builds
+    // the template, one span each.
+    let opened = |name: &str| {
+        enters
+            .iter()
+            .position(|l| l.contains(&format!("\"name\":\"{name}\"")))
+            .unwrap_or_else(|| panic!("{name} span missing"))
+    };
+    let (colors, invariants) = (opened("colors.derive"), opened("invariants.derive"));
+    assert!(colors < invariants && invariants < opened("template.build"));
+    for at in [colors, invariants] {
+        assert!(
+            enters[at].contains("\"fields\":{\"primitives\":"),
+            "{}",
+            enters[at]
+        );
+    }
     // Every enter has a matching exit (the trace is a complete timeline).
     let exits = lines
         .iter()
