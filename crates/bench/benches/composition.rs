@@ -4,12 +4,13 @@
 //! The flat SMT encoding of an 8×8 directory mesh is effectively
 //! unreachable — the composed flow is the only way to an answer.  This
 //! harness composes the 8×8 (one tile per node, 64 tiles), certifies it
-//! through the warm-engine pool and *asserts* the headline numbers of the
-//! composition layer:
+//! with one engine per structural tile class and *asserts* the headline
+//! numbers of the composition layer:
 //!
-//! - at most 4 distinct tile fingerprints (corner / edge / interior /
-//!   directory-hosting structural classes) cover all 64 tiles,
-//! - more than 80% of the tile certifications are warm hits,
+//! - at most 4 structural classes (corner / edge / interior /
+//!   directory-hosting) cover all 64 tiles, one engine each,
+//! - more than 80% of the tile certifications are warm (answered by a
+//!   class engine the tile did not build),
 //! - the flat encoding, given a 5× time budget of the composed
 //!   end-to-end check, either fails to complete or is ≥5× slower.
 
@@ -44,7 +45,7 @@ fn print_comparison() {
     let total = stats.engines_built + stats.warm_hits;
     let warm_rate = stats.warm_hits as f64 / total as f64;
     advocat_telemetry::info!(
-        "composed: {} tiles via {} fingerprints, {}/{} warm ({:.0}%), \
+        "composed: {} tiles via {} classes, {}/{} warm ({:.0}%), \
          {} boundary ports, end-to-end {:.2?}",
         stats.tiles,
         stats.distinct_classes,
@@ -58,8 +59,8 @@ fn print_comparison() {
     assert_eq!(stats.tiles, 64);
     assert!(
         stats.distinct_classes <= 4,
-        "an 8x8 per-node cut must certify via at most 4 distinct tile \
-         fingerprints, got {}",
+        "an 8x8 per-node cut must certify via at most 4 structural \
+         classes, got {}",
         stats.distinct_classes
     );
     assert_eq!(stats.engines_built as usize, stats.distinct_classes);
@@ -101,8 +102,8 @@ fn print_comparison() {
 }
 
 fn bench(c: &mut Criterion) {
-    // Steady-state re-checks: the session keeps its tile engines warm, so
-    // a repeated query re-certifies all 64 tiles warm and re-runs the
+    // Steady-state re-checks: the session keeps its class engines warm,
+    // so a repeated query asks each class once more and re-runs the
     // boundary check.
     let config = fabric_8x8();
     let partition = Arc::new(Partition::per_node(&config.topology));

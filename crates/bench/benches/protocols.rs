@@ -52,7 +52,7 @@ fn print_comparison() {
     );
     for (name, fabric) in fabrics() {
         let comparison =
-            QueryEngine::compare_protocols(&fabric, &ProtocolFamily::ALL, &Query::new(), SIZES)
+            QueryEngine::compare_protocols(&fabric, &ProtocolKind::ALL, &Query::new(), SIZES)
                 .expect("fabric builds for every family");
         for outcome in &comparison.outcomes {
             advocat_telemetry::info!(
@@ -70,7 +70,7 @@ fn print_comparison() {
         }
         assert_eq!(
             comparison.templates_built(),
-            ProtocolFamily::ALL.len() as u64,
+            ProtocolKind::ALL.len() as u64,
             "one template per family, never per probe"
         );
     }
@@ -81,9 +81,9 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocols");
     group.sample_size(10);
     let fabric = FabricConfig::new(Topology::mesh(2, 2).expect("mesh"), 1).with_directory(3);
-    for family in ProtocolFamily::ALL {
+    for family in ProtocolKind::ALL {
         let name = format!("sizing_study_{}", family.name());
-        let config = fabric.clone().with_protocol(family.kind());
+        let config = fabric.clone().with_protocol(family);
         group.bench_function(&name, |b| {
             b.iter(|| {
                 let mut engine = QueryEngine::for_fabric(&config, SIZES).expect("fabric builds");

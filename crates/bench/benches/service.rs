@@ -60,7 +60,6 @@ fn cold_check(job: &VerifyJob) -> Report {
         ScenarioFabric::Fabric(fabric) => {
             build_fabric_for_sweep(fabric, *range.end()).expect("fabric")
         }
-        ScenarioFabric::Tile { .. } => unreachable!("the workload has no tiles"),
     };
     QueryEngine::on(system, range).check(&Query::new().capacity(capacity).target(job.target))
 }

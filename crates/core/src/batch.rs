@@ -18,15 +18,12 @@
 //! witnesses, same per-scenario stats as one session per scenario).
 
 use std::ops::RangeInclusive;
-use std::sync::Arc;
 use std::time::Duration;
 
 use advocat_automata::System;
 use advocat_deadlock::DeadlockTarget;
 use advocat_logic::CheckConfig;
-use advocat_noc::{
-    build_fabric_for_sweep, build_tile_fabric, FabricConfig, FabricError, MeshConfig, Partition,
-};
+use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError, MeshConfig};
 
 use crate::query::SessionStats;
 use crate::report::Report;
@@ -41,19 +38,6 @@ pub enum ScenarioFabric {
     /// Any topology × routing-function fabric (boxed: a full fabric
     /// description is much larger than a mesh one).
     Fabric(Box<FabricConfig>),
-    /// One tile of a partitioned fabric, closed at its boundary with
-    /// environment sources and sinks
-    /// ([`advocat_noc::build_tile_fabric`]).  Tiles of the same structural
-    /// class share a fingerprint, so a composed run certifies each class
-    /// once warm (see [`crate::QueryEngine::compose`]).
-    Tile {
-        /// The whole-fabric configuration the tile is cut from.
-        fabric: Box<FabricConfig>,
-        /// The partition defining the tile.
-        partition: Arc<Partition>,
-        /// The tile's index within the partition.
-        tile: usize,
-    },
 }
 
 impl ScenarioFabric {
@@ -62,7 +46,6 @@ impl ScenarioFabric {
         match self {
             ScenarioFabric::Mesh(config) => config.queue_size,
             ScenarioFabric::Fabric(config) => config.queue_size,
-            ScenarioFabric::Tile { fabric, .. } => fabric.queue_size,
         }
     }
 
@@ -72,14 +55,6 @@ impl ScenarioFabric {
         let fabric = match self {
             ScenarioFabric::Mesh(config) => config.to_fabric()?,
             ScenarioFabric::Fabric(config) => (**config).clone(),
-            ScenarioFabric::Tile {
-                fabric,
-                partition,
-                tile,
-            } => {
-                let sized = (**fabric).clone().with_queue_size(max_capacity);
-                return build_tile_fabric(&sized, partition, *tile);
-            }
         };
         build_fabric_for_sweep(&fabric, max_capacity)
     }

@@ -7,9 +7,11 @@
 //!
 //! 1. every tile is closed at its boundary with free environment sources
 //!    and sinks ([`advocat_noc::build_tile_fabric`]) and certified
-//!    deadlock-free on its own small encoding — through the service pool,
-//!    so the 60 interior tiles of a big mesh all hit the one warm engine
-//!    their shared structural class built;
+//!    deadlock-free on its own small encoding.  Tiles of one structural
+//!    class ([`Partition::tile_class_digest`]) share one engine, built
+//!    from the class's first tile, and each class is asked once per
+//!    query: the 60 interior tiles of a big mesh take the verdict of the
+//!    one interior engine;
 //! 2. each tile's derived invariants are projected onto its cut queues,
 //!    yielding an [`advocat_invariants::InterfaceContract`] of sound
 //!    occupancy bounds;
@@ -45,7 +47,7 @@
 //! ```
 
 use std::ops::RangeInclusive;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use advocat_automata::{System, SystemStats};
@@ -61,10 +63,8 @@ use advocat_noc::{
 };
 use advocat_xmas::ColorMap;
 
-use crate::batch::ScenarioFabric;
 use crate::query::{derive_traced, QueryEngine};
 use crate::report::Report;
-use crate::service::{Service, ServiceConfig, VerifyJob};
 
 /// Options of a composed verification.
 #[derive(Clone, Debug)]
@@ -80,19 +80,16 @@ pub struct ComposeOptions {
     /// flat-identical verdicts; the composed machinery is for fabrics
     /// beyond it.
     pub flat_fallback_max_nodes: usize,
-    /// Worker threads for tile certification (`0` = machine-sized).
-    pub workers: usize,
 }
 
 impl ComposeOptions {
     /// Defaults: default solver limits, flat fallback up to 9 nodes
-    /// (covering the paper's 2×2/3×3 study meshes), machine-sized workers.
+    /// (covering the paper's 2×2/3×3 study meshes).
     pub fn new(capacities: RangeInclusive<usize>) -> Self {
         ComposeOptions {
             capacities,
             check: CheckConfig::default(),
             flat_fallback_max_nodes: 9,
-            workers: 0,
         }
     }
 
@@ -105,12 +102,6 @@ impl ComposeOptions {
     /// Sets the flat-fallback node bound (`0` disables the fallback).
     pub fn with_flat_fallback(mut self, max_nodes: usize) -> Self {
         self.flat_fallback_max_nodes = max_nodes;
-        self
-    }
-
-    /// Sets the tile-certification worker count (`0` = machine-sized).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 }
@@ -126,9 +117,12 @@ pub struct ComposeStats {
     pub distinct_classes: usize,
     /// Cut ports in the boundary graph.
     pub boundary_ports: usize,
-    /// Tile engines built cold by the certification service.
+    /// Class engines built so far (at most one per class, built at the
+    /// first composed check).
     pub engines_built: u64,
-    /// Tile jobs that ran on an already-warm engine.
+    /// Tile certifications answered by a class engine the tile did not
+    /// build: each composed check counts every tile, minus one per engine
+    /// it built.
     pub warm_hits: u64,
     /// Queries answered by the flat fallback instead of composition.
     pub flat_fallbacks: u64,
@@ -144,20 +138,33 @@ struct TileData {
     ports: Vec<ContractPort>,
 }
 
-/// A composed verification session over one partitioned fabric: tiles are
-/// certified through a private warm-engine service, contracts projected,
+/// One structural tile class and its engine.
+struct TileClass {
+    digest: ConfigDigest,
+    /// The class's first tile in tile order, whose closed subsystem the
+    /// engine is built from.
+    tile: usize,
+    /// Built at the first composed check.
+    engine: Option<QueryEngine>,
+}
+
+/// A composed verification session over one partitioned fabric: each
+/// structural tile class certified on its own engine, contracts projected,
 /// and the boundary checked — once per [`Composition::check`] call, with
-/// engines staying warm across calls.  See the documentation of
+/// the class engines staying warm across calls.  See the documentation of
 /// [`QueryEngine::compose`] for the architecture.
 pub struct Composition {
     config: FabricConfig,
     partition: Arc<Partition>,
     options: ComposeOptions,
-    service: Service,
     tiles: Vec<TileData>,
+    /// In order of first appearance, so the first failing class is the
+    /// class of the first failing tile.
+    classes: Vec<TileClass>,
     graph: BoundaryGraph,
-    distinct_classes: usize,
     flat: Option<Box<QueryEngine>>,
+    engines_built: u64,
+    warm_hits: u64,
     flat_fallbacks: u64,
 }
 
@@ -165,7 +172,7 @@ impl std::fmt::Debug for Composition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Composition")
             .field("tiles", &self.tiles.len())
-            .field("distinct_classes", &self.distinct_classes)
+            .field("distinct_classes", &self.classes.len())
             .field("boundary_ports", &self.graph.ports.len())
             .finish()
     }
@@ -188,7 +195,7 @@ impl QueryEngine {
         options: ComposeOptions,
     ) -> Result<Composition, FabricError> {
         let mut tiles = Vec::with_capacity(partition.num_tiles());
-        let mut classes: Vec<ConfigDigest> = Vec::new();
+        let mut classes: Vec<TileClass> = Vec::new();
         for tile in 0..partition.num_tiles() {
             let system = build_tile_fabric(&config, &partition, tile)?;
             let (colors, invariants) = derive_traced(&system, &options.check.solver.telemetry);
@@ -209,32 +216,25 @@ impl QueryEngine {
                 ports,
             });
             let digest = partition.tile_class_digest(&config, tile);
-            if !classes.contains(&digest) {
-                classes.push(digest);
+            if classes.iter().all(|class| class.digest != digest) {
+                classes.push(TileClass {
+                    digest,
+                    tile,
+                    engine: None,
+                });
             }
         }
         let graph = boundary_graph(&config, &partition);
-        let service = Service::new(
-            ServiceConfig::default()
-                .with_workers(options.workers)
-                .with_queue_capacity(tiles.len().max(1))
-                // One engine per structural class, plus headroom so the
-                // LRU never evicts a class mid-sweep.
-                .with_max_engines(classes.len() + 1)
-                // The certification service inherits the caller's
-                // telemetry handle, so tile jobs trace and profile under
-                // the same sink as the boundary check.
-                .with_telemetry(options.check.solver.telemetry.clone()),
-        );
         Ok(Composition {
             config,
             partition,
             options,
-            service,
             tiles,
+            classes,
             graph,
-            distinct_classes: classes.len(),
             flat: None,
+            engines_built: 0,
+            warm_hits: 0,
             flat_fallbacks: 0,
         })
     }
@@ -246,24 +246,40 @@ impl Composition {
     /// Small fabrics (at most
     /// [`ComposeOptions::flat_fallback_max_nodes`] topology nodes) are
     /// answered by a lazily built flat engine — exact, and cheap at that
-    /// scale.  Beyond it the composed path runs: every tile certified at
-    /// the queried capacity (warm engines shared per structural class),
-    /// contracts projected, boundary checked.  A deadlock-free composed
-    /// verdict is sound; a composed candidate is over-approximate and
-    /// carries an attribution naming the tile or interface it touches.
+    /// scale.  Beyond it the composed path runs: every structural class
+    /// certified once at the queried capacity, contracts projected,
+    /// boundary checked.  A deadlock-free composed verdict is sound; a
+    /// composed candidate is over-approximate and carries an attribution
+    /// naming the tile or interface it touches.
+    ///
+    /// The first composed check builds the class engines, on at most
+    /// [`std::thread::available_parallelism`] threads; later checks reuse
+    /// them warm.
     ///
     /// # Panics
     ///
-    /// Panics when the query pins a capacity outside
-    /// [`ComposeOptions::capacities`], mirroring the flat engine.
+    /// Panics when the query selects a capacity (a structural query: the
+    /// fabric's configured queue size) outside
+    /// [`ComposeOptions::capacities`], with the flat engine's message, on
+    /// either path.  A panic while building or asking an engine
+    /// propagates.
     pub fn check(&mut self, query: &Query) -> Report {
+        let capacity = match query.capacity_selection() {
+            CapacitySelection::Uniform(capacity) => capacity,
+            CapacitySelection::Structural => self.config.queue_size,
+        };
+        assert!(
+            self.options.capacities.contains(&capacity),
+            "capacity {capacity} outside the template range {:?}",
+            self.options.capacities
+        );
         let nodes = self.config.topology.num_nodes();
         if self.options.flat_fallback_max_nodes > 0 && nodes <= self.options.flat_fallback_max_nodes
         {
             self.flat_fallbacks += 1;
             return self.flat_engine().check(query);
         }
-        self.check_composed(query)
+        self.check_composed(&query.capacity(capacity), capacity)
     }
 
     /// The lazily built flat-fallback engine.
@@ -280,58 +296,33 @@ impl Composition {
         self.flat.as_mut().expect("just built")
     }
 
-    /// The composed path: certify every tile, then check the boundary.
-    fn check_composed(&mut self, query: &Query) -> Report {
+    /// The composed path for a query pinned to `capacity`: certify every
+    /// class, then check the boundary.
+    fn check_composed(&mut self, query: &Query, capacity: usize) -> Report {
         let start = Instant::now();
         let telemetry = self.options.check.solver.telemetry.clone();
-        let capacity = match query.capacity_selection() {
-            CapacitySelection::Uniform(capacity) => capacity,
-            CapacitySelection::Structural => self.config.queue_size,
-        };
         let certify_span = telemetry.span_with("compose.certify", || {
             vec![
                 ("tiles", self.tiles.len().to_string()),
-                ("classes", self.distinct_classes.to_string()),
+                ("classes", self.classes.len().to_string()),
                 ("capacity", capacity.to_string()),
             ]
         });
-        for (index, tile) in self.tiles.iter().enumerate() {
-            self.service.submit(
-                VerifyJob::over(
-                    tile.name.clone(),
-                    ScenarioFabric::Tile {
-                        fabric: Box::new(self.config.clone()),
-                        partition: Arc::clone(&self.partition),
-                        tile: index,
-                    },
-                )
-                .with_target(query.deadlock_target())
-                .with_config(self.options.check.clone())
-                .at_capacity(capacity)
-                .with_engine_range(self.options.capacities.clone())
-                .with_invariants(query.invariants_enabled()),
-            );
-        }
-
+        let cold = self.classes.iter().filter(|c| c.engine.is_none()).count();
+        let reports = self.certify(query);
+        self.engines_built += cold as u64;
+        self.warm_hits += (self.tiles.len() - cold) as u64;
         let mut stats = AnalysisStats::default();
-        let mut failing: Option<(String, Verdict)> = None;
-        for outcome in self.service.drain() {
-            match outcome.result {
-                Ok(report) => {
-                    accumulate(&mut stats, &report.analysis().stats);
-                    if !report.is_deadlock_free() && failing.is_none() {
-                        failing = Some((outcome.name, report.analysis().verdict.clone()));
-                    }
-                }
-                Err(_) => {
-                    if failing.is_none() {
-                        failing = Some((outcome.name, Verdict::Unknown));
-                    }
-                }
-            }
+        for report in &reports {
+            accumulate(&mut stats, &report.analysis().stats);
         }
         drop(certify_span);
-        if let Some((tile, verdict)) = failing {
+        let failing = self
+            .classes
+            .iter()
+            .zip(&reports)
+            .find(|(_, report)| !report.is_deadlock_free());
+        if let Some((class, report)) = failing {
             // A tile that is not certified free under its liberal
             // environment closure already yields the composed candidate
             // (or resource-limit verdict), attributed to the tile.
@@ -339,11 +330,11 @@ impl Composition {
             return Report::composed(
                 self.aggregate_system_stats(),
                 Analysis {
-                    verdict,
+                    verdict: report.analysis().verdict.clone(),
                     stats,
                     profile: None,
                 },
-                Some(format!("tile {tile}")),
+                Some(format!("tile {}", self.tiles[class.tile].name)),
             );
         }
 
@@ -385,6 +376,47 @@ impl Composition {
         )
     }
 
+    /// Asks every class engine `query` once, building the missing ones
+    /// first, and returns one report per class in class order.  Threads
+    /// (at most [`std::thread::available_parallelism`]) pull classes one
+    /// at a time; a panic on any of them is resumed here.
+    fn certify(&mut self, query: &Query) -> Vec<Report> {
+        let (config, partition, options) = (&self.config, &*self.partition, &self.options);
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(self.classes.len());
+        let pending = Mutex::new(self.classes.iter_mut().enumerate());
+        let mut answered: Vec<(usize, Report)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut answered = Vec::new();
+                        loop {
+                            let next = pending.lock().expect("class queue").next();
+                            let Some((index, class)) = next else {
+                                return answered;
+                            };
+                            let engine = class.engine.get_or_insert_with(|| {
+                                class_engine(config, partition, class.tile, options)
+                            });
+                            answered.push((index, engine.check(query)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+        answered.sort_by_key(|(index, _)| *index);
+        answered.into_iter().map(|(_, report)| report).collect()
+    }
+
     /// The interface contracts of every tile at `capacity`, in tile order.
     pub fn contracts(&self, capacity: usize) -> Vec<InterfaceContract> {
         self.tiles
@@ -406,13 +438,12 @@ impl Composition {
     /// fixed at [`QueryEngine::compose`] time; the engine counters grow
     /// with every composed query).
     pub fn stats(&self) -> ComposeStats {
-        let pool = self.service.pool_stats();
         ComposeStats {
             tiles: self.tiles.len(),
-            distinct_classes: self.distinct_classes,
+            distinct_classes: self.classes.len(),
             boundary_ports: self.graph.ports.len(),
-            engines_built: pool.engines_built,
-            warm_hits: pool.warm_hits,
+            engines_built: self.engines_built,
+            warm_hits: self.warm_hits,
             flat_fallbacks: self.flat_fallbacks,
         }
     }
@@ -484,6 +515,19 @@ impl Composition {
     }
 }
 
+/// Builds a class engine from `tile`'s closed subsystem, with queues sized
+/// for the top of the capacity range and one template over the range.
+fn class_engine(
+    config: &FabricConfig,
+    partition: &Partition,
+    tile: usize,
+    options: &ComposeOptions,
+) -> QueryEngine {
+    let sized = config.clone().with_queue_size(*options.capacities.end());
+    let system = build_tile_fabric(&sized, partition, tile).expect("tiles built at compose time");
+    QueryEngine::with_config(system, options.check.clone(), options.capacities.clone())
+}
+
 fn accumulate(total: &mut AnalysisStats, delta: &AnalysisStats) {
     total.invariants += delta.invariants;
     total.int_vars += delta.int_vars;
@@ -541,6 +585,21 @@ mod tests {
         if !report.is_deadlock_free() {
             assert!(report.attribution().is_some(), "candidates are attributed");
         }
+        // A second check reuses every class engine: all nine tiles warm.
+        composition.check(&Query::new().capacity(3));
+        let again = composition.stats();
+        assert_eq!(again.engines_built, stats.engines_built);
+        assert_eq!(again.warm_hits, stats.warm_hits + 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity 5 outside the template range 2..=3")]
+    fn the_flat_fallback_rejects_an_out_of_range_capacity_alike() {
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+        let partition = Arc::new(Partition::per_node(&config.topology));
+        let mut composition =
+            QueryEngine::compose(config, partition, ComposeOptions::new(2..=3)).unwrap();
+        composition.check(&Query::new().capacity(5));
     }
 
     #[test]

@@ -2,15 +2,13 @@
 //!
 //! The fabric generator hosts several coherence protocols behind one
 //! [`ProtocolKind`] switch; this module gives that axis a first-class
-//! place in the Query API.  A [`ProtocolFamily`] names a protocol the way
-//! a [`Query`](crate::Query) names a question, and
-//! [`QueryEngine::compare_protocols`] runs the *same* sizing sweep for a
-//! set of families on the *same* fabric — one engine (hence one encoding
-//! template and one persistent solver) per family, with the aggregated
-//! [`SessionStats`] certifying that an MI-vs-MESI study built exactly one
-//! template per protocol rather than one per capacity probe.
+//! place in the Query API.  [`QueryEngine::compare_protocols`] runs the
+//! *same* sizing sweep for a set of protocol families on the *same*
+//! fabric — one engine (hence one encoding template and one persistent
+//! solver) per family, with the aggregated [`SessionStats`] certifying
+//! that an MI-vs-MESI study built exactly one template per protocol
+//! rather than one per capacity probe.
 
-use std::fmt;
 use std::ops::RangeInclusive;
 
 use advocat_deadlock::Query;
@@ -19,88 +17,12 @@ use advocat_noc::{FabricConfig, FabricError, ProtocolKind};
 use crate::query::{QueryEngine, SessionStats};
 use crate::sizing::SizingResult;
 
-/// A coherence protocol family the fabric generator can host.
-///
-/// This mirrors [`ProtocolKind`] (the `advocat-noc` configuration enum)
-/// one-to-one, adding the protocol metadata the comparison drivers and
-/// reports need — a stable display name and the size of each family's
-/// message vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ProtocolFamily {
-    /// The artificial MI protocol of Fig. 2 of the paper.
-    AbstractMi,
-    /// The GEM5-inspired MI protocol with forwarding, nacks and DMA.
-    FullMi,
-    /// The MESI family: shared states, a counting directory and broadcast
-    /// invalidation sweeps.
-    Mesi,
-}
-
-impl ProtocolFamily {
-    /// Every protocol family, in presentation order.
-    pub const ALL: [ProtocolFamily; 3] = [
-        ProtocolFamily::AbstractMi,
-        ProtocolFamily::FullMi,
-        ProtocolFamily::Mesi,
-    ];
-
-    /// The `advocat-noc` configuration value selecting this family.
-    pub fn kind(self) -> ProtocolKind {
-        match self {
-            ProtocolFamily::AbstractMi => ProtocolKind::AbstractMi,
-            ProtocolFamily::FullMi => ProtocolKind::FullMi,
-            ProtocolFamily::Mesi => ProtocolKind::Mesi,
-        }
-    }
-
-    /// A stable, human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtocolFamily::AbstractMi => "abstract-mi",
-            ProtocolFamily::FullMi => "full-mi",
-            ProtocolFamily::Mesi => "mesi",
-        }
-    }
-
-    /// Number of message kinds the family's agents exchange over the
-    /// fabric.
-    pub fn message_kind_count(self) -> usize {
-        match self {
-            ProtocolFamily::AbstractMi => advocat_protocols::AbstractMi::message_kinds().len(),
-            ProtocolFamily::FullMi => advocat_protocols::FullMi::message_kinds().len(),
-            ProtocolFamily::Mesi => advocat_protocols::Mesi::message_kinds().len(),
-        }
-    }
-}
-
-impl fmt::Display for ProtocolFamily {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl From<ProtocolKind> for ProtocolFamily {
-    fn from(kind: ProtocolKind) -> Self {
-        match kind {
-            ProtocolKind::AbstractMi => ProtocolFamily::AbstractMi,
-            ProtocolKind::FullMi => ProtocolFamily::FullMi,
-            ProtocolKind::Mesi => ProtocolFamily::Mesi,
-        }
-    }
-}
-
-impl From<ProtocolFamily> for ProtocolKind {
-    fn from(family: ProtocolFamily) -> Self {
-        family.kind()
-    }
-}
-
 /// One protocol family's result within a [`ProtocolComparison`]: the full
 /// sizing search and the engine's cumulative statistics.
 #[derive(Clone, Debug)]
 pub struct FamilyOutcome {
     /// The protocol family this outcome describes.
-    pub family: ProtocolFamily,
+    pub family: ProtocolKind,
     /// The sizing search over the comparison's capacity range.
     pub sizing: SizingResult,
     /// The statistics of the one engine that answered every probe.
@@ -136,13 +58,13 @@ impl ProtocolComparison {
     }
 
     /// The outcome of one family, if it was part of the study.
-    pub fn outcome(&self, family: ProtocolFamily) -> Option<&FamilyOutcome> {
+    pub fn outcome(&self, family: ProtocolKind) -> Option<&FamilyOutcome> {
         self.outcomes.iter().find(|o| o.family == family)
     }
 
     /// The minimal deadlock-free capacity of one family, if it was part
     /// of the study and any capacity in range was proven free.
-    pub fn minimal(&self, family: ProtocolFamily) -> Option<usize> {
+    pub fn minimal(&self, family: ProtocolKind) -> Option<usize> {
         self.outcome(family)?.minimal_free_capacity()
     }
 }
@@ -177,24 +99,24 @@ impl QueryEngine {
     /// let fabric = FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3);
     /// let comparison = QueryEngine::compare_protocols(
     ///     &fabric,
-    ///     &[ProtocolFamily::AbstractMi, ProtocolFamily::Mesi],
+    ///     &[ProtocolKind::AbstractMi, ProtocolKind::Mesi],
     ///     &Query::new(),
     ///     1..=4,
     /// )?;
     /// assert_eq!(comparison.templates_built(), 2);
-    /// assert_eq!(comparison.minimal(ProtocolFamily::AbstractMi), Some(3));
-    /// assert_eq!(comparison.minimal(ProtocolFamily::Mesi), Some(3));
+    /// assert_eq!(comparison.minimal(ProtocolKind::AbstractMi), Some(3));
+    /// assert_eq!(comparison.minimal(ProtocolKind::Mesi), Some(3));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn compare_protocols(
         fabric: &FabricConfig,
-        families: &[ProtocolFamily],
+        families: &[ProtocolKind],
         base: &Query,
         capacities: RangeInclusive<usize>,
     ) -> Result<ProtocolComparison, FabricError> {
         let mut outcomes = Vec::with_capacity(families.len());
         for &family in families {
-            let config = fabric.clone().with_protocol(family.kind());
+            let config = fabric.clone().with_protocol(family);
             let mut engine = QueryEngine::for_fabric(&config, capacities.clone())?;
             let sizing = engine.minimal_capacity(base);
             outcomes.push(FamilyOutcome {
@@ -213,23 +135,11 @@ mod tests {
     use advocat_noc::Topology;
 
     #[test]
-    fn families_and_kinds_round_trip() {
-        for family in ProtocolFamily::ALL {
-            assert_eq!(ProtocolFamily::from(family.kind()), family);
-            assert_eq!(ProtocolKind::from(family), family.kind());
-        }
-        assert_eq!(ProtocolFamily::AbstractMi.message_kind_count(), 4);
-        assert_eq!(ProtocolFamily::FullMi.message_kind_count(), 8);
-        assert_eq!(ProtocolFamily::Mesi.message_kind_count(), 10);
-        assert_eq!(ProtocolFamily::Mesi.to_string(), "mesi");
-    }
-
-    #[test]
     fn comparison_accessors_answer_per_family() {
         let fabric = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
         let comparison = QueryEngine::compare_protocols(
             &fabric,
-            &[ProtocolFamily::AbstractMi],
+            &[ProtocolKind::AbstractMi],
             &Query::new(),
             2..=4,
         )
@@ -237,8 +147,8 @@ mod tests {
         assert_eq!(comparison.outcomes.len(), 1);
         assert_eq!(comparison.templates_built(), 1);
         assert!(comparison.total_queries() >= 2);
-        assert_eq!(comparison.minimal(ProtocolFamily::AbstractMi), Some(3));
-        assert_eq!(comparison.minimal(ProtocolFamily::Mesi), None);
-        assert!(comparison.outcome(ProtocolFamily::Mesi).is_none());
+        assert_eq!(comparison.minimal(ProtocolKind::AbstractMi), Some(3));
+        assert_eq!(comparison.minimal(ProtocolKind::Mesi), None);
+        assert!(comparison.outcome(ProtocolKind::Mesi).is_none());
     }
 }

@@ -63,7 +63,7 @@ mod sizing;
 
 pub use batch::{run_batch, BatchOutcome, BatchScenario, ScenarioFabric};
 pub use compose::{ComposeOptions, ComposeStats, Composition};
-pub use family::{FamilyOutcome, ProtocolComparison, ProtocolFamily};
+pub use family::{FamilyOutcome, ProtocolComparison};
 pub use query::{QueryEngine, SessionStats};
 pub use report::Report;
 pub use service::{

@@ -11,8 +11,8 @@
 
 pub use crate::{
     run_batch, BatchOutcome, BatchScenario, ComposeOptions, ComposeStats, Composition,
-    FamilyOutcome, ProtocolComparison, ProtocolFamily, QueryEngine, Report, ScenarioFabric,
-    SessionStats, SizingResult,
+    FamilyOutcome, ProtocolComparison, QueryEngine, Report, ScenarioFabric, SessionStats,
+    SizingResult,
 };
 
 pub use crate::service::{

@@ -101,15 +101,6 @@ impl Fingerprint {
 fn fabric_digest(fabric: &ScenarioFabric) -> Result<ConfigDigest, Vec<u64>> {
     match fabric {
         ScenarioFabric::Fabric(config) => Ok(config.structure_digest()),
-        // Tiles key by their structural *class*: two tiles whose cut-out
-        // subfabrics are isomorphic (same internal structure, same typed
-        // boundary) share an engine, which is what lets a big mesh certify
-        // through a handful of warm engines.
-        ScenarioFabric::Tile {
-            fabric,
-            partition,
-            tile,
-        } => Ok(partition.tile_class_digest(fabric, *tile)),
         ScenarioFabric::Mesh(config) => match config.to_fabric() {
             Ok(translated) => Ok(translated.structure_digest()),
             Err(_) => Err(vec![
@@ -178,29 +169,6 @@ mod tests {
         }
         let outcomes = service.drain();
         assert!(outcomes.iter().all(|o| o.fingerprint == base));
-    }
-
-    #[test]
-    fn same_class_tiles_share_a_fingerprint() {
-        use advocat_noc::Partition;
-        use std::sync::Arc;
-
-        let config = FabricConfig::new(Topology::mesh(3, 3).unwrap(), 2).with_directory(4);
-        let partition = Arc::new(Partition::per_node(&config.topology));
-        let tile_job = |tile: usize| ScenarioFabric::Tile {
-            fabric: Box::new(config.clone()),
-            partition: Arc::clone(&partition),
-            tile,
-        };
-        let (range, check) = (1..=3, CheckConfig::default());
-        // All four corner tiles are one structural class; the directory
-        // node in the centre is its own.
-        let corner = Fingerprint::of_job(&tile_job(0), &range, &check);
-        assert_eq!(corner, Fingerprint::of_job(&tile_job(2), &range, &check));
-        assert_eq!(corner, Fingerprint::of_job(&tile_job(6), &range, &check));
-        assert_eq!(corner, Fingerprint::of_job(&tile_job(8), &range, &check));
-        let centre = Fingerprint::of_job(&tile_job(4), &range, &check);
-        assert_ne!(corner, centre);
     }
 
     #[test]

@@ -242,10 +242,7 @@ impl JobRequest {
             }
         }
         out.push_str(&format!(",\"queue_size\":{}", self.queue_size));
-        out.push_str(&format!(
-            ",\"protocol\":\"{}\"",
-            protocol_name(self.protocol)
-        ));
+        out.push_str(&format!(",\"protocol\":\"{}\"", self.protocol.name()));
         if let Some(node) = self.directory {
             out.push_str(&format!(",\"directory\":{node}"));
         }
@@ -370,14 +367,6 @@ pub fn outcome_to_json(outcome: &JobOutcome) -> String {
     out
 }
 
-fn protocol_name(protocol: ProtocolKind) -> &'static str {
-    match protocol {
-        ProtocolKind::AbstractMi => "abstract-mi",
-        ProtocolKind::FullMi => "full-mi",
-        ProtocolKind::Mesi => "mesi",
-    }
-}
-
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
@@ -428,13 +417,11 @@ fn request_from_value(value: &Json) -> Result<JobRequest, JsonError> {
     };
     let protocol = match get(fields, "protocol") {
         None => ProtocolKind::AbstractMi,
-        Some(Json::String(s)) => match s.as_str() {
-            "abstract-mi" => ProtocolKind::AbstractMi,
-            "full-mi" => ProtocolKind::FullMi,
-            "mesi" => ProtocolKind::Mesi,
-            other => {
+        Some(Json::String(s)) => match ProtocolKind::ALL.into_iter().find(|p| p.name() == s) {
+            Some(protocol) => protocol,
+            None => {
                 return Err(JsonError::semantic(format!(
-                    "unknown protocol `{other}` (expected abstract-mi, full-mi or mesi)"
+                    "unknown protocol `{s}` (expected abstract-mi, full-mi or mesi)"
                 )))
             }
         },

@@ -50,7 +50,6 @@ mod fabric;
 mod mesh;
 mod partition;
 mod routefn;
-mod routing;
 mod topology;
 
 pub use build::{build_mesh, build_mesh_for_sweep};
@@ -66,5 +65,4 @@ pub use routefn::{
     default_routing, DimensionOrdered, FatTreeRouting, RouteStep, RoutingFunction, TableRouting,
     UpDownRouting,
 };
-pub use routing::{neighbor, xy_route, Direction};
 pub use topology::{EdgeId, NodeId, TopoEdge, TopoNode, Topology, TopologyError, TopologyKind};

@@ -3,16 +3,17 @@
 //! A 4×4 mesh is already past the comfortable size for one flat SMT
 //! encoding, and an 8×8 is effectively unreachable.  The composed flow
 //! never builds the flat instance: it cuts the fabric along a
-//! `Partition`, certifies every closed tile through the warm-engine
-//! service (tiles of one structural class share a single engine), projects
-//! each tile's invariants onto its cut queues as an `InterfaceContract`,
-//! and asks the global deadlock question over those contract variables
-//! only.  This example:
+//! `Partition`, certifies each structural tile class once on an engine of
+//! its own (every tile of the class takes that verdict), projects each
+//! tile's invariants onto its cut queues as an `InterfaceContract`, and
+//! asks the global deadlock question over those contract variables only.
+//! This example:
 //!
 //! 1. composes a 4×4 mesh cut into per-node tiles and checks it,
 //!    printing the verdict with its tile/interface attribution,
 //! 2. shows the class sharing in the numbers: 16 tiles certify through
-//!    a handful of cold engines, everything else warm,
+//!    one engine per class; every other tile of a class is a warm
+//!    certification,
 //! 3. prints the projected contract of one tile, the artefact a
 //!    neighbouring tile (or a colleague's separate run) can import.
 //!

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fabric = FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3);
     let comparison = QueryEngine::compare_protocols(
         &fabric,
-        &[ProtocolFamily::AbstractMi, ProtocolFamily::Mesi],
+        &[ProtocolKind::AbstractMi, ProtocolKind::Mesi],
         &Query::new(),
         1..=4,
     )?;

@@ -2,17 +2,17 @@
 //! reconstruct its timeline from the JSON-lines records.
 //!
 //! One `Telemetry` handle flows through the whole stack — attached to the
-//! `SolverConfig`, it reaches the composition driver, the tile
-//! certification service it runs, every pooled `QueryEngine` and the
-//! CDCL core below them.  This example:
+//! `SolverConfig`, it reaches the composition driver, the engine of every
+//! tile class and the CDCL core below them.  This example:
 //!
 //! 1. checks a small mesh flat with telemetry on and prints the report
 //!    summary with its phase-attributed solver profile,
 //! 2. runs the 8×8 composed check under an in-memory ring trace and
 //!    rebuilds the span timeline from the raw JSON lines — certification
-//!    and boundary phases, per-span-name counts and totals, engine
-//!    checkout slots,
-//! 3. prints the metrics registry in both exposition formats.
+//!    and boundary phases, per-span-name counts and totals,
+//! 3. fills the metrics registry behind the same handle from a small
+//!    verification-service batch (composition registers no metrics) and
+//!    prints it in both exposition formats.
 //!
 //! Run with: `cargo run --release --example telemetry`
 
@@ -85,7 +85,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut open: HashMap<u64, String> = HashMap::new();
     let mut totals: HashMap<String, (usize, u64)> = HashMap::new();
     let mut events: HashMap<String, usize> = HashMap::new();
-    let mut checkouts: HashMap<String, usize> = HashMap::new();
     for line in &lines {
         let name = name_field(line).expect("every record is named");
         if line.starts_with("{\"type\":\"enter\"") {
@@ -98,10 +97,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             slot.1 += num_field(line, "dur_us").unwrap();
         } else {
             *events.entry(name).or_default() += 1;
-            if let Some(slot) = line.split("\"slot\":\"").nth(1) {
-                let slot = slot.split('"').next().unwrap().to_owned();
-                *checkouts.entry(slot).or_default() += 1;
-            }
         }
     }
     assert!(open.is_empty(), "every span closed: {open:?}");
@@ -122,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, count) in &event_names {
         println!("  {name:<18} {count:>5}");
     }
-    println!("engine checkouts by slot: {checkouts:?}\n");
+    println!();
 
     // The documented taxonomy is all present in one run.
     for required in [
@@ -130,20 +125,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "invariants.derive",
         "compose.certify",
         "compose.boundary",
-        "job.execute",
         "template.build",
         "query.check",
     ] {
         assert!(totals.contains_key(required), "{required} span missing");
     }
-    assert_eq!(
-        checkouts.values().sum::<usize>() as u64,
-        stats.engines_built + stats.warm_hits,
-        "one checkout event per certified tile"
-    );
+    // Each tile class is built once and asked once: no per-tile work.
+    assert_eq!(totals["template.build"].0 as u64, stats.engines_built);
+    assert_eq!(totals["query.check"].0, stats.distinct_classes);
 
-    // 3. The metrics registry behind the same handle, both expositions.
+    // 3. The metrics registry behind the same handle.  Composition
+    //    registers none; the verification service does, so run two jobs
+    //    through one (the second reuses the first's warm engine).
     let metrics = telemetry.metrics().expect("enabled handle");
+    assert!(!metrics.render_prometheus().contains("service_"));
+    let service = Service::new(
+        ServiceConfig::default()
+            .with_workers(1)
+            .with_telemetry(telemetry.clone()),
+    );
+    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    for capacity in [2, 3] {
+        service.submit(
+            VerifyJob::mesh(format!("qs {capacity}"), mesh)
+                .at_capacity(capacity)
+                .with_engine_range(2..=3),
+        );
+    }
+    service.drain();
     println!(
         "-- Prometheus exposition --\n{}",
         metrics.render_prometheus()

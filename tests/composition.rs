@@ -169,6 +169,39 @@ fn a_failing_tile_is_named_in_the_attribution() {
     assert!(report.summary().contains(attribution));
 }
 
+/// A capacity outside the composed range panics on the composed path
+/// exactly as on the flat one, instead of widening the tile engines.
+#[test]
+#[should_panic(expected = "capacity 5 outside the template range 2..=3")]
+fn a_capacity_outside_the_range_panics_on_the_composed_path() {
+    let config = FabricConfig::new(Topology::mesh(3, 3).unwrap(), 2).with_directory(4);
+    let partition = Arc::new(Partition::per_node(&config.topology));
+    let options = ComposeOptions::new(2..=3).with_flat_fallback(0);
+    let mut composed = QueryEngine::compose(config, partition, options).unwrap();
+    composed.check(&Query::new().capacity(5));
+}
+
+/// A tile whose check runs out of refinements is not certified: the
+/// composed verdict is `Unknown`, attributed to the first such tile, and
+/// the summary says so.
+#[test]
+fn a_resource_limit_on_a_tile_reaches_the_composed_report() {
+    let config = FabricConfig::new(Topology::mesh(3, 3).unwrap(), 2).with_directory(4);
+    let partition = Arc::new(Partition::per_node(&config.topology));
+    let check = CheckConfig {
+        max_refinements: 0,
+        ..CheckConfig::default()
+    };
+    let options = ComposeOptions::new(2..=2)
+        .with_check(check)
+        .with_flat_fallback(0);
+    let mut composed = QueryEngine::compose(config, partition, options).unwrap();
+    let report = composed.check(&Query::new().capacity(2));
+    assert!(matches!(report.verdict(), Verdict::Unknown), "{report:?}");
+    assert_eq!(report.attribution(), Some("tile (0,0)"));
+    assert!(report.summary().contains("unknown (resource limit)"));
+}
+
 /// The contracts a composition projects are per tile and non-trivial:
 /// every tile exports flow summaries, and boundary occupancy rows speak
 /// only about that tile's cut queues.

@@ -72,15 +72,15 @@ fn one_study_compares_mi_and_mesi_minimal_capacities() {
     let fabric = FabricConfig::new(Topology::mesh(2, 2).expect("mesh"), 1).with_directory(3);
     let comparison = QueryEngine::compare_protocols(
         &fabric,
-        &[ProtocolFamily::AbstractMi, ProtocolFamily::Mesi],
+        &[ProtocolKind::AbstractMi, ProtocolKind::Mesi],
         &Query::new(),
         1..=4,
     )
     .expect("both fabrics build");
 
     assert!(comparison.templates_built() <= 2);
-    assert_eq!(comparison.minimal(ProtocolFamily::AbstractMi), Some(3));
-    assert_eq!(comparison.minimal(ProtocolFamily::Mesi), Some(3));
+    assert_eq!(comparison.minimal(ProtocolKind::AbstractMi), Some(3));
+    assert_eq!(comparison.minimal(ProtocolKind::Mesi), Some(3));
     // Every family answered several probes from its one session.
     for outcome in &comparison.outcomes {
         assert_eq!(outcome.stats.templates_built, 1, "{}", outcome.family);

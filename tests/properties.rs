@@ -112,31 +112,6 @@ fn color_interning_roundtrips() {
     }
 }
 
-/// XY routing always delivers within the mesh diameter, for arbitrary mesh
-/// shapes and endpoints.
-#[test]
-fn xy_routing_delivers() {
-    let mut gen = XorShift64::new(13);
-    for _ in 0..200 {
-        let (w, h) = (gen.int(2, 5) as u32, gen.int(2, 5) as u32);
-        let config = MeshConfig::new(w, h, 2);
-        let from = gen.int(0, 99) as u32 % (w * h);
-        let to = gen.int(0, 99) as u32 % (w * h);
-        let mut at = from;
-        let mut hops = 0u32;
-        loop {
-            let dir = advocat::noc::xy_route(&config, at, to);
-            if dir == advocat::noc::Direction::Local {
-                break;
-            }
-            at = advocat::noc::neighbor(&config, at, dir).expect("XY stays in the mesh");
-            hops += 1;
-            assert!(hops <= w + h);
-        }
-        assert_eq!(at, to);
-    }
-}
-
 /// On random topology sizes, every routing function delivers each
 /// source→destination terminal pair: the connectivity half of the
 /// pre-encoding routing audit, exercised across all generator families.

@@ -151,6 +151,46 @@ fn reports_carry_a_solver_profile_when_telemetry_is_on() {
     assert!(report.summary().contains("solver profile: propagate"));
 }
 
+/// A composed check asks each structural tile class once, on an engine of
+/// its own: the first check builds one engine per class, the second
+/// reuses them, and neither runs a service job.
+#[test]
+fn a_composed_check_asks_each_tile_class_once() {
+    let (telemetry, trace) = Telemetry::ring(1 << 20);
+    let check = CheckConfig {
+        solver: SolverConfig {
+            telemetry: telemetry.clone(),
+            ..SolverConfig::default()
+        },
+        ..CheckConfig::default()
+    };
+    // Corner, edge and the directory-hosting centre: 3 classes, 9 tiles.
+    let config = FabricConfig::new(Topology::mesh(3, 3).unwrap(), 2).with_directory(4);
+    let partition = std::sync::Arc::new(Partition::per_node(&config.topology));
+    let options = ComposeOptions::new(2..=2)
+        .with_check(check)
+        .with_flat_fallback(0);
+    let mut composition = QueryEngine::compose(config, partition, options).unwrap();
+    assert_eq!(composition.stats().distinct_classes, 3);
+    trace.drain();
+    for (round, builds) in [(1, 3), (2, 0)] {
+        composition.check(&Query::new().capacity(2));
+        telemetry.flush();
+        let lines = trace.drain();
+        let opened = |name: &str| {
+            let needle = format!("\"name\":\"{name}\"");
+            lines
+                .iter()
+                .filter(|l| l.starts_with("{\"type\":\"enter\"") && l.contains(&needle))
+                .count()
+        };
+        assert_eq!(opened("template.build"), builds, "check {round}");
+        assert_eq!(opened("query.check"), 3, "check {round}");
+        assert_eq!(opened("job.execute"), 0, "check {round}");
+    }
+    assert_eq!(trace.dropped(), 0, "the ring held both checks");
+}
+
 /// The service registers the documented metric names, and both exposition
 /// formats render them.  The names are pinned: dashboards scrape them.
 #[test]
