@@ -11,6 +11,8 @@
 //!   directory-hosting) cover all 64 tiles, one engine each,
 //! - more than 80% of the tile certifications are warm (answered by a
 //!   class engine the tile did not build),
+//! - the composed check's peak resident memory stays under 256 MiB (each
+//!   class encoding stays linear in its colors),
 //! - the flat encoding, given a 5× time budget of the composed
 //!   end-to-end check, either fails to complete or is ≥5× slower.
 
@@ -36,6 +38,15 @@ fn composed_check() -> (Duration, ComposeStats, Report) {
     let mut composition = QueryEngine::compose(config, partition, options).expect("tiles build");
     let report = composition.check(&Query::new().capacity(2));
     (start.elapsed(), composition.stats(), report)
+}
+
+/// Peak resident set size of this process in MiB (`VmHWM`), or `None`
+/// where `/proc/self/status` is unavailable.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024)
 }
 
 fn print_comparison() {
@@ -69,6 +80,17 @@ fn print_comparison() {
         "warm tile-certification rate must exceed 80%, got {:.0}%",
         warm_rate * 100.0
     );
+    // Read before the flat encoding below starts to allocate.
+    match peak_rss_mib() {
+        Some(peak) => {
+            advocat_telemetry::info!("composed: peak RSS {peak} MiB");
+            assert!(
+                peak < 256,
+                "the composed check must stay under 256 MiB, peaked at {peak} MiB"
+            );
+        }
+        None => advocat_telemetry::info!("composed: no /proc/self/status, peak RSS not checked"),
+    }
 
     // The flat encoding gets a 5x budget of the composed end-to-end time
     // (with a small floor so scheduler noise cannot flake the run).

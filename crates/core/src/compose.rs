@@ -56,7 +56,7 @@ use advocat_deadlock::{
     CompositionModel, Counterexample, DeadlockTarget, InterfacePort, Query, Verdict,
 };
 use advocat_invariants::{project_interface, ContractPort, InterfaceContract, InvariantSet};
-use advocat_logic::CheckConfig;
+use advocat_logic::{CheckConfig, SolverProfile};
 use advocat_noc::{
     boundary_graph, build_tile_fabric, BoundaryGraph, ConfigDigest, FabricConfig, FabricError,
     Partition, PortDirection,
@@ -313,9 +313,14 @@ impl Composition {
         self.engines_built += cold as u64;
         self.warm_hits += (self.tiles.len() - cold) as u64;
         let mut stats = AnalysisStats::default();
+        let mut profile = SolverProfile::default();
         for report in &reports {
             accumulate(&mut stats, &report.analysis().stats);
+            if let Some(class_profile) = report.solver_profile() {
+                profile.merge(class_profile);
+            }
         }
+        let profile = (!profile.is_empty()).then_some(profile);
         drop(certify_span);
         let failing = self
             .classes
@@ -332,7 +337,7 @@ impl Composition {
                 Analysis {
                     verdict: report.analysis().verdict.clone(),
                     stats,
-                    profile: None,
+                    profile,
                 },
                 Some(format!("tile {}", self.tiles[class.tile].name)),
             );
@@ -370,7 +375,7 @@ impl Composition {
             Analysis {
                 verdict,
                 stats,
-                profile: None,
+                profile,
             },
             attribution,
         )
@@ -533,6 +538,7 @@ fn accumulate(total: &mut AnalysisStats, delta: &AnalysisStats) {
     total.int_vars += delta.int_vars;
     total.bool_vars += delta.bool_vars;
     total.linear_atoms += delta.linear_atoms;
+    total.sat_variables += delta.sat_variables;
     total.refinements += delta.refinements;
     total.sat_conflicts += delta.sat_conflicts;
     total.sat_propagations += delta.sat_propagations;

@@ -112,7 +112,7 @@ impl Report {
         };
         let mut summary = format!(
             "{} primitives, {} automata, {} queues; {} invariants; verdict: {}{} in {:.2?} \
-             ({} refinements; learnt DB {} live / {} total, {} reductions)",
+             ({} SAT variables, {} refinements; learnt DB {} live / {} total, {} reductions)",
             self.system_stats.primitives,
             self.system_stats.automata,
             self.system_stats.queues,
@@ -120,6 +120,7 @@ impl Report {
             verdict,
             at,
             self.analysis.stats.elapsed,
+            self.analysis.stats.sat_variables,
             self.analysis.stats.refinements,
             self.analysis.stats.sat_live_learnts,
             self.analysis.stats.sat_total_learnt,

@@ -35,7 +35,8 @@ pub(crate) struct EncodingVars {
     pub occupancy: HashMap<(PrimitiveId, ColorId), IntVar>,
     /// Automaton state indicator per `(node, state)`.
     pub state: HashMap<(PrimitiveId, StateId), IntVar>,
-    /// Permanent-block indicator per `(channel, color)`.
+    /// Permanent-block indicator per `(channel, color)`; the colors of a
+    /// queue's input channel all map to the queue's `blocked(q)`.
     pub block: HashMap<(ChannelId, ColorId), BoolVar>,
     /// Permanent-idle indicator per `(channel, color)`.
     pub idle: HashMap<(ChannelId, ColorId), BoolVar>,
@@ -168,6 +169,12 @@ impl<'a> EncodingBuilder<'a> {
         }
     }
 
+    /// Whether the channel's target is a queue.
+    fn feeds_queue(&self, channel: ChannelId) -> bool {
+        let target = self.network().channel(channel).target.primitive;
+        matches!(self.network().primitive(target), Primitive::Queue { .. })
+    }
+
     fn queue_size(&self, queue: PrimitiveId) -> usize {
         match self.network().primitive(queue) {
             Primitive::Queue { size, .. } => *size,
@@ -221,19 +228,24 @@ impl<'a> EncodingBuilder<'a> {
         }
     }
 
+    /// Declares one block and one idle indicator per `(channel, color)`.
+    /// The colors of a queue's input channel share one block indicator,
+    /// `blocked(q)`: whether the queue blocks an arriving packet does not
+    /// depend on the packet's color (see [`Self::block_definition`]).
     fn declare_block_idle_vars(&mut self) {
         let network = self.network();
         for channel in network.channels().iter().map(|c| c.id).collect::<Vec<_>>() {
-            for color in self
-                .colors
-                .colors(channel)
-                .iter()
-                .copied()
-                .collect::<Vec<_>>()
-            {
-                let cname = network.channel_name(channel);
+            let colors: Vec<ColorId> = self.colors.colors(channel).iter().copied().collect();
+            let cname = network.channel_name(channel);
+            let queue_blocked = (self.feeds_queue(channel) && !colors.is_empty()).then(|| {
+                let queue = network.channel(channel).target.primitive;
+                self.smt
+                    .new_bool_var(format!("blocked({})", network.name(queue)))
+            });
+            for color in colors {
                 let packet = network.colors().packet(color).clone();
-                let block = self.smt.new_bool_var(format!("block({cname}, {packet})"));
+                let block = queue_blocked
+                    .unwrap_or_else(|| self.smt.new_bool_var(format!("block({cname}, {packet})")));
                 let idle = self.smt.new_bool_var(format!("idle({cname}, {packet})"));
                 self.vars.block.insert((channel, color), block);
                 self.vars.idle.insert((channel, color), idle);
@@ -372,17 +384,22 @@ impl<'a> EncodingBuilder<'a> {
         }
     }
 
-    /// Adds the defining bi-implications of every block/idle variable.
+    /// Adds the defining bi-implications of every block/idle variable.  A
+    /// queue's input shares one block indicator over its colors, so its
+    /// definition is asserted once per channel, not once per color.
     fn assert_block_idle_definitions(&mut self) {
         let channels: Vec<ChannelId> = self.network().channels().iter().map(|c| c.id).collect();
         for channel in channels {
             let colors: Vec<ColorId> = self.colors.colors(channel).iter().copied().collect();
-            for color in colors {
-                let block_def = self.block_definition(channel, color);
+            let feeds_queue = self.feeds_queue(channel);
+            for (i, &color) in colors.iter().enumerate() {
+                if i == 0 || !feeds_queue {
+                    let block_def = self.block_definition(channel, color);
+                    let block_var = self.block_of(channel, color);
+                    self.smt.assert(Formula::iff(block_var, block_def));
+                }
                 let idle_def = self.idle_definition(channel, color);
-                let block_var = self.block_of(channel, color);
                 let idle_var = self.idle_of(channel, color);
-                self.smt.assert(Formula::iff(block_var, block_def));
                 self.smt.assert(Formula::iff(idle_var, idle_def));
             }
         }
@@ -396,7 +413,11 @@ impl<'a> EncodingBuilder<'a> {
         let node = target.primitive;
         match network.primitive(node) {
             Primitive::Queue { .. } => {
-                // Full queue with some permanently blocked occupant.
+                // Full queue with some permanently blocked occupant:
+                // `blocked(q) ⟺ full(q) ∧ ⋁_{d ∈ T(out)} (#q.d ≥ 1 ∧
+                // block(out, d))`, the same for every arriving color.  It
+                // is linear in |T(out)|; stated once per input color, as
+                // the equations are written, it would be |T(in)| · |T(out)|.
                 let total = self.total_occupancy_expr(node);
                 let full = Formula::ge(total, self.capacity_expr(node));
                 let out = network.out_channel(node, 0);
@@ -717,5 +738,31 @@ mod tests {
         // Two channels, two colors each: four block and four idle variables.
         assert_eq!(enc.vars.block.len(), 4);
         assert_eq!(enc.vars.idle.len(), 4);
+    }
+
+    #[test]
+    fn a_queue_costs_linear_size_in_its_colors() {
+        // source(n colors) → q → sink: 8× the colors may cost at most 10×
+        // the SAT variables.  Restating the queue's block condition per
+        // input color would grow it with n².
+        let sat_variables = |n: usize| {
+            let mut net = Network::new();
+            let packets = (0..n)
+                .map(|i| net.intern(Packet::kind(format!("p{i}"))))
+                .collect();
+            let src = net.add_source("src", packets);
+            let q = net.add_queue("q", 2);
+            let snk = net.add_sink("snk");
+            net.connect(src, 0, q, 0);
+            net.connect(q, 0, snk, 0);
+            let system = System::new(net);
+            let colors = derive_colors(&system);
+            let invariants = derive_invariants(&system, &colors);
+            let mut enc = build_encoding(&system, &colors, &invariants, DeadlockTarget::Any);
+            assert!(enc.smt.check().is_unsat(), "a fair sink drains the queue");
+            enc.smt.stats().sat_variables
+        };
+        let (small, large) = (sat_variables(8), sat_variables(64));
+        assert!(large <= 10 * small, "8 colors: {small}, 64 colors: {large}");
     }
 }

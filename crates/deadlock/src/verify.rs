@@ -46,10 +46,15 @@ pub struct AnalysisStats {
     pub invariants: usize,
     /// Number of integer variables (queue occupancies + state indicators).
     pub int_vars: usize,
-    /// Number of Boolean variables (block/idle/dead indicators).
+    /// Number of block/idle/dead indicators: one block and one idle per
+    /// channel × color (the colors of a queue's input share one block
+    /// variable) and one dead per automaton.
     pub bool_vars: usize,
     /// Number of linear atoms in the SMT encoding.
     pub linear_atoms: usize,
+    /// Number of propositional variables of the CNF encoding: indicators,
+    /// linear atoms and Tseitin definitions.  This is the encoding's size.
+    pub sat_variables: usize,
     /// Number of SAT/theory refinement iterations performed.
     pub refinements: u64,
     /// SAT conflicts spent on this analysis (for session-based analyses the
@@ -232,6 +237,7 @@ pub(crate) fn analysis_from_result(
             int_vars: vars.occupancy.len() + vars.state.len(),
             bool_vars: vars.block.len() + vars.idle.len() + vars.dead.len(),
             linear_atoms: solver_stats.linear_atoms,
+            sat_variables: solver_stats.sat_variables,
             refinements: solver_stats.refinements,
             sat_conflicts: solver_stats.sat_conflicts,
             sat_propagations: solver_stats.sat_propagations,

@@ -5,10 +5,12 @@
 //! decomposed into conjunctions/negations of inequalities before atoms are
 //! created, so the theory solver only ever deals with `≤` constraints (a
 //! negated `≤` atom becomes a `≥` constraint, see [`LinearAtom::negated`]).
+//! A comparison the variable bounds already decide is folded to a constant
+//! instead of becoming an atom, exactly like a comparison without terms.
 
 use std::collections::HashMap;
 
-use crate::expr::{BoolVar, CmpOp, Formula, IntVar, LinExpr};
+use crate::expr::{BoolVar, CmpOp, Formula, IntVar, LinExpr, VarPool};
 use crate::sat::{Lit, SatSolver, Var};
 
 /// A canonical linear atom `Σ aᵢ·xᵢ ≤ bound`.
@@ -26,11 +28,32 @@ pub struct LinearAtom {
 
 impl LinearAtom {
     /// Builds the canonical atom for `Σ terms ≤ bound`, or returns a
-    /// constant truth value when there are no variable terms.
-    fn canonicalize(mut terms: Vec<(i64, IntVar)>, mut bound: i64) -> Result<LinearAtom, bool> {
+    /// constant truth value when the bounds of the variables (`pool`)
+    /// decide it: the interval sum over their box is exact because every
+    /// variable occurs once, so the atom holds everywhere when the sum's
+    /// maximum is at most `bound` and nowhere when its minimum exceeds it.
+    /// Without variable terms this is the plain comparison `0 ≤ bound`.
+    fn canonicalize(
+        mut terms: Vec<(i64, IntVar)>,
+        mut bound: i64,
+        pool: &VarPool,
+    ) -> Result<LinearAtom, bool> {
         terms.retain(|(c, _)| *c != 0);
-        if terms.is_empty() {
-            return Err(0 <= bound);
+        let (mut min, mut max) = (0i128, 0i128);
+        for &(c, v) in &terms {
+            let (lo, hi) = pool.int_bounds(v);
+            let (at_lo, at_hi) = (
+                i128::from(c) * i128::from(lo),
+                i128::from(c) * i128::from(hi),
+            );
+            min += at_lo.min(at_hi);
+            max += at_lo.max(at_hi);
+        }
+        if max <= i128::from(bound) {
+            return Err(true);
+        }
+        if min > i128::from(bound) {
+            return Err(false);
         }
         terms.sort_by_key(|(_, v)| *v);
         let mut g: i64 = 0;
@@ -177,28 +200,29 @@ impl Encoder {
         op: CmpOp,
         rhs: &LinExpr,
         guard: Option<Lit>,
+        pool: &VarPool,
         sat: &mut SatSolver,
     ) -> Lit {
         let diff = lhs.clone() - rhs.clone();
         let (terms, constant) = diff.canonical();
         match op {
-            CmpOp::Le => self.atom_lit(LinearAtom::canonicalize(terms, -constant), sat),
-            CmpOp::Lt => self.atom_lit(LinearAtom::canonicalize(terms, -constant - 1), sat),
+            CmpOp::Le => self.atom_lit(LinearAtom::canonicalize(terms, -constant, pool), sat),
+            CmpOp::Lt => self.atom_lit(LinearAtom::canonicalize(terms, -constant - 1, pool), sat),
             CmpOp::Ge => {
                 let neg: Vec<_> = terms.iter().map(|(c, v)| (-c, *v)).collect();
-                self.atom_lit(LinearAtom::canonicalize(neg, constant), sat)
+                self.atom_lit(LinearAtom::canonicalize(neg, constant, pool), sat)
             }
             CmpOp::Gt => {
                 let neg: Vec<_> = terms.iter().map(|(c, v)| (-c, *v)).collect();
-                self.atom_lit(LinearAtom::canonicalize(neg, constant - 1), sat)
+                self.atom_lit(LinearAtom::canonicalize(neg, constant - 1, pool), sat)
             }
             CmpOp::Eq => {
-                let le = self.encode_cmp(lhs, CmpOp::Le, rhs, guard, sat);
-                let ge = self.encode_cmp(lhs, CmpOp::Ge, rhs, guard, sat);
+                let le = self.encode_cmp(lhs, CmpOp::Le, rhs, guard, pool, sat);
+                let ge = self.encode_cmp(lhs, CmpOp::Ge, rhs, guard, pool, sat);
                 self.define_and(&[le, ge], guard, sat)
             }
             CmpOp::Ne => {
-                let eq = self.encode_cmp(lhs, CmpOp::Eq, rhs, guard, sat);
+                let eq = self.encode_cmp(lhs, CmpOp::Eq, rhs, guard, pool, sat);
                 eq.negated()
             }
         }
@@ -226,9 +250,10 @@ impl Encoder {
         y
     }
 
-    /// Encodes a formula, returning a literal equisatisfiable with it.
-    pub fn encode(&mut self, formula: &Formula, sat: &mut SatSolver) -> Lit {
-        self.encode_guarded(formula, None, sat)
+    /// Encodes a formula over the variables of `pool`, returning a literal
+    /// equisatisfiable with it.
+    pub fn encode(&mut self, formula: &Formula, pool: &VarPool, sat: &mut SatSolver) -> Lit {
+        self.encode_guarded(formula, None, pool, sat)
     }
 
     /// Encodes a formula with every emitted definition clause extended by
@@ -247,36 +272,37 @@ impl Encoder {
         &mut self,
         formula: &Formula,
         guard: Option<Lit>,
+        pool: &VarPool,
         sat: &mut SatSolver,
     ) -> Lit {
         match formula {
             Formula::True => self.constant_true(sat),
             Formula::False => self.constant_true(sat).negated(),
             Formula::Bool(v) => Lit::positive(self.sat_var_for_bool(*v, sat)),
-            Formula::Cmp(lhs, op, rhs) => self.encode_cmp(lhs, *op, rhs, guard, sat),
-            Formula::Not(inner) => self.encode_guarded(inner, guard, sat).negated(),
+            Formula::Cmp(lhs, op, rhs) => self.encode_cmp(lhs, *op, rhs, guard, pool, sat),
+            Formula::Not(inner) => self.encode_guarded(inner, guard, pool, sat).negated(),
             Formula::And(parts) => {
                 let lits: Vec<Lit> = parts
                     .iter()
-                    .map(|p| self.encode_guarded(p, guard, sat))
+                    .map(|p| self.encode_guarded(p, guard, pool, sat))
                     .collect();
                 self.define_and(&lits, guard, sat)
             }
             Formula::Or(parts) => {
                 let lits: Vec<Lit> = parts
                     .iter()
-                    .map(|p| self.encode_guarded(p, guard, sat))
+                    .map(|p| self.encode_guarded(p, guard, pool, sat))
                     .collect();
                 self.define_or(&lits, guard, sat)
             }
             Formula::Implies(a, b) => {
-                let la = self.encode_guarded(a, guard, sat).negated();
-                let lb = self.encode_guarded(b, guard, sat);
+                let la = self.encode_guarded(a, guard, pool, sat).negated();
+                let lb = self.encode_guarded(b, guard, pool, sat);
                 self.define_or(&[la, lb], guard, sat)
             }
             Formula::Iff(a, b) => {
-                let la = self.encode_guarded(a, guard, sat);
-                let lb = self.encode_guarded(b, guard, sat);
+                let la = self.encode_guarded(a, guard, pool, sat);
+                let lb = self.encode_guarded(b, guard, pool, sat);
                 let y = Lit::positive(sat.new_var());
                 self.emit(sat, guard, &[y.negated(), la.negated(), lb]);
                 self.emit(sat, guard, &[y.negated(), la, lb.negated()]);
@@ -288,8 +314,8 @@ impl Encoder {
     }
 
     /// Encodes a formula and asserts it (adds a unit clause for its literal).
-    pub fn assert(&mut self, formula: &Formula, sat: &mut SatSolver) {
-        let lit = self.encode(formula, sat);
+    pub fn assert(&mut self, formula: &Formula, pool: &VarPool, sat: &mut SatSolver) {
+        let lit = self.encode(formula, pool, sat);
         sat.add_clause(&[lit]);
     }
 }
@@ -312,22 +338,25 @@ mod tests {
             LinExpr::constant(4),
         );
         let f2 = Formula::le(LinExpr::var(x) + LinExpr::var(y), LinExpr::constant(2));
-        let l1 = enc.encode(&f1, &mut sat);
-        let l2 = enc.encode(&f2, &mut sat);
+        let l1 = enc.encode(&f1, &pool, &mut sat);
+        let l2 = enc.encode(&f2, &pool, &mut sat);
         assert_eq!(l1, l2);
         assert_eq!(enc.atom_count(), 1);
     }
 
     #[test]
     fn constant_comparison_folds_to_truth_value() {
+        let pool = VarPool::new();
         let mut enc = Encoder::new();
         let mut sat = SatSolver::new();
         let t = enc.encode(
             &Formula::le(LinExpr::constant(1), LinExpr::constant(2)),
+            &pool,
             &mut sat,
         );
         let f = enc.encode(
             &Formula::le(LinExpr::constant(3), LinExpr::constant(2)),
+            &pool,
             &mut sat,
         );
         assert_eq!(t, f.negated());
@@ -338,7 +367,7 @@ mod tests {
     fn negated_atom_excludes_exact_boundary() {
         let mut pool = VarPool::new();
         let x = pool.new_int("x", 0, 10);
-        let atom = LinearAtom::canonicalize(vec![(1, x)], 4).unwrap();
+        let atom = LinearAtom::canonicalize(vec![(1, x)], 4, &pool).unwrap();
         assert!(atom.holds(|_| 4));
         assert!(!atom.negated().holds(|_| 4));
         assert!(atom.negated().holds(|_| 5));
@@ -352,6 +381,7 @@ mod tests {
         let mut sat = SatSolver::new();
         enc.assert(
             &Formula::or([Formula::bool_var(a), Formula::not(Formula::bool_var(a))]),
+            &pool,
             &mut sat,
         );
         assert!(sat.solve().is_ok());
@@ -363,8 +393,81 @@ mod tests {
         let a = pool.new_bool("a");
         let mut enc = Encoder::new();
         let mut sat = SatSolver::new();
-        enc.assert(&Formula::bool_var(a), &mut sat);
-        enc.assert(&Formula::not(Formula::bool_var(a)), &mut sat);
+        enc.assert(&Formula::bool_var(a), &pool, &mut sat);
+        enc.assert(&Formula::not(Formula::bool_var(a)), &pool, &mut sat);
         assert!(sat.solve().is_err());
+    }
+
+    /// A deterministic xorshift64 stream.
+    struct XorShift(u64);
+
+    impl XorShift {
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            lo + (self.0 % (hi - lo + 1) as u64) as i64
+        }
+    }
+
+    #[test]
+    fn atoms_the_bounds_decide_fold_exactly() {
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        let mut seen = [0usize; 3];
+        for _ in 0..3_000 {
+            let mut pool = VarPool::new();
+            let mut lhs = LinExpr::zero();
+            let mut bounds = Vec::new();
+            for i in 0..rng.range(1, 3) {
+                let lo = rng.range(0, 4);
+                let hi = rng.range(lo, 4);
+                let x = pool.new_int(format!("x{i}"), lo, hi);
+                lhs.add_term(rng.range(-3, 3), x);
+                bounds.push((x, lo, hi));
+            }
+            let rhs = LinExpr::constant(rng.range(-12, 12));
+            let atom = match rng.range(0, 3) {
+                0 => Formula::le(lhs, rhs),
+                1 => Formula::lt(lhs, rhs),
+                2 => Formula::ge(lhs, rhs),
+                _ => Formula::gt(lhs, rhs),
+            };
+            // Count the box points satisfying the atom by enumeration.
+            let (mut points, mut holding) = (0, 0);
+            let mut point: Vec<i64> = bounds.iter().map(|b| b.1).collect();
+            'box_points: loop {
+                points += 1;
+                let position = |v: IntVar| bounds.iter().position(|b| b.0 == v).unwrap();
+                if atom.evaluate(&mut |_| false, &mut |v| point[position(v)]) {
+                    holding += 1;
+                }
+                for (i, &(_, lo, hi)) in bounds.iter().enumerate() {
+                    if point[i] < hi {
+                        point[i] += 1;
+                        continue 'box_points;
+                    }
+                    point[i] = lo;
+                }
+                break;
+            }
+
+            let mut enc = Encoder::new();
+            let mut sat = SatSolver::new();
+            let lit = enc.encode(&atom, &pool, &mut sat);
+            let truth = enc.encode(&Formula::True, &pool, &mut sat);
+            if holding == points {
+                assert_eq!(lit, truth, "{atom:?} holds on its whole box");
+                seen[0] += 1;
+            } else if holding == 0 {
+                assert_eq!(lit, truth.negated(), "{atom:?} holds nowhere on its box");
+                seen[1] += 1;
+            } else {
+                assert_eq!(enc.atom_count(), 1, "{atom:?} is decided by no bound");
+                assert_eq!(lit, Lit::positive(enc.linear_atoms().next().unwrap().1));
+                seen[2] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 300), "case counts {seen:?}");
     }
 }

@@ -339,7 +339,7 @@ impl SmtSolver {
         let mut encoder = Encoder::new();
         let mut sat = SatSolver::with_config(config.solver.clone());
         for assertion in &self.assertions {
-            encoder.assert(assertion, &mut sat);
+            encoder.assert(assertion, &self.pool, &mut sat);
         }
         let assumed: Vec<Lit> = assumptions
             .iter()
@@ -384,6 +384,7 @@ impl SmtSolver {
             let lit = inc.encoder.encode_guarded(
                 &self.assertions[i],
                 guard.map(|act| act.negated()),
+                &self.pool,
                 &mut inc.sat,
             );
             match guard {
@@ -917,5 +918,37 @@ mod tests {
         // The second check's delta cannot exceed the cumulative counter
         // minus the first delta.
         assert!(smt.stats().sat_propagations + first <= cumulative);
+    }
+
+    #[test]
+    fn bound_implied_atoms_cost_no_refinement() {
+        // The boundary check's shape: a blocked port is full, ports 0 and 1
+        // wait on each other, every later port waits on its predecessor,
+        // and some port is blocked.  `occ ≤ cap` holds on every occupancy's
+        // box, so it folds to true; kept as an atom, the SAT model of every
+        // port left unblocked would falsify it and cost one refinement.
+        let (ports, cap) = (8, 2);
+        let mut smt = SmtSolver::new();
+        let occ: Vec<IntVar> = (0..ports)
+            .map(|i| smt.new_int_var(format!("occ{i}"), 0, cap))
+            .collect();
+        let blocked: Vec<BoolVar> = (0..ports)
+            .map(|i| smt.new_bool_var(format!("blocked{i}")))
+            .collect();
+        for i in 0..ports {
+            let waits_on = if i < 2 { 1 - i } else { i - 1 };
+            smt.assert(Formula::implies(
+                Formula::bool_var(blocked[i]),
+                Formula::eq(LinExpr::var(occ[i]), LinExpr::constant(cap)),
+            ));
+            smt.assert(Formula::implies(
+                Formula::bool_var(blocked[i]),
+                Formula::bool_var(blocked[waits_on]),
+            ));
+        }
+        smt.assert(Formula::or(blocked.iter().map(|&b| Formula::bool_var(b))));
+        let model = smt.check().expect_sat();
+        assert!(model.bool_value(blocked[0]) && model.bool_value(blocked[1]));
+        assert_eq!(smt.stats().refinements, 1);
     }
 }

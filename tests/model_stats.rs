@@ -59,7 +59,12 @@ fn encoding_size_is_independent_of_queue_size() {
         let system = build_mesh(&config).unwrap();
         let report = QueryEngine::structural(system).check(&Query::new());
         let stats = report.analysis().stats;
-        (stats.int_vars, stats.bool_vars, report.invariants().len())
+        (
+            stats.int_vars,
+            stats.bool_vars,
+            stats.sat_variables,
+            report.invariants().len(),
+        )
     };
     assert_eq!(analyze(3), analyze(12));
 }

@@ -151,12 +151,10 @@ fn reports_carry_a_solver_profile_when_telemetry_is_on() {
     assert!(report.summary().contains("solver profile: propagate"));
 }
 
-/// A composed check asks each structural tile class once, on an engine of
-/// its own: the first check builds one engine per class, the second
-/// reuses them, and neither runs a service job.
-#[test]
-fn a_composed_check_asks_each_tile_class_once() {
-    let (telemetry, trace) = Telemetry::ring(1 << 20);
+/// A 3×3 composition (corner, edge and the directory-hosting centre: 3
+/// classes, 9 tiles) whose checks report to `telemetry`, with no flat
+/// fallback.
+fn traced_composition_3x3(telemetry: &Telemetry) -> Composition {
     let check = CheckConfig {
         solver: SolverConfig {
             telemetry: telemetry.clone(),
@@ -164,13 +162,34 @@ fn a_composed_check_asks_each_tile_class_once() {
         },
         ..CheckConfig::default()
     };
-    // Corner, edge and the directory-hosting centre: 3 classes, 9 tiles.
     let config = FabricConfig::new(Topology::mesh(3, 3).unwrap(), 2).with_directory(4);
     let partition = std::sync::Arc::new(Partition::per_node(&config.topology));
     let options = ComposeOptions::new(2..=2)
         .with_check(check)
         .with_flat_fallback(0);
-    let mut composition = QueryEngine::compose(config, partition, options).unwrap();
+    QueryEngine::compose(config, partition, options).unwrap()
+}
+
+/// A composed report carries the profiles its class engines recorded,
+/// merged, as it carries their summed statistics.
+#[test]
+fn a_traced_composed_check_carries_a_solver_profile() {
+    let (telemetry, _trace) = Telemetry::ring(1 << 20);
+    let report = traced_composition_3x3(&telemetry).check(&Query::new().capacity(2));
+    let profile = report
+        .solver_profile()
+        .expect("the class engines were traced");
+    assert!(!profile.is_empty());
+    assert!(report.summary().contains("solver profile: propagate"));
+}
+
+/// A composed check asks each structural tile class once, on an engine of
+/// its own: the first check builds one engine per class, the second
+/// reuses them, and neither runs a service job.
+#[test]
+fn a_composed_check_asks_each_tile_class_once() {
+    let (telemetry, trace) = Telemetry::ring(1 << 20);
+    let mut composition = traced_composition_3x3(&telemetry);
     assert_eq!(composition.stats().distinct_classes, 3);
     trace.drain();
     for (round, builds) in [(1, 3), (2, 0)] {
