@@ -5,29 +5,24 @@
 //! queue capacities.  The scenarios are independent, so [`run_batch`]
 //! fans them out across worker threads — wall-clock time scales with the
 //! slowest scenario rather than the sum — and *within* each scenario
-//! every query is answered by one persistent
-//! [`QueryEngine`](crate::QueryEngine) session, so a scenario's capacity
-//! sweep reuses its encoding and everything its solver learnt instead of
-//! re-analyzing cold per capacity.
-//!
-//! `run_batch` is a thin wrapper over a private [`Service`]: each
-//! scenario expands to `(fabric, capacity)` jobs via
-//! [`Service::submit_sweep`], the service's workers take them from its
-//! queue, and the warm-engine pool's ticket discipline runs each
-//! scenario's jobs on one engine in capacity order (same verdicts, same
-//! witnesses, same per-scenario stats as one session per scenario).
+//! every query is answered by one [`QueryEngine`] session of its own,
+//! built at the top of the scenario's sweep and asked its capacities in
+//! ascending order, so a capacity sweep reuses its encoding and
+//! everything its solver learnt instead of re-analyzing cold per
+//! capacity.  Scenarios share no engine, even over one fabric: each
+//! reports exactly what it reports when run alone.
 
 use std::ops::RangeInclusive;
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use advocat_automata::System;
-use advocat_deadlock::DeadlockTarget;
+use advocat_deadlock::{DeadlockTarget, Query};
 use advocat_logic::CheckConfig;
 use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError, MeshConfig};
 
-use crate::query::SessionStats;
+use crate::query::{QueryEngine, SessionStats};
 use crate::report::Report;
-use crate::service::{JobError, Service, ServiceConfig};
 
 /// What a [`BatchScenario`] builds and verifies: a classic mesh
 /// description or a topology-generic fabric.
@@ -143,18 +138,10 @@ pub struct BatchOutcome {
     /// stays 1) rather than re-analyzing cold.  `None` when the fabric
     /// failed to build.
     pub stats: Option<SessionStats>,
-    /// Wall-clock time spent *working* on this scenario: fabric
-    /// construction plus every query, summed over its jobs.  Time the
-    /// jobs waited for a worker is **not** included (the service reports
-    /// queue wait separately, per job, as
-    /// [`JobOutcome::queue_wait`](crate::JobOutcome::queue_wait)).
+    /// Wall-clock time spent on this scenario: fabric construction, the
+    /// engine build and every query.  Time the scenario waited for a
+    /// worker thread is not included.
     pub elapsed: Duration,
-    /// Wall-clock time this scenario's jobs spent *waiting* — for a
-    /// worker, or for their turn on the scenario's shared engine — summed
-    /// over its jobs.  `queued_for + elapsed` is the scenario's total
-    /// occupancy of the service; keeping the two separate is what lets a
-    /// saturated batch distinguish slow solving from a congested queue.
-    pub queued_for: Duration,
 }
 
 impl BatchOutcome {
@@ -165,17 +152,17 @@ impl BatchOutcome {
     }
 }
 
-/// Verifies every scenario, fanning the work across at most `workers`
-/// operating-system threads, and returns the outcomes in scenario order.
+/// Verifies every scenario, fanning the scenarios across at most
+/// `workers` operating-system threads, and returns the outcomes in
+/// scenario order.
 ///
-/// Each scenario expands into one job per swept capacity on a private
-/// [`Service`]; the service's warm-engine pool guarantees the whole sweep
-/// runs on one persistent [`QueryEngine`](crate::QueryEngine) session, in
-/// ascending capacity order, exactly as if the scenario ran alone on one
-/// thread — while the service's workers run other scenarios' jobs beside
-/// it.  **`workers == 0` means machine-sized**: the pool
-/// uses [`std::thread::available_parallelism`].  Any other value is
-/// clamped to the number of jobs.
+/// Each scenario runs on a [`QueryEngine`] of its own, built over the
+/// scenario's sweep and asked its capacities in ascending order, exactly
+/// as if the scenario ran alone on one thread.  **`workers == 0` means
+/// machine-sized**: the batch uses
+/// [`std::thread::available_parallelism`].  Any other value is clamped to
+/// the number of scenarios.  A panic while verifying a scenario
+/// propagates to the caller.
 ///
 /// # Examples
 ///
@@ -198,87 +185,96 @@ impl BatchOutcome {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_batch(scenarios: &[BatchScenario], workers: usize) -> Vec<BatchOutcome> {
-    if scenarios.is_empty() {
-        return Vec::new();
+    fan_out(scenarios, workers, run_scenario)
+}
+
+/// Verifies one scenario on an engine of its own: the fabric is built at
+/// the top of the sweep and every capacity is asked in ascending order.
+fn run_scenario(scenario: &BatchScenario) -> BatchOutcome {
+    let start = Instant::now();
+    let own_size = scenario.fabric.queue_size();
+    let range = scenario.sweep.clone().unwrap_or(own_size..=own_size);
+    assert!(!range.is_empty(), "empty capacity sweep {range:?}");
+    let (result, sweep, stats) = match scenario.fabric.build_for_sweep(*range.end()) {
+        Err(error) => (Err(error), Vec::new(), None),
+        Ok(system) => {
+            let mut engine =
+                QueryEngine::with_config(system, scenario.config.clone(), range.clone());
+            let sweep: Vec<(usize, Report)> = range
+                .map(|capacity| {
+                    let query = Query::new().capacity(capacity).target(scenario.target);
+                    (capacity, engine.check(&query))
+                })
+                .collect();
+            let primary = sweep
+                .iter()
+                .find(|(capacity, _)| *capacity == own_size)
+                .or_else(|| sweep.last())
+                .map(|(_, report)| report.clone())
+                .expect("non-empty capacity range");
+            (Ok(primary), sweep, Some(engine.stats()))
+        }
+    };
+    BatchOutcome {
+        name: scenario.name.clone(),
+        result,
+        sweep,
+        stats,
+        elapsed: start.elapsed(),
     }
-    let total_jobs: usize = scenarios
-        .iter()
-        .map(|s| s.sweep.clone().map_or(1, Iterator::count))
-        .sum();
+}
+
+/// Applies `work` to every item on at most `workers` scoped threads
+/// (`0` means [`std::thread::available_parallelism`]; the count is
+/// clamped to the number of items) that pull items one at a time, and
+/// returns the results in item order.  A panic on any thread is resumed
+/// on the caller's.
+pub(crate) fn fan_out<I, R>(items: I, workers: usize, work: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    I::Item: Send,
+    R: Send,
+{
+    let items = items.into_iter();
     let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         workers
     }
-    .clamp(1, total_jobs.max(1));
-
-    let service = Service::new(
-        ServiceConfig::default()
-            .with_workers(workers)
-            .with_queue_capacity(total_jobs.max(1))
-            .with_max_engines(scenarios.len()),
-    );
-    let ids: Vec<usize> = scenarios
-        .iter()
-        .map(|scenario| service.submit_sweep(scenario).len())
-        .collect();
-    let mut outcomes = service.drain().into_iter();
-
-    scenarios
-        .iter()
-        .zip(ids)
-        .map(|(scenario, jobs)| {
-            let own_size = scenario.fabric.queue_size();
-            let mut sweep = Vec::with_capacity(jobs);
-            let mut stats = SessionStats::default();
-            let mut elapsed = Duration::ZERO;
-            let mut queued_for = Duration::ZERO;
-            let mut fabric_error = None;
-            for outcome in outcomes.by_ref().take(jobs) {
-                elapsed += outcome.work_elapsed;
-                queued_for += outcome.queue_wait;
-                match outcome.result {
-                    Ok(report) => sweep.push((outcome.capacity, report)),
-                    Err(JobError::Fabric(error)) => fabric_error = Some(error),
-                    Err(other) => {
-                        unreachable!("batch jobs run without timeouts: {other}")
+    .clamp(1, items.len().max(1));
+    let pending = Mutex::new(items.enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = pending.lock().expect("work queue").next();
+                        let Some((index, item)) = next else {
+                            return done;
+                        };
+                        done.push((index, work(item)));
                     }
-                }
-                if let Some(delta) = &outcome.session_delta {
-                    stats.absorb(delta);
-                }
-            }
-            let (result, sweep, stats) = match fabric_error {
-                Some(error) => (Err(error), Vec::new(), None),
-                None => {
-                    let primary = sweep
-                        .iter()
-                        .find(|(capacity, _)| *capacity == own_size)
-                        .or_else(|| sweep.last())
-                        .map(|(_, report)| report.clone())
-                        .expect("non-empty capacity range");
-                    (Ok(primary), sweep, Some(stats))
-                }
-            };
-            BatchOutcome {
-                name: scenario.name.clone(),
-                result,
-                sweep,
-                stats,
-                elapsed,
-                queued_for,
-            }
-        })
-        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryEngine;
-    use advocat_deadlock::Query;
     use advocat_noc::Topology;
 
     #[test]
@@ -425,6 +421,36 @@ mod tests {
                 .expect("size 2 deadlocks");
             assert!(cex.witnesses(target), "{target}");
         }
+    }
+
+    #[test]
+    fn scenarios_over_one_fabric_get_an_engine_each() {
+        let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+        let scenarios = [DeadlockTarget::StuckPacket, DeadlockTarget::DeadAutomaton]
+            .map(|target| BatchScenario::new(target.to_string(), mesh).with_target(target));
+        let together = run_batch(&scenarios, 1);
+        for (scenario, outcome) in scenarios.iter().zip(&together) {
+            let stats = outcome.stats.expect("the mesh builds");
+            assert_eq!(stats.templates_built, 1, "{}", scenario.name);
+            let alone = run_batch(std::slice::from_ref(scenario), 1);
+            assert_eq!(
+                outcome.result.as_ref().unwrap().counterexample(),
+                alone[0].result.as_ref().unwrap().counterexample(),
+                "{}: the batch witness is the solo witness",
+                scenario.name
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty capacity sweep")]
+    fn a_panic_on_a_worker_thread_reaches_the_caller() {
+        let scenarios = vec![
+            BatchScenario::new("fine", MeshConfig::new(2, 2, 3)),
+            BatchScenario::new("empty", MeshConfig::new(2, 2, 3))
+                .with_sweep(RangeInclusive::new(3, 2)),
+        ];
+        run_batch(&scenarios, 2);
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! ```
 
 use std::ops::RangeInclusive;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use advocat_automata::{System, SystemStats};
@@ -63,6 +63,7 @@ use advocat_noc::{
 };
 use advocat_xmas::ColorMap;
 
+use crate::batch::fan_out;
 use crate::query::{derive_traced, QueryEngine};
 use crate::report::Report;
 
@@ -387,39 +388,12 @@ impl Composition {
     /// at a time; a panic on any of them is resumed here.
     fn certify(&mut self, query: &Query) -> Vec<Report> {
         let (config, partition, options) = (&self.config, &*self.partition, &self.options);
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(self.classes.len());
-        let pending = Mutex::new(self.classes.iter_mut().enumerate());
-        let mut answered: Vec<(usize, Report)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut answered = Vec::new();
-                        loop {
-                            let next = pending.lock().expect("class queue").next();
-                            let Some((index, class)) = next else {
-                                return answered;
-                            };
-                            let engine = class.engine.get_or_insert_with(|| {
-                                class_engine(config, partition, class.tile, options)
-                            });
-                            answered.push((index, engine.check(query)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| {
-                    handle
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-        answered.sort_by_key(|(index, _)| *index);
-        answered.into_iter().map(|(_, report)| report).collect()
+        fan_out(self.classes.iter_mut(), 0, |class| {
+            let engine = class
+                .engine
+                .get_or_insert_with(|| class_engine(config, partition, class.tile, options));
+            engine.check(query)
+        })
     }
 
     /// The interface contracts of every tile at `capacity`, in tile order.

@@ -27,8 +27,8 @@
 //! way to name the deadlock question: every layer — the engine, batches,
 //! the service, composition and the JSON wire form — carries one
 //! [`DeadlockTarget`], and every "deadlock-free" verdict comes from a
-//! solver run.  [`verify_system`](advocat_deadlock::verify_system) is the
-//! cold, fixed-capacity path, kept as an independent oracle.
+//! solver run.  [`verify_system`](advocat_deadlock::verify_system) checks
+//! a fresh solver once at fixed capacities, kept as an independent oracle.
 //!
 //! # Examples
 //!

@@ -89,22 +89,6 @@ impl SessionStats {
             query_elapsed: self.query_elapsed.saturating_sub(baseline.query_elapsed),
         }
     }
-
-    /// Accumulates another session's (or delta's) counters into `self`;
-    /// gauges take the other side's latest snapshot.  The inverse of
-    /// [`SessionStats::delta_since`], used to fold per-job deltas back into
-    /// a per-scenario view.
-    pub fn absorb(&mut self, other: &SessionStats) {
-        self.templates_built += other.templates_built;
-        self.queries += other.queries;
-        self.sat_conflicts += other.sat_conflicts;
-        self.sat_propagations += other.sat_propagations;
-        self.reduced_dbs += other.reduced_dbs;
-        self.deleted_clauses += other.deleted_clauses;
-        self.live_learnts = other.live_learnts;
-        self.total_learnt = other.total_learnt;
-        self.query_elapsed += other.query_elapsed;
-    }
 }
 
 /// An incremental verification engine: one system, one derived encoding

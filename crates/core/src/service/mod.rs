@@ -1,9 +1,9 @@
 //! The long-running verification service: many clients, one warm fleet.
 //!
-//! [`run_batch`](crate::run_batch) verifies *one* caller's scenarios;
-//! a [`Service`] is the production shape of the same idea — a persistent,
-//! concurrent front door that amortises engine construction **across**
-//! submissions.  Three layers:
+//! [`run_batch`](crate::run_batch) verifies *one* caller's scenarios, one
+//! engine per scenario; a [`Service`] is the production shape — a
+//! long-lived, concurrent front door that amortises engine construction
+//! **across** submissions.  Three layers:
 //!
 //! * a **warm-engine pool** ([`PoolStats`]): engines are keyed by a
 //!   [`Fingerprint`] of the canonical fabric structure, capacity range
@@ -27,10 +27,8 @@
 //! until a job is admitted or the service shuts down.
 //!
 //! Jobs are `(fabric, capacity)`-granular ([`VerifyJob`]), so a giant
-//! sweep becomes many schedulable units; [`Service::submit_sweep`] splits
-//! a [`BatchScenario`] accordingly, and
-//! [`run_batch`](crate::run_batch) is nowadays a thin wrapper over
-//! `submit_sweep` + [`Service::drain`].
+//! sweep becomes many schedulable units: one job per capacity, each with
+//! the sweep as its [`VerifyJob::with_engine_range`], shares one engine.
 //!
 //! # Examples
 //!
@@ -73,7 +71,7 @@ use advocat_logic::CheckConfig;
 use advocat_noc::{FabricConfig, FabricError, MeshConfig};
 use advocat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::batch::{BatchScenario, ScenarioFabric};
+use crate::batch::ScenarioFabric;
 use crate::query::{QueryEngine, SessionStats};
 use crate::report::Report;
 
@@ -93,12 +91,6 @@ pub struct ServiceConfig {
     /// Cap on warm engines held by the pool; least-recently-used idle
     /// engines are evicted beyond it.
     pub max_engines: usize,
-    /// Default per-job wall-clock budget (a job may override it).  A job
-    /// that exceeds its budget *while queued* is refused without running;
-    /// one that exceeds it mid-work finishes and is flagged
-    /// ([`JobOutcome::deadline_exceeded`]) — queries are never interrupted
-    /// mid-solve.
-    pub default_timeout: Option<Duration>,
     /// Observability handle (disabled by default).  When enabled the
     /// service traces job execution, engine checkouts and evictions,
     /// keeps queue/pool/latency metrics in the handle's registry, and
@@ -113,7 +105,6 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: 1024,
             max_engines: 64,
-            default_timeout: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -135,12 +126,6 @@ impl ServiceConfig {
     /// Sets the warm-engine cap.
     pub fn with_max_engines(mut self, max_engines: usize) -> Self {
         self.max_engines = max_engines;
-        self
-    }
-
-    /// Sets the default per-job timeout.
-    pub fn with_default_timeout(mut self, timeout: Duration) -> Self {
-        self.default_timeout = Some(timeout);
         self
     }
 
@@ -179,7 +164,11 @@ pub struct VerifyJob {
     /// Whether derived invariants strengthen the encoding (the Section-3
     /// ablation flips this off).
     pub invariants: bool,
-    /// Per-job wall-clock budget overriding the service default.
+    /// Wall-clock budget of the job, from admission.  A job that exceeds
+    /// it *while queued* is refused without running
+    /// ([`JobError::TimedOut`]); one that exceeds it mid-work finishes and
+    /// is flagged ([`JobOutcome::deadline_exceeded`]) — queries are never
+    /// interrupted mid-solve.  `None` means no budget.
     pub timeout: Option<Duration>,
 }
 
@@ -306,8 +295,7 @@ pub struct JobOutcome {
     /// The verification report, or why there is none.
     pub result: Result<Report, JobError>,
     /// Time between admission and the moment a worker started the job —
-    /// scheduling plus turnstile wait, kept *separate* from the work
-    /// (`run_batch`'s old `elapsed` conflated the two).
+    /// scheduling plus turnstile wait, kept *separate* from the work.
     pub queue_wait: Duration,
     /// Time spent working: engine build (for the cold job of a
     /// fingerprint) plus the query itself.
@@ -560,8 +548,6 @@ pub(crate) struct ScheduledJob {
     turn: u64,
     /// When the job was admitted (queue wait is measured from here).
     submitted_at: Instant,
-    /// Wall-clock budget for the job, if any.
-    timeout: Option<Duration>,
 }
 
 /// Everything the service's one lock guards.
@@ -581,7 +567,6 @@ struct Shared {
     /// workers wait).
     work: Condvar,
     queue_capacity: usize,
-    default_timeout: Option<Duration>,
     results: Mutex<ResultStore>,
     results_cv: Condvar,
     telemetry: Telemetry,
@@ -615,7 +600,6 @@ impl Shared {
             Some(range) => *range.start().min(&capacity)..=*range.end().max(&capacity),
         };
         let fingerprint = Fingerprint::of_job(&job.fabric, &range, &job.config);
-        let timeout = job.timeout.or(self.default_timeout);
         ScheduledJob {
             id: 0,
             fingerprint,
@@ -624,7 +608,6 @@ impl Shared {
             range,
             turn: 0,
             submitted_at: Instant::now(),
-            timeout,
         }
     }
 
@@ -689,7 +672,6 @@ impl Service {
             space: Condvar::new(),
             work: Condvar::new(),
             queue_capacity: config.queue_capacity.max(1),
-            default_timeout: config.default_timeout,
             results: Mutex::new(ResultStore {
                 slots: Vec::new(),
                 ready: VecDeque::new(),
@@ -761,27 +743,6 @@ impl Service {
             shared.work.notify_one();
         }
         Ok(ids)
-    }
-
-    /// Splits a [`BatchScenario`] into per-capacity jobs sharing one
-    /// pooled engine (the scenario's sweep range is the engine range) and
-    /// submits them all, blocking on backpressure.  Returns the job ids in
-    /// ascending capacity order.
-    pub fn submit_sweep(&self, scenario: &BatchScenario) -> Vec<JobId> {
-        let own = scenario.fabric.queue_size();
-        let range = scenario.sweep.clone().unwrap_or(own..=own);
-        range
-            .clone()
-            .map(|capacity| {
-                self.submit(
-                    VerifyJob::over(scenario.name.clone(), scenario.fabric.clone())
-                        .with_target(scenario.target)
-                        .with_config(scenario.config.clone())
-                        .at_capacity(capacity)
-                        .with_engine_range(range.clone()),
-                )
-            })
-            .collect()
     }
 
     /// Parses [`JobRequest`]s from JSON (a single object or an array) and
@@ -1063,7 +1024,7 @@ fn run_turn<'a>(
     // Admission-control timeout: refuse jobs that out-waited their budget
     // before spending any engine time on them.
     let queue_wait = sj.submitted_at.elapsed();
-    let outcome = if sj.timeout.is_some_and(|limit| queue_wait > limit) {
+    let outcome = if sj.job.timeout.is_some_and(|limit| queue_wait > limit) {
         outcome_without_work(&sj, JobError::TimedOut { waited: queue_wait }, queue_wait)
     } else {
         match state.pool.checkout(fingerprint) {
@@ -1176,7 +1137,7 @@ fn run_on_engine(
     }));
     let work_elapsed = build_elapsed + started.elapsed();
     let total = queue_wait + work_elapsed;
-    let deadline_exceeded = sj.timeout.is_some_and(|limit| total > limit);
+    let deadline_exceeded = sj.job.timeout.is_some_and(|limit| total > limit);
     match attempt {
         Ok((engine, report, delta)) => (
             Some(engine),

@@ -1,13 +1,13 @@
-//! Boundary-level deadlock reasoning: explicit interface bindings for
-//! tile encodings, and the composition check over contract variables.
+//! Boundary-level deadlock reasoning: the composition check over contract
+//! variables.
 //!
 //! A composed verification never encodes the whole fabric.  Each tile is
 //! certified on its own small encoding (an [`crate::EncodingTemplate`]
-//! built over an explicit [`Boundary`] naming its cut queues), and the
-//! global question is asked over **contract variables only**: one
-//! occupancy integer and one `blocked` indicator per cut port, related by
-//! the waiting dependencies of the boundary graph and constrained by the
-//! tiles' exported interface contracts.
+//! over the tile closed off with a free environment), and the global
+//! question is asked over **contract variables only**: one occupancy
+//! integer and one `blocked` indicator per cut port, related by the
+//! waiting dependencies of the boundary graph and constrained by the
+//! tiles' exported interface contracts, on a fresh solver checked once.
 //!
 //! The check is the waiting-graph argument of Verbeek–Schmaltz: in a
 //! global deadlock of a fabric whose tiles are internally live, some cut
@@ -23,39 +23,6 @@ use std::time::{Duration, Instant};
 
 use advocat_invariants::ContractRow;
 use advocat_logic::{CheckConfig, Formula, LinExpr, SmtResult, SmtSolver};
-
-/// The named boundary interface an encoding is built over: the cut-queue
-/// names the template binds to occupancy variables so contracts can be
-/// imported by name.  [`Boundary::flat`] — no ports — is the whole-fabric
-/// case: the classic flat encoding, verdicts unchanged.
-#[derive(Clone, Debug, Default)]
-pub struct Boundary {
-    ports: Vec<String>,
-}
-
-impl Boundary {
-    /// The empty boundary of a flat (whole-fabric) encoding.
-    pub fn flat() -> Self {
-        Boundary::default()
-    }
-
-    /// A boundary over the given cut-queue names.
-    pub fn over<I: IntoIterator<Item = String>>(ports: I) -> Self {
-        Boundary {
-            ports: ports.into_iter().collect(),
-        }
-    }
-
-    /// The bound port names.
-    pub fn ports(&self) -> &[String] {
-        &self.ports
-    }
-
-    /// `true` for the whole-fabric (empty) boundary.
-    pub fn is_flat(&self) -> bool {
-        self.ports.is_empty()
-    }
-}
 
 /// One cut port in the composition check: its queue name, its capacity at
 /// the queried sizing, and the ports its head packet may wait on.
@@ -279,10 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn the_flat_boundary_is_empty() {
-        assert!(Boundary::flat().is_flat());
-        let b = Boundary::over(vec!["q(0,0)→(1,0)".to_string()]);
-        assert!(!b.is_flat());
-        assert_eq!(b.ports().len(), 1);
+    fn an_exhausted_refinement_budget_is_unknown() {
+        let config = CheckConfig {
+            max_refinements: 0,
+            ..CheckConfig::default()
+        };
+        let analysis = check_composition(&two_port_cycle(2), &config);
+        assert_eq!(analysis.outcome, BoundaryOutcome::Unknown);
     }
 }

@@ -67,8 +67,7 @@ pub(crate) struct Encoding {
 
 /// Builds the SMT instance for the given system, color map, invariants and
 /// deadlock target, with queue capacities fixed to their structural sizes
-/// (the one-shot, cold-start path).  The target's goal is asserted
-/// permanently.
+/// (the one-shot path).  The target's goal is asserted permanently.
 pub(crate) fn build_encoding(
     system: &System,
     colors: &ColorMap,
@@ -80,17 +79,15 @@ pub(crate) fn build_encoding(
         colors,
         invariants,
         Some(target),
-        SmtSolver::new(),
         CapacityMode::Fixed,
     )
 }
 
 /// Builds the query-parameterised SMT instance for
-/// [`crate::EncodingTemplate`]: a persistent solver, symbolic queue
-/// capacities in `min..=max`, the invariants guarded by a retractable
-/// selector, and **no** deadlock goal asserted — the goal indicators are
-/// defined but left free, so each query selects its target with an
-/// assumption literal.
+/// [`crate::EncodingTemplate`]: symbolic queue capacities in `min..=max`,
+/// the invariants guarded by a retractable selector, and **no** deadlock
+/// goal asserted — the goal indicators are defined but left free, so each
+/// query selects its target with an assumption literal.
 pub(crate) fn build_encoding_symbolic(
     system: &System,
     colors: &ColorMap,
@@ -103,24 +100,22 @@ pub(crate) fn build_encoding_symbolic(
         colors,
         invariants,
         None,
-        SmtSolver::persistent(),
         CapacityMode::Symbolic { min, max },
     )
 }
 
-/// Builds the SMT instance onto the given solver with the given capacity
+/// Builds the SMT instance onto a fresh solver with the given capacity
 /// mode.  With `target: Some(..)` the target's goal is asserted
-/// permanently (the cold path); with `None` the goal indicators stay free
-/// for assumption-based selection (the template path).
+/// permanently (the one-shot path); with `None` the goal indicators stay
+/// free for assumption-based selection (the template path).
 fn build_encoding_with(
     system: &System,
     colors: &ColorMap,
     invariants: &InvariantSet,
     target: Option<DeadlockTarget>,
-    smt: SmtSolver,
     mode: CapacityMode,
 ) -> Encoding {
-    let mut enc = EncodingBuilder::new(system, colors, smt, mode);
+    let mut enc = EncodingBuilder::new(system, colors, mode);
     enc.declare_occupancy_and_state_vars();
     enc.declare_block_idle_vars();
     enc.assert_structural_constraints();
@@ -146,11 +141,11 @@ struct EncodingBuilder<'a> {
 }
 
 impl<'a> EncodingBuilder<'a> {
-    fn new(system: &'a System, colors: &'a ColorMap, smt: SmtSolver, mode: CapacityMode) -> Self {
+    fn new(system: &'a System, colors: &'a ColorMap, mode: CapacityMode) -> Self {
         EncodingBuilder {
             system,
             colors,
-            smt,
+            smt: SmtSolver::new(),
             vars: EncodingVars::default(),
             mode,
         }
@@ -687,7 +682,7 @@ impl<'a> EncodingBuilder<'a> {
         self.vars.goal_any = Some(goal_any);
     }
 
-    /// Permanently asserts the target's goal (the cold path; template
+    /// Permanently asserts the target's goal (the one-shot path; template
     /// queries select goals via assumptions instead).
     fn assert_deadlock_target(&mut self, target: DeadlockTarget) {
         self.smt

@@ -23,8 +23,8 @@
 //!
 //! A [`Query`] names one question: a target, a capacity and whether the
 //! invariants apply.  [`EncodingTemplate`] answers any number of queries
-//! from one persistent solver; [`verify_system`] is the cold,
-//! fixed-capacity path and serves as an independent oracle for it.
+//! from one long-lived solver; [`verify_system`] checks a fresh solver
+//! once at fixed capacities and serves as an independent oracle for it.
 //!
 //! # Examples
 //!
@@ -59,9 +59,9 @@ mod template;
 mod verify;
 
 pub use boundary::{
-    check_composition, Boundary, BoundaryAnalysis, BoundaryOutcome, CompositionModel, InterfacePort,
+    check_composition, BoundaryAnalysis, BoundaryOutcome, CompositionModel, InterfacePort,
 };
 pub use counterexample::Counterexample;
 pub use query::{CapacitySelection, DeadlockTarget, Query};
-pub use template::{structural_capacity_range, ContractCheck, EncodingTemplate};
+pub use template::{structural_capacity_range, EncodingTemplate};
 pub use verify::{verify_system, verify_with, Analysis, AnalysisStats, Verdict};

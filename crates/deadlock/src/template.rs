@@ -1,13 +1,13 @@
 //! Reusable, query-parameterised deadlock encodings.
 //!
 //! ADVOCAT's central claim is that one SMT encoding of a fabric answers
-//! many questions.  The cold path ([`crate::verify_with`]) rebuilds the
-//! full instance and a fresh solver for every question; an
+//! many questions.  The one-shot path ([`crate::verify_with`]) builds the
+//! full instance for one question and checks a fresh solver once; an
 //! [`EncodingTemplate`] instead builds the structure-dependent part of the
 //! encoding **once** — automata, channels, block/idle definitions, the
 //! derived invariants and the goal definitions, none of which pin a
 //! concrete question — and turns every dimension of a [`Query`] into a
-//! retractable selector in one persistent solver:
+//! retractable selector in one long-lived solver:
 //!
 //! * every queue gets a bounded *capacity variable* `cap(q)`; a query pins
 //!   the capacities (uniformly or to the structural sizes) inside a
@@ -20,110 +20,23 @@
 //!   `sel(invariants)` selector assumed true or false per query, making
 //!   the Section-3 ablation one more dimension of the same session.
 //!
-//! Because the solver is persistent, learnt clauses, variable activities
-//! and theory lemmas accumulate across queries: a capacity sweep under one
-//! target makes the same sweep under the *other* target markedly cheaper
-//! than a cold session.
+//! Because the solver lives as long as the template, learnt clauses,
+//! variable activities and theory lemmas accumulate across queries: a
+//! capacity sweep under one target makes the same sweep under the *other*
+//! target markedly cheaper than a fresh template.
 
 use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use advocat_automata::System;
-use advocat_invariants::{InterfaceContract, InvariantSet};
+use advocat_invariants::InvariantSet;
 use advocat_logic::sat::SatStats;
-use advocat_logic::{BoolVar, CheckConfig, Formula, IntVar, LinExpr, Model, SmtSolver};
+use advocat_logic::{CheckConfig, Formula, IntVar, LinExpr, SmtSolver};
 use advocat_xmas::{ColorMap, Primitive};
 
-use crate::boundary::Boundary;
-use crate::counterexample::Counterexample;
 use crate::encode::{build_encoding_symbolic, Encoding, EncodingVars};
 use crate::query::{CapacitySelection, Query};
-use crate::verify::{analysis_from_result, witnessed_targets, Analysis};
-
-/// The name tables needed to render a model as a counterexample, captured
-/// from the system at template-construction time.  Owning them makes the
-/// template self-contained: queries cannot accidentally be paired with a
-/// different `System` than the one the encoding was built from.
-#[derive(Debug)]
-struct CexLabels {
-    /// `(occupancy var, queue name, packet)` per queue/color pair.
-    occupancy: Vec<(IntVar, String, String)>,
-    /// `(state var, automaton name, state name)` per automaton state.
-    state: Vec<(IntVar, String, String)>,
-    /// `(dead var, automaton name)` per automaton.
-    dead: Vec<(BoolVar, String)>,
-    /// The goal indicators, for attributing a model to its symptom(s).
-    goal_stuck: Option<BoolVar>,
-    goal_dead: Option<BoolVar>,
-}
-
-impl CexLabels {
-    fn new(system: &System, vars: &EncodingVars) -> Self {
-        let network = system.network();
-        let occupancy = vars
-            .occupancy
-            .iter()
-            .map(|((queue, color), var)| {
-                (
-                    *var,
-                    network.name(*queue).to_owned(),
-                    network.colors().packet(*color).to_string(),
-                )
-            })
-            .collect();
-        let state = vars
-            .state
-            .iter()
-            .map(|((node, state), var)| {
-                let automaton = system.automaton(*node).expect("state var for automaton");
-                (
-                    *var,
-                    network.name(*node).to_owned(),
-                    automaton.state_name(*state).to_owned(),
-                )
-            })
-            .collect();
-        let dead = vars
-            .dead
-            .iter()
-            .map(|(node, var)| (*var, network.name(*node).to_owned()))
-            .collect();
-        CexLabels {
-            occupancy,
-            state,
-            dead,
-            goal_stuck: vars.goal_stuck,
-            goal_dead: vars.goal_dead,
-        }
-    }
-
-    fn extract(&self, model: &Model) -> Counterexample {
-        let mut cex = Counterexample::default();
-        for (var, queue, packet) in &self.occupancy {
-            let count = model.int_value(*var);
-            if count > 0 {
-                cex.queue_contents
-                    .push((queue.clone(), packet.clone(), count));
-            }
-        }
-        cex.queue_contents.sort();
-        for (var, automaton, state) in &self.state {
-            if model.int_value(*var) == 1 {
-                cex.automaton_states
-                    .push((automaton.clone(), state.clone()));
-            }
-        }
-        cex.automaton_states.sort();
-        for (var, automaton) in &self.dead {
-            if model.bool_value(*var) {
-                cex.dead_automata.push(automaton.clone());
-            }
-        }
-        cex.dead_automata.sort();
-        cex.witnessed = witnessed_targets(self.goal_stuck, self.goal_dead, model);
-        cex
-    }
-}
+use crate::verify::{analysis_from_result, Analysis, CexLabels};
 
 /// The structural size of one queue (0 for non-queue primitives).
 fn structural_queue_size(
@@ -154,7 +67,7 @@ pub fn structural_capacity_range(system: &System) -> Option<RangeInclusive<usize
         .map(|(lo, hi)| lo..=hi)
 }
 
-/// A query-parameterised deadlock encoding bound to one persistent solver,
+/// A query-parameterised deadlock encoding bound to one long-lived solver,
 /// answering any [`Query`] — capacity × target × invariants — whose
 /// capacities lie in its range.
 ///
@@ -188,24 +101,6 @@ pub struct EncodingTemplate {
     /// `(capacity var, structural queue size)` pairs, sorted by variable,
     /// for answering [`CapacitySelection::Structural`] queries.
     structural: Vec<(IntVar, i64)>,
-    /// The boundary interface the encoding was built over; empty for the
-    /// classic flat (whole-fabric) encoding.
-    boundary: Boundary,
-}
-
-/// The result of re-asserting a neighbouring tile's contract inside this
-/// template's encoding (a *checked import*): the strengthened analysis,
-/// plus an account of which contract rows actually bound.
-#[derive(Debug)]
-pub struct ContractCheck {
-    /// The analysis under the imported contract rows.
-    pub analysis: Analysis,
-    /// Contract rows successfully resolved and asserted.
-    pub imported: usize,
-    /// Queue names the contract mentioned that this encoding does not
-    /// contain (their rows were dropped, never asserted — dropping rows
-    /// only weakens the import, so the check stays sound).
-    pub skipped: Vec<String>,
 }
 
 impl EncodingTemplate {
@@ -227,28 +122,6 @@ impl EncodingTemplate {
         invariants: &InvariantSet,
         capacities: RangeInclusive<usize>,
     ) -> Self {
-        EncodingTemplate::build_over(system, colors, invariants, capacities, Boundary::flat())
-    }
-
-    /// Builds the encoding over an explicit [`Boundary`]: the template
-    /// additionally binds the named cut queues so interface contracts can
-    /// be imported by name through
-    /// [`EncodingTemplate::check_contract`].  [`EncodingTemplate::build`]
-    /// is the [`Boundary::flat`] special case — the encoding and every
-    /// verdict are identical; the boundary only names which queues face
-    /// the environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacities` is empty, or when a boundary port names a
-    /// queue the system does not contain.
-    pub fn build_over(
-        system: &System,
-        colors: &ColorMap,
-        invariants: &InvariantSet,
-        capacities: RangeInclusive<usize>,
-        boundary: Boundary,
-    ) -> Self {
         assert!(
             capacities.start() <= capacities.end(),
             "capacity range must be non-empty"
@@ -262,12 +135,6 @@ impl EncodingTemplate {
         );
         let labels = CexLabels::new(system, &vars);
         let network = system.network();
-        for port in boundary.ports() {
-            assert!(
-                labels.occupancy.iter().any(|(_, queue, _)| queue == port),
-                "boundary port {port:?} names no queue of the system"
-            );
-        }
         let mut structural: Vec<(IntVar, i64)> = vars
             .capacity
             .iter()
@@ -281,14 +148,7 @@ impl EncodingTemplate {
             invariants: invariants.len(),
             capacities,
             structural,
-            boundary,
         }
-    }
-
-    /// The boundary interface the encoding was built over (empty for a
-    /// flat template).
-    pub fn boundary(&self) -> &Boundary {
-        &self.boundary
     }
 
     /// The capacity range the template was built for.
@@ -373,70 +233,14 @@ impl EncodingTemplate {
             solver_stats,
             profile,
             start.elapsed(),
-            |m| self.labels.extract(m),
+            &self.labels,
         )
-    }
-
-    /// Decides `query` with a neighbouring tile's [`InterfaceContract`]
-    /// re-asserted inside this encoding — the *checked import* of the
-    /// compositional flow.  Each contract row `Σ coefᵢ·occ(qᵢ) + c ≤ 0`
-    /// is resolved by queue name against this encoding's occupancy
-    /// variables and asserted inside a retractable scope; rows naming
-    /// queues absent from this tile are dropped (recorded in
-    /// [`ContractCheck::skipped`]), which only weakens the import and so
-    /// keeps the verdict sound.
-    pub fn check_contract(
-        &mut self,
-        contract: &InterfaceContract,
-        query: &Query,
-        config: &CheckConfig,
-    ) -> ContractCheck {
-        self.smt.push();
-        let mut imported = 0usize;
-        let mut skipped = Vec::new();
-        'rows: for row in &contract.rows {
-            let mut expr = LinExpr::zero();
-            for (queue, coef) in &row.terms {
-                // occ(q) is the sum of the per-color occupancy variables.
-                let mut found = false;
-                let Ok(coef) = i64::try_from(*coef) else {
-                    skipped.push(queue.clone());
-                    continue 'rows;
-                };
-                for (var, name, _) in &self.labels.occupancy {
-                    if name == queue {
-                        expr.add_term(coef, *var);
-                        found = true;
-                    }
-                }
-                if !found {
-                    skipped.push(queue.clone());
-                    continue 'rows;
-                }
-            }
-            let Ok(constant) = i64::try_from(row.constant) else {
-                skipped.push(format!("constant of row {imported}"));
-                continue;
-            };
-            expr.add_constant(constant);
-            self.smt.assert(Formula::le(expr, LinExpr::zero()));
-            imported += 1;
-        }
-        let analysis = self.check(query, config);
-        self.smt.pop();
-        skipped.sort();
-        skipped.dedup();
-        ContractCheck {
-            analysis,
-            imported,
-            skipped,
-        }
     }
 
     /// Cumulative statistics of the underlying SAT solver over the life of
     /// the template (all queries so far).
     pub fn sat_stats(&self) -> SatStats {
-        self.smt.sat_stats().expect("template solver is persistent")
+        self.smt.sat_stats()
     }
 }
 
@@ -605,76 +409,5 @@ mod tests {
         // Structural size 5 lies outside the template's 2..=4.
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=4);
         let _ = template.check(&Query::new(), &CheckConfig::default());
-    }
-
-    #[test]
-    fn the_flat_build_is_the_empty_boundary_case() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let (system, colors, invariants) = mesh_parts(&config);
-        let mut flat = EncodingTemplate::build(&system, &colors, &invariants, 2..=3);
-        assert!(flat.boundary().is_flat());
-        let mut over =
-            EncodingTemplate::build_over(&system, &colors, &invariants, 2..=3, Boundary::flat());
-        for capacity in 2..=3usize {
-            let query = Query::new().capacity(capacity);
-            assert_eq!(
-                flat.check(&query, &CheckConfig::default())
-                    .verdict
-                    .is_deadlock_free(),
-                over.check(&query, &CheckConfig::default())
-                    .verdict
-                    .is_deadlock_free(),
-                "capacity {capacity}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "names no queue")]
-    fn boundary_ports_must_name_real_queues() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let (system, colors, invariants) = mesh_parts(&config);
-        let boundary = Boundary::over(vec!["q-not-a-queue".to_string()]);
-        let _ = EncodingTemplate::build_over(&system, &colors, &invariants, 2..=2, boundary);
-    }
-
-    #[test]
-    fn contract_imports_are_retractable_and_accounted() {
-        use advocat_invariants::{ContractRow, InterfaceContract};
-
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let (system, colors, invariants) = mesh_parts(&config);
-        let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=2);
-        let query = Query::new().capacity(2);
-        // The fabric deadlocks at capacity 2 without any import.
-        assert!(!template
-            .check(&query, &CheckConfig::default())
-            .verdict
-            .is_deadlock_free());
-        // A contradictory import (1 ≤ 0) rules every model out; rows over
-        // unknown queues are dropped and recorded, not asserted.
-        let contract = InterfaceContract {
-            tile: "neighbour".into(),
-            rows: vec![
-                ContractRow {
-                    terms: Vec::new(),
-                    constant: 1,
-                },
-                ContractRow {
-                    terms: vec![("q-not-here".into(), 1)],
-                    constant: 0,
-                },
-            ],
-            flows: Vec::new(),
-        };
-        let checked = template.check_contract(&contract, &query, &CheckConfig::default());
-        assert!(checked.analysis.verdict.is_deadlock_free());
-        assert_eq!(checked.imported, 1);
-        assert_eq!(checked.skipped, vec!["q-not-here".to_string()]);
-        // The import was scoped: the plain query deadlocks again.
-        assert!(!template
-            .check(&query, &CheckConfig::default())
-            .verdict
-            .is_deadlock_free());
     }
 }

@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use advocat_automata::{derive_colors, System};
 use advocat_invariants::{derive_invariants, InvariantSet};
-use advocat_logic::{CheckConfig, Model, SmtResult, SolverProfile};
+use advocat_logic::{BoolVar, CheckConfig, IntVar, Model, SmtResult, SolverProfile};
 use advocat_xmas::ColorMap;
 
 use crate::counterexample::Counterexample;
@@ -106,11 +106,12 @@ pub struct Analysis {
 /// generation, deadlock-equation encoding and SMT solving, looking for
 /// `target` at the structural queue capacities.
 ///
-/// This is the cold, fixed-capacity path: one fresh solver with the
-/// target's goal asserted permanently.  It shares no solver state with
-/// [`crate::EncodingTemplate`], so it serves as an independent oracle for
-/// the incremental path.  Use [`verify_with`] to supply a precomputed
-/// color map and invariant set or a custom solver configuration.
+/// This is the one-shot, fixed-capacity path: a fresh solver with the
+/// target's goal asserted permanently, checked once.  It shares nothing
+/// with [`crate::EncodingTemplate`] (no capacity variables, scopes,
+/// selectors or query history), so it serves as an independent oracle for
+/// the template.  Use [`verify_with`] to supply a precomputed color map
+/// and invariant set or a custom solver configuration.
 ///
 /// # Examples
 ///
@@ -151,70 +152,104 @@ pub fn verify_with(
         stats,
         profile,
         start.elapsed(),
-        |m| extract_counterexample(system, &vars, m),
+        &CexLabels::new(system, &vars),
     )
 }
 
-/// Translates an SMT model into a deadlock counterexample using the
-/// encoding's variable maps.
-pub(crate) fn extract_counterexample(
-    system: &System,
-    vars: &EncodingVars,
-    model: &Model,
-) -> Counterexample {
-    let network = system.network();
-    let mut cex = Counterexample::default();
-    for ((queue, color), var) in &vars.occupancy {
-        let count = model.int_value(*var);
-        if count > 0 {
-            cex.queue_contents.push((
-                network.name(*queue).to_owned(),
-                network.colors().packet(*color).to_string(),
-                count,
-            ));
-        }
-    }
-    cex.queue_contents.sort();
-    for ((node, state), var) in &vars.state {
-        if model.int_value(*var) == 1 {
-            let automaton = system.automaton(*node).expect("state var for automaton");
-            cex.automaton_states.push((
-                network.name(*node).to_owned(),
-                automaton.state_name(*state).to_owned(),
-            ));
-        }
-    }
-    cex.automaton_states.sort();
-    for (node, var) in &vars.dead {
-        if model.bool_value(*var) {
-            cex.dead_automata.push(network.name(*node).to_owned());
-        }
-    }
-    cex.dead_automata.sort();
-    cex.witnessed = witnessed_targets(vars.goal_stuck, vars.goal_dead, model);
-    cex
+/// The name tables needed to render a model as a counterexample, captured
+/// from the system the encoding was built from.  Owning them makes a
+/// template self-contained: its queries cannot be paired with a different
+/// `System` than the one its encoding describes.
+#[derive(Debug)]
+pub(crate) struct CexLabels {
+    /// `(occupancy var, queue name, packet)` per queue/color pair.
+    occupancy: Vec<(IntVar, String, String)>,
+    /// `(state var, automaton name, state name)` per automaton state.
+    state: Vec<(IntVar, String, String)>,
+    /// `(dead var, automaton name)` per automaton.
+    dead: Vec<(BoolVar, String)>,
+    /// The goal indicators, for attributing a model to its symptom(s).
+    goal_stuck: Option<BoolVar>,
+    goal_dead: Option<BoolVar>,
 }
 
-/// Reads the goal indicators off a model to attribute the counterexample
-/// to the concrete deadlock symptom(s) it witnesses.
-pub(crate) fn witnessed_targets(
-    goal_stuck: Option<advocat_logic::BoolVar>,
-    goal_dead: Option<advocat_logic::BoolVar>,
-    model: &Model,
-) -> Vec<DeadlockTarget> {
-    let mut witnessed = Vec::new();
-    if goal_stuck.is_some_and(|v| model.bool_value(v)) {
-        witnessed.push(DeadlockTarget::StuckPacket);
+impl CexLabels {
+    pub(crate) fn new(system: &System, vars: &EncodingVars) -> Self {
+        let network = system.network();
+        let occupancy = vars
+            .occupancy
+            .iter()
+            .map(|((queue, color), var)| {
+                (
+                    *var,
+                    network.name(*queue).to_owned(),
+                    network.colors().packet(*color).to_string(),
+                )
+            })
+            .collect();
+        let state = vars
+            .state
+            .iter()
+            .map(|((node, state), var)| {
+                let automaton = system.automaton(*node).expect("state var for automaton");
+                (
+                    *var,
+                    network.name(*node).to_owned(),
+                    automaton.state_name(*state).to_owned(),
+                )
+            })
+            .collect();
+        let dead = vars
+            .dead
+            .iter()
+            .map(|(node, var)| (*var, network.name(*node).to_owned()))
+            .collect();
+        CexLabels {
+            occupancy,
+            state,
+            dead,
+            goal_stuck: vars.goal_stuck,
+            goal_dead: vars.goal_dead,
+        }
     }
-    if goal_dead.is_some_and(|v| model.bool_value(v)) {
-        witnessed.push(DeadlockTarget::DeadAutomaton);
+
+    /// Translates a model of the deadlock encoding into a counterexample,
+    /// attributed to the deadlock symptom(s) its goal indicators witness.
+    pub(crate) fn extract(&self, model: &Model) -> Counterexample {
+        let mut cex = Counterexample::default();
+        for (var, queue, packet) in &self.occupancy {
+            let count = model.int_value(*var);
+            if count > 0 {
+                cex.queue_contents
+                    .push((queue.clone(), packet.clone(), count));
+            }
+        }
+        cex.queue_contents.sort();
+        for (var, automaton, state) in &self.state {
+            if model.int_value(*var) == 1 {
+                cex.automaton_states
+                    .push((automaton.clone(), state.clone()));
+            }
+        }
+        cex.automaton_states.sort();
+        for (var, automaton) in &self.dead {
+            if model.bool_value(*var) {
+                cex.dead_automata.push(automaton.clone());
+            }
+        }
+        cex.dead_automata.sort();
+        if self.goal_stuck.is_some_and(|v| model.bool_value(v)) {
+            cex.witnessed.push(DeadlockTarget::StuckPacket);
+        }
+        if self.goal_dead.is_some_and(|v| model.bool_value(v)) {
+            cex.witnessed.push(DeadlockTarget::DeadAutomaton);
+        }
+        cex
     }
-    witnessed
 }
 
 /// Packages an SMT result and its statistics into an [`Analysis`]; shared
-/// by the cold path above and by [`crate::EncodingTemplate`], which differ
-/// only in how they resolve a model back to names (`cex_of`).
+/// by [`verify_with`] and [`crate::EncodingTemplate`].
 pub(crate) fn analysis_from_result(
     vars: &EncodingVars,
     invariants: usize,
@@ -222,12 +257,12 @@ pub(crate) fn analysis_from_result(
     solver_stats: advocat_logic::SolverStats,
     profile: SolverProfile,
     elapsed: Duration,
-    cex_of: impl FnOnce(&Model) -> Counterexample,
+    labels: &CexLabels,
 ) -> Analysis {
     let verdict = match result {
         SmtResult::Unsat => Verdict::DeadlockFree,
         SmtResult::Unknown => Verdict::Unknown,
-        SmtResult::Sat(model) => Verdict::PotentialDeadlock(cex_of(&model)),
+        SmtResult::Sat(model) => Verdict::PotentialDeadlock(labels.extract(&model)),
     };
     Analysis {
         verdict,
@@ -357,6 +392,20 @@ mod tests {
         assert!(analysis.verdict.is_deadlock_free());
         let stuck = verify_system(&system, DeadlockTarget::StuckPacket);
         assert!(!stuck.verdict.is_deadlock_free());
+    }
+
+    #[test]
+    fn an_exhausted_refinement_budget_is_unknown() {
+        let system = running_example(2);
+        let colors = derive_colors(&system);
+        let invariants = derive_invariants(&system, &colors);
+        let config = CheckConfig {
+            max_refinements: 0,
+            ..CheckConfig::default()
+        };
+        let analysis = verify_with(&system, &colors, &invariants, DeadlockTarget::Any, &config);
+        assert_eq!(analysis.verdict, Verdict::Unknown);
+        assert_eq!(analysis.stats.refinements, 0);
     }
 
     #[test]

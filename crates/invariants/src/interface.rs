@@ -16,9 +16,8 @@
 //! indicators), and per-color boundary terms are mapped onto whole-queue
 //! totals only in the direction that preserves the bound.  Every
 //! projected row is therefore implied by the tile invariant it came from:
-//! re-asserting it — in a neighbouring tile's encoding (the checked
-//! import of `advocat-deadlock`'s `check_contract`) or in the boundary
-//! composition check — can never exclude a reachable state.
+//! asserting it in the boundary composition check (`advocat-deadlock`'s
+//! `check_composition`) can never exclude a reachable state.
 
 use std::collections::BTreeMap;
 use std::fmt;

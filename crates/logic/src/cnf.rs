@@ -312,12 +312,6 @@ impl Encoder {
             }
         }
     }
-
-    /// Encodes a formula and asserts it (adds a unit clause for its literal).
-    pub fn assert(&mut self, formula: &Formula, pool: &VarPool, sat: &mut SatSolver) {
-        let lit = self.encode(formula, pool, sat);
-        sat.add_clause(&[lit]);
-    }
 }
 
 #[cfg(test)]
@@ -379,11 +373,12 @@ mod tests {
         let a = pool.new_bool("a");
         let mut enc = Encoder::new();
         let mut sat = SatSolver::new();
-        enc.assert(
+        let tautology = enc.encode(
             &Formula::or([Formula::bool_var(a), Formula::not(Formula::bool_var(a))]),
             &pool,
             &mut sat,
         );
+        sat.add_clause(&[tautology]);
         assert!(sat.solve().is_ok());
     }
 
@@ -393,8 +388,10 @@ mod tests {
         let a = pool.new_bool("a");
         let mut enc = Encoder::new();
         let mut sat = SatSolver::new();
-        enc.assert(&Formula::bool_var(a), &pool, &mut sat);
-        enc.assert(&Formula::not(Formula::bool_var(a)), &pool, &mut sat);
+        for formula in [Formula::bool_var(a), Formula::not(Formula::bool_var(a))] {
+            let lit = enc.encode(&formula, &pool, &mut sat);
+            sat.add_clause(&[lit]);
+        }
         assert!(sat.solve().is_err());
     }
 

@@ -1,23 +1,22 @@
 //! The lazy DPLL(T) loop combining the SAT core with the bounded-LIA
 //! theory solver.
 //!
-//! The solver has two operating modes:
-//!
-//! * **cold** ([`SmtSolver::new`]) — every [`SmtSolver::check`] builds a
-//!   fresh CNF encoding and SAT solver, exactly reproducing an
-//!   off-the-shelf one-shot solver;
-//! * **persistent** ([`SmtSolver::persistent`]) — the encoding, the SAT
-//!   solver (including its learnt clauses, variable activities and watcher
-//!   lists) and every theory lemma survive across `check()` calls.
-//!   Assertions made inside a [`SmtSolver::push`]/[`SmtSolver::pop`] scope
-//!   are guarded by an activation literal and solved under assumptions
-//!   ([`crate::sat::SatSolver::solve_with_assumptions`]), so popping a
-//!   scope retracts them without discarding anything the solver learnt.
+//! One [`SmtSolver`] owns one CNF encoding and one SAT solver for its
+//! whole life.  Each [`SmtSolver::check`] encodes only the assertions
+//! added since the previous check; the SAT solver's learnt clauses,
+//! variable activities and watcher lists, and every theory lemma, survive
+//! into later checks.  Assertions made inside a
+//! [`SmtSolver::push`]/[`SmtSolver::pop`] scope are guarded by an
+//! activation literal and solved under assumptions
+//! ([`crate::sat::SatSolver::solve_with_assumptions`]), so popping a scope
+//! retracts them without discarding anything the solver learnt.  Solvers
+//! share nothing, so a fresh solver checked once is an independent oracle
+//! for a long-lived one.
 //!
 //! Theory lemmas (blocking clauses derived from infeasible conjunctions of
 //! linear atoms) are consequences of the variable bounds alone, never of
-//! the asserted formulas, so in persistent mode they are added as permanent
-//! clauses and keep pruning the search in every later query.
+//! the asserted formulas, so they are added as permanent clauses and keep
+//! pruning the search in every later check.
 
 use crate::cnf::{Encoder, LinearAtom};
 use crate::expr::{BoolVar, Formula, IntVar, VarPool};
@@ -37,7 +36,7 @@ pub struct CheckConfig {
     pub theory_node_budget: u64,
     /// CDCL search parameters: learnt-database reduction, restart schedule
     /// and phase saving.  Applied to the underlying SAT solver at every
-    /// check, so a long-lived persistent solver can be retuned per query.
+    /// check, so a long-lived solver can be retuned per query.
     pub solver: SolverConfig,
 }
 
@@ -62,8 +61,9 @@ pub struct SolverStats {
     pub linear_atoms: usize,
     /// Number of propositional variables allocated by the encoding.
     pub sat_variables: usize,
-    /// SAT conflicts encountered during this check (persistent mode reports
-    /// the delta against the solver state before the check).
+    /// SAT conflicts encountered during this check (the delta against the
+    /// solver state before the search; level-0 propagation while encoding
+    /// is not counted).
     pub sat_conflicts: u64,
     /// SAT unit propagations performed during this check (delta, like
     /// [`SolverStats::sat_conflicts`]).
@@ -72,9 +72,7 @@ pub struct SolverStats {
     pub sat_reduced_dbs: u64,
     /// Clauses deleted by database reductions during this check (delta).
     pub sat_deleted_clauses: u64,
-    /// Learnt clauses alive in the SAT solver after this check (snapshot;
-    /// in cold mode this is the final count of the per-check solver, which
-    /// is discarded when the check returns).
+    /// Learnt clauses alive in the SAT solver after this check (snapshot).
     pub sat_live_learnts: u64,
     /// Learnt clauses ever stored by the SAT solver, including deleted
     /// ones (snapshot of the monotone counter, like
@@ -117,30 +115,6 @@ impl SmtResult {
     }
 }
 
-/// The long-lived encoding state of a persistent solver.
-#[derive(Clone, Debug)]
-struct Incremental {
-    encoder: Encoder,
-    sat: SatSolver,
-    /// How many leading assertions have been encoded into `sat`.
-    encoded: usize,
-    /// Activation literal of each open scope, innermost last.
-    scope_lits: Vec<Lit>,
-}
-
-impl Default for Incremental {
-    fn default() -> Self {
-        Incremental {
-            encoder: Encoder::new(),
-            // `SatSolver::new()`, not `SatSolver::default()`: only the
-            // former initialises the ok flag and the activity increment.
-            sat: SatSolver::new(),
-            encoded: 0,
-            scope_lits: Vec::new(),
-        }
-    }
-}
-
 /// An SMT solver for quantifier-free formulas over Booleans and bounded
 /// linear integer arithmetic.
 ///
@@ -156,13 +130,13 @@ impl Default for Incremental {
 /// assert!(smt.check().is_unsat());
 /// ```
 ///
-/// Persistent mode answers a sweep of related queries from one solver,
-/// retracting the per-query constraint between checks:
+/// One solver answers a sweep of related queries, retracting the
+/// per-query constraint between checks:
 ///
 /// ```
 /// use advocat_logic::{Formula, LinExpr, SmtSolver};
 ///
-/// let mut smt = SmtSolver::persistent();
+/// let mut smt = SmtSolver::new();
 /// let x = smt.new_int_var("x", 0, 10);
 /// let y = smt.new_int_var("y", 0, 10);
 /// smt.assert(Formula::eq(LinExpr::var(x) + LinExpr::var(y), LinExpr::constant(6)));
@@ -179,7 +153,12 @@ pub struct SmtSolver {
     assertions: Vec<Formula>,
     /// Assertion-count marks of the open scopes, innermost last.
     scope_marks: Vec<usize>,
-    persistent: Option<Box<Incremental>>,
+    /// Activation literal of each open scope, innermost last.
+    scope_lits: Vec<Lit>,
+    encoder: Encoder,
+    sat: SatSolver,
+    /// How many leading assertions have been encoded into `sat`.
+    encoded: usize,
     stats: SolverStats,
     /// Phase attribution of the most recent check; empty unless the
     /// check's [`SolverConfig::telemetry`] handle was enabled.
@@ -187,25 +166,11 @@ pub struct SmtSolver {
 }
 
 impl SmtSolver {
-    /// Creates an empty cold-mode solver: every check builds a fresh
-    /// encoding and SAT solver.
+    /// Creates an empty solver: the encoding, learnt clauses and theory
+    /// lemmas survive across [`SmtSolver::check`] calls, and scoped
+    /// assertions are retracted via assumption literals.
     pub fn new() -> Self {
         SmtSolver::default()
-    }
-
-    /// Creates an empty persistent solver: the encoding, learnt clauses and
-    /// theory lemmas survive across [`SmtSolver::check`] calls, and scoped
-    /// assertions are retracted via assumption literals.
-    pub fn persistent() -> Self {
-        SmtSolver {
-            persistent: Some(Box::default()),
-            ..SmtSolver::default()
-        }
-    }
-
-    /// Returns `true` for a solver created with [`SmtSolver::persistent`].
-    pub fn is_persistent(&self) -> bool {
-        self.persistent.is_some()
     }
 
     /// Declares a fresh Boolean variable.
@@ -238,16 +203,13 @@ impl SmtSolver {
     /// [`SmtSolver::pop`] are retracted by it.
     pub fn push(&mut self) {
         self.scope_marks.push(self.assertions.len());
-        if let Some(inc) = self.persistent.as_mut() {
-            let act = Lit::positive(inc.sat.new_var());
-            inc.scope_lits.push(act);
-        }
+        self.scope_lits.push(Lit::positive(self.sat.new_var()));
     }
 
-    /// Closes the innermost scope, retracting its assertions.  In
-    /// persistent mode the scope's activation literal is permanently
-    /// disabled, which satisfies every clause the scope contributed while
-    /// keeping all learnt clauses and theory lemmas.
+    /// Closes the innermost scope, retracting its assertions.  The scope's
+    /// activation literal is permanently disabled, which satisfies every
+    /// clause the scope contributed while keeping all learnt clauses and
+    /// theory lemmas.
     ///
     /// # Panics
     ///
@@ -255,14 +217,12 @@ impl SmtSolver {
     pub fn pop(&mut self) {
         let mark = self.scope_marks.pop().expect("pop without a matching push");
         self.assertions.truncate(mark);
-        if let Some(inc) = self.persistent.as_mut() {
-            inc.encoded = inc.encoded.min(mark);
-            let act = inc
-                .scope_lits
-                .pop()
-                .expect("scope literal tracked per scope");
-            inc.sat.add_clause(&[act.negated()]);
-        }
+        self.encoded = self.encoded.min(mark);
+        let act = self
+            .scope_lits
+            .pop()
+            .expect("scope literal tracked per scope");
+        self.sat.add_clause(&[act.negated()]);
     }
 
     /// Returns the number of open scopes.
@@ -282,13 +242,11 @@ impl SmtSolver {
         std::mem::take(&mut self.profile)
     }
 
-    /// Returns the cumulative statistics of the underlying SAT solver.
-    ///
-    /// In persistent mode the counters accumulate over the whole life of
-    /// the session (that is what makes reuse visible); in cold mode there
-    /// is no long-lived SAT solver and `None` is returned.
-    pub fn sat_stats(&self) -> Option<SatStats> {
-        self.persistent.as_ref().map(|inc| inc.sat.stats())
+    /// Returns the cumulative statistics of the underlying SAT solver: the
+    /// counters accumulate over the whole life of the solver (that is what
+    /// makes reuse visible).
+    pub fn sat_stats(&self) -> SatStats {
+        self.sat.stats()
     }
 
     /// Checks satisfiability with default resource limits.
@@ -306,71 +264,27 @@ impl SmtSolver {
     /// each `(variable, polarity)` pair is held at the given truth value for
     /// this check only, without being asserted.
     ///
-    /// Assumptions are the third retraction mechanism next to scopes and
-    /// cold re-encoding, and the cheapest of the three: nothing is encoded,
-    /// nothing has to be garbage-collected afterwards, and in persistent
-    /// mode everything the solver learns under one assumption set keeps
-    /// pruning the search under every later one.  They are what lets a
-    /// verification session flip *specification selectors* (which deadlock
-    /// target is active, whether invariant strengthening applies) between
-    /// queries with no re-encode at all.
+    /// Assumptions are the cheaper of the two retraction mechanisms: unlike
+    /// a scope, nothing is encoded and nothing has to be garbage-collected
+    /// afterwards, and everything the solver learns under one assumption
+    /// set keeps pruning the search under every later one.  They are what
+    /// lets a verification session flip *specification selectors* (which
+    /// deadlock target is active, whether invariant strengthening applies)
+    /// between queries with no re-encode at all.
     ///
     /// A variable that never occurs in any asserted formula is allocated a
     /// SAT variable on the fly, so selector variables may be declared ahead
     /// of the formulas they will eventually guard.
+    ///
+    /// Only the assertions added since the last check are encoded; the
+    /// search runs under the activation literals of the open scopes plus
+    /// the caller's assumption literals.
     pub fn check_assuming(
         &mut self,
         assumptions: &[(BoolVar, bool)],
         config: &CheckConfig,
     ) -> SmtResult {
-        match self.persistent.take() {
-            Some(mut inc) => {
-                let result = self.check_persistent(&mut inc, assumptions, config);
-                self.persistent = Some(inc);
-                result
-            }
-            None => self.check_cold(assumptions, config),
-        }
-    }
-
-    /// One-shot check: fresh encoder and SAT solver, as in the original
-    /// pipeline.
-    fn check_cold(&mut self, assumptions: &[(BoolVar, bool)], config: &CheckConfig) -> SmtResult {
-        let mut encoder = Encoder::new();
-        let mut sat = SatSolver::with_config(config.solver.clone());
-        for assertion in &self.assertions {
-            encoder.assert(assertion, &self.pool, &mut sat);
-        }
-        let assumed: Vec<Lit> = assumptions
-            .iter()
-            .map(|&(v, sign)| Lit::new(encoder.sat_var_for_bool(v, &mut sat), sign))
-            .collect();
-        self.stats = SolverStats {
-            linear_atoms: encoder.atom_count(),
-            sat_variables: sat.num_vars(),
-            ..SolverStats::default()
-        };
-        let result = self.refine(&encoder, &mut sat, &assumed, config);
-        let after = sat.stats();
-        self.stats.sat_conflicts = after.conflicts;
-        self.stats.sat_propagations = after.propagations;
-        self.stats.sat_reduced_dbs = after.reduced_dbs;
-        self.stats.sat_deleted_clauses = after.deleted_clauses;
-        self.stats.sat_live_learnts = after.learnt_clauses;
-        self.stats.sat_total_learnt = after.total_learnt;
-        result
-    }
-
-    /// Incremental check: encode only the assertions added since the last
-    /// check and solve under the activation literals of the open scopes
-    /// plus the caller's per-check assumption literals.
-    fn check_persistent(
-        &mut self,
-        inc: &mut Incremental,
-        assumptions: &[(BoolVar, bool)],
-        config: &CheckConfig,
-    ) -> SmtResult {
-        for i in inc.encoded..self.assertions.len() {
+        for i in self.encoded..self.assertions.len() {
             // The innermost scope whose mark covers assertion `i` guards
             // it; assertions below every mark are permanent.  The guard
             // extends every clause of the encoding — not just the
@@ -380,35 +294,35 @@ impl SmtSolver {
                 .scope_marks
                 .iter()
                 .rposition(|&mark| mark <= i)
-                .map(|scope| inc.scope_lits[scope]);
-            let lit = inc.encoder.encode_guarded(
+                .map(|scope| self.scope_lits[scope]);
+            let lit = self.encoder.encode_guarded(
                 &self.assertions[i],
                 guard.map(|act| act.negated()),
                 &self.pool,
-                &mut inc.sat,
+                &mut self.sat,
             );
             match guard {
-                Some(act) => inc.sat.add_clause(&[act.negated(), lit]),
-                None => inc.sat.add_clause(&[lit]),
+                Some(act) => self.sat.add_clause(&[act.negated(), lit]),
+                None => self.sat.add_clause(&[lit]),
             };
         }
-        inc.encoded = self.assertions.len();
+        self.encoded = self.assertions.len();
 
         self.stats = SolverStats {
-            linear_atoms: inc.encoder.atom_count(),
-            sat_variables: inc.sat.num_vars(),
+            linear_atoms: self.encoder.atom_count(),
+            sat_variables: self.sat.num_vars(),
             ..SolverStats::default()
         };
-        inc.sat.set_config(config.solver.clone());
-        let before = inc.sat.stats();
-        let mut assumed = inc.scope_lits.clone();
+        self.sat.set_config(config.solver.clone());
+        let before = self.sat.stats();
+        let mut assumed = self.scope_lits.clone();
         assumed.extend(
             assumptions
                 .iter()
-                .map(|&(v, sign)| Lit::new(inc.encoder.sat_var_for_bool(v, &mut inc.sat), sign)),
+                .map(|&(v, sign)| Lit::new(self.encoder.sat_var_for_bool(v, &mut self.sat), sign)),
         );
-        let result = self.refine(&inc.encoder, &mut inc.sat, &assumed, config);
-        let after = inc.sat.stats();
+        let result = self.refine(&assumed, config);
+        let after = self.sat.stats();
         self.stats.sat_conflicts = after.conflicts - before.conflicts;
         self.stats.sat_propagations = after.propagations - before.propagations;
         self.stats.sat_reduced_dbs = after.reduced_dbs - before.reduced_dbs;
@@ -418,11 +332,11 @@ impl SmtSolver {
         result
     }
 
-    /// The lazy SAT/theory refinement loop shared by both modes.
+    /// The lazy SAT/theory refinement loop.
     ///
     /// Blocking clauses are justified by the variable bounds alone, so they
-    /// are always added as permanent clauses — in persistent mode they are
-    /// the "theory lemmas" that survive into later checks.
+    /// are always added as permanent clauses: the "theory lemmas" that
+    /// survive into later checks.
     ///
     /// A theory conflict found by propagation is explained from the reasons
     /// propagation recorded ([`theory::solve`]); the explanation is shrunk to
@@ -433,13 +347,8 @@ impl SmtSolver {
     /// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
     /// theory-side phases and lemma sizes are charged to the check's
     /// profile, next to the SAT core's CDCL phases.
-    fn refine(
-        &mut self,
-        encoder: &Encoder,
-        sat: &mut SatSolver,
-        assumptions: &[Lit],
-        config: &CheckConfig,
-    ) -> SmtResult {
+    fn refine(&mut self, assumptions: &[Lit], config: &CheckConfig) -> SmtResult {
+        let (encoder, sat) = (&self.encoder, &mut self.sat);
         let mut profile = SolverProfile::default();
         let bounds: Vec<(i64, i64)> = self
             .pool
@@ -696,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn cold_push_pop_retracts_assertions() {
+    fn push_pop_retracts_assertions() {
         let mut smt = SmtSolver::new();
         let x = smt.new_int_var("x", 0, 5);
         smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(2)));
@@ -709,10 +618,10 @@ mod tests {
     }
 
     #[test]
-    fn persistent_push_pop_matches_cold_results() {
-        // A small sweep answered by one persistent solver must agree with
-        // fresh cold solvers at every step.
-        let mut session = SmtSolver::persistent();
+    fn scoped_checks_match_a_fresh_solver_per_step() {
+        // A small sweep answered by one solver through scopes must agree
+        // with a fresh solver checked once at every step.
+        let mut session = SmtSolver::new();
         let x = session.new_int_var("x", 0, 8);
         let y = session.new_int_var("y", 0, 8);
         let base = Formula::eq(LinExpr::var(x) + LinExpr::var(y), LinExpr::constant(5));
@@ -721,26 +630,25 @@ mod tests {
             session.push();
             session.assert(Formula::le(LinExpr::var(x), LinExpr::constant(cap)));
             session.assert(Formula::ge(LinExpr::var(y), LinExpr::constant(5 - cap)));
-            let persistent_sat = session.check().is_sat();
+            let scoped_sat = session.check().is_sat();
             session.pop();
 
-            let mut cold = SmtSolver::new();
-            let cx = cold.new_int_var("x", 0, 8);
-            let cy = cold.new_int_var("y", 0, 8);
-            cold.assert(Formula::eq(
-                LinExpr::var(cx) + LinExpr::var(cy),
+            let mut fresh = SmtSolver::new();
+            let fx = fresh.new_int_var("x", 0, 8);
+            let fy = fresh.new_int_var("y", 0, 8);
+            fresh.assert(Formula::eq(
+                LinExpr::var(fx) + LinExpr::var(fy),
                 LinExpr::constant(5),
             ));
-            cold.assert(Formula::le(LinExpr::var(cx), LinExpr::constant(cap)));
-            cold.assert(Formula::ge(LinExpr::var(cy), LinExpr::constant(5 - cap)));
-            assert_eq!(persistent_sat, cold.check().is_sat(), "capacity {cap}");
+            fresh.assert(Formula::le(LinExpr::var(fx), LinExpr::constant(cap)));
+            fresh.assert(Formula::ge(LinExpr::var(fy), LinExpr::constant(5 - cap)));
+            assert_eq!(scoped_sat, fresh.check().is_sat(), "capacity {cap}");
         }
-        assert!(session.sat_stats().is_some());
     }
 
     #[test]
-    fn persistent_mode_keeps_scope_zero_assertions() {
-        let mut smt = SmtSolver::persistent();
+    fn scope_zero_assertions_are_permanent() {
+        let mut smt = SmtSolver::new();
         let x = smt.new_int_var("x", 0, 3);
         smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(1)));
         assert!(smt.check().is_sat());
@@ -752,8 +660,8 @@ mod tests {
     }
 
     #[test]
-    fn persistent_unsat_scope_does_not_poison_later_queries() {
-        let mut smt = SmtSolver::persistent();
+    fn an_unsat_scope_does_not_poison_later_queries() {
+        let mut smt = SmtSolver::new();
         let x = smt.new_int_var("x", 0, 4);
         smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(2)));
         smt.push();
@@ -770,7 +678,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_retract_in_order() {
-        let mut smt = SmtSolver::persistent();
+        let mut smt = SmtSolver::new();
         let x = smt.new_int_var("x", 0, 9);
         smt.push();
         smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(4)));
@@ -786,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_knobs_thread_through_persistent_checks() {
+    fn solver_knobs_thread_through_scoped_checks() {
         // The same sweep answered with and without clause reduction must
         // agree on every verdict, and the aggressively reduced session must
         // report reductions with a live count at or below the total.
@@ -795,7 +703,7 @@ mod tests {
                 solver,
                 ..CheckConfig::default()
             };
-            let mut smt = SmtSolver::persistent();
+            let mut smt = SmtSolver::new();
             let x = smt.new_int_var("x", 0, 12);
             let y = smt.new_int_var("y", 0, 12);
             smt.assert(Formula::eq(
@@ -832,7 +740,7 @@ mod tests {
 
     #[test]
     fn assumptions_select_guarded_assertions_without_re_encoding() {
-        let mut smt = SmtSolver::persistent();
+        let mut smt = SmtSolver::new();
         let sel_a = smt.new_bool_var("sel_a");
         let sel_b = smt.new_bool_var("sel_b");
         let x = smt.new_int_var("x", 0, 10);
@@ -859,7 +767,7 @@ mod tests {
 
     #[test]
     fn assumptions_compose_with_scopes() {
-        let mut smt = SmtSolver::persistent();
+        let mut smt = SmtSolver::new();
         let sel = smt.new_bool_var("sel");
         let x = smt.new_int_var("x", 0, 9);
         smt.assert(Formula::implies(
@@ -884,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_work_in_cold_mode_and_on_unencoded_variables() {
+    fn assumptions_work_on_unencoded_variables() {
         let mut smt = SmtSolver::new();
         let sel = smt.new_bool_var("sel");
         let x = smt.new_int_var("x", 0, 5);
@@ -908,13 +816,13 @@ mod tests {
 
     #[test]
     fn per_check_sat_stats_are_deltas() {
-        let mut smt = SmtSolver::persistent();
+        let mut smt = SmtSolver::new();
         let x = smt.new_int_var("x", 0, 6);
         smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(1)));
         let _ = smt.check();
         let first = smt.stats().sat_propagations;
         let _ = smt.check();
-        let cumulative = smt.sat_stats().expect("persistent").propagations;
+        let cumulative = smt.sat_stats().propagations;
         // The second check's delta cannot exceed the cumulative counter
         // minus the first delta.
         assert!(smt.stats().sat_propagations + first <= cumulative);

@@ -17,9 +17,11 @@
 //! own **escape VCs** (e.g. the two dateline VCs of a torus ring).  A
 //! fabric with both has `2 × num_vcs` planes per link.
 //!
-//! Unless disabled, the builder first runs [`crate::audit_routing`] and
-//! refuses to instantiate a fabric whose routing function cannot deliver
-//! every pair or admits a cyclic channel dependency.
+//! The builder first runs [`crate::audit_routing`] and refuses to
+//! instantiate a fabric whose routing function cannot deliver every pair
+//! or admits a cyclic channel dependency.  A tile of a partition
+//! ([`crate::build_tile_fabric`]) is not audited on its own: the whole
+//! fabric it was cut from is.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,9 +63,6 @@ pub struct FabricConfig {
     pub protocol: ProtocolKind,
     /// Whether to split traffic into request/response message-class planes.
     pub message_class_vcs: bool,
-    /// Whether [`build_fabric`] audits the routing function first
-    /// (connectivity + acyclic channel dependencies).  On by default.
-    pub audit: bool,
 }
 
 /// Errors raised when a fabric cannot be built.
@@ -175,7 +174,6 @@ impl FabricConfig {
             directory: 0,
             protocol: ProtocolKind::AbstractMi,
             message_class_vcs: false,
-            audit: true,
         }
     }
 
@@ -206,12 +204,6 @@ impl FabricConfig {
     /// Sets the queue size, keeping everything else.
     pub fn with_queue_size(mut self, queue_size: usize) -> Self {
         self.queue_size = queue_size;
-        self
-    }
-
-    /// Enables or disables the pre-build routing audit.
-    pub fn with_routing_audit(mut self, enabled: bool) -> Self {
-        self.audit = enabled;
         self
     }
 
@@ -255,8 +247,9 @@ impl FabricConfig {
 ///
 /// # Errors
 ///
-/// Returns a [`FabricError`] when the configuration is invalid or (unless
-/// the audit is disabled) the routing function fails its sanity check.
+/// Returns a [`FabricError`] when the configuration is invalid or the
+/// routing function fails its audit: some pair cannot be delivered, or
+/// the channel dependencies are cyclic.
 ///
 /// # Panics
 ///
@@ -292,7 +285,7 @@ pub(crate) fn build_fabric_scoped(
     // The audit is a whole-fabric property; a lone tile is audited by the
     // flat configuration it was cut from, not in isolation (where the cut
     // would sever routes and fail connectivity vacuously).
-    if config.audit && scope.is_none() {
+    if scope.is_none() {
         let audit = audit_routing(topo, routing)?;
         if let Some(cycle) = audit.describe_cycle(topo) {
             return Err(FabricError::CyclicChannelDependencies {
@@ -733,9 +726,6 @@ mod tests {
             }
             other => panic!("expected a cyclic-dependency error, got {other:?}"),
         }
-        // Disabling the audit lets the (deadlocky) fabric build.
-        let system = build_fabric(&config.with_routing_audit(false)).unwrap();
-        system.validate().unwrap();
     }
 
     #[test]

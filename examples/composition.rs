@@ -14,8 +14,8 @@
 //! 2. shows the class sharing in the numbers: 16 tiles certify through
 //!    one engine per class; every other tile of a class is a warm
 //!    certification,
-//! 3. prints the projected contract of one tile, the artefact a
-//!    neighbouring tile (or a colleague's separate run) can import.
+//! 3. prints the projected contract of one tile: the occupancy bounds the
+//!    boundary check asserts over that tile's cut queues.
 //!
 //! Run with: `cargo run --release --example composition`
 

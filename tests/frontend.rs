@@ -455,3 +455,36 @@ fn healthz_and_error_mapping_cover_the_service_semantics() {
     harness.server.shutdown();
     assert!(harness.server.join());
 }
+
+/// An exhausted refinement budget crosses the wire as an explicit status:
+/// `GET /v1/jobs/{id}` answers 200 with `"status":"unknown"` for every
+/// job of a `"max_refinements":0` request, never a verdict.
+#[test]
+fn an_exhausted_budget_is_unknown_over_http() {
+    let harness = start(
+        ServiceConfig::default().with_workers(1),
+        FrontendConfig::default(),
+    );
+    let mut client = client_for(&harness.server);
+    let ids = client
+        .submit(
+            "{\"name\":\"no budget\",\"topology\":{\"kind\":\"mesh\",\"width\":2,\"height\":2},\
+              \"queue_size\":2,\"directory\":3,\"capacities\":[2,3],\"max_refinements\":0}",
+        )
+        .expect("transport")
+        .expect("admitted");
+    assert_eq!(ids.len(), 2, "one job per capacity");
+    for id in ids {
+        let done = client.wait(id, 120_000).expect("transport");
+        assert_eq!(done.status, 200, "{}", done.body);
+        assert_eq!(
+            str_field(&done.body, "status").as_deref(),
+            Some("unknown"),
+            "{}",
+            done.body
+        );
+    }
+
+    harness.server.shutdown();
+    assert!(harness.server.join());
+}

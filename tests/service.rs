@@ -11,17 +11,22 @@ use std::time::Duration;
 /// share engines and a scenario that deadlocks (so counterexample
 /// witnesses are part of the comparison).
 fn mixed_workload(service: &Service) {
-    service.submit_sweep(
-        &BatchScenario::new("mesh sweep", MeshConfig::new(2, 2, 2).with_directory(1, 1))
-            .with_sweep(1..=3),
-    );
-    service.submit_sweep(
-        &BatchScenario::for_fabric(
-            "ring sweep",
-            FabricConfig::new(Topology::ring(4).unwrap(), 1).with_directory(1),
-        )
-        .with_sweep(1..=2),
-    );
+    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    for capacity in 1..=3 {
+        service.submit(
+            VerifyJob::mesh("mesh sweep", mesh)
+                .at_capacity(capacity)
+                .with_engine_range(1..=3),
+        );
+    }
+    let ring = FabricConfig::new(Topology::ring(4).unwrap(), 1).with_directory(1);
+    for capacity in 1..=2 {
+        service.submit(
+            VerifyJob::fabric("ring sweep", ring.clone())
+                .at_capacity(capacity)
+                .with_engine_range(1..=2),
+        );
+    }
     service.submit(VerifyJob::mesh(
         "mesh qs3",
         MeshConfig::new(2, 2, 3).with_directory(1, 1),
@@ -72,9 +77,8 @@ fn outcomes_are_identical_at_any_worker_count() {
     assert!(transcripts[0].iter().any(|t| t.4.is_some()));
 }
 
-/// `run_batch` rides the same machinery, so its outcomes (and the
-/// `workers == 0` machine-sized mode of satellite (a)) must agree across
-/// worker counts too.
+/// `run_batch` outcomes (including the `workers == 0` machine-sized
+/// mode) must agree across worker counts too.
 #[test]
 fn run_batch_agrees_across_worker_counts_including_machine_sized() {
     let scenarios = vec![
@@ -286,42 +290,6 @@ fn warm_hit_accounting_survives_eviction_and_rebuild() {
     assert_eq!(stats.rebuilds, 1, "only a was built twice");
 }
 
-/// `BatchOutcome` separates queueing (`queued_for`) from work
-/// (`elapsed`).  For single-job scenarios the two partition the job's
-/// admission-to-completion span, so their sum is bounded by the whole
-/// batch's wall-clock time; and on one worker the jobs serialise, so the
-/// batch as a whole visibly waits.
-#[test]
-fn batch_outcomes_split_queueing_from_work() {
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    let scenarios: Vec<BatchScenario> = (0..3)
-        .map(|i| BatchScenario::new(format!("job {i}"), mesh))
-        .collect();
-    let wall = std::time::Instant::now();
-    let outcomes = run_batch(&scenarios, 1);
-    let wall = wall.elapsed();
-    for outcome in &outcomes {
-        assert!(
-            outcome.elapsed > Duration::ZERO,
-            "{} did work",
-            outcome.name
-        );
-        assert!(
-            outcome.queued_for + outcome.elapsed <= wall,
-            "{}: wait {:?} + work {:?} exceed the batch wall time {:?}",
-            outcome.name,
-            outcome.queued_for,
-            outcome.elapsed,
-            wall
-        );
-    }
-    let waited: Duration = outcomes.iter().map(|o| o.queued_for).sum();
-    assert!(
-        waited > Duration::ZERO,
-        "serialised jobs wait for the one worker"
-    );
-}
-
 /// Pool accounting balances across every path — warm hits, cold builds,
 /// rebuilds after eviction, cached build failures and queue-refused
 /// timeouts: `checkouts == warm_hits + engines_built` and
@@ -417,6 +385,33 @@ fn json_jobs_round_trip_through_the_service() {
     assert!(service
         .submit_json(r#"{"name": "x", "topology": {"kind": "escher"}}"#)
         .is_err());
+}
+
+/// An exhausted refinement budget is reported as such on the wire: every
+/// job of a `"max_refinements":0` request answers `"status":"unknown"`,
+/// never a verdict.
+#[test]
+fn an_exhausted_budget_is_unknown_in_the_job_json() {
+    let service = Service::new(ServiceConfig::default().with_workers(2));
+    let ids = service
+        .submit_json(
+            r#"{
+                "name": "no budget",
+                "topology": {"kind": "mesh", "width": 2, "height": 2},
+                "queue_size": 2,
+                "directory": 3,
+                "capacities": [2, 3],
+                "max_refinements": 0
+            }"#,
+        )
+        .expect("valid job JSON");
+    assert_eq!(ids.len(), 2);
+    for outcome in service.drain() {
+        let report = outcome.result.as_ref().expect("the mesh builds");
+        assert_eq!(report.analysis().verdict, Verdict::Unknown);
+        let json = advocat::service::outcome_to_json(&outcome);
+        assert!(json.contains("\"status\":\"unknown\""), "{json}");
+    }
 }
 
 /// Streaming consumption: `next_outcome` hands outcomes out as they
@@ -745,13 +740,14 @@ fn stats_snapshot_pins_pool_queue_and_registry() {
             .with_queue_capacity(17)
             .with_telemetry(telemetry.clone()),
     );
-    service.submit_sweep(
-        &BatchScenario::for_fabric(
-            "stats ring",
-            FabricConfig::new(Topology::ring(3).unwrap(), 1).with_directory(1),
-        )
-        .with_sweep(1..=2),
-    );
+    let ring = FabricConfig::new(Topology::ring(3).unwrap(), 1).with_directory(1);
+    for capacity in 1..=2 {
+        service.submit(
+            VerifyJob::fabric("stats ring", ring.clone())
+                .at_capacity(capacity)
+                .with_engine_range(1..=2),
+        );
+    }
     let outcomes = service.drain();
     assert_eq!(outcomes.len(), 2);
 
