@@ -361,7 +361,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use advocat_deadlock::DeadlockTarget;
+    use advocat_deadlock::{DeadlockTarget, Verdict};
     use advocat_noc::{build_mesh, build_mesh_for_sweep, MeshConfig};
 
     #[test]
@@ -399,6 +399,32 @@ mod tests {
         assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
         assert_eq!(engine.stats().queries, 5);
         assert_eq!(engine.stats().templates_built, 1);
+    }
+
+    #[test]
+    fn a_spent_theory_budget_is_unknown_in_the_report() {
+        use advocat_noc::{FabricConfig, Topology};
+        // Capacity 2 deadlocks and 3 is free: both searches reach a
+        // complete assignment, whose theory check has no node to spend.
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+        let starved = CheckConfig {
+            theory_node_budget: 0,
+            ..CheckConfig::default()
+        };
+        let mut engine = QueryEngine::for_fabric_with(&config, starved, 2..=3).unwrap();
+        for capacity in [2, 3] {
+            let report = engine.check(&Query::new().capacity(capacity));
+            assert!(
+                matches!(report.verdict(), Verdict::Unknown),
+                "capacity {capacity}: {report:?}"
+            );
+            assert!(!report.is_deadlock_free());
+            assert!(
+                report.summary().contains("unknown (resource limit)"),
+                "{}",
+                report.summary()
+            );
+        }
     }
 
     #[test]

@@ -96,8 +96,8 @@ fn gcd(a: i64, b: i64) -> i64 {
 }
 
 /// Tseitin encoder mapping formulas onto a [`SatSolver`], keeping track of
-/// the atom ↔ SAT-variable correspondence so the lazy SMT loop can extract
-/// theory constraints from SAT models and add blocking clauses.
+/// the atom ↔ SAT-variable correspondence so the SMT search can extract
+/// theory constraints from SAT assignments and block refuted ones.
 ///
 /// Formulas can be encoded under a *guard literal*
 /// ([`Encoder::encode_guarded`]): every definition clause the encoding

@@ -13,7 +13,8 @@
 //! The original work hands this instance to an off-the-shelf SMT solver;
 //! because the entire fragment is *bounded*, a complete decision procedure
 //! only needs a SAT solver plus a finite-domain feasibility check.  This
-//! crate implements exactly that as a lazy DPLL(T) loop:
+//! crate implements exactly that as one DPLL(T) search, the theory checked
+//! at every complete assignment inside the CDCL search:
 //!
 //! 1. [`cnf`] — Tseitin transformation mapping a [`Formula`] to CNF over
 //!    propositional atoms (Boolean variables and canonicalised linear
@@ -23,7 +24,8 @@
 //!    LBD-aware Luby restarts, learnt-database reduction),
 //! 3. [`theory`] — a bounded linear-integer-arithmetic solver based on
 //!    interval propagation and branch & bound, producing conflict cores,
-//! 4. [`smt`] — the lazy refinement loop tying the two together.
+//! 4. [`smt`] — the search tying the two together: a refuted assignment's
+//!    theory lemma becomes a conflict clause of the running CDCL search.
 //!
 //! # Examples
 //!

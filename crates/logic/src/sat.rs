@@ -1,6 +1,13 @@
 //! A CDCL SAT solver.
 //!
-//! This is the propositional core of the lazy DPLL(T) loop in [`crate::smt`].
+//! This is the propositional core of the DPLL(T) search in [`crate::smt`]:
+//! [`SatSolver::solve_with_theory`] hands every complete assignment the
+//! search reaches to a theory check, and a theory lemma refuting it acts
+//! as a conflict clause of the running search, which backjumps only as far
+//! as the lemma needs instead of starting over.  Without a theory
+//! ([`SatSolver::solve_with_assumptions`]) the same loop accepts the first
+//! complete assignment.
+//!
 //! It implements the standard conflict-driven clause-learning algorithm:
 //! two-watched-literal unit propagation, first-UIP conflict analysis with
 //! clause learning and non-chronological backjumping, exponential-decay
@@ -414,6 +421,30 @@ pub struct SatSolver {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Unsat;
 
+/// A theory's answer to a complete assignment of the search (see
+/// [`SatSolver::solve_with_theory`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TheoryCheck {
+    /// The assignment is consistent: the search ends with it as the model.
+    Consistent,
+    /// The assignment is refuted by this clause of distinct literals, every
+    /// one of which it falsifies; the search adds the clause and goes on.
+    Lemma(Vec<Lit>),
+    /// The search ends without an answer (a budget is spent or the theory
+    /// gave up).
+    Stop,
+}
+
+/// What one [`SatSolver::decide`] step did.
+enum Step {
+    /// Opened a decision level for an assumption or a branching decision.
+    Decided,
+    /// Every constrained variable is assigned.
+    Complete,
+    /// This assumption is false under the current assignment.
+    FailedAssumption(Lit),
+}
+
 impl Default for SatSolver {
     fn default() -> Self {
         SatSolver::new()
@@ -508,16 +539,6 @@ impl SatSolver {
     /// Returns solver statistics.
     pub fn stats(&self) -> SatStats {
         self.stats
-    }
-
-    /// Returns `true` while `var` carries any constraint: it occurs in a
-    /// live clause, or it is currently assigned (in particular, forced at
-    /// level zero by a unit clause).  Variables whose every clause was
-    /// garbage-collected — e.g. the encoding of a popped session scope —
-    /// report `false`: the solver no longer branches on them and their
-    /// model value is an uninformative default.
-    pub fn is_constrained(&self, var: Var) -> bool {
-        self.occurs[var] > 0 || self.assigns[var].is_some()
     }
 
     /// Adds a clause.  Returns `false` if the solver is already known to be
@@ -646,14 +667,17 @@ impl SatSolver {
             self.qhead += 1;
             self.stats.propagations += 1;
             let falsified = lit.negated();
-            let watch_list = std::mem::take(&mut self.watches[falsified.code()]);
-            let mut kept: Vec<ClauseRef> = Vec::with_capacity(watch_list.len());
+            // The list is compacted in place: clauses that keep watching
+            // `falsified` move down to the first `kept` slots, the others
+            // go to the list of their new watch (never this one: the new
+            // watch is not false).
+            let mut watch_list = std::mem::take(&mut self.watches[falsified.code()]);
+            let mut kept = 0;
             let mut conflict: Option<ClauseRef> = None;
-            for (pos, &cr) in watch_list.iter().enumerate() {
-                if conflict.is_some() {
-                    kept.extend_from_slice(&watch_list[pos..]);
-                    break;
-                }
+            let mut pos = 0;
+            while pos < watch_list.len() {
+                let cr = watch_list[pos];
+                pos += 1;
                 // Make sure the falsified literal is at position 1.
                 let (w0, w1) = {
                     let c = self.clause_mut(cr);
@@ -664,7 +688,8 @@ impl SatSolver {
                 };
                 debug_assert_eq!(w1, falsified);
                 if self.value(w0) == Some(true) {
-                    kept.push(cr);
+                    watch_list[kept] = cr;
+                    kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
@@ -683,12 +708,18 @@ impl SatSolver {
                     continue;
                 }
                 // Clause is unit or conflicting.
-                kept.push(cr);
+                watch_list[kept] = cr;
+                kept += 1;
                 if !self.enqueue(w0, Some(cr)) {
+                    // Keep the unvisited rest of the list as it is.
                     conflict = Some(cr);
+                    watch_list.copy_within(pos.., kept);
+                    kept += watch_list.len() - pos;
+                    break;
                 }
             }
-            self.watches[falsified.code()] = kept;
+            watch_list.truncate(kept);
+            self.watches[falsified.code()] = watch_list;
             if let Some(cr) = conflict {
                 self.qhead = self.trail.len();
                 return Some(cr);
@@ -1025,6 +1056,43 @@ impl SatSolver {
     /// Panics if an assumption refers to a variable that was never
     /// allocated.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Result<Vec<bool>, Unsat> {
+        self.solve_with_theory(assumptions, |_| TheoryCheck::Consistent)
+            .map(|model| model.expect("a theory that accepts every assignment never stops"))
+    }
+
+    /// Solves under assumptions like [`SatSolver::solve_with_assumptions`],
+    /// with `theory` checking every complete assignment the search reaches.
+    ///
+    /// `theory` sees each variable's value, `None` for one the search left
+    /// unassigned because no live clause mentions it (its model value is
+    /// `false`).  A
+    /// [`TheoryCheck::Lemma`] joins the problem clauses for good and acts
+    /// as a conflict of the running search, which backjumps only as far as
+    /// the lemma needs and continues:
+    ///
+    /// * a unit lemma becomes a level-zero fact;
+    /// * a lemma with one literal at its highest level backjumps to its
+    ///   next-highest level and asserts that literal there;
+    /// * a lemma with several literals at its highest level backtracks to
+    ///   that level and goes through first-UIP analysis like any conflict
+    ///   (and counts as one in [`SatStats::conflicts`]).
+    ///
+    /// Returns `Ok(Some(model))` for the first assignment `theory` accepts,
+    /// `Ok(None)` when it stops the search, and `Err(Unsat)` when no
+    /// assignment is left ([`SatSolver::last_core`] as for
+    /// [`SatSolver::solve_with_assumptions`]).  The solver is back at
+    /// decision level zero in every case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assumption refers to a variable that was never
+    /// allocated, or a lemma holds a literal the assignment does not
+    /// falsify.
+    pub fn solve_with_theory(
+        &mut self,
+        assumptions: &[Lit],
+        mut theory: impl FnMut(&[Option<bool>]) -> TheoryCheck,
+    ) -> Result<Option<Vec<bool>>, Unsat> {
         self.last_core.clear();
         if !self.ok {
             return Err(Unsat);
@@ -1045,9 +1113,13 @@ impl SatSolver {
         }
         let mut conflicts_since_restart = 0u64;
         let mut restart_limit = self.config.luby_base * luby(self.stats.restarts);
+        // A lemma with several literals at its highest level: a conflict
+        // no propagation will report, since its literals were false
+        // before it was attached.
+        let mut lemma_conflict: Option<ClauseRef> = None;
 
         loop {
-            if let Some(conflict) = self.timed_propagate() {
+            if let Some(conflict) = lemma_conflict.take().or_else(|| self.timed_propagate()) {
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
                 if self.profiling {
@@ -1133,53 +1205,131 @@ impl SatSolver {
                 }
                 continue;
             }
-            // Establish the next pending assumption, if any, before
-            // branching freely.  Backjumps and restarts may retract
-            // assumptions; they are re-established here because the
-            // decision level tracks how many are currently on the trail.
-            if (self.decision_level() as usize) < assumptions.len() {
-                let p = assumptions[self.decision_level() as usize];
-                match self.value(p) {
-                    Some(true) => {
-                        // Already implied: open an empty decision level so
-                        // assumption indices and decision levels stay
-                        // aligned.
-                        self.trail_lim.push(self.trail.len());
-                    }
-                    Some(false) => {
-                        self.last_core = self.analyze_final(p);
-                        self.cancel_until(0);
-                        return Err(Unsat);
-                    }
-                    None => {
-                        self.stats.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        let ok = self.enqueue(p, None);
-                        debug_assert!(ok, "assumption variable was unassigned");
-                    }
-                }
-                continue;
+            let decide_start = self.profiling.then(Instant::now);
+            let step = self.decide(assumptions);
+            if let Some(start) = decide_start {
+                self.profile.decide.add(start.elapsed());
             }
-            match self.pick_branch_var() {
-                None => {
-                    let model: Vec<bool> =
-                        self.assigns.iter().map(|a| a.unwrap_or(false)).collect();
+            match step {
+                Step::Decided => {}
+                Step::FailedAssumption(p) => {
+                    self.last_core = self.analyze_final(p);
                     self.cancel_until(0);
-                    return Ok(model);
+                    return Err(Unsat);
                 }
-                Some(v) => {
+                Step::Complete => match theory(&self.assigns) {
+                    TheoryCheck::Consistent => {
+                        let model: Vec<bool> =
+                            self.assigns.iter().map(|a| a.unwrap_or(false)).collect();
+                        self.cancel_until(0);
+                        return Ok(Some(model));
+                    }
+                    TheoryCheck::Stop => {
+                        self.cancel_until(0);
+                        return Ok(None);
+                    }
+                    TheoryCheck::Lemma(lemma) => {
+                        let block_start = self.profiling.then(Instant::now);
+                        let added = self.add_lemma(lemma);
+                        if let Some(start) = block_start {
+                            self.profile.block.add(start.elapsed());
+                        }
+                        lemma_conflict = added?;
+                    }
+                },
+            }
+        }
+    }
+
+    /// Opens the next decision level: the next pending assumption if any,
+    /// else a branching decision.  Backjumps and restarts may retract
+    /// assumptions; they are re-established here because the decision
+    /// level tracks how many are currently on the trail.
+    fn decide(&mut self, assumptions: &[Lit]) -> Step {
+        if let Some(&p) = assumptions.get(self.decision_level() as usize) {
+            match self.value(p) {
+                Some(true) => {
+                    // Already implied: open an empty decision level so
+                    // assumption indices and decision levels stay aligned.
+                    self.trail_lim.push(self.trail.len());
+                }
+                Some(false) => return Step::FailedAssumption(p),
+                None => {
                     self.stats.decisions += 1;
                     self.trail_lim.push(self.trail.len());
-                    let polarity = self.config.phase_saving && self.phases[v];
-                    let ok = self.enqueue(Lit::new(v, polarity), None);
-                    debug_assert!(ok, "decision variable was unassigned");
+                    let ok = self.enqueue(p, None);
+                    debug_assert!(ok, "assumption variable was unassigned");
+                }
+            }
+            return Step::Decided;
+        }
+        let Some(v) = self.pick_branch_var() else {
+            return Step::Complete;
+        };
+        self.stats.decisions += 1;
+        self.trail_lim.push(self.trail.len());
+        let polarity = self.config.phase_saving && self.phases[v];
+        let ok = self.enqueue(Lit::new(v, polarity), None);
+        debug_assert!(ok, "decision variable was unassigned");
+        Step::Decided
+    }
+
+    /// Attaches a theory lemma the current assignment falsifies as a
+    /// permanent problem clause and retracts as much of the assignment as
+    /// the lemma needs (see [`SatSolver::solve_with_theory`]).  Returns the
+    /// lemma when it is a conflict at the level backtracked to, and
+    /// `Err(Unsat)` when it is false at level zero.
+    fn add_lemma(&mut self, mut lemma: Vec<Lit>) -> Result<Option<ClauseRef>, Unsat> {
+        for &lit in &lemma {
+            assert_eq!(
+                self.value(lit),
+                Some(false),
+                "theory lemma literal {lit:?} is not false under the assignment"
+            );
+        }
+        // The highest-level literal first, the next-highest second: the two
+        // watches of an asserting clause.
+        for i in 0..lemma.len().min(2) {
+            let highest = (i..lemma.len())
+                .max_by_key(|&k| self.levels[lemma[k].var()])
+                .expect("non-empty range");
+            lemma.swap(i, highest);
+        }
+        match lemma.len() {
+            0 => {
+                self.cancel_until(0);
+                self.ok = false;
+                Err(Unsat)
+            }
+            1 => {
+                self.cancel_until(0);
+                if !self.enqueue(lemma[0], None) {
+                    self.ok = false;
+                    return Err(Unsat);
+                }
+                Ok(None)
+            }
+            _ => {
+                let top = self.levels[lemma[0].var()];
+                let next = self.levels[lemma[1].var()];
+                let asserting = lemma[0];
+                let cr = self.attach(lemma, false, 0);
+                if next < top {
+                    self.cancel_until(next);
+                    let ok = self.enqueue(asserting, Some(cr));
+                    debug_assert!(ok, "asserting literal must be enqueueable");
+                    Ok(None)
+                } else {
+                    self.cancel_until(top);
+                    Ok(Some(cr))
                 }
             }
         }
     }
 
-    /// Returns the final conflict of the most recent failed
-    /// [`SatSolver::solve_with_assumptions`] call: a subset of the assumed
+    /// Returns the final conflict of the most recent solve that failed
+    /// under assumptions ([`SatSolver::solve_with_assumptions`] or
+    /// [`SatSolver::solve_with_theory`]): a subset of the assumed
     /// literals whose conjunction is incompatible with the clause set.  The
     /// core is a correct witness but not guaranteed minimal.
     pub fn last_core(&self) -> &[Lit] {
@@ -1534,16 +1684,224 @@ mod tests {
     /// Brute-force satisfiability of `clauses` (plus optional forced
     /// `units`) over `num_vars` variables.
     fn brute_force_sat(num_vars: usize, clauses: &[Vec<Lit>], units: &[Lit]) -> bool {
-        'assignments: for bits in 0..(1u32 << num_vars) {
-            let val = |l: Lit| ((bits >> l.var()) & 1 == 1) == l.is_positive();
-            if units.iter().any(|&l| !val(l)) {
-                continue 'assignments;
+        count_models(num_vars, clauses, units) > 0
+    }
+
+    /// The number of assignments to `num_vars` variables that satisfy
+    /// `clauses` and the forced `units`, by enumeration.
+    fn count_models(num_vars: usize, clauses: &[Vec<Lit>], units: &[Lit]) -> u64 {
+        (0..(1u32 << num_vars))
+            .filter(|bits| {
+                let val = |l: Lit| ((bits >> l.var()) & 1 == 1) == l.is_positive();
+                units.iter().all(|&l| val(l)) && clauses.iter().all(|c| c.iter().any(|&l| val(l)))
+            })
+            .count() as u64
+    }
+
+    /// A deterministic xorshift generator.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    /// `count` random literals over `num_vars` variables.
+    fn random_lits(next: &mut impl FnMut() -> u64, num_vars: usize, count: usize) -> Vec<Lit> {
+        (0..count)
+            .map(|_| {
+                Lit::new(
+                    (next() % num_vars as u64) as usize,
+                    next().is_multiple_of(2),
+                )
+            })
+            .collect()
+    }
+
+    /// The clause a theory returns to refute `assignment`: the negation of
+    /// every assigned literal.
+    fn negation_of(assignment: &[Option<bool>]) -> Vec<Lit> {
+        (0..assignment.len())
+            .filter_map(|v| assignment[v].map(|value| Lit::new(v, !value)))
+            .collect()
+    }
+
+    #[test]
+    fn a_lemma_per_model_enumerates_every_model_and_then_unsat() {
+        // A theory that refutes every complete assignment with its negation
+        // turns the search into model enumeration: unit, asserting and
+        // conflicting lemmas at every decision level, under assumptions in
+        // odd instances.  A variable no live clause mentions is unassigned,
+        // and either value completes the model, so an assignment with `k`
+        // of them stands for 2^k models.  The completions must be models,
+        // their number the brute-force count, and the search must end
+        // unsatisfiable with a core among the assumptions.
+        let mut next = xorshift(0xD1B5_4A32_D192_ED03);
+        for instance in 0..300usize {
+            let num_vars = 1 + instance % 10;
+            let num_clauses = (next() % (4 * num_vars as u64 + 1)) as usize;
+            let clauses: Vec<Vec<Lit>> = (0..num_clauses)
+                .map(|_| random_lits(&mut next, num_vars, 3))
+                .collect();
+            let assumptions = if instance % 2 == 1 {
+                let count = (next() % 3) as usize;
+                random_lits(&mut next, num_vars, count)
+            } else {
+                Vec::new()
+            };
+            let mut s = if instance % 4 < 2 {
+                SatSolver::new()
+            } else {
+                SatSolver::with_config(churn_config())
+            };
+            for _ in 0..num_vars {
+                s.new_var();
             }
-            if clauses.iter().all(|c| c.iter().any(|&l| val(l))) {
-                return true;
+            for c in &clauses {
+                s.add_clause(c);
+            }
+            let mut lemmas: Vec<Vec<Lit>> = Vec::new();
+            let mut enumerated = 0u64;
+            let result = s.solve_with_theory(&assumptions, |assignment| {
+                let holds = |l: Lit| assignment[l.var()] == Some(l.is_positive());
+                for c in &clauses {
+                    let tautology = c.iter().any(|&l| c.contains(&l.negated()));
+                    assert!(
+                        tautology || c.iter().any(|&l| holds(l)),
+                        "instance {instance}: {assignment:?} misses clause {c:?}"
+                    );
+                }
+                assert!(assumptions.iter().all(|&l| holds(l)), "instance {instance}");
+                enumerated += 1 << assignment.iter().filter(|a| a.is_none()).count();
+                lemmas.push(negation_of(assignment));
+                TheoryCheck::Lemma(lemmas.last().expect("just pushed").clone())
+            });
+            assert_eq!(result, Err(Unsat), "instance {instance}");
+            assert_eq!(
+                enumerated,
+                count_models(num_vars, &clauses, &assumptions),
+                "instance {instance}: {clauses:?} under {assumptions:?}"
+            );
+            let core = s.last_core().to_vec();
+            assert!(core.iter().all(|l| assumptions.contains(l)), "{core:?}");
+            let mut with_lemmas = clauses.clone();
+            with_lemmas.extend(lemmas);
+            assert!(!brute_force_sat(num_vars, &with_lemmas, &core));
+            // The lemmas are permanent: without the assumptions, exactly the
+            // models they do not block are left.
+            assert_eq!(
+                s.solve().is_ok(),
+                brute_force_sat(num_vars, &with_lemmas, &[]),
+                "instance {instance}"
+            );
+        }
+    }
+
+    #[test]
+    fn lemmas_over_assumption_literals_yield_a_core_of_assumptions() {
+        // a ∨ b, c → x.  Assuming a and c, a theory refutes c with a unit
+        // lemma, an asserting one (a at level 1, c at level 2) and a
+        // conflicting one (c and x both at level 2).
+        for shape in 0..3 {
+            let mut s = SatSolver::new();
+            let [a, b, c, x] = [0, 1, 2, 3].map(|_| s.new_var());
+            s.add_clause(&[lit(a, true), lit(b, true)]);
+            s.add_clause(&[lit(c, false), lit(x, true)]);
+            let lemma = match shape {
+                0 => vec![lit(c, false)],
+                1 => vec![lit(a, false), lit(c, false)],
+                _ => vec![lit(a, false), lit(c, false), lit(x, false)],
+            };
+            let assumptions = [lit(a, true), lit(c, true)];
+            let result = s.solve_with_theory(&assumptions, |assignment| {
+                if assignment[c] == Some(true) {
+                    TheoryCheck::Lemma(lemma.clone())
+                } else {
+                    TheoryCheck::Consistent
+                }
+            });
+            assert_eq!(result, Err(Unsat), "shape {shape}");
+            let core = s.last_core().to_vec();
+            assert!(core.contains(&lit(c, true)), "shape {shape}: {core:?}");
+            assert!(
+                core.iter().all(|l| assumptions.contains(l)),
+                "shape {shape}: {core:?}"
+            );
+            let model = s.solve().expect("satisfiable without the assumptions");
+            assert!(
+                lemma.iter().any(|&l| model[l.var()] == l.is_positive()),
+                "shape {shape}: the lemma is permanent"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_lemma_refutes_the_clause_set_for_good() {
+        let mut s = SatSolver::new();
+        let [a, b] = [0, 1].map(|_| s.new_var());
+        s.add_clause(&[lit(a, true), lit(b, true)]);
+        let result = s.solve_with_theory(&[lit(b, false)], |_| TheoryCheck::Lemma(Vec::new()));
+        assert_eq!(result, Err(Unsat));
+        assert_eq!(s.decision_level(), 0);
+        assert!(s.last_core().is_empty());
+        assert_eq!(s.solve(), Err(Unsat));
+    }
+
+    #[test]
+    fn a_stopped_search_leaves_a_clean_solver() {
+        // The theory refutes a few models and then stops the search: the
+        // solver is back at level zero, and a plain solve agrees with brute
+        // force over the clauses and the lemmas kept.
+        let mut next = xorshift(0x8CB9_2BA7_2F3D_8DD7);
+        for instance in 0..200usize {
+            let num_vars = 3 + instance % 8;
+            let clauses: Vec<Vec<Lit>> = (0..2 * num_vars)
+                .map(|_| random_lits(&mut next, num_vars, 3))
+                .collect();
+            let mut s = if instance % 2 == 0 {
+                SatSolver::new()
+            } else {
+                SatSolver::with_config(churn_config())
+            };
+            for _ in 0..num_vars {
+                s.new_var();
+            }
+            for c in &clauses {
+                s.add_clause(c);
+            }
+            let assumptions = random_lits(&mut next, num_vars, instance % 3);
+            let stop_after = 1 + instance % 5;
+            let mut lemmas: Vec<Vec<Lit>> = Vec::new();
+            let result = s.solve_with_theory(&assumptions, |assignment| {
+                if lemmas.len() == stop_after {
+                    return TheoryCheck::Stop;
+                }
+                lemmas.push(negation_of(assignment));
+                TheoryCheck::Lemma(lemmas.last().expect("just pushed").clone())
+            });
+            if result.is_ok() {
+                assert_eq!(result, Ok(None), "instance {instance}");
+                assert_eq!(lemmas.len(), stop_after);
+            }
+            assert_eq!(s.decision_level(), 0, "instance {instance}");
+            let mut with_lemmas = clauses.clone();
+            with_lemmas.extend(lemmas);
+            match s.solve() {
+                Ok(model) => {
+                    for c in &with_lemmas {
+                        assert!(c.iter().any(|&l| model[l.var()] == l.is_positive()));
+                    }
+                }
+                Err(Unsat) => {
+                    assert!(
+                        !brute_force_sat(num_vars, &with_lemmas, &[]),
+                        "instance {instance}"
+                    )
+                }
             }
         }
-        false
     }
 
     #[test]

@@ -1,5 +1,13 @@
-//! The lazy DPLL(T) loop combining the SAT core with the bounded-LIA
-//! theory solver.
+//! The DPLL(T) search combining the SAT core with the bounded-LIA theory
+//! solver.
+//!
+//! Each check is one CDCL search ([`crate::sat::SatSolver::solve_with_theory`])
+//! whose theory hook decides every complete assignment it reaches.  An
+//! assignment the theory refutes yields a lemma, which the search treats
+//! as a conflict clause: it backjumps only as far as the lemma needs and
+//! continues, instead of starting a new SAT solve per lemma.
+//! [`SolverStats::refinements`] counts the rounds of that search (the
+//! first, plus one per lemma).
 //!
 //! One [`SmtSolver`] owns one CNF encoding and one SAT solver for its
 //! whole life.  Each [`SmtSolver::check`] encodes only the assertions
@@ -7,9 +15,8 @@
 //! variable activities and watcher lists, and every theory lemma, survive
 //! into later checks.  Assertions made inside a
 //! [`SmtSolver::push`]/[`SmtSolver::pop`] scope are guarded by an
-//! activation literal and solved under assumptions
-//! ([`crate::sat::SatSolver::solve_with_assumptions`]), so popping a scope
-//! retracts them without discarding anything the solver learnt.  Solvers
+//! activation literal the search assumes, so popping a scope retracts
+//! them without discarding anything the solver learnt.  Solvers
 //! share nothing, so a fresh solver checked once is an independent oracle
 //! for a long-lived one.
 //!
@@ -21,7 +28,7 @@
 use crate::cnf::{Encoder, LinearAtom};
 use crate::expr::{BoolVar, Formula, IntVar, VarPool};
 use crate::model::Model;
-use crate::sat::{Lit, SatSolver, SatStats, SolverConfig};
+use crate::sat::{Lit, SatSolver, SatStats, SolverConfig, TheoryCheck, Unsat};
 use crate::theory::{self, Constraint, TheoryVerdict};
 use advocat_telemetry::{PhaseCost, SolverProfile};
 use std::time::Instant;
@@ -29,8 +36,9 @@ use std::time::Instant;
 /// Resource limits and search parameters for a satisfiability check.
 #[derive(Clone, Debug)]
 pub struct CheckConfig {
-    /// Maximum number of theory-driven refinement iterations before the
-    /// solver gives up with [`SmtResult::Unknown`].
+    /// Maximum number of refinement rounds ([`SolverStats::refinements`])
+    /// before the solver gives up with [`SmtResult::Unknown`]; zero
+    /// answers `Unknown` without searching.
     pub max_refinements: u64,
     /// Search-node budget for each theory feasibility check.
     pub theory_node_budget: u64,
@@ -53,9 +61,14 @@ impl Default for CheckConfig {
 /// Statistics of the most recent [`SmtSolver::check`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Number of SAT/theory refinement iterations performed.
+    /// Refinement rounds of the check's one search: the first, plus one
+    /// per theory lemma the search went on after.  The theory checks each
+    /// complete assignment inside the search, so a check that ends `Sat`
+    /// or `Unknown` ran this many theory checks, and one that ends `Unsat`
+    /// one fewer.  Zero only when [`CheckConfig::max_refinements`] is.
     pub refinements: u64,
-    /// Number of theory conflicts (blocking clauses added).
+    /// Complete assignments the theory refuted; each became a lemma
+    /// except one that hit the refinement budget.
     pub theory_conflicts: u64,
     /// Number of distinct linear atoms in the encoding.
     pub linear_atoms: usize,
@@ -63,7 +76,9 @@ pub struct SolverStats {
     pub sat_variables: usize,
     /// SAT conflicts encountered during this check (the delta against the
     /// solver state before the search; level-0 propagation while encoding
-    /// is not counted).
+    /// is not counted).  A theory lemma with several literals at its
+    /// highest decision level goes through conflict analysis and counts
+    /// here; unit and asserting lemmas do not.
     pub sat_conflicts: u64,
     /// SAT unit propagations performed during this check (delta, like
     /// [`SolverStats::sat_conflicts`]).
@@ -332,31 +347,42 @@ impl SmtSolver {
         result
     }
 
-    /// The lazy SAT/theory refinement loop.
+    /// The DPLL(T) search: one CDCL search whose theory hook checks every
+    /// complete assignment it reaches.
     ///
-    /// Blocking clauses are justified by the variable bounds alone, so they
-    /// are always added as permanent clauses: the "theory lemmas" that
-    /// survive into later checks.
+    /// The hook extracts the theory constraints the assignment implies and
+    /// decides them ([`theory::solve`]).  A conflict found by propagation
+    /// is explained from the reasons propagation recorded; the explanation
+    /// is shrunk to an irreducible core ([`theory::minimize_core`]),
+    /// re-checked without those reasons, and returned as a lemma blocking
+    /// the core's atoms.  A conflict only branch & bound could find blocks
+    /// the whole assignment of the atoms.  The SAT solver treats the lemma
+    /// as a conflict clause of the running search
+    /// ([`SatSolver::solve_with_theory`]).  Lemmas are justified by the
+    /// variable bounds alone, so they stay as permanent clauses: the
+    /// "theory lemmas" that survive into later checks.
     ///
-    /// A theory conflict found by propagation is explained from the reasons
-    /// propagation recorded ([`theory::solve`]); the explanation is shrunk to
-    /// an irreducible core ([`theory::minimize_core`]), re-checked without
-    /// those reasons, and blocked.  A conflict only branch & bound could find
-    /// blocks the whole model assignment of the atoms.
+    /// The search runs in refinement rounds: the first, and one more
+    /// after each lemma.  A lemma that would start a round beyond
+    /// [`CheckConfig::max_refinements`] stops the search with
+    /// [`SmtResult::Unknown`], and so does a theory check that runs out of
+    /// its node budget.
     ///
     /// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
     /// theory-side phases and lemma sizes are charged to the check's
     /// profile, next to the SAT core's CDCL phases.
     fn refine(&mut self, assumptions: &[Lit], config: &CheckConfig) -> SmtResult {
-        let (encoder, sat) = (&self.encoder, &mut self.sat);
-        let mut profile = SolverProfile::default();
-        let bounds: Vec<(i64, i64)> = self
-            .pool
-            .int_vars()
-            .map(|v| self.pool.int_bounds(v))
-            .collect();
+        self.profile = SolverProfile::default();
+        if config.max_refinements == 0 {
+            return SmtResult::Unknown;
+        }
+        let (pool, encoder, assertions) = (&self.pool, &self.encoder, &self.assertions);
+        let refinements = &mut self.stats.refinements;
+        let theory_conflicts = &mut self.stats.theory_conflicts;
+        let profile = &mut self.profile;
+        let bounds: Vec<(i64, i64)> = pool.int_vars().map(|v| pool.int_bounds(v)).collect();
         // Every linear atom as a theory constraint in both polarities, built
-        // once per check; each refinement picks one per atom by its SAT value.
+        // once per check; each theory check picks one per atom by its value.
         let polarised: Vec<[Constraint; 2]> = encoder
             .linear_atoms()
             .map(|(atom, _)| [constraint_of(&atom.negated()), constraint_of(atom)])
@@ -364,33 +390,24 @@ impl SmtSolver {
         let profiling = config.solver.telemetry.is_enabled();
         let mut constraints: Vec<&Constraint> = Vec::new();
         let mut atom_lits: Vec<Lit> = Vec::new();
+        let mut found: Option<Model> = None;
 
-        let result = loop {
-            if self.stats.refinements >= config.max_refinements {
-                break SmtResult::Unknown;
-            }
-            self.stats.refinements += 1;
-
-            let sat_model = match sat.solve_with_assumptions(assumptions) {
-                Ok(model) => model,
-                Err(_) => break SmtResult::Unsat,
-            };
-
-            // Extract the theory constraints implied by the SAT model.
-            // Atoms whose SAT variable no longer occurs in any live clause
-            // (their scope was popped and garbage-collected) are skipped:
-            // nothing propositional constrains them, so their default
-            // model value carries no information and forcing its theory
+        // The first round of the search; each lemma starts another.
+        *refinements = 1;
+        let searched = self.sat.solve_with_theory(assumptions, |assignment| {
+            // Extract the theory constraints the assignment implies.  Atoms
+            // no live clause mentions (their scope was popped and
+            // garbage-collected) are unassigned and skipped: nothing
+            // propositional constrains them, so forcing a theory
             // counterpart would only shrink — or wrongly empty — the
             // feasible space of long-lived sessions.
             let start = profiling.then(Instant::now);
             constraints.clear();
             atom_lits.clear();
             for ((_, sat_var), both) in encoder.linear_atoms().zip(&polarised) {
-                if !sat.is_constrained(sat_var) {
+                let Some(assigned_true) = assignment[sat_var] else {
                     continue;
-                }
-                let assigned_true = sat_model[sat_var];
+                };
                 constraints.push(&both[usize::from(assigned_true)]);
                 atom_lits.push(Lit::new(sat_var, assigned_true));
             }
@@ -401,24 +418,29 @@ impl SmtSolver {
             match verdict {
                 TheoryVerdict::Sat(values) => {
                     let mut model = Model::new();
-                    for v in self.pool.int_vars() {
+                    for v in pool.int_vars() {
                         model.set_int(v, values[v.index()]);
                     }
-                    for v in self.pool.bool_vars() {
+                    for v in pool.bool_vars() {
                         if let Some(sat_var) = encoder.lookup_bool(v) {
-                            model.set_bool(v, sat_model[sat_var]);
+                            model.set_bool(v, assignment[sat_var].unwrap_or(false));
                         }
                     }
                     debug_assert!(
-                        self.assertions.iter().all(|f| f
+                        assertions.iter().all(|f| f
                             .evaluate(&mut |b| model.bool_value(b), &mut |i| model.int_value(i))),
                         "internal error: SMT model does not satisfy the assertions"
                     );
-                    break SmtResult::Sat(model);
+                    found = Some(model);
+                    TheoryCheck::Consistent
                 }
-                TheoryVerdict::Unknown => break SmtResult::Unknown,
+                TheoryVerdict::Unknown => TheoryCheck::Stop,
                 TheoryVerdict::Unsat(explanation) => {
-                    self.stats.theory_conflicts += 1;
+                    *theory_conflicts += 1;
+                    if *refinements >= config.max_refinements {
+                        return TheoryCheck::Stop;
+                    }
+                    *refinements += 1;
                     let core = match explanation {
                         Some(explanation) => {
                             let core = theory::minimize_core(&bounds, &constraints, explanation);
@@ -433,31 +455,29 @@ impl SmtSolver {
                             );
                             core
                         }
-                        // Branch & bound refuted the model's atoms: block them all.
+                        // Branch & bound refuted the assignment's atoms: block
+                        // them all.
                         None => (0..constraints.len()).collect(),
                     };
-                    let start = lap(start, &mut profile.core);
-                    if core.is_empty() {
-                        // The theory is unsatisfiable regardless of the
-                        // propositional skeleton: the whole problem is unsat.
-                        break SmtResult::Unsat;
-                    }
-                    let blocking: Vec<Lit> =
+                    // An empty core refutes the bounds alone: the lemma is
+                    // the empty clause, and every check is unsatisfiable.
+                    let lemma: Vec<Lit> =
                         core.iter().map(|&idx| atom_lits[idx].negated()).collect();
-                    let added = sat.add_clause(&blocking);
                     if profiling {
-                        lap(start, &mut profile.block);
+                        lap(start, &mut profile.core);
                         profile.lemmas += 1;
                         profile.lemma_atoms += core.len() as u64;
                     }
-                    if !added {
-                        break SmtResult::Unsat;
-                    }
+                    TheoryCheck::Lemma(lemma)
                 }
             }
+        });
+        let result = match searched {
+            Ok(Some(_)) => SmtResult::Sat(found.expect("an accepted assignment has a model")),
+            Ok(None) => SmtResult::Unknown,
+            Err(Unsat) => SmtResult::Unsat,
         };
-        profile.merge(&sat.take_profile());
-        self.profile = profile;
+        self.profile.merge(&self.sat.take_profile());
         result
     }
 }
@@ -577,6 +597,36 @@ mod tests {
             ..CheckConfig::default()
         };
         assert_eq!(smt.check_with(&config), SmtResult::Unknown);
+    }
+
+    #[test]
+    fn a_spent_theory_budget_is_unknown_and_leaves_the_solver_usable() {
+        // x + y = 4 ∧ x ≥ 3 ∧ y ≥ lo: one model at lo = 1, none at lo = 2.
+        // Every atom is forced at level zero, so the search reaches a
+        // complete assignment at once and the theory check with no node
+        // to spend gives up mid-search.
+        for lo in [1, 2] {
+            let build = || {
+                let mut smt = SmtSolver::new();
+                let x = smt.new_int_var("x", 0, 5);
+                let y = smt.new_int_var("y", 0, 5);
+                smt.assert(Formula::eq(
+                    LinExpr::var(x) + LinExpr::var(y),
+                    LinExpr::constant(4),
+                ));
+                smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(3)));
+                smt.assert(Formula::ge(LinExpr::var(y), LinExpr::constant(lo)));
+                smt
+            };
+            let mut smt = build();
+            let starved = CheckConfig {
+                theory_node_budget: 0,
+                ..CheckConfig::default()
+            };
+            assert_eq!(smt.check_with(&starved), SmtResult::Unknown, "lo {lo}");
+            assert_eq!(smt.stats().refinements, 1);
+            assert_eq!(smt.check(), build().check(), "lo {lo}");
+        }
     }
 
     #[test]

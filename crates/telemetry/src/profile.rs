@@ -59,6 +59,9 @@ pub struct SolverProfile {
     pub reduce: PhaseCost,
     /// Restarts (backtracking to level zero and EMA re-alignment).
     pub restart: PhaseCost,
+    /// Opening decision levels: establishing the pending assumptions and
+    /// picking each branching variable from the activity heap.
+    pub decide: PhaseCost,
     /// Theory constraint extraction from each SAT model.
     pub extract: PhaseCost,
     /// Theory feasibility checks: propagation, the walk back over its
@@ -67,7 +70,8 @@ pub struct SolverProfile {
     /// Core minimisation of theory conflicts: deletion over the
     /// explanation and the lemma's soundness re-check.
     pub core: PhaseCost,
-    /// Blocking-clause (theory lemma) insertion into the SAT solver.
+    /// Theory lemma insertion into the running SAT search: attaching the
+    /// clause and backjumping (a lemma's conflict analysis is `analyze`).
     pub block: PhaseCost,
     /// Theory lemmas added.
     pub lemmas: u64,
@@ -90,6 +94,7 @@ impl SolverProfile {
             && self.analyze.count == 0
             && self.reduce.count == 0
             && self.restart.count == 0
+            && self.decide.count == 0
             && self.restarts.is_empty()
     }
 
@@ -100,6 +105,7 @@ impl SolverProfile {
         self.analyze.merge(&other.analyze);
         self.reduce.merge(&other.reduce);
         self.restart.merge(&other.restart);
+        self.decide.merge(&other.decide);
         self.extract.merge(&other.extract);
         self.theory.merge(&other.theory);
         self.core.merge(&other.core);
@@ -110,8 +116,9 @@ impl SolverProfile {
         self.restarts.extend_from_slice(&other.restarts);
     }
 
-    /// Total time attributed to the four CDCL phases; the theory-side
-    /// phases are not included.
+    /// Total time attributed to the four CDCL phases propagate, analyze,
+    /// reduce and restart; neither `decide` nor the theory-side phases are
+    /// included.
     pub fn attributed_time(&self) -> Duration {
         self.propagate.time + self.analyze.time + self.reduce.time + self.restart.time
     }
@@ -128,13 +135,15 @@ impl SolverProfile {
 
 impl fmt::Display for SolverProfile {
     /// One line of phase attribution, as rendered into
-    /// `Report::summary()`: each CDCL phase as `time/count`, the final
+    /// `Report::summary()`: each CDCL phase as `time/count`, then `decide`
+    /// the same way, the final
     /// LBD-EMA point of the timeline, then each theory phase as
     /// `time/count` with the lemma count and average core size.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "propagate {:.2?}/{}, analyze {:.2?}/{}, reduce {:.2?}/{}, restart {:.2?}/{}",
+            "propagate {:.2?}/{}, analyze {:.2?}/{}, reduce {:.2?}/{}, restart {:.2?}/{}, \
+             decide {:.2?}/{}",
             self.propagate.time,
             self.propagate.count,
             self.analyze.time,
@@ -143,6 +152,8 @@ impl fmt::Display for SolverProfile {
             self.reduce.count,
             self.restart.time,
             self.restart.count,
+            self.decide.time,
+            self.decide.count,
         )?;
         if let Some(last) = self.restarts.last() {
             write!(
@@ -189,6 +200,7 @@ mod tests {
         });
         let mut b = SolverProfile::default();
         b.propagate.add(Duration::from_micros(7));
+        b.decide.add(Duration::from_micros(4));
         b.conflicts = 2;
         b.restarts.push(RestartSample {
             conflicts: 20,
@@ -200,7 +212,9 @@ mod tests {
         assert_eq!(a.propagate.time, Duration::from_micros(12));
         assert_eq!(a.conflicts, 2);
         assert_eq!(a.restarts.len(), 2);
+        assert_eq!(a.decide.count, 1);
         assert!(!a.is_empty());
+        // Decisions stay out of the four CDCL phases.
         assert_eq!(a.attributed_time(), Duration::from_micros(12));
     }
 
@@ -239,6 +253,7 @@ mod tests {
             "analyze",
             "reduce",
             "restart",
+            "decide",
             "lbd-ema",
             "extract",
             "check",

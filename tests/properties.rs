@@ -7,7 +7,7 @@
 //! index identifies the failing input).
 
 use advocat::explorer::XorShift64;
-use advocat::logic::{Formula, LinExpr, SmtSolver};
+use advocat::logic::{BoolVar, Formula, IntVar, LinExpr, SmtSolver};
 use advocat::num::{eliminate, satisfies, LinearRow, Rational};
 use advocat::prelude::*;
 
@@ -92,6 +92,148 @@ fn smt_matches_brute_force() {
             advocat::logic::SmtResult::Unknown => panic!("case {case}: solver gave up"),
         }
     }
+}
+
+/// A random disjunction of one to three literals: a Boolean, possibly
+/// negated, or a comparison of a one- or two-term linear expression.
+fn random_clause(gen: &mut XorShift64, ints: &[IntVar], bools: &[BoolVar]) -> Formula {
+    let literals = (0..gen.int(1, 3)).map(|_| {
+        if gen.below(3) == 0 {
+            let b = Formula::bool_var(bools[gen.below(bools.len() as u64) as usize]);
+            return if gen.below(2) == 0 {
+                b
+            } else {
+                Formula::not(b)
+            };
+        }
+        let mut lhs = LinExpr::constant(0);
+        for _ in 0..gen.int(1, 2) {
+            let x = ints[gen.below(ints.len() as u64) as usize];
+            let coefficient = [-2, -1, 1, 2][gen.below(4) as usize];
+            lhs = lhs + LinExpr::term(coefficient, x);
+        }
+        let rhs = LinExpr::constant(gen.int(-2, 6) as i64);
+        match gen.below(4) {
+            0 => Formula::le(lhs, rhs),
+            1 => Formula::ge(lhs, rhs),
+            2 => Formula::eq(lhs, rhs),
+            _ => Formula::ne(lhs, rhs),
+        }
+    });
+    Formula::or(literals.collect::<Vec<_>>())
+}
+
+/// One long-lived `SmtSolver` agrees with enumeration over a session of
+/// permanent assertions, `push`/`pop` scopes and `check_assuming`
+/// assumptions: unlike `smt_matches_brute_force`, its checks need theory
+/// lemmas, carry them into later checks and retract scopes whose
+/// encodings the SAT core garbage-collects.  Every model is evaluated here
+/// against every active assertion and assumption; the solver itself checks
+/// its models only under `debug_assert!`.
+#[test]
+fn a_long_lived_smt_session_matches_enumeration() {
+    use advocat::logic::{CheckConfig, SmtResult, SolverConfig};
+    let churn = SolverConfig {
+        first_reduce: 2,
+        reduce_interval: 1,
+        keep_lbd: 0,
+        luby_base: 2,
+        ..SolverConfig::default()
+    };
+    let mut gen = XorShift64::new(0x5E55_1011);
+    let (mut sat, mut unsat, mut lemmas) = (0, 0, 0);
+    for session in 0..4 {
+        let mut smt = SmtSolver::new();
+        let ints: Vec<IntVar> = (0..3)
+            .map(|i| smt.new_int_var(format!("x{i}"), 0, 3))
+            .collect();
+        let bools: Vec<BoolVar> = (0..3).map(|i| smt.new_bool_var(format!("b{i}"))).collect();
+        let config = CheckConfig {
+            solver: if session % 2 == 0 {
+                SolverConfig::default()
+            } else {
+                churn.clone()
+            },
+            ..CheckConfig::default()
+        };
+        // The active assertions, and where each open scope starts.
+        let mut active: Vec<Formula> = Vec::new();
+        let mut marks: Vec<usize> = Vec::new();
+        let mut checks = 0;
+        let mut permanent = 0;
+        while checks < 50 {
+            // At depth zero mostly open a scope; inside one, assert, pop,
+            // open a nested scope or check.  At most four assertions are
+            // permanent (made at depth zero), so the session does not
+            // turn unsatisfiable for good.
+            let roll = gen.below(10);
+            match (marks.len(), roll) {
+                (0, 0) if permanent < 4 => {
+                    permanent += 1;
+                    let clause = random_clause(&mut gen, &ints, &bools);
+                    smt.assert(clause.clone());
+                    active.push(clause);
+                }
+                (0, 1..=7) | (1 | 2, 0) => {
+                    smt.push();
+                    marks.push(active.len());
+                }
+                (1.., 1 | 2) => {
+                    smt.pop();
+                    active.truncate(marks.pop().expect("a scope is open"));
+                }
+                (1.., 3..=6) => {
+                    let clause = random_clause(&mut gen, &ints, &bools);
+                    smt.assert(clause.clone());
+                    active.push(clause);
+                }
+                _ => {
+                    checks += 1;
+                    let assumptions: Vec<(BoolVar, bool)> = (0..gen.int(0, 2))
+                        .map(|_| {
+                            let b = bools[gen.below(bools.len() as u64) as usize];
+                            (b, gen.below(2) == 0)
+                        })
+                        .collect();
+                    let holds = |bool_of: &dyn Fn(BoolVar) -> bool,
+                                 int_of: &dyn Fn(IntVar) -> i64| {
+                        assumptions.iter().all(|&(b, value)| bool_of(b) == value)
+                            && active
+                                .iter()
+                                .all(|f| f.evaluate(&mut |b| bool_of(b), &mut |x| int_of(x)))
+                    };
+                    let space = 4u32.pow(ints.len() as u32) << bools.len();
+                    let expected = (0..space).any(|code| {
+                        holds(&|b| (code >> (2 * ints.len() + b.index())) & 1 == 1, &|x| {
+                            i64::from((code >> (2 * x.index())) & 3)
+                        })
+                    });
+                    let case = format!(
+                        "session {session} check {checks}: {active:?} assuming {assumptions:?}"
+                    );
+                    match smt.check_assuming(&assumptions, &config) {
+                        SmtResult::Sat(model) => {
+                            assert!(expected, "{case}: model for an unsatisfiable check");
+                            assert!(
+                                holds(&|b| model.bool_value(b), &|x| model.int_value(x)),
+                                "{case}: the model {model:?} violates an assertion or assumption"
+                            );
+                            sat += 1;
+                        }
+                        SmtResult::Unsat => {
+                            assert!(!expected, "{case}: a model was missed");
+                            unsat += 1;
+                        }
+                        SmtResult::Unknown => panic!("{case}: the solver gave up"),
+                    }
+                    lemmas += smt.stats().theory_conflicts;
+                }
+            }
+        }
+    }
+    assert_eq!(sat + unsat, 200);
+    assert!(sat >= 40 && unsat >= 40, "{sat} sat / {unsat} unsat");
+    assert!(lemmas >= 40, "only {lemmas} theory lemmas");
 }
 
 /// Every packet interned into a network round-trips through the color table.

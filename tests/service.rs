@@ -414,6 +414,32 @@ fn an_exhausted_budget_is_unknown_in_the_job_json() {
     }
 }
 
+/// A theory check that runs out of search nodes is reported the same way:
+/// a `"theory_node_budget":0` request answers `"status":"unknown"`.
+#[test]
+fn a_spent_theory_budget_is_unknown_in_the_job_json() {
+    let service = Service::new(ServiceConfig::default().with_workers(2));
+    let ids = service
+        .submit_json(
+            r#"{
+                "name": "no theory nodes",
+                "topology": {"kind": "mesh", "width": 2, "height": 2},
+                "queue_size": 2,
+                "directory": 3,
+                "capacities": [2, 3],
+                "theory_node_budget": 0
+            }"#,
+        )
+        .expect("valid job JSON");
+    assert_eq!(ids.len(), 2);
+    for outcome in service.drain() {
+        let report = outcome.result.as_ref().expect("the mesh builds");
+        assert_eq!(report.analysis().verdict, Verdict::Unknown);
+        let json = advocat::service::outcome_to_json(&outcome);
+        assert!(json.contains("\"status\":\"unknown\""), "{json}");
+    }
+}
+
 /// Streaming consumption: `next_outcome` hands outcomes out as they
 /// complete and signals exhaustion with `None`.
 #[test]

@@ -148,7 +148,10 @@ fn reports_carry_a_solver_profile_when_telemetry_is_on() {
     let (report, _) = traced_check();
     let profile = report.solver_profile().expect("telemetry was enabled");
     assert!(profile.propagate.count > 0);
+    // Opening decision levels (assumptions and branching) is timed too.
+    assert!(profile.decide.count > 0, "{profile:?}");
     assert!(report.summary().contains("solver profile: propagate"));
+    assert!(report.summary().contains("decide"));
 }
 
 /// A 3×3 composition (corner, edge and the directory-hosting centre: 3
