@@ -3,11 +3,11 @@
 //! PR 1 made sessions long-lived; this bench measures what that does to
 //! the solver over a long queue-size sweep (sizes 1..=32 on the 2×2
 //! directory mesh).  Without clause-database reduction the solver keeps
-//! every learnt clause and every popped query scope forever, so the
-//! per-query SAT cost climbs monotonically with the session length.  With
-//! reduction enabled the database — and with it the per-query cost — stays
-//! bounded.  The bench prints the per-query conflict+propagation trend of
-//! both configurations and times the two sweeps.
+//! every learnt clause and every popped query scope forever, and every
+//! later propagation scans them.  With reduction enabled the database —
+//! and with it the per-query cost — stays bounded.  The bench prints the
+//! per-query conflict+propagation trend of both configurations and times
+//! the two sweeps.
 
 use advocat::prelude::*;
 use criterion::{criterion_group, Criterion};

@@ -404,8 +404,9 @@ mod tests {
     #[test]
     fn a_spent_theory_budget_is_unknown_in_the_report() {
         use advocat_noc::{FabricConfig, Topology};
-        // Capacity 2 deadlocks and 3 is free: both searches reach a
-        // complete assignment, whose theory check has no node to spend.
+        // Capacity 2 deadlocks and 3 is free: each search needs a theory
+        // node, to decide a complete assignment or to explain a refuted
+        // one, and has none to spend.
         let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
         let starved = CheckConfig {
             theory_node_budget: 0,

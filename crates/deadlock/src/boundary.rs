@@ -254,4 +254,22 @@ mod tests {
         let analysis = check_composition(&two_port_cycle(2), &config);
         assert_eq!(analysis.outcome, BoundaryOutcome::Unknown);
     }
+
+    #[test]
+    fn an_exhausted_theory_budget_is_unknown() {
+        // The contract rules the cycle out by propagation, so the theory
+        // check that would explain it has no node to spend.
+        let mut model = two_port_cycle(2);
+        model.constraints.push(ContractRow {
+            terms: vec![("qA".into(), 1), ("qB".into(), 1)],
+            constant: -3,
+        });
+        let config = CheckConfig {
+            theory_node_budget: 0,
+            ..CheckConfig::default()
+        };
+        let analysis = check_composition(&model, &config);
+        assert_eq!(analysis.outcome, BoundaryOutcome::Unknown);
+        assert_eq!(analysis.imported, 1);
+    }
 }

@@ -14,7 +14,7 @@
 //! because the entire fragment is *bounded*, a complete decision procedure
 //! only needs a SAT solver plus a finite-domain feasibility check.  This
 //! crate implements exactly that as one DPLL(T) search, the theory checked
-//! at every complete assignment inside the CDCL search:
+//! at every unit-propagation fixpoint inside the CDCL search:
 //!
 //! 1. [`cnf`] — Tseitin transformation mapping a [`Formula`] to CNF over
 //!    propositional atoms (Boolean variables and canonicalised linear
@@ -23,9 +23,11 @@
 //!    analysis, heap-served activity-based branching with phase saving,
 //!    LBD-aware Luby restarts, learnt-database reduction),
 //! 3. [`theory`] — a bounded linear-integer-arithmetic solver based on
-//!    interval propagation and branch & bound, producing conflict cores,
-//! 4. [`smt`] — the search tying the two together: a refuted assignment's
-//!    theory lemma becomes a conflict clause of the running CDCL search.
+//!    interval propagation and branch & bound, explaining every refutation,
+//! 4. [`smt`] — the search tying the two together: interval bounds kept
+//!    along the SAT trail cut off partial assignments, and a refuted
+//!    assignment's theory lemma becomes a conflict clause of the running
+//!    CDCL search.
 //!
 //! # Examples
 //!

@@ -1,10 +1,14 @@
 //! A CDCL SAT solver.
 //!
 //! This is the propositional core of the DPLL(T) search in [`crate::smt`]:
-//! [`SatSolver::solve_with_theory`] hands every complete assignment the
-//! search reaches to a theory check, and a theory lemma refuting it acts
-//! as a conflict clause of the running search, which backjumps only as far
-//! as the lemma needs instead of starting over.  Without a theory
+//! [`SatSolver::solve_with_theory`] hands every unit-propagation fixpoint
+//! the search reaches to a theory check before it decides past it, the
+//! complete assignment last.  The check sees the trail and how far down
+//! backjumps and restarts cut it since its previous call, so a theory can
+//! keep state along the trail and undo only what was retracted.  A theory
+//! lemma refuting a partial or complete assignment acts as a conflict
+//! clause of the running search, which backjumps only as far as the lemma
+//! needs instead of starting over.  Without a theory
 //! ([`SatSolver::solve_with_assumptions`]) the same loop accepts the first
 //! complete assignment.
 //!
@@ -415,17 +419,39 @@ pub struct SatSolver {
     ok: bool,
     stats: SatStats,
     last_core: Vec<Lit>,
+    /// The lowest trail length a backjump or restart reached since the
+    /// theory's previous check ([`Fixpoint::kept`]).
+    kept: usize,
 }
 
 /// Result returned when the solver proves unsatisfiability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Unsat;
 
-/// A theory's answer to a complete assignment of the search (see
+/// The search state a theory check sees: a unit-propagation fixpoint
+/// without a conflict (see [`SatSolver::solve_with_theory`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Fixpoint<'a> {
+    /// Each variable's value, `None` while unassigned.
+    pub assignment: &'a [Option<bool>],
+    /// The assigned literals, oldest first.
+    pub trail: &'a [Lit],
+    /// The lowest trail length any backjump or restart reached since the
+    /// previous check of this search (zero at the first): `trail[..kept]`
+    /// is what that check saw up to `kept`, and everything it saw beyond
+    /// was retracted.
+    pub kept: usize,
+    /// Whether every variable some live clause mentions is assigned.  The
+    /// rest stay unassigned; their model value is `false`.
+    pub complete: bool,
+}
+
+/// A theory's answer to a fixpoint of the search (see
 /// [`SatSolver::solve_with_theory`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TheoryCheck {
-    /// The assignment is consistent: the search ends with it as the model.
+    /// The assignment is consistent: a complete one ends the search as its
+    /// model, and the search decides past a partial one.
     Consistent,
     /// The assignment is refuted by this clause of distinct literals, every
     /// one of which it falsifies; the search adds the clause and goes on.
@@ -488,6 +514,7 @@ impl SatSolver {
             ok: true,
             stats: SatStats::default(),
             last_core: Vec::new(),
+            kept: 0,
         }
     }
 
@@ -746,6 +773,7 @@ impl SatSolver {
         self.trail.truncate(keep);
         self.trail_lim.truncate(level as usize);
         self.qhead = self.trail.len();
+        self.kept = self.kept.min(keep);
     }
 
     fn bump_var(&mut self, var: Var) {
@@ -1061,14 +1089,20 @@ impl SatSolver {
     }
 
     /// Solves under assumptions like [`SatSolver::solve_with_assumptions`],
-    /// with `theory` checking every complete assignment the search reaches.
+    /// with `theory` checking every unit-propagation fixpoint the search
+    /// reaches before it decides past it.
     ///
-    /// `theory` sees each variable's value, `None` for one the search left
-    /// unassigned because no live clause mentions it (its model value is
-    /// `false`).  A
-    /// [`TheoryCheck::Lemma`] joins the problem clauses for good and acts
-    /// as a conflict of the running search, which backjumps only as far as
-    /// the lemma needs and continues:
+    /// `theory` sees the assignment and the trail of each [`Fixpoint`],
+    /// and the lowest trail length backjumps and restarts reached since
+    /// its previous call ([`Fixpoint::kept`]), so state kept along the
+    /// trail is brought up to date by undoing only what was retracted.
+    /// The last call of a search that finds a model is at a
+    /// [`Fixpoint::complete`] assignment; one the search left unassigned
+    /// because no live clause mentions it has model value `false`.  A
+    /// [`TheoryCheck::Lemma`] at a partial or complete assignment joins
+    /// the problem clauses for good and acts as a conflict of the running
+    /// search, which backjumps only as far as the lemma needs and
+    /// continues:
     ///
     /// * a unit lemma becomes a level-zero fact;
     /// * a lemma with one literal at its highest level backjumps to its
@@ -1077,9 +1111,9 @@ impl SatSolver {
     ///   that level and goes through first-UIP analysis like any conflict
     ///   (and counts as one in [`SatStats::conflicts`]).
     ///
-    /// Returns `Ok(Some(model))` for the first assignment `theory` accepts,
-    /// `Ok(None)` when it stops the search, and `Err(Unsat)` when no
-    /// assignment is left ([`SatSolver::last_core`] as for
+    /// Returns `Ok(Some(model))` for the first complete assignment `theory`
+    /// accepts, `Ok(None)` when it stops the search, and `Err(Unsat)` when
+    /// no assignment is left ([`SatSolver::last_core`] as for
     /// [`SatSolver::solve_with_assumptions`]).  The solver is back at
     /// decision level zero in every case.
     ///
@@ -1091,7 +1125,7 @@ impl SatSolver {
     pub fn solve_with_theory(
         &mut self,
         assumptions: &[Lit],
-        mut theory: impl FnMut(&[Option<bool>]) -> TheoryCheck,
+        mut theory: impl FnMut(Fixpoint<'_>) -> TheoryCheck,
     ) -> Result<Option<Vec<bool>>, Unsat> {
         self.last_core.clear();
         if !self.ok {
@@ -1104,6 +1138,7 @@ impl SatSolver {
             );
         }
         self.cancel_until(0);
+        self.kept = 0;
         if self.timed_propagate().is_some() {
             self.ok = false;
             return Err(Unsat);
@@ -1205,6 +1240,19 @@ impl SatSolver {
                 }
                 continue;
             }
+            // The theory sees every fixpoint before the search decides
+            // past it.
+            match self.consult(&mut theory, false) {
+                TheoryCheck::Consistent => {}
+                TheoryCheck::Stop => {
+                    self.cancel_until(0);
+                    return Ok(None);
+                }
+                TheoryCheck::Lemma(lemma) => {
+                    lemma_conflict = self.timed_add_lemma(lemma)?;
+                    continue;
+                }
+            }
             let decide_start = self.profiling.then(Instant::now);
             let step = self.decide(assumptions);
             if let Some(start) = decide_start {
@@ -1217,7 +1265,9 @@ impl SatSolver {
                     self.cancel_until(0);
                     return Err(Unsat);
                 }
-                Step::Complete => match theory(&self.assigns) {
+                // The fixpoint the theory just accepted is complete: it
+                // sees it once more as such.
+                Step::Complete => match self.consult(&mut theory, true) {
                     TheoryCheck::Consistent => {
                         let model: Vec<bool> =
                             self.assigns.iter().map(|a| a.unwrap_or(false)).collect();
@@ -1229,16 +1279,38 @@ impl SatSolver {
                         return Ok(None);
                     }
                     TheoryCheck::Lemma(lemma) => {
-                        let block_start = self.profiling.then(Instant::now);
-                        let added = self.add_lemma(lemma);
-                        if let Some(start) = block_start {
-                            self.profile.block.add(start.elapsed());
-                        }
-                        lemma_conflict = added?;
+                        lemma_conflict = self.timed_add_lemma(lemma)?;
                     }
                 },
             }
         }
+    }
+
+    /// Hands the current fixpoint to `theory`; the next call's
+    /// [`Fixpoint::kept`] starts from the trail it saw.
+    fn consult(
+        &mut self,
+        theory: &mut impl FnMut(Fixpoint<'_>) -> TheoryCheck,
+        complete: bool,
+    ) -> TheoryCheck {
+        let check = theory(Fixpoint {
+            assignment: &self.assigns,
+            trail: &self.trail,
+            kept: self.kept,
+            complete,
+        });
+        self.kept = self.trail.len();
+        check
+    }
+
+    /// [`SatSolver::add_lemma`] charged to the `block` phase.
+    fn timed_add_lemma(&mut self, lemma: Vec<Lit>) -> Result<Option<ClauseRef>, Unsat> {
+        let block_start = self.profiling.then(Instant::now);
+        let added = self.add_lemma(lemma);
+        if let Some(start) = block_start {
+            self.profile.block.add(start.elapsed());
+        }
+        added
     }
 
     /// Opens the next decision level: the next pending assumption if any,
@@ -1764,7 +1836,11 @@ mod tests {
             }
             let mut lemmas: Vec<Vec<Lit>> = Vec::new();
             let mut enumerated = 0u64;
-            let result = s.solve_with_theory(&assumptions, |assignment| {
+            let result = s.solve_with_theory(&assumptions, |at| {
+                if !at.complete {
+                    return TheoryCheck::Consistent;
+                }
+                let assignment = at.assignment;
                 let holds = |l: Lit| assignment[l.var()] == Some(l.is_positive());
                 for c in &clauses {
                     let tautology = c.iter().any(|&l| c.contains(&l.negated()));
@@ -1815,8 +1891,8 @@ mod tests {
                 _ => vec![lit(a, false), lit(c, false), lit(x, false)],
             };
             let assumptions = [lit(a, true), lit(c, true)];
-            let result = s.solve_with_theory(&assumptions, |assignment| {
-                if assignment[c] == Some(true) {
+            let result = s.solve_with_theory(&assumptions, |at| {
+                if at.complete && at.assignment[c] == Some(true) {
                     TheoryCheck::Lemma(lemma.clone())
                 } else {
                     TheoryCheck::Consistent
@@ -1842,7 +1918,13 @@ mod tests {
         let mut s = SatSolver::new();
         let [a, b] = [0, 1].map(|_| s.new_var());
         s.add_clause(&[lit(a, true), lit(b, true)]);
-        let result = s.solve_with_theory(&[lit(b, false)], |_| TheoryCheck::Lemma(Vec::new()));
+        let result = s.solve_with_theory(&[lit(b, false)], |at| {
+            if at.complete {
+                TheoryCheck::Lemma(Vec::new())
+            } else {
+                TheoryCheck::Consistent
+            }
+        });
         assert_eq!(result, Err(Unsat));
         assert_eq!(s.decision_level(), 0);
         assert!(s.last_core().is_empty());
@@ -1874,11 +1956,14 @@ mod tests {
             let assumptions = random_lits(&mut next, num_vars, instance % 3);
             let stop_after = 1 + instance % 5;
             let mut lemmas: Vec<Vec<Lit>> = Vec::new();
-            let result = s.solve_with_theory(&assumptions, |assignment| {
+            let result = s.solve_with_theory(&assumptions, |at| {
+                if !at.complete {
+                    return TheoryCheck::Consistent;
+                }
                 if lemmas.len() == stop_after {
                     return TheoryCheck::Stop;
                 }
-                lemmas.push(negation_of(assignment));
+                lemmas.push(negation_of(at.assignment));
                 TheoryCheck::Lemma(lemmas.last().expect("just pushed").clone())
             });
             if result.is_ok() {
@@ -1900,6 +1985,121 @@ mod tests {
                         "instance {instance}"
                     )
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn forbidden_cubes_are_cut_off_at_the_first_fixpoint_that_assigns_them() {
+        // A theory that forbids 1–3 random cubes refutes a cube as soon as
+        // every one of its literals is assigned as in the cube, at a
+        // partial or a complete fixpoint, with the cube's negation.  The
+        // answer must agree with brute force over the clauses and the
+        // negated cubes, and every call must see the trail the previous
+        // call saw up to its `kept` mark: a backjump or restart that
+        // forgot to lower the mark would leave a retracted and re-extended
+        // trail that disagrees below it.
+        let mut next = xorshift(0x5851_F42D_4C95_7F2D);
+        for instance in 0..400usize {
+            let num_vars = 1 + instance % 10;
+            let num_clauses = (next() % (4 * num_vars as u64 + 1)) as usize;
+            let clauses: Vec<Vec<Lit>> = (0..num_clauses)
+                .map(|_| random_lits(&mut next, num_vars, 3))
+                .collect();
+            let assumptions = if instance % 2 == 1 {
+                let count = (next() % 3) as usize;
+                random_lits(&mut next, num_vars, count)
+            } else {
+                Vec::new()
+            };
+            let cubes: Vec<Vec<Lit>> = (0..1 + next() % 3)
+                .map(|_| {
+                    let size = 1 + (next() % num_vars.min(3) as u64) as usize;
+                    let mut vars: Vec<Var> = (0..num_vars).collect();
+                    (0..size)
+                        .map(|_| {
+                            let v = vars.swap_remove((next() % vars.len() as u64) as usize);
+                            Lit::new(v, next().is_multiple_of(2))
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut s = if instance % 4 < 2 {
+                SatSolver::new()
+            } else {
+                SatSolver::with_config(churn_config())
+            };
+            for _ in 0..num_vars {
+                s.new_var();
+            }
+            for c in &clauses {
+                s.add_clause(c);
+            }
+            let mut shadow: Vec<Lit> = Vec::new();
+            let mut accepted: Vec<Option<bool>> = Vec::new();
+            let result = s.solve_with_theory(&assumptions, |at| {
+                assert!(
+                    at.kept <= shadow.len() && at.kept <= at.trail.len(),
+                    "instance {instance}: mark {} beyond the trails {} / {}",
+                    at.kept,
+                    shadow.len(),
+                    at.trail.len()
+                );
+                assert_eq!(
+                    at.trail[..at.kept],
+                    shadow[..at.kept],
+                    "instance {instance}: the trail changed below the mark"
+                );
+                assert_eq!(
+                    at.assignment.iter().filter(|a| a.is_some()).count(),
+                    at.trail.len(),
+                    "instance {instance}"
+                );
+                for &l in at.trail {
+                    assert_eq!(at.assignment[l.var()], Some(l.is_positive()));
+                }
+                shadow = at.trail.to_vec();
+                let holds = |l: Lit| at.assignment[l.var()] == Some(l.is_positive());
+                if let Some(cube) = cubes.iter().find(|cube| cube.iter().all(|&l| holds(l))) {
+                    return TheoryCheck::Lemma(cube.iter().map(|l| l.negated()).collect());
+                }
+                if at.complete {
+                    accepted = at.assignment.to_vec();
+                }
+                TheoryCheck::Consistent
+            });
+            let mut constraints = clauses.clone();
+            constraints.extend(
+                cubes
+                    .iter()
+                    .map(|cube| cube.iter().map(|l| l.negated()).collect()),
+            );
+            let expected = brute_force_sat(num_vars, &constraints, &assumptions);
+            match result {
+                Ok(Some(_)) => {
+                    let holds = |l: Lit| accepted[l.var()] == Some(l.is_positive());
+                    for c in &clauses {
+                        let tautology = c.iter().any(|&l| c.contains(&l.negated()));
+                        assert!(tautology || c.iter().any(|&l| holds(l)), "{c:?}");
+                    }
+                    assert!(assumptions.iter().all(|&l| holds(l)));
+                    // A cube over a variable no live clause mentions is
+                    // never assigned, so never refuted; a cube over
+                    // assigned variables only is false under the accepted
+                    // assignment, which then satisfies every constraint.
+                    let assigned =
+                        |cube: &Vec<Lit>| cube.iter().all(|l| accepted[l.var()].is_some());
+                    assert!(
+                        expected || !cubes.iter().all(assigned),
+                        "instance {instance}: SAT, brute force says UNSAT"
+                    );
+                }
+                Ok(None) => panic!("instance {instance}: the theory never stops"),
+                Err(Unsat) => assert!(
+                    !expected,
+                    "instance {instance}: UNSAT, brute force says SAT: \
+                     {clauses:?} ∧ ¬{cubes:?} under {assumptions:?}"
+                ),
             }
         }
     }

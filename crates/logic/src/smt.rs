@@ -2,8 +2,12 @@
 //! solver.
 //!
 //! Each check is one CDCL search ([`crate::sat::SatSolver::solve_with_theory`])
-//! whose theory hook decides every complete assignment it reaches.  An
-//! assignment the theory refutes yields a lemma, which the search treats
+//! whose theory hook checks every unit-propagation fixpoint it reaches.
+//! At a partial assignment the hook checks the interval bounds of the
+//! integer variables under the atoms assigned so far, kept along the SAT
+//! trail and undone on backjump; a complete assignment the bounds admit is
+//! decided by the theory solver, branch & bound included.  An assignment
+//! the theory refutes yields an explained lemma, which the search treats
 //! as a conflict clause: it backjumps only as far as the lemma needs and
 //! continues, instead of starting a new SAT solve per lemma.
 //! [`SolverStats::refinements`] counts the rounds of that search (the
@@ -28,7 +32,7 @@
 use crate::cnf::{Encoder, LinearAtom};
 use crate::expr::{BoolVar, Formula, IntVar, VarPool};
 use crate::model::Model;
-use crate::sat::{Lit, SatSolver, SatStats, SolverConfig, TheoryCheck, Unsat};
+use crate::sat::{Fixpoint, Lit, SatSolver, SatStats, SolverConfig, TheoryCheck, Unsat, Var};
 use crate::theory::{self, Constraint, TheoryVerdict};
 use advocat_telemetry::{PhaseCost, SolverProfile};
 use std::time::Instant;
@@ -40,7 +44,9 @@ pub struct CheckConfig {
     /// before the solver gives up with [`SmtResult::Unknown`]; zero
     /// answers `Unknown` without searching.
     pub max_refinements: u64,
-    /// Search-node budget for each theory feasibility check.
+    /// Search-node budget for each theory feasibility check: deciding a
+    /// complete assignment, explaining a refuted one and re-checking a
+    /// branch & bound explanation each get this many nodes.
     pub theory_node_budget: u64,
     /// CDCL search parameters: learnt-database reduction, restart schedule
     /// and phase saving.  Applied to the underlying SAT solver at every
@@ -62,13 +68,13 @@ impl Default for CheckConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Refinement rounds of the check's one search: the first, plus one
-    /// per theory lemma the search went on after.  The theory checks each
-    /// complete assignment inside the search, so a check that ends `Sat`
-    /// or `Unknown` ran this many theory checks, and one that ends `Unsat`
-    /// one fewer.  Zero only when [`CheckConfig::max_refinements`] is.
+    /// per theory lemma the search went on after.  Lemmas refute partial
+    /// as well as complete assignments, so this counts lemmas, not theory
+    /// checks: the theory checks every propagation fixpoint of the search.
+    /// Zero only when [`CheckConfig::max_refinements`] is.
     pub refinements: u64,
-    /// Complete assignments the theory refuted; each became a lemma
-    /// except one that hit the refinement budget.
+    /// Assignments, partial or complete, the theory refuted; each became
+    /// a lemma except one that hit the refinement budget.
     pub theory_conflicts: u64,
     /// Number of distinct linear atoms in the encoding.
     pub linear_atoms: usize,
@@ -348,19 +354,28 @@ impl SmtSolver {
     }
 
     /// The DPLL(T) search: one CDCL search whose theory hook checks every
-    /// complete assignment it reaches.
+    /// unit-propagation fixpoint it reaches, partial or complete.
     ///
-    /// The hook extracts the theory constraints the assignment implies and
-    /// decides them ([`theory::solve`]).  A conflict found by propagation
-    /// is explained from the reasons propagation recorded; the explanation
-    /// is shrunk to an irreducible core ([`theory::minimize_core`]),
-    /// re-checked without those reasons, and returned as a lemma blocking
-    /// the core's atoms.  A conflict only branch & bound could find blocks
-    /// the whole assignment of the atoms.  The SAT solver treats the lemma
-    /// as a conflict clause of the running search
-    /// ([`SatSolver::solve_with_theory`]).  Lemmas are justified by the
-    /// variable bounds alone, so they stay as permanent clauses: the
-    /// "theory lemmas" that survive into later checks.
+    /// The hook keeps the integer variables' bounds under the assigned
+    /// atoms along the SAT trail ([`TrailBounds`]): each fixpoint
+    /// activates only the atoms assigned since the previous one and
+    /// undoes only what a backjump retracted.  Bounds that refute a
+    /// partial assignment cut it off before the search decides further.
+    /// A complete assignment the bounds admit is decided by
+    /// [`theory::solve`], which branches where intervals cannot decide.
+    ///
+    /// A refuted assignment is explained from scratch: the hook extracts
+    /// the theory constraints of every assigned atom and has
+    /// [`theory::solve`] explain them.  An explanation found by
+    /// propagation is shrunk to an irreducible core
+    /// ([`theory::minimize_core`]) and re-checked without the recorded
+    /// reasons; one that needed branch & bound is re-checked by a fresh
+    /// [`theory::solve`] over its constraints alone, and blocks every
+    /// assigned atom when that check runs out of nodes.  The lemma blocks
+    /// the core's atoms.  The SAT solver treats it as a conflict clause of
+    /// the running search ([`SatSolver::solve_with_theory`]).  Lemmas are
+    /// justified by the variable bounds alone, so they stay as permanent
+    /// clauses: the "theory lemmas" that survive into later checks.
     ///
     /// The search runs in refinement rounds: the first, and one more
     /// after each lemma.  A lemma that would start a round beyond
@@ -370,7 +385,8 @@ impl SmtSolver {
     ///
     /// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
     /// theory-side phases and lemma sizes are charged to the check's
-    /// profile, next to the SAT core's CDCL phases.
+    /// profile, next to the SAT core's CDCL phases; every fixpoint's
+    /// bound update counts as a theory check.
     fn refine(&mut self, assumptions: &[Lit], config: &CheckConfig) -> SmtResult {
         self.profile = SolverProfile::default();
         if config.max_refinements == 0 {
@@ -387,6 +403,9 @@ impl SmtSolver {
             .linear_atoms()
             .map(|(atom, _)| [constraint_of(&atom.negated()), constraint_of(atom)])
             .collect();
+        let atom_vars: Vec<Var> = encoder.linear_atoms().map(|(_, v)| v).collect();
+        let mut trail_bounds =
+            TrailBounds::new(&bounds, &polarised, &atom_vars, self.sat.num_vars());
         let profiling = config.solver.telemetry.is_enabled();
         let mut constraints: Vec<&Constraint> = Vec::new();
         let mut atom_lits: Vec<Lit> = Vec::new();
@@ -394,18 +413,23 @@ impl SmtSolver {
 
         // The first round of the search; each lemma starts another.
         *refinements = 1;
-        let searched = self.sat.solve_with_theory(assumptions, |assignment| {
+        let searched = self.sat.solve_with_theory(assumptions, |at| {
+            let start = profiling.then(Instant::now);
+            let bounded = trail_bounds.update(at).is_ok();
+            let start = lap(start, &mut profile.theory);
+            if bounded && !at.complete {
+                return TheoryCheck::Consistent;
+            }
             // Extract the theory constraints the assignment implies.  Atoms
             // no live clause mentions (their scope was popped and
             // garbage-collected) are unassigned and skipped: nothing
             // propositional constrains them, so forcing a theory
             // counterpart would only shrink — or wrongly empty — the
             // feasible space of long-lived sessions.
-            let start = profiling.then(Instant::now);
             constraints.clear();
             atom_lits.clear();
-            for ((_, sat_var), both) in encoder.linear_atoms().zip(&polarised) {
-                let Some(assigned_true) = assignment[sat_var] else {
+            for (both, &sat_var) in polarised.iter().zip(&atom_vars) {
+                let Some(assigned_true) = at.assignment[sat_var] else {
                     continue;
                 };
                 constraints.push(&both[usize::from(assigned_true)]);
@@ -417,13 +441,18 @@ impl SmtSolver {
             let start = lap(start, &mut profile.theory);
             match verdict {
                 TheoryVerdict::Sat(values) => {
+                    // Propagation only refutes what has no integer point.
+                    assert!(
+                        bounded,
+                        "internal error: the bounds kept along the trail refuted a satisfiable assignment"
+                    );
                     let mut model = Model::new();
                     for v in pool.int_vars() {
                         model.set_int(v, values[v.index()]);
                     }
                     for v in pool.bool_vars() {
                         if let Some(sat_var) = encoder.lookup_bool(v) {
-                            model.set_bool(v, assignment[sat_var].unwrap_or(false));
+                            model.set_bool(v, at.assignment[sat_var].unwrap_or(false));
                         }
                     }
                     debug_assert!(
@@ -435,29 +464,42 @@ impl SmtSolver {
                     TheoryCheck::Consistent
                 }
                 TheoryVerdict::Unknown => TheoryCheck::Stop,
-                TheoryVerdict::Unsat(explanation) => {
+                TheoryVerdict::Unsat {
+                    explanation,
+                    branched,
+                } => {
                     *theory_conflicts += 1;
                     if *refinements >= config.max_refinements {
                         return TheoryCheck::Stop;
                     }
                     *refinements += 1;
-                    let core = match explanation {
-                        Some(explanation) => {
-                            let core = theory::minimize_core(&bounds, &constraints, explanation);
-                            // The lemma must be refuted without the recorded
-                            // reasons: an unsound one would turn into a wrong
-                            // "deadlock-free".
-                            let lemma: Vec<&Constraint> =
-                                core.iter().map(|&i| constraints[i]).collect();
-                            assert!(
-                                theory::refuted_by_propagation(&bounds, &lemma),
-                                "internal error: theory core {lemma:?} is not refuted by propagation"
-                            );
-                            core
+                    let core = if branched {
+                        // The lemma must have no integer point on its own:
+                        // an unsound one would turn into a wrong
+                        // "deadlock-free".
+                        let lemma: Vec<&Constraint> =
+                            explanation.iter().map(|&i| constraints[i]).collect();
+                        match theory::solve(&bounds, &lemma, config.theory_node_budget) {
+                            TheoryVerdict::Sat(point) => panic!(
+                                "internal error: branch-and-bound explanation {lemma:?} \
+                                 has the integer point {point:?}"
+                            ),
+                            TheoryVerdict::Unsat { .. } => explanation,
+                            // Unconfirmed: block all of the assignment's atoms.
+                            TheoryVerdict::Unknown => (0..constraints.len()).collect(),
                         }
-                        // Branch & bound refuted the assignment's atoms: block
-                        // them all.
-                        None => (0..constraints.len()).collect(),
+                    } else {
+                        let core = theory::minimize_core(&bounds, &constraints, explanation);
+                        // The lemma must be refuted without the recorded
+                        // reasons: an unsound one would turn into a wrong
+                        // "deadlock-free".
+                        let lemma: Vec<&Constraint> =
+                            core.iter().map(|&i| constraints[i]).collect();
+                        assert!(
+                            theory::refuted_by_propagation(&bounds, &lemma),
+                            "internal error: theory core {lemma:?} is not refuted by propagation"
+                        );
+                        core
                     };
                     // An empty core refutes the bounds alone: the lemma is
                     // the empty clause, and every check is unsatisfiable.
@@ -488,6 +530,153 @@ fn constraint_of(atom: &LinearAtom) -> Constraint {
         atom.terms.iter().map(|(c, v)| (*c, v.index())).collect(),
         atom.bound,
     )
+}
+
+/// Marks a SAT variable that stands for no linear atom.
+const NO_ATOM: u32 = u32::MAX;
+
+/// A bound a theory check moved: the trail length the check saw, the
+/// variable, whether it was the upper bound, and the value it replaced.
+#[derive(Debug)]
+struct Moved {
+    trail_len: usize,
+    var: usize,
+    upper: bool,
+    old: i64,
+}
+
+/// The integer variables' interval bounds under the assigned atoms of one
+/// check, kept along the SAT trail.
+///
+/// Each bound a check moves is logged with the trail length that check
+/// saw.  A later check first undoes every move logged above its
+/// [`Fixpoint::kept`] (the assignment it rested on was partly retracted),
+/// then activates the atoms assigned since the last check that still
+/// stands, and narrows ([`theory::narrow`]) assigned atoms from a worklist
+/// until nothing moves.  The bounds are then the interval-propagation
+/// fixpoint of the assigned atoms: the one [`theory::solve`] computes
+/// from scratch, in time proportional to what changed.
+#[derive(Debug)]
+struct TrailBounds<'a> {
+    /// Each atom's constraint, negated and as stated.
+    polarised: &'a [[Constraint; 2]],
+    /// Each atom's SAT variable.
+    atom_vars: &'a [Var],
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    /// Every bound moved and not undone, oldest first.
+    undo: Vec<Moved>,
+    /// The trail lengths of the checks whose activations still stand,
+    /// increasing.
+    checked: Vec<usize>,
+    /// The atom each SAT variable stands for, or [`NO_ATOM`].
+    atom_of: Vec<u32>,
+    /// The atoms over each integer variable.
+    atoms_over: Vec<Vec<u32>>,
+    /// Atoms to narrow; `queued` marks them.
+    worklist: Vec<u32>,
+    queued: Vec<bool>,
+    /// The variables the current narrowing step moved.
+    moved: Vec<usize>,
+}
+
+impl<'a> TrailBounds<'a> {
+    fn new(
+        bounds: &[(i64, i64)],
+        polarised: &'a [[Constraint; 2]],
+        atom_vars: &'a [Var],
+        sat_vars: usize,
+    ) -> Self {
+        let mut atom_of = vec![NO_ATOM; sat_vars];
+        let mut atoms_over = vec![Vec::new(); bounds.len()];
+        for (atom, (&sat_var, both)) in atom_vars.iter().zip(polarised).enumerate() {
+            atom_of[sat_var] = atom as u32;
+            for &(_, v) in &both[1].terms {
+                atoms_over[v].push(atom as u32);
+            }
+        }
+        TrailBounds {
+            polarised,
+            atom_vars,
+            lo: bounds.iter().map(|b| b.0).collect(),
+            hi: bounds.iter().map(|b| b.1).collect(),
+            undo: Vec::new(),
+            checked: Vec::new(),
+            atom_of,
+            atoms_over,
+            worklist: Vec::new(),
+            queued: vec![false; atom_vars.len()],
+            moved: Vec::new(),
+        }
+    }
+
+    /// Brings the bounds up to date with the fixpoint `at`.  `Err(())`
+    /// when some assigned atom cannot hold within them: the assigned atoms
+    /// have no integer point.
+    fn update(&mut self, at: Fixpoint<'_>) -> Result<(), ()> {
+        while let Some(m) = self.undo.pop_if(|m| m.trail_len > at.kept) {
+            if m.upper {
+                self.hi[m.var] = m.old;
+            } else {
+                self.lo[m.var] = m.old;
+            }
+        }
+        while self.checked.last().is_some_and(|&len| len > at.kept) {
+            self.checked.pop();
+        }
+        let active = self.checked.last().copied().unwrap_or(0);
+        // The worklist is empty between checks, and an atom is on the
+        // trail at most once.
+        for lit in &at.trail[active..] {
+            let atom = self.atom_of[lit.var()];
+            if atom != NO_ATOM {
+                self.queued[atom as usize] = true;
+                self.worklist.push(atom);
+            }
+        }
+        let now = at.trail.len();
+        if active < now {
+            self.checked.push(now);
+        }
+        while let Some(atom) = self.worklist.pop() {
+            self.queued[atom as usize] = false;
+            let value =
+                at.assignment[self.atom_vars[atom as usize]].expect("queued atoms are assigned");
+            let c = &self.polarised[atom as usize][usize::from(value)];
+            let (undo, moved) = (&mut self.undo, &mut self.moved);
+            let narrowed = theory::narrow(&mut self.lo, &mut self.hi, c, |i, old| {
+                let (a, var) = c.terms[i];
+                undo.push(Moved {
+                    trail_len: now,
+                    var,
+                    upper: a > 0,
+                    old,
+                });
+                moved.push(var);
+            });
+            if narrowed.is_err() {
+                for atom in self.worklist.drain(..) {
+                    self.queued[atom as usize] = false;
+                }
+                return Err(());
+            }
+            // An atom's terms name distinct variables, so one step leaves
+            // the atom itself at its fixpoint.
+            while let Some(var) = self.moved.pop() {
+                for &other in &self.atoms_over[var] {
+                    let other_index = other as usize;
+                    if other != atom
+                        && !self.queued[other_index]
+                        && at.assignment[self.atom_vars[other_index]].is_some()
+                    {
+                        self.queued[other_index] = true;
+                        self.worklist.push(other);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Charges the time since `start` to `phase` and returns the new start;
@@ -602,9 +791,10 @@ mod tests {
     #[test]
     fn a_spent_theory_budget_is_unknown_and_leaves_the_solver_usable() {
         // x + y = 4 ∧ x ≥ 3 ∧ y ≥ lo: one model at lo = 1, none at lo = 2.
-        // Every atom is forced at level zero, so the search reaches a
-        // complete assignment at once and the theory check with no node
-        // to spend gives up mid-search.
+        // Every atom is forced at level zero, so the first fixpoint is
+        // complete (lo = 1) or refuted by the bounds (lo = 2), and the
+        // theory check with no node to spend on deciding or explaining it
+        // gives up mid-search.
         for lo in [1, 2] {
             let build = || {
                 let mut smt = SmtSolver::new();

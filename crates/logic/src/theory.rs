@@ -7,19 +7,23 @@
 //!
 //! 1. **interval propagation** — repeatedly tighten variable domains from
 //!    the constraints until a fixpoint or an empty domain is reached, and
-//! 2. **branch & bound** — split the domain of an undetermined variable and
-//!    recurse.
+//! 2. **branch & bound** — split the domain of an undetermined variable
+//!    that some constraint mentions, and recurse.
 //!
 //! The solver returns an integer model when feasible.  Propagation keeps a
 //! trail of *reasons*: every bound it tightens records the constraint that
 //! tightened it and the trail entries of the bounds that constraint read.
-//! When propagation at the root refutes the constraints, [`solve`] walks
-//! those reasons back from the conflict and returns the constraints the
-//! refutation actually used with the [`TheoryVerdict::Unsat`] verdict; a
-//! refutation that needed branching carries no explanation.
-//! [`minimize_core`] shrinks an explanation to an irreducible core with a
-//! deletion pass over its few constraints, which the SMT loop
-//! ([`crate::smt`]) turns into a blocking clause.
+//! When the constraints are infeasible, [`solve`] walks those reasons back
+//! from each conflict and returns the constraints the refutation actually
+//! used with the [`TheoryVerdict::Unsat`] verdict.  Branch & bound keeps
+//! the trail along its path, truncates it on backtrack and records each
+//! branching bound as an entry with no reason, so a refutation that needed
+//! branching is explained too: by the union of what refuted its leaves.
+//! [`minimize_core`] shrinks a propagation explanation to an irreducible
+//! core with a deletion pass over its few constraints, which the SMT loop
+//! ([`crate::smt`]) turns into a blocking clause.  One propagation step,
+//! `narrow`, serves both [`solve`] and the SMT loop's bounds kept along
+//! the SAT trail.
 //!
 //! Propagation visits constraints newest first (highest index first), so
 //! the reason recorded for a bound is the most recently added constraint
@@ -58,11 +62,16 @@ impl Constraint {
 pub enum TheoryVerdict {
     /// The constraints are satisfiable; a witness assignment is returned.
     Sat(Vec<i64>),
-    /// The constraints are unsatisfiable.  When interval propagation alone
-    /// refuted them, the explanation lists (ascending) the indices of the
-    /// constraints the refutation used; propagation refutes that subset
-    /// on its own.  `None` when branch & bound was needed.
-    Unsat(Option<Vec<usize>>),
+    /// The constraints are unsatisfiable.
+    Unsat {
+        /// The indices (ascending) of the constraints the refutation used:
+        /// they have no integer point on their own.
+        explanation: Vec<usize>,
+        /// Whether branch & bound was needed.  When it was not, interval
+        /// propagation refutes the explanation on its own; when it was,
+        /// the explanation is the union of what refuted its leaves.
+        branched: bool,
+    },
     /// The search budget was exhausted before a verdict was reached.
     Unknown,
 }
@@ -86,8 +95,8 @@ impl Domains {
     }
 }
 
-/// Marks a bound that no trail entry set: the declared bound of its
-/// variable, or (below the root of branch & bound) a branching decision.
+/// Marks a bound that no trail entry set (the declared bound of its
+/// variable), and the constraint of a branching decision's entry.
 const NONE: u32 = u32::MAX;
 
 /// The reasons behind the bounds propagation tightened, in order.
@@ -95,8 +104,10 @@ const NONE: u32 = u32::MAX;
 /// Entry `e` is `(constraint, end)`: the index of the constraint that
 /// tightened a bound, and the end of its slice `reads[end(e-1)..end]`,
 /// the entries that set the bounds the constraint read.  Entries only
-/// read earlier entries.  After a refutation the last entry is the
-/// conflict: the constraint whose minimal sum exceeded its bound.
+/// read earlier entries.  A branching decision of branch & bound is an
+/// entry with constraint [`NONE`] and nothing read.  After a refutation
+/// the last entry is the conflict: the constraint whose minimal sum
+/// exceeded its bound.
 #[derive(Debug)]
 struct Trail {
     entries: Vec<(u32, u32)>,
@@ -116,14 +127,6 @@ impl Trail {
         }
     }
 
-    /// Forgets every entry, so all current bounds count as declared.
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.reads.clear();
-        self.lo_by.fill(NONE);
-        self.hi_by.fill(NONE);
-    }
-
     /// Records that constraint `index` derived something from the bounds
     /// its terms contribute to its minimal sum (every term but `skip`):
     /// the lower bound of a positive term, the upper bound of a negative
@@ -139,14 +142,45 @@ impl Trail {
         (self.entries.len() - 1) as u32
     }
 
-    /// Walks the reasons back from the last entry (the conflict) and
-    /// returns, ascending, the constraints it depends on.
-    fn explain(&self) -> Vec<usize> {
+    /// Records a branching decision that set variable `v`'s upper bound
+    /// (`upper`) or lower bound: an entry no constraint explains.
+    fn branch(&mut self, v: usize, upper: bool) {
+        self.entries.push((NONE, self.reads.len() as u32));
+        let entry = (self.entries.len() - 1) as u32;
+        if upper {
+            self.hi_by[v] = entry;
+        } else {
+            self.lo_by[v] = entry;
+        }
+    }
+
+    /// What [`Trail::backtrack`] needs to forget everything recorded
+    /// after this call.
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            entries: self.entries.len(),
+            reads: self.reads.len(),
+            lo_by: self.lo_by.clone(),
+            hi_by: self.hi_by.clone(),
+        }
+    }
+
+    /// Forgets every entry recorded since `checkpoint` was taken.
+    fn backtrack(&mut self, checkpoint: &Checkpoint) {
+        self.entries.truncate(checkpoint.entries);
+        self.reads.truncate(checkpoint.reads);
+        self.lo_by.copy_from_slice(&checkpoint.lo_by);
+        self.hi_by.copy_from_slice(&checkpoint.hi_by);
+    }
+
+    /// Walks the reasons back from the last entry (the conflict) and adds
+    /// the constraints it depends on to `used`; branching decisions add
+    /// nothing.
+    fn explain_into(&self, used: &mut Vec<usize>) {
         let mut needed = vec![false; self.entries.len()];
         if let Some(last) = needed.last_mut() {
             *last = true;
         }
-        let mut used = Vec::new();
         for e in (0..self.entries.len()).rev() {
             if !needed[e] {
                 continue;
@@ -156,12 +190,67 @@ impl Trail {
             for &read in &self.reads[start as usize..end as usize] {
                 needed[read as usize] = true;
             }
-            used.push(constraint as usize);
+            if constraint != NONE {
+                used.push(constraint as usize);
+            }
         }
-        used.sort_unstable();
-        used.dedup();
-        used
     }
+}
+
+/// A [`Trail`]'s length and bound setters at one node of branch & bound.
+#[derive(Debug)]
+struct Checkpoint {
+    entries: usize,
+    reads: usize,
+    lo_by: Vec<u32>,
+    hi_by: Vec<u32>,
+}
+
+/// One interval-propagation step of constraint `c` over the box
+/// `lo..=hi`.
+///
+/// Returns `Err(())` when the constraint's minimal sum over the box
+/// exceeds its bound (a sound proof that the box holds no solution).
+/// Otherwise tightens each term's bound to what the minimal sum of the
+/// other terms leaves it, and calls `tightened(term, old)` right after
+/// each bound it moves with the term's index and the bound it replaced.
+/// A tightened bound never crosses the opposite one: `min_sum ≤ bound`
+/// makes every term's budget at least its own minimal contribution.
+pub(crate) fn narrow(
+    lo: &mut [i64],
+    hi: &mut [i64],
+    c: &Constraint,
+    mut tightened: impl FnMut(usize, i64),
+) -> Result<(), ()> {
+    // Minimal possible value of the weighted sum.
+    let mut min_sum: i64 = 0;
+    for &(a, v) in &c.terms {
+        min_sum += if a > 0 { a * lo[v] } else { a * hi[v] };
+    }
+    if min_sum > c.bound {
+        return Err(());
+    }
+    for (i, &(a, v)) in c.terms.iter().enumerate() {
+        let own_min = if a > 0 { a * lo[v] } else { a * hi[v] };
+        let others_min = min_sum - own_min;
+        let budget = c.bound - others_min;
+        if a > 0 {
+            // a·x ≤ budget  =>  x ≤ floor(budget / a)
+            let new_hi = budget.div_euclid(a);
+            if new_hi < hi[v] {
+                let old = std::mem::replace(&mut hi[v], new_hi);
+                tightened(i, old);
+            }
+        } else {
+            // a·x ≤ budget with a < 0  =>  x ≥ ceil(budget / a)
+            let new_lo = ceil_div(budget, a);
+            if new_lo > lo[v] {
+                let old = std::mem::replace(&mut lo[v], new_lo);
+                tightened(i, old);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Tightens the domains using interval propagation, newest constraint
@@ -169,10 +258,8 @@ impl Trail {
 ///
 /// Returns `Err(())` when some constraint's minimal sum exceeds its bound
 /// (a sound proof of infeasibility, whose reasons end the trail),
-/// `Ok(())` at fixpoint otherwise.  A tightened bound never crosses the
-/// opposite one: `min_sum ≤ bound` makes every term's budget at least its
-/// own minimal contribution, so no domain empties before some minimal sum
-/// exceeds its bound.
+/// `Ok(())` at fixpoint otherwise.  No domain empties before some minimal
+/// sum exceeds its bound (see [`narrow`]).
 fn propagate<C: Borrow<Constraint>>(
     domains: &mut Domains,
     constraints: &[C],
@@ -182,44 +269,19 @@ fn propagate<C: Borrow<Constraint>>(
         let mut changed = false;
         for (index, c) in constraints.iter().enumerate().rev() {
             let c = c.borrow();
-            // Minimal possible value of the weighted sum.
-            let mut min_sum: i64 = 0;
-            for &(a, v) in &c.terms {
-                min_sum += if a > 0 {
-                    a * domains.lo[v]
+            let narrowed = narrow(&mut domains.lo, &mut domains.hi, c, |i, _| {
+                let (a, v) = c.terms[i];
+                let entry = trail.record(index, c, Some(i));
+                if a > 0 {
+                    trail.hi_by[v] = entry;
                 } else {
-                    a * domains.hi[v]
-                };
-            }
-            if min_sum > c.bound {
+                    trail.lo_by[v] = entry;
+                }
+                changed = true;
+            });
+            if narrowed.is_err() {
                 trail.record(index, c, None);
                 return Err(());
-            }
-            for (i, &(a, v)) in c.terms.iter().enumerate() {
-                let own_min = if a > 0 {
-                    a * domains.lo[v]
-                } else {
-                    a * domains.hi[v]
-                };
-                let others_min = min_sum - own_min;
-                let budget = c.bound - others_min;
-                if a > 0 {
-                    // a·x ≤ budget  =>  x ≤ floor(budget / a)
-                    let new_hi = budget.div_euclid(a);
-                    if new_hi < domains.hi[v] {
-                        domains.hi[v] = new_hi;
-                        trail.hi_by[v] = trail.record(index, c, Some(i));
-                        changed = true;
-                    }
-                } else {
-                    // a·x ≤ budget with a < 0  =>  x ≥ ceil(budget / a)
-                    let new_lo = ceil_div(budget, a);
-                    if new_lo > domains.lo[v] {
-                        domains.lo[v] = new_lo;
-                        trail.lo_by[v] = trail.record(index, c, Some(i));
-                        changed = true;
-                    }
-                }
             }
         }
         if !changed {
@@ -257,11 +319,11 @@ pub fn refuted_by_propagation<C: Borrow<Constraint>>(
 /// core.
 ///
 /// `explanation` indexes the constraints a refutation used, as returned
-/// with [`TheoryVerdict::Unsat`].  Each is dropped in turn, lowest index
-/// first, whenever propagation still refutes the rest.  Because
-/// propagation is monotone in the constraint set, the result is
-/// irreducible: dropping any one more constraint leaves a set that
-/// propagation no longer refutes.  Explanations hold a handful of
+/// with [`TheoryVerdict::Unsat`] when it did not branch.  Each is dropped
+/// in turn, lowest index first, whenever propagation still refutes the
+/// rest.  Because propagation is monotone in the constraint set, the
+/// result is irreducible: dropping any one more constraint leaves a set
+/// that propagation no longer refutes.  Explanations hold a handful of
 /// constraints, so the quadratic number of propagations is cheap.
 pub fn minimize_core<C: Borrow<Constraint>>(
     bounds: &[(i64, i64)],
@@ -290,76 +352,110 @@ pub fn minimize_core<C: Borrow<Constraint>>(
 /// Decides feasibility of `constraints` over variables with the given
 /// inclusive `bounds`.
 ///
-/// `node_budget` bounds the number of search nodes explored; when exhausted
-/// the verdict is [`TheoryVerdict::Unknown`].
+/// Branch & bound splits only variables some constraint mentions; every
+/// other variable keeps its lower bound in a model.  `node_budget` bounds
+/// the number of search nodes explored; when exhausted the verdict is
+/// [`TheoryVerdict::Unknown`].
 pub fn solve<C: Borrow<Constraint>>(
     bounds: &[(i64, i64)],
     constraints: &[C],
     node_budget: u64,
 ) -> TheoryVerdict {
+    let mut mentioned: Vec<usize> = Vec::new();
     for c in constraints {
         for &(_, v) in &c.borrow().terms {
             assert!(v < bounds.len(), "constraint mentions undeclared variable");
+            mentioned.push(v);
         }
     }
-    let mut trail = Trail::new(bounds.len());
-    let mut budget = node_budget;
-    search(
-        Domains::new(bounds),
+    mentioned.sort_unstable();
+    mentioned.dedup();
+    let mut search = Search {
         constraints,
-        &mut trail,
-        &mut budget,
-        true,
-    )
-}
-
-fn search<C: Borrow<Constraint>>(
-    mut domains: Domains,
-    constraints: &[C],
-    trail: &mut Trail,
-    budget: &mut u64,
-    root: bool,
-) -> TheoryVerdict {
-    if *budget == 0 {
-        return TheoryVerdict::Unknown;
-    }
-    *budget -= 1;
-    trail.clear();
-    if propagate(&mut domains, constraints, trail).is_err() {
-        // Below the root the refutation also rests on branching
-        // decisions, which no constraint explains.
-        return TheoryVerdict::Unsat(root.then(|| trail.explain()));
-    }
-    // Pick the unfixed variable with the smallest domain.
-    let mut pick: Option<(usize, i64)> = None;
-    for v in 0..domains.lo.len() {
-        if !domains.is_fixed(v) {
-            let width = domains.hi[v] - domains.lo[v];
-            match pick {
-                Some((_, w)) if w <= width => {}
-                _ => pick = Some((v, width)),
+        mentioned,
+        trail: Trail::new(bounds.len()),
+        budget: node_budget,
+        explanation: Vec::new(),
+    };
+    match search.node(Domains::new(bounds)) {
+        Node::Sat(model) => TheoryVerdict::Sat(model),
+        Node::Unknown => TheoryVerdict::Unknown,
+        Node::Refuted => {
+            let mut explanation = search.explanation;
+            explanation.sort_unstable();
+            explanation.dedup();
+            TheoryVerdict::Unsat {
+                explanation,
+                // The root is one node; a refutation below it branched.
+                branched: node_budget - search.budget > 1,
             }
         }
     }
-    let Some((v, _)) = pick else {
-        // All variables fixed: propagation guarantees every constraint's
-        // minimal sum is within bounds, which for fixed domains is the exact
-        // sum, so this is a model.
-        return TheoryVerdict::Sat(domains.lo);
-    };
-    let mid = domains.lo[v] + (domains.hi[v] - domains.lo[v]) / 2;
+}
 
-    // Lower half first: flow-style systems usually admit small solutions.
-    let mut lower = domains.clone();
-    lower.hi[v] = mid;
-    match search(lower, constraints, trail, budget, false) {
-        TheoryVerdict::Sat(model) => return TheoryVerdict::Sat(model),
-        TheoryVerdict::Unknown => return TheoryVerdict::Unknown,
-        TheoryVerdict::Unsat(_) => {}
+/// The outcome of one node of branch & bound.
+enum Node {
+    Sat(Vec<i64>),
+    Refuted,
+    Unknown,
+}
+
+/// Branch & bound over one constraint set, with the reason trail kept
+/// along the current path.
+struct Search<'a, C> {
+    constraints: &'a [C],
+    /// The variables some constraint mentions, ascending.
+    mentioned: Vec<usize>,
+    trail: Trail,
+    budget: u64,
+    /// The constraints that refuted the leaves so far (unsorted).
+    explanation: Vec<usize>,
+}
+
+impl<C: Borrow<Constraint>> Search<'_, C> {
+    fn node(&mut self, mut domains: Domains) -> Node {
+        if self.budget == 0 {
+            return Node::Unknown;
+        }
+        self.budget -= 1;
+        if propagate(&mut domains, self.constraints, &mut self.trail).is_err() {
+            self.trail.explain_into(&mut self.explanation);
+            return Node::Refuted;
+        }
+        // Pick the unfixed mentioned variable with the smallest domain.
+        let mut pick: Option<(usize, i64)> = None;
+        for &v in &self.mentioned {
+            if !domains.is_fixed(v) {
+                let width = domains.hi[v] - domains.lo[v];
+                match pick {
+                    Some((_, w)) if w <= width => {}
+                    _ => pick = Some((v, width)),
+                }
+            }
+        }
+        let Some((v, _)) = pick else {
+            // Every mentioned variable fixed: propagation guarantees every
+            // constraint's minimal sum is within bounds, which for fixed
+            // domains is the exact sum, so this is a model.
+            return Node::Sat(domains.lo);
+        };
+        let mid = domains.lo[v] + (domains.hi[v] - domains.lo[v]) / 2;
+        let path = self.trail.checkpoint();
+
+        // Lower half first: flow-style systems usually admit small solutions.
+        let mut lower = domains.clone();
+        lower.hi[v] = mid;
+        self.trail.branch(v, true);
+        match self.node(lower) {
+            Node::Refuted => {}
+            decided => return decided,
+        }
+        self.trail.backtrack(&path);
+        let mut upper = domains;
+        upper.lo[v] = mid + 1;
+        self.trail.branch(v, false);
+        self.node(upper)
     }
-    let mut upper = domains;
-    upper.lo[v] = mid + 1;
-    search(upper, constraints, trail, budget, false)
 }
 
 #[cfg(test)]
@@ -402,10 +498,7 @@ mod tests {
     fn contradictory_bounds_are_unsat() {
         // x <= 1 and x >= 2 on domain [0, 5].
         let cs = vec![le(vec![(1, 0)], 1), le(vec![(-1, 0)], -2)];
-        assert_eq!(
-            solve(&[(0, 5)], &cs, 1_000),
-            TheoryVerdict::Unsat(Some(vec![0, 1]))
-        );
+        assert_eq!(solve(&[(0, 5)], &cs, 1_000), propagated(vec![0, 1]));
         assert!(refuted_by_propagation(&[(0, 5)], &cs));
     }
 
@@ -413,10 +506,7 @@ mod tests {
     fn infeasible_sum_over_binary_variables() {
         // x0 + x1 + x2 = 5 with all domains {0, 1}.
         let cs = eq(vec![(1, 0), (1, 1), (1, 2)], 5);
-        assert_eq!(
-            solve(&[(0, 1); 3], &cs, 1_000),
-            TheoryVerdict::Unsat(Some(vec![1]))
-        );
+        assert_eq!(solve(&[(0, 1); 3], &cs, 1_000), propagated(vec![1]));
     }
 
     #[test]
@@ -430,10 +520,7 @@ mod tests {
             le(vec![(-1, 1)], -2),
         ];
         let bounds = [(0, 5); 3];
-        assert_eq!(
-            solve(&bounds, &cs, 1_000),
-            TheoryVerdict::Unsat(Some(vec![0, 2, 3]))
-        );
+        assert_eq!(solve(&bounds, &cs, 1_000), propagated(vec![0, 2, 3]));
         assert_eq!(minimize_core(&bounds, &cs, vec![0, 2, 3]), vec![0, 2, 3]);
     }
 
@@ -446,20 +533,83 @@ mod tests {
             le(vec![(-1, 0)], -3),
             le(vec![(1, 0)], 1),
         ];
+        assert_eq!(solve(&[(0, 5)], &cs, 1_000), propagated(vec![1, 2]));
+    }
+
+    /// A refutation by propagation alone with this explanation.
+    fn propagated(explanation: Vec<usize>) -> TheoryVerdict {
+        TheoryVerdict::Unsat {
+            explanation,
+            branched: false,
+        }
+    }
+
+    /// x + y = 1 and x = y over variables `x` and `y`: they force 2x = 1,
+    /// which no integer satisfies, but a box of {0, 1} domains is an
+    /// interval fixpoint, so only branching refutes them.
+    fn parity(x: usize, y: usize) -> Vec<Constraint> {
+        let mut cs = eq(vec![(1, x), (1, y)], 1);
+        cs.extend(eq(vec![(1, x), (-1, y)], 0));
+        cs
+    }
+
+    #[test]
+    fn refutations_found_by_branching_are_explained() {
+        let cs = parity(0, 1);
+        assert!(!refuted_by_propagation(&[(0, 1); 2], &cs));
         assert_eq!(
-            solve(&[(0, 5)], &cs, 1_000),
-            TheoryVerdict::Unsat(Some(vec![1, 2]))
+            solve(&[(0, 1); 2], &cs, 1_000),
+            TheoryVerdict::Unsat {
+                explanation: vec![0, 1, 2, 3],
+                branched: true,
+            }
         );
     }
 
     #[test]
-    fn refutations_found_by_branching_carry_no_explanation() {
-        // x + y = 1 and x = y force 2x = 1 over {0, 1}: no integer point,
-        // but the box is an interval fixpoint, so only branching refutes it.
-        let mut cs = eq(vec![(1, 0), (1, 1)], 1);
-        cs.extend(eq(vec![(1, 0), (-1, 1)], 0));
-        assert!(!refuted_by_propagation(&[(0, 1); 2], &cs));
-        assert_eq!(solve(&[(0, 1); 2], &cs, 1_000), TheoryVerdict::Unsat(None));
+    fn branch_explanations_leave_out_constraints_no_leaf_used() {
+        // The parity system over x0, x1 next to x2 ≤ 1, which tightens
+        // x2 at the root, but no leaf's refutation reads x2.
+        let mut cs = parity(0, 1);
+        cs.insert(2, le(vec![(1, 2)], 1));
+        assert_eq!(
+            solve(&[(0, 1), (0, 1), (0, 3)], &cs, 1_000),
+            TheoryVerdict::Unsat {
+                explanation: vec![0, 1, 3, 4],
+                branched: true,
+            }
+        );
+    }
+
+    #[test]
+    fn branching_skips_variables_no_constraint_mentions() {
+        // The parity system behind 30 binary variables no constraint
+        // mentions: splitting those first would take 2^30 nodes.
+        let unmentioned = 30;
+        let bounds = [(0, 1); 32];
+        let cs = parity(unmentioned, unmentioned + 1);
+        assert_eq!(
+            solve(&bounds, &cs, 1_000),
+            TheoryVerdict::Unsat {
+                explanation: vec![0, 1, 2, 3],
+                branched: true,
+            }
+        );
+        // A model leaves every unmentioned variable at its lower bound.
+        let mut cs = eq(vec![(1, unmentioned), (1, unmentioned + 1)], 1);
+        cs.push(le(vec![(-1, unmentioned)], -1));
+        let mut bounds: Vec<(i64, i64)> = (0..unmentioned as i64).map(|v| (v % 3, 2)).collect();
+        bounds.extend([(0, 1), (0, 1)]);
+        match solve(&bounds, &cs, 1_000) {
+            TheoryVerdict::Sat(model) => {
+                assert!(
+                    (0..unmentioned).all(|v| model[v] == bounds[v].0),
+                    "{model:?}"
+                );
+                assert_eq!(model[unmentioned..], [1, 0]);
+            }
+            other => panic!("expected Sat, got {other:?}"),
+        }
     }
 
     #[test]
@@ -537,10 +687,76 @@ mod tests {
         }
     }
 
+    /// How often [`check_verdict`] saw each kind of refutation.
+    #[derive(Default)]
+    struct Refutations {
+        propagated: usize,
+        branched: usize,
+    }
+
+    /// Checks `solve`'s verdict on `cs` over `bounds`: a model satisfies
+    /// every constraint; a propagation explanation is a subset propagation
+    /// refutes, whose core is irreducible; a branch & bound explanation is
+    /// a subset with no integer point, which `solve` refutes on its own.
+    fn check_verdict(bounds: &[(i64, i64)], cs: &[Constraint], seen: &mut Refutations) {
+        let (explanation, branched) = match solve(bounds, cs, 100_000) {
+            TheoryVerdict::Sat(model) => {
+                assert!(
+                    cs.iter().all(|c| c.holds(&model)),
+                    "model {model:?} violates {cs:?}"
+                );
+                return;
+            }
+            TheoryVerdict::Unknown => panic!("budget exhausted on {cs:?}"),
+            TheoryVerdict::Unsat {
+                explanation,
+                branched,
+            } => (explanation, branched),
+        };
+        assert!(
+            explanation.windows(2).all(|w| w[0] < w[1])
+                && explanation.iter().all(|&i| i < cs.len()),
+            "explanation {explanation:?} is not a subset of 0..{}",
+            cs.len()
+        );
+        let subset: Vec<&Constraint> = explanation.iter().map(|&i| &cs[i]).collect();
+        assert!(
+            !has_integer_point(bounds, &subset),
+            "explanation {explanation:?} of {cs:?} over {bounds:?} has an integer point"
+        );
+        if branched {
+            seen.branched += 1;
+            assert!(!refuted_by_propagation(bounds, cs));
+            assert!(
+                matches!(solve(bounds, &subset, 100_000), TheoryVerdict::Unsat { .. }),
+                "explanation {explanation:?} of {cs:?} over {bounds:?} is not refuted"
+            );
+            return;
+        }
+        seen.propagated += 1;
+        assert!(refuted_by_propagation(bounds, cs));
+        assert!(
+            refuted_by_propagation(bounds, &subset),
+            "explanation {explanation:?} of {cs:?} over {bounds:?} is not refuted"
+        );
+        let core = minimize_core(bounds, cs, explanation.clone());
+        assert!(core.iter().all(|i| explanation.contains(i)));
+        let core_cs: Vec<&Constraint> = core.iter().map(|&i| &cs[i]).collect();
+        assert!(refuted_by_propagation(bounds, &core_cs));
+        for left_out in 0..core_cs.len() {
+            let mut fewer = core_cs.clone();
+            fewer.remove(left_out);
+            assert!(
+                !refuted_by_propagation(bounds, &fewer),
+                "core {core:?} of {cs:?} is reducible at position {left_out}"
+            );
+        }
+    }
+
     #[test]
     fn propagation_explanations_are_sound_and_cores_irreducible() {
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
-        let mut explained = 0;
+        let mut seen = Refutations::default();
         for _ in 0..4_000 {
             let vars = rng.range(1, 5) as usize;
             let bounds: Vec<(i64, i64)> = (0..vars)
@@ -562,49 +778,45 @@ mod tests {
                     le(terms, rng.range(-6, 6))
                 })
                 .collect();
-            let all: Vec<&Constraint> = cs.iter().collect();
-            match solve(&bounds, &cs, 100_000) {
-                TheoryVerdict::Sat(model) => assert!(
-                    cs.iter().all(|c| c.holds(&model)),
-                    "model {model:?} violates {cs:?}"
-                ),
-                TheoryVerdict::Unsat(None) => {
-                    assert!(!refuted_by_propagation(&bounds, &cs));
-                    assert!(!has_integer_point(&bounds, &all), "{cs:?} over {bounds:?}");
-                }
-                TheoryVerdict::Unsat(Some(explanation)) => {
-                    explained += 1;
-                    assert!(refuted_by_propagation(&bounds, &cs));
-                    assert!(
-                        explanation.windows(2).all(|w| w[0] < w[1])
-                            && explanation.iter().all(|&i| i < cs.len()),
-                        "explanation {explanation:?} is not a subset of 0..{}",
-                        cs.len()
-                    );
-                    let subset: Vec<&Constraint> = explanation.iter().map(|&i| &cs[i]).collect();
-                    assert!(
-                        refuted_by_propagation(&bounds, &subset),
-                        "explanation {explanation:?} of {cs:?} over {bounds:?} is not refuted"
-                    );
-                    assert!(!has_integer_point(&bounds, &subset));
-                    let core = minimize_core(&bounds, &cs, explanation.clone());
-                    assert!(core.iter().all(|i| explanation.contains(i)));
-                    let core_cs: Vec<&Constraint> = core.iter().map(|&i| &cs[i]).collect();
-                    assert!(refuted_by_propagation(&bounds, &core_cs));
-                    for left_out in 0..core_cs.len() {
-                        let mut fewer = core_cs.clone();
-                        fewer.remove(left_out);
-                        assert!(
-                            !refuted_by_propagation(&bounds, &fewer),
-                            "core {core:?} of {cs:?} is reducible at position {left_out}"
-                        );
-                    }
-                }
-                TheoryVerdict::Unknown => panic!("budget exhausted on {cs:?}"),
-            }
+            check_verdict(&bounds, &cs, &mut seen);
         }
-        assert!(explained > 500, "only {explained} explained refutations");
+        assert!(
+            seen.propagated > 500,
+            "only {} explained refutations",
+            seen.propagated
+        );
+        // Interval fixpoints without an integer point are rare among
+        // random inequalities; equalities over small domains reach them
+        // far more often, and with them the branch & bound explanations.
+        for _ in 0..EQUALITY_SYSTEMS {
+            let vars = rng.range(2, 6) as usize;
+            let bounds = vec![(0, 3); vars];
+            let mut cs: Vec<Constraint> = Vec::new();
+            for _ in 0..rng.range(1, 4) {
+                let terms: Vec<(i64, usize)> = (0..rng.range(2, 3))
+                    .map(|_| {
+                        let a = [-2, -1, 1, 2][rng.range(0, 3) as usize];
+                        (a, rng.range(0, vars as i64 - 1) as usize)
+                    })
+                    .collect();
+                let value = rng.range(-3, 3);
+                if rng.range(0, 3) == 0 {
+                    cs.push(le(terms, value));
+                } else {
+                    cs.extend(eq(terms, value));
+                }
+            }
+            check_verdict(&bounds, &cs, &mut seen);
+        }
+        assert!(
+            seen.branched > 300,
+            "only {} branch & bound refutations",
+            seen.branched
+        );
     }
+
+    /// Equality-biased systems in the property test above.
+    const EQUALITY_SYSTEMS: usize = 20_000;
 
     #[test]
     fn ceil_div_matches_mathematical_ceiling() {

@@ -62,13 +62,16 @@ pub struct SolverProfile {
     /// Opening decision levels: establishing the pending assumptions and
     /// picking each branching variable from the activity heap.
     pub decide: PhaseCost,
-    /// Theory constraint extraction from each SAT model.
+    /// Theory constraint extraction from each refuted or complete
+    /// assignment.
     pub extract: PhaseCost,
-    /// Theory feasibility checks: propagation, the walk back over its
-    /// reasons after a conflict, and branch & bound.
+    /// Theory checks: the bound update at every propagation fixpoint, and
+    /// each feasibility check (propagation, the walk back over its
+    /// reasons after a conflict, and branch & bound).
     pub theory: PhaseCost,
     /// Core minimisation of theory conflicts: deletion over the
-    /// explanation and the lemma's soundness re-check.
+    /// explanation and the lemma's soundness re-check (a fresh branch &
+    /// bound for a branch & bound explanation).
     pub core: PhaseCost,
     /// Theory lemma insertion into the running SAT search: attaching the
     /// clause and backjumping (a lemma's conflict analysis is `analyze`).

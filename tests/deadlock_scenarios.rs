@@ -165,3 +165,31 @@ fn counterexamples_respect_structural_bounds() {
         }
     }
 }
+
+/// The invariant ablation of the 3×3 AbstractMi mesh, asked as the
+/// sizing study asks it: after every capacity below the threshold, the
+/// threshold without invariants.  Interval conflicts are cut off at
+/// partial assignments, so a complete assignment the search reaches is
+/// interval-consistent and only branch & bound can refute it: a lemma
+/// that blocked such an assignment whole, instead of by the constraints
+/// that refuted it, would rule out one assignment per refinement.
+#[test]
+fn the_3x3_invariant_ablation_finds_its_candidate_in_few_refinements() {
+    let fabric = FabricConfig::new(Topology::mesh(3, 3).expect("valid mesh"), 5)
+        .with_protocol(ProtocolKind::AbstractMi)
+        .with_directory(4);
+    let mut engine =
+        QueryEngine::for_fabric_with(&fabric, CheckConfig::default(), 1..=6).expect("valid fabric");
+    for capacity in 1..5 {
+        let report = engine.check(&Query::new().capacity(capacity));
+        assert!(!report.is_deadlock_free(), "capacity {capacity}");
+    }
+    let ablation = engine.check(&Query::new().capacity(5).invariants(false));
+    assert!(
+        ablation.counterexample().is_some(),
+        "{:?}",
+        ablation.verdict()
+    );
+    let refinements = ablation.analysis().stats.refinements;
+    assert!(refinements <= 50, "{refinements} refinements");
+}

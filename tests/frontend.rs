@@ -488,3 +488,37 @@ fn an_exhausted_budget_is_unknown_over_http() {
     harness.server.shutdown();
     assert!(harness.server.join());
 }
+
+/// A spent theory node budget crosses the wire the same way: with
+/// `"theory_node_budget":0` the theory check that would decide a model or
+/// explain a refutation has no node to spend, and every job of the request
+/// answers `"status":"unknown"`.
+#[test]
+fn a_spent_theory_budget_is_unknown_over_http() {
+    let harness = start(
+        ServiceConfig::default().with_workers(1),
+        FrontendConfig::default(),
+    );
+    let mut client = client_for(&harness.server);
+    let ids = client
+        .submit(
+            "{\"name\":\"no theory budget\",\"topology\":{\"kind\":\"mesh\",\"width\":2,\"height\":2},\
+              \"queue_size\":2,\"directory\":3,\"capacities\":[2,3],\"theory_node_budget\":0}",
+        )
+        .expect("transport")
+        .expect("admitted");
+    assert_eq!(ids.len(), 2, "one job per capacity");
+    for id in ids {
+        let done = client.wait(id, 120_000).expect("transport");
+        assert_eq!(done.status, 200, "{}", done.body);
+        assert_eq!(
+            str_field(&done.body, "status").as_deref(),
+            Some("unknown"),
+            "{}",
+            done.body
+        );
+    }
+
+    harness.server.shutdown();
+    assert!(harness.server.join());
+}
