@@ -13,8 +13,8 @@ use criterion::{criterion_group, Criterion};
 
 const SIZES: std::ops::RangeInclusive<usize> = 1..=16;
 
-fn mesh_config() -> MeshConfig {
-    MeshConfig::new(2, 2, 1).with_directory(1, 1)
+fn mesh_config() -> FabricConfig {
+    FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3)
 }
 
 /// Sixteen independent cold verifications (the seed's behaviour).
@@ -23,7 +23,7 @@ fn cold_sweep() -> (Vec<bool>, u64) {
     let mut verdicts = Vec::new();
     let mut effort = 0u64;
     for size in SIZES {
-        let system = build_mesh(&config.with_queue_size(size)).expect("valid mesh");
+        let system = build_fabric(&config.clone().with_queue_size(size)).expect("valid mesh");
         let report = QueryEngine::structural(system).check(&Query::new());
         let stats = report.analysis().stats;
         effort += stats.sat_conflicts + stats.sat_propagations;
@@ -35,7 +35,7 @@ fn cold_sweep() -> (Vec<bool>, u64) {
 /// The same sweep through one incremental session.
 fn session_sweep() -> (Vec<bool>, u64) {
     let config = mesh_config();
-    let system = build_mesh_for_sweep(&config, *SIZES.end()).expect("valid mesh");
+    let system = build_fabric_for_sweep(&config, *SIZES.end()).expect("valid mesh");
     let mut engine = QueryEngine::on(system, SIZES);
     let verdicts: Vec<bool> = SIZES
         .map(|size| {
@@ -62,7 +62,7 @@ fn print_comparison() {
     );
 
     // The production entry point bisects instead of sweeping linearly.
-    let system = build_mesh_for_sweep(&mesh_config(), *SIZES.end()).expect("valid mesh");
+    let system = build_fabric_for_sweep(&mesh_config(), *SIZES.end()).expect("valid mesh");
     let result = QueryEngine::on(system, SIZES).minimal_capacity(&Query::new());
     advocat_telemetry::info!(
         "binary search: minimal size {:?} found with {} probes: {:?}",
@@ -80,7 +80,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("session_sweep_sizes_1_to_16", |b| b.iter(session_sweep));
     group.bench_function("session_binary_search", |b| {
         b.iter(|| {
-            let system = build_mesh_for_sweep(&mesh_config(), *SIZES.end()).expect("valid mesh");
+            let system = build_fabric_for_sweep(&mesh_config(), *SIZES.end()).expect("valid mesh");
             QueryEngine::on(system, SIZES)
                 .minimal_capacity(&Query::new())
                 .minimal_queue_size

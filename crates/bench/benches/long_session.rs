@@ -14,8 +14,8 @@ use criterion::{criterion_group, Criterion};
 
 const SIZES: std::ops::RangeInclusive<usize> = 1..=32;
 
-fn mesh_config() -> MeshConfig {
-    MeshConfig::new(2, 2, 1).with_directory(1, 1)
+fn mesh_config() -> FabricConfig {
+    FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3)
 }
 
 /// Forces reductions early enough that the (small) bench workload
@@ -40,7 +40,7 @@ fn unbounded_solver() -> SolverConfig {
 /// Runs the sweep and returns the verdicts, per-query SAT efforts
 /// (conflicts + propagations) and the session totals.
 fn sweep(solver: SolverConfig) -> (Vec<bool>, Vec<u64>, SessionStats) {
-    let system = build_mesh_for_sweep(&mesh_config(), *SIZES.end()).expect("valid mesh");
+    let system = build_fabric_for_sweep(&mesh_config(), *SIZES.end()).expect("valid mesh");
     let config = CheckConfig {
         solver,
         ..CheckConfig::default()

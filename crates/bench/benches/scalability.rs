@@ -18,10 +18,10 @@ fn print_table() {
     advocat_telemetry::info!("== E6: model sizes and verification-time scaling ==");
 
     // (a) Model size of the 6×6 fabric with VCs (building is cheap).
-    let big = build_mesh(
-        &MeshConfig::new(6, 6, 30)
-            .with_directory(3, 3)
-            .with_virtual_channels(true),
+    let big = build_fabric(
+        &FabricConfig::new(Topology::mesh(6, 6).unwrap(), 30)
+            .with_directory(21)
+            .with_message_class_vcs(true),
     )
     .expect("6x6 mesh builds");
     let stats = big.stats();
@@ -81,11 +81,11 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    let big = MeshConfig::new(6, 6, 30)
-        .with_directory(3, 3)
-        .with_virtual_channels(true);
+    let big = FabricConfig::new(Topology::mesh(6, 6).unwrap(), 30)
+        .with_directory(21)
+        .with_message_class_vcs(true);
     group.bench_function("build_6x6_mesh_with_vcs", |b| {
-        b.iter(|| build_mesh(&big).unwrap().stats().primitives)
+        b.iter(|| build_fabric(&big).unwrap().stats().primitives)
     });
     group.finish();
 }

@@ -20,20 +20,20 @@ use std::time::{Duration, Instant};
 /// Fig. 3 pair, sharing a pooled engine), a datelined ring, a datelined
 /// torus and a MESI mesh.
 fn client_jobs(client: usize) -> Vec<VerifyJob> {
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    let mesi = mesh.with_protocol(ProtocolKind::Mesi);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    let mesi = mesh.clone().with_protocol(ProtocolKind::Mesi);
     let ring = FabricConfig::new(Topology::ring(4).unwrap(), 2).with_directory(1);
     let torus = FabricConfig::new(Topology::torus(2, 2).unwrap(), 3).with_directory(3);
     vec![
-        VerifyJob::mesh(format!("c{client} mesh qs2"), mesh)
+        VerifyJob::new(format!("c{client} mesh qs2"), mesh.clone())
             .at_capacity(2)
             .with_engine_range(2..=3),
-        VerifyJob::mesh(format!("c{client} mesh qs3"), mesh)
+        VerifyJob::new(format!("c{client} mesh qs3"), mesh)
             .at_capacity(3)
             .with_engine_range(2..=3),
-        VerifyJob::fabric(format!("c{client} ring"), ring).at_capacity(2),
-        VerifyJob::fabric(format!("c{client} torus"), torus).at_capacity(3),
-        VerifyJob::mesh(format!("c{client} mesi"), mesi)
+        VerifyJob::new(format!("c{client} ring"), ring).at_capacity(2),
+        VerifyJob::new(format!("c{client} torus"), torus).at_capacity(3),
+        VerifyJob::new(format!("c{client} mesi"), mesi)
             .at_capacity(2)
             .with_engine_range(2..=3),
     ]
@@ -55,12 +55,7 @@ fn check_verdict(name: &str, report: &Report) {
 fn cold_check(job: &VerifyJob) -> Report {
     let capacity = job.capacity.expect("workload jobs pin their capacity");
     let range = job.engine_range.clone().unwrap_or(capacity..=capacity);
-    let system = match &job.fabric {
-        ScenarioFabric::Mesh(mesh) => build_mesh_for_sweep(mesh, *range.end()).expect("mesh"),
-        ScenarioFabric::Fabric(fabric) => {
-            build_fabric_for_sweep(fabric, *range.end()).expect("fabric")
-        }
-    };
+    let system = build_fabric_for_sweep(&job.fabric, *range.end()).expect("fabric");
     QueryEngine::on(system, range).check(&Query::new().capacity(capacity).target(job.target))
 }
 
@@ -155,18 +150,18 @@ fn bench(c: &mut Criterion) {
         warm.submit(job);
     }
     warm.drain();
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     c.bench_function("service/warm_submit_drain", |b| {
         b.iter(|| {
             warm.submit(
-                VerifyJob::mesh("warm", mesh)
+                VerifyJob::new("warm", mesh.clone())
                     .at_capacity(2)
                     .with_engine_range(2..=3),
             );
             warm.drain().len()
         })
     });
-    let cold = VerifyJob::mesh("cold", mesh)
+    let cold = VerifyJob::new("cold", mesh)
         .at_capacity(2)
         .with_engine_range(2..=3);
     c.bench_function("service/cold_fresh_engine", |b| {

@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 const SIZES: std::ops::RangeInclusive<usize> = 1..=32;
 
 fn sweep(telemetry: Telemetry) -> (Vec<bool>, SessionStats) {
-    let mesh = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-    let system = build_mesh_for_sweep(&mesh, *SIZES.end()).expect("valid mesh");
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+    let system = build_fabric_for_sweep(&mesh, *SIZES.end()).expect("valid mesh");
     let config = CheckConfig {
         solver: SolverConfig {
             telemetry,

@@ -36,10 +36,10 @@ fn print_table() {
     }
 
     // VCs do not remove the deadlock itself at minimal queue capacity.
-    let vc_small = build_mesh(
-        &MeshConfig::new(2, 2, 1)
-            .with_directory(1, 1)
-            .with_virtual_channels(true),
+    let vc_small = build_fabric(
+        &FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1)
+            .with_directory(3)
+            .with_message_class_vcs(true),
     )
     .expect("valid mesh");
     let report = QueryEngine::structural(vc_small.clone()).check(&Query::new());
@@ -55,11 +55,13 @@ fn print_table() {
 }
 
 fn bench(c: &mut Criterion) {
-    let plain = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1)).unwrap();
-    let vcs = build_mesh(
-        &MeshConfig::new(2, 2, 3)
-            .with_directory(1, 1)
-            .with_virtual_channels(true),
+    let plain =
+        build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3))
+            .unwrap();
+    let vcs = build_fabric(
+        &FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3)
+            .with_directory(3)
+            .with_message_class_vcs(true),
     )
     .unwrap();
     let mut group = c.benchmark_group("vc_ablation");

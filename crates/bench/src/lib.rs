@@ -11,24 +11,37 @@
 
 use advocat::prelude::*;
 
+/// The `width × height` mesh with the directory at position `dir`
+/// (terminal `y * width + x`), hosting `protocol`.
+fn mesh(
+    width: u32,
+    height: u32,
+    queue_size: usize,
+    dir: (u32, u32),
+    protocol: ProtocolKind,
+) -> FabricConfig {
+    let topology = Topology::mesh(width, height).expect("mesh dimensions are valid");
+    FabricConfig::new(topology, queue_size)
+        .with_directory((dir.1 * width + dir.0) as usize)
+        .with_protocol(protocol)
+}
+
 /// Builds the abstract-MI mesh used throughout the evaluation section.
 pub fn abstract_mesh(width: u32, height: u32, queue_size: usize, dir: (u32, u32)) -> System {
-    build_mesh(
-        &MeshConfig::new(width, height, queue_size)
-            .with_directory(dir.0, dir.1)
-            .with_protocol(ProtocolKind::AbstractMi),
-    )
+    build_fabric(&mesh(
+        width,
+        height,
+        queue_size,
+        dir,
+        ProtocolKind::AbstractMi,
+    ))
     .expect("mesh configuration is valid")
 }
 
 /// Builds the full-MI mesh of the "MI Protocol" paragraph.
 pub fn full_mi_mesh(width: u32, height: u32, queue_size: usize, dir: (u32, u32)) -> System {
-    build_mesh(
-        &MeshConfig::new(width, height, queue_size)
-            .with_directory(dir.0, dir.1)
-            .with_protocol(ProtocolKind::FullMi),
-    )
-    .expect("mesh configuration is valid")
+    build_fabric(&mesh(width, height, queue_size, dir, ProtocolKind::FullMi))
+        .expect("mesh configuration is valid")
 }
 
 /// Runs the minimal-queue-size search used by the Fig. 4 and VC-ablation
@@ -40,11 +53,8 @@ pub fn minimal_size(
     vcs: bool,
     max: usize,
 ) -> Option<usize> {
-    let config = MeshConfig::new(width, height, 1)
-        .with_directory(dir.0, dir.1)
-        .with_protocol(ProtocolKind::AbstractMi)
-        .with_virtual_channels(vcs);
-    let system = build_mesh_for_sweep(&config, max).expect("valid mesh configuration");
+    let config = mesh(width, height, 1, dir, ProtocolKind::AbstractMi).with_message_class_vcs(vcs);
+    let system = build_fabric_for_sweep(&config, max).expect("valid mesh configuration");
     QueryEngine::on(system, 2..=max)
         .minimal_capacity(&Query::new())
         .minimal_queue_size

@@ -16,44 +16,12 @@ use std::ops::RangeInclusive;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use advocat_automata::System;
 use advocat_deadlock::{DeadlockTarget, Query};
 use advocat_logic::CheckConfig;
-use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError, MeshConfig};
+use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError};
 
 use crate::query::{QueryEngine, SessionStats};
 use crate::report::Report;
-
-/// What a [`BatchScenario`] builds and verifies: a classic mesh
-/// description or a topology-generic fabric.
-#[derive(Clone, Debug)]
-pub enum ScenarioFabric {
-    /// A 2D mesh with XY routing (the paper's configuration).
-    Mesh(MeshConfig),
-    /// Any topology × routing-function fabric (boxed: a full fabric
-    /// description is much larger than a mesh one).
-    Fabric(Box<FabricConfig>),
-}
-
-impl ScenarioFabric {
-    /// The queue capacity the scenario description itself pins.
-    pub(crate) fn queue_size(&self) -> usize {
-        match self {
-            ScenarioFabric::Mesh(config) => config.queue_size,
-            ScenarioFabric::Fabric(config) => config.queue_size,
-        }
-    }
-
-    /// Builds the fabric with queues sized for a sweep up to
-    /// `max_capacity`.
-    pub(crate) fn build_for_sweep(&self, max_capacity: usize) -> Result<System, FabricError> {
-        let fabric = match self {
-            ScenarioFabric::Mesh(config) => config.to_fabric()?,
-            ScenarioFabric::Fabric(config) => (**config).clone(),
-        };
-        build_fabric_for_sweep(&fabric, max_capacity)
-    }
-}
 
 /// One independent verification scenario of a batch.
 #[derive(Clone, Debug)]
@@ -61,7 +29,7 @@ pub struct BatchScenario {
     /// A human-readable label carried into the outcome.
     pub name: String,
     /// The fabric to build and verify.
-    pub fabric: ScenarioFabric,
+    pub fabric: FabricConfig,
     /// Which deadlock symptom to look for.
     pub target: DeadlockTarget,
     /// SMT resource limits for this scenario.
@@ -73,23 +41,12 @@ pub struct BatchScenario {
 }
 
 impl BatchScenario {
-    /// Creates a mesh scenario with the default deadlock target and
-    /// solver limits.
-    pub fn new(name: impl Into<String>, mesh: MeshConfig) -> Self {
+    /// Creates a scenario over `fabric` with the default deadlock target
+    /// and solver limits.
+    pub fn new(name: impl Into<String>, fabric: FabricConfig) -> Self {
         BatchScenario {
             name: name.into(),
-            fabric: ScenarioFabric::Mesh(mesh),
-            target: DeadlockTarget::default(),
-            config: CheckConfig::default(),
-            sweep: None,
-        }
-    }
-
-    /// Creates a scenario for an arbitrary topology fabric.
-    pub fn for_fabric(name: impl Into<String>, fabric: FabricConfig) -> Self {
-        BatchScenario {
-            name: name.into(),
-            fabric: ScenarioFabric::Fabric(Box::new(fabric)),
+            fabric,
             target: DeadlockTarget::default(),
             config: CheckConfig::default(),
             sweep: None,
@@ -170,12 +127,12 @@ impl BatchOutcome {
 /// use advocat::prelude::*;
 ///
 /// let scenarios = vec![
-///     BatchScenario::new("2x2 sweep", MeshConfig::new(2, 2, 2).with_directory(1, 1))
-///         .with_sweep(2..=3),
-///     BatchScenario::for_fabric(
-///         "ring of 4, qs 2",
-///         FabricConfig::new(Topology::ring(4)?, 2),
-///     ),
+///     BatchScenario::new(
+///         "2x2 sweep",
+///         FabricConfig::new(Topology::mesh(2, 2)?, 2).with_directory(3),
+///     )
+///     .with_sweep(2..=3),
+///     BatchScenario::new("ring of 4, qs 2", FabricConfig::new(Topology::ring(4)?, 2)),
 /// ];
 /// let outcomes = run_batch(&scenarios, 2);
 /// assert_eq!(outcomes.len(), 2);
@@ -192,10 +149,10 @@ pub fn run_batch(scenarios: &[BatchScenario], workers: usize) -> Vec<BatchOutcom
 /// the top of the sweep and every capacity is asked in ascending order.
 fn run_scenario(scenario: &BatchScenario) -> BatchOutcome {
     let start = Instant::now();
-    let own_size = scenario.fabric.queue_size();
+    let own_size = scenario.fabric.queue_size;
     let range = scenario.sweep.clone().unwrap_or(own_size..=own_size);
     assert!(!range.is_empty(), "empty capacity sweep {range:?}");
-    let (result, sweep, stats) = match scenario.fabric.build_for_sweep(*range.end()) {
+    let (result, sweep, stats) = match build_fabric_for_sweep(&scenario.fabric, *range.end()) {
         Err(error) => (Err(error), Vec::new(), None),
         Ok(system) => {
             let mut engine =
@@ -277,12 +234,18 @@ mod tests {
     use super::*;
     use advocat_noc::Topology;
 
+    /// The paper's 2×2 mesh with the directory at (1,1), terminal 3.
+    fn mesh_2x2(queue_size: usize) -> FabricConfig {
+        FabricConfig::new(Topology::mesh(2, 2).unwrap(), queue_size).with_directory(3)
+    }
+
     #[test]
     fn batch_results_come_back_in_scenario_order() {
         let scenarios = vec![
-            BatchScenario::new("deadlocking", MeshConfig::new(2, 2, 2).with_directory(1, 1)),
-            BatchScenario::new("free", MeshConfig::new(2, 2, 3).with_directory(1, 1)),
-            BatchScenario::new("invalid", MeshConfig::new(1, 1, 1)),
+            BatchScenario::new("deadlocking", mesh_2x2(2)),
+            BatchScenario::new("free", mesh_2x2(3)),
+            // A 2×2 mesh has no terminal 4: unbuildable.
+            BatchScenario::new("invalid", mesh_2x2(1).with_directory(4)),
         ];
         let outcomes = run_batch(&scenarios, 4);
         assert_eq!(outcomes.len(), 3);
@@ -296,18 +259,18 @@ mod tests {
     #[test]
     fn batch_agrees_with_sequential_verification() {
         let configs = [
-            MeshConfig::new(2, 2, 2).with_directory(0, 0),
-            MeshConfig::new(2, 2, 3).with_directory(0, 0),
-            MeshConfig::new(2, 2, 3).with_directory(1, 1),
+            mesh_2x2(2).with_directory(0),
+            mesh_2x2(3).with_directory(0),
+            mesh_2x2(3),
         ];
         let scenarios: Vec<BatchScenario> = configs
             .iter()
             .enumerate()
-            .map(|(i, c)| BatchScenario::new(format!("scenario {i}"), *c))
+            .map(|(i, c)| BatchScenario::new(format!("scenario {i}"), c.clone()))
             .collect();
         let outcomes = run_batch(&scenarios, 2);
         for (config, outcome) in configs.iter().zip(&outcomes) {
-            let system = advocat_noc::build_mesh(config).unwrap();
+            let system = advocat_noc::build_fabric(config).unwrap();
             let sequential = QueryEngine::on(system, config.queue_size..=config.queue_size)
                 .check(&Query::new().capacity(config.queue_size))
                 .is_deadlock_free();
@@ -318,15 +281,15 @@ mod tests {
     #[test]
     fn one_batch_spans_topology_families() {
         let scenarios = vec![
-            BatchScenario::for_fabric(
+            BatchScenario::new(
                 "ring4 qs2",
                 FabricConfig::new(Topology::ring(4).unwrap(), 2).with_directory(1),
             ),
-            BatchScenario::for_fabric(
+            BatchScenario::new(
                 "fat-tree qs1",
                 FabricConfig::new(Topology::fat_tree(2, 2).unwrap(), 1).with_directory(3),
             ),
-            BatchScenario::new("mesh qs3", MeshConfig::new(2, 2, 3).with_directory(1, 1)),
+            BatchScenario::new("mesh qs3", mesh_2x2(3)),
         ];
         let outcomes = run_batch(&scenarios, 3);
         assert!(outcomes[0].is_deadlock_free(), "datelined ring at qs 2");
@@ -340,9 +303,8 @@ mod tests {
     #[test]
     fn capacity_sweeps_reuse_one_session_per_scenario() {
         let scenarios = vec![
-            BatchScenario::new("mesh sweep", MeshConfig::new(2, 2, 2).with_directory(1, 1))
-                .with_sweep(1..=4),
-            BatchScenario::for_fabric(
+            BatchScenario::new("mesh sweep", mesh_2x2(2)).with_sweep(1..=4),
+            BatchScenario::new(
                 "ring sweep",
                 FabricConfig::new(Topology::ring(4).unwrap(), 1).with_directory(1),
             )
@@ -375,13 +337,13 @@ mod tests {
 
     #[test]
     fn sweeping_scenarios_cost_less_than_cold_per_capacity_batches() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let sweep = BatchScenario::new("sweep", config).with_sweep(1..=6);
+        let config = mesh_2x2(1);
+        let sweep = BatchScenario::new("sweep", config.clone()).with_sweep(1..=6);
         let outcomes = run_batch(&[sweep], 1);
         let session_effort = outcomes[0].stats.expect("stats").sat_effort();
 
         let cold: Vec<BatchScenario> = (1..=6)
-            .map(|qs| BatchScenario::new(format!("qs {qs}"), config.with_queue_size(qs)))
+            .map(|qs| BatchScenario::new(format!("qs {qs}"), config.clone().with_queue_size(qs)))
             .collect();
         let cold_outcomes = run_batch(&cold, 1);
         let cold_effort: u64 = cold_outcomes
@@ -405,11 +367,10 @@ mod tests {
 
     #[test]
     fn batch_scenarios_honour_the_deadlock_target() {
-        let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
         let targets = [DeadlockTarget::StuckPacket, DeadlockTarget::DeadAutomaton];
         let scenarios: Vec<BatchScenario> = targets
             .iter()
-            .map(|&target| BatchScenario::new(target.to_string(), mesh).with_target(target))
+            .map(|&target| BatchScenario::new(target.to_string(), mesh_2x2(2)).with_target(target))
             .collect();
         let outcomes = run_batch(&scenarios, 2);
         for (outcome, target) in outcomes.iter().zip(targets) {
@@ -425,9 +386,8 @@ mod tests {
 
     #[test]
     fn scenarios_over_one_fabric_get_an_engine_each() {
-        let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
         let scenarios = [DeadlockTarget::StuckPacket, DeadlockTarget::DeadAutomaton]
-            .map(|target| BatchScenario::new(target.to_string(), mesh).with_target(target));
+            .map(|target| BatchScenario::new(target.to_string(), mesh_2x2(2)).with_target(target));
         let together = run_batch(&scenarios, 1);
         for (scenario, outcome) in scenarios.iter().zip(&together) {
             let stats = outcome.stats.expect("the mesh builds");
@@ -446,8 +406,8 @@ mod tests {
     #[should_panic(expected = "empty capacity sweep")]
     fn a_panic_on_a_worker_thread_reaches_the_caller() {
         let scenarios = vec![
-            BatchScenario::new("fine", MeshConfig::new(2, 2, 3)),
-            BatchScenario::new("empty", MeshConfig::new(2, 2, 3))
+            BatchScenario::new("fine", mesh_2x2(3).with_directory(0)),
+            BatchScenario::new("empty", mesh_2x2(3).with_directory(0))
                 .with_sweep(RangeInclusive::new(3, 2)),
         ];
         run_batch(&scenarios, 2);
@@ -456,7 +416,7 @@ mod tests {
     #[test]
     fn empty_batch_and_oversized_worker_counts_are_fine() {
         assert!(run_batch(&[], 8).is_empty());
-        let scenarios = vec![BatchScenario::new("one", MeshConfig::new(2, 2, 3))];
+        let scenarios = vec![BatchScenario::new("one", mesh_2x2(3).with_directory(0))];
         let outcomes = run_batch(&scenarios, 64);
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].sweep.len(), 1);

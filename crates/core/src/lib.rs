@@ -39,7 +39,9 @@
 //! ```
 //! use advocat::prelude::*;
 //!
-//! let system = build_mesh_for_sweep(&MeshConfig::new(2, 2, 1).with_directory(1, 1), 3)?;
+//! // The directory sits at (1, 1): terminal 1 * 2 + 1 of the row-major mesh.
+//! let mesh = FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3);
+//! let system = build_fabric_for_sweep(&mesh, 3)?;
 //! let mut engine = QueryEngine::on(system, 2..=3);
 //! assert!(!engine.check(&Query::new().capacity(2)).is_deadlock_free());
 //! assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
@@ -61,7 +63,7 @@ mod report;
 pub mod service;
 mod sizing;
 
-pub use batch::{run_batch, BatchOutcome, BatchScenario, ScenarioFabric};
+pub use batch::{run_batch, BatchOutcome, BatchScenario};
 pub use compose::{ComposeOptions, ComposeStats, Composition};
 pub use family::{FamilyOutcome, ProtocolComparison};
 pub use query::{QueryEngine, SessionStats};

@@ -3,7 +3,7 @@
 //! ```
 //! use advocat::prelude::*;
 //!
-//! let system = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1))?;
+//! let system = build_fabric(&FabricConfig::new(Topology::mesh(2, 2)?, 3).with_directory(3))?;
 //! let mut engine = QueryEngine::on(system, 3..=3);
 //! assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -11,8 +11,7 @@
 
 pub use crate::{
     run_batch, BatchOutcome, BatchScenario, ComposeOptions, ComposeStats, Composition,
-    FamilyOutcome, ProtocolComparison, QueryEngine, Report, ScenarioFabric, SessionStats,
-    SizingResult,
+    FamilyOutcome, ProtocolComparison, QueryEngine, Report, SessionStats, SizingResult,
 };
 
 pub use crate::service::{
@@ -28,10 +27,10 @@ pub use advocat_explorer::{explore, random_walk, ExplorerConfig};
 pub use advocat_invariants::{derive_invariants, format_invariant};
 pub use advocat_logic::{CheckConfig, SolverConfig};
 pub use advocat_noc::{
-    audit_routing, boundary_graph, build_fabric, build_fabric_for_sweep, build_mesh,
-    build_mesh_for_sweep, build_tile_fabric, default_routing, fabric_dot, BoundaryPort,
-    DimensionOrdered, FabricConfig, FabricError, FatTreeRouting, MeshConfig, Partition,
-    ProtocolKind, RoutingFunction, TableRouting, Topology, UpDownRouting,
+    audit_routing, boundary_graph, build_fabric, build_fabric_for_sweep, build_tile_fabric,
+    default_routing, fabric_dot, BoundaryPort, DimensionOrdered, FabricConfig, FabricError,
+    FatTreeRouting, Partition, ProtocolKind, RoutingFunction, TableRouting, Topology,
+    UpDownRouting,
 };
 pub use advocat_protocols::{AbstractMi, FullMi, Mesi};
 pub use advocat_telemetry::{MetricsRegistry, SolverProfile, Telemetry, TraceBuffer};

@@ -103,7 +103,8 @@ impl SessionStats {
 /// ```
 /// use advocat::prelude::*;
 ///
-/// let system = build_mesh_for_sweep(&MeshConfig::new(2, 2, 1).with_directory(1, 1), 4)?;
+/// let mesh = FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3);
+/// let system = build_fabric_for_sweep(&mesh, 4)?;
 /// let mut engine = QueryEngine::on(system, 2..=4);
 /// assert!(!engine.check(&Query::new().capacity(2)).is_deadlock_free());
 /// assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
@@ -280,8 +281,8 @@ impl QueryEngine {
     /// ```
     /// use advocat::prelude::*;
     ///
-    /// let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-    /// let mut engine = QueryEngine::on(build_mesh_for_sweep(&config, 3)?, 2..=3);
+    /// let config = FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3);
+    /// let mut engine = QueryEngine::on(build_fabric_for_sweep(&config, 3)?, 2..=3);
     /// for target in [DeadlockTarget::StuckPacket, DeadlockTarget::DeadAutomaton] {
     ///     for capacity in 2..=3 {
     ///         let report = engine.check(&Query::new().capacity(capacity).target(target));
@@ -362,18 +363,18 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use advocat_deadlock::{DeadlockTarget, Verdict};
-    use advocat_noc::{build_mesh, build_mesh_for_sweep, MeshConfig};
+    use advocat_noc::{build_fabric, build_fabric_for_sweep, FabricConfig, Topology};
 
     #[test]
     fn engine_matches_cold_verification_on_the_2x2_mesh() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let system = build_mesh_for_sweep(&config, 4).unwrap();
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+        let system = build_fabric_for_sweep(&config, 4).unwrap();
         let mut engine = QueryEngine::on(system, 1..=4);
         for capacity in 1..=4usize {
             let engine_free = engine
                 .check(&Query::new().capacity(capacity))
                 .is_deadlock_free();
-            let cold_system = build_mesh(&config.with_queue_size(capacity)).unwrap();
+            let cold_system = build_fabric(&config.clone().with_queue_size(capacity)).unwrap();
             let cold_free = advocat_deadlock::verify_system(&cold_system, DeadlockTarget::Any)
                 .verdict
                 .is_deadlock_free();
@@ -385,8 +386,8 @@ mod tests {
 
     #[test]
     fn one_engine_answers_capacities_targets_and_ablations() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let system = build_mesh_for_sweep(&config, 3).unwrap();
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+        let system = build_fabric_for_sweep(&config, 3).unwrap();
         let mut engine = QueryEngine::on(system, 2..=3);
         assert!(!engine.check(&Query::new().capacity(2)).is_deadlock_free());
         assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
@@ -403,7 +404,6 @@ mod tests {
 
     #[test]
     fn a_spent_theory_budget_is_unknown_in_the_report() {
-        use advocat_noc::{FabricConfig, Topology};
         // Capacity 2 deadlocks and 3 is free: each search needs a theory
         // node, to decide a complete assignment or to explain a refuted
         // one, and has none to spend.
@@ -430,7 +430,6 @@ mod tests {
 
     #[test]
     fn fabric_engines_answer_structural_queries_at_the_configured_size() {
-        use advocat_noc::{FabricConfig, Topology};
         // queue_size 1 deadlocks on the ring; the sweep builds the system
         // at capacity 3.  A structural query must answer for the fabric as
         // configured (1), not as sweep-widened (3).
@@ -446,8 +445,8 @@ mod tests {
 
     #[test]
     fn ablated_reports_list_no_invariants() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let system = build_mesh_for_sweep(&config, 3).unwrap();
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+        let system = build_fabric_for_sweep(&config, 3).unwrap();
         let mut engine = QueryEngine::on(system, 3..=3);
         let ablated = engine.check(&Query::new().capacity(3).invariants(false));
         assert!(!ablated.is_deadlock_free());
@@ -461,7 +460,9 @@ mod tests {
 
     #[test]
     fn structural_ranges_cover_heterogeneous_queues() {
-        let system = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1)).unwrap();
+        let system =
+            build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3))
+                .unwrap();
         assert_eq!(structural_range(&system), 3..=3);
         let empty = System::new(advocat_xmas::Network::new());
         assert_eq!(structural_range(&empty), 1..=1);
@@ -469,7 +470,9 @@ mod tests {
 
     #[test]
     fn structural_engines_ablate_invariants_on_the_2x2_mesh() {
-        let system = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1)).unwrap();
+        let system =
+            build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3))
+                .unwrap();
         let mut engine = QueryEngine::structural(system);
         assert!(engine.check(&Query::new()).is_deadlock_free());
         let without = engine.check(&Query::new().invariants(false));
@@ -479,8 +482,8 @@ mod tests {
 
     #[test]
     fn engine_reports_share_the_derived_invariants() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let system = build_mesh_for_sweep(&config, 3).unwrap();
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+        let system = build_fabric_for_sweep(&config, 3).unwrap();
         let mut engine = QueryEngine::on(system, 2..=3);
         let report = engine.check(&Query::new().capacity(3));
         assert!(report.is_deadlock_free());

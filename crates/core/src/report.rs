@@ -136,11 +136,13 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use crate::{Query, QueryEngine};
-    use advocat_noc::{build_mesh, MeshConfig};
+    use advocat_noc::{build_fabric, FabricConfig, Topology};
 
     #[test]
     fn report_exposes_invariants_and_summary() {
-        let system = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1)).unwrap();
+        let system =
+            build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3))
+                .unwrap();
         let report = QueryEngine::on(system, 3..=3).check(&Query::new());
         assert!(report.is_deadlock_free());
         assert!(report.counterexample().is_none());
@@ -158,7 +160,9 @@ mod tests {
     fn summary_renders_the_solver_profile_when_telemetry_is_on() {
         use advocat_logic::{CheckConfig, SolverConfig, Telemetry};
 
-        let system = build_mesh(&MeshConfig::new(2, 2, 3).with_directory(1, 1)).unwrap();
+        let system =
+            build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3))
+                .unwrap();
         let config = CheckConfig {
             solver: SolverConfig {
                 telemetry: Telemetry::null(),
@@ -180,7 +184,9 @@ mod tests {
 
     #[test]
     fn report_carries_the_counterexample_when_deadlocking() {
-        let system = build_mesh(&MeshConfig::new(2, 2, 2).with_directory(1, 1)).unwrap();
+        let system =
+            build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3))
+                .unwrap();
         let report = QueryEngine::on(system, 2..=2).check(&Query::new());
         assert!(!report.is_deadlock_free());
         let cex = report.counterexample().expect("candidate present");

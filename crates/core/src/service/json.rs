@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use advocat_deadlock::DeadlockTarget;
 use advocat_logic::CheckConfig;
-use advocat_noc::{FabricConfig, MeshConfig, ProtocolKind, Topology};
+use advocat_noc::{FabricConfig, ProtocolKind, Topology};
 use advocat_telemetry::escape_into;
 
 use super::{JobError, JobOutcome, VerifyJob};
@@ -107,7 +107,8 @@ pub struct JobRequest {
     pub queue_size: usize,
     /// The hosted cache-coherence protocol.
     pub protocol: ProtocolKind,
-    /// Directory placement as a node index (`None` keeps the default).
+    /// Directory placement as a terminal index (`None` keeps the default);
+    /// on a mesh or torus terminal `y * width + x` sits at `(x, y)`.
     pub directory: Option<usize>,
     /// Whether message classes ride separate virtual channels.
     pub message_class_vcs: bool,
@@ -166,7 +167,7 @@ impl JobRequest {
             .capacities
             .clone()
             .map(|capacity| {
-                let mut job = VerifyJob::over(self.name.clone(), fabric.clone())
+                let mut job = VerifyJob::new(self.name.clone(), fabric.clone())
                     .with_target(self.target)
                     .with_config(config.clone())
                     .at_capacity(capacity)
@@ -180,40 +181,21 @@ impl JobRequest {
             .collect())
     }
 
-    fn build_fabric(&self) -> Result<crate::batch::ScenarioFabric, JsonError> {
-        use crate::batch::ScenarioFabric;
-        match self.topology {
-            TopologySpec::Mesh { width, height } => {
-                let mut mesh = MeshConfig::new(width, height, self.queue_size)
-                    .with_protocol(self.protocol)
-                    .with_virtual_channels(self.message_class_vcs);
-                if let Some(node) = self.directory {
-                    if width == 0 {
-                        return Err(JsonError::semantic("mesh width must be positive"));
-                    }
-                    let node = u32_from_usize(node, "directory")?;
-                    mesh = mesh.with_directory(node % width, node / width);
-                }
-                Ok(ScenarioFabric::Mesh(mesh))
-            }
-            TopologySpec::Torus { width, height } => self.wrap(Topology::torus(width, height)),
-            TopologySpec::Ring { nodes } => self.wrap(Topology::ring(nodes)),
-            TopologySpec::FatTree { arity, levels } => self.wrap(Topology::fat_tree(arity, levels)),
+    fn build_fabric(&self) -> Result<FabricConfig, JsonError> {
+        let topology = match self.topology {
+            TopologySpec::Mesh { width, height } => Topology::mesh(width, height),
+            TopologySpec::Torus { width, height } => Topology::torus(width, height),
+            TopologySpec::Ring { nodes } => Topology::ring(nodes),
+            TopologySpec::FatTree { arity, levels } => Topology::fat_tree(arity, levels),
         }
-    }
-
-    fn wrap(
-        &self,
-        topology: Result<Topology, impl fmt::Display>,
-    ) -> Result<crate::batch::ScenarioFabric, JsonError> {
-        let topology = topology.map_err(|e| JsonError::semantic(format!("bad topology: {e}")))?;
+        .map_err(|e| JsonError::semantic(format!("bad topology: {e}")))?;
         let mut fabric = FabricConfig::new(topology, self.queue_size)
             .with_protocol(self.protocol)
             .with_message_class_vcs(self.message_class_vcs);
-        if let Some(node) = self.directory {
-            fabric = fabric.with_directory(node);
+        if let Some(terminal) = self.directory {
+            fabric = fabric.with_directory(terminal);
         }
-        Ok(crate::batch::ScenarioFabric::Fabric(Box::new(fabric)))
+        Ok(fabric)
     }
 
     /// Serialises the request back to its JSON object form.
@@ -558,8 +540,8 @@ fn usize_from(value: &Json, field: &str) -> Result<usize, JsonError> {
     }
 }
 
-/// Narrows a parsed integer to the `u32` a topology dimension or mesh
-/// node index is, refusing instead of wrapping.
+/// Narrows a parsed integer to the `u32` a topology dimension is, refusing
+/// instead of wrapping.
 fn u32_from_usize(value: usize, field: &str) -> Result<u32, JsonError> {
     u32::try_from(value)
         .map_err(|_| JsonError::semantic(format!("`{field}` must be at most {}", u32::MAX)))
@@ -1116,21 +1098,79 @@ mod tests {
             .expect("60 levels is under the cap");
     }
 
-    /// A mesh directory index is a `u32` node number: one past `u32::MAX`
-    /// is refused, not wrapped onto node 3 of a 2×2 mesh.
+    /// A directory index is a terminal index of any size: one past
+    /// `u32::MAX` is not wrapped onto terminal 3 of a 2×2 mesh but fails
+    /// the fabric build, for every topology kind alike.
     #[test]
-    fn a_mesh_directory_beyond_u32_is_refused() {
-        let text = r#"{"name": "x", "topology": {"kind": "mesh", "width": 2, "height": 2},
-                      "directory": 4294967299}"#;
-        let requests = requests_from_json(text).expect("the request parses");
-        let error = requests[0].to_jobs().unwrap_err();
-        assert!(
-            error
-                .message
-                .contains("`directory` must be at most 4294967295"),
-            "{error}"
-        );
-        assert_eq!(jobs_from_json(text).unwrap_err(), error);
+    fn a_directory_beyond_u32_is_not_wrapped_onto_a_terminal() {
+        use crate::service::JobError;
+        use advocat_noc::FabricError;
+
+        let service = Service::new(ServiceConfig::default().with_workers(1));
+        for topology in [
+            r#"{"kind": "mesh", "width": 2, "height": 2}"#,
+            r#"{"kind": "ring", "nodes": 4}"#,
+        ] {
+            let text =
+                format!(r#"{{"name": "x", "topology": {topology}, "directory": 4294967299}}"#);
+            let jobs = jobs_from_json(&text).expect("the request parses");
+            assert_eq!(jobs[0].fabric.directory, 4_294_967_299);
+            service.submit_json(&text).expect("the request is admitted");
+        }
+        let outcomes = service.drain();
+        assert_eq!(outcomes.len(), 2);
+        for outcome in outcomes {
+            assert!(
+                matches!(
+                    outcome.result,
+                    Err(JobError::Fabric(FabricError::DirectoryOutOfBounds))
+                ),
+                "{:?}",
+                outcome.result
+            );
+        }
+    }
+
+    /// Every topology kind is built when the request is expanded, so a
+    /// degenerate or oversized one is refused before anything is
+    /// submitted, with the topology engine's reason.
+    #[test]
+    fn bad_topologies_are_refused_before_submission() {
+        let service = Service::new(ServiceConfig::default().with_workers(1));
+        for (topology, reason) in [
+            (
+                r#"{"kind": "mesh", "width": 1, "height": 1}"#,
+                "at least two",
+            ),
+            (
+                r#"{"kind": "torus", "width": 1, "height": 4}"#,
+                "at least two",
+            ),
+            (r#"{"kind": "ring", "nodes": 2}"#, "at least three"),
+            (r#"{"kind": "fat-tree", "arity": 1, "levels": 2}"#, "arity"),
+            (
+                r#"{"kind": "mesh", "width": 100000, "height": 100000}"#,
+                "supported size",
+            ),
+            (
+                r#"{"kind": "torus", "width": 100000, "height": 100000}"#,
+                "supported size",
+            ),
+            (r#"{"kind": "ring", "nodes": 4000000000}"#, "supported size"),
+        ] {
+            let text = format!(r#"{{"name": "x", "topology": {topology}}}"#);
+            requests_from_json(&text).expect("the request itself is well-formed");
+            let error = jobs_from_json(&text).unwrap_err();
+            assert!(
+                error.message.starts_with("bad topology") && error.message.contains(reason),
+                "{topology} → {error}"
+            );
+            assert!(matches!(
+                service.try_submit_json(&text),
+                Err(JsonSubmitError::Json(_))
+            ));
+        }
+        assert_eq!(service.stats().submitted, 0);
     }
 
     #[test]

@@ -37,9 +37,11 @@
 //!
 //! let service = Service::new(ServiceConfig::default().with_workers(2));
 //! // Two jobs, one fabric: the second hits the warm engine.
-//! let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-//! service.submit(VerifyJob::mesh("cap 2", mesh).at_capacity(2).with_engine_range(2..=3));
-//! service.submit(VerifyJob::mesh("cap 3", mesh).at_capacity(3).with_engine_range(2..=3));
+//! let mesh = FabricConfig::new(Topology::mesh(2, 2)?, 2).with_directory(3);
+//! for capacity in [2, 3] {
+//!     let job = VerifyJob::new(format!("cap {capacity}"), mesh.clone());
+//!     service.submit(job.at_capacity(capacity).with_engine_range(2..=3));
+//! }
 //! let outcomes = service.drain();
 //! assert!(!outcomes[0].is_deadlock_free());
 //! assert!(outcomes[1].is_deadlock_free());
@@ -68,10 +70,9 @@ use std::time::{Duration, Instant};
 
 use advocat_deadlock::{DeadlockTarget, Query};
 use advocat_logic::CheckConfig;
-use advocat_noc::{FabricConfig, FabricError, MeshConfig};
+use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError};
 use advocat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::batch::ScenarioFabric;
 use crate::query::{QueryEngine, SessionStats};
 use crate::report::Report;
 
@@ -148,7 +149,7 @@ pub struct VerifyJob {
     /// Human-readable label carried into the outcome.
     pub name: String,
     /// The fabric to verify.
-    pub fabric: ScenarioFabric,
+    pub fabric: FabricConfig,
     /// Which deadlock symptom to look for.
     pub target: DeadlockTarget,
     /// SMT resource limits.
@@ -173,18 +174,8 @@ pub struct VerifyJob {
 }
 
 impl VerifyJob {
-    /// A job over a 2D-mesh configuration, at its configured queue size.
-    pub fn mesh(name: impl Into<String>, config: MeshConfig) -> Self {
-        VerifyJob::over(name, ScenarioFabric::Mesh(config))
-    }
-
-    /// A job over an arbitrary topology fabric.
-    pub fn fabric(name: impl Into<String>, config: FabricConfig) -> Self {
-        VerifyJob::over(name, ScenarioFabric::Fabric(Box::new(config)))
-    }
-
-    /// A job over an already-wrapped scenario fabric.
-    pub fn over(name: impl Into<String>, fabric: ScenarioFabric) -> Self {
+    /// A job over `fabric`, at its configured queue size.
+    pub fn new(name: impl Into<String>, fabric: FabricConfig) -> Self {
         VerifyJob {
             name: name.into(),
             fabric,
@@ -594,7 +585,7 @@ impl Shared {
         if !job.config.solver.telemetry.is_enabled() {
             job.config.solver.telemetry = self.telemetry.clone();
         }
-        let capacity = job.capacity.unwrap_or_else(|| job.fabric.queue_size());
+        let capacity = job.capacity.unwrap_or(job.fabric.queue_size);
         let range = match job.engine_range.clone() {
             None => capacity..=capacity,
             Some(range) => *range.start().min(&capacity)..=*range.end().max(&capacity),
@@ -1098,7 +1089,7 @@ fn note_checkout(shared: &Shared, sj: &ScheduledJob, slot: &'static str) {
 /// Builds the engine a job's fingerprint calls for: the fabric at the
 /// range maximum, one template over the whole range.
 fn build_engine(sj: &ScheduledJob) -> Result<Box<QueryEngine>, FabricError> {
-    let system = sj.job.fabric.build_for_sweep(*sj.range.end())?;
+    let system = build_fabric_for_sweep(&sj.job.fabric, *sj.range.end())?;
     Ok(Box::new(QueryEngine::with_config(
         system,
         sj.job.config.clone(),

@@ -101,8 +101,8 @@ impl QueryEngine {
     /// ```
     /// use advocat::prelude::*;
     ///
-    /// let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-    /// let system = build_mesh_for_sweep(&config, 4)?;
+    /// let config = FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3);
+    /// let system = build_fabric_for_sweep(&config, 4)?;
     /// let mut engine = QueryEngine::on(system, 2..=4);
     /// let result = engine.minimal_capacity(&Query::new());
     /// assert_eq!(result.minimal_queue_size, Some(3));
@@ -128,12 +128,12 @@ mod tests {
     use super::*;
     use advocat_deadlock::DeadlockTarget;
     use advocat_logic::CheckConfig;
-    use advocat_noc::{build_mesh_for_sweep, FabricConfig, FabricError, MeshConfig, Topology};
+    use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError, Topology};
 
     /// A sweep engine over the 2×2 directory mesh for `range`.
     fn mesh_engine(config: CheckConfig, range: RangeInclusive<usize>) -> QueryEngine {
-        let mesh = MeshConfig::new(2, 2, 1).with_directory(1, 1);
-        let system = build_mesh_for_sweep(&mesh, *range.end()).unwrap();
+        let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+        let system = build_fabric_for_sweep(&mesh, *range.end()).unwrap();
         QueryEngine::with_config(system, config, range)
     }
 

@@ -77,9 +77,9 @@ pub fn structural_capacity_range(system: &System) -> Option<RangeInclusive<usize
 /// use advocat_automata::derive_colors;
 /// use advocat_deadlock::{DeadlockTarget, EncodingTemplate, Query};
 /// use advocat_invariants::derive_invariants;
-/// use advocat_noc::{build_mesh, MeshConfig};
+/// use advocat_noc::{build_fabric, FabricConfig, Topology};
 ///
-/// let system = build_mesh(&MeshConfig::new(2, 2, 1).with_directory(1, 1))?;
+/// let system = build_fabric(&FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3))?;
 /// let colors = derive_colors(&system);
 /// let invariants = derive_invariants(&system, &colors);
 /// let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=4);
@@ -89,7 +89,7 @@ pub fn structural_capacity_range(system: &System) -> Option<RangeInclusive<usize
 /// assert!(template.check(&Query::new().capacity(3), &config).verdict.is_deadlock_free());
 /// let stuck = Query::new().capacity(3).target(DeadlockTarget::StuckPacket);
 /// assert!(template.check(&stuck, &config).verdict.is_deadlock_free());
-/// # Ok::<(), advocat_noc::MeshError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct EncodingTemplate {
@@ -250,13 +250,13 @@ mod tests {
     use advocat_automata::derive_colors;
     use advocat_invariants::derive_invariants;
     use advocat_logic::CheckConfig;
-    use advocat_noc::{build_mesh, MeshConfig};
+    use advocat_noc::{build_fabric, FabricConfig, Topology};
 
     use crate::query::DeadlockTarget;
     use crate::{verify_system, verify_with};
 
-    fn mesh_parts(config: &MeshConfig) -> (System, ColorMap, InvariantSet) {
-        let system = build_mesh(config).unwrap();
+    fn mesh_parts(config: &FabricConfig) -> (System, ColorMap, InvariantSet) {
+        let system = build_fabric(config).unwrap();
         let colors = derive_colors(&system);
         let invariants = derive_invariants(&system, &colors);
         (system, colors, invariants)
@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn template_agrees_with_cold_verification_across_capacities() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 1..=5);
         for capacity in 1..=5usize {
@@ -272,7 +272,7 @@ mod tests {
                 .check(&Query::new().capacity(capacity), &CheckConfig::default())
                 .verdict
                 .is_deadlock_free();
-            let cold_system = build_mesh(&config.with_queue_size(capacity)).unwrap();
+            let cold_system = build_fabric(&config.clone().with_queue_size(capacity)).unwrap();
             let cold = verify_system(&cold_system, DeadlockTarget::Any)
                 .verdict
                 .is_deadlock_free();
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn every_target_agrees_with_its_cold_specification() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=3);
         for capacity in 2..=3usize {
@@ -298,7 +298,7 @@ mod tests {
                     )
                     .verdict
                     .is_deadlock_free();
-                let cold_system = build_mesh(&config.with_queue_size(capacity)).unwrap();
+                let cold_system = build_fabric(&config.clone().with_queue_size(capacity)).unwrap();
                 let cold = verify_system(&cold_system, target)
                     .verdict
                     .is_deadlock_free();
@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn invariant_ablation_is_a_query_dimension() {
-        let config = MeshConfig::new(2, 2, 3).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         assert!(!invariants.is_empty());
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 3..=3);
@@ -337,7 +337,7 @@ mod tests {
 
     #[test]
     fn structural_capacity_queries_match_the_as_built_system() {
-        let config = MeshConfig::new(2, 2, 3).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=4);
         let structural = template.check(&Query::new(), &CheckConfig::default());
@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn counterexamples_attribute_their_witnessed_targets() {
-        let config = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=2);
         let stuck = template.check(
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_reuse_learnt_state() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=2);
         let query = Query::new().capacity(2);
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the template range")]
     fn out_of_range_capacity_is_rejected() {
-        let config = MeshConfig::new(2, 2, 1).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=4);
         let _ = template.check(&Query::new().capacity(7), &CheckConfig::default());
@@ -404,7 +404,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the template range")]
     fn out_of_range_structural_sizes_are_rejected() {
-        let config = MeshConfig::new(2, 2, 5).with_directory(1, 1);
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 5).with_directory(3);
         let (system, colors, invariants) = mesh_parts(&config);
         // Structural size 5 lies outside the template's 2..=4.
         let mut template = EncodingTemplate::build(&system, &colors, &invariants, 2..=4);

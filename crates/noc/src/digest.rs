@@ -4,12 +4,13 @@
 //! describe *the same fabric* so they can share one warm engine instead of
 //! cold-building two.  Equality on [`crate::FabricConfig`] is not enough:
 //! the routing function is a trait object, and two differently-constructed
-//! configurations (say a [`crate::MeshConfig`] and the equivalent
-//! [`crate::FabricConfig`] over [`Topology::mesh`]) can instantiate
-//! byte-identical systems.  [`FabricConfig::structure_digest`] therefore
-//! hashes the *observable* structure: every node and edge of the topology,
-//! every routing decision the function would ever make, the hosted
-//! protocol, the directory placement and the virtual-channel layout.
+//! configurations (say a [`Topology::mesh`] under its default routing and
+//! the same mesh with [`crate::DimensionOrdered::new`] passed explicitly)
+//! can instantiate byte-identical systems.
+//! [`FabricConfig::structure_digest`] therefore hashes the *observable*
+//! structure: every node and edge of the topology, every routing decision
+//! the function would ever make, the hosted protocol, the directory
+//! placement and the virtual-channel layout.
 //!
 //! The digest deliberately **excludes the queue size**: engines are built
 //! for a whole capacity sweep (`build_fabric_for_sweep`), so the capacity a
@@ -18,6 +19,7 @@
 //! own fingerprint on top of this digest.
 
 use crate::fabric::FabricConfig;
+use crate::protocol::ProtocolKind;
 use crate::routefn::RouteStep;
 use crate::topology::{EdgeId, Topology};
 
@@ -33,9 +35,11 @@ impl std::fmt::Display for ConfigDigest {
     }
 }
 
-/// Accumulates bytes into two independent FNV-1a streams.
+/// Accumulates bytes into two independent FNV-1a streams: the hasher
+/// behind [`ConfigDigest`], also used by callers that key on a digest plus
+/// parameters of their own.
 #[derive(Clone, Debug)]
-pub(crate) struct StructHasher {
+pub struct StructHasher {
     a: u64,
     b: u64,
 }
@@ -45,38 +49,46 @@ const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 // A second, unrelated offset basis decorrelates the streams.
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 
-impl StructHasher {
-    pub(crate) fn new() -> Self {
+impl Default for StructHasher {
+    fn default() -> Self {
         StructHasher {
             a: FNV_OFFSET_A,
             b: FNV_OFFSET_B,
         }
     }
+}
 
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+impl StructHasher {
+    /// Feeds raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
             self.b = (self.b ^ u64::from(byte).rotate_left(17)).wrapping_mul(FNV_PRIME);
         }
     }
 
-    pub(crate) fn u64(&mut self, value: u64) {
+    /// Feeds a `u64` as 8 little-endian bytes.
+    pub fn u64(&mut self, value: u64) {
         self.bytes(&value.to_le_bytes());
     }
 
-    pub(crate) fn usize(&mut self, value: usize) {
+    /// Feeds a `usize` as a `u64`.
+    pub fn usize(&mut self, value: usize) {
         self.u64(value as u64);
     }
 
-    pub(crate) fn i64(&mut self, value: i64) {
+    /// Feeds an `i64` as 8 little-endian bytes.
+    pub fn i64(&mut self, value: i64) {
         self.bytes(&value.to_le_bytes());
     }
 
-    pub(crate) fn bool(&mut self, value: bool) {
+    /// Feeds a `bool` as one byte.
+    pub fn bool(&mut self, value: bool) {
         self.bytes(&[u8::from(value)]);
     }
 
-    pub(crate) fn finish(&self) -> ConfigDigest {
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> ConfigDigest {
         ConfigDigest(self.a, self.b)
     }
 }
@@ -186,12 +198,16 @@ impl FabricConfig {
     /// # Examples
     ///
     /// ```
-    /// use advocat_noc::{FabricConfig, MeshConfig, Topology};
+    /// use std::sync::Arc;
+    ///
+    /// use advocat_noc::{DimensionOrdered, FabricConfig, Topology};
     ///
     /// // The same fabric described two ways digests identically …
-    /// let via_mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1).to_fabric()?;
     /// let direct = FabricConfig::new(Topology::mesh(2, 2)?, 4).with_directory(3);
-    /// assert_eq!(via_mesh.structure_digest(), direct.structure_digest());
+    /// let explicit = FabricConfig::new(Topology::mesh(2, 2)?, 2)
+    ///     .with_directory(3)
+    ///     .with_routing(Arc::new(DimensionOrdered::new()));
+    /// assert_eq!(explicit.structure_digest(), direct.structure_digest());
     ///
     /// // … and the queue size is a sweep parameter, not structure.
     /// assert_eq!(
@@ -205,13 +221,13 @@ impl FabricConfig {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn structure_digest(&self) -> ConfigDigest {
-        let mut h = StructHasher::new();
+        let mut h = StructHasher::default();
         hash_topology(&self.topology, &mut h);
         hash_routing(self, &mut h);
         h.usize(match self.protocol {
-            crate::mesh::ProtocolKind::AbstractMi => 0,
-            crate::mesh::ProtocolKind::FullMi => 1,
-            crate::mesh::ProtocolKind::Mesi => 2,
+            ProtocolKind::AbstractMi => 0,
+            ProtocolKind::FullMi => 1,
+            ProtocolKind::Mesi => 2,
         });
         h.usize(self.directory);
         h.bool(self.message_class_vcs);
@@ -222,7 +238,6 @@ impl FabricConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::{MeshConfig, ProtocolKind};
     use crate::routefn::DimensionOrdered;
     use crate::topology::Topology;
     use std::sync::Arc;
@@ -300,15 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn mesh_config_digests_match_their_fabric_translation() {
-        let mesh = MeshConfig::new(3, 2, 2).with_directory(2, 1);
-        let fabric = mesh.to_fabric().unwrap();
-        assert_eq!(
-            fabric.structure_digest(),
-            mesh.with_queue_size(5)
-                .to_fabric()
-                .unwrap()
-                .structure_digest()
-        );
+    fn default_routing_digests_like_the_same_routing_passed_explicitly() {
+        let topo = Topology::mesh(3, 2).unwrap();
+        let default = FabricConfig::new(topo.clone(), 2).with_directory(5);
+        let explicit = FabricConfig::new(topo, 5)
+            .with_directory(5)
+            .with_routing(Arc::new(DimensionOrdered::new()));
+        assert_eq!(default.structure_digest(), explicit.structure_digest());
     }
 }

@@ -32,7 +32,7 @@ use advocat_protocols::{AbstractMi, AgentSpec, FullMi, Mesi, MessageClass};
 use advocat_xmas::{ColorId, DotOptions, Network, PrimitiveId};
 
 use crate::cdg::{audit_routing, RoutingError};
-use crate::mesh::ProtocolKind;
+use crate::protocol::ProtocolKind;
 use crate::routefn::{default_routing, RouteStep, RoutingFunction};
 use crate::topology::{Topology, TopologyError};
 
@@ -70,9 +70,6 @@ pub struct FabricConfig {
 pub enum FabricError {
     /// The topology itself is invalid.
     Topology(TopologyError),
-    /// A mesh-level configuration error (from the [`crate::MeshConfig`]
-    /// compatibility path).
-    Mesh(crate::MeshError),
     /// The directory index is not a terminal index.
     DirectoryOutOfBounds,
     /// Queues must be able to hold at least one packet.
@@ -99,7 +96,6 @@ impl fmt::Display for FabricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FabricError::Topology(e) => write!(f, "invalid topology: {e}"),
-            FabricError::Mesh(e) => write!(f, "invalid mesh configuration: {e}"),
             FabricError::DirectoryOutOfBounds => {
                 write!(f, "directory index outside the terminal range")
             }
@@ -132,17 +128,11 @@ impl From<RoutingError> for FabricError {
     }
 }
 
-impl From<crate::MeshError> for FabricError {
-    fn from(e: crate::MeshError) -> Self {
-        FabricError::Mesh(e)
-    }
-}
-
 /// Number of message-class planes a fabric multiplies its routing escape
 /// VCs by: [`MessageClass::PLANES`] with request/response planes enabled,
 /// 1 otherwise.  The single source of truth for every plane computation —
-/// [`FabricConfig::planes`], [`crate::MeshConfig::planes`], the flat
-/// builder and the tile builder all go through it.
+/// [`FabricConfig::planes`], the flat builder and the tile builder all go
+/// through it.
 pub(crate) fn class_planes(message_class_vcs: bool) -> usize {
     if message_class_vcs {
         MessageClass::PLANES
@@ -633,9 +623,15 @@ pub(crate) fn build_fabric_scoped(
     Ok(system)
 }
 
-/// Builds the fabric once for a whole queue-capacity sweep, at the sweep's
-/// largest capacity — the topology-generic sibling of
-/// [`crate::build_mesh_for_sweep`].
+/// Builds the fabric once for a whole queue-capacity sweep.
+///
+/// The generated structure — topology, routing switches, protocol agents
+/// and the derived colors and invariants — does not depend on the queue
+/// capacity, only the queues' stored sizes do.  Building at the sweep's
+/// largest capacity therefore yields a [`System`] that a
+/// capacity-parameterised encoding (`advocat-deadlock`'s
+/// `EncodingTemplate`) can query at *every* capacity in the sweep, without
+/// rebuilding the fabric per size.
 ///
 /// # Errors
 ///
@@ -674,6 +670,119 @@ mod tests {
     use crate::routefn::DimensionOrdered;
     use advocat_automata::derive_colors;
     use advocat_xmas::Packet;
+
+    /// The paper's XY-routed 2D mesh: `Topology::mesh` under its default
+    /// dimension-ordered routing, directory at terminal `y * width + x`.
+    fn mesh(width: u32, height: u32, queue_size: usize, directory: usize) -> FabricConfig {
+        FabricConfig::new(Topology::mesh(width, height).unwrap(), queue_size)
+            .with_directory(directory)
+    }
+
+    #[test]
+    fn two_by_two_mesh_validates_and_has_expected_structure() {
+        let system = build_fabric(&mesh(2, 2, 2, 3)).unwrap();
+        system.validate().unwrap();
+        let stats = system.stats();
+        assert_eq!(stats.automata, 4);
+        // 8 directed link queues; agents consume directly from the fabric.
+        assert_eq!(stats.queues, 8);
+        // 3 caches with a core source, no aux sinks for the abstract MI.
+        let hist = system.network().kind_histogram();
+        assert_eq!(hist.get("source"), Some(&3));
+        assert_eq!(hist.get("sink"), None);
+    }
+
+    #[test]
+    fn virtual_channels_double_the_fabric_queues() {
+        let config = mesh(2, 2, 2, 3);
+        let plain = build_fabric(&config).unwrap();
+        let vc = build_fabric(&config.with_message_class_vcs(true)).unwrap();
+        assert_eq!(vc.stats().queues, 2 * plain.stats().queues);
+        vc.validate().unwrap();
+    }
+
+    #[test]
+    fn full_mi_mesh_adds_dma_source_and_sink_at_the_directory() {
+        let config = mesh(2, 2, 2, 0).with_protocol(ProtocolKind::FullMi);
+        let system = build_fabric(&config).unwrap();
+        system.validate().unwrap();
+        let hist = system.network().kind_histogram();
+        // 3 cache core sources + 1 DMA request source.
+        assert_eq!(hist.get("source"), Some(&4));
+        // 1 DMA completion sink.
+        assert_eq!(hist.get("sink"), Some(&1));
+    }
+
+    #[test]
+    fn requests_are_routed_towards_the_directory() {
+        // Colors must propagate from cache (0,0) all the way to the
+        // directory's ejection queue at (1,1).
+        let system = build_fabric(&mesh(2, 2, 2, 3)).unwrap();
+        let colors = derive_colors(&system);
+        let net = system.network();
+        let get_from_00 = net
+            .colors()
+            .lookup(&Packet::kind("getX").with_src(0).with_dst(3))
+            .expect("getX from node 0 to the directory is interned");
+        let dir_agent = net
+            .primitive_ids()
+            .find(|id| net.name(*id) == "dir(1,1)")
+            .expect("directory agent exists");
+        let dir_in = net.in_channel(dir_agent, 0).unwrap();
+        assert!(colors.contains(dir_in, get_from_00));
+        // And never to any other node's agent.
+        let other_agent = net
+            .primitive_ids()
+            .find(|id| net.name(*id) == "cache(0,1)")
+            .unwrap();
+        let other_in = net.in_channel(other_agent, 0).unwrap();
+        assert!(!colors.contains(other_in, get_from_00));
+    }
+
+    #[test]
+    fn invalid_configurations_are_rejected() {
+        assert_eq!(
+            Topology::mesh(1, 1).unwrap_err(),
+            TopologyError::TooFewTerminals
+        );
+        assert!(matches!(
+            build_fabric(&mesh(2, 2, 0, 0)),
+            Err(FabricError::ZeroQueueSize)
+        ));
+        // Position (5, 5) of a 2×2 mesh.
+        assert!(matches!(
+            build_fabric(&mesh(2, 2, 2, 5 * 2 + 5)),
+            Err(FabricError::DirectoryOutOfBounds)
+        ));
+    }
+
+    #[test]
+    fn generated_mesh_structure_matches_first_principles_counts() {
+        // Counts derived from the fabric construction rules, independently
+        // of the builder: with C message-class planes a mesh node of
+        // degree d carries C·d + C input switches (links + injection) plus
+        // one vc_split, and C·d + C + 1 merges (links + per-plane local +
+        // ejection); every directed link is a queue per plane.
+        let config = mesh(3, 2, 2, 4).with_message_class_vcs(true);
+        let system = build_fabric(&config).unwrap();
+        let hist = system.network().kind_histogram();
+        let directed_links = 2 * (2 * 3 * 2 - 3 - 2); // 14 on a 3×2 mesh
+        let degree_sum = directed_links; // in-degree sum == link count
+        let nodes = 6;
+        let classes = 2;
+        assert_eq!(hist.get("queue"), Some(&(classes * directed_links)));
+        assert_eq!(
+            hist.get("switch"),
+            Some(&(classes * degree_sum + classes * nodes + nodes))
+        );
+        assert_eq!(
+            hist.get("merge"),
+            Some(&(classes * degree_sum + classes * nodes + nodes))
+        );
+        assert_eq!(hist.get("automaton"), Some(&nodes));
+        // Every node but the directory has a core-trigger source.
+        assert_eq!(hist.get("source"), Some(&(nodes - 1)));
+    }
 
     #[test]
     fn ring_fabric_builds_and_validates() {

@@ -18,7 +18,8 @@
 //!   Dally–Seitz channel-dependency graph, reporting any cycle (e.g. a
 //!   torus ring without dateline VCs).
 //! * [`build_fabric`] — instantiates the xMAS network and protocol agents
-//!   on *any* audited topology; [`build_mesh`] is now a thin wrapper.
+//!   on *any* audited topology, the paper's XY-routed mesh included
+//!   ([`Topology::mesh`] under its default [`DimensionOrdered`] routing).
 //!
 //! Every router input is a switch selecting the routing function's output
 //! link (and virtual channel) per destination, every router output a fair
@@ -43,24 +44,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod build;
 mod cdg;
 mod digest;
 mod fabric;
-mod mesh;
 mod partition;
+mod protocol;
 mod routefn;
 mod topology;
 
-pub use build::{build_mesh, build_mesh_for_sweep};
 pub use cdg::{audit_routing, CdgChannel, RoutingAudit, RoutingError};
-pub use digest::ConfigDigest;
+pub use digest::{ConfigDigest, StructHasher};
 pub use fabric::{build_fabric, build_fabric_for_sweep, fabric_dot, FabricConfig, FabricError};
-pub use mesh::{MeshConfig, MeshError, ProtocolKind};
 pub use partition::{
     boundary_graph, build_tile_fabric, BoundaryGraph, BoundaryPort, CutPort, Partition,
     PartitionError, PortDirection, Tile,
 };
+pub use protocol::ProtocolKind;
 pub use routefn::{
     default_routing, DimensionOrdered, FatTreeRouting, RouteStep, RoutingFunction, TableRouting,
     UpDownRouting,

@@ -332,7 +332,7 @@ impl Partition {
     /// symmetry assumption.
     pub fn tile_class_digest(&self, config: &FabricConfig, tile: usize) -> ConfigDigest {
         let topo = &config.topology;
-        let mut h = StructHasher::new();
+        let mut h = StructHasher::default();
         let fabric = config.structure_digest();
         h.u64(fabric.0);
         h.u64(fabric.1);

@@ -148,6 +148,15 @@ impl std::error::Error for TopologyError {}
 /// chew through, but it keeps `fat_tree(8, 8)`-style typos from allocating.
 const MAX_NODES: usize = 1 << 14;
 
+/// Refuses a node count (`None` when computing it overflowed) above
+/// [`MAX_NODES`].  Generators call it *before* building any node, so an
+/// oversized request costs nothing.
+fn within_cap(count: Option<usize>) -> Result<usize, TopologyError> {
+    count
+        .filter(|n| *n <= MAX_NODES)
+        .ok_or(TopologyError::TooLarge)
+}
+
 /// A directed multigraph describing an interconnect.
 ///
 /// # Examples
@@ -241,6 +250,7 @@ impl Topology {
         if wrap && (width < 2 || height < 2) {
             return Err(TopologyError::DimensionTooSmall);
         }
+        within_cap((width as usize).checked_mul(height as usize))?;
         let mut nodes = Vec::new();
         for y in 0..h {
             for x in 0..w {
@@ -303,7 +313,8 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns a [`TopologyError`] when the mesh has fewer than two nodes.
+    /// Returns a [`TopologyError`] when the mesh has fewer than two nodes
+    /// or more than the supported size.
     pub fn mesh(width: u32, height: u32) -> Result<Topology, TopologyError> {
         Topology::grid(width, height, false)
     }
@@ -314,7 +325,7 @@ impl Topology {
     /// # Errors
     ///
     /// Returns a [`TopologyError`] when a dimension is shorter than two
-    /// nodes.
+    /// nodes or the torus exceeds the supported size.
     pub fn torus(width: u32, height: u32) -> Result<Topology, TopologyError> {
         Topology::grid(width, height, true)
     }
@@ -324,11 +335,13 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns a [`TopologyError`] when `n < 3`.
+    /// Returns a [`TopologyError`] when `n < 3` or `n` exceeds the
+    /// supported size.
     pub fn ring(n: u32) -> Result<Topology, TopologyError> {
         if n < 3 {
             return Err(TopologyError::RingTooSmall);
         }
+        within_cap(usize::try_from(n).ok())?;
         let nodes = (0..n)
             .map(|i| TopoNode {
                 label: format!("({i})"),
@@ -381,11 +394,13 @@ impl Topology {
         }
         let k = arity as usize;
         let n = levels as usize;
-        let num_leaves = k
-            .checked_pow(levels)
-            .filter(|l| *l <= MAX_NODES)
-            .ok_or(TopologyError::TooLarge)?;
+        let num_leaves = within_cap(k.checked_pow(levels))?;
         let switches_per_level = num_leaves / k;
+        within_cap(
+            switches_per_level
+                .checked_mul(n)
+                .and_then(|switches| switches.checked_add(num_leaves)),
+        )?;
         let mut nodes = Vec::new();
         for p in 0..num_leaves {
             nodes.push(TopoNode {
@@ -459,14 +474,16 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns a [`TopologyError`] when fewer than two terminals are given
-    /// or an edge endpoint is out of bounds.
+    /// Returns a [`TopologyError`] when fewer than two terminals are given,
+    /// an edge endpoint is out of bounds or `num_nodes` exceeds the
+    /// supported size.
     pub fn irregular(
         name: impl Into<String>,
         num_nodes: u32,
         terminals: &[u32],
         edges: &[(u32, u32)],
     ) -> Result<Topology, TopologyError> {
+        within_cap(usize::try_from(num_nodes).ok())?;
         let nodes = (0..num_nodes)
             .map(|i| TopoNode {
                 label: format!("({i})"),
@@ -740,6 +757,29 @@ mod tests {
         assert!(Topology::fat_tree(1, 2).is_err());
         assert!(Topology::fat_tree(2, 0).is_err());
         assert!(Topology::fat_tree(8, 8).is_err());
+    }
+
+    #[test]
+    fn oversized_topologies_are_refused_before_allocating() {
+        // Each of these is refused before its first node exists; checked
+        // only once the nodes were built, the first four would allocate
+        // gigabytes.
+        for oversized in [
+            Topology::mesh(100_000, 100_000),
+            Topology::torus(100_000, 100_000),
+            Topology::ring(4_000_000_000),
+            Topology::irregular("huge", 4_000_000_000, &[0, 1], &[]),
+            // 2^14 leaves fit, but 14 stages of 2^13 switches do not.
+            Topology::fat_tree(2, 14),
+        ] {
+            assert_eq!(oversized.unwrap_err(), TopologyError::TooLarge);
+        }
+        // Just past the cap: 128 × 129 = 16,512 > 16,384 nodes.
+        assert_eq!(
+            Topology::mesh(128, 129).unwrap_err(),
+            TopologyError::TooLarge
+        );
+        assert_eq!(Topology::mesh(128, 128).unwrap().num_nodes(), MAX_NODES);
     }
 
     #[test]

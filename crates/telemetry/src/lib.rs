@@ -9,7 +9,8 @@
 //! * **Spans & events** ([`Telemetry::span`], [`Telemetry::event`]):
 //!   lightweight enter/exit records with monotonic timestamps, parent
 //!   links and `key=value` fields, exported as JSON lines through a
-//!   pluggable [`TraceSink`] (in-memory ring, file, null);
+//!   pluggable [`TraceSink`] (in-memory ring, null, or any sink of the
+//!   caller's own);
 //! * **Metrics** ([`MetricsRegistry`]): counters, gauges and histograms
 //!   with hand-rolled Prometheus-text and JSON exposition (the build
 //!   environment is offline — no serde);
@@ -57,7 +58,7 @@ mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_US};
 pub use profile::{PhaseCost, RestartSample, SolverProfile};
-pub use trace::{escape_into, FileSink, NullSink, RingBufferSink, TraceBuffer, TraceSink};
+pub use trace::{escape_into, NullSink, RingBufferSink, TraceBuffer, TraceSink};
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -142,16 +143,6 @@ impl Telemetry {
         (Telemetry::with_sink(Box::new(sink)), buffer)
     }
 
-    /// An enabled handle appending JSON-lines records to the file at
-    /// `path` (created/truncated).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error of the failed file creation.
-    pub fn to_file(path: impl AsRef<std::path::Path>) -> std::io::Result<Telemetry> {
-        Ok(Telemetry::with_sink(Box::new(FileSink::create(path)?)))
-    }
-
     /// An enabled handle that discards every trace record ([`NullSink`])
     /// but still collects metrics and solver profiles — the configuration
     /// the overhead bench measures.
@@ -170,7 +161,7 @@ impl Telemetry {
         self.inner.as_ref().map(|inner| inner.metrics.clone())
     }
 
-    /// Flushes the trace sink (file sinks buffer).
+    /// Flushes the trace sink (sinks that buffer write their records out).
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
             inner.sink.lock().expect("trace sink lock").flush();

@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -179,44 +178,6 @@ impl TraceBuffer {
     }
 }
 
-/// A sink appending records to a file (one JSON object per line), buffered.
-#[derive(Debug)]
-pub struct FileSink {
-    writer: std::io::BufWriter<std::fs::File>,
-}
-
-impl FileSink {
-    /// Creates (truncating) `path` and writes every record to it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error of the failed file creation.
-    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<FileSink> {
-        let file = std::fs::File::create(path)?;
-        Ok(FileSink {
-            writer: std::io::BufWriter::new(file),
-        })
-    }
-}
-
-impl TraceSink for FileSink {
-    fn record(&mut self, line: &str) {
-        // Trace output is best-effort: a full disk must not take the
-        // verification run down with it.
-        let _ = writeln!(self.writer, "{line}");
-    }
-
-    fn flush(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
-impl Drop for FileSink {
-    fn drop(&mut self) {
-        let _ = self.writer.flush();
-    }
-}
-
 /// Appends `"key":"value"` JSON string pairs for a field list, escaping
 /// values with the crate's shared [`escape_into`].
 pub(crate) fn fields_into(out: &mut String, fields: &[(&str, String)]) {
@@ -294,18 +255,5 @@ mod tests {
         let mut out = String::new();
         escape_into(&mut out, "a\"b\\c\nd\u{1}");
         assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
-    }
-
-    #[test]
-    fn file_sink_writes_json_lines() {
-        let path = std::env::temp_dir().join("advocat-telemetry-filesink-test.jsonl");
-        {
-            let mut sink = FileSink::create(&path).expect("temp file");
-            sink.record("{\"type\":\"event\"}");
-            sink.flush();
-        }
-        let text = std::fs::read_to_string(&path).expect("file readable");
-        assert_eq!(text, "{\"type\":\"event\"}\n");
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -13,10 +13,10 @@ use advocat::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Full MI protocol (GEM5-inspired) on a 2×2 mesh ==\n");
-    let config = MeshConfig::new(2, 2, 4)
-        .with_directory(1, 1)
+    let config = FabricConfig::new(Topology::mesh(2, 2)?, 4)
+        .with_directory(3)
         .with_protocol(ProtocolKind::FullMi);
-    let system = build_mesh(&config)?;
+    let system = build_fabric(&config)?;
     let stats = system.stats();
     println!(
         "model: {} primitives, {} automata, {} queues, {} colors",

@@ -12,10 +12,10 @@ use advocat::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Cross-layer deadlock on a 2×2 mesh (Fig. 3) ==\n");
     for queue_size in [2usize, 3] {
-        let config = MeshConfig::new(2, 2, queue_size)
-            .with_directory(1, 1)
+        let config = FabricConfig::new(Topology::mesh(2, 2)?, queue_size)
+            .with_directory(3)
             .with_protocol(ProtocolKind::AbstractMi);
-        let system = build_mesh(&config)?;
+        let system = build_fabric(&config)?;
         let report = QueryEngine::structural(system.clone()).check(&Query::new());
         println!("queue size {queue_size}: {}", report.summary());
         if let Some(cex) = report.counterexample() {
@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A long random walk is an independent, cheaper witness of the size-2
     // deadlock: it gets stuck after a while.
-    let config = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    let system = build_mesh(&config)?;
+    let config = FabricConfig::new(Topology::mesh(2, 2)?, 2).with_directory(3);
+    let system = build_fabric(&config)?;
     let walk = random_walk(&system, 100_000, 2016);
     println!(
         "random walk at queue size 2: {} steps, deadlocked: {}",

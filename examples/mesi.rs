@@ -8,10 +8,10 @@ use advocat::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. The MESI threshold on the 2×2 mesh. ----------------------
-    let config = MeshConfig::new(2, 2, 1)
-        .with_directory(1, 1)
+    let config = FabricConfig::new(Topology::mesh(2, 2)?, 1)
+        .with_directory(3)
         .with_protocol(ProtocolKind::Mesi);
-    let system = build_mesh_for_sweep(&config, 4)?;
+    let system = build_fabric_for_sweep(&config, 4)?;
     let mut engine = QueryEngine::on(system, 1..=4);
     println!("== MESI on the 2×2 mesh (directory at (1,1)) ==");
     println!(
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. Message-class planes shrink the minimal capacity. ---------
     let vc = QueryEngine::on(
-        build_mesh_for_sweep(&config.with_virtual_channels(true), 2)?,
+        build_fabric_for_sweep(&config.with_message_class_vcs(true), 2)?,
         1..=2,
     )
     .minimal_capacity(&Query::new());

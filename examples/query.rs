@@ -22,10 +22,10 @@ fn flag(free: bool) -> &'static str {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== The Query API: capacity x target x invariants from one session ==\n");
 
-    let config = MeshConfig::new(2, 2, 1)
-        .with_directory(1, 1)
+    let config = FabricConfig::new(Topology::mesh(2, 2)?, 1)
+        .with_directory(3)
         .with_protocol(ProtocolKind::AbstractMi);
-    let system = build_mesh_for_sweep(&config, 4)?;
+    let system = build_fabric_for_sweep(&config, 4)?;
     let mut engine = QueryEngine::on(system, 1..=4);
 
     // Dimension 1+2: the capacity sweep, under each deadlock target.

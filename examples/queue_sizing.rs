@@ -31,10 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (w, h, dx, dy) in cases {
-        let config = MeshConfig::new(w, h, 1)
-            .with_directory(dx, dy)
+        let config = FabricConfig::new(Topology::mesh(w, h)?, 1)
+            .with_directory((dy * w + dx) as usize)
             .with_protocol(ProtocolKind::AbstractMi);
-        let system = build_mesh_for_sweep(&config, 12)?;
+        let system = build_fabric_for_sweep(&config, 12)?;
         let result = QueryEngine::on(system, 2..=12).minimal_capacity(&Query::new());
         let min = result
             .minimal_queue_size

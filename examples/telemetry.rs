@@ -48,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..CheckConfig::default()
     };
-    let system = build_mesh_for_sweep(&MeshConfig::new(2, 2, 2).with_directory(1, 1), 3)?;
+    let mesh = FabricConfig::new(Topology::mesh(2, 2)?, 2).with_directory(3);
+    let system = build_fabric_for_sweep(&mesh, 3)?;
     let mut engine = QueryEngine::with_config(system, config, 2..=3);
     let report = engine.check(&Query::new().capacity(2));
     println!("{}\n", report.summary());
@@ -144,10 +145,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_workers(1)
             .with_telemetry(telemetry.clone()),
     );
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
     for capacity in [2, 3] {
         service.submit(
-            VerifyJob::mesh(format!("qs {capacity}"), mesh)
+            VerifyJob::new(format!("qs {capacity}"), mesh.clone())
                 .at_capacity(capacity)
                 .with_engine_range(2..=3),
         );

@@ -84,11 +84,11 @@ fn switch_routes_decide_liveness() {
 /// symmetry: deadlock at queue size 2, freedom at 3.
 #[test]
 fn directory_position_symmetry_on_the_2x2_mesh() {
-    for (x, y) in [(0u32, 0u32), (1, 0), (0, 1), (1, 1)] {
+    for (x, y) in [(0usize, 0usize), (1, 0), (0, 1), (1, 1)] {
         let at = |qs| {
-            let system = build_mesh(
-                &MeshConfig::new(2, 2, qs)
-                    .with_directory(x, y)
+            let system = build_fabric(
+                &FabricConfig::new(Topology::mesh(2, 2).unwrap(), qs)
+                    .with_directory(y * 2 + x)
                     .with_protocol(ProtocolKind::AbstractMi),
             )
             .expect("valid mesh");
@@ -105,10 +105,10 @@ fn directory_position_symmetry_on_the_2x2_mesh() {
 /// at the same queue size, and its verdict agrees with the explorer.
 #[test]
 fn virtual_channel_fabric_is_deadlock_free_at_size_three() {
-    let config = MeshConfig::new(2, 2, 3)
-        .with_directory(1, 1)
-        .with_virtual_channels(true);
-    let system = build_mesh(&config).expect("valid mesh");
+    let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3)
+        .with_directory(3)
+        .with_message_class_vcs(true);
+    let system = build_fabric(&config).expect("valid mesh");
     let report = QueryEngine::structural(system.clone()).check(&Query::new());
     assert!(report.is_deadlock_free());
     // Spot-check with random walks (the VC state space is larger, so no
@@ -123,7 +123,9 @@ fn virtual_channel_fabric_is_deadlock_free_at_size_three() {
 /// on this case study.
 #[test]
 fn both_deadlock_targets_catch_the_fig3_deadlock() {
-    let system = build_mesh(&MeshConfig::new(2, 2, 2).with_directory(1, 1)).expect("valid mesh");
+    let system =
+        build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3))
+            .expect("valid mesh");
     // One engine, both spec ablations: each target finds the deadlock on
     // its own, and each counterexample is attributed to its own target.
     let mut engine = QueryEngine::structural(system);
@@ -141,7 +143,9 @@ fn both_deadlock_targets_catch_the_fig3_deadlock() {
 /// packets that the color analysis allows in those queues.
 #[test]
 fn counterexamples_respect_structural_bounds() {
-    let system = build_mesh(&MeshConfig::new(2, 2, 2).with_directory(1, 1)).expect("valid mesh");
+    let system =
+        build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3))
+            .expect("valid mesh");
     let report = QueryEngine::structural(system.clone()).check(&Query::new());
     let cex = report.counterexample().expect("size 2 deadlocks");
     let net = system.network();

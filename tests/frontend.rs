@@ -73,7 +73,7 @@ fn str_field(body: &str, key: &str) -> Option<String> {
 #[test]
 fn sixteen_concurrent_clients_match_in_process_run_batch() {
     const CLIENTS: usize = 16;
-    let mesh = || MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = || FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
 
     // In-process reference: one scenario per client, same budgets.
     let scenarios: Vec<BatchScenario> = (0..CLIENTS)

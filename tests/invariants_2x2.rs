@@ -12,9 +12,9 @@
 use advocat::prelude::*;
 
 fn system_2x2(queue_size: usize) -> System {
-    build_mesh(
-        &MeshConfig::new(2, 2, queue_size)
-            .with_directory(1, 1)
+    build_fabric(
+        &FabricConfig::new(Topology::mesh(2, 2).unwrap(), queue_size)
+            .with_directory(3)
             .with_protocol(ProtocolKind::AbstractMi),
     )
     .expect("2x2 mesh builds")

@@ -5,17 +5,17 @@
 //! queues can hold 3 or more packets.
 
 use advocat_deadlock::{verify_system, DeadlockTarget, Verdict};
-use advocat_noc::{build_mesh, MeshConfig, ProtocolKind};
+use advocat_noc::{build_fabric, FabricConfig, ProtocolKind, Topology};
 
-fn mesh(queue_size: usize) -> MeshConfig {
-    MeshConfig::new(2, 2, queue_size)
-        .with_directory(1, 1)
+fn mesh(queue_size: usize) -> FabricConfig {
+    FabricConfig::new(Topology::mesh(2, 2).unwrap(), queue_size)
+        .with_directory(3)
         .with_protocol(ProtocolKind::AbstractMi)
 }
 
 #[test]
 fn queue_size_two_has_a_cross_layer_deadlock_candidate() {
-    let system = build_mesh(&mesh(2)).expect("2x2 mesh builds");
+    let system = build_fabric(&mesh(2)).expect("2x2 mesh builds");
     let analysis = verify_system(&system, DeadlockTarget::Any);
     match &analysis.verdict {
         Verdict::PotentialDeadlock(cex) => {
@@ -34,7 +34,7 @@ fn sufficiently_large_queues_are_deadlock_free() {
     // require that a deadlock-free size exists and is small.
     let mut free_at = None;
     for queue_size in 3..=8 {
-        let system = build_mesh(&mesh(queue_size)).expect("2x2 mesh builds");
+        let system = build_fabric(&mesh(queue_size)).expect("2x2 mesh builds");
         let analysis = verify_system(&system, DeadlockTarget::Any);
         if analysis.verdict.is_deadlock_free() {
             free_at = Some(queue_size);
@@ -50,7 +50,7 @@ fn sufficiently_large_queues_are_deadlock_free() {
 
 #[test]
 fn verification_reports_model_statistics() {
-    let system = build_mesh(&mesh(2)).expect("2x2 mesh builds");
+    let system = build_fabric(&mesh(2)).expect("2x2 mesh builds");
     let stats = system.stats();
     assert_eq!(stats.automata, 4);
     assert_eq!(stats.queues, 8);

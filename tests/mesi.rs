@@ -13,9 +13,9 @@
 
 use advocat::prelude::*;
 
-fn mesi_mesh() -> MeshConfig {
-    MeshConfig::new(2, 2, 1)
-        .with_directory(1, 1)
+fn mesi_mesh() -> FabricConfig {
+    FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1)
+        .with_directory(3)
         .with_protocol(ProtocolKind::Mesi)
 }
 
@@ -25,7 +25,7 @@ fn mesi_mesh() -> MeshConfig {
 /// strictly richer message vocabulary.
 #[test]
 fn mesi_threshold_on_the_2x2_mesh_is_three() {
-    let system = build_mesh_for_sweep(&mesi_mesh(), 4).expect("valid mesh");
+    let system = build_fabric_for_sweep(&mesi_mesh(), 4).expect("valid mesh");
     let mut engine = QueryEngine::on(system, 1..=4);
 
     let deadlocked = engine.check(&Query::new().capacity(2));
@@ -49,7 +49,7 @@ fn mesi_threshold_on_the_2x2_mesh_is_three() {
 /// in the same session.
 #[test]
 fn invariant_ablation_flips_the_mesi_verdict() {
-    let system = build_mesh_for_sweep(&mesi_mesh(), 3).expect("valid mesh");
+    let system = build_fabric_for_sweep(&mesi_mesh(), 3).expect("valid mesh");
     let mut engine = QueryEngine::on(system, 3..=3);
     assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
 
@@ -94,8 +94,8 @@ fn one_study_compares_mi_and_mesi_minimal_capacities() {
 /// capacity 1.
 #[test]
 fn message_class_planes_drop_the_mesi_threshold_to_one() {
-    let config = mesi_mesh().with_virtual_channels(true);
-    let system = build_mesh_for_sweep(&config, 2).expect("valid mesh");
+    let config = mesi_mesh().with_message_class_vcs(true);
+    let system = build_fabric_for_sweep(&config, 2).expect("valid mesh");
     let mut engine = QueryEngine::on(system, 1..=2);
     let sizing = engine.minimal_capacity(&Query::new());
     assert_eq!(sizing.minimal_queue_size, Some(1));
@@ -138,10 +138,10 @@ fn mesi_invariants_hold_on_random_walks() {
     for dir in [(0, 0), (1, 1)] {
         for queue_size in [2usize, 3] {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let config = MeshConfig::new(2, 2, queue_size)
-                .with_directory(dir.0, dir.1)
+            let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), queue_size)
+                .with_directory(dir.1 * 2 + dir.0)
                 .with_protocol(ProtocolKind::Mesi);
-            let system = build_mesh(&config).unwrap();
+            let system = build_fabric(&config).unwrap();
             let colors = derive_colors(&system);
             let invariants = derive_invariants(&system, &colors);
             assert!(!invariants.is_empty());
@@ -166,10 +166,10 @@ fn mesi_invariants_hold_on_random_walks() {
 /// second even on a 3×3 mesh.
 #[test]
 fn mesi_directory_scales_quadratically_and_derives_invariants() {
-    let config = MeshConfig::new(3, 3, 1)
-        .with_directory(1, 1)
+    let config = FabricConfig::new(Topology::mesh(3, 3).unwrap(), 1)
+        .with_directory(4)
         .with_protocol(ProtocolKind::Mesi);
-    let system = build_mesh(&config).expect("3x3 mesh builds");
+    let system = build_fabric(&config).expect("3x3 mesh builds");
     let network = system.network();
     let dir_node = network
         .primitive_ids()

@@ -10,11 +10,11 @@ use advocat::prelude::*;
 
 #[test]
 fn six_by_six_mesh_with_vcs_has_thousands_of_primitives() {
-    let config = MeshConfig::new(6, 6, 30)
-        .with_directory(3, 3)
+    let config = FabricConfig::new(Topology::mesh(6, 6).unwrap(), 30)
+        .with_directory(21)
         .with_protocol(ProtocolKind::AbstractMi)
-        .with_virtual_channels(true);
-    let system = build_mesh(&config).expect("6x6 mesh builds");
+        .with_message_class_vcs(true);
+    let system = build_fabric(&config).expect("6x6 mesh builds");
     system.validate().expect("6x6 mesh validates");
     let stats = system.stats();
     assert_eq!(stats.automata, 36);
@@ -31,8 +31,8 @@ fn six_by_six_mesh_with_vcs_has_thousands_of_primitives() {
 #[test]
 fn model_size_grows_with_the_mesh_but_not_with_queue_size() {
     let base = |w, h, qs| {
-        let config = MeshConfig::new(w, h, qs).with_directory(0, 0);
-        build_mesh(&config).unwrap().stats()
+        let config = FabricConfig::new(Topology::mesh(w, h).unwrap(), qs).with_directory(0);
+        build_fabric(&config).unwrap().stats()
     };
     let small = base(2, 2, 4);
     let medium = base(3, 3, 4);
@@ -55,8 +55,8 @@ fn encoding_size_is_independent_of_queue_size() {
     // this is the structural core of the paper's observation that its
     // verification time does not depend on the queue size.
     let analyze = |qs| {
-        let config = MeshConfig::new(2, 2, qs).with_directory(1, 1);
-        let system = build_mesh(&config).unwrap();
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), qs).with_directory(3);
+        let system = build_fabric(&config).unwrap();
         let report = QueryEngine::structural(system).check(&Query::new());
         let stats = report.analysis().stats;
         (
@@ -74,8 +74,8 @@ fn verification_cost_grows_with_the_mesh() {
     // Shape only: a 3×2 mesh takes more SMT refinements (and wall clock)
     // than a 2×2 mesh at the same queue size.
     let refinements = |w, h| {
-        let config = MeshConfig::new(w, h, 3).with_directory(0, 0);
-        let system = build_mesh(&config).unwrap();
+        let config = FabricConfig::new(Topology::mesh(w, h).unwrap(), 3).with_directory(0);
+        let system = build_fabric(&config).unwrap();
         let report = QueryEngine::structural(system).check(&Query::new());
         report.analysis().stats.refinements
     };

@@ -465,13 +465,13 @@ fn agent_specs_wire_consistently_on_random_topologies() {
 fn invariants_hold_on_random_walks() {
     let mut gen = XorShift64::new(17);
     for _ in 0..12 {
-        let dir_seed = gen.int(0, 3) as u32;
+        let directory = gen.int(0, 3) as usize;
         let queue_size = gen.int(2, 4) as usize;
         let seed = gen.int(0, 999) as u64;
-        let config = MeshConfig::new(2, 2, queue_size)
-            .with_directory(dir_seed % 2, dir_seed / 2)
+        let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), queue_size)
+            .with_directory(directory)
             .with_protocol(ProtocolKind::AbstractMi);
-        let system = build_mesh(&config).unwrap();
+        let system = build_fabric(&config).unwrap();
         let colors = derive_colors(&system);
         let invariants = derive_invariants(&system, &colors);
         let report = random_walk(&system, 2_000, seed);

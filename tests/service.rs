@@ -11,10 +11,10 @@ use std::time::Duration;
 /// share engines and a scenario that deadlocks (so counterexample
 /// witnesses are part of the comparison).
 fn mixed_workload(service: &Service) {
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     for capacity in 1..=3 {
         service.submit(
-            VerifyJob::mesh("mesh sweep", mesh)
+            VerifyJob::new("mesh sweep", mesh.clone())
                 .at_capacity(capacity)
                 .with_engine_range(1..=3),
         );
@@ -22,16 +22,16 @@ fn mixed_workload(service: &Service) {
     let ring = FabricConfig::new(Topology::ring(4).unwrap(), 1).with_directory(1);
     for capacity in 1..=2 {
         service.submit(
-            VerifyJob::fabric("ring sweep", ring.clone())
+            VerifyJob::new("ring sweep", ring.clone())
                 .at_capacity(capacity)
                 .with_engine_range(1..=2),
         );
     }
-    service.submit(VerifyJob::mesh(
+    service.submit(VerifyJob::new(
         "mesh qs3",
-        MeshConfig::new(2, 2, 3).with_directory(1, 1),
+        FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3),
     ));
-    service.submit(VerifyJob::fabric(
+    service.submit(VerifyJob::new(
         "fat-tree qs1",
         FabricConfig::new(Topology::fat_tree(2, 2).unwrap(), 1).with_directory(3),
     ));
@@ -82,9 +82,16 @@ fn outcomes_are_identical_at_any_worker_count() {
 #[test]
 fn run_batch_agrees_across_worker_counts_including_machine_sized() {
     let scenarios = vec![
-        BatchScenario::new("sweep", MeshConfig::new(2, 2, 2).with_directory(1, 1))
-            .with_sweep(2..=3),
-        BatchScenario::new("invalid", MeshConfig::new(1, 1, 1)),
+        BatchScenario::new(
+            "sweep",
+            FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3),
+        )
+        .with_sweep(2..=3),
+        // A 2×2 mesh has no terminal 4: the fabric never builds.
+        BatchScenario::new(
+            "invalid",
+            FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(4),
+        ),
     ];
     let verdicts = |outcomes: &[BatchOutcome]| -> Vec<(String, bool, Vec<bool>)> {
         outcomes
@@ -112,10 +119,10 @@ fn run_batch_agrees_across_worker_counts_including_machine_sized() {
 #[test]
 fn identical_fingerprints_share_one_engine() {
     let service = Service::new(ServiceConfig::default().with_workers(2));
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     for capacity in [2, 3, 2, 3] {
         service.submit(
-            VerifyJob::mesh(format!("qs {capacity}"), mesh)
+            VerifyJob::new(format!("qs {capacity}"), mesh.clone())
                 .at_capacity(capacity)
                 .with_engine_range(2..=3),
         );
@@ -137,7 +144,7 @@ fn identical_fingerprints_share_one_engine() {
         ..CheckConfig::default()
     };
     service.submit(
-        VerifyJob::mesh("tighter", mesh)
+        VerifyJob::new("tighter", mesh)
             .at_capacity(2)
             .with_engine_range(2..=3)
             .with_config(tighter),
@@ -152,11 +159,11 @@ fn identical_fingerprints_share_one_engine() {
 #[test]
 fn jobs_differing_only_in_target_share_one_engine() {
     let service = Service::new(ServiceConfig::default().with_workers(2));
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     let targets = [DeadlockTarget::Any, DeadlockTarget::StuckPacket];
     for target in targets {
         service.submit(
-            VerifyJob::mesh(target.to_string(), mesh)
+            VerifyJob::new(target.to_string(), mesh.clone())
                 .with_target(target)
                 .at_capacity(2)
                 .with_engine_range(2..=3),
@@ -168,7 +175,7 @@ fn jobs_differing_only_in_target_share_one_engine() {
     assert_eq!(stats.warm_hits, 1);
     for (outcome, target) in outcomes.iter().zip(targets) {
         let pooled = outcome.result.as_ref().expect("mesh builds");
-        let system = build_mesh_for_sweep(&mesh, 3).unwrap();
+        let system = build_fabric_for_sweep(&mesh, 3).unwrap();
         let separate =
             QueryEngine::on(system, 2..=3).check(&Query::new().capacity(2).target(target));
         assert_eq!(
@@ -193,11 +200,11 @@ fn try_submit_refuses_when_the_queue_is_full() {
             .with_workers(1)
             .with_queue_capacity(1),
     );
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     let mut admitted = 0;
     let mut refused = 0;
     for i in 0..16 {
-        match service.try_submit(VerifyJob::mesh(format!("job {i}"), mesh)) {
+        match service.try_submit(VerifyJob::new(format!("job {i}"), mesh.clone())) {
             Ok(_) => admitted += 1,
             Err(SubmitError::QueueFull) => refused += 1,
         }
@@ -214,9 +221,9 @@ fn try_submit_refuses_when_the_queue_is_full() {
 #[test]
 fn timeouts_are_surfaced_in_the_outcome() {
     let service = Service::new(ServiceConfig::default().with_workers(1));
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    service.submit(VerifyJob::mesh("rushed", mesh).with_timeout(Duration::from_nanos(1)));
-    service.submit(VerifyJob::mesh("relaxed", mesh).with_timeout(Duration::from_secs(3600)));
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    service.submit(VerifyJob::new("rushed", mesh.clone()).with_timeout(Duration::from_nanos(1)));
+    service.submit(VerifyJob::new("relaxed", mesh).with_timeout(Duration::from_secs(3600)));
     let outcomes = service.drain();
     let rushed = &outcomes[0];
     let queued_out = matches!(rushed.result, Err(JobError::TimedOut { .. }));
@@ -235,11 +242,11 @@ fn timeouts_are_surfaced_in_the_outcome() {
 #[test]
 fn cold_engines_are_evicted_lru_under_the_cap() {
     let service = Service::new(ServiceConfig::default().with_workers(1).with_max_engines(1));
-    let deadlocking = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    let free = MeshConfig::new(2, 2, 3).with_directory(1, 1);
-    service.submit(VerifyJob::mesh("a", deadlocking));
+    let deadlocking = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    let free = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3);
+    service.submit(VerifyJob::new("a", deadlocking.clone()));
     service.drain();
-    service.submit(VerifyJob::mesh("b", free));
+    service.submit(VerifyJob::new("b", free));
     service.drain();
     let stats = service.pool_stats();
     assert_eq!(stats.engines_built, 2);
@@ -247,7 +254,7 @@ fn cold_engines_are_evicted_lru_under_the_cap() {
     assert_eq!(stats.live_engines, 1);
     // Returning to the evicted fingerprint rebuilds, and still answers
     // correctly.
-    service.submit(VerifyJob::mesh("a again", deadlocking));
+    service.submit(VerifyJob::new("a again", deadlocking));
     let outcomes = service.drain();
     assert!(!outcomes[0].is_deadlock_free());
     assert_eq!(service.pool_stats().engines_built, 3);
@@ -259,22 +266,22 @@ fn cold_engines_are_evicted_lru_under_the_cap() {
 #[test]
 fn warm_hit_accounting_survives_eviction_and_rebuild() {
     let service = Service::new(ServiceConfig::default().with_workers(1).with_max_engines(1));
-    let a = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    let b = MeshConfig::new(2, 2, 3).with_directory(1, 1);
+    let a = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    let b = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3);
 
-    service.submit(VerifyJob::mesh("a cold", a));
-    service.submit(VerifyJob::mesh("a warm", a));
+    service.submit(VerifyJob::new("a cold", a.clone()));
+    service.submit(VerifyJob::new("a warm", a.clone()));
     service.drain();
     let stats = service.pool_stats();
     assert_eq!((stats.engines_built, stats.warm_hits), (1, 1));
 
     // `b` evicts `a`; returning to `a` must be a cold rebuild, and only
     // the job after it is warm again.
-    service.submit(VerifyJob::mesh("b evicts a", b));
+    service.submit(VerifyJob::new("b evicts a", b));
     service.drain();
     assert_eq!(service.pool_stats().evictions, 1);
-    service.submit(VerifyJob::mesh("a rebuilds", a));
-    service.submit(VerifyJob::mesh("a warm again", a));
+    service.submit(VerifyJob::new("a rebuilds", a.clone()));
+    service.submit(VerifyJob::new("a warm again", a));
     let outcomes = service.drain();
     assert!(!outcomes[0].warm_hit, "the rebuild is not a warm hit");
     assert!(outcomes[1].warm_hit, "the rebuilt engine serves warm");
@@ -297,19 +304,20 @@ fn warm_hit_accounting_survives_eviction_and_rebuild() {
 #[test]
 fn pool_accounting_balances_across_all_paths() {
     let service = Service::new(ServiceConfig::default().with_workers(1).with_max_engines(1));
-    let a = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    let b = MeshConfig::new(2, 2, 3).with_directory(1, 1);
-    let invalid = MeshConfig::new(1, 1, 1);
+    let a = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    let b = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3);
+    // A 2×2 mesh has no terminal 4: the fabric never builds.
+    let invalid = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(4);
 
-    service.submit(VerifyJob::mesh("a cold", a));
-    service.submit(VerifyJob::mesh("a warm", a));
+    service.submit(VerifyJob::new("a cold", a.clone()));
+    service.submit(VerifyJob::new("a warm", a.clone()));
     service.drain();
-    service.submit(VerifyJob::mesh("b evicts a", b));
+    service.submit(VerifyJob::new("b evicts a", b.clone()));
     service.drain();
-    service.submit(VerifyJob::mesh("a rebuilds", a));
-    service.submit(VerifyJob::mesh("bad", invalid));
-    service.submit(VerifyJob::mesh("bad cached", invalid));
-    service.submit(VerifyJob::mesh("rushed", b).with_timeout(Duration::from_nanos(1)));
+    service.submit(VerifyJob::new("a rebuilds", a));
+    service.submit(VerifyJob::new("bad", invalid.clone()));
+    service.submit(VerifyJob::new("bad cached", invalid));
+    service.submit(VerifyJob::new("rushed", b).with_timeout(Duration::from_nanos(1)));
     let outcomes = service.drain();
     assert!(matches!(outcomes[1].result, Err(JobError::Fabric(_))));
     assert!(matches!(outcomes[2].result, Err(JobError::Fabric(_))));
@@ -343,9 +351,10 @@ fn pool_accounting_balances_across_all_paths() {
 #[test]
 fn build_failures_are_cached_per_fingerprint() {
     let service = Service::new(ServiceConfig::default().with_workers(2));
-    let invalid = MeshConfig::new(1, 1, 1);
+    // A 2×2 mesh has no terminal 4: the fabric never builds.
+    let invalid = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(4);
     for i in 0..3 {
-        service.submit(VerifyJob::mesh(format!("bad {i}"), invalid));
+        service.submit(VerifyJob::new(format!("bad {i}"), invalid.clone()));
     }
     let outcomes = service.drain();
     assert!(outcomes
@@ -445,9 +454,9 @@ fn a_spent_theory_budget_is_unknown_in_the_job_json() {
 #[test]
 fn next_outcome_streams_and_then_reports_exhaustion() {
     let service = Service::new(ServiceConfig::default().with_workers(2));
-    let mesh = MeshConfig::new(2, 2, 3).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3);
     for i in 0..4 {
-        service.submit(VerifyJob::mesh(format!("job {i}"), mesh));
+        service.submit(VerifyJob::new(format!("job {i}"), mesh.clone()));
     }
     let mut seen = Vec::new();
     while let Some(outcome) = service.next_outcome() {
@@ -520,7 +529,7 @@ fn traced(job: VerifyJob, sink: impl TraceSink + 'static) -> VerifyJob {
 /// them, and open only once the drop has begun.
 #[test]
 fn dropping_the_service_stops_every_worker() {
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     let ring = FabricConfig::new(Topology::ring(3).unwrap(), 1).with_directory(1);
     drop_within_a_minute(
         Service::new(ServiceConfig::default().with_workers(2)),
@@ -535,12 +544,12 @@ fn dropping_the_service_stops_every_worker() {
         entered,
         open: Some(open),
     };
-    busy.submit(traced(VerifyJob::mesh("gated", mesh), gate));
+    busy.submit(traced(VerifyJob::new("gated", mesh.clone()), gate));
     busy.submit(traced(
-        VerifyJob::fabric("key", ring.clone()),
+        VerifyJob::new("key", ring.clone()),
         Key { _gates: vec![key] },
     ));
-    busy.submit(VerifyJob::mesh("queued", mesh));
+    busy.submit(VerifyJob::new("queued", mesh.clone()));
     stopped
         .recv_timeout(Duration::from_secs(60))
         .expect("the worker reaches the gate");
@@ -568,15 +577,15 @@ fn dropping_the_service_stops_every_worker() {
         open: Some(other_open),
     };
     let sweep = |capacity| {
-        VerifyJob::mesh(format!("qs {capacity}"), mesh)
+        VerifyJob::new(format!("qs {capacity}"), mesh.clone())
             .at_capacity(capacity)
             .with_engine_range(2..=3)
     };
     parked.submit(traced(sweep(2), first));
     parked.submit(sweep(3));
-    parked.submit(traced(VerifyJob::fabric("other", ring.clone()), other));
+    parked.submit(traced(VerifyJob::new("other", ring.clone()), other));
     parked.submit(traced(
-        VerifyJob::mesh("key", mesh),
+        VerifyJob::new("key", mesh),
         Key {
             _gates: vec![first_key, other_key],
         },
@@ -608,9 +617,9 @@ fn thousand_job_stress_run_stays_consistent() {
             .with_queue_capacity(64)
             .with_max_engines(4),
     );
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
-    let mesi = MeshConfig::new(2, 2, 2)
-        .with_directory(1, 1)
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    let mesi = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2)
+        .with_directory(3)
         .with_protocol(ProtocolKind::Mesi);
     let ring = FabricConfig::new(Topology::ring(4).unwrap(), 2).with_directory(1);
     // Thresholds from `tests/topologies.rs`: ring(4) is free at qs 2,
@@ -620,19 +629,19 @@ fn thousand_job_stress_run_stays_consistent() {
     for i in 0..250 {
         let capacity = 2 + (i % 2);
         service.submit(
-            VerifyJob::mesh(format!("mesh {i}"), mesh)
+            VerifyJob::new(format!("mesh {i}"), mesh.clone())
                 .at_capacity(capacity)
                 .with_engine_range(2..=3),
         );
         expected_free.push(capacity == 3);
         service.submit(
-            VerifyJob::mesh(format!("mesi {i}"), mesi)
+            VerifyJob::new(format!("mesi {i}"), mesi.clone())
                 .at_capacity(capacity)
                 .with_engine_range(2..=3),
         );
-        service.submit(VerifyJob::fabric(format!("ring {i}"), ring.clone()));
+        service.submit(VerifyJob::new(format!("ring {i}"), ring.clone()));
         expected_free.push(true);
-        service.submit(VerifyJob::fabric(format!("torus {i}"), torus.clone()));
+        service.submit(VerifyJob::new(format!("torus {i}"), torus.clone()));
         expected_free.push(true);
     }
     let outcomes = service.drain();
@@ -700,7 +709,7 @@ fn racing_submitters_never_hang_or_lose_jobs() {
             std::thread::spawn(move || {
                 barrier.wait();
                 for i in 0..ATTEMPTS {
-                    let job = VerifyJob::fabric(
+                    let job = VerifyJob::new(
                         format!("race {t}-{i}"),
                         FabricConfig::new(Topology::ring(3).unwrap(), 1).with_directory(1),
                     );
@@ -769,7 +778,7 @@ fn stats_snapshot_pins_pool_queue_and_registry() {
     let ring = FabricConfig::new(Topology::ring(3).unwrap(), 1).with_directory(1);
     for capacity in 1..=2 {
         service.submit(
-            VerifyJob::fabric("stats ring", ring.clone())
+            VerifyJob::new("stats ring", ring.clone())
                 .at_capacity(capacity)
                 .with_engine_range(1..=2),
         );

@@ -13,14 +13,14 @@ use advocat::prelude::*;
 
 const SWEEP: std::ops::RangeInclusive<usize> = 1..=4;
 
-fn mesh_config() -> MeshConfig {
-    MeshConfig::new(2, 2, 1)
-        .with_directory(1, 1)
+fn mesh_config() -> FabricConfig {
+    FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1)
+        .with_directory(3)
         .with_protocol(ProtocolKind::AbstractMi)
 }
 
 fn sweep_engine() -> QueryEngine {
-    let system = build_mesh_for_sweep(&mesh_config(), *SWEEP.end()).expect("valid mesh");
+    let system = build_fabric_for_sweep(&mesh_config(), *SWEEP.end()).expect("valid mesh");
     QueryEngine::on(system, SWEEP)
 }
 

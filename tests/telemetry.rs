@@ -37,8 +37,11 @@ fn traced_check() -> (Report, Vec<String>) {
         },
         ..CheckConfig::default()
     };
-    let system =
-        build_mesh_for_sweep(&MeshConfig::new(2, 2, 2).with_directory(1, 1), 3).expect("mesh");
+    let system = build_fabric_for_sweep(
+        &FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3),
+        3,
+    )
+    .expect("mesh");
     let mut engine = QueryEngine::with_config(system, config, 2..=3);
     let report = engine.check(&Query::new().capacity(2));
     telemetry.flush();
@@ -223,10 +226,10 @@ fn service_metrics_use_the_pinned_names() {
             .with_workers(2)
             .with_telemetry(telemetry.clone()),
     );
-    let mesh = MeshConfig::new(2, 2, 2).with_directory(1, 1);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     for capacity in [2, 3, 2] {
         service.submit(
-            VerifyJob::mesh(format!("qs {capacity}"), mesh)
+            VerifyJob::new(format!("qs {capacity}"), mesh.clone())
                 .at_capacity(capacity)
                 .with_engine_range(2..=3),
         );
@@ -265,8 +268,11 @@ fn service_metrics_use_the_pinned_names() {
 /// an untelemetered service stays untelemetered.
 #[test]
 fn disabled_telemetry_leaves_no_trace() {
-    let system =
-        build_mesh_for_sweep(&MeshConfig::new(2, 2, 3).with_directory(1, 1), 3).expect("mesh");
+    let system = build_fabric_for_sweep(
+        &FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3),
+        3,
+    )
+    .expect("mesh");
     let mut engine = QueryEngine::on(system, 3..=3);
     let report = engine.check(&Query::new().capacity(3));
     assert!(report.solver_profile().is_none());
@@ -274,8 +280,11 @@ fn disabled_telemetry_leaves_no_trace() {
 
     let service = Service::new(ServiceConfig::default().with_workers(1));
     service.submit(
-        VerifyJob::mesh("plain", MeshConfig::new(2, 2, 3).with_directory(1, 1))
-            .with_timeout(Duration::from_secs(3600)),
+        VerifyJob::new(
+            "plain",
+            FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3),
+        )
+        .with_timeout(Duration::from_secs(3600)),
     );
     let outcomes = service.drain();
     assert!(outcomes[0].solver_profile().is_none());
