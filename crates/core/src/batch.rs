@@ -20,7 +20,7 @@ use advocat_deadlock::{DeadlockTarget, Query};
 use advocat_logic::CheckConfig;
 use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError};
 
-use crate::query::{QueryEngine, SessionStats};
+use crate::query::{build_traced, QueryEngine, SessionStats};
 use crate::report::Report;
 
 /// One independent verification scenario of a batch.
@@ -152,7 +152,12 @@ fn run_scenario(scenario: &BatchScenario) -> BatchOutcome {
     let own_size = scenario.fabric.queue_size;
     let range = scenario.sweep.clone().unwrap_or(own_size..=own_size);
     assert!(!range.is_empty(), "empty capacity sweep {range:?}");
-    let (result, sweep, stats) = match build_fabric_for_sweep(&scenario.fabric, *range.end()) {
+    let built = build_traced(
+        &scenario.config.solver.telemetry,
+        scenario.fabric.topology.num_nodes(),
+        || build_fabric_for_sweep(&scenario.fabric, *range.end()),
+    );
+    let (result, sweep, stats) = match built {
         Err(error) => (Err(error), Vec::new(), None),
         Ok(system) => {
             let mut engine =

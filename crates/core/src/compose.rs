@@ -6,12 +6,17 @@
 //! instance at all:
 //!
 //! 1. every tile is closed at its boundary with free environment sources
-//!    and sinks ([`advocat_noc::build_tile_fabric`]) and certified
-//!    deadlock-free on its own small encoding.  Tiles of one structural
-//!    class ([`Partition::tile_class_digest`]) share one engine, built
-//!    from the class's first tile, and each class is asked once per
-//!    query: the 60 interior tiles of a big mesh take the verdict of the
-//!    one interior engine;
+//!    and sinks ([`advocat_noc::build_tile_fabric`]), its colors and
+//!    invariants derived — tiles spread over at most
+//!    [`std::thread::available_parallelism`] threads at
+//!    [`QueryEngine::compose`] time — and certified deadlock-free on its
+//!    own small encoding.  Tiles of one structural class
+//!    ([`Partition::tile_class_digests`], one fabric digest for all
+//!    tiles) share one engine, built from the class's first tile, and
+//!    each class is asked once per query: the 60 interior tiles of a big
+//!    mesh take the verdict of the one interior engine.  Every tile keeps
+//!    its own invariants and contract: the class digest is coarse, and
+//!    tiles of one class route different destination colors;
 //! 2. each tile's derived invariants are projected onto its cut queues,
 //!    yielding an [`advocat_invariants::InterfaceContract`] of sound
 //!    occupancy bounds;
@@ -64,7 +69,7 @@ use advocat_noc::{
 use advocat_xmas::ColorMap;
 
 use crate::batch::fan_out;
-use crate::query::{derive_traced, QueryEngine};
+use crate::query::{build_traced, derive_traced, QueryEngine};
 use crate::report::Report;
 
 /// Options of a composed verification.
@@ -186,20 +191,28 @@ impl QueryEngine {
     /// waiting graph.  No SMT solving happens yet — queries do, via
     /// [`Composition::check`].
     ///
+    /// Tiles are built on at most
+    /// [`std::thread::available_parallelism`] threads that pull them one
+    /// at a time; tiles, classes and errors keep tile order, so the
+    /// session is the one a serial loop over the tiles would open.
+    ///
     /// # Errors
     ///
-    /// Returns a [`FabricError`] when a tile subsystem cannot be built
-    /// (which implies the flat fabric could not be built either).
+    /// Returns the [`FabricError`] of the first tile, in tile order, whose
+    /// subsystem cannot be built (which implies the flat fabric could not
+    /// be built either).
     pub fn compose(
         config: FabricConfig,
         partition: Arc<Partition>,
         options: ComposeOptions,
     ) -> Result<Composition, FabricError> {
-        let mut tiles = Vec::with_capacity(partition.num_tiles());
-        let mut classes: Vec<TileClass> = Vec::new();
-        for tile in 0..partition.num_tiles() {
-            let system = build_tile_fabric(&config, &partition, tile)?;
-            let (colors, invariants) = derive_traced(&system, &options.check.solver.telemetry);
+        let telemetry = &options.check.solver.telemetry;
+        let built = fan_out(0..partition.num_tiles(), 0, |tile| {
+            let nodes = partition.tile(tile).nodes().len();
+            let system = build_traced(telemetry, nodes, || {
+                build_tile_fabric(&config, &partition, tile)
+            })?;
+            let (colors, invariants) = derive_traced(&system, telemetry);
             let ports = partition
                 .boundary_ports(&config, tile)
                 .into_iter()
@@ -209,14 +222,21 @@ impl QueryEngine {
                     ingress: p.direction == PortDirection::Ingress,
                 })
                 .collect();
-            tiles.push(TileData {
+            Ok(TileData {
                 name: partition.tile(tile).name.clone(),
                 system,
                 colors,
                 invariants,
                 ports,
-            });
-            let digest = partition.tile_class_digest(&config, tile);
+            })
+        });
+        let tiles = built.into_iter().collect::<Result<Vec<_>, FabricError>>()?;
+        let mut classes: Vec<TileClass> = Vec::new();
+        for (tile, digest) in partition
+            .tile_class_digests(&config)
+            .into_iter()
+            .enumerate()
+        {
             if classes.iter().all(|class| class.digest != digest) {
                 classes.push(TileClass {
                     digest,
@@ -503,7 +523,11 @@ fn class_engine(
     options: &ComposeOptions,
 ) -> QueryEngine {
     let sized = config.clone().with_queue_size(*options.capacities.end());
-    let system = build_tile_fabric(&sized, partition, tile).expect("tiles built at compose time");
+    let nodes = partition.tile(tile).nodes().len();
+    let system = build_traced(&options.check.solver.telemetry, nodes, || {
+        build_tile_fabric(&sized, partition, tile)
+    })
+    .expect("tiles built at compose time");
     QueryEngine::with_config(system, options.check.clone(), options.capacities.clone())
 }
 

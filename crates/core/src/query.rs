@@ -137,6 +137,13 @@ fn structural_range(system: &System) -> RangeInclusive<usize> {
     advocat_deadlock::structural_capacity_range(system).unwrap_or(1..=1)
 }
 
+/// Runs a fabric build under the `fabric.build` span (the routing audit
+/// included), with the number of topology nodes it builds as a field.
+pub(crate) fn build_traced<T>(telemetry: &Telemetry, nodes: usize, build: impl FnOnce() -> T) -> T {
+    let _span = telemetry.span_with("fabric.build", || vec![("nodes", nodes.to_string())]);
+    build()
+}
+
 /// Derives a system's colors and then its invariants, under the
 /// `colors.derive` and `invariants.derive` spans.
 pub(crate) fn derive_traced(system: &System, telemetry: &Telemetry) -> (ColorMap, InvariantSet) {
@@ -260,7 +267,11 @@ impl QueryEngine {
         check_config: CheckConfig,
         capacities: RangeInclusive<usize>,
     ) -> Result<Self, advocat_noc::FabricError> {
-        let system = advocat_noc::build_fabric_for_sweep(config, *capacities.end())?;
+        let system = build_traced(
+            &check_config.solver.telemetry,
+            config.topology.num_nodes(),
+            || advocat_noc::build_fabric_for_sweep(config, *capacities.end()),
+        )?;
         let mut engine = QueryEngine::with_config(system, check_config, capacities);
         // The sweep build widened every queue to the range maximum, so
         // "structural" must keep meaning the fabric as configured.

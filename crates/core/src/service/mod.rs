@@ -73,7 +73,7 @@ use advocat_logic::CheckConfig;
 use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError};
 use advocat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::query::{QueryEngine, SessionStats};
+use crate::query::{build_traced, QueryEngine, SessionStats};
 use crate::report::Report;
 
 use json::jobs_from_json;
@@ -1089,7 +1089,12 @@ fn note_checkout(shared: &Shared, sj: &ScheduledJob, slot: &'static str) {
 /// Builds the engine a job's fingerprint calls for: the fabric at the
 /// range maximum, one template over the whole range.
 fn build_engine(sj: &ScheduledJob) -> Result<Box<QueryEngine>, FabricError> {
-    let system = build_fabric_for_sweep(&sj.job.fabric, *sj.range.end())?;
+    let fabric = &sj.job.fabric;
+    let system = build_traced(
+        &sj.job.config.solver.telemetry,
+        fabric.topology.num_nodes(),
+        || build_fabric_for_sweep(fabric, *sj.range.end()),
+    )?;
     Ok(Box::new(QueryEngine::with_config(
         system,
         sj.job.config.clone(),

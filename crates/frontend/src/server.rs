@@ -20,13 +20,18 @@
 //! | outcome already consumed | `410` |
 //! | unknown job id | `404` |
 //!
-//! Graceful drain (SIGTERM when opted in, or `POST /v1/shutdown`):
-//! stop accepting, finish the request each connection is on, wait for
-//! every accepted job to produce its outcome, flush telemetry sinks.
+//! Graceful drain (SIGTERM when opted in, [`Server::shutdown`] or
+//! `POST /v1/shutdown`): stop accepting, finish the request each
+//! connection is on, wait for every accepted job to produce its outcome,
+//! flush telemetry sinks.  The accept thread blocks in `accept`, so a
+//! fresh daemon answers its first connection at once; every drain
+//! trigger raises the drain flag and then wakes that thread with one
+//! loopback connection, which it drops.  SIGTERM is polled by the
+//! thread waiting in [`Server::join`].
 
 use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -76,9 +81,9 @@ impl Default for FrontendConfig {
     }
 }
 
-/// How often the accept loop re-checks the shutdown flags between
-/// non-blocking accept attempts.
-const ACCEPT_NAP: Duration = Duration::from_millis(10);
+/// How often [`Server::join`] re-checks the SIGTERM flag, and how long
+/// the accept loop backs off after a failed accept.
+const SIGNAL_POLL: Duration = Duration::from_millis(10);
 /// Chunk cadence of the trace stream: how long one `wait_drain` parks.
 const TRACE_SLICE: Duration = Duration::from_millis(100);
 /// Default and maximum client-requested wait budgets.
@@ -98,17 +103,28 @@ struct Shared {
     trace: Option<TraceBuffer>,
     queue: Mutex<AcceptQueue>,
     available: Condvar,
-    /// Raised by `shutdown()`, `POST /v1/shutdown` or SIGTERM: the
-    /// accept loop exits and keep-alive connections close after their
-    /// current exchange.
+    /// Raised by [`Shared::request_drain`]: the accept loop exits and
+    /// keep-alive connections close after their current exchange.
     draining: AtomicBool,
+    /// Where a wake-up connection reaches the listener.
+    wake: SocketAddr,
     config: FrontendConfig,
 }
 
 impl Shared {
     fn drain_requested(&self) -> bool {
-        self.draining.load(Ordering::Relaxed)
+        self.draining.load(Ordering::SeqCst)
             || (self.config.on_sigterm && signal::sigterm_pending())
+    }
+
+    /// Raises the drain flag and, the first time, wakes the accept
+    /// thread out of its blocking `accept` with one loopback connection.
+    fn request_drain(&self) {
+        if !self.draining.swap(true, Ordering::SeqCst) {
+            // A failed connect means the listener is already gone.
+            let _ = TcpStream::connect(self.wake);
+        }
+        self.available.notify_all();
     }
 }
 
@@ -143,8 +159,17 @@ impl Server {
             signal::sigterm_flag();
         }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        // A wildcard bind is reachable over loopback.
+        let wake = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => {
+                SocketAddr::new(Ipv4Addr::LOCALHOST.into(), addr.port())
+            }
+            IpAddr::V6(ip) if ip.is_unspecified() => {
+                SocketAddr::new(Ipv6Addr::LOCALHOST.into(), addr.port())
+            }
+            _ => addr,
+        };
 
         let shared = Arc::new(Shared {
             service,
@@ -156,6 +181,7 @@ impl Server {
             }),
             available: Condvar::new(),
             draining: AtomicBool::new(false),
+            wake,
             config: config.clone(),
         });
 
@@ -186,8 +212,7 @@ impl Server {
 
     /// Requests a graceful drain without waiting for it.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Relaxed);
-        self.shared.available.notify_all();
+        self.shared.request_drain();
     }
 
     /// Serves until a drain is requested — by [`Server::shutdown`],
@@ -201,9 +226,19 @@ impl Server {
     }
 
     /// The drain sequence; blocks until a drain has been requested
-    /// (the accept loop only exits on one).
+    /// (the accept loop only exits on one).  A server honoring SIGTERM
+    /// polls the signal flag here and turns it into a drain request.
     fn drain(&mut self) -> bool {
         if let Some(accept) = self.accept.take() {
+            if self.shared.config.on_sigterm {
+                while !accept.is_finished() {
+                    if signal::sigterm_pending() {
+                        self.shared.request_drain();
+                        break;
+                    }
+                    std::thread::sleep(SIGNAL_POLL);
+                }
+            }
             let _ = accept.join();
         }
         for worker in self.workers.drain(..) {
@@ -229,9 +264,16 @@ impl Drop for Server {
     }
 }
 
+/// Accepts until a drain is requested.  A connection accepted after the
+/// request — the wake-up connection, or a client that raced it — is
+/// dropped unserved.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.drain_requested() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.drain_requested() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let mut queue = shared.queue.lock().expect("accept queue lock");
                 if queue.conns.len() >= shared.config.accept_backlog {
@@ -243,12 +285,9 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     shared.available.notify_one();
                 }
             }
-            Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_NAP);
-            }
             // Transient accept failures (per-connection resets and the
             // like); back off and keep serving.
-            Err(_) => std::thread::sleep(ACCEPT_NAP),
+            Err(_) => std::thread::sleep(SIGNAL_POLL),
         }
     }
     let mut queue = shared.queue.lock().expect("accept queue lock");
@@ -278,11 +317,7 @@ fn connection_worker(shared: &Shared) {
                 if queue.closed {
                     break None;
                 }
-                queue = shared
-                    .available
-                    .wait_timeout(queue, ACCEPT_NAP)
-                    .expect("accept queue lock")
-                    .0;
+                queue = shared.available.wait(queue).expect("accept queue lock");
             }
         };
         match stream {
@@ -356,8 +391,7 @@ fn route(request: &Request, shared: &Shared) -> Response {
         ("GET", "/metrics") => render_metrics(shared),
         ("GET", "/healthz") => Response::json(200, shared.service.stats().to_json()),
         ("POST", "/v1/shutdown") => {
-            shared.draining.store(true, Ordering::Relaxed);
-            shared.available.notify_all();
+            shared.request_drain();
             Response::json(200, "{\"draining\":true}")
         }
         ("GET" | "POST", _) => Response::json(404, "{\"error\":\"no such route\"}"),

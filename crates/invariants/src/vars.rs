@@ -1,7 +1,5 @@
 //! Variable bookkeeping for invariant derivation.
 
-use std::collections::HashMap;
-
 use advocat_automata::StateId;
 use advocat_xmas::{ChannelId, ColorId, PrimitiveId};
 
@@ -100,7 +98,7 @@ impl Invariant {
 }
 
 /// Internal classification of the raw variables of the equation system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum RawVar {
     /// `λ_c.d` — number of transfers of color `d` through channel `c`.
     Lambda(ChannelId, ColorId),
@@ -110,11 +108,40 @@ pub(crate) enum RawVar {
     Kept(InvariantVar),
 }
 
-/// Dense numbering of [`RawVar`]s used by the sparse linear rows.
+/// Dense numbering of [`RawVar`]s used by the sparse linear rows, in order
+/// of first interning.
+///
+/// Every key is a pair of indices the network and its automata assigned
+/// (channel × color, node × transition, queue × color, node × state), so
+/// each kind of variable has its own table indexed by both ids: a lookup
+/// per term is two vector indexings, with no hashing.
 #[derive(Debug, Default)]
 pub(crate) struct VarRegistry {
     vars: Vec<RawVar>,
-    index: HashMap<RawVar, usize>,
+    lambda: PairTable,
+    kappa: PairTable,
+    queue_count: PairTable,
+    automaton_state: PairTable,
+}
+
+/// Interned indices keyed by an `(outer, inner)` pair of dense ids, grown
+/// on demand; [`PairTable::ABSENT`] marks a pair not interned yet.
+#[derive(Debug, Default)]
+struct PairTable(Vec<Vec<usize>>);
+
+impl PairTable {
+    const ABSENT: usize = usize::MAX;
+
+    fn slot(&mut self, outer: usize, inner: usize) -> &mut usize {
+        if self.0.len() <= outer {
+            self.0.resize_with(outer + 1, Vec::new);
+        }
+        let row = &mut self.0[outer];
+        if row.len() <= inner {
+            row.resize(inner + 1, PairTable::ABSENT);
+        }
+        &mut row[inner]
+    }
 }
 
 impl VarRegistry {
@@ -122,30 +149,35 @@ impl VarRegistry {
         VarRegistry::default()
     }
 
-    pub(crate) fn intern(&mut self, var: RawVar) -> usize {
-        if let Some(&idx) = self.index.get(&var) {
-            return idx;
+    /// The index of `var`, whose slot is `slot`, interning it on first use.
+    fn intern(vars: &mut Vec<RawVar>, slot: &mut usize, var: RawVar) -> usize {
+        if *slot == PairTable::ABSENT {
+            *slot = vars.len();
+            vars.push(var);
         }
-        let idx = self.vars.len();
-        self.index.insert(var, idx);
-        self.vars.push(var);
-        idx
+        *slot
     }
 
     pub(crate) fn lambda(&mut self, channel: ChannelId, color: ColorId) -> usize {
-        self.intern(RawVar::Lambda(channel, color))
+        let slot = self.lambda.slot(channel.index(), color.index());
+        VarRegistry::intern(&mut self.vars, slot, RawVar::Lambda(channel, color))
     }
 
     pub(crate) fn kappa(&mut self, node: PrimitiveId, transition: u32) -> usize {
-        self.intern(RawVar::Kappa(node, transition))
+        let slot = self.kappa.slot(node.index(), transition as usize);
+        VarRegistry::intern(&mut self.vars, slot, RawVar::Kappa(node, transition))
     }
 
     pub(crate) fn queue_count(&mut self, queue: PrimitiveId, color: ColorId) -> usize {
-        self.intern(RawVar::Kept(InvariantVar::QueueCount { queue, color }))
+        let slot = self.queue_count.slot(queue.index(), color.index());
+        let var = RawVar::Kept(InvariantVar::QueueCount { queue, color });
+        VarRegistry::intern(&mut self.vars, slot, var)
     }
 
     pub(crate) fn automaton_state(&mut self, node: PrimitiveId, state: StateId) -> usize {
-        self.intern(RawVar::Kept(InvariantVar::AutomatonState { node, state }))
+        let slot = self.automaton_state.slot(node.index(), state.index());
+        let var = RawVar::Kept(InvariantVar::AutomatonState { node, state });
+        VarRegistry::intern(&mut self.vars, slot, var)
     }
 
     pub(crate) fn is_eliminated(&self, idx: usize) -> bool {

@@ -12,7 +12,7 @@
 //!
 //! [`build_tile_fabric`] closes one tile into a standalone verifiable
 //! system: ingress ports are fed by free environment sources, egress
-//! merges drain into always-ready sinks.  [`Partition::tile_class_digest`]
+//! merges drain into always-ready sinks.  [`Partition::tile_class_digests`]
 //! buckets tiles that are *symmetric by construction* (same port shape,
 //! same roles) so a warm-engine pool certifies each class once; the digest
 //! is deliberately coarse — it asserts the symmetry rather than proving
@@ -322,18 +322,32 @@ impl Partition {
         ports
     }
 
-    /// A digest bucketing tiles whose closed systems are symmetric by
-    /// construction: same fabric, same boundary port shape (direction ×
-    /// class × VC multiset), same node/terminal counts and the same
-    /// directory role.  **Deliberately coarse**: it identifies tiles that
+    /// One digest per tile, in tile order, bucketing tiles whose closed
+    /// systems are symmetric by construction: same fabric, same boundary
+    /// port shape (direction × class × VC multiset), same node/terminal
+    /// counts and the same directory role.  The fabric's
+    /// [`FabricConfig::structure_digest`] is computed once and shared by
+    /// every tile.  **Deliberately coarse**: it identifies tiles that
     /// are congruent up to relabelling destinations (e.g. every interior
     /// node of a mesh) without proving the congruence — callers relying on
     /// it for verdicts must pair it with a flat fallback or accept the
     /// symmetry assumption.
-    pub fn tile_class_digest(&self, config: &FabricConfig, tile: usize) -> ConfigDigest {
+    pub fn tile_class_digests(&self, config: &FabricConfig) -> Vec<ConfigDigest> {
+        let fabric = config.structure_digest();
+        (0..self.tiles.len())
+            .map(|tile| self.tile_class_digest(config, fabric, tile))
+            .collect()
+    }
+
+    /// One tile's class digest over the precomputed fabric digest.
+    fn tile_class_digest(
+        &self,
+        config: &FabricConfig,
+        fabric: ConfigDigest,
+        tile: usize,
+    ) -> ConfigDigest {
         let topo = &config.topology;
         let mut h = StructHasher::default();
-        let fabric = config.structure_digest();
         h.u64(fabric.0);
         h.u64(fabric.1);
         let t = &self.tiles[tile];
@@ -662,9 +676,7 @@ mod tests {
         let topo = Topology::mesh(4, 4).unwrap();
         let config = FabricConfig::new(topo, 2).with_directory(5); // (1,1): interior
         let partition = Partition::per_node(&config.topology);
-        let digests: Vec<ConfigDigest> = (0..partition.num_tiles())
-            .map(|t| partition.tile_class_digest(&config, t))
-            .collect();
+        let digests = partition.tile_class_digests(&config);
         let mut distinct = digests.clone();
         distinct.sort_unstable();
         distinct.dedup();

@@ -1,7 +1,5 @@
 //! Sparse Gaussian elimination with a variable elimination predicate.
 
-use std::collections::HashMap;
-
 use crate::{LinearRow, Rational};
 
 /// Eliminates every variable for which `should_eliminate` returns `true`
@@ -14,6 +12,10 @@ use crate::{LinearRow, Rational};
 /// kept variables, so they are dropped.  Trivial `0 = 0` rows are dropped
 /// too.  Rows that reduce to `c = 0` with `c ≠ 0` are kept (callers treat
 /// them as evidence of an inconsistent model).
+///
+/// Variables index a vector of per-variable occurrence lists, so memory
+/// grows with the largest variable index: number variables densely from
+/// 0, as `advocat-invariants`' registry does.
 ///
 /// # Examples
 ///
@@ -72,7 +74,8 @@ pub struct Elimination {
 /// on such variables, and bound rows still mentioning an eliminated
 /// variable with a *negative* coefficient are discarded (dropping a
 /// nonnegative term with a positive coefficient only weakens a `≤ 0` row,
-/// dropping a negative one would not be sound).
+/// dropping a negative one would not be sound).  Variables should be
+/// numbered densely from 0, as for [`eliminate`].
 ///
 /// # Examples
 ///
@@ -118,10 +121,12 @@ where
 ///   keeps none forever: the rows before the first row that still has one
 ///   are final, and the search resumes there instead of at row 0;
 /// * per-variable **occurrence lists** naming every row (remaining or
-///   pivot) that mentions an eliminated variable.  A row that cancels a
-///   variable keeps its stale entry, skipped because the coefficient reads
-///   zero; fill-in appends.  After its step a pivot variable appears only
-///   in its own pivot row, so its list is dropped.
+///   pivot) that mentions an eliminated variable, in a vector indexed by
+///   variable (sized by the largest variable of the system, so variables
+///   are expected to be dense indices, as a registry numbers them).  A
+///   row that cancels a variable keeps its stale entry, skipped because
+///   the coefficient reads zero; fill-in appends.  After its step a pivot
+///   variable appears only in its own pivot row, so its list is dropped.
 ///
 /// The pivot sequence and every row's arithmetic are those of the loop
 /// that rescans all rows per pivot, kept as the test reference, so the
@@ -135,10 +140,16 @@ where
     // themselves would be.
     let mut store: Vec<LinearRow> = rows.into_iter().filter(|r| !r.is_zero()).collect();
     let mut order: Vec<usize> = (0..store.len()).collect();
-    let mut occurrences: HashMap<usize, Vec<usize>> = HashMap::new();
+    // Fill-in only brings variables some other row already has.
+    let width = store
+        .iter()
+        .flat_map(LinearRow::variables)
+        .max()
+        .map_or(0, |v| v + 1);
+    let mut occurrences: Vec<Option<Vec<usize>>> = vec![None; width];
     for (id, row) in store.iter().enumerate() {
         for var in row.variables().filter(|&v| should_eliminate(v)) {
-            occurrences.entry(var).or_default().push(id);
+            occurrences[var].get_or_insert_with(Vec::new).push(id);
         }
     }
     let mut pivots: Vec<(usize, usize)> = Vec::new();
@@ -155,8 +166,8 @@ where
         let mut pivot = std::mem::take(&mut store[id]);
         let coef = pivot.coefficient(pivot_var);
         pivot.scale(coef.recip());
-        let holders = occurrences
-            .remove(&pivot_var)
+        let holders = occurrences[pivot_var]
+            .take()
             .expect("every unpivoted eliminated variable has an occurrence list");
         for other in holders {
             let row = &mut store[other];
@@ -165,8 +176,8 @@ where
                 continue;
             }
             for var in pivot.variables() {
-                if !row.contains(var) {
-                    if let Some(list) = occurrences.get_mut(&var) {
+                if let Some(list) = &mut occurrences[var] {
+                    if !row.contains(var) {
                         list.push(other);
                     }
                 }

@@ -13,6 +13,11 @@ use std::str::FromStr;
 /// produced by Gaussian elimination.  All arithmetic uses checked operations
 /// and panics on overflow rather than silently wrapping.
 ///
+/// Nearly every coefficient of an elimination is an integer, so `+`, `*`
+/// and [`Rational::recip`] take an integer fast path when the operand
+/// denominators are 1: the same lowest-terms value and the same overflow
+/// panics as the general formula, without its gcd.
+///
 /// # Examples
 ///
 /// ```
@@ -97,6 +102,14 @@ impl Rational {
     /// Panics if the value is zero.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "cannot invert zero");
+        if self.den == 1 {
+            // `1 / n` is already in lowest terms: only the sign moves.
+            let den = self.num.checked_abs().expect("rational overflow");
+            return Rational {
+                num: self.num.signum(),
+                den,
+            };
+        }
         Rational::new(self.den, self.num)
     }
 
@@ -236,6 +249,13 @@ impl Add for Rational {
     type Output = Rational;
 
     fn add(self, rhs: Rational) -> Rational {
+        if self.den == 1 && rhs.den == 1 {
+            let num = self
+                .num
+                .checked_add(rhs.num)
+                .expect("rational addition overflow");
+            return Rational { num, den: 1 };
+        }
         let num = self
             .num
             .checked_mul(rhs.den)
@@ -288,6 +308,9 @@ impl Mul for Rational {
             .num
             .checked_mul(rhs.num)
             .expect("rational multiplication overflow");
+        if self.den == 1 && rhs.den == 1 {
+            return Rational { num, den: 1 };
+        }
         let den = self
             .den
             .checked_mul(rhs.den)
@@ -372,6 +395,129 @@ mod tests {
         assert_eq!("-3/6".parse::<Rational>().unwrap(), Rational::new(-1, 2));
         assert!("1/0".parse::<Rational>().is_err());
         assert!("abc".parse::<Rational>().is_err());
+    }
+
+    /// `a + b` by the general formula, without the integer fast path.
+    fn textbook_add(a: Rational, b: Rational) -> Rational {
+        let num = a
+            .num
+            .checked_mul(b.den)
+            .and_then(|x| b.num.checked_mul(a.den).and_then(|y| x.checked_add(y)))
+            .expect("rational addition overflow");
+        let den = a
+            .den
+            .checked_mul(b.den)
+            .expect("rational addition overflow");
+        Rational::new(num, den)
+    }
+
+    /// `a · b` by the general formula.
+    fn textbook_mul(a: Rational, b: Rational) -> Rational {
+        let num = a
+            .num
+            .checked_mul(b.num)
+            .expect("rational multiplication overflow");
+        let den = a
+            .den
+            .checked_mul(b.den)
+            .expect("rational multiplication overflow");
+        Rational::new(num, den)
+    }
+
+    /// `1 / a` by the general formula.
+    fn textbook_recip(a: Rational) -> Rational {
+        assert!(!a.is_zero(), "cannot invert zero");
+        Rational::new(a.den, a.num)
+    }
+
+    /// The value `op` returns, or the message it panics with.
+    fn outcome(op: impl FnOnce() -> Rational) -> Result<Rational, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(op)).map_err(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|m| (*m).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default()
+        })
+    }
+
+    #[test]
+    fn fast_paths_match_the_general_formula() {
+        // A deterministic xorshift64 stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let numerators = [
+            0,
+            1,
+            -1,
+            2,
+            -3,
+            7,
+            -12,
+            i128::MAX,
+            i128::MAX - 1,
+            i128::MAX / 2 + 1,
+            i128::MIN,
+            i128::MIN + 1,
+            -(i128::MAX / 3),
+            1 << 64,
+            -(1 << 63),
+        ];
+        let denominators = [
+            2,
+            3,
+            4,
+            6,
+            9,
+            1 << 40,
+            i128::MAX,
+            i128::MAX - 1,
+            i128::MAX / 2,
+        ];
+        let mut pick = |integer: bool| {
+            let num = match next() % 3 {
+                0 => numerators[(next() % numerators.len() as u64) as usize],
+                _ => (next() % 41) as i128 - 20,
+            };
+            let den = if integer {
+                1
+            } else {
+                denominators[(next() % denominators.len() as u64) as usize]
+            };
+            Rational::new(num, den)
+        };
+        // Overflow panics per operation, with both denominators 1, exactly
+        // one of them, or neither.
+        let mut overflows = [[0; 3]; 3];
+        for case in 0..6_000 {
+            let shape = case % 3;
+            let a = pick(shape < 2);
+            let b = pick(shape == 0);
+            let checks = [
+                ("+", outcome(|| a + b), outcome(|| textbook_add(a, b))),
+                ("*", outcome(|| a * b), outcome(|| textbook_mul(a, b))),
+                (
+                    "recip",
+                    outcome(|| a.recip()),
+                    outcome(|| textbook_recip(a)),
+                ),
+            ];
+            for (op, (name, fast, general)) in checks.into_iter().enumerate() {
+                assert_eq!(fast, general, "{a:?} {name} {b:?}");
+                overflows[op][shape] += usize::from(fast.is_err());
+            }
+        }
+        // Values near the `i128` limits keep every panic exercised, the
+        // integer fast paths' included (`recip` reads only `a`, an integer
+        // in the first two shapes).
+        for (op, counts) in ["+", "*", "recip"].iter().zip(overflows) {
+            assert!(counts.iter().all(|&n| n >= 20), "{op}: {counts:?}");
+        }
     }
 
     #[test]

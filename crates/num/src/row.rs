@@ -1,6 +1,5 @@
 //! Sparse linear rows (equations of the form `Σ aᵢ·xᵢ + c = 0`).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::rational::gcd;
@@ -13,6 +12,10 @@ use crate::Rational;
 /// xMAS primitive and every XMAS automaton contributes a handful of rows,
 /// and Gaussian elimination ([`crate::eliminate`]) removes the variables we
 /// are not interested in.
+///
+/// The terms are one vector sorted by variable with no zero coefficient,
+/// so [`LinearRow::add_scaled`] — the elimination's inner step — is a
+/// single merge of two sorted runs, and equal rows are equal vectors.
 ///
 /// # Examples
 ///
@@ -30,7 +33,8 @@ use crate::Rational;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinearRow {
-    terms: BTreeMap<usize, Rational>,
+    /// Nonzero coefficients, strictly increasing by variable.
+    terms: Vec<(usize, Rational)>,
     constant: Rational,
 }
 
@@ -38,7 +42,7 @@ impl LinearRow {
     /// Creates an empty row (the trivially true equation `0 = 0`).
     pub fn new() -> Self {
         LinearRow {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: Rational::ZERO,
         }
     }
@@ -61,11 +65,22 @@ impl LinearRow {
         if coef.is_zero() {
             return;
         }
-        let entry = self.terms.entry(var).or_insert(Rational::ZERO);
-        *entry += coef;
-        if entry.is_zero() {
-            self.terms.remove(&var);
+        match self.position(var) {
+            Ok(at) => {
+                let sum = self.terms[at].1 + coef;
+                if sum.is_zero() {
+                    self.terms.remove(at);
+                } else {
+                    self.terms[at].1 = sum;
+                }
+            }
+            Err(at) => self.terms.insert(at, (var, coef)),
         }
+    }
+
+    /// Where `var` sits in the sorted terms, or where it would go.
+    fn position(&self, var: usize) -> Result<usize, usize> {
+        self.terms.binary_search_by_key(&var, |&(v, _)| v)
     }
 
     /// Adds a constant to the row.
@@ -75,7 +90,8 @@ impl LinearRow {
 
     /// Returns the coefficient of `var` (zero when absent).
     pub fn coefficient(&self, var: usize) -> Rational {
-        self.terms.get(&var).copied().unwrap_or(Rational::ZERO)
+        self.position(var)
+            .map_or(Rational::ZERO, |at| self.terms[at].1)
     }
 
     /// Returns the constant term.
@@ -106,18 +122,18 @@ impl LinearRow {
 
     /// Returns `true` when the row mentions `var`.
     pub fn contains(&self, var: usize) -> bool {
-        self.terms.contains_key(&var)
+        self.position(var).is_ok()
     }
 
     /// Iterates over `(variable, coefficient)` pairs in increasing variable
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Rational)> + '_ {
-        self.terms.iter().map(|(v, c)| (*v, *c))
+        self.terms.iter().copied()
     }
 
     /// Returns the set of variables mentioned by the row.
     pub fn variables(&self) -> impl Iterator<Item = usize> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|&(v, _)| v)
     }
 
     /// Multiplies the whole row (terms and constant) by `factor`.
@@ -127,20 +143,40 @@ impl LinearRow {
             self.constant = Rational::ZERO;
             return;
         }
-        for coef in self.terms.values_mut() {
+        for (_, coef) in &mut self.terms {
             *coef = *coef * factor;
         }
         self.constant = self.constant * factor;
     }
 
     /// Adds `factor · other` to `self`.
+    ///
+    /// One merge of the two sorted term runs: each of `other`'s terms is
+    /// scaled and added in increasing variable order, and terms that
+    /// cancel are dropped.
     pub fn add_scaled(&mut self, other: &LinearRow, factor: Rational) {
         if factor.is_zero() {
             return;
         }
-        for (var, coef) in other.iter() {
-            self.add_term(var, coef * factor);
+        let mut merged = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let mut mine = self.terms.iter().copied().peekable();
+        for &(var, coef) in &other.terms {
+            while let Some(term) = mine.next_if(|&(v, _)| v < var) {
+                merged.push(term);
+            }
+            let scaled = coef * factor;
+            match mine.next_if(|&(v, _)| v == var) {
+                Some((_, own)) => {
+                    let sum = own + scaled;
+                    if !sum.is_zero() {
+                        merged.push((var, sum));
+                    }
+                }
+                None => merged.push((var, scaled)),
+            }
         }
+        merged.extend(mine);
+        self.terms = merged;
         self.add_constant(other.constant * factor);
     }
 
@@ -156,7 +192,7 @@ impl LinearRow {
     pub fn normalize_integral(&mut self) {
         self.normalize_integral_signed();
         // Make the leading coefficient positive.
-        if let Some((_, lead)) = self.terms.first_key_value() {
+        if let Some((_, lead)) = self.terms.first() {
             if lead.is_negative() {
                 self.scale(Rational::from_integer(-1));
             }
@@ -179,7 +215,8 @@ impl LinearRow {
         let mut lcm: i128 = 1;
         for den in self
             .terms
-            .values()
+            .iter()
+            .map(|(_, coef)| coef)
             .chain([&self.constant])
             .map(Rational::denominator)
         {
@@ -193,7 +230,8 @@ impl LinearRow {
         let mut g: u128 = 0;
         for num in self
             .terms
-            .values()
+            .iter()
+            .map(|(_, coef)| coef)
             .chain([&self.constant])
             .map(Rational::numerator)
         {
@@ -275,6 +313,7 @@ impl FromIterator<(usize, Rational)> for LinearRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn terms_cancel_and_disappear() {
@@ -339,6 +378,181 @@ mod tests {
         let value = row.evaluate(|v| Rational::from_integer(v as i128 + 1));
         // 2*1 - 2 + 1 = 1
         assert_eq!(value, Rational::ONE);
+    }
+
+    /// The `BTreeMap` row the sorted-vector row must behave exactly like.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Model {
+        terms: BTreeMap<usize, Rational>,
+        constant: Rational,
+    }
+
+    impl Model {
+        fn add_term(&mut self, var: usize, coef: Rational) {
+            if coef.is_zero() {
+                return;
+            }
+            let entry = self.terms.entry(var).or_insert(Rational::ZERO);
+            *entry += coef;
+            if entry.is_zero() {
+                self.terms.remove(&var);
+            }
+        }
+
+        fn scale(&mut self, factor: Rational) {
+            if factor.is_zero() {
+                self.terms.clear();
+                self.constant = Rational::ZERO;
+                return;
+            }
+            for coef in self.terms.values_mut() {
+                *coef = *coef * factor;
+            }
+            self.constant = self.constant * factor;
+        }
+
+        fn add_scaled(&mut self, other: &Model, factor: Rational) {
+            if factor.is_zero() {
+                return;
+            }
+            for (&var, &coef) in &other.terms {
+                self.add_term(var, coef * factor);
+            }
+            self.constant += other.constant * factor;
+        }
+
+        fn normalize_integral_signed(&mut self) {
+            if self.terms.is_empty() {
+                return;
+            }
+            let mut lcm: i128 = 1;
+            for coef in self.terms.values().chain([&self.constant]) {
+                let den = coef.denominator();
+                lcm = lcm / gcd(lcm.unsigned_abs(), den.unsigned_abs()) as i128 * den;
+            }
+            self.scale(Rational::from_integer(lcm));
+            let mut g: u128 = 0;
+            for coef in self.terms.values().chain([&self.constant]) {
+                g = gcd(g, coef.numerator().unsigned_abs());
+            }
+            if g > 1 {
+                self.scale(Rational::new(1, g as i128));
+            }
+        }
+
+        fn normalize_integral(&mut self) {
+            self.normalize_integral_signed();
+            if let Some((_, lead)) = self.terms.first_key_value() {
+                if lead.is_negative() {
+                    self.scale(Rational::from_integer(-1));
+                }
+            }
+        }
+    }
+
+    /// Asserts that `row` reads exactly like `model`.
+    fn assert_matches(row: &LinearRow, model: &Model, step: usize) {
+        let expected: Vec<(usize, Rational)> = model.terms.iter().map(|(v, c)| (*v, *c)).collect();
+        assert_eq!(row.iter().collect::<Vec<_>>(), expected, "step {step}");
+        assert_eq!(row.len(), model.terms.len(), "step {step}");
+        assert_eq!(row.constant(), model.constant, "step {step}");
+        for var in 0..VARS + 1 {
+            assert_eq!(
+                row.coefficient(var),
+                model.terms.get(&var).copied().unwrap_or_default(),
+                "step {step}, x{var}"
+            );
+            assert_eq!(row.contains(var), model.terms.contains_key(&var));
+        }
+    }
+
+    const VARS: usize = 12;
+
+    #[test]
+    fn sorted_rows_match_the_map_reference_model() {
+        // A deterministic xorshift64 stream.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let small = |next: &mut dyn FnMut() -> u64| {
+            let num = (next() % 7) as i128 - 3;
+            let den = [1, 1, 1, 2, 3][(next() % 5) as usize];
+            Rational::new(num, den)
+        };
+        let mut rows = [(LinearRow::new(), Model::default()), Default::default()];
+        let (mut cancelled, mut merged) = (0, 0);
+        for step in 0..20_000 {
+            let which = (next() % 2) as usize;
+            let var = (next() % VARS as u64) as usize;
+            match next() % 8 {
+                0..=2 => {
+                    let coef = small(&mut next);
+                    let (row, model) = &mut rows[which];
+                    row.add_term(var, coef);
+                    model.add_term(var, coef);
+                    // Cancel the term just touched now and then.
+                    if next() % 4 == 0 {
+                        let back = -row.coefficient(var);
+                        row.add_term(var, back);
+                        model.add_term(var, back);
+                        cancelled += usize::from(!back.is_zero());
+                    }
+                }
+                3 | 4 => {
+                    let factor = small(&mut next);
+                    let (other_row, other_model) = rows[1 - which].clone();
+                    let (row, model) = &mut rows[which];
+                    row.add_scaled(&other_row, factor);
+                    model.add_scaled(&other_model, factor);
+                    merged += usize::from(!other_row.is_empty() && !factor.is_zero());
+                }
+                5 => {
+                    let factor = small(&mut next);
+                    let (row, model) = &mut rows[which];
+                    row.scale(factor);
+                    model.scale(factor);
+                }
+                6 => {
+                    let (row, model) = &mut rows[which];
+                    row.normalize_integral();
+                    model.normalize_integral();
+                }
+                _ => {
+                    let (row, model) = &mut rows[which];
+                    row.normalize_integral_signed();
+                    model.normalize_integral_signed();
+                }
+            }
+            // Start afresh now and then, and before coefficients grow
+            // towards overflow.
+            let huge = rows[which]
+                .0
+                .iter()
+                .any(|(_, c)| c.numerator().unsigned_abs() > 1 << 40 || c.denominator() > 1 << 40);
+            if huge || next() % 50 == 0 {
+                let constant = small(&mut next);
+                let (row, model) = &mut rows[which];
+                *row = LinearRow::new();
+                row.add_constant(constant);
+                *model = Model {
+                    constant,
+                    ..Model::default()
+                };
+            }
+            for (row, model) in &rows {
+                assert_matches(row, model, step);
+            }
+            assert_eq!(
+                rows[0].0 == rows[1].0,
+                rows[0].1 == rows[1].1,
+                "step {step}"
+            );
+        }
+        assert!(cancelled > 1_000 && merged > 1_000, "{cancelled} {merged}");
     }
 
     #[test]

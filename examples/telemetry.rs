@@ -122,6 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The documented taxonomy is all present in one run.
     for required in [
+        "fabric.build",
         "colors.derive",
         "invariants.derive",
         "compose.certify",
@@ -131,6 +132,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         assert!(totals.contains_key(required), "{required} span missing");
     }
+    // Every tile is built once at compose time and each class engine
+    // builds its own tile once more.
+    assert_eq!(
+        totals["fabric.build"].0,
+        stats.tiles + stats.engines_built as usize
+    );
     // Each tile class is built once and asked once: no per-tile work.
     assert_eq!(totals["template.build"].0 as u64, stats.engines_built);
     assert_eq!(totals["query.check"].0, stats.distinct_classes);

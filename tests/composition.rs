@@ -18,6 +18,8 @@
 use std::sync::Arc;
 
 use advocat::prelude::*;
+use advocat_invariants::{project_interface, ContractPort, InterfaceContract};
+use advocat_noc::PortDirection;
 
 /// Asserts flat/composed agreement around a pinned minimal deadlock-free
 /// capacity: both paths must find a deadlock at `threshold - 1` and prove
@@ -216,4 +218,55 @@ fn projected_contracts_cover_every_tile() {
     assert!(contracts.iter().all(|c| !c.flows.is_empty()));
     let names: Vec<&str> = contracts.iter().map(|c| c.tile.as_str()).collect();
     assert!(names.contains(&"(0,0)") && names.contains(&"(1,1)"));
+}
+
+/// Opens a composed session over a per-node cut of `config`, with the flat
+/// fallback off.
+fn compose_per_node(config: FabricConfig) -> Result<Composition, FabricError> {
+    let partition = Arc::new(Partition::per_node(&config.topology));
+    let options = ComposeOptions::new(2..=2).with_flat_fallback(0);
+    QueryEngine::compose(config, partition, options)
+}
+
+/// Tiles are built on several threads; an unbuildable fabric still fails
+/// to compose with the error of its first tile.
+#[test]
+fn an_unbuildable_fabric_does_not_compose() {
+    let mesh = || FabricConfig::new(Topology::mesh(4, 4).unwrap(), 2).with_directory(5);
+    let zero = compose_per_node(mesh().with_queue_size(0)).map(|_| ());
+    assert!(matches!(zero, Err(FabricError::ZeroQueueSize)), "{zero:?}");
+    let outside = compose_per_node(mesh().with_directory(16)).map(|_| ());
+    assert!(
+        matches!(outside, Err(FabricError::DirectoryOutOfBounds)),
+        "{outside:?}"
+    );
+}
+
+/// The contracts of a session whose tiles were built in parallel are
+/// those of a serial loop over the tiles — build, colors, invariants,
+/// projection — in tile order.
+#[test]
+fn parallel_tile_builds_project_the_serial_contracts() {
+    let config = FabricConfig::new(Topology::mesh(4, 4).unwrap(), 2).with_directory(5);
+    let partition = Partition::per_node(&config.topology);
+    let reference: Vec<InterfaceContract> = (0..partition.num_tiles())
+        .map(|tile| {
+            let system = build_tile_fabric(&config, &partition, tile).unwrap();
+            let colors = derive_colors(&system);
+            let invariants = derive_invariants(&system, &colors);
+            let ports: Vec<ContractPort> = partition
+                .boundary_ports(&config, tile)
+                .into_iter()
+                .map(|p| ContractPort {
+                    queue: p.name,
+                    class: p.class,
+                    ingress: p.direction == PortDirection::Ingress,
+                })
+                .collect();
+            let name = &partition.tile(tile).name;
+            project_interface(&system, &colors, &invariants, name, &ports, 2)
+        })
+        .collect();
+    let composed = compose_per_node(config).unwrap();
+    assert_eq!(composed.contracts(2), reference);
 }

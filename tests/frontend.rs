@@ -2,7 +2,7 @@
 //! the in-process reference, admission refusals, graceful drain,
 //! Prometheus validity and the trace stream.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use advocat::prelude::*;
@@ -263,6 +263,27 @@ fn sigterm_drains_without_losing_accepted_jobs() {
         std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(300)).is_err(),
         "drained server no longer accepts"
     );
+}
+
+/// The accept thread blocks in `accept`, so a drain has to wake it: a
+/// server no client ever connected to still returns from `shutdown()`
+/// and `join()`.
+#[test]
+fn an_idle_server_drains_without_any_connection() {
+    let harness = start(
+        ServiceConfig::default().with_workers(1),
+        FrontendConfig::default(),
+    );
+    let (done, drained) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        harness.server.shutdown();
+        let _ = done.send(harness.server.join());
+    });
+    let idle = drained
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown and join of a server nobody connected to hung");
+    assert!(idle, "no job was ever accepted");
+    joiner.join().expect("the joining thread");
 }
 
 /// Satellite acceptance: `/metrics` is valid Prometheus text exposition

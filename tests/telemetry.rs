@@ -37,12 +37,8 @@ fn traced_check() -> (Report, Vec<String>) {
         },
         ..CheckConfig::default()
     };
-    let system = build_fabric_for_sweep(
-        &FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3),
-        3,
-    )
-    .expect("mesh");
-    let mut engine = QueryEngine::with_config(system, config, 2..=3);
+    let fabric = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    let mut engine = QueryEngine::for_fabric_with(&fabric, config, 2..=3).expect("mesh");
     let report = engine.check(&Query::new().capacity(2));
     telemetry.flush();
     assert_eq!(trace.dropped(), 0, "ring must be large enough for a check");
@@ -98,16 +94,22 @@ fn one_check_reconstructs_the_documented_timeline() {
     assert!(enters
         .iter()
         .any(|l| l.contains("\"name\":\"query.check\"")));
-    // Engine construction derives colors, then invariants, then builds
-    // the template, one span each.
+    // Engine construction builds the fabric, derives colors, then
+    // invariants, then builds the template, one span each.
     let opened = |name: &str| {
         enters
             .iter()
             .position(|l| l.contains(&format!("\"name\":\"{name}\"")))
             .unwrap_or_else(|| panic!("{name} span missing"))
     };
-    let (colors, invariants) = (opened("colors.derive"), opened("invariants.derive"));
-    assert!(colors < invariants && invariants < opened("template.build"));
+    let (fabric, colors) = (opened("fabric.build"), opened("colors.derive"));
+    let invariants = opened("invariants.derive");
+    assert!(fabric < colors && colors < invariants && invariants < opened("template.build"));
+    assert!(
+        enters[fabric].contains("\"fields\":{\"nodes\":\"4\"}"),
+        "{}",
+        enters[fabric]
+    );
     for at in [colors, invariants] {
         assert!(
             enters[at].contains("\"fields\":{\"primitives\":"),
@@ -209,6 +211,7 @@ fn a_composed_check_asks_each_tile_class_once() {
                 .filter(|l| l.starts_with("{\"type\":\"enter\"") && l.contains(&needle))
                 .count()
         };
+        assert_eq!(opened("fabric.build"), builds, "check {round}");
         assert_eq!(opened("template.build"), builds, "check {round}");
         assert_eq!(opened("query.check"), 3, "check {round}");
         assert_eq!(opened("job.execute"), 0, "check {round}");
