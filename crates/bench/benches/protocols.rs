@@ -51,28 +51,28 @@ fn print_comparison() {
         "SAT effort"
     );
     for (name, fabric) in fabrics() {
-        let comparison =
-            QueryEngine::compare_protocols(&fabric, &ProtocolKind::ALL, &Query::new(), SIZES)
+        for family in ProtocolKind::ALL {
+            let mut engine = QueryEngine::for_fabric(&fabric.clone().with_protocol(family), SIZES)
                 .expect("fabric builds for every family");
-        for outcome in &comparison.outcomes {
+            let sizing = engine.minimal_capacity(&Query::new());
+            let stats = engine.stats();
             advocat_telemetry::info!(
                 "{:<12} {:<12} {:<7} {:<9} {:>9} {:>12}",
                 name,
-                outcome.family.name(),
-                outcome.family.message_kind_count(),
-                outcome
-                    .minimal_free_capacity()
+                family.name(),
+                family.message_kind_count(),
+                sizing
+                    .minimal_queue_size
                     .map(|c| c.to_string())
                     .unwrap_or_else(|| format!("> {}", SIZES.end())),
-                outcome.stats.queries,
-                outcome.stats.sat_effort(),
+                stats.queries,
+                stats.sat_effort(),
+            );
+            assert_eq!(
+                stats.templates_built, 1,
+                "one template per family, never per probe"
             );
         }
-        assert_eq!(
-            comparison.templates_built(),
-            ProtocolKind::ALL.len() as u64,
-            "one template per family, never per probe"
-        );
     }
     advocat_telemetry::info!("");
 }

@@ -12,8 +12,9 @@
 //!    [`QueryEngine::compose`] time — and certified deadlock-free on its
 //!    own small encoding.  Tiles of one structural class
 //!    ([`Partition::tile_class_digests`], one fabric digest for all
-//!    tiles) share one engine, built from the class's first tile, and
-//!    each class is asked once per query: the 60 interior tiles of a big
+//!    tiles) share one engine, built from the class's first tile as
+//!    compose derived it (only the template is new), and each class is
+//!    asked once per query: the 60 interior tiles of a big
 //!    mesh take the verdict of the one interior engine.  Every tile keeps
 //!    its own invariants and contract: the class digest is coarse, and
 //!    tiles of one class route different destination colors;
@@ -52,7 +53,7 @@
 //! ```
 
 use std::ops::RangeInclusive;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use advocat_automata::{System, SystemStats};
@@ -68,7 +69,6 @@ use advocat_noc::{
 };
 use advocat_xmas::ColorMap;
 
-use crate::batch::fan_out;
 use crate::query::{build_traced, derive_traced, QueryEngine};
 use crate::report::Report;
 
@@ -147,8 +147,8 @@ struct TileData {
 /// One structural tile class and its engine.
 struct TileClass {
     digest: ConfigDigest,
-    /// The class's first tile in tile order, whose closed subsystem the
-    /// engine is built from.
+    /// The class's first tile in tile order, whose kept subsystem, colors
+    /// and invariants the engine is built from.
     tile: usize,
     /// Built at the first composed check.
     engine: Option<QueryEngine>,
@@ -207,7 +207,7 @@ impl QueryEngine {
         options: ComposeOptions,
     ) -> Result<Composition, FabricError> {
         let telemetry = &options.check.solver.telemetry;
-        let built = fan_out(0..partition.num_tiles(), 0, |tile| {
+        let built = fan_out(0..partition.num_tiles(), |tile| {
             let nodes = partition.tile(tile).nodes().len();
             let system = build_traced(telemetry, nodes, || {
                 build_tile_fabric(&config, &partition, tile)
@@ -273,9 +273,10 @@ impl Composition {
     /// composed candidate is over-approximate and carries an attribution
     /// naming the tile or interface it touches.
     ///
-    /// The first composed check builds the class engines, on at most
-    /// [`std::thread::available_parallelism`] threads; later checks reuse
-    /// them warm.
+    /// The first composed check builds the class engines' templates, on
+    /// at most [`std::thread::available_parallelism`] threads, from the
+    /// tiles compose already built and derived; later checks reuse the
+    /// engines warm.
     ///
     /// # Panics
     ///
@@ -403,15 +404,24 @@ impl Composition {
     }
 
     /// Asks every class engine `query` once, building the missing ones
-    /// first, and returns one report per class in class order.  Threads
-    /// (at most [`std::thread::available_parallelism`]) pull classes one
-    /// at a time; a panic on any of them is resumed here.
+    /// first, and returns one report per class in class order.  A class
+    /// engine is built from its first tile's subsystem, colors and
+    /// invariants as [`QueryEngine::compose`] kept them: only its template
+    /// is new.  Threads (at most [`std::thread::available_parallelism`])
+    /// pull classes one at a time; a panic on any of them is resumed here.
     fn certify(&mut self, query: &Query) -> Vec<Report> {
-        let (config, partition, options) = (&self.config, &*self.partition, &self.options);
-        fan_out(self.classes.iter_mut(), 0, |class| {
-            let engine = class
-                .engine
-                .get_or_insert_with(|| class_engine(config, partition, class.tile, options));
+        let (tiles, options) = (&self.tiles, &self.options);
+        fan_out(self.classes.iter_mut(), |class| {
+            let engine = class.engine.get_or_insert_with(|| {
+                let tile = &tiles[class.tile];
+                QueryEngine::from_derived(
+                    tile.system.clone(),
+                    &tile.colors,
+                    tile.invariants.clone(),
+                    options.check.clone(),
+                    options.capacities.clone(),
+                )
+            });
             engine.check(query)
         })
     }
@@ -514,21 +524,49 @@ impl Composition {
     }
 }
 
-/// Builds a class engine from `tile`'s closed subsystem, with queues sized
-/// for the top of the capacity range and one template over the range.
-fn class_engine(
-    config: &FabricConfig,
-    partition: &Partition,
-    tile: usize,
-    options: &ComposeOptions,
-) -> QueryEngine {
-    let sized = config.clone().with_queue_size(*options.capacities.end());
-    let nodes = partition.tile(tile).nodes().len();
-    let system = build_traced(&options.check.solver.telemetry, nodes, || {
-        build_tile_fabric(&sized, partition, tile)
-    })
-    .expect("tiles built at compose time");
-    QueryEngine::with_config(system, options.check.clone(), options.capacities.clone())
+/// Applies `work` to every item on at most
+/// [`std::thread::available_parallelism`] scoped threads (never more than
+/// there are items) that pull items one at a time, and returns the
+/// results in item order.  A panic on any thread is resumed on the
+/// caller's.
+fn fan_out<I, R>(items: I, work: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    I::Item: Send,
+    R: Send,
+{
+    let items = items.into_iter();
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(1, items.len().max(1));
+    let pending = Mutex::new(items.enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = pending.lock().expect("work queue").next();
+                        let Some((index, item)) = next else {
+                            return done;
+                        };
+                        done.push((index, work(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_by_key(|(index, _)| *index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 fn accumulate(total: &mut AnalysisStats, delta: &AnalysisStats) {
@@ -604,6 +642,32 @@ mod tests {
         let mut composition =
             QueryEngine::compose(config, partition, ComposeOptions::new(2..=3)).unwrap();
         composition.check(&Query::new().capacity(5));
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_item_order() {
+        // Early items take longest, so more than one thread finishes them
+        // out of order.
+        let results = fan_out(0..8u32, |item| {
+            std::thread::sleep(std::time::Duration::from_millis(u64::from(8 - item)));
+            item * 10
+        });
+        assert_eq!(results, (0..8).map(|item| item * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_out_takes_empty_input_and_fewer_items_than_threads() {
+        assert!(fan_out(Vec::<u32>::new(), |item| item).is_empty());
+        assert_eq!(fan_out(vec![7], |item| item + 1), vec![8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 failed")]
+    fn a_panic_on_a_fan_out_thread_reaches_the_caller() {
+        fan_out(0..6, |item| {
+            assert_ne!(item, 3, "item {item} failed");
+            item
+        });
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //! system, one derived encoding and one persistent solver, and answers any
 //! number of [`Query`]s — each a point in the capacity × [`DeadlockTarget`]
 //! × invariant-strengthening space, every dimension a retractable selector
-//! in the same session.  On top of it sit [`QueryEngine::minimal_capacity`]
-//! (the queue-sizing search behind Figure 4 of the paper) and [`run_batch`]
-//! (parallel scenarios, one session per scenario).  A `Query` is the only
-//! way to name the deadlock question: every layer — the engine, batches,
+//! in the same session.  [`QueryEngine::minimal_capacity`] runs the
+//! queue-sizing search behind Figure 4 of the paper on one engine.  Two
+//! shapes sit beside the engine: a [`Composition`]
+//! ([`QueryEngine::compose`]) certifies a large fabric tile class by tile
+//! class and checks the boundary between the tiles, and a [`Service`]
+//! answers many clients' jobs from one warm engine pool.  A `Query` is
+//! the only way to name the deadlock question: every layer — the engine,
 //! the service, composition and the JSON wire form — carries one
 //! [`DeadlockTarget`], and every "deadlock-free" verdict comes from a
 //! solver run.  [`verify_system`](advocat_deadlock::verify_system) checks
@@ -54,18 +57,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod compose;
-mod family;
 pub mod prelude;
 mod query;
 mod report;
 pub mod service;
 mod sizing;
 
-pub use batch::{run_batch, BatchOutcome, BatchScenario};
 pub use compose::{ComposeOptions, ComposeStats, Composition};
-pub use family::{FamilyOutcome, ProtocolComparison};
 pub use query::{QueryEngine, SessionStats};
 pub use report::Report;
 pub use service::{

@@ -10,8 +10,7 @@
 //! ```
 
 pub use crate::{
-    run_batch, BatchOutcome, BatchScenario, ComposeOptions, ComposeStats, Composition,
-    FamilyOutcome, ProtocolComparison, QueryEngine, Report, SessionStats, SizingResult,
+    ComposeOptions, ComposeStats, Composition, QueryEngine, Report, SessionStats, SizingResult,
 };
 
 pub use crate::service::{

@@ -191,6 +191,19 @@ impl QueryEngine {
         capacities: RangeInclusive<usize>,
     ) -> Self {
         let (colors, invariants) = derive_traced(&system, &config.solver.telemetry);
+        QueryEngine::from_derived(system, &colors, invariants, config, capacities)
+    }
+
+    /// Builds an engine for `system` from colors and invariants already
+    /// derived for it: only the template is built, under the
+    /// `template.build` span.
+    pub(crate) fn from_derived(
+        system: System,
+        colors: &ColorMap,
+        invariants: InvariantSet,
+        config: CheckConfig,
+        capacities: RangeInclusive<usize>,
+    ) -> Self {
         let _span = config.solver.telemetry.span_with("template.build", || {
             vec![
                 ("primitives", system.network().primitive_count().to_string()),
@@ -198,7 +211,7 @@ impl QueryEngine {
                 ("capacities", format!("{capacities:?}")),
             ]
         });
-        let template = EncodingTemplate::build(&system, &colors, &invariants, capacities);
+        let template = EncodingTemplate::build(&system, colors, &invariants, capacities);
         QueryEngine {
             system,
             invariants,

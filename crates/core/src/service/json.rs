@@ -155,6 +155,13 @@ impl JobRequest {
     /// Returns a [`JsonError`] when the requested topology cannot be
     /// constructed (degenerate dimensions and the like).
     pub fn to_jobs(&self) -> Result<Vec<VerifyJob>, JsonError> {
+        Ok(self.sweep()?.collect())
+    }
+
+    /// Builds the request's fabric and returns its jobs, one per
+    /// capacity, generated as they are taken: a wide sweep is never held
+    /// in memory whole.
+    fn sweep(&self) -> Result<impl Iterator<Item = VerifyJob>, JsonError> {
         let fabric = self.build_fabric()?;
         let mut config = CheckConfig::default();
         if let Some(limit) = self.max_refinements {
@@ -163,22 +170,19 @@ impl JobRequest {
         if let Some(budget) = self.theory_node_budget {
             config.theory_node_budget = budget;
         }
-        Ok(self
-            .capacities
-            .clone()
-            .map(|capacity| {
-                let mut job = VerifyJob::new(self.name.clone(), fabric.clone())
-                    .with_target(self.target)
-                    .with_config(config.clone())
-                    .at_capacity(capacity)
-                    .with_engine_range(self.capacities.clone())
-                    .with_invariants(self.invariants);
-                if let Some(ms) = self.timeout_ms {
-                    job = job.with_timeout(Duration::from_millis(ms));
-                }
-                job
-            })
-            .collect())
+        let request = self.clone();
+        Ok(self.capacities.clone().map(move |capacity| {
+            let mut job = VerifyJob::new(request.name.clone(), fabric.clone())
+                .with_target(request.target)
+                .with_config(config.clone())
+                .at_capacity(capacity)
+                .with_engine_range(request.capacities.clone())
+                .with_invariants(request.invariants);
+            if let Some(ms) = request.timeout_ms {
+                job = job.with_timeout(Duration::from_millis(ms));
+            }
+            job
+        }))
     }
 
     fn build_fabric(&self) -> Result<FabricConfig, JsonError> {
@@ -269,14 +273,24 @@ pub fn requests_from_json(text: &str) -> Result<Vec<JobRequest>, JsonError> {
     }
 }
 
-/// Parses a request file and expands every request into its per-capacity
-/// jobs, in request order — what the service submits for a JSON payload.
-pub(crate) fn jobs_from_json(text: &str) -> Result<Vec<VerifyJob>, JsonError> {
-    let mut jobs = Vec::new();
-    for request in requests_from_json(text)? {
-        jobs.extend(request.to_jobs()?);
-    }
-    Ok(jobs)
+/// Parses a request file and builds every request's fabric, in request
+/// order — what the service submits for a JSON payload.  Each request
+/// comes as its job count, taken from its capacity range (saturating at
+/// `usize::MAX`, which no queue admits), and its jobs, built as they are
+/// taken.
+pub(crate) fn sweeps_from_json(
+    text: &str,
+) -> Result<Vec<(usize, impl Iterator<Item = VerifyJob>)>, JsonError> {
+    requests_from_json(text)?
+        .iter()
+        .map(|request| {
+            let (start, end) = (*request.capacities.start(), *request.capacities.end());
+            let jobs = end
+                .checked_sub(start)
+                .map_or(0, |gap| gap.saturating_add(1));
+            Ok((jobs, request.sweep()?))
+        })
+        .collect()
 }
 
 /// Checks that `text` is one syntactically well-formed JSON value of any
@@ -1113,7 +1127,8 @@ mod tests {
         ] {
             let text =
                 format!(r#"{{"name": "x", "topology": {topology}, "directory": 4294967299}}"#);
-            let jobs = jobs_from_json(&text).expect("the request parses");
+            let requests = requests_from_json(&text).expect("the request parses");
+            let jobs = requests[0].to_jobs().expect("the fabric is configured");
             assert_eq!(jobs[0].fabric.directory, 4_294_967_299);
             service.submit_json(&text).expect("the request is admitted");
         }
@@ -1159,8 +1174,8 @@ mod tests {
             (r#"{"kind": "ring", "nodes": 4000000000}"#, "supported size"),
         ] {
             let text = format!(r#"{{"name": "x", "topology": {topology}}}"#);
-            requests_from_json(&text).expect("the request itself is well-formed");
-            let error = jobs_from_json(&text).unwrap_err();
+            let requests = requests_from_json(&text).expect("the request itself is well-formed");
+            let error = requests[0].to_jobs().unwrap_err();
             assert!(
                 error.message.starts_with("bad topology") && error.message.contains(reason),
                 "{topology} → {error}"
@@ -1171,6 +1186,52 @@ mod tests {
             ));
         }
         assert_eq!(service.stats().submitted, 0);
+    }
+
+    /// A request set is counted from its capacity ranges before any job
+    /// of it is built: a sweep wider than the queue is refused whole, with
+    /// its full job count, however wide it is.
+    #[test]
+    fn a_sweep_wider_than_the_queue_is_refused_before_it_is_expanded() {
+        let service = Service::new(ServiceConfig::default().with_workers(1));
+        let wide = |end: &str| {
+            format!(
+                r#"{{"name": "wide", "topology": {{"kind": "mesh", "width": 2, "height": 2}},
+                     "capacities": [1, {end}]}}"#
+            )
+        };
+        for (end, jobs) in [
+            ("2000", 2_000),
+            ("200000", 200_000),
+            ("4000000000", 4_000_000_000),
+        ] {
+            assert_eq!(
+                service.try_submit_json(&wide(end)),
+                Err(JsonSubmitError::QueueFull {
+                    jobs,
+                    capacity: 1024
+                }),
+                "[1, {end}]"
+            );
+        }
+        // Two sweeps whose sizes overflow a `usize` between them.
+        let max = u64::MAX.to_string();
+        let both = format!(r#"[{}, {}]"#, wide(&max), wide(&max));
+        assert_eq!(
+            service.try_submit_json(&both),
+            Err(JsonSubmitError::QueueFull {
+                jobs: usize::MAX,
+                capacity: 1024
+            })
+        );
+        // Malformed input is refused as such before anything is counted.
+        let bad = r#"{"name": "x", "topology": {"kind": "ring", "nodes": 2}, "capacities": [1, 4000000000]}"#;
+        assert!(matches!(
+            service.try_submit_json(bad),
+            Err(JsonSubmitError::Json(_))
+        ));
+        assert_eq!(service.stats().submitted, 0);
+        assert!(service.drain().is_empty());
     }
 
     #[test]

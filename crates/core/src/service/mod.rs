@@ -1,9 +1,9 @@
 //! The long-running verification service: many clients, one warm fleet.
 //!
-//! [`run_batch`](crate::run_batch) verifies *one* caller's scenarios, one
-//! engine per scenario; a [`Service`] is the production shape — a
-//! long-lived, concurrent front door that amortises engine construction
-//! **across** submissions.  Three layers:
+//! A [`QueryEngine`] answers *one* caller's questions about one fabric;
+//! a [`Service`] is the production shape — a long-lived, concurrent front
+//! door that amortises engine construction **across** submissions and
+//! clients.  Three layers:
 //!
 //! * a **warm-engine pool** ([`PoolStats`]): engines are keyed by a
 //!   [`Fingerprint`] of the canonical fabric structure, capacity range
@@ -76,7 +76,7 @@ use advocat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use crate::query::{build_traced, QueryEngine, SessionStats};
 use crate::report::Report;
 
-use json::jobs_from_json;
+use json::sweeps_from_json;
 use pool::{Checkout, EnginePool};
 
 /// Configuration of a [`Service`].
@@ -737,15 +737,17 @@ impl Service {
     }
 
     /// Parses [`JobRequest`]s from JSON (a single object or an array) and
-    /// submits each as a sweep of per-capacity jobs.
+    /// submits each as a sweep of per-capacity jobs, building each job as
+    /// it is submitted.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] when the text is not valid job JSON; no
     /// jobs are submitted in that case.
     pub fn submit_json(&self, text: &str) -> Result<Vec<JobId>, JsonError> {
-        Ok(jobs_from_json(text)?
+        Ok(sweeps_from_json(text)?
             .into_iter()
+            .flat_map(|(_, jobs)| jobs)
             .map(|job| self.submit(job))
             .collect())
     }
@@ -754,7 +756,10 @@ impl Service {
     /// all-or-nothing**: either every job of the request set fits in the
     /// bounded queue and all are admitted, or none is.  This is the
     /// admission path of the HTTP front-end, where a full queue must turn
-    /// into `429 Too Many Requests` instead of a stalled connection.
+    /// into `429 Too Many Requests` instead of a stalled connection.  The
+    /// set's jobs are counted from its capacity ranges first, so a set
+    /// larger than the whole queue is refused before any of its jobs is
+    /// built, at a cost that does not grow with its size.
     ///
     /// # Errors
     ///
@@ -762,13 +767,19 @@ impl Service {
     /// [`JsonSubmitError::QueueFull`] when the queue lacks room for the
     /// whole set.  No jobs are admitted in either case.
     pub fn try_submit_json(&self, text: &str) -> Result<Vec<JobId>, JsonSubmitError> {
-        let jobs = jobs_from_json(text).map_err(JsonSubmitError::Json)?;
-        let count = jobs.len();
-        self.try_submit_all(jobs)
-            .map_err(|SubmitError::QueueFull| JsonSubmitError::QueueFull {
-                jobs: count,
-                capacity: self.shared.queue_capacity,
-            })
+        let sweeps = sweeps_from_json(text).map_err(JsonSubmitError::Json)?;
+        let jobs = sweeps
+            .iter()
+            .fold(0, |total: usize, (jobs, _)| total.saturating_add(*jobs));
+        let full = JsonSubmitError::QueueFull {
+            jobs,
+            capacity: self.shared.queue_capacity,
+        };
+        if jobs > self.shared.queue_capacity {
+            return Err(full);
+        }
+        self.try_submit_all(sweeps.into_iter().flat_map(|(_, jobs)| jobs).collect())
+            .map_err(|SubmitError::QueueFull| full)
     }
 
     /// Blocks until the next unconsumed outcome is available and returns

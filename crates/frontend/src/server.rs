@@ -383,7 +383,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 fn route(request: &Request, shared: &Shared) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/v1/jobs") => submit_jobs(request, shared),
-        ("POST", "/v1/batch") => run_batch(request, shared),
+        ("POST", "/v1/batch") => submit_and_wait(request, shared),
         ("GET", path) if path.strip_prefix("/v1/jobs/").is_some() => {
             let id = path.strip_prefix("/v1/jobs/").expect("guard matched");
             poll_job(id, request, shared)
@@ -461,7 +461,7 @@ fn poll_job(id: &str, request: &Request, shared: &Shared) -> Response {
 
 /// `POST /v1/batch` — submit an array and wait for all of its outcomes,
 /// reported in submission order.
-fn run_batch(request: &Request, shared: &Shared) -> Response {
+fn submit_and_wait(request: &Request, shared: &Shared) -> Response {
     let ids = match admit(request, shared) {
         Ok(ids) => ids,
         Err(refusal) => return refusal,

@@ -66,33 +66,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 4. MI vs MESI on the same fabric, one engine per family. -----
     println!("\n== MI vs MESI, same 2×2 mesh, same sweep ==");
     let fabric = FabricConfig::new(Topology::mesh(2, 2)?, 1).with_directory(3);
-    let comparison = QueryEngine::compare_protocols(
-        &fabric,
-        &[ProtocolKind::AbstractMi, ProtocolKind::Mesi],
-        &Query::new(),
-        1..=4,
-    )?;
     println!(
         "{:<12} {:<8} {:<10} {:>10} {:>12}",
         "protocol", "kinds", "min free", "queries", "SAT effort"
     );
-    for outcome in &comparison.outcomes {
+    let mut templates = 0;
+    for family in [ProtocolKind::AbstractMi, ProtocolKind::Mesi] {
+        let mut engine = QueryEngine::for_fabric(&fabric.clone().with_protocol(family), 1..=4)?;
+        let sizing = engine.minimal_capacity(&Query::new());
+        let stats = engine.stats();
+        templates += stats.templates_built;
         println!(
             "{:<12} {:<8} {:<10} {:>10} {:>12}",
-            outcome.family.name(),
-            outcome.family.message_kind_count(),
-            outcome
-                .minimal_free_capacity()
+            family.name(),
+            family.message_kind_count(),
+            sizing
+                .minimal_queue_size
                 .map(|c| c.to_string())
                 .unwrap_or("> 4".to_owned()),
-            outcome.stats.queries,
-            outcome.stats.sat_effort(),
+            stats.queries,
+            stats.sat_effort(),
         );
     }
-    println!(
-        "templates built across the study: {} (one per family, never per probe)",
-        comparison.templates_built()
-    );
+    println!("templates built across the study: {templates} (one per family, never per probe)");
 
     // --- 5. The same protocol rides other topology families. ----------
     println!("\n== MESI across topologies ==");

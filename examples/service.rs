@@ -1,9 +1,9 @@
 //! The verification service: submit JSON jobs, stream outcomes, drain.
 //!
-//! A long-running deployment of ADVOCAT does not call `run_batch` once —
-//! it answers a stream of requests from many clients, most of which
-//! describe fabrics the service has seen before.  This example drives the
-//! `Service` the way such a deployment would:
+//! A long-running deployment of ADVOCAT does not answer one caller on one
+//! `QueryEngine` — it answers a stream of requests from many clients, most
+//! of which describe fabrics the service has seen before.  This example
+//! drives the `Service` the way such a deployment would:
 //!
 //! 1. **submit** a JSON request file (two requests, one a capacity sweep),
 //! 2. **stream** outcomes as they complete with `next_outcome`, printing

@@ -132,12 +132,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         assert!(totals.contains_key(required), "{required} span missing");
     }
-    // Every tile is built once at compose time and each class engine
-    // builds its own tile once more.
-    assert_eq!(
-        totals["fabric.build"].0,
-        stats.tiles + stats.engines_built as usize
-    );
+    // Every tile is built and derived once, at compose time: each class
+    // engine reuses its first tile and builds only its template.
+    assert_eq!(totals["fabric.build"].0, stats.tiles);
+    assert_eq!(totals["invariants.derive"].0, stats.tiles);
     // Each tile class is built once and asked once: no per-tile work.
     assert_eq!(totals["template.build"].0 as u64, stats.engines_built);
     assert_eq!(totals["query.check"].0, stats.distinct_classes);

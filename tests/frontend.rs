@@ -65,38 +65,29 @@ fn str_field(body: &str, key: &str) -> Option<String> {
     }
 }
 
-/// The tentpole's acceptance test: 16 concurrent TCP clients, each with
-/// its own fingerprint (a distinct non-binding `theory_node_budget`, so
-/// every client cold-builds exactly like the reference), produce the
-/// same verdicts and byte-identical counterexample witnesses as
-/// in-process [`run_batch`] over the same scenarios.
+/// 16 concurrent TCP clients, each with its own fingerprint (a distinct
+/// non-binding `theory_node_budget`, so every client cold-builds exactly
+/// like the reference), produce the same verdicts and byte-identical
+/// counterexample witnesses as one in-process engine per client over the
+/// same fabric, range and budget, asked the same capacities in order.
 #[test]
-fn sixteen_concurrent_clients_match_in_process_run_batch() {
+fn sixteen_concurrent_clients_match_one_in_process_engine_each() {
     const CLIENTS: usize = 16;
-    let mesh = || FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
 
-    // In-process reference: one scenario per client, same budgets.
-    let scenarios: Vec<BatchScenario> = (0..CLIENTS)
+    // In-process reference: one engine per client, same budgets.
+    let expected: Vec<Vec<(usize, bool, Option<String>)>> = (0..CLIENTS)
         .map(|k| {
             let config = CheckConfig {
                 theory_node_budget: 1_000_000 + k as u64,
                 ..CheckConfig::default()
             };
-            BatchScenario::new(format!("client-{k}"), mesh())
-                .with_sweep(2..=3)
-                .with_config(config)
-        })
-        .collect();
-    let reference = run_batch(&scenarios, 4);
-    let expected: Vec<Vec<(usize, bool, Option<String>)>> = reference
-        .iter()
-        .map(|outcome| {
-            outcome
-                .sweep
-                .iter()
-                .map(|(capacity, report)| {
+            let mut engine = QueryEngine::for_fabric_with(&mesh, config, 2..=3).unwrap();
+            (2..=3)
+                .map(|capacity| {
+                    let report = engine.check(&Query::new().capacity(capacity));
                     (
-                        *capacity,
+                        capacity,
                         report.is_deadlock_free(),
                         report.counterexample().map(ToString::to_string),
                     )
@@ -156,7 +147,7 @@ fn sixteen_concurrent_clients_match_in_process_run_batch() {
         let got = handle.join().expect("client thread");
         assert_eq!(
             got, expected[k],
-            "client {k}: live verdicts/witnesses must match run_batch"
+            "client {k}: live verdicts/witnesses must match the in-process engine"
         );
     }
 
@@ -208,6 +199,52 @@ fn overflowing_the_admission_queue_answers_429_with_retry_after() {
         .expect("transport")
         .expect("admitted");
     assert_eq!(ok.len(), 2);
+
+    harness.server.shutdown();
+    assert!(harness.server.join());
+}
+
+/// A sweep of four billion capacities is counted from its range, not
+/// expanded: the daemon answers `429` with the full job count, admits
+/// nothing, and keeps serving.
+#[test]
+fn a_four_billion_capacity_sweep_answers_429_without_expanding() {
+    let harness = start(
+        ServiceConfig::default().with_workers(1),
+        FrontendConfig::default(),
+    );
+    let mut client = client_for(&harness.server);
+
+    let exchange = client
+        .submit(
+            "{\"name\":\"wide\",\"topology\":{\"kind\":\"mesh\",\"width\":2,\"height\":2},\
+              \"capacities\":[1,4000000000]}",
+        )
+        .expect("transport")
+        .expect_err("refused");
+    assert_eq!(exchange.status, 429, "{}", exchange.body);
+    assert_eq!(exchange.header("retry-after"), Some("1"));
+    assert!(
+        exchange.body.contains("\"jobs\":4000000000")
+            && exchange.body.contains("\"capacity\":1024"),
+        "{}",
+        exchange.body
+    );
+    assert_eq!(harness.service.stats().submitted, 0);
+
+    let health = client.health().expect("transport");
+    assert_eq!(health.status, 200);
+    assert!(health.body.contains("\"pending\":0"), "{}", health.body);
+
+    // The daemon still admits a sweep that fits.
+    let ids = client
+        .submit(
+            "{\"name\":\"fits\",\"topology\":{\"kind\":\"ring\",\"nodes\":3},\
+              \"queue_size\":1,\"capacities\":[1,2]}",
+        )
+        .expect("transport")
+        .expect("admitted");
+    assert_eq!(ids.len(), 2);
 
     harness.server.shutdown();
     assert!(harness.server.join());

@@ -65,27 +65,21 @@ fn invariant_ablation_flips_the_mesi_verdict() {
 }
 
 /// One study answers the MI-vs-MESI comparison on the same fabric: one
-/// engine (and therefore one encoding template) per protocol family, so
-/// the whole sweep builds at most two templates.
+/// engine (and therefore one encoding template) per protocol family, each
+/// answering its whole sizing search.
 #[test]
 fn one_study_compares_mi_and_mesi_minimal_capacities() {
     let fabric = FabricConfig::new(Topology::mesh(2, 2).expect("mesh"), 1).with_directory(3);
-    let comparison = QueryEngine::compare_protocols(
-        &fabric,
-        &[ProtocolKind::AbstractMi, ProtocolKind::Mesi],
-        &Query::new(),
-        1..=4,
-    )
-    .expect("both fabrics build");
-
-    assert!(comparison.templates_built() <= 2);
-    assert_eq!(comparison.minimal(ProtocolKind::AbstractMi), Some(3));
-    assert_eq!(comparison.minimal(ProtocolKind::Mesi), Some(3));
-    // Every family answered several probes from its one session.
-    for outcome in &comparison.outcomes {
-        assert_eq!(outcome.stats.templates_built, 1, "{}", outcome.family);
-        assert!(outcome.stats.queries >= 2, "{}", outcome.family);
-        assert!(outcome.sizing.is_free_at(3), "{}", outcome.family);
+    for family in [ProtocolKind::AbstractMi, ProtocolKind::Mesi] {
+        let mut engine = QueryEngine::for_fabric(&fabric.clone().with_protocol(family), 1..=4)
+            .expect("both fabrics build");
+        let sizing = engine.minimal_capacity(&Query::new());
+        assert_eq!(sizing.minimal_queue_size, Some(3), "{family}");
+        // The family answered several probes from its one session.
+        let stats = engine.stats();
+        assert_eq!(stats.templates_built, 1, "{family}");
+        assert!(stats.queries >= 2, "{family}");
+        assert!(sizing.is_free_at(3), "{family}");
     }
 }
 

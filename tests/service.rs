@@ -77,42 +77,6 @@ fn outcomes_are_identical_at_any_worker_count() {
     assert!(transcripts[0].iter().any(|t| t.4.is_some()));
 }
 
-/// `run_batch` outcomes (including the `workers == 0` machine-sized
-/// mode) must agree across worker counts too.
-#[test]
-fn run_batch_agrees_across_worker_counts_including_machine_sized() {
-    let scenarios = vec![
-        BatchScenario::new(
-            "sweep",
-            FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3),
-        )
-        .with_sweep(2..=3),
-        // A 2×2 mesh has no terminal 4: the fabric never builds.
-        BatchScenario::new(
-            "invalid",
-            FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(4),
-        ),
-    ];
-    let verdicts = |outcomes: &[BatchOutcome]| -> Vec<(String, bool, Vec<bool>)> {
-        outcomes
-            .iter()
-            .map(|o| {
-                (
-                    o.name.clone(),
-                    o.is_deadlock_free(),
-                    o.sweep.iter().map(|(_, r)| r.is_deadlock_free()).collect(),
-                )
-            })
-            .collect()
-    };
-    let one = run_batch(&scenarios, 1);
-    let machine = run_batch(&scenarios, 0);
-    let many = run_batch(&scenarios, 64);
-    assert_eq!(verdicts(&one), verdicts(&machine));
-    assert_eq!(verdicts(&one), verdicts(&many));
-    assert!(one[1].result.is_err(), "1x1 mesh cannot build");
-}
-
 /// Satellite (d): identical fingerprints share one engine — the pool
 /// builds a single template — while a differing solver configuration
 /// forces a second engine.

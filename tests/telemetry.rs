@@ -192,15 +192,17 @@ fn a_traced_composed_check_carries_a_solver_profile() {
 }
 
 /// A composed check asks each structural tile class once, on an engine of
-/// its own: the first check builds one engine per class, the second
-/// reuses them, and neither runs a service job.
+/// its own: the first check builds one template per class from the tile
+/// compose already built and derived, the second reuses the engines, and
+/// neither builds a fabric, derives colors or invariants, or runs a
+/// service job.
 #[test]
 fn a_composed_check_asks_each_tile_class_once() {
     let (telemetry, trace) = Telemetry::ring(1 << 20);
     let mut composition = traced_composition_3x3(&telemetry);
     assert_eq!(composition.stats().distinct_classes, 3);
     trace.drain();
-    for (round, builds) in [(1, 3), (2, 0)] {
+    for (round, templates) in [(1, 3), (2, 0)] {
         composition.check(&Query::new().capacity(2));
         telemetry.flush();
         let lines = trace.drain();
@@ -211,8 +213,10 @@ fn a_composed_check_asks_each_tile_class_once() {
                 .filter(|l| l.starts_with("{\"type\":\"enter\"") && l.contains(&needle))
                 .count()
         };
-        assert_eq!(opened("fabric.build"), builds, "check {round}");
-        assert_eq!(opened("template.build"), builds, "check {round}");
+        assert_eq!(opened("fabric.build"), 0, "check {round}");
+        assert_eq!(opened("colors.derive"), 0, "check {round}");
+        assert_eq!(opened("invariants.derive"), 0, "check {round}");
+        assert_eq!(opened("template.build"), templates, "check {round}");
         assert_eq!(opened("query.check"), 3, "check {round}");
         assert_eq!(opened("job.execute"), 0, "check {round}");
     }
