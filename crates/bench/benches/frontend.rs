@@ -32,13 +32,13 @@ fn print_comparison() {
         Client::connect(server.addr().to_string(), ClientConfig::default()).expect("connect");
 
     // Prime the pool so every measured trip is warm.
-    service.submit_json(WARM_REQUEST).expect("prime");
+    service.try_submit_json(WARM_REQUEST).expect("prime");
     service.drain();
 
     const TRIPS: usize = 40;
     let start = Instant::now();
     for _ in 0..TRIPS {
-        let ids = service.submit_json(WARM_REQUEST).expect("submit");
+        let ids = service.try_submit_json(WARM_REQUEST).expect("submit");
         for id in ids {
             service
                 .wait_outcome(id, None)
@@ -100,7 +100,7 @@ fn bench(c: &mut Criterion) {
     .expect("ephemeral bind");
     let mut client =
         Client::connect(server.addr().to_string(), ClientConfig::default()).expect("connect");
-    service.submit_json(WARM_REQUEST).expect("prime");
+    service.try_submit_json(WARM_REQUEST).expect("prime");
     service.drain();
 
     c.bench_function("frontend/http_submit_wait", |b| {

@@ -99,7 +99,7 @@ fn run_warm(clients: usize) -> (Duration, usize, PoolStats) {
         let report = outcome.result.as_ref().expect("workload fabrics build");
         check_verdict(&outcome.name, report);
     }
-    (elapsed, outcomes.len(), service.pool_stats())
+    (elapsed, outcomes.len(), service.stats().pool)
 }
 
 fn print_comparison() {

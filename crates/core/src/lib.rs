@@ -68,8 +68,8 @@ pub use compose::{ComposeOptions, ComposeStats, Composition};
 pub use query::{QueryEngine, SessionStats};
 pub use report::Report;
 pub use service::{
-    Fingerprint, JobError, JobId, JobOutcome, JobRequest, JsonSubmitError, OutcomeError, PoolStats,
-    Service, ServiceConfig, ServiceStats, SubmitError, TopologySpec, VerifyJob,
+    Fingerprint, JobError, JobId, JobOutcome, JsonSubmitError, OutcomeError, PoolStats, Service,
+    ServiceConfig, ServiceStats, VerifyJob,
 };
 pub use sizing::SizingResult;
 

@@ -14,8 +14,8 @@ pub use crate::{
 };
 
 pub use crate::service::{
-    Fingerprint, JobError, JobId, JobOutcome, JobRequest, JsonSubmitError, OutcomeError, PoolStats,
-    Service, ServiceConfig, ServiceStats, SubmitError, TopologySpec, VerifyJob,
+    Fingerprint, JobError, JobId, JobOutcome, JsonSubmitError, OutcomeError, PoolStats, Service,
+    ServiceConfig, ServiceStats, VerifyJob,
 };
 
 pub use advocat_automata::{derive_colors, AutomatonBuilder, System};

@@ -68,11 +68,11 @@ mod tests {
         // so they share one engine.
         let service = Service::new(ServiceConfig::default().with_workers(1));
         service
-            .submit_json(
+            .try_submit_json(
                 r#"{"name": "wire", "topology": {"kind": "mesh", "width": 2, "height": 2},
                     "directory": 3}"#,
             )
-            .expect("the request parses");
+            .expect("the request is admitted");
         let twin = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
         service.submit(VerifyJob::new("twin", twin));
         let outcomes = service.drain();
@@ -80,7 +80,7 @@ mod tests {
         assert_eq!(outcomes[0].fingerprint, outcomes[1].fingerprint);
         assert!(!outcomes[0].warm_hit);
         assert!(outcomes[1].warm_hit, "the twin checks out the warm engine");
-        assert_eq!(service.pool_stats().engines_built, 1);
+        assert_eq!(service.stats().pool.engines_built, 1);
         assert_eq!(
             outcomes[0].result.as_ref().unwrap().counterexample(),
             outcomes[1].result.as_ref().unwrap().counterexample(),

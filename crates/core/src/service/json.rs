@@ -1,9 +1,9 @@
 //! A hand-rolled, dependency-free JSON job format.
 //!
 //! The service is meant to sit behind scripts and CI harnesses, so jobs
-//! and outcomes need a wire form.  The container this project builds in is
-//! offline — no serde — so this module carries its own small recursive-
-//! descent parser and writer for exactly the job/outcome shapes:
+//! and outcomes need a wire form.  The build environment is offline — no
+//! serde — so this module carries its own small recursive-descent parser
+//! for job requests and a writer for outcomes:
 //!
 //! ```json
 //! {
@@ -19,18 +19,18 @@
 //! }
 //! ```
 //!
-//! A request file is one such object or an array of them
-//! ([`requests_from_json`]); each request expands to one [`VerifyJob`] per
-//! capacity, all sharing the sweep range (and therefore one pooled
-//! engine).  Outcomes serialise with [`outcome_to_json`].
+//! A request file is one such object or an array of them; each request
+//! is read straight into one [`VerifyJob`] per capacity, all sharing the
+//! sweep range (and therefore one pooled engine), which is what
+//! [`Service::try_submit_json`](super::Service::try_submit_json) admits.
+//! Outcomes serialise with [`outcome_to_json`].
 
 use std::fmt;
-use std::ops::RangeInclusive;
 use std::time::Duration;
 
 use advocat_deadlock::DeadlockTarget;
 use advocat_logic::CheckConfig;
-use advocat_noc::{FabricConfig, ProtocolKind, Topology};
+use advocat_noc::{FabricConfig, ProtocolKind, Topology, TopologyError};
 use advocat_telemetry::escape_into;
 
 use super::{JobError, JobOutcome, VerifyJob};
@@ -62,242 +62,28 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// The topology a JSON job request asks for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TopologySpec {
-    /// A `width × height` 2D mesh (XY-routed).
-    Mesh {
-        /// Columns.
-        width: u32,
-        /// Rows.
-        height: u32,
-    },
-    /// A `width × height` 2D torus (dimension-ordered with dateline VCs).
-    Torus {
-        /// Columns.
-        width: u32,
-        /// Rows.
-        height: u32,
-    },
-    /// A unidirectional ring.
-    Ring {
-        /// Node count.
-        nodes: u32,
-    },
-    /// A k-ary fat tree.
-    FatTree {
-        /// Children per switch.
-        arity: u32,
-        /// Tree depth.
-        levels: u32,
-    },
-}
-
-/// One JSON job request: a fabric description plus a capacity sweep.
-///
-/// Expand with [`JobRequest::to_jobs`]; the jobs share one engine range,
-/// so the whole sweep runs on a single pooled engine.
-#[derive(Clone, Debug, PartialEq)]
-pub struct JobRequest {
-    /// Label carried into every outcome of the sweep.
-    pub name: String,
-    /// The fabric's topology.
-    pub topology: TopologySpec,
-    /// The fabric's configured queue capacity.
-    pub queue_size: usize,
-    /// The hosted cache-coherence protocol.
-    pub protocol: ProtocolKind,
-    /// Directory placement as a terminal index (`None` keeps the default);
-    /// on a mesh or torus terminal `y * width + x` sits at `(x, y)`.
-    pub directory: Option<usize>,
-    /// Whether message classes ride separate virtual channels.
-    pub message_class_vcs: bool,
-    /// The capacities to verify (inclusive); also the engine range.
-    pub capacities: RangeInclusive<usize>,
-    /// Which deadlock symptom to look for.
-    pub target: DeadlockTarget,
-    /// Whether derived invariants strengthen the encoding.
-    pub invariants: bool,
-    /// Per-job wall-clock budget in milliseconds.
-    pub timeout_ms: Option<u64>,
-    /// Override for [`CheckConfig::max_refinements`].
-    pub max_refinements: Option<u64>,
-    /// Override for [`CheckConfig::theory_node_budget`].
-    pub theory_node_budget: Option<u64>,
-}
-
-impl JobRequest {
-    /// A request over `topology` with every knob at its default: queue
-    /// size 2, abstract-MI protocol, capacity sweep pinned to the queue
-    /// size.
-    pub fn new(name: impl Into<String>, topology: TopologySpec) -> Self {
-        JobRequest {
-            name: name.into(),
-            topology,
-            queue_size: 2,
-            protocol: ProtocolKind::AbstractMi,
-            directory: None,
-            message_class_vcs: false,
-            capacities: 2..=2,
-            target: DeadlockTarget::default(),
-            invariants: true,
-            timeout_ms: None,
-            max_refinements: None,
-            theory_node_budget: None,
-        }
-    }
-
-    /// Expands the request into one [`VerifyJob`] per capacity, all
-    /// sharing the sweep as their engine range.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when the requested topology cannot be
-    /// constructed (degenerate dimensions and the like).
-    pub fn to_jobs(&self) -> Result<Vec<VerifyJob>, JsonError> {
-        Ok(self.sweep()?.collect())
-    }
-
-    /// Builds the request's fabric and returns its jobs, one per
-    /// capacity, generated as they are taken: a wide sweep is never held
-    /// in memory whole.
-    fn sweep(&self) -> Result<impl Iterator<Item = VerifyJob>, JsonError> {
-        let fabric = self.build_fabric()?;
-        let mut config = CheckConfig::default();
-        if let Some(limit) = self.max_refinements {
-            config.max_refinements = limit;
-        }
-        if let Some(budget) = self.theory_node_budget {
-            config.theory_node_budget = budget;
-        }
-        let request = self.clone();
-        Ok(self.capacities.clone().map(move |capacity| {
-            let mut job = VerifyJob::new(request.name.clone(), fabric.clone())
-                .with_target(request.target)
-                .with_config(config.clone())
-                .at_capacity(capacity)
-                .with_engine_range(request.capacities.clone())
-                .with_invariants(request.invariants);
-            if let Some(ms) = request.timeout_ms {
-                job = job.with_timeout(Duration::from_millis(ms));
-            }
-            job
-        }))
-    }
-
-    fn build_fabric(&self) -> Result<FabricConfig, JsonError> {
-        let topology = match self.topology {
-            TopologySpec::Mesh { width, height } => Topology::mesh(width, height),
-            TopologySpec::Torus { width, height } => Topology::torus(width, height),
-            TopologySpec::Ring { nodes } => Topology::ring(nodes),
-            TopologySpec::FatTree { arity, levels } => Topology::fat_tree(arity, levels),
-        }
-        .map_err(|e| JsonError::semantic(format!("bad topology: {e}")))?;
-        let mut fabric = FabricConfig::new(topology, self.queue_size)
-            .with_protocol(self.protocol)
-            .with_message_class_vcs(self.message_class_vcs);
-        if let Some(terminal) = self.directory {
-            fabric = fabric.with_directory(terminal);
-        }
-        Ok(fabric)
-    }
-
-    /// Serialises the request back to its JSON object form.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "name", &self.name);
-        out.push_str(",\"topology\":");
-        match self.topology {
-            TopologySpec::Mesh { width, height } => {
-                out.push_str(&format!(
-                    "{{\"kind\":\"mesh\",\"width\":{width},\"height\":{height}}}"
-                ));
-            }
-            TopologySpec::Torus { width, height } => {
-                out.push_str(&format!(
-                    "{{\"kind\":\"torus\",\"width\":{width},\"height\":{height}}}"
-                ));
-            }
-            TopologySpec::Ring { nodes } => {
-                out.push_str(&format!("{{\"kind\":\"ring\",\"nodes\":{nodes}}}"));
-            }
-            TopologySpec::FatTree { arity, levels } => {
-                out.push_str(&format!(
-                    "{{\"kind\":\"fat-tree\",\"arity\":{arity},\"levels\":{levels}}}"
-                ));
-            }
-        }
-        out.push_str(&format!(",\"queue_size\":{}", self.queue_size));
-        out.push_str(&format!(",\"protocol\":\"{}\"", self.protocol.name()));
-        if let Some(node) = self.directory {
-            out.push_str(&format!(",\"directory\":{node}"));
-        }
-        if self.message_class_vcs {
-            out.push_str(",\"message_class_vcs\":true");
-        }
-        out.push_str(&format!(
-            ",\"capacities\":[{},{}]",
-            self.capacities.start(),
-            self.capacities.end()
-        ));
-        out.push_str(&format!(",\"target\":\"{}\"", self.target));
-        out.push_str(&format!(",\"invariants\":{}", self.invariants));
-        if let Some(ms) = self.timeout_ms {
-            out.push_str(&format!(",\"timeout_ms\":{ms}"));
-        }
-        if let Some(limit) = self.max_refinements {
-            out.push_str(&format!(",\"max_refinements\":{limit}"));
-        }
-        if let Some(budget) = self.theory_node_budget {
-            out.push_str(&format!(",\"theory_node_budget\":{budget}"));
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Parses a request file: one JSON job object, or an array of them.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] locating the first syntactic or semantic
-/// problem.
-pub fn requests_from_json(text: &str) -> Result<Vec<JobRequest>, JsonError> {
-    let value = parse(text)?;
-    match value {
-        Json::Object(_) => Ok(vec![request_from_value(&value)?]),
-        Json::Array(items) => items.iter().map(request_from_value).collect(),
+/// Parses a request file, one JSON job object or an array of them, into
+/// what the service submits for it, in request order.  Each request comes
+/// as its job count, taken from its capacity range (saturating at
+/// `usize::MAX`, which no queue admits), and its jobs, one per capacity,
+/// generated as they are taken: a wide sweep is never held in memory
+/// whole.  Each request is validated and its fabric configured before
+/// the next one is read, so the first malformed request names the error.
+pub(crate) fn sweeps_from_json(
+    text: &str,
+) -> Result<Vec<(usize, impl Iterator<Item = VerifyJob>)>, JsonError> {
+    match parse(text)? {
+        request @ Json::Object(_) => Ok(vec![sweep_from_value(&request)?]),
+        Json::Array(requests) => requests.iter().map(sweep_from_value).collect(),
         _ => Err(JsonError::semantic(
             "expected a job object or an array of job objects",
         )),
     }
 }
 
-/// Parses a request file and builds every request's fabric, in request
-/// order — what the service submits for a JSON payload.  Each request
-/// comes as its job count, taken from its capacity range (saturating at
-/// `usize::MAX`, which no queue admits), and its jobs, built as they are
-/// taken.
-pub(crate) fn sweeps_from_json(
-    text: &str,
-) -> Result<Vec<(usize, impl Iterator<Item = VerifyJob>)>, JsonError> {
-    requests_from_json(text)?
-        .iter()
-        .map(|request| {
-            let (start, end) = (*request.capacities.start(), *request.capacities.end());
-            let jobs = end
-                .checked_sub(start)
-                .map_or(0, |gap| gap.saturating_add(1));
-            Ok((jobs, request.sweep()?))
-        })
-        .collect()
-}
-
 /// Checks that `text` is one syntactically well-formed JSON value of any
-/// shape, with a position-carrying error when it is not.  The HTTP
-/// front-end uses this to refuse malformed payloads before touching the
-/// service, and tests use it to pin that every emitted wire string is
-/// valid JSON.
+/// shape, with a position-carrying error when it is not.  Tests use it to
+/// pin that every emitted wire string is valid JSON.
 ///
 /// # Errors
 ///
@@ -375,63 +161,54 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
 // Request extraction from parsed values.
 // ---------------------------------------------------------------------------
 
-fn request_from_value(value: &Json) -> Result<JobRequest, JsonError> {
-    let Json::Object(fields) = value else {
+/// Reads one job request: validates its fields in a fixed order (the
+/// first problem names the error), then configures its fabric, and
+/// returns its job count with a sweep that clones one template job per
+/// capacity.
+fn sweep_from_value(request: &Json) -> Result<(usize, impl Iterator<Item = VerifyJob>), JsonError> {
+    const KNOWN: [&str; 12] = [
+        "name",
+        "topology",
+        "queue_size",
+        "protocol",
+        "directory",
+        "message_class_vcs",
+        "capacities",
+        "target",
+        "invariants",
+        "timeout_ms",
+        "max_refinements",
+        "theory_node_budget",
+    ];
+    let Json::Object(fields) = request else {
         return Err(JsonError::semantic("each job request must be an object"));
     };
-    for (key, _) in fields {
-        const KNOWN: [&str; 12] = [
-            "name",
-            "topology",
-            "queue_size",
-            "protocol",
-            "directory",
-            "message_class_vcs",
-            "capacities",
-            "target",
-            "invariants",
-            "timeout_ms",
-            "max_refinements",
-            "theory_node_budget",
-        ];
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(JsonError::semantic(format!("unknown job field `{key}`")));
-        }
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(key, _)| !KNOWN.contains(&key.as_str()))
+    {
+        return Err(JsonError::semantic(format!("unknown job field `{key}`")));
     }
-    let name = match get(fields, "name") {
-        Some(Json::String(s)) => s.clone(),
-        Some(_) => return Err(JsonError::semantic("`name` must be a string")),
-        None => return Err(JsonError::semantic("job request is missing `name`")),
-    };
+    let name = string(fields, "name")?
+        .ok_or_else(|| JsonError::semantic("job request is missing `name`"))?;
     let topology = topology_from_value(
         get(fields, "topology")
             .ok_or_else(|| JsonError::semantic("job request is missing `topology`"))?,
     )?;
-    let queue_size = match get(fields, "queue_size") {
-        Some(value) => usize_from(value, "queue_size")?,
-        None => 2,
-    };
-    let protocol = match get(fields, "protocol") {
+    let queue_size = uint(fields, "queue_size")?.unwrap_or(2);
+    let protocol = match string(fields, "protocol")? {
         None => ProtocolKind::AbstractMi,
-        Some(Json::String(s)) => match ProtocolKind::ALL.into_iter().find(|p| p.name() == s) {
-            Some(protocol) => protocol,
-            None => {
-                return Err(JsonError::semantic(format!(
+        Some(s) => ProtocolKind::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                JsonError::semantic(format!(
                     "unknown protocol `{s}` (expected abstract-mi, full-mi or mesi)"
-                )))
-            }
-        },
-        Some(_) => return Err(JsonError::semantic("`protocol` must be a string")),
+                ))
+            })?,
     };
-    let directory = match get(fields, "directory") {
-        None => None,
-        Some(value) => Some(usize_from(value, "directory")?),
-    };
-    let message_class_vcs = match get(fields, "message_class_vcs") {
-        None => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err(JsonError::semantic("`message_class_vcs` must be a boolean")),
-    };
+    let directory = uint(fields, "directory")?;
+    let message_class_vcs = flag(fields, "message_class_vcs", false)?;
     let capacities = match get(fields, "capacities") {
         None => queue_size..=queue_size,
         Some(Json::Array(items)) => match items.as_slice() {
@@ -454,54 +231,62 @@ fn request_from_value(value: &Json) -> Result<JobRequest, JsonError> {
             single..=single
         }
     };
-    let target = match get(fields, "target") {
+    let target = match string(fields, "target")? {
         None => DeadlockTarget::default(),
-        Some(Json::String(s)) => match s.as_str() {
-            "any" => DeadlockTarget::Any,
-            "stuck-packet" => DeadlockTarget::StuckPacket,
-            "dead-automaton" => DeadlockTarget::DeadAutomaton,
-            other => {
-                return Err(JsonError::semantic(format!(
-                    "unknown target `{other}` (expected any, stuck-packet or dead-automaton)"
-                )))
-            }
-        },
-        Some(_) => return Err(JsonError::semantic("`target` must be a string")),
+        Some("any") => DeadlockTarget::Any,
+        Some("stuck-packet") => DeadlockTarget::StuckPacket,
+        Some("dead-automaton") => DeadlockTarget::DeadAutomaton,
+        Some(other) => {
+            return Err(JsonError::semantic(format!(
+                "unknown target `{other}` (expected any, stuck-packet or dead-automaton)"
+            )))
+        }
     };
-    let invariants = match get(fields, "invariants") {
-        None => true,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err(JsonError::semantic("`invariants` must be a boolean")),
-    };
-    let timeout_ms = match get(fields, "timeout_ms") {
-        None => None,
-        Some(value) => Some(usize_from(value, "timeout_ms")? as u64),
-    };
-    let max_refinements = match get(fields, "max_refinements") {
-        None => None,
-        Some(value) => Some(usize_from(value, "max_refinements")? as u64),
-    };
-    let theory_node_budget = match get(fields, "theory_node_budget") {
-        None => None,
-        Some(value) => Some(usize_from(value, "theory_node_budget")? as u64),
-    };
-    Ok(JobRequest {
-        name,
-        topology,
-        queue_size,
-        protocol,
-        directory,
-        message_class_vcs,
-        capacities,
-        target,
-        invariants,
-        timeout_ms,
-        max_refinements,
-        theory_node_budget,
-    })
+    let invariants = flag(fields, "invariants", true)?;
+    let timeout_ms = uint(fields, "timeout_ms")?;
+    let mut config = CheckConfig::default();
+    if let Some(limit) = uint(fields, "max_refinements")? {
+        config.max_refinements = limit as u64;
+    }
+    if let Some(budget) = uint(fields, "theory_node_budget")? {
+        config.theory_node_budget = budget as u64;
+    }
+
+    let topology = topology().map_err(|e| JsonError::semantic(format!("bad topology: {e}")))?;
+    let mut fabric = FabricConfig::new(topology, queue_size)
+        .with_protocol(protocol)
+        .with_message_class_vcs(message_class_vcs);
+    if let Some(terminal) = directory {
+        fabric = fabric.with_directory(terminal);
+    }
+    let mut template = VerifyJob::new(name, fabric)
+        .with_target(target)
+        .with_config(config)
+        .with_invariants(invariants);
+    if let Some(ms) = timeout_ms {
+        template = template.with_timeout(Duration::from_millis(ms as u64));
+    }
+    let (start, end) = (*capacities.start(), *capacities.end());
+    let jobs = end
+        .checked_sub(start)
+        .map_or(0, |gap| gap.saturating_add(1));
+    Ok((
+        jobs,
+        capacities.clone().map(move |capacity| {
+            template
+                .clone()
+                .at_capacity(capacity)
+                .with_engine_range(capacities.clone())
+        }),
+    ))
 }
 
-fn topology_from_value(value: &Json) -> Result<TopologySpec, JsonError> {
+/// Validates a request's `topology` object and returns the builder of
+/// its topology, which runs once every other field is validated.
+fn topology_from_value(
+    value: &Json,
+) -> Result<impl FnOnce() -> Result<Topology, TopologyError>, JsonError> {
+    type Build = fn(u32, u32) -> Result<Topology, TopologyError>;
     let Json::Object(fields) = value else {
         return Err(JsonError::semantic("`topology` must be an object"));
     };
@@ -509,38 +294,58 @@ fn topology_from_value(value: &Json) -> Result<TopologySpec, JsonError> {
         Some(Json::String(s)) => s.as_str(),
         _ => return Err(JsonError::semantic("`topology.kind` must be a string")),
     };
-    let dim = |key: &str| -> Result<u32, JsonError> {
-        match get(fields, key) {
-            Some(value) => u32_from_usize(usize_from(value, key)?, key),
-            None => Err(JsonError::semantic(format!(
-                "topology kind `{kind}` requires `{key}`"
-            ))),
+    let (build, keys): (Build, &[&str]) = match kind {
+        "mesh" => (Topology::mesh, &["width", "height"]),
+        "torus" => (Topology::torus, &["width", "height"]),
+        "ring" => (|nodes, _| Topology::ring(nodes), &["nodes"]),
+        "fat-tree" => (Topology::fat_tree, &["arity", "levels"]),
+        other => {
+            return Err(JsonError::semantic(format!(
+                "unknown topology kind `{other}` (expected mesh, torus, ring or fat-tree)"
+            )))
         }
     };
-    match kind {
-        "mesh" => Ok(TopologySpec::Mesh {
-            width: dim("width")?,
-            height: dim("height")?,
-        }),
-        "torus" => Ok(TopologySpec::Torus {
-            width: dim("width")?,
-            height: dim("height")?,
-        }),
-        "ring" => Ok(TopologySpec::Ring {
-            nodes: dim("nodes")?,
-        }),
-        "fat-tree" => Ok(TopologySpec::FatTree {
-            arity: dim("arity")?,
-            levels: dim("levels")?,
-        }),
-        other => Err(JsonError::semantic(format!(
-            "unknown topology kind `{other}` (expected mesh, torus, ring or fat-tree)"
-        ))),
+    let mut dims = [0; 2];
+    for (dim, &key) in dims.iter_mut().zip(keys) {
+        *dim = match get(fields, key) {
+            Some(value) => u32_from_usize(usize_from(value, key)?, key)?,
+            None => {
+                return Err(JsonError::semantic(format!(
+                    "topology kind `{kind}` requires `{key}`"
+                )))
+            }
+        };
     }
+    Ok(move || build(dims[0], dims[1]))
 }
 
 fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// The string field `key`, when present.
+fn string<'a>(fields: &'a [(String, Json)], key: &str) -> Result<Option<&'a str>, JsonError> {
+    match get(fields, key) {
+        None => Ok(None),
+        Some(Json::String(s)) => Ok(Some(s)),
+        Some(_) => Err(JsonError::semantic(format!("`{key}` must be a string"))),
+    }
+}
+
+/// The non-negative integer field `key`, when present.
+fn uint(fields: &[(String, Json)], key: &str) -> Result<Option<usize>, JsonError> {
+    get(fields, key)
+        .map(|value| usize_from(value, key))
+        .transpose()
+}
+
+/// The boolean field `key`, or `default` when absent.
+fn flag(fields: &[(String, Json)], key: &str, default: bool) -> Result<bool, JsonError> {
+    match get(fields, key) {
+        None => Ok(default),
+        Some(Json::Bool(b)) => Ok(*b),
+        Some(_) => Err(JsonError::semantic(format!("`{key}` must be a boolean"))),
+    }
 }
 
 fn usize_from(value: &Json, field: &str) -> Result<usize, JsonError> {
@@ -855,35 +660,63 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::service::{JsonSubmitError, Service, ServiceConfig};
+    use advocat_noc::TopologyKind;
 
+    /// Every job of every request in `text`, in submission order.
+    fn jobs(text: &str) -> Result<Vec<VerifyJob>, JsonError> {
+        Ok(sweeps_from_json(text)?
+            .into_iter()
+            .flat_map(|(_, jobs)| jobs)
+            .collect())
+    }
+
+    /// Every field of a request reaches each of its jobs, and the name
+    /// decodes through every escape class.
     #[test]
     fn a_full_request_round_trips() {
         let text = r#"{
-            "name": "torus sweep",
+            "name": "torus \"sweep\" \\ \/ \b\f\n\r\t \u0041\u00e9 \ud834\udd1e",
             "topology": {"kind": "torus", "width": 3, "height": 2},
-            "queue_size": 2,
+            "queue_size": 4,
             "protocol": "mesi",
             "directory": 4,
+            "message_class_vcs": true,
             "capacities": [1, 3],
             "target": "stuck-packet",
             "invariants": false,
-            "timeout_ms": 5000
+            "timeout_ms": 5000,
+            "max_refinements": 77,
+            "theory_node_budget": 123456
         }"#;
-        let requests = requests_from_json(text).unwrap();
-        assert_eq!(requests.len(), 1);
-        let request = &requests[0];
-        assert_eq!(
-            request.topology,
-            TopologySpec::Torus {
-                width: 3,
-                height: 2
-            }
-        );
-        assert_eq!(request.capacities, 1..=3);
-        assert!(!request.invariants);
-        let reparsed = requests_from_json(&request.to_json()).unwrap();
-        assert_eq!(&reparsed[0], request);
-        assert_eq!(request.to_jobs().unwrap().len(), 3);
+        let sweeps = sweeps_from_json(text).unwrap();
+        assert_eq!(sweeps.len(), 1);
+        assert_eq!(sweeps[0].0, 3);
+        let jobs = jobs(text).unwrap();
+        assert_eq!(jobs.len(), 3);
+        for (job, capacity) in jobs.iter().zip(1..) {
+            assert_eq!(
+                job.name,
+                "torus \"sweep\" \\ / \u{8}\u{c}\n\r\t A\u{e9} \u{1D11E}"
+            );
+            assert_eq!(
+                job.fabric.topology.kind(),
+                TopologyKind::Torus {
+                    width: 3,
+                    height: 2
+                }
+            );
+            assert_eq!(job.fabric.queue_size, 4);
+            assert_eq!(job.fabric.protocol, ProtocolKind::Mesi);
+            assert_eq!(job.fabric.directory, 4);
+            assert!(job.fabric.message_class_vcs);
+            assert_eq!(job.capacity, Some(capacity));
+            assert_eq!(job.engine_range, Some(1..=3));
+            assert_eq!(job.target, DeadlockTarget::StuckPacket);
+            assert!(!job.invariants);
+            assert_eq!(job.timeout, Some(Duration::from_millis(5000)));
+            assert_eq!(job.config.max_refinements, 77);
+            assert_eq!(job.config.theory_node_budget, 123_456);
+        }
     }
 
     /// Only the three targets parse.  `none` would name a question with
@@ -893,7 +726,7 @@ mod tests {
     fn the_none_target_is_refused_and_submits_nothing() {
         let text = r#"{"name": "x", "topology": {"kind": "mesh", "width": 2, "height": 2},
                        "target": "none"}"#;
-        let error = requests_from_json(text).unwrap_err();
+        let error = jobs(text).unwrap_err();
         assert!(
             error
                 .message
@@ -901,7 +734,6 @@ mod tests {
             "{error}"
         );
         let service = Service::new(ServiceConfig::default().with_workers(1));
-        assert!(service.submit_json(text).is_err());
         assert!(matches!(
             service.try_submit_json(text),
             Err(JsonSubmitError::Json(_))
@@ -916,11 +748,27 @@ mod tests {
             {"name": "a", "topology": {"kind": "mesh", "width": 2, "height": 2}},
             {"name": "b", "topology": {"kind": "ring", "nodes": 4}, "capacities": 3}
         ]"#;
-        let requests = requests_from_json(text).unwrap();
-        assert_eq!(requests.len(), 2);
-        assert_eq!(requests[0].queue_size, 2);
-        assert_eq!(requests[0].capacities, 2..=2);
-        assert_eq!(requests[1].capacities, 3..=3);
+        let jobs = jobs(text).unwrap();
+        assert_eq!(jobs.len(), 2);
+        let defaults = CheckConfig::default();
+        for job in &jobs {
+            assert_eq!(job.fabric.queue_size, 2);
+            assert_eq!(job.fabric.protocol, ProtocolKind::AbstractMi);
+            assert!(!job.fabric.message_class_vcs);
+            assert_eq!(job.target, DeadlockTarget::default());
+            assert!(job.invariants);
+            assert_eq!(job.timeout, None);
+            assert_eq!(job.config.max_refinements, defaults.max_refinements);
+            assert_eq!(job.config.theory_node_budget, defaults.theory_node_budget);
+        }
+        assert_eq!(
+            (jobs[0].capacity, jobs[0].engine_range.clone()),
+            (Some(2), Some(2..=2))
+        );
+        assert_eq!(
+            (jobs[1].capacity, jobs[1].engine_range.clone()),
+            (Some(3), Some(3..=3))
+        );
     }
 
     /// A tiny deterministic xorshift64* generator — the build environment
@@ -940,90 +788,6 @@ mod tests {
         fn below(&mut self, bound: u64) -> u64 {
             self.next() % bound.max(1)
         }
-
-        fn chance(&mut self, percent: u64) -> bool {
-            self.below(100) < percent
-        }
-    }
-
-    fn random_request(rng: &mut XorShift, index: usize) -> JobRequest {
-        let topology = match rng.below(4) {
-            0 => TopologySpec::Mesh {
-                width: 1 + rng.below(4) as u32,
-                height: 1 + rng.below(4) as u32,
-            },
-            1 => TopologySpec::Torus {
-                width: 2 + rng.below(3) as u32,
-                height: 2 + rng.below(3) as u32,
-            },
-            2 => TopologySpec::Ring {
-                nodes: 2 + rng.below(6) as u32,
-            },
-            _ => TopologySpec::FatTree {
-                arity: 2 + rng.below(2) as u32,
-                levels: 2 + rng.below(2) as u32,
-            },
-        };
-        let mut request =
-            JobRequest::new(format!("random {index} \"quoted\\\u{1}\u{7}名"), topology);
-        request.queue_size = 1 + rng.below(4) as usize;
-        request.protocol = match rng.below(3) {
-            0 => ProtocolKind::AbstractMi,
-            1 => ProtocolKind::FullMi,
-            _ => ProtocolKind::Mesi,
-        };
-        if rng.chance(50) {
-            request.directory = Some(rng.below(8) as usize);
-        }
-        request.message_class_vcs = rng.chance(30);
-        let low = 1 + rng.below(3) as usize;
-        request.capacities = low..=low + rng.below(3) as usize;
-        request.target = match rng.below(3) {
-            0 => DeadlockTarget::Any,
-            1 => DeadlockTarget::StuckPacket,
-            _ => DeadlockTarget::DeadAutomaton,
-        };
-        request.invariants = rng.chance(80);
-        if rng.chance(40) {
-            request.timeout_ms = Some(rng.below(100_000));
-        }
-        if rng.chance(30) {
-            request.max_refinements = Some(1 + rng.below(1_000_000));
-        }
-        if rng.chance(30) {
-            request.theory_node_budget = Some(1 + rng.below(10_000_000));
-        }
-        request
-    }
-
-    /// Property: any representable request survives
-    /// `to_json → requests_from_json` unchanged, alone and in arrays —
-    /// including names that need every escape class.
-    #[test]
-    fn random_requests_round_trip_through_the_wire_format() {
-        let mut rng = XorShift(0x5EED_CAFE_F00D_0001);
-        let mut batch = Vec::new();
-        for index in 0..256 {
-            let request = random_request(&mut rng, index);
-            let json = request.to_json();
-            validate_json(&json).expect("emitted request JSON is well-formed");
-            let reparsed = requests_from_json(&json).expect("round trip parses");
-            assert_eq!(reparsed.len(), 1, "{json}");
-            assert_eq!(reparsed[0], request, "{json}");
-            batch.push(request);
-            if batch.len() == 16 {
-                let array = format!(
-                    "[{}]",
-                    batch
-                        .iter()
-                        .map(JobRequest::to_json)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
-                assert_eq!(requests_from_json(&array).expect("array parses"), batch);
-                batch.clear();
-            }
-        }
     }
 
     /// Property: mutated request text never panics the parser — it either
@@ -1031,11 +795,24 @@ mod tests {
     /// position inside the input.
     #[test]
     fn mutated_request_text_never_panics() {
+        const REQUESTS: [&str; 6] = [
+            r#"{"name": "mesh \"q\" \\ \u0001 名", "topology": {"kind": "mesh", "width": 2, "height": 2},
+                "queue_size": 2, "protocol": "abstract-mi", "directory": 3, "capacities": [1, 3]}"#,
+            r#"{"name": "torus", "topology": {"kind": "torus", "width": 3, "height": 2},
+                "protocol": "mesi", "message_class_vcs": true, "target": "stuck-packet",
+                "invariants": false, "timeout_ms": 5000}"#,
+            r#"{"name": "ring", "topology": {"kind": "ring", "nodes": 4}, "queue_size": 1,
+                "capacities": 2, "target": "dead-automaton", "max_refinements": 9}"#,
+            r#"{"name": "tree \ud834\udd1e", "topology": {"kind": "fat-tree", "arity": 2, "levels": 2},
+                "protocol": "full-mi", "theory_node_budget": 1000, "target": "any"}"#,
+            r#"[{"name": "a", "topology": {"kind": "mesh", "width": 3, "height": 1}},
+                {"name": "b\t\n", "topology": {"kind": "ring", "nodes": 3}, "capacities": [2, 2]}]"#,
+            r#"{"name": "x", "topology": {"kind": "mesh", "width": 2, "height": 2}, "bogus": [1.5e3, null]}"#,
+        ];
         let mut rng = XorShift(0xBAD5_EED5_0000_0042);
-        for index in 0..128 {
-            let base = random_request(&mut rng, index).to_json();
+        for base in REQUESTS {
             let bytes = base.as_bytes();
-            for _ in 0..16 {
+            for _ in 0..256 {
                 let mutated = match rng.below(3) {
                     // Truncate anywhere (may split a UTF-8 sequence).
                     0 => String::from_utf8_lossy(&bytes[..rng.below(bytes.len() as u64) as usize])
@@ -1056,7 +833,7 @@ mod tests {
                         copy
                     }
                 };
-                if let Err(error) = requests_from_json(&mutated) {
+                if let Err(error) = sweeps_from_json(&mutated) {
                     assert!(
                         error.offset <= mutated.len(),
                         "error position {} outside input of {} bytes",
@@ -1093,7 +870,7 @@ mod tests {
             (r#"{"queue_size": 1e}"#, "exponent digits"),
             (r#"{"queue_size": -}"#, "expected a digit"),
         ] {
-            let error = requests_from_json(text).unwrap_err();
+            let error = jobs(text).unwrap_err();
             assert!(
                 error.message.contains(needle),
                 "{text} → {error}, wanted `{needle}`"
@@ -1101,9 +878,8 @@ mod tests {
             assert!(error.offset > 0, "{text}: syntax errors carry a position");
         }
         // Surrogate pairs decode; the depth cap trips at 64 nested arrays.
-        let paired =
-            requests_from_json(r#"{"name": "clef 𝄞", "topology": {"kind": "ring", "nodes": 3}}"#)
-                .expect("surrogate pair decodes");
+        let paired = jobs(r#"{"name": "clef 𝄞", "topology": {"kind": "ring", "nodes": 3}}"#)
+            .expect("surrogate pair decodes");
         assert!(paired[0].name.contains('\u{1D11E}'));
         let deep = format!("{}1{}", "[".repeat(80), "]".repeat(80));
         let error = validate_json(&deep).unwrap_err();
@@ -1127,10 +903,11 @@ mod tests {
         ] {
             let text =
                 format!(r#"{{"name": "x", "topology": {topology}, "directory": 4294967299}}"#);
-            let requests = requests_from_json(&text).expect("the request parses");
-            let jobs = requests[0].to_jobs().expect("the fabric is configured");
+            let jobs = jobs(&text).expect("the fabric is configured");
             assert_eq!(jobs[0].fabric.directory, 4_294_967_299);
-            service.submit_json(&text).expect("the request is admitted");
+            service
+                .try_submit_json(&text)
+                .expect("the request is admitted");
         }
         let outcomes = service.drain();
         assert_eq!(outcomes.len(), 2);
@@ -1146,7 +923,7 @@ mod tests {
         }
     }
 
-    /// Every topology kind is built when the request is expanded, so a
+    /// Every topology kind is built when the request is read, so a
     /// degenerate or oversized one is refused before anything is
     /// submitted, with the topology engine's reason.
     #[test]
@@ -1174,8 +951,7 @@ mod tests {
             (r#"{"kind": "ring", "nodes": 4000000000}"#, "supported size"),
         ] {
             let text = format!(r#"{{"name": "x", "topology": {topology}}}"#);
-            let requests = requests_from_json(&text).expect("the request itself is well-formed");
-            let error = requests[0].to_jobs().unwrap_err();
+            let error = jobs(&text).unwrap_err();
             assert!(
                 error.message.starts_with("bad topology") && error.message.contains(reason),
                 "{topology} → {error}"
@@ -1259,8 +1035,21 @@ mod tests {
                 r#"{"name": "x", "topology": {"kind": "ring", "nodes": 4294967300}}"#,
                 "`nodes` must be at most 4294967295",
             ),
+            // Every field of a request is validated before its topology is
+            // built, and each request is read whole before the next one.
+            (
+                r#"{"name": "x", "topology": {"kind": "ring", "nodes": 2}, "capacities": [3, 1]}"#,
+                "reversed",
+            ),
+            // In an array, the first request's unbuildable topology names
+            // the error, not the second one's unknown field.
+            (
+                r#"[{"name": "a", "topology": {"kind": "ring", "nodes": 2}},
+                    {"name": "b", "topology": {"kind": "ring", "nodes": 4}, "bogus": 1}]"#,
+                "bad topology",
+            ),
         ] {
-            let error = requests_from_json(text).unwrap_err();
+            let error = jobs(text).unwrap_err();
             assert!(
                 error.message.contains(needle),
                 "{text} → {error}, wanted `{needle}`"

@@ -14,7 +14,8 @@
 //!   three goals and each job picks one by assumption;
 //! * a **bounded FIFO job queue** served by a fixed set of worker
 //!   threads — the admission-control point: [`Service::submit`] blocks
-//!   while it is full, [`Service::try_submit`] refuses;
+//!   while it is full, [`Service::try_submit_json`] refuses a request set
+//!   it cannot admit whole;
 //! * a **ticket turnstile** per pool entry: same-fingerprint jobs run in
 //!   submission order, which keeps verdicts and counterexample witnesses
 //!   identical at any worker count.  A worker that dequeues a job out of
@@ -46,7 +47,7 @@
 //! assert!(!outcomes[0].is_deadlock_free());
 //! assert!(outcomes[1].is_deadlock_free());
 //! assert!(outcomes[1].warm_hit);
-//! assert_eq!(service.pool_stats().engines_built, 1);
+//! assert_eq!(service.stats().pool.engines_built, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -55,9 +56,7 @@ mod json;
 mod pool;
 
 pub use fingerprint::Fingerprint;
-pub use json::{
-    outcome_to_json, requests_from_json, validate_json, JobRequest, JsonError, TopologySpec,
-};
+pub use json::{outcome_to_json, validate_json, JsonError};
 pub use pool::PoolStats;
 
 use std::collections::VecDeque;
@@ -87,7 +86,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bound of the pending-job queue — the admission-control knob.
     /// [`Service::submit`] blocks while the queue is full;
-    /// [`Service::try_submit`] refuses instead.
+    /// [`Service::try_submit_json`] refuses instead.
     pub queue_capacity: usize,
     /// Cap on warm engines held by the pool; least-recently-used idle
     /// engines are evicted beyond it.
@@ -327,21 +326,26 @@ enum Slot {
     Pending,
     /// The outcome landed and nobody has consumed it.
     Ready(Box<JobOutcome>),
-    /// The outcome was consumed (by [`Service::next_outcome`],
-    /// [`Service::drain`] or a by-id wait); it will not be seen again.
+    /// The outcome was consumed (by [`Service::drain`] or a by-id wait);
+    /// it will not be seen again.
     Taken,
 }
 
+/// One slot per admitted job, indexed by its id.
 struct ResultStore {
     slots: Vec<Slot>,
-    ready: VecDeque<u64>,
-    submitted: u64,
     completed: u64,
-    consumed: u64,
 }
 
-/// Why a by-id outcome query ([`Service::take_outcome`],
-/// [`Service::wait_outcome`]) returned no outcome and never will.
+impl ResultStore {
+    /// Jobs admitted since the service started.
+    fn submitted(&self) -> u64 {
+        self.slots.len() as u64
+    }
+}
+
+/// Why a by-id outcome query ([`Service::wait_outcome`]) returned no
+/// outcome and never will.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OutcomeError {
     /// No job with this id was ever admitted.
@@ -446,24 +450,6 @@ impl fmt::Display for JsonSubmitError {
 }
 
 impl std::error::Error for JsonSubmitError {}
-
-/// Refusals from [`Service::try_submit`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The bounded job queue is at capacity; retry later or use the
-    /// blocking submit.
-    QueueFull,
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::QueueFull => write!(f, "the service's bounded job queue is full"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
 
 /// The service's pre-registered instruments (one registry lookup each at
 /// construction, plain atomic updates afterwards).  Present only when the
@@ -610,10 +596,8 @@ impl Shared {
         job.turn = state.pool.ticket(job.fingerprint);
         job.id = {
             let mut results = self.results.lock().expect("result store lock");
-            let id = results.submitted;
-            results.submitted += 1;
             results.slots.push(Slot::Pending);
-            id
+            results.submitted() - 1
         };
         job.submitted_at = Instant::now();
         let id = JobId(job.id);
@@ -638,7 +622,7 @@ impl fmt::Debug for Service {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Service")
             .field("workers", &self.workers.len())
-            .field("pool", &self.pool_stats())
+            .field("pool", &self.stats().pool)
             .finish()
     }
 }
@@ -665,10 +649,7 @@ impl Service {
             queue_capacity: config.queue_capacity.max(1),
             results: Mutex::new(ResultStore {
                 slots: Vec::new(),
-                ready: VecDeque::new(),
-                submitted: 0,
                 completed: 0,
-                consumed: 0,
             }),
             results_cv: Condvar::new(),
             metrics: ServiceMetrics::register(&config.telemetry),
@@ -704,26 +685,15 @@ impl Service {
         id
     }
 
-    /// Submits one job unless the bounded queue is full — the
-    /// non-blocking admission-control path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::QueueFull`] (with the job untouched
-    /// service-side) when admission would have to wait.
-    pub fn try_submit(&self, job: VerifyJob) -> Result<JobId, SubmitError> {
-        self.try_submit_all(vec![job]).map(|ids| ids[0])
-    }
-
     /// All-or-nothing non-blocking admission: either the queue has room
     /// for every job (they are admitted contiguously, so their ticket
-    /// order is their slot order) or none is admitted.
-    fn try_submit_all(&self, jobs: Vec<VerifyJob>) -> Result<Vec<JobId>, SubmitError> {
+    /// order is their slot order) or none is admitted and `None` returned.
+    fn try_submit_all(&self, jobs: Vec<VerifyJob>) -> Option<Vec<JobId>> {
         let shared = &self.shared;
         let jobs: Vec<ScheduledJob> = jobs.into_iter().map(|job| shared.resolve(job)).collect();
         let mut state = shared.lock();
         if state.queue.len() + jobs.len() > shared.queue_capacity {
-            return Err(SubmitError::QueueFull);
+            return None;
         }
         let ids: Vec<JobId> = jobs
             .into_iter()
@@ -733,33 +703,18 @@ impl Service {
         for _ in &ids {
             shared.work.notify_one();
         }
-        Ok(ids)
+        Some(ids)
     }
 
-    /// Parses [`JobRequest`]s from JSON (a single object or an array) and
-    /// submits each as a sweep of per-capacity jobs, building each job as
-    /// it is submitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when the text is not valid job JSON; no
-    /// jobs are submitted in that case.
-    pub fn submit_json(&self, text: &str) -> Result<Vec<JobId>, JsonError> {
-        Ok(sweeps_from_json(text)?
-            .into_iter()
-            .flat_map(|(_, jobs)| jobs)
-            .map(|job| self.submit(job))
-            .collect())
-    }
-
-    /// Like [`Service::submit_json`], but admission is **non-blocking and
-    /// all-or-nothing**: either every job of the request set fits in the
-    /// bounded queue and all are admitted, or none is.  This is the
-    /// admission path of the HTTP front-end, where a full queue must turn
-    /// into `429 Too Many Requests` instead of a stalled connection.  The
-    /// set's jobs are counted from its capacity ranges first, so a set
-    /// larger than the whole queue is refused before any of its jobs is
-    /// built, at a cost that does not grow with its size.
+    /// Parses job requests from JSON (one object or an array of them) and
+    /// admits every job of the set, one per capacity of each request's
+    /// sweep, **non-blocking and all-or-nothing**: either the bounded
+    /// queue has room for the whole set and all are admitted, or none is.
+    /// This is the admission path of the HTTP front-end, where a full
+    /// queue must turn into `429 Too Many Requests` instead of a stalled
+    /// connection.  The set's jobs are counted from its capacity ranges
+    /// first, so a set larger than the whole queue is refused before any
+    /// of its jobs is built, at a cost that does not grow with its size.
     ///
     /// # Errors
     ///
@@ -779,50 +734,19 @@ impl Service {
             return Err(full);
         }
         self.try_submit_all(sweeps.into_iter().flat_map(|(_, jobs)| jobs).collect())
-            .map_err(|SubmitError::QueueFull| full)
+            .ok_or(full)
     }
 
-    /// Blocks until the next unconsumed outcome is available and returns
-    /// it, in **completion** order (streaming consumers want results as
-    /// they land).  Returns `None` once every submitted job's outcome has
-    /// been consumed.
-    pub fn next_outcome(&self) -> Option<JobOutcome> {
-        let shared = &self.shared;
-        let mut results = shared.results.lock().expect("result store lock");
-        loop {
-            while let Some(id) = results.ready.pop_front() {
-                if let Some(outcome) = take_slot(&mut results, id) {
-                    return Some(outcome);
-                }
-            }
-            if results.consumed >= results.submitted {
-                return None;
-            }
-            results = shared.results_cv.wait(results).expect("result store lock");
-        }
-    }
-
-    /// Takes job `id`'s outcome if it has landed, without blocking.
-    /// `Ok(None)` means the job is still queued or running.
+    /// Blocks until job `id`'s outcome lands (or `timeout` expires, when
+    /// one is given) and takes it.  `Ok(None)` means the wait timed out
+    /// with the job still in flight; a zero timeout polls without
+    /// blocking.  This is the front-end's `GET /v1/jobs/{id}?wait_ms=…`.
     ///
     /// # Errors
     ///
     /// [`OutcomeError::Unknown`] for an id never admitted;
     /// [`OutcomeError::Taken`] when the outcome was already consumed
     /// (delivery is at most once).
-    pub fn take_outcome(&self, id: JobId) -> Result<Option<JobOutcome>, OutcomeError> {
-        let mut results = self.shared.results.lock().expect("result store lock");
-        poll_slot(&mut results, id)
-    }
-
-    /// Blocks until job `id`'s outcome lands (or `timeout` expires, when
-    /// one is given) and takes it.  `Ok(None)` means the wait timed out
-    /// with the job still in flight — the front-end's long-poll path
-    /// (`GET /v1/jobs/{id}?wait_ms=…`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::take_outcome`].
     pub fn wait_outcome(
         &self,
         id: JobId,
@@ -832,7 +756,7 @@ impl Service {
         let shared = &self.shared;
         let mut results = shared.results.lock().expect("result store lock");
         loop {
-            match poll_slot(&mut results, id)? {
+            match poll_slot(&mut results.slots, id)? {
                 Some(outcome) => return Ok(Some(outcome)),
                 None => match deadline {
                     None => {
@@ -855,12 +779,12 @@ impl Service {
     }
 
     /// Waits for every submitted job to finish and returns all outcomes
-    /// not yet consumed by [`Service::next_outcome`], in **submission**
+    /// not yet consumed by [`Service::wait_outcome`], in **submission**
     /// order.
     pub fn drain(&self) -> Vec<JobOutcome> {
         let shared = &self.shared;
         let mut results = shared.results.lock().expect("result store lock");
-        while results.completed < results.submitted {
+        while results.completed < results.submitted() {
             results = shared.results_cv.wait(results).expect("result store lock");
         }
         let mut outcomes = Vec::new();
@@ -871,8 +795,6 @@ impl Service {
                 }
             }
         }
-        results.consumed += outcomes.len() as u64;
-        results.ready.clear();
         outcomes
     }
 
@@ -884,7 +806,7 @@ impl Service {
         let deadline = Instant::now() + timeout;
         let shared = &self.shared;
         let mut results = shared.results.lock().expect("result store lock");
-        while results.completed < results.submitted {
+        while results.completed < results.submitted() {
             let now = Instant::now();
             if now >= deadline {
                 return false;
@@ -898,17 +820,12 @@ impl Service {
         true
     }
 
-    /// Cumulative statistics of the warm-engine pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.shared.lock().pool.stats()
-    }
-
     /// A coherent point-in-time snapshot of the service: pool, queue and
     /// job-ledger statistics in one struct (the `/healthz` payload).
     pub fn stats(&self) -> ServiceStats {
         let (submitted, completed) = {
             let results = self.shared.results.lock().expect("result store lock");
-            (results.submitted, results.completed)
+            (results.submitted(), results.completed)
         };
         let state = self.shared.lock();
         ServiceStats {
@@ -923,30 +840,19 @@ impl Service {
     }
 }
 
-/// Takes the outcome in slot `id` if it is ready, updating the consumed
-/// count.  (Free function because it borrows only the store, not the
-/// service.)
-fn take_slot(results: &mut ResultStore, id: u64) -> Option<JobOutcome> {
-    match results.slots.get_mut(id as usize) {
+/// By-id poll against the store: takes a ready outcome, and
+/// distinguishes pending, consumed and never-admitted.
+fn poll_slot(slots: &mut [Slot], id: JobId) -> Result<Option<JobOutcome>, OutcomeError> {
+    match slots.get_mut(id.0 as usize) {
+        None => Err(OutcomeError::Unknown(id)),
+        Some(Slot::Taken) => Err(OutcomeError::Taken(id)),
+        Some(Slot::Pending) => Ok(None),
         Some(slot @ Slot::Ready(_)) => {
             let Slot::Ready(outcome) = std::mem::replace(slot, Slot::Taken) else {
                 unreachable!("matched Ready above");
             };
-            results.consumed += 1;
-            Some(*outcome)
+            Ok(Some(*outcome))
         }
-        _ => None,
-    }
-}
-
-/// By-id poll against the store: distinguishes ready, pending, consumed
-/// and never-admitted.
-fn poll_slot(results: &mut ResultStore, id: JobId) -> Result<Option<JobOutcome>, OutcomeError> {
-    match results.slots.get(id.0 as usize) {
-        None => Err(OutcomeError::Unknown(id)),
-        Some(Slot::Taken) => Err(OutcomeError::Taken(id)),
-        Some(Slot::Pending) => Ok(None),
-        Some(Slot::Ready(_)) => Ok(take_slot(results, id.0)),
     }
 }
 
@@ -1210,9 +1116,8 @@ fn record(shared: &Shared, outcome: JobOutcome) {
         }
     }
     let mut results = shared.results.lock().expect("result store lock");
-    let id = outcome.id.0;
-    results.slots[id as usize] = Slot::Ready(Box::new(outcome));
-    results.ready.push_back(id);
+    let id = outcome.id.0 as usize;
+    results.slots[id] = Slot::Ready(Box::new(outcome));
     results.completed += 1;
     drop(results);
     shared.results_cv.notify_all();

@@ -93,7 +93,8 @@ impl Request {
 pub(crate) fn read_request(
     reader: &mut BufReader<TcpStream>,
 ) -> Result<Option<Request>, HttpError> {
-    let Some(line) = read_head_line(reader, &mut 0)? else {
+    let mut consumed = 0;
+    let Some(line) = read_head_line(reader, &mut consumed)? else {
         return Ok(None);
     };
     let mut parts = line.split(' ');
@@ -109,7 +110,6 @@ pub(crate) fn read_request(
         None => (target.to_owned(), String::new()),
     };
 
-    let mut consumed = line.len();
     let mut headers = HashMap::new();
     loop {
         let Some(line) = read_head_line(reader, &mut consumed)? else {
@@ -149,13 +149,17 @@ pub(crate) fn read_request(
 }
 
 /// Reads one CRLF-terminated head line, charging its length against the
-/// running head budget.  `Ok(None)` means EOF before any byte.
+/// running head budget.  At most one byte past the budget is read, so a
+/// line that never ends is refused as soon as it outgrows the budget
+/// instead of being buffered for as long as the client keeps sending.
+/// `Ok(None)` means EOF before any byte.
 fn read_head_line(
     reader: &mut BufReader<TcpStream>,
     consumed: &mut usize,
 ) -> Result<Option<String>, HttpError> {
     let mut line = String::new();
-    let read = reader.read_line(&mut line)?;
+    let budget = (MAX_HEAD - *consumed) as u64 + 1;
+    let read = reader.by_ref().take(budget).read_line(&mut line)?;
     if read == 0 {
         return Ok(None);
     }

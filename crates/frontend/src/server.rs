@@ -441,12 +441,7 @@ fn poll_job(id: &str, request: &Request, shared: &Shared) -> Response {
         return Response::json(400, "{\"error\":\"job id must be an integer\"}");
     };
     let wait = wait_param(request, DEFAULT_JOB_WAIT);
-    let taken = if wait.is_zero() {
-        shared.service.take_outcome(JobId(id))
-    } else {
-        shared.service.wait_outcome(JobId(id), Some(wait))
-    };
-    match taken {
+    match shared.service.wait_outcome(JobId(id), Some(wait)) {
         Err(OutcomeError::Unknown(_)) => {
             Response::json(404, format!("{{\"error\":\"unknown job id\",\"id\":{id}}}"))
         }

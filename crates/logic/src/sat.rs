@@ -24,9 +24,7 @@
 //! solves under a set of assumed literals that are retracted when the call
 //! returns — learnt clauses, variable activities and the watcher state all
 //! survive into the next call, which is what makes closely related queries
-//! (such as a queue-size sweep) cheap after the first one.  When a solve
-//! under assumptions fails, [`SatSolver::last_core`] reports the subset of
-//! the assumptions responsible (the *final conflict*, in MiniSat terms).
+//! (such as a queue-size sweep) cheap after the first one.
 //!
 //! Long sessions pay for that persistence: every learnt clause lengthens
 //! the watcher lists every later propagation must scan.  The solver
@@ -418,7 +416,6 @@ pub struct SatSolver {
     profile: SolverProfile,
     ok: bool,
     stats: SatStats,
-    last_core: Vec<Lit>,
     /// The lowest trail length a backjump or restart reached since the
     /// theory's previous check ([`Fixpoint::kept`]).
     kept: usize,
@@ -467,8 +464,8 @@ enum Step {
     Decided,
     /// Every constrained variable is assigned.
     Complete,
-    /// This assumption is false under the current assignment.
-    FailedAssumption(Lit),
+    /// The next assumption is false under the current assignment.
+    FailedAssumption,
 }
 
 impl Default for SatSolver {
@@ -513,7 +510,6 @@ impl SatSolver {
             config,
             ok: true,
             stats: SatStats::default(),
-            last_core: Vec::new(),
             kept: 0,
         }
     }
@@ -1074,10 +1070,8 @@ impl SatSolver {
     /// can answer a sequence of related queries while keeping every learnt
     /// clause, the variable activities and the watcher state.
     ///
-    /// On `Err(Unsat)`, [`SatSolver::last_core`] holds the subset of the
-    /// assumptions that the solver found jointly incompatible with the
-    /// clause set (empty when the clause set is unsatisfiable on its own —
-    /// in that case every later call also returns `Err(Unsat)`).
+    /// `Err(Unsat)` means no assignment satisfies the clause set under the
+    /// assumptions.
     ///
     /// # Panics
     ///
@@ -1113,9 +1107,8 @@ impl SatSolver {
     ///
     /// Returns `Ok(Some(model))` for the first complete assignment `theory`
     /// accepts, `Ok(None)` when it stops the search, and `Err(Unsat)` when
-    /// no assignment is left ([`SatSolver::last_core`] as for
-    /// [`SatSolver::solve_with_assumptions`]).  The solver is back at
-    /// decision level zero in every case.
+    /// no assignment is left.  The solver is back at decision level zero
+    /// in every case.
     ///
     /// # Panics
     ///
@@ -1127,7 +1120,6 @@ impl SatSolver {
         assumptions: &[Lit],
         mut theory: impl FnMut(Fixpoint<'_>) -> TheoryCheck,
     ) -> Result<Option<Vec<bool>>, Unsat> {
-        self.last_core.clear();
         if !self.ok {
             return Err(Unsat);
         }
@@ -1260,8 +1252,7 @@ impl SatSolver {
             }
             match step {
                 Step::Decided => {}
-                Step::FailedAssumption(p) => {
-                    self.last_core = self.analyze_final(p);
+                Step::FailedAssumption => {
                     self.cancel_until(0);
                     return Err(Unsat);
                 }
@@ -1325,7 +1316,7 @@ impl SatSolver {
                     // assumption indices and decision levels stay aligned.
                     self.trail_lim.push(self.trail.len());
                 }
-                Some(false) => return Step::FailedAssumption(p),
+                Some(false) => return Step::FailedAssumption,
                 None => {
                     self.stats.decisions += 1;
                     self.trail_lim.push(self.trail.len());
@@ -1397,48 +1388,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-
-    /// Returns the final conflict of the most recent solve that failed
-    /// under assumptions ([`SatSolver::solve_with_assumptions`] or
-    /// [`SatSolver::solve_with_theory`]): a subset of the assumed
-    /// literals whose conjunction is incompatible with the clause set.  The
-    /// core is a correct witness but not guaranteed minimal.
-    pub fn last_core(&self) -> &[Lit] {
-        &self.last_core
-    }
-
-    /// Walks the implication graph backwards from a failed assumption `p`
-    /// (currently assigned false) and collects the assumptions that
-    /// contributed to falsifying it — MiniSat's `analyzeFinal`.
-    fn analyze_final(&self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
-        if self.decision_level() == 0 || self.levels[p.var()] == 0 {
-            // `¬p` follows from the clause set alone: `{p}` is the core.
-            return core;
-        }
-        let mut seen = vec![false; self.num_vars()];
-        seen[p.var()] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let x = self.trail[i];
-            if !seen[x.var()] {
-                continue;
-            }
-            match self.reasons[x.var()] {
-                // Decisions above level zero are exactly the established
-                // assumptions; the trail holds the assumed literal itself.
-                None => core.push(x),
-                Some(cr) => {
-                    for &l in &self.clause(cr).lits {
-                        if l.var() != x.var() && self.levels[l.var()] > 0 {
-                            seen[l.var()] = true;
-                        }
-                    }
-                }
-            }
-            seen[x.var()] = false;
-        }
-        core
     }
 }
 
@@ -1670,7 +1619,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_assumptions_produce_a_core() {
+    fn failed_assumptions_leave_the_solver_usable() {
         // a -> b, b -> c; assuming a and ¬c is inconsistent.
         let mut s = SatSolver::new();
         let a = s.new_var();
@@ -1681,48 +1630,26 @@ mod tests {
         s.add_clause(&[lit(b, false), lit(c, true)]);
         let result = s.solve_with_assumptions(&[lit(d, true), lit(a, true), lit(c, false)]);
         assert_eq!(result, Err(Unsat));
-        let core = s.last_core().to_vec();
-        assert!(core.contains(&lit(a, true)));
-        assert!(core.contains(&lit(c, false)));
-        assert!(
-            !core.contains(&lit(d, true)),
-            "unrelated assumption in core"
-        );
         // The solver remains usable and satisfiable without the assumptions.
         assert!(s.solve().is_ok());
     }
 
     #[test]
-    fn directly_contradictory_assumptions_core_both_polarities() {
+    fn directly_contradictory_assumptions_are_unsat() {
         let mut s = SatSolver::new();
         let a = s.new_var();
         assert_eq!(
             s.solve_with_assumptions(&[lit(a, true), lit(a, false)]),
             Err(Unsat)
         );
-        let core = s.last_core().to_vec();
-        assert!(core.contains(&lit(a, true)));
-        assert!(core.contains(&lit(a, false)));
     }
 
     #[test]
-    fn assumption_refuted_at_level_zero_is_its_own_core() {
+    fn an_assumption_refuted_at_level_zero_is_unsat() {
         let mut s = SatSolver::new();
         let a = s.new_var();
         s.add_clause(&[lit(a, false)]);
         assert_eq!(s.solve_with_assumptions(&[lit(a, true)]), Err(Unsat));
-        assert_eq!(s.last_core(), &[lit(a, true)]);
-    }
-
-    #[test]
-    fn unsat_clause_set_reports_empty_core() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(&[lit(a, true)]);
-        s.add_clause(&[lit(a, false)]);
-        assert_eq!(s.solve_with_assumptions(&[lit(b, true)]), Err(Unsat));
-        assert!(s.last_core().is_empty());
     }
 
     #[test]
@@ -1809,7 +1736,7 @@ mod tests {
         // and either value completes the model, so an assignment with `k`
         // of them stands for 2^k models.  The completions must be models,
         // their number the brute-force count, and the search must end
-        // unsatisfiable with a core among the assumptions.
+        // unsatisfiable.
         let mut next = xorshift(0xD1B5_4A32_D192_ED03);
         for instance in 0..300usize {
             let num_vars = 1 + instance % 10;
@@ -1860,11 +1787,8 @@ mod tests {
                 count_models(num_vars, &clauses, &assumptions),
                 "instance {instance}: {clauses:?} under {assumptions:?}"
             );
-            let core = s.last_core().to_vec();
-            assert!(core.iter().all(|l| assumptions.contains(l)), "{core:?}");
             let mut with_lemmas = clauses.clone();
             with_lemmas.extend(lemmas);
-            assert!(!brute_force_sat(num_vars, &with_lemmas, &core));
             // The lemmas are permanent: without the assumptions, exactly the
             // models they do not block are left.
             assert_eq!(
@@ -1876,7 +1800,7 @@ mod tests {
     }
 
     #[test]
-    fn lemmas_over_assumption_literals_yield_a_core_of_assumptions() {
+    fn lemmas_over_assumption_literals_refute_the_assumptions() {
         // a ∨ b, c → x.  Assuming a and c, a theory refutes c with a unit
         // lemma, an asserting one (a at level 1, c at level 2) and a
         // conflicting one (c and x both at level 2).
@@ -1899,12 +1823,6 @@ mod tests {
                 }
             });
             assert_eq!(result, Err(Unsat), "shape {shape}");
-            let core = s.last_core().to_vec();
-            assert!(core.contains(&lit(c, true)), "shape {shape}: {core:?}");
-            assert!(
-                core.iter().all(|l| assumptions.contains(l)),
-                "shape {shape}: {core:?}"
-            );
             let model = s.solve().expect("satisfiable without the assumptions");
             assert!(
                 lemma.iter().any(|&l| model[l.var()] == l.is_positive()),
@@ -1927,7 +1845,6 @@ mod tests {
         });
         assert_eq!(result, Err(Unsat));
         assert_eq!(s.decision_level(), 0);
-        assert!(s.last_core().is_empty());
         assert_eq!(s.solve(), Err(Unsat));
     }
 
@@ -2109,8 +2026,7 @@ mod tests {
         // Small deterministic pseudo-random 3-SAT instances, cross-checked
         // against brute force — solved both without assumptions and under
         // random assumption sets, with aggressive database reduction, Luby
-        // restarts and phase saving all active.  Failed assumption cores
-        // must themselves be unsatisfiable together with the clauses.
+        // restarts and phase saving all active.
         let mut seed = 0x2545F4914F6CDD1Du64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -2187,26 +2103,10 @@ mod tests {
                             );
                         }
                     }
-                    Err(Unsat) => {
-                        assert!(
-                            !expected || !brute_sat,
-                            "instance {instance} round {round}: UNSAT under SAT assumptions"
-                        );
-                        let core = s.last_core().to_vec();
-                        for l in &core {
-                            assert!(
-                                assumptions.contains(l),
-                                "core literal {l:?} is not an assumption"
-                            );
-                        }
-                        if brute_sat {
-                            assert!(
-                                !brute_force_sat(num_vars, &clauses, &core),
-                                "instance {instance} round {round}: reported core {core:?} \
-                                 is satisfiable with the clause set"
-                            );
-                        }
-                    }
+                    Err(Unsat) => assert!(
+                        !expected || !brute_sat,
+                        "instance {instance} round {round}: UNSAT under SAT assumptions"
+                    ),
                 }
             }
         }

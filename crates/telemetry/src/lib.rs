@@ -12,8 +12,8 @@
 //!   pluggable [`TraceSink`] (in-memory ring, null, or any sink of the
 //!   caller's own);
 //! * **Metrics** ([`MetricsRegistry`]): counters, gauges and histograms
-//!   with hand-rolled Prometheus-text and JSON exposition (the build
-//!   environment is offline — no serde);
+//!   with hand-rolled Prometheus-text exposition (the build environment
+//!   is offline — no serde);
 //! * **Solver profiles** ([`SolverProfile`]): per-query attribution of
 //!   time and conflicts to the propagate/analyze/reduce/restart phases
 //!   plus the restart/LBD-EMA timeline.

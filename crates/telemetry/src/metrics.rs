@@ -1,17 +1,15 @@
 //! The metrics registry: counters, gauges and histograms with hand-rolled
-//! Prometheus-text and JSON exposition.
+//! Prometheus-text exposition.
 //!
 //! Metric handles are registered once (get-or-create by name) and then
 //! updated lock-free through atomics; the registry lock is only taken at
-//! registration and exposition time.  The expositions are serde-free, in
+//! registration and exposition time.  The exposition is serde-free, in
 //! the same house style as the service's `service/json.rs` wire format.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use crate::trace::escape_into;
 
 /// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
@@ -150,7 +148,6 @@ struct Registered {
 /// let jobs = registry.counter("advocat_jobs_total", "Jobs executed");
 /// jobs.inc();
 /// assert!(registry.render_prometheus().contains("advocat_jobs_total 1"));
-/// assert!(registry.render_json().contains("\"advocat_jobs_total\":1"));
 /// ```
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
@@ -280,65 +277,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders every metric as one JSON object:
-    /// `{"counters":{..},"gauges":{..},"histograms":{..}}`, histogram
-    /// buckets as `[bound_us, cumulative_count]` pairs (`null` bound for
-    /// `+Inf`), all times in microseconds.
-    pub fn render_json(&self) -> String {
-        let inner = self.inner.lock().expect("metrics registry lock");
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut histograms = String::new();
-        for entry in inner.iter() {
-            match &entry.metric {
-                Metric::Counter(c) => {
-                    if !counters.is_empty() {
-                        counters.push(',');
-                    }
-                    counters.push('"');
-                    escape_into(&mut counters, &entry.name);
-                    let _ = write!(counters, "\":{}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    if !gauges.is_empty() {
-                        gauges.push(',');
-                    }
-                    gauges.push('"');
-                    escape_into(&mut gauges, &entry.name);
-                    let _ = write!(gauges, "\":{}", g.get());
-                }
-                Metric::Histogram(h) => {
-                    if !histograms.is_empty() {
-                        histograms.push(',');
-                    }
-                    histograms.push('"');
-                    escape_into(&mut histograms, &entry.name);
-                    let _ = write!(
-                        histograms,
-                        "\":{{\"count\":{},\"sum_us\":{},\"buckets\":[",
-                        h.count(),
-                        h.sum_us()
-                    );
-                    for (i, (bound, count)) in h.buckets().into_iter().enumerate() {
-                        if i > 0 {
-                            histograms.push(',');
-                        }
-                        match bound {
-                            Some(us) => {
-                                let _ = write!(histograms, "[{us},{count}]");
-                            }
-                            None => {
-                                let _ = write!(histograms, "[null,{count}]");
-                            }
-                        }
-                    }
-                    histograms.push_str("]}");
-                }
-            }
-        }
-        format!("{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}}}}")
-    }
 }
 
 #[cfg(test)]
@@ -387,20 +325,6 @@ mod tests {
         assert!(text.contains("advocat_wait_us_bucket{le=\"1\"} 0"));
         assert!(text.contains("advocat_wait_us_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("advocat_wait_us_sum 2"));
-    }
-
-    #[test]
-    fn json_exposition_groups_by_kind() {
-        let registry = MetricsRegistry::new();
-        registry.counter("c", "counter").add(4);
-        registry.gauge("g", "gauge").set(-2);
-        registry
-            .histogram_with("h", "histogram", &[10])
-            .observe_us(3);
-        let json = registry.render_json();
-        assert!(json.contains("\"counters\":{\"c\":4}"));
-        assert!(json.contains("\"gauges\":{\"g\":-2}"));
-        assert!(json.contains("\"h\":{\"count\":1,\"sum_us\":3,\"buckets\":[[10,1],[null,1]]}"));
     }
 
     #[test]

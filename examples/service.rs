@@ -1,4 +1,4 @@
-//! The verification service: submit JSON jobs, stream outcomes, drain.
+//! The verification service: submit JSON jobs, wait for each, drain.
 //!
 //! A long-running deployment of ADVOCAT does not answer one caller on one
 //! `QueryEngine` — it answers a stream of requests from many clients, most
@@ -6,7 +6,7 @@
 //! drives the `Service` the way such a deployment would:
 //!
 //! 1. **submit** a JSON request file (two requests, one a capacity sweep),
-//! 2. **stream** outcomes as they complete with `next_outcome`, printing
+//! 2. **wait** for each job's outcome by id with `wait_outcome`, printing
 //!    each as JSON,
 //! 3. submit a second wave of jobs over the *same* fabrics and **drain**,
 //!    showing the warm-engine pool served them without rebuilding.
@@ -17,7 +17,7 @@ use advocat::prelude::*;
 use advocat::service::outcome_to_json;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("== The verification service: submit -> stream -> drain ==\n");
+    println!("== The verification service: submit -> wait -> drain ==\n");
 
     let service = Service::new(ServiceConfig::default().with_max_engines(8));
 
@@ -38,19 +38,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "directory": 1
         }
     ]"#;
-    let ids = service.submit_json(request_file)?;
+    let ids = service.try_submit_json(request_file)?;
     println!("submitted {} jobs from the JSON request file\n", ids.len());
 
-    // 2. Stream outcomes in completion order, as JSON lines.
-    println!("-- streamed outcomes (completion order) --");
-    for _ in 0..ids.len() {
-        let outcome = service.next_outcome().expect("jobs are in flight");
+    // 2. Wait for each outcome by id, printing them as JSON lines.
+    println!("-- outcomes (id order) --");
+    for id in ids {
+        let outcome = service.wait_outcome(id, None)?.expect("no timeout");
         println!("{}", outcome_to_json(&outcome));
     }
 
     // 3. A second wave over the same fabrics: every job should check out
     //    a warm engine (warm_hit: true in the JSON).
-    let ids = service.submit_json(request_file)?;
+    let ids = service.try_submit_json(request_file)?;
     println!(
         "\n-- second wave over the same fabrics ({} jobs) --",
         ids.len()
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{}", outcome_to_json(outcome));
     }
 
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     println!(
         "\npool: {} engines built, {} warm hits ({:.0}% warm), {} live",
         stats.engines_built,

@@ -12,7 +12,7 @@
 //!    and boundary phases, per-span-name counts and totals,
 //! 3. fills the metrics registry behind the same handle from a small
 //!    verification-service batch (composition registers no metrics) and
-//!    prints it in both exposition formats.
+//!    prints its Prometheus text exposition.
 //!
 //! Run with: `cargo run --release --example telemetry`
 
@@ -158,13 +158,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     service.drain();
-    println!(
-        "-- Prometheus exposition --\n{}",
-        metrics.render_prometheus()
-    );
-    let json = metrics.render_json();
-    assert!(json.contains("service_warm_hits_total"));
-    println!("-- JSON exposition ({} bytes) --", json.len());
+    let prometheus = metrics.render_prometheus();
+    assert!(prometheus.contains("service_warm_hits_total"));
+    println!("-- Prometheus exposition --\n{prometheus}");
 
     Ok(())
 }

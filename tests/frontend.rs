@@ -290,7 +290,7 @@ fn sigterm_drains_without_losing_accepted_jobs() {
     for id in ids {
         let outcome = harness
             .service
-            .take_outcome(JobId(id))
+            .wait_outcome(JobId(id), Some(Duration::ZERO))
             .expect("id stays known")
             .expect("job completed during the drain");
         assert!(outcome.result.is_ok(), "job ran to a verdict");
@@ -321,6 +321,40 @@ fn an_idle_server_drains_without_any_connection() {
         .expect("shutdown and join of a server nobody connected to hung");
     assert!(idle, "no job was ever accepted");
     joiner.join().expect("the joining thread");
+}
+
+/// A request line that never ends is refused once it outgrows the 16 KiB
+/// head budget: one byte past it gets a `400` at once, instead of a
+/// buffer that grows for as long as the client keeps sending.
+#[test]
+fn an_unterminated_request_line_is_refused_at_the_head_limit() {
+    use std::io::{Read, Write};
+
+    let harness = start(
+        ServiceConfig::default().with_workers(1),
+        FrontendConfig::default(),
+    );
+    let mut stream = std::net::TcpStream::connect(harness.server.addr()).expect("server is up");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read deadline");
+    stream
+        .write_all(&vec![b'A'; 16 * 1024 + 1])
+        .expect("the line is sent");
+    let mut response = Vec::new();
+    stream
+        .read_to_end(&mut response)
+        .expect("the server answers and closes within the deadline");
+    let response = String::from_utf8_lossy(&response);
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("Connection: close"), "{response}");
+    assert!(
+        response.contains("request head exceeds the front-end's limit"),
+        "{response}"
+    );
+
+    harness.server.shutdown();
+    assert!(harness.server.join());
 }
 
 /// Satellite acceptance: `/metrics` is valid Prometheus text exposition

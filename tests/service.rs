@@ -92,7 +92,7 @@ fn identical_fingerprints_share_one_engine() {
         );
     }
     let outcomes = service.drain();
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!(stats.engines_built, 1, "one engine for one fingerprint");
     assert_eq!(stats.warm_hits, 3);
     let built: u64 = outcomes
@@ -114,7 +114,7 @@ fn identical_fingerprints_share_one_engine() {
             .with_config(tighter),
     );
     service.drain();
-    assert_eq!(service.pool_stats().engines_built, 2);
+    assert_eq!(service.stats().pool.engines_built, 2);
 }
 
 /// The deadlock target is picked per query by assumption, so jobs that
@@ -134,7 +134,7 @@ fn jobs_differing_only_in_target_share_one_engine() {
         );
     }
     let outcomes = service.drain();
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!(stats.engines_built, 1, "the target does not split the pool");
     assert_eq!(stats.warm_hits, 1);
     for (outcome, target) in outcomes.iter().zip(targets) {
@@ -155,8 +155,8 @@ fn jobs_differing_only_in_target_share_one_engine() {
 }
 
 /// Admission control: with a one-slot queue and a busy worker,
-/// `try_submit` refuses instead of blocking, and everything admitted still
-/// completes correctly.
+/// `try_submit_json` refuses instead of blocking, and everything admitted
+/// still completes correctly.
 #[test]
 fn try_submit_refuses_when_the_queue_is_full() {
     let service = Service::new(
@@ -164,13 +164,20 @@ fn try_submit_refuses_when_the_queue_is_full() {
             .with_workers(1)
             .with_queue_capacity(1),
     );
-    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 2).with_directory(3);
     let mut admitted = 0;
     let mut refused = 0;
     for i in 0..16 {
-        match service.try_submit(VerifyJob::new(format!("job {i}"), mesh.clone())) {
+        let job = format!(
+            r#"{{"name": "job {i}", "topology": {{"kind": "mesh", "width": 2, "height": 2}},
+                 "directory": 3}}"#
+        );
+        match service.try_submit_json(&job) {
             Ok(_) => admitted += 1,
-            Err(SubmitError::QueueFull) => refused += 1,
+            Err(JsonSubmitError::QueueFull {
+                jobs: 1,
+                capacity: 1,
+            }) => refused += 1,
+            Err(error) => panic!("{error}"),
         }
     }
     assert!(refused > 0, "a 1-slot queue must refuse a 16-job burst");
@@ -212,7 +219,7 @@ fn cold_engines_are_evicted_lru_under_the_cap() {
     service.drain();
     service.submit(VerifyJob::new("b", free));
     service.drain();
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!(stats.engines_built, 2);
     assert_eq!(stats.evictions, 1, "engine `a` was evicted for `b`");
     assert_eq!(stats.live_engines, 1);
@@ -221,7 +228,7 @@ fn cold_engines_are_evicted_lru_under_the_cap() {
     service.submit(VerifyJob::new("a again", deadlocking));
     let outcomes = service.drain();
     assert!(!outcomes[0].is_deadlock_free());
-    assert_eq!(service.pool_stats().engines_built, 3);
+    assert_eq!(service.stats().pool.engines_built, 3);
 }
 
 /// Eviction accounting: warm-hit statistics must reflect that an evicted
@@ -236,21 +243,21 @@ fn warm_hit_accounting_survives_eviction_and_rebuild() {
     service.submit(VerifyJob::new("a cold", a.clone()));
     service.submit(VerifyJob::new("a warm", a.clone()));
     service.drain();
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!((stats.engines_built, stats.warm_hits), (1, 1));
 
     // `b` evicts `a`; returning to `a` must be a cold rebuild, and only
     // the job after it is warm again.
     service.submit(VerifyJob::new("b evicts a", b));
     service.drain();
-    assert_eq!(service.pool_stats().evictions, 1);
+    assert_eq!(service.stats().pool.evictions, 1);
     service.submit(VerifyJob::new("a rebuilds", a.clone()));
     service.submit(VerifyJob::new("a warm again", a));
     let outcomes = service.drain();
     assert!(!outcomes[0].warm_hit, "the rebuild is not a warm hit");
     assert!(outcomes[1].warm_hit, "the rebuilt engine serves warm");
 
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!(stats.engines_built, 3, "a, b, and the rebuild of a");
     assert_eq!(stats.warm_hits, 2);
     assert_eq!(stats.evictions, 2, "the rebuild of a evicted b in turn");
@@ -290,7 +297,7 @@ fn pool_accounting_balances_across_all_paths() {
         "a 1ns budget is always out-waited in the queue"
     );
 
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!(
         stats.checkouts,
         stats.warm_hits + stats.engines_built,
@@ -324,7 +331,7 @@ fn build_failures_are_cached_per_fingerprint() {
     assert!(outcomes
         .iter()
         .all(|o| matches!(o.result, Err(JobError::Fabric(_)))));
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!(stats.build_failures, 3);
     assert_eq!(stats.engines_built, 0);
 }
@@ -335,7 +342,7 @@ fn build_failures_are_cached_per_fingerprint() {
 fn json_jobs_round_trip_through_the_service() {
     let service = Service::new(ServiceConfig::default().with_workers(2));
     let ids = service
-        .submit_json(
+        .try_submit_json(
             r#"{
                 "name": "figure 3",
                 "topology": {"kind": "mesh", "width": 2, "height": 2},
@@ -354,9 +361,9 @@ fn json_jobs_round_trip_through_the_service() {
     assert!(json.contains("\"warm_hit\":true"));
     assert!(json.contains("\"capacity\":3"));
 
-    assert!(service.submit_json("{\"nope\": 1").is_err());
+    assert!(service.try_submit_json("{\"nope\": 1").is_err());
     assert!(service
-        .submit_json(r#"{"name": "x", "topology": {"kind": "escher"}}"#)
+        .try_submit_json(r#"{"name": "x", "topology": {"kind": "escher"}}"#)
         .is_err());
 }
 
@@ -367,7 +374,7 @@ fn json_jobs_round_trip_through_the_service() {
 fn an_exhausted_budget_is_unknown_in_the_job_json() {
     let service = Service::new(ServiceConfig::default().with_workers(2));
     let ids = service
-        .submit_json(
+        .try_submit_json(
             r#"{
                 "name": "no budget",
                 "topology": {"kind": "mesh", "width": 2, "height": 2},
@@ -393,7 +400,7 @@ fn an_exhausted_budget_is_unknown_in_the_job_json() {
 fn a_spent_theory_budget_is_unknown_in_the_job_json() {
     let service = Service::new(ServiceConfig::default().with_workers(2));
     let ids = service
-        .submit_json(
+        .try_submit_json(
             r#"{
                 "name": "no theory nodes",
                 "topology": {"kind": "mesh", "width": 2, "height": 2},
@@ -411,25 +418,6 @@ fn a_spent_theory_budget_is_unknown_in_the_job_json() {
         let json = advocat::service::outcome_to_json(&outcome);
         assert!(json.contains("\"status\":\"unknown\""), "{json}");
     }
-}
-
-/// Streaming consumption: `next_outcome` hands outcomes out as they
-/// complete and signals exhaustion with `None`.
-#[test]
-fn next_outcome_streams_and_then_reports_exhaustion() {
-    let service = Service::new(ServiceConfig::default().with_workers(2));
-    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3);
-    for i in 0..4 {
-        service.submit(VerifyJob::new(format!("job {i}"), mesh.clone()));
-    }
-    let mut seen = Vec::new();
-    while let Some(outcome) = service.next_outcome() {
-        assert!(outcome.is_deadlock_free());
-        seen.push(outcome.id.0);
-    }
-    seen.sort_unstable();
-    assert_eq!(seen, vec![0, 1, 2, 3]);
-    assert_eq!(service.stats().pending, 0);
 }
 
 /// Drops `service` on a helper thread; a drop that does not finish
@@ -627,7 +615,7 @@ fn thousand_job_stress_run_stays_consistent() {
             );
         }
     }
-    let stats = service.pool_stats();
+    let stats = service.stats().pool;
     assert_eq!(stats.warm_hits + stats.engines_built, 1000);
     assert_eq!(stats.checkouts, 1000);
     assert_eq!(
@@ -673,15 +661,19 @@ fn racing_submitters_never_hang_or_lose_jobs() {
             std::thread::spawn(move || {
                 barrier.wait();
                 for i in 0..ATTEMPTS {
-                    let job = VerifyJob::new(
-                        format!("race {t}-{i}"),
-                        FabricConfig::new(Topology::ring(3).unwrap(), 1).with_directory(1),
+                    let job = format!(
+                        r#"{{"name": "race {t}-{i}", "topology": {{"kind": "ring", "nodes": 3}},
+                             "queue_size": 1, "directory": 1}}"#
                     );
-                    match service.try_submit(job) {
-                        Ok(id) => admitted.lock().unwrap().push(id),
-                        Err(SubmitError::QueueFull) => {
+                    match service.try_submit_json(&job) {
+                        Ok(ids) => admitted.lock().unwrap().extend(ids),
+                        Err(JsonSubmitError::QueueFull {
+                            jobs: 1,
+                            capacity: 3,
+                        }) => {
                             refused.fetch_add(1, Ordering::Relaxed);
                         }
+                        Err(error) => panic!("{error}"),
                     }
                 }
             })
@@ -727,9 +719,9 @@ fn racing_submitters_never_hang_or_lose_jobs() {
 }
 
 /// Satellite: the `stats()` snapshot agrees with the live sources it
-/// summarises — the pool's own accounting, the scheduler's queue bound
-/// and the metrics registry's gauges — and `to_json` round-trips as
-/// well-formed JSON carrying the same numbers.
+/// summarises — the scheduler's queue bound and the metrics registry's
+/// gauges — and `to_json` round-trips as well-formed JSON carrying the
+/// same numbers.
 #[test]
 fn stats_snapshot_pins_pool_queue_and_registry() {
     let (telemetry, _trace) = Telemetry::ring(1024);
@@ -757,7 +749,6 @@ fn stats_snapshot_pins_pool_queue_and_registry() {
     assert_eq!(stats.submitted, 2);
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.pending, 0);
-    assert_eq!(stats.pool, service.pool_stats(), "one pool, one truth");
 
     let json = stats.to_json();
     advocat::service::validate_json(&json).expect("snapshot JSON is well-formed");
