@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Hard cap on the request line plus all headers.
 pub(crate) const MAX_HEAD: usize = 16 * 1024;
@@ -88,11 +89,53 @@ impl Request {
     }
 }
 
-/// Reads one request off `reader`.  Returns `Ok(None)` on a clean EOF
-/// before any byte (the peer closed a keep-alive connection).
+/// The read side of a connection: once a request's deadline is set,
+/// every read waits only for what is left of it, so a request has one
+/// deadline however its bytes trickle in.
+pub(crate) struct Incoming {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Incoming {
+    pub(crate) fn new(stream: TcpStream) -> Incoming {
+        Incoming {
+            stream,
+            deadline: None,
+        }
+    }
+}
+
+impl Read for Incoming {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        self.stream.read(buf)
+    }
+}
+
+/// Reads one request off `reader`.  The first byte may take up to
+/// `timeout` (the keep-alive idle wait); from it, the whole request, head
+/// and body, must arrive within `timeout`, or the read fails with
+/// [`HttpError::Io`].  Returns `Ok(None)` on a clean EOF before any byte
+/// (the peer closed a keep-alive connection).
 pub(crate) fn read_request(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<Incoming>,
+    timeout: Duration,
 ) -> Result<Option<Request>, HttpError> {
+    let incoming = reader.get_mut();
+    incoming.deadline = None;
+    incoming.stream.set_read_timeout(Some(timeout))?;
+    if reader.fill_buf()?.is_empty() {
+        return Ok(None);
+    }
+    // A timeout past the clock's range sets no deadline.
+    reader.get_mut().deadline = Instant::now().checked_add(timeout);
     let mut consumed = 0;
     let Some(line) = read_head_line(reader, &mut consumed)? else {
         return Ok(None);
@@ -154,7 +197,7 @@ pub(crate) fn read_request(
 /// instead of being buffered for as long as the client keeps sending.
 /// `Ok(None)` means EOF before any byte.
 fn read_head_line(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<Incoming>,
     consumed: &mut usize,
 ) -> Result<Option<String>, HttpError> {
     let mut line = String::new();

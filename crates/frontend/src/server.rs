@@ -5,8 +5,9 @@
 //! a **bounded** connection queue (full queue → immediate `503`, the
 //! same no-hidden-buffering stance as the service's admission queue),
 //! and a small pool of connection workers runs keep-alive loops with
-//! per-connection read/write deadlines.  Service semantics map onto
-//! status codes without translation loss:
+//! one read deadline per request ([`FrontendConfig::read_timeout`]) and a
+//! write deadline per connection.  Service semantics map onto status
+//! codes without translation loss:
 //!
 //! | Condition | Status |
 //! |---|---|
@@ -42,7 +43,7 @@ use advocat::service::{
 };
 use advocat_telemetry::{escape_into, Telemetry, TraceBuffer};
 
-use crate::http::{read_request, ChunkedWriter, HttpError, Request, Response};
+use crate::http::{read_request, ChunkedWriter, HttpError, Incoming, Request, Response};
 use crate::signal;
 
 /// Tuning for a [`Server`].
@@ -55,7 +56,10 @@ pub struct FrontendConfig {
     /// Bound on sockets accepted but not yet picked up by a worker;
     /// beyond it new connections get an immediate `503`.
     pub accept_backlog: usize,
-    /// Per-connection read deadline (also the keep-alive idle timeout).
+    /// How long a request may take to arrive, from its first byte to the
+    /// end of its body, however its bytes trickle in; a slower request
+    /// loses its connection.  Also the keep-alive idle wait for a
+    /// request's first byte.
     pub read_timeout: Duration,
     /// Per-connection write deadline.
     pub write_timeout: Duration,
@@ -332,8 +336,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // writes, and Nagle vs delayed-ACK turns each exchange into a
     // ~40 ms round trip otherwise.
     if stream
-        .set_read_timeout(Some(shared.config.read_timeout))
-        .and(stream.set_write_timeout(Some(shared.config.write_timeout)))
+        .set_write_timeout(Some(shared.config.write_timeout))
         .and(stream.set_nodelay(true))
         .is_err()
     {
@@ -342,10 +345,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Incoming::new(stream));
 
     loop {
-        let request = match read_request(&mut reader) {
+        let request = match read_request(&mut reader, shared.config.read_timeout) {
             Ok(Some(request)) => request,
             // Clean EOF: the peer is done with the connection.
             Ok(None) => return,

@@ -5,11 +5,12 @@
 //! whose theory hook checks every unit-propagation fixpoint it reaches.
 //! At a partial assignment the hook checks the interval bounds of the
 //! integer variables under the atoms assigned so far, kept along the SAT
-//! trail and undone on backjump; a complete assignment the bounds admit is
-//! decided by the theory solver, branch & bound included.  An assignment
-//! the theory refutes yields an explained lemma, which the search treats
-//! as a conflict clause: it backjumps only as far as the lemma needs and
-//! continues, instead of starting a new SAT solve per lemma.
+//! trail with the reason of every bound and undone on backjump; a
+//! complete assignment the bounds admit is decided by the theory solver,
+//! branch & bound included.  An assignment the theory refutes yields an
+//! explained lemma, which the search treats as a conflict clause: it
+//! backjumps only as far as the lemma needs and continues, instead of
+//! starting a new SAT solve per lemma.
 //! [`SolverStats::refinements`] counts the rounds of that search (the
 //! first, plus one per lemma).
 //!
@@ -45,8 +46,11 @@ pub struct CheckConfig {
     /// answers `Unknown` without searching.
     pub max_refinements: u64,
     /// Search-node budget for each theory feasibility check: deciding a
-    /// complete assignment, explaining a refuted one and re-checking a
-    /// branch & bound explanation each get this many nodes.
+    /// complete assignment and re-checking a branch & bound explanation
+    /// each get this many nodes.  Explaining an assignment the bounds kept
+    /// along the trail refute walks their reasons back, which counts as
+    /// one node, so zero answers `Unknown` at the first theory conflict
+    /// or complete assignment.
     pub theory_node_budget: u64,
     /// CDCL search parameters: learnt-database reduction, restart schedule
     /// and phase saving.  Applied to the underlying SAT solver at every
@@ -364,18 +368,22 @@ impl SmtSolver {
     /// A complete assignment the bounds admit is decided by
     /// [`theory::solve`], which branches where intervals cannot decide.
     ///
-    /// A refuted assignment is explained from scratch: the hook extracts
-    /// the theory constraints of every assigned atom and has
-    /// [`theory::solve`] explain them.  An explanation found by
-    /// propagation is shrunk to an irreducible core
-    /// ([`theory::minimize_core`]) and re-checked without the recorded
-    /// reasons; one that needed branch & bound is re-checked by a fresh
-    /// [`theory::solve`] over its constraints alone, and blocks every
-    /// assigned atom when that check runs out of nodes.  The lemma blocks
-    /// the core's atoms.  The SAT solver treats it as a conflict clause of
-    /// the running search ([`SatSolver::solve_with_theory`]).  Lemmas are
-    /// justified by the variable bounds alone, so they stay as permanent
-    /// clauses: the "theory lemmas" that survive into later checks.
+    /// An assignment the bounds refute is explained from the reasons they
+    /// keep: walking back from the conflict names the atoms whose bound
+    /// moves it read, with no extraction and no [`theory::solve`].  Those
+    /// atoms, ascending, are shrunk to an irreducible core
+    /// ([`theory::minimize_core`]), whose deletion pass drops the oldest
+    /// atoms first and so keeps the current query's capacity pins, and
+    /// the core is re-checked by plain propagation without the recorded
+    /// reasons.  A complete assignment that [`theory::solve`] refutes by
+    /// branch & bound is explained by the union of its leaves' reasons,
+    /// re-checked by a fresh [`theory::solve`] over those constraints
+    /// alone, and blocks every assigned atom when that check runs out of
+    /// nodes.  The lemma blocks the core's atoms.  The SAT solver treats
+    /// it as a conflict clause of the running search
+    /// ([`SatSolver::solve_with_theory`]).  Lemmas are justified by the
+    /// variable bounds alone, so they stay as permanent clauses: the
+    /// "theory lemmas" that survive into later checks.
     ///
     /// The search runs in refinement rounds: the first, and one more
     /// after each lemma.  A lemma that would start a round beyond
@@ -386,7 +394,8 @@ impl SmtSolver {
     /// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
     /// theory-side phases and lemma sizes are charged to the check's
     /// profile, next to the SAT core's CDCL phases; every fixpoint's
-    /// bound update counts as a theory check.
+    /// bound update counts as a theory check, and the walk back over the
+    /// bounds' reasons as an extraction.
     fn refine(&mut self, assumptions: &[Lit], config: &CheckConfig) -> SmtResult {
         self.profile = SolverProfile::default();
         if config.max_refinements == 0 {
@@ -409,110 +418,121 @@ impl SmtSolver {
         let profiling = config.solver.telemetry.is_enabled();
         let mut constraints: Vec<&Constraint> = Vec::new();
         let mut atom_lits: Vec<Lit> = Vec::new();
+        let mut explained: Vec<u32> = Vec::new();
         let mut found: Option<Model> = None;
 
         // The first round of the search; each lemma starts another.
         *refinements = 1;
         let searched = self.sat.solve_with_theory(assumptions, |at| {
-            let start = profiling.then(Instant::now);
+            let mut start = profiling.then(Instant::now);
             let bounded = trail_bounds.update(at).is_ok();
-            let start = lap(start, &mut profile.theory);
+            start = lap(start, &mut profile.theory);
             if bounded && !at.complete {
                 return TheoryCheck::Consistent;
             }
-            // Extract the theory constraints the assignment implies.  Atoms
-            // no live clause mentions (their scope was popped and
-            // garbage-collected) are unassigned and skipped: nothing
-            // propositional constrains them, so forcing a theory
-            // counterpart would only shrink — or wrongly empty — the
-            // feasible space of long-lived sessions.
             constraints.clear();
             atom_lits.clear();
-            for (both, &sat_var) in polarised.iter().zip(&atom_vars) {
-                let Some(assigned_true) = at.assignment[sat_var] else {
-                    continue;
-                };
-                constraints.push(&both[usize::from(assigned_true)]);
-                atom_lits.push(Lit::new(sat_var, assigned_true));
-            }
-            let start = lap(start, &mut profile.extract);
-
-            let verdict = theory::solve(&bounds, &constraints, config.theory_node_budget);
-            let start = lap(start, &mut profile.theory);
-            match verdict {
-                TheoryVerdict::Sat(values) => {
-                    // Propagation only refutes what has no integer point.
-                    assert!(
-                        bounded,
-                        "internal error: the bounds kept along the trail refuted a satisfiable assignment"
-                    );
-                    let mut model = Model::new();
-                    for v in pool.int_vars() {
-                        model.set_int(v, values[v.index()]);
-                    }
-                    for v in pool.bool_vars() {
-                        if let Some(sat_var) = encoder.lookup_bool(v) {
-                            model.set_bool(v, at.assignment[sat_var].unwrap_or(false));
-                        }
-                    }
-                    debug_assert!(
-                        assertions.iter().all(|f| f
-                            .evaluate(&mut |b| model.bool_value(b), &mut |i| model.int_value(i))),
-                        "internal error: SMT model does not satisfy the assertions"
-                    );
-                    found = Some(model);
-                    TheoryCheck::Consistent
-                }
-                TheoryVerdict::Unknown => TheoryCheck::Stop,
-                TheoryVerdict::Unsat {
-                    explanation,
-                    branched,
-                } => {
-                    *theory_conflicts += 1;
-                    if *refinements >= config.max_refinements {
-                        return TheoryCheck::Stop;
-                    }
-                    *refinements += 1;
-                    let core = if branched {
-                        // The lemma must have no integer point on its own:
-                        // an unsound one would turn into a wrong
-                        // "deadlock-free".
-                        let lemma: Vec<&Constraint> =
-                            explanation.iter().map(|&i| constraints[i]).collect();
-                        match theory::solve(&bounds, &lemma, config.theory_node_budget) {
-                            TheoryVerdict::Sat(point) => panic!(
-                                "internal error: branch-and-bound explanation {lemma:?} \
-                                 has the integer point {point:?}"
-                            ),
-                            TheoryVerdict::Unsat { .. } => explanation,
-                            // Unconfirmed: block all of the assignment's atoms.
-                            TheoryVerdict::Unknown => (0..constraints.len()).collect(),
-                        }
-                    } else {
-                        let core = theory::minimize_core(&bounds, &constraints, explanation);
-                        // The lemma must be refuted without the recorded
-                        // reasons: an unsound one would turn into a wrong
-                        // "deadlock-free".
-                        let lemma: Vec<&Constraint> =
-                            core.iter().map(|&i| constraints[i]).collect();
-                        assert!(
-                            theory::refuted_by_propagation(&bounds, &lemma),
-                            "internal error: theory core {lemma:?} is not refuted by propagation"
-                        );
-                        core
+            let (explanation, branched) = if bounded {
+                // Extract the theory constraints of a complete assignment.
+                // Atoms no live clause mentions (their scope was popped and
+                // garbage-collected) are unassigned and skipped: nothing
+                // propositional constrains them, so forcing a theory
+                // counterpart would only shrink — or wrongly empty — the
+                // feasible space of long-lived sessions.
+                for (both, &sat_var) in polarised.iter().zip(&atom_vars) {
+                    let Some(assigned_true) = at.assignment[sat_var] else {
+                        continue;
                     };
-                    // An empty core refutes the bounds alone: the lemma is
-                    // the empty clause, and every check is unsatisfiable.
-                    let lemma: Vec<Lit> =
-                        core.iter().map(|&idx| atom_lits[idx].negated()).collect();
-                    if profiling {
-                        lap(start, &mut profile.core);
-                        profile.lemmas += 1;
-                        profile.lemma_atoms += core.len() as u64;
-                    }
-                    TheoryCheck::Lemma(lemma)
+                    constraints.push(&both[usize::from(assigned_true)]);
+                    atom_lits.push(Lit::new(sat_var, assigned_true));
                 }
+                start = lap(start, &mut profile.extract);
+                let verdict = theory::solve(&bounds, &constraints, config.theory_node_budget);
+                start = lap(start, &mut profile.theory);
+                match verdict {
+                    TheoryVerdict::Sat(values) => {
+                        let mut model = Model::new();
+                        for v in pool.int_vars() {
+                            model.set_int(v, values[v.index()]);
+                        }
+                        for v in pool.bool_vars() {
+                            if let Some(sat_var) = encoder.lookup_bool(v) {
+                                model.set_bool(v, at.assignment[sat_var].unwrap_or(false));
+                            }
+                        }
+                        debug_assert!(
+                            assertions
+                                .iter()
+                                .all(|f| f.evaluate(&mut |b| model.bool_value(b), &mut |i| model
+                                    .int_value(i))),
+                            "internal error: SMT model does not satisfy the assertions"
+                        );
+                        found = Some(model);
+                        return TheoryCheck::Consistent;
+                    }
+                    TheoryVerdict::Unknown => return TheoryCheck::Stop,
+                    TheoryVerdict::Unsat {
+                        explanation,
+                        branched,
+                    } => (explanation, branched),
+                }
+            } else {
+                // The bounds refute the assignment: walk their reasons
+                // back instead of solving again.  The walk counts as one
+                // theory node, like the root of the solve it replaces.
+                if config.theory_node_budget == 0 {
+                    return TheoryCheck::Stop;
+                }
+                trail_bounds.explain(&mut explained);
+                for &atom in &explained {
+                    let sat_var = atom_vars[atom as usize];
+                    let value = at.assignment[sat_var].expect("explained atoms are assigned");
+                    constraints.push(&polarised[atom as usize][usize::from(value)]);
+                    atom_lits.push(Lit::new(sat_var, value));
+                }
+                start = lap(start, &mut profile.extract);
+                ((0..constraints.len()).collect(), false)
+            };
+            *theory_conflicts += 1;
+            if *refinements >= config.max_refinements {
+                return TheoryCheck::Stop;
             }
+            *refinements += 1;
+            let core = if branched {
+                // The lemma must have no integer point on its own: an
+                // unsound one would turn into a wrong "deadlock-free".
+                let lemma: Vec<&Constraint> = explanation.iter().map(|&i| constraints[i]).collect();
+                match theory::solve(&bounds, &lemma, config.theory_node_budget) {
+                    TheoryVerdict::Sat(point) => panic!(
+                        "internal error: branch-and-bound explanation {lemma:?} \
+                         has the integer point {point:?}"
+                    ),
+                    TheoryVerdict::Unsat { .. } => explanation,
+                    // Unconfirmed: block all of the assignment's atoms.
+                    TheoryVerdict::Unknown => (0..constraints.len()).collect(),
+                }
+            } else {
+                // Ascending atoms: the deletion pass drops the oldest
+                // first and keeps the current query's capacity pins.
+                let core = theory::minimize_core(&bounds, &constraints, explanation);
+                // The lemma must be refuted without the recorded reasons:
+                // an unsound one would turn into a wrong "deadlock-free".
+                let lemma: Vec<&Constraint> = core.iter().map(|&i| constraints[i]).collect();
+                assert!(
+                    theory::refuted_by_propagation(&bounds, &lemma),
+                    "internal error: theory core {lemma:?} is not refuted by propagation"
+                );
+                core
+            };
+            // An empty core refutes the bounds alone: the lemma is the
+            // empty clause, and every check is unsatisfiable.
+            let lemma: Vec<Lit> = core.iter().map(|&idx| atom_lits[idx].negated()).collect();
+            if profiling {
+                lap(start, &mut profile.core);
+                profile.lemmas += 1;
+                profile.lemma_atoms += core.len() as u64;
+            }
+            TheoryCheck::Lemma(lemma)
         });
         let result = match searched {
             Ok(Some(_)) => SmtResult::Sat(found.expect("an accepted assignment has a model")),
@@ -536,17 +556,23 @@ fn constraint_of(atom: &LinearAtom) -> Constraint {
 const NO_ATOM: u32 = u32::MAX;
 
 /// A bound a theory check moved: the trail length the check saw, the
-/// variable, whether it was the upper bound, and the value it replaced.
+/// variable, whether it was the upper bound, the value and the setter
+/// ([`TrailBounds::lo_by`]) it replaced, and its reason: the atom that
+/// moved it, and the end of its slice `reads[end(e-1)..reads_end]` of
+/// [`TrailBounds::reads`].
 #[derive(Debug)]
 struct Moved {
     trail_len: usize,
     var: usize,
     upper: bool,
     old: i64,
+    old_by: u32,
+    atom: u32,
+    reads_end: u32,
 }
 
 /// The integer variables' interval bounds under the assigned atoms of one
-/// check, kept along the SAT trail.
+/// check, kept along the SAT trail with the reason of every bound.
 ///
 /// Each bound a check moves is logged with the trail length that check
 /// saw.  A later check first undoes every move logged above its
@@ -556,6 +582,15 @@ struct Moved {
 /// until nothing moves.  The bounds are then the interval-propagation
 /// fixpoint of the assigned atoms: the one [`theory::solve`] computes
 /// from scratch, in time proportional to what changed.
+///
+/// The undo log doubles as a reason trail, in the `(constraint, reads)`
+/// scheme of [`theory::solve`]'s: each entry names the atom that moved
+/// its bound and the entries that set the bounds that atom's minimal sum
+/// read, and each variable points at the entries that set its current
+/// bounds.  An undo restores those pointers and drops the reads with the
+/// entries, so the reasons always describe the bounds as they stand.  A
+/// failed update keeps the refuted atom and the entries its minimal sum
+/// read, and [`TrailBounds::explain`] walks back from them.
 #[derive(Debug)]
 struct TrailBounds<'a> {
     /// Each atom's constraint, negated and as stated.
@@ -564,8 +599,21 @@ struct TrailBounds<'a> {
     atom_vars: &'a [Var],
     lo: Vec<i64>,
     hi: Vec<i64>,
+    /// Per variable, the `undo` entry that set its current lower / upper
+    /// bound, or [`theory::NONE`] for its declared bound.
+    lo_by: Vec<u32>,
+    hi_by: Vec<u32>,
     /// Every bound moved and not undone, oldest first.
     undo: Vec<Moved>,
+    /// The entries each move read, concatenated in `undo` order.
+    reads: Vec<u32>,
+    /// After a failed update: the refuted atom and the entries its
+    /// minimal sum read.
+    conflict: u32,
+    conflict_reads: Vec<u32>,
+    /// The walk that last visited each `undo` entry, and the current one.
+    stamp: Vec<u32>,
+    walk: u32,
     /// The trail lengths of the checks whose activations still stand,
     /// increasing.
     checked: Vec<usize>,
@@ -600,7 +648,14 @@ impl<'a> TrailBounds<'a> {
             atom_vars,
             lo: bounds.iter().map(|b| b.0).collect(),
             hi: bounds.iter().map(|b| b.1).collect(),
+            lo_by: vec![theory::NONE; bounds.len()],
+            hi_by: vec![theory::NONE; bounds.len()],
             undo: Vec::new(),
+            reads: Vec::new(),
+            conflict: NO_ATOM,
+            conflict_reads: Vec::new(),
+            stamp: Vec::new(),
+            walk: 0,
             checked: Vec::new(),
             atom_of,
             atoms_over,
@@ -612,15 +667,19 @@ impl<'a> TrailBounds<'a> {
 
     /// Brings the bounds up to date with the fixpoint `at`.  `Err(())`
     /// when some assigned atom cannot hold within them: the assigned atoms
-    /// have no integer point.
+    /// have no integer point, and [`TrailBounds::explain`] says which.
     fn update(&mut self, at: Fixpoint<'_>) -> Result<(), ()> {
         while let Some(m) = self.undo.pop_if(|m| m.trail_len > at.kept) {
-            if m.upper {
-                self.hi[m.var] = m.old;
+            let (bound, by) = if m.upper {
+                (&mut self.hi, &mut self.hi_by)
             } else {
-                self.lo[m.var] = m.old;
-            }
+                (&mut self.lo, &mut self.lo_by)
+            };
+            bound[m.var] = m.old;
+            by[m.var] = m.old_by;
         }
+        let reads_end = self.undo.last().map_or(0, |m| m.reads_end);
+        self.reads.truncate(reads_end as usize);
         while self.checked.last().is_some_and(|&len| len > at.kept) {
             self.checked.pop();
         }
@@ -643,18 +702,32 @@ impl<'a> TrailBounds<'a> {
             let value =
                 at.assignment[self.atom_vars[atom as usize]].expect("queued atoms are assigned");
             let c = &self.polarised[atom as usize][usize::from(value)];
-            let (undo, moved) = (&mut self.undo, &mut self.moved);
+            let (undo, reads, moved) = (&mut self.undo, &mut self.reads, &mut self.moved);
+            let (lo_by, hi_by) = (&mut self.lo_by, &mut self.hi_by);
             let narrowed = theory::narrow(&mut self.lo, &mut self.hi, c, |i, old| {
                 let (a, var) = c.terms[i];
+                theory::push_reads(c, Some(i), lo_by, hi_by, reads);
+                let by = if a > 0 {
+                    &mut hi_by[var]
+                } else {
+                    &mut lo_by[var]
+                };
+                let entry = undo.len() as u32;
                 undo.push(Moved {
                     trail_len: now,
                     var,
                     upper: a > 0,
                     old,
+                    old_by: std::mem::replace(by, entry),
+                    atom,
+                    reads_end: reads.len() as u32,
                 });
                 moved.push(var);
             });
             if narrowed.is_err() {
+                self.conflict = atom;
+                self.conflict_reads.clear();
+                theory::push_reads(c, None, &self.lo_by, &self.hi_by, &mut self.conflict_reads);
                 for atom in self.worklist.drain(..) {
                     self.queued[atom as usize] = false;
                 }
@@ -676,6 +749,33 @@ impl<'a> TrailBounds<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Explains the last failed [`TrailBounds::update`] into `atoms`: the
+    /// refuted atom and every atom whose bound moves its refutation read,
+    /// directly or through the moves those read, ascending.  Each undo
+    /// entry is visited at most once, so the walk costs what the
+    /// explanation reads, not what the log holds.
+    fn explain(&mut self, atoms: &mut Vec<u32>) {
+        self.walk += 1;
+        self.stamp.resize(self.undo.len(), 0);
+        atoms.clear();
+        atoms.push(self.conflict);
+        let mut pending = std::mem::take(&mut self.conflict_reads);
+        while let Some(entry) = pending.pop() {
+            let e = entry as usize;
+            if self.stamp[e] == self.walk {
+                continue;
+            }
+            self.stamp[e] = self.walk;
+            let start = e.checked_sub(1).map_or(0, |p| self.undo[p].reads_end);
+            let m = &self.undo[e];
+            pending.extend_from_slice(&self.reads[start as usize..m.reads_end as usize]);
+            atoms.push(m.atom);
+        }
+        self.conflict_reads = pending;
+        atoms.sort_unstable();
+        atoms.dedup();
     }
 }
 
@@ -816,6 +916,85 @@ mod tests {
             assert_eq!(smt.check_with(&starved), SmtResult::Unknown, "lo {lo}");
             assert_eq!(smt.stats().refinements, 1);
             assert_eq!(smt.check(), build().check(), "lo {lo}");
+        }
+    }
+
+    /// The atom `Σ terms ≤ bound` negated and as stated, as `refine`
+    /// polarises the encoder's atoms.
+    fn polarise(terms: Vec<(i64, IntVar)>, bound: i64) -> [Constraint; 2] {
+        let atom = LinearAtom { terms, bound };
+        [constraint_of(&atom.negated()), constraint_of(&atom)]
+    }
+
+    #[test]
+    fn trail_reasons_survive_backjumps() {
+        // x, y ∈ 0..=9 and six atoms, atom i on SAT variable i:
+        // A: x ≤ 5, B: x ≤ 4, C: y − x ≤ 0, D: y ≥ 6, E: x ≤ 2, F: y ≤ 3.
+        let mut pool = VarPool::new();
+        let (x, y) = (pool.new_int("x", 0, 9), pool.new_int("y", 0, 9));
+        let bounds: Vec<(i64, i64)> = pool.int_vars().map(|v| pool.int_bounds(v)).collect();
+        let polarised = [
+            polarise(vec![(1, x)], 5),
+            polarise(vec![(1, x)], 4),
+            polarise(vec![(-1, x), (1, y)], 0),
+            polarise(vec![(-1, y)], -6),
+            polarise(vec![(1, x)], 2),
+            polarise(vec![(1, y)], 3),
+        ];
+        let atom_vars: Vec<Var> = (0..polarised.len()).collect();
+        let [a, b, c, d, e, f] = [0, 1, 2, 3, 4, 5].map(Lit::positive);
+        let mut trail_bounds = TrailBounds::new(&bounds, &polarised, &atom_vars, atom_vars.len());
+        // One theory check of `trail` after a backjump to `kept`.
+        let mut check = |trail: &[Lit], kept: usize| {
+            let mut assignment = vec![None; atom_vars.len()];
+            for lit in trail {
+                assignment[lit.var()] = Some(lit.is_positive());
+            }
+            let at = Fixpoint {
+                assignment: &assignment,
+                trail,
+                kept,
+                complete: false,
+            };
+            let explained = trail_bounds.update(at).err().map(|()| {
+                let mut atoms = Vec::new();
+                trail_bounds.explain(&mut atoms);
+                atoms
+            });
+            (trail_bounds.hi.clone(), explained)
+        };
+        // A sets x ≤ 5 and C passes it on to y; a backjump below A's check
+        // retracts both, and B sets the same bound at 4.
+        assert_eq!(check(&[a], 0), (vec![5, 9], None));
+        assert_eq!(check(&[a, c], 1), (vec![5, 5], None));
+        assert_eq!(check(&[b], 0), (vec![4, 9], None));
+        assert_eq!(check(&[b, c], 1), (vec![4, 4], None));
+        // E moves both bounds again, over B's and C's entries, and D
+        // refutes y ≤ 2 through E's move, not B's.
+        assert_eq!(check(&[b, c, e], 2), (vec![2, 2], None));
+        let (_, over_e) = check(&[b, c, e, d], 3);
+        // Retracting E restores B's and C's entries as the setters, so D
+        // is refuted through B's move, not A's or E's.
+        let (_, over_b) = check(&[b, c, d], 2);
+        // Retracting C drops what its move read (B's entry): F's move,
+        // logged in C's place, reads nothing, and D is refuted by F alone.
+        assert_eq!(check(&[b, f], 1), (vec![4, 3], None));
+        let (_, over_f) = check(&[b, f, d], 2);
+        let explained = [
+            (over_e, vec![2, 3, 4]),
+            (over_b, vec![1, 2, 3]),
+            (over_f, vec![3, 5]),
+        ];
+        for (explained, expected) in explained {
+            assert_eq!(explained.as_ref(), Some(&expected));
+            let lemma: Vec<&Constraint> = expected
+                .iter()
+                .map(|&atom| &polarised[atom as usize][1])
+                .collect();
+            assert!(
+                theory::refuted_by_propagation(&bounds, &lemma),
+                "{expected:?}"
+            );
         }
     }
 

@@ -23,7 +23,10 @@
 //! core with a deletion pass over its few constraints, which the SMT loop
 //! ([`crate::smt`]) turns into a blocking clause.  One propagation step,
 //! `narrow`, serves both [`solve`] and the SMT loop's bounds kept along
-//! the SAT trail.
+//! the SAT trail, which record their reasons in the same scheme and
+//! explain their own conflicts; [`refuted_by_propagation`] narrows in
+//! [`solve`]'s order without recording anything, and re-checks every
+//! explanation.
 //!
 //! Propagation visits constraints newest first (highest index first), so
 //! the reason recorded for a bound is the most recently added constraint
@@ -97,7 +100,27 @@ impl Domains {
 
 /// Marks a bound that no trail entry set (the declared bound of its
 /// variable), and the constraint of a branching decision's entry.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Appends to `reads` the entries that set the bounds `c`'s terms
+/// contribute to its minimal sum, every term but `skip`: the lower bound
+/// of a positive term, the upper bound of a negative one.  `lo_by` and
+/// `hi_by` name each variable's setters; declared bounds ([`NONE`]) need
+/// no reason.
+pub(crate) fn push_reads(
+    c: &Constraint,
+    skip: Option<usize>,
+    lo_by: &[u32],
+    hi_by: &[u32],
+    reads: &mut Vec<u32>,
+) {
+    for (j, &(a, v)) in c.terms.iter().enumerate() {
+        let by = if a > 0 { lo_by[v] } else { hi_by[v] };
+        if Some(j) != skip && by != NONE {
+            reads.push(by);
+        }
+    }
+}
 
 /// The reasons behind the bounds propagation tightened, in order.
 ///
@@ -132,12 +155,7 @@ impl Trail {
     /// the lower bound of a positive term, the upper bound of a negative
     /// one.  Returns the new entry.
     fn record(&mut self, index: usize, c: &Constraint, skip: Option<usize>) -> u32 {
-        for (j, &(a, v)) in c.terms.iter().enumerate() {
-            let by = if a > 0 { self.lo_by[v] } else { self.hi_by[v] };
-            if Some(j) != skip && by != NONE {
-                self.reads.push(by);
-            }
-        }
+        push_reads(c, skip, &self.lo_by, &self.hi_by, &mut self.reads);
         self.entries.push((index as u32, self.reads.len() as u32));
         (self.entries.len() - 1) as u32
     }
@@ -254,33 +272,39 @@ pub(crate) fn narrow(
 }
 
 /// Tightens the domains using interval propagation, newest constraint
-/// first, recording the reason of every tightened bound on `trail`.
+/// first, recording the reason of every tightened bound on `trail` when
+/// there is one.
 ///
 /// Returns `Err(())` when some constraint's minimal sum exceeds its bound
 /// (a sound proof of infeasibility, whose reasons end the trail),
 /// `Ok(())` at fixpoint otherwise.  No domain empties before some minimal
-/// sum exceeds its bound (see [`narrow`]).
+/// sum exceeds its bound (see [`narrow`]).  The trail only records: the
+/// fixpoint and the verdict are the same without it.
 fn propagate<C: Borrow<Constraint>>(
     domains: &mut Domains,
     constraints: &[C],
-    trail: &mut Trail,
+    mut trail: Option<&mut Trail>,
 ) -> Result<(), ()> {
     loop {
         let mut changed = false;
         for (index, c) in constraints.iter().enumerate().rev() {
             let c = c.borrow();
             let narrowed = narrow(&mut domains.lo, &mut domains.hi, c, |i, _| {
-                let (a, v) = c.terms[i];
-                let entry = trail.record(index, c, Some(i));
-                if a > 0 {
-                    trail.hi_by[v] = entry;
-                } else {
-                    trail.lo_by[v] = entry;
+                if let Some(trail) = trail.as_deref_mut() {
+                    let (a, v) = c.terms[i];
+                    let entry = trail.record(index, c, Some(i));
+                    if a > 0 {
+                        trail.hi_by[v] = entry;
+                    } else {
+                        trail.lo_by[v] = entry;
+                    }
                 }
                 changed = true;
             });
             if narrowed.is_err() {
-                trail.record(index, c, None);
+                if let Some(trail) = trail {
+                    trail.record(index, c, None);
+                }
                 return Err(());
             }
         }
@@ -305,14 +329,14 @@ fn ceil_div(a: i64, b: i64) -> i64 {
 
 /// Returns `true` when interval propagation alone refutes the constraints.
 ///
-/// This is a cheap, sound (but incomplete) infeasibility check.  It needs
-/// no recorded reasons, so it independently confirms an explanation.
+/// This is a cheap, sound (but incomplete) infeasibility check.  It
+/// neither reads nor records reasons, so it independently confirms an
+/// explanation.
 pub fn refuted_by_propagation<C: Borrow<Constraint>>(
     bounds: &[(i64, i64)],
     constraints: &[C],
 ) -> bool {
-    let mut trail = Trail::new(bounds.len());
-    propagate(&mut Domains::new(bounds), constraints, &mut trail).is_err()
+    propagate(&mut Domains::new(bounds), constraints, None).is_err()
 }
 
 /// Shrinks the explanation of a propagation refutation to an irreducible
@@ -418,7 +442,7 @@ impl<C: Borrow<Constraint>> Search<'_, C> {
             return Node::Unknown;
         }
         self.budget -= 1;
-        if propagate(&mut domains, self.constraints, &mut self.trail).is_err() {
+        if propagate(&mut domains, self.constraints, Some(&mut self.trail)).is_err() {
             self.trail.explain_into(&mut self.explanation);
             return Node::Refuted;
         }
@@ -694,12 +718,26 @@ mod tests {
         branched: usize,
     }
 
-    /// Checks `solve`'s verdict on `cs` over `bounds`: a model satisfies
-    /// every constraint; a propagation explanation is a subset propagation
-    /// refutes, whose core is irreducible; a branch & bound explanation is
-    /// a subset with no integer point, which `solve` refutes on its own.
+    /// Checks `solve`'s verdict on `cs` over `bounds`: the reasonless
+    /// [`refuted_by_propagation`] refutes exactly what `solve` refutes
+    /// without branching; a model satisfies every constraint; a
+    /// propagation explanation is a subset propagation refutes, whose core
+    /// is irreducible; a branch & bound explanation is a subset with no
+    /// integer point, which `solve` refutes on its own.
     fn check_verdict(bounds: &[(i64, i64)], cs: &[Constraint], seen: &mut Refutations) {
-        let (explanation, branched) = match solve(bounds, cs, 100_000) {
+        let verdict = solve(bounds, cs, 100_000);
+        assert_eq!(
+            refuted_by_propagation(bounds, cs),
+            matches!(
+                verdict,
+                TheoryVerdict::Unsat {
+                    branched: false,
+                    ..
+                }
+            ),
+            "propagation and solve disagree on {cs:?} over {bounds:?}: {verdict:?}"
+        );
+        let (explanation, branched) = match verdict {
             TheoryVerdict::Sat(model) => {
                 assert!(
                     cs.iter().all(|c| c.holds(&model)),
@@ -726,7 +764,6 @@ mod tests {
         );
         if branched {
             seen.branched += 1;
-            assert!(!refuted_by_propagation(bounds, cs));
             assert!(
                 matches!(solve(bounds, &subset, 100_000), TheoryVerdict::Unsat { .. }),
                 "explanation {explanation:?} of {cs:?} over {bounds:?} is not refuted"
@@ -734,7 +771,6 @@ mod tests {
             return;
         }
         seen.propagated += 1;
-        assert!(refuted_by_propagation(bounds, cs));
         assert!(
             refuted_by_propagation(bounds, &subset),
             "explanation {explanation:?} of {cs:?} over {bounds:?} is not refuted"

@@ -62,16 +62,19 @@ pub struct SolverProfile {
     /// Opening decision levels: establishing the pending assumptions and
     /// picking each branching variable from the activity heap.
     pub decide: PhaseCost,
-    /// Theory constraint extraction from each refuted or complete
-    /// assignment.
+    /// Theory explanation input: the walk back over the reasons the
+    /// bounds kept along the trail hold, which names the atoms of a bound
+    /// conflict, and constraint extraction from each complete assignment
+    /// the bounds admit.
     pub extract: PhaseCost,
     /// Theory checks: the bound update at every propagation fixpoint, and
-    /// each feasibility check (propagation, the walk back over its
-    /// reasons after a conflict, and branch & bound).
+    /// each feasibility check of a complete assignment (propagation, the
+    /// walk back over its reasons after a conflict, and branch & bound).
     pub theory: PhaseCost,
     /// Core minimisation of theory conflicts: deletion over the
-    /// explanation and the lemma's soundness re-check (a fresh branch &
-    /// bound for a branch & bound explanation).
+    /// explanation and the lemma's soundness re-check (plain
+    /// propagation, or a fresh branch & bound for a branch & bound
+    /// explanation).
     pub core: PhaseCost,
     /// Theory lemma insertion into the running SAT search: attaching the
     /// clause and backjumping (a lemma's conflict analysis is `analyze`).

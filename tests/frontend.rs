@@ -357,6 +357,77 @@ fn an_unterminated_request_line_is_refused_at_the_head_limit() {
     assert!(harness.server.join());
 }
 
+/// A request must arrive whole within `read_timeout` of its first byte.
+/// Four clients, one per connection worker, each send a head that never
+/// ends at one byte per 100 ms: the server closes each of them at its
+/// 500 ms deadline, and `/healthz` is answered meanwhile.  With the
+/// deadline applied to each read instead, the four would hold every
+/// worker for as long as they kept sending.
+#[test]
+fn slow_requests_lose_their_connection_at_the_read_deadline() {
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    const GIVE_UP: Duration = Duration::from_secs(5);
+    let harness = start(
+        ServiceConfig::default().with_workers(1),
+        FrontendConfig {
+            read_timeout: Duration::from_millis(500),
+            ..FrontendConfig::default()
+        },
+    );
+    assert_eq!(FrontendConfig::default().conn_workers, 4);
+    let slow: Vec<_> = (0..4)
+        .map(|_| {
+            let mut stream = TcpStream::connect(harness.server.addr()).expect("server is up");
+            std::thread::spawn(move || {
+                stream
+                    .set_read_timeout(Some(Duration::from_millis(100)))
+                    .expect("read deadline");
+                let started = Instant::now();
+                let head = b"GET /healthz HTTP/1.1\r\nX-Slow: ".iter();
+                for &byte in head.chain(std::iter::repeat(&b'a')) {
+                    if started.elapsed() > GIVE_UP {
+                        return None;
+                    }
+                    if stream.write_all(&[byte]).is_err() {
+                        return Some(started.elapsed());
+                    }
+                    match stream.read(&mut [0; 512]) {
+                        Err(e)
+                            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                        Ok(0) | Err(_) => return Some(started.elapsed()),
+                        Ok(_) => panic!("an unfinished request was answered"),
+                    }
+                }
+                unreachable!("the head never ends")
+            })
+        })
+        .collect();
+
+    // Let every worker pick up a slow connection first.
+    std::thread::sleep(Duration::from_millis(200));
+    let asked = Instant::now();
+    let health = client_for(&harness.server).health().expect("transport");
+    let answered = asked.elapsed();
+    assert_eq!(health.status, 200);
+    assert!(
+        answered < Duration::from_secs(2),
+        "/healthz took {answered:?} behind four slow clients"
+    );
+    for client in slow {
+        let closed = client.join().expect("slow client");
+        assert!(
+            closed.is_some_and(|after| after < Duration::from_secs(2)),
+            "a slow connection stayed open: {closed:?}"
+        );
+    }
+
+    harness.server.shutdown();
+    assert!(harness.server.join());
+}
+
 /// Satellite acceptance: `/metrics` is valid Prometheus text exposition
 /// — HELP/TYPE lines per family, parseable sample values, and
 /// cumulative (nondecreasing) histogram buckets.

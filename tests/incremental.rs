@@ -245,6 +245,30 @@ fn long_sweep_keeps_per_query_cost_bounded_with_clause_deletion() {
     );
 }
 
+/// Lemmas keep to the current query's capacity pins.  Sizes 1..=32 on the
+/// 2×2 directory mesh through one engine: every late query (sizes
+/// 17..=32) takes a handful of refinements (3–5 with any explanation
+/// order measured so far).  Lemmas that pin the capacity atoms of
+/// earlier queries are permanent and no later query can use them; when
+/// only complete assignments were checked, reasons taken oldest first
+/// did that, and the late queries climbed to about 35 refinements each.
+#[test]
+fn stale_capacity_pins_stay_out_of_lemmas() {
+    let mesh = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
+    let system = build_fabric_for_sweep(&mesh, 32).unwrap();
+    let mut session = QueryEngine::on(system, 1..=32);
+    let refinements: Vec<u64> = (1..=32usize)
+        .map(|size| {
+            let report = session.check(&Query::new().capacity(size));
+            report.analysis().stats.refinements
+        })
+        .collect();
+    assert!(
+        refinements[16..].iter().all(|&r| r <= 10),
+        "late queries take too many refinements: {refinements:?}"
+    );
+}
+
 /// The session statistics the sweep assertion relies on are actually
 /// populated per query.
 #[test]
