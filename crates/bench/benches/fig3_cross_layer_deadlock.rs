@@ -24,7 +24,7 @@ fn print_table() {
                     cex.dead_automata.join("+")
                 )
             })
-            .unwrap_or_else(|| format!("{} invariants", report.invariants().len()));
+            .unwrap_or_else(|| format!("{} invariants", report.analysis().stats.invariants));
         advocat_telemetry::info!("{:<12} {:<22} {detail}", queue_size, verdict_label(&report));
     }
     advocat_telemetry::info!("");

@@ -23,7 +23,8 @@ fn print_table() {
     );
 
     let system = full_mi_mesh(2, 2, 4, (1, 1));
-    let report = QueryEngine::structural(system.clone()).check(&Query::new());
+    let mut engine = QueryEngine::structural(system.clone());
+    let report = engine.check(&Query::new());
     advocat_telemetry::info!(
         "  2x2 model: {} primitives, {} queues, {} colors",
         report.system_stats().primitives,
@@ -32,10 +33,11 @@ fn print_table() {
     );
     advocat_telemetry::info!(
         "  invariants derived: {} (paper: 14); verdict: {}",
-        report.invariants().len(),
+        engine.invariants().len(),
         advocat_bench::verdict_label(&report)
     );
-    for line in report.invariant_text().iter().take(8) {
+    for invariant in engine.invariants().iter().take(8) {
+        let line = format_invariant(engine.system(), invariant);
         advocat_telemetry::info!("    {line}");
     }
     advocat_telemetry::info!("");
@@ -53,8 +55,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             QueryEngine::structural(system.clone())
                 .check(&Query::new())
-                .invariants()
-                .len()
+                .analysis()
+                .stats
+                .invariants
         })
     });
     group.finish();

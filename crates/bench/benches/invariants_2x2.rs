@@ -14,15 +14,16 @@ fn print_table() {
         "== E4: derived cross-layer invariants, 2×2 mesh, directory at (1,1) =="
     );
     let system = abstract_mesh(2, 2, 2, (1, 1));
-    let report = QueryEngine::structural(system.clone()).check(&Query::new());
-    for line in report.invariant_text() {
+    let engine = QueryEngine::structural(system.clone());
+    let invariants = engine.invariants();
+    for invariant in invariants.iter() {
+        let line = format_invariant(engine.system(), invariant);
         advocat_telemetry::info!("  {line}");
     }
     advocat_telemetry::info!(
         "  total: {} invariants ({} mention both queues and automaton states)",
-        report.invariants().len(),
-        report
-            .invariants()
+        invariants.len(),
+        invariants
             .iter()
             .filter(|inv| {
                 let q = inv.terms.iter().any(|(v, _)| {

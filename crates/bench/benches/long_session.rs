@@ -1,11 +1,13 @@
 //! Long verification sessions: bounded vs. unbounded learnt databases.
 //!
-//! PR 1 made sessions long-lived; this bench measures what that does to
-//! the solver over a long queue-size sweep (sizes 1..=32 on the 2×2
-//! directory mesh).  Without clause-database reduction the solver keeps
-//! every learnt clause and every popped query scope forever, and every
-//! later propagation scans them.  With reduction enabled the database —
-//! and with it the per-query cost — stays bounded.  The bench prints the
+//! Sessions are long-lived; this bench measures what that does to the
+//! solver over a long queue-size sweep (sizes 1..=32 on the 2×2
+//! directory mesh).  Each query assumes its capacity pins over interned
+//! atoms, so the encoding stops growing once every size has been asked;
+//! the learnt database does not.  Without clause-database reduction the
+//! solver keeps every learnt clause forever, and every later propagation
+//! scans them.  With reduction enabled the database — and with it the
+//! per-query cost — stays bounded.  The bench prints the
 //! per-query conflict+propagation trend of both configurations and times
 //! the two sweeps.
 

@@ -40,8 +40,10 @@ fn running_example(queue_size: usize) -> System {
 fn print_table() {
     advocat_telemetry::info!("== E1: running example (Fig. 1) ==");
     let system = running_example(2);
-    let report = QueryEngine::structural(system.clone()).check(&Query::new());
-    for line in report.invariant_text() {
+    let mut engine = QueryEngine::structural(system.clone());
+    let report = engine.check(&Query::new());
+    for invariant in engine.invariants().iter() {
+        let line = format_invariant(engine.system(), invariant);
         advocat_telemetry::info!("  invariant: {line}");
     }
     advocat_telemetry::info!("  with invariants:    {}", report.summary());

@@ -20,8 +20,8 @@
 //! The public surface is the **Query API**: a [`QueryEngine`] holds one
 //! system, one derived encoding and one persistent solver, and answers any
 //! number of [`Query`]s — each a point in the capacity × [`DeadlockTarget`]
-//! × invariant-strengthening space, every dimension a retractable selector
-//! in the same session.  [`QueryEngine::minimal_capacity`] runs the
+//! × invariant-strengthening space, every dimension an assumption to the
+//! same session.  [`QueryEngine::minimal_capacity`] runs the
 //! queue-sizing search behind Figure 4 of the paper on one engine.  Two
 //! shapes sit beside the engine: a [`Composition`]
 //! ([`QueryEngine::compose`]) certifies a large fabric tile class by tile

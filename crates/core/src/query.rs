@@ -4,9 +4,9 @@
 //! ADVOCAT pipeline — color derivation, invariant generation and the
 //! structural deadlock encoding — exactly once, and then answers any
 //! number of [`Query`]s from one persistent solver.  Every dimension of a
-//! query is a retractable selector in that solver: the queue capacity
-//! (uniform or structural), the [`advocat_deadlock::DeadlockTarget`], and
-//! whether invariant strengthening applies.  Learnt clauses and theory
+//! query is an assumption to that solver: the queue capacity (uniform or
+//! structural), the [`advocat_deadlock::DeadlockTarget`], and whether
+//! invariant strengthening applies.  Learnt clauses and theory
 //! lemmas accumulate across *all* of them, so a capacity sweep under one
 //! deadlock target makes the same sweep under the other target markedly
 //! cheaper than a cold session — the spec-ablation analogue of the classic
@@ -45,7 +45,7 @@ pub struct SessionStats {
     /// keeps a long session's per-query cost from growing with its length.
     pub reduced_dbs: u64,
     /// Clauses the solver deleted across all queries (worst-half learnt
-    /// clauses plus permanently satisfied clauses of popped query scopes).
+    /// clauses plus clauses a level-zero fact permanently satisfied).
     pub deleted_clauses: u64,
     /// Learnt clauses alive in the shared solver after the latest query.
     pub live_learnts: u64,
@@ -61,33 +61,6 @@ impl SessionStats {
     /// Total SAT effort — conflicts plus propagations — of the session.
     pub fn sat_effort(&self) -> u64 {
         self.sat_conflicts + self.sat_propagations
-    }
-
-    /// The stats accumulated since `baseline` was captured from the same
-    /// session: cumulative counters are subtracted (saturating, so a stale
-    /// baseline degrades to the raw value instead of panicking), while the
-    /// point-in-time gauges ([`SessionStats::live_learnts`],
-    /// [`SessionStats::total_learnt`]) keep their latest snapshot.  The
-    /// verification service uses this to attribute a pooled engine's work
-    /// to the individual jobs that ran on it.
-    pub fn delta_since(&self, baseline: &SessionStats) -> SessionStats {
-        SessionStats {
-            templates_built: self
-                .templates_built
-                .saturating_sub(baseline.templates_built),
-            queries: self.queries.saturating_sub(baseline.queries),
-            sat_conflicts: self.sat_conflicts.saturating_sub(baseline.sat_conflicts),
-            sat_propagations: self
-                .sat_propagations
-                .saturating_sub(baseline.sat_propagations),
-            reduced_dbs: self.reduced_dbs.saturating_sub(baseline.reduced_dbs),
-            deleted_clauses: self
-                .deleted_clauses
-                .saturating_sub(baseline.deleted_clauses),
-            live_learnts: self.live_learnts,
-            total_learnt: self.total_learnt,
-            query_elapsed: self.query_elapsed.saturating_sub(baseline.query_elapsed),
-        }
     }
 }
 
@@ -339,14 +312,7 @@ impl QueryEngine {
         self.stats.live_learnts = analysis.stats.sat_live_learnts;
         self.stats.total_learnt = analysis.stats.sat_total_learnt;
         self.stats.query_elapsed += analysis.stats.elapsed;
-        // An ablated query used no invariants: its report must not list
-        // them.
-        let invariants = if query.invariants_enabled() {
-            self.invariants.clone()
-        } else {
-            InvariantSet::default()
-        };
-        Report::new(&self.system, invariants, analysis)
+        Report::new(&self.system, analysis)
     }
 
     /// Cumulative statistics of the engine's shared SAT solver (all
@@ -468,18 +434,20 @@ mod tests {
     }
 
     #[test]
-    fn ablated_reports_list_no_invariants() {
+    fn ablated_reports_count_no_invariants() {
         let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
         let system = build_fabric_for_sweep(&config, 3).unwrap();
         let mut engine = QueryEngine::on(system, 3..=3);
         let ablated = engine.check(&Query::new().capacity(3).invariants(false));
         assert!(!ablated.is_deadlock_free());
-        assert_eq!(ablated.invariants().len(), 0);
         assert_eq!(ablated.analysis().stats.invariants, 0);
         // The engine still holds the derived set for strengthened queries.
         let strengthened = engine.check(&Query::new().capacity(3));
-        assert_eq!(strengthened.invariants().len(), engine.invariants().len());
-        assert!(!strengthened.invariants().is_empty());
+        assert_eq!(
+            strengthened.analysis().stats.invariants,
+            engine.invariants().len()
+        );
+        assert!(!engine.invariants().is_empty());
     }
 
     #[test]
@@ -501,17 +469,20 @@ mod tests {
         assert!(engine.check(&Query::new()).is_deadlock_free());
         let without = engine.check(&Query::new().invariants(false));
         assert!(!without.is_deadlock_free());
-        assert_eq!(without.invariants().len(), 0);
+        assert_eq!(without.analysis().stats.invariants, 0);
     }
 
     #[test]
-    fn engine_reports_share_the_derived_invariants() {
+    fn engine_reports_count_the_derived_invariants() {
         let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), 1).with_directory(3);
         let system = build_fabric_for_sweep(&config, 3).unwrap();
         let mut engine = QueryEngine::on(system, 2..=3);
         let report = engine.check(&Query::new().capacity(3));
         assert!(report.is_deadlock_free());
-        assert_eq!(report.invariants().len(), engine.invariants().len());
-        assert!(!report.invariants().is_empty());
+        assert_eq!(
+            report.analysis().stats.invariants,
+            engine.invariants().len()
+        );
+        assert!(!engine.invariants().is_empty());
     }
 }

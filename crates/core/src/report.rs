@@ -2,29 +2,23 @@
 
 use advocat_automata::{System, SystemStats};
 use advocat_deadlock::{Analysis, Counterexample, Verdict};
-use advocat_invariants::{format_invariant, InvariantSet};
 
-/// Everything a verification run produced: the verdict and its statistics,
-/// the derived invariants (already rendered to text), and the size of the
-/// verified model.
+/// Everything a verification run produced: the verdict and its statistics
+/// and the size of the verified model.  The invariants the run used are
+/// counted in the statistics ([`advocat_deadlock::AnalysisStats::invariants`]);
+/// the invariants themselves stay with the engine
+/// ([`QueryEngine::invariants`](crate::QueryEngine::invariants)), which
+/// renders them with [`advocat_invariants::format_invariant`].
 #[derive(Clone, Debug)]
 pub struct Report {
-    invariants: InvariantSet,
-    invariant_text: Vec<String>,
     analysis: Analysis,
     system_stats: SystemStats,
     attribution: Option<String>,
 }
 
 impl Report {
-    pub(crate) fn new(system: &System, invariants: InvariantSet, analysis: Analysis) -> Report {
-        let invariant_text = invariants
-            .iter()
-            .map(|inv| format_invariant(system, inv))
-            .collect();
+    pub(crate) fn new(system: &System, analysis: Analysis) -> Report {
         Report {
-            invariants,
-            invariant_text,
             analysis,
             system_stats: system.stats(),
             attribution: None,
@@ -41,8 +35,6 @@ impl Report {
         attribution: Option<String>,
     ) -> Report {
         Report {
-            invariants: InvariantSet::default(),
-            invariant_text: Vec::new(),
             analysis,
             system_stats,
             attribution,
@@ -62,16 +54,6 @@ impl Report {
     /// Returns the deadlock candidate, if one was found.
     pub fn counterexample(&self) -> Option<&Counterexample> {
         self.analysis.verdict.counterexample()
-    }
-
-    /// Returns the derived cross-layer invariants.
-    pub fn invariants(&self) -> &InvariantSet {
-        &self.invariants
-    }
-
-    /// Returns the invariants rendered as human-readable equalities.
-    pub fn invariant_text(&self) -> &[String] {
-        &self.invariant_text
     }
 
     /// Returns the full deadlock analysis (verdict plus solver statistics).
@@ -116,7 +98,7 @@ impl Report {
             self.system_stats.primitives,
             self.system_stats.automata,
             self.system_stats.queues,
-            self.invariants.len(),
+            self.analysis.stats.invariants,
             verdict,
             at,
             self.analysis.stats.elapsed,
@@ -139,16 +121,22 @@ mod tests {
     use advocat_noc::{build_fabric, FabricConfig, Topology};
 
     #[test]
-    fn report_exposes_invariants_and_summary() {
+    fn report_counts_invariants_in_its_summary() {
         let system =
             build_fabric(&FabricConfig::new(Topology::mesh(2, 2).unwrap(), 3).with_directory(3))
                 .unwrap();
-        let report = QueryEngine::on(system, 3..=3).check(&Query::new());
+        let mut engine = QueryEngine::on(system, 3..=3);
+        let report = engine.check(&Query::new());
         assert!(report.is_deadlock_free());
         assert!(report.counterexample().is_none());
-        assert_eq!(report.invariants().len(), report.invariant_text().len());
-        assert!(report.invariant_text().iter().any(|t| t.contains('=')));
+        let count = engine.invariants().len();
+        assert!(count > 0);
+        assert_eq!(report.analysis().stats.invariants, count);
         let summary = report.summary();
+        assert!(
+            summary.contains(&format!("; {count} invariants;")),
+            "{summary}"
+        );
         assert!(summary.contains("deadlock-free"));
         assert!(summary.contains("4 automata"));
         // Telemetry was disabled, so no profile line is rendered.

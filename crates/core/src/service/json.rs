@@ -139,10 +139,15 @@ pub fn outcome_to_json(outcome: &JobOutcome) -> String {
         ",\"deadline_exceeded\":{}",
         outcome.deadline_exceeded
     ));
-    if let Some(delta) = &outcome.session_delta {
+    // The job's share of its engine's session: one query, and the
+    // template when the job built the engine.
+    if let Ok(report) = &outcome.result {
+        let stats = &report.analysis().stats;
         out.push_str(&format!(
-            ",\"delta\":{{\"templates_built\":{},\"queries\":{},\"sat_conflicts\":{},\"sat_propagations\":{}}}",
-            delta.templates_built, delta.queries, delta.sat_conflicts, delta.sat_propagations
+            ",\"delta\":{{\"templates_built\":{},\"queries\":1,\"sat_conflicts\":{},\"sat_propagations\":{}}}",
+            u8::from(!outcome.warm_hit),
+            stats.sat_conflicts,
+            stats.sat_propagations
         ));
     }
     out.push('}');

@@ -72,7 +72,7 @@ use advocat_logic::CheckConfig;
 use advocat_noc::{build_fabric_for_sweep, FabricConfig, FabricError};
 use advocat_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
-use crate::query::{build_traced, QueryEngine, SessionStats};
+use crate::query::{build_traced, QueryEngine};
 use crate::report::Report;
 
 use json::sweeps_from_json;
@@ -295,10 +295,6 @@ pub struct JobOutcome {
     /// The job ran to completion but blew through its wall-clock budget
     /// doing so (queries are never interrupted mid-solve).
     pub deadline_exceeded: bool,
-    /// This job's share of its engine's [`SessionStats`]: the stats delta
-    /// its queries caused.  `templates_built` is `1` exactly for the job
-    /// that cold-built the engine.  `None` when no engine ran.
-    pub session_delta: Option<SessionStats>,
 }
 
 impl JobOutcome {
@@ -1036,23 +1032,14 @@ fn run_on_engine(
         .target(sj.job.target)
         .invariants(sj.job.invariants);
     let attempt = catch_unwind(AssertUnwindSafe(move || {
-        // A warm engine's cumulative stats belong to earlier jobs; the
-        // delta below isolates this job's share.  The cold baseline is
-        // zero so the builder job's delta keeps `templates_built == 1`.
-        let baseline = if warm {
-            engine.stats()
-        } else {
-            SessionStats::default()
-        };
         let report = engine.check(&query);
-        let delta = engine.stats().delta_since(&baseline);
-        (engine, report, delta)
+        (engine, report)
     }));
     let work_elapsed = build_elapsed + started.elapsed();
     let total = queue_wait + work_elapsed;
     let deadline_exceeded = sj.job.timeout.is_some_and(|limit| total > limit);
     match attempt {
-        Ok((engine, report, delta)) => (
+        Ok((engine, report)) => (
             Some(engine),
             JobOutcome {
                 id: JobId(sj.id),
@@ -1064,7 +1051,6 @@ fn run_on_engine(
                 work_elapsed,
                 warm_hit: warm,
                 deadline_exceeded,
-                session_delta: Some(delta),
             },
         ),
         Err(panic) => (
@@ -1081,7 +1067,6 @@ fn run_on_engine(
                 work_elapsed,
                 warm_hit: warm,
                 deadline_exceeded,
-                session_delta: None,
             },
         ),
     }
@@ -1098,21 +1083,20 @@ fn outcome_without_work(sj: &ScheduledJob, error: JobError, queue_wait: Duration
         work_elapsed: Duration::ZERO,
         warm_hit: false,
         deadline_exceeded: false,
-        session_delta: None,
     }
 }
 
 fn record(shared: &Shared, outcome: JobOutcome) {
     if let Some(metrics) = &shared.metrics {
         metrics.queue_wait.observe(outcome.queue_wait);
-        // The work histogram only counts jobs that actually ran (timed-out
-        // and refused jobs never touched an engine).
-        if outcome.session_delta.is_some() {
+        // The work histogram only counts jobs that produced a report
+        // (timed-out and refused jobs never touched an engine, and a lost
+        // engine answered nothing).
+        if let Ok(report) = &outcome.result {
             metrics.work.observe(outcome.work_elapsed);
-        }
-        if let Some(delta) = &outcome.session_delta {
-            metrics.live_learnts.set(delta.live_learnts as i64);
-            metrics.total_learnts.set(delta.total_learnt as i64);
+            let stats = &report.analysis().stats;
+            metrics.live_learnts.set(stats.sat_live_learnts as i64);
+            metrics.total_learnts.set(stats.sat_total_learnt as i64);
         }
     }
     let mut results = shared.results.lock().expect("result store lock");

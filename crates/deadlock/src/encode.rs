@@ -17,8 +17,8 @@ pub(crate) enum CapacityMode {
     Fixed,
     /// Introduce one bounded capacity variable per queue (range inclusive).
     /// The structure-dependent constraints then hold for *every* capacity in
-    /// the range; a concrete capacity is pinned per query by equating the
-    /// capacity variables inside a retractable solver scope.
+    /// the range; a concrete capacity is pinned per query by assuming
+    /// `cap(q) ≤ k` and `cap(q) ≥ k` for every queue.
     Symbolic {
         /// Smallest capacity of the sweep.
         min: i64,
@@ -327,8 +327,8 @@ impl<'a> EncodingBuilder<'a> {
     /// Asserts the derived cross-layer invariants.  In symbolic-capacity
     /// (template) mode each equation is guarded by one selector variable,
     /// so a query can retract the whole strengthening by assuming the
-    /// selector false — the spec-ablation analogue of the `cap(q)`
-    /// retraction for capacities.
+    /// selector false — the spec-ablation analogue of the assumed `cap(q)`
+    /// pins for capacities.
     fn assert_invariants(&mut self, invariants: &InvariantSet) {
         let selector = match self.mode {
             CapacityMode::Fixed => None,

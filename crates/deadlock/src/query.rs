@@ -4,9 +4,9 @@
 //! questions.  A [`Query`] names one such question as a point in a small
 //! configuration space — which [`DeadlockTarget`] to look for, at which
 //! queue capacity ([`CapacitySelection`]), with or without invariant
-//! strengthening — and every dimension maps onto a retractable selector in
-//! one persistent solver (see [`crate::EncodingTemplate`]), so sweeping any
-//! of them re-encodes nothing.
+//! strengthening — and every dimension maps onto an assumption to one
+//! persistent solver (see [`crate::EncodingTemplate`]), so sweeping any of
+//! them re-encodes nothing.
 
 /// Which deadlock formulation a query asks about.
 ///

@@ -6,12 +6,15 @@
 //! [`EncodingTemplate`] instead builds the structure-dependent part of the
 //! encoding **once** — automata, channels, block/idle definitions, the
 //! derived invariants and the goal definitions, none of which pin a
-//! concrete question — and turns every dimension of a [`Query`] into a
-//! retractable selector in one long-lived solver:
+//! concrete question — and poses every dimension of a [`Query`] as an
+//! assumption to one long-lived solver, so a query asserts nothing:
 //!
 //! * every queue gets a bounded *capacity variable* `cap(q)`; a query pins
-//!   the capacities (uniformly or to the structural sizes) inside a
-//!   retractable solver scope, exactly as a sizing sweep needs;
+//!   the capacities (uniformly or to the structural sizes) by assuming
+//!   `cap(q) ≤ k` and `cap(q) ≥ k`, exactly as a sizing sweep needs.  The
+//!   solver interns those atoms, so asking a capacity again allocates
+//!   nothing and a warm template stops growing once every capacity of its
+//!   range has been asked;
 //! * the stuck-packet and dead-automaton goals are **defined** by
 //!   indicator variables (`goal(...) ⟺ ...`) but never asserted; a query
 //!   selects its [`DeadlockTarget`] by *assuming* the matching indicator,
@@ -160,9 +163,10 @@ impl EncodingTemplate {
     /// earlier queries regardless of which capacities, targets or
     /// invariant settings those asked about.
     ///
-    /// The capacity selection is pinned inside a retractable solver scope;
-    /// the target and invariant dimensions are pure assumption literals,
-    /// so nothing is re-encoded when they change between queries.
+    /// Every dimension is an assumption: the capacity pins `cap(q) ≤ k` and
+    /// `cap(q) ≥ k` in structural order, then the goal indicator, then
+    /// `sel(invariants)` or its negation.  Nothing is asserted or
+    /// re-encoded when they change between queries.
     ///
     /// # Panics
     ///
@@ -194,32 +198,32 @@ impl EncodingTemplate {
                 ("invariants", query.invariants_enabled().to_string()),
             ]
         });
-        self.smt.push();
-        telemetry.event_with("smt.push", || {
-            vec![("depth", self.smt.scope_depth().to_string())]
-        });
         // `self.structural` is sorted by capacity variable, giving a
-        // deterministic assertion order (the capacity map iterates in hash
+        // deterministic assumption order (the capacity map iterates in hash
         // order, which would make solver effort vary from run to run).
+        let mut assumptions = Vec::with_capacity(2 * self.structural.len() + 2);
         for (var, size) in &self.structural {
             let pinned = match query.capacity_selection() {
                 CapacitySelection::Uniform(capacity) => capacity as i64,
                 CapacitySelection::Structural => *size,
             };
-            self.smt
-                .assert(Formula::eq(LinExpr::var(*var), LinExpr::constant(pinned)));
+            assumptions.push(Formula::le(LinExpr::var(*var), LinExpr::constant(pinned)));
+            assumptions.push(Formula::ge(LinExpr::var(*var), LinExpr::constant(pinned)));
         }
-        let mut assumptions = vec![(self.vars.goal_var(query.deadlock_target()), true)];
+        assumptions.push(Formula::bool_var(
+            self.vars.goal_var(query.deadlock_target()),
+        ));
         if let Some(sel) = self.vars.sel_invariants {
-            assumptions.push((sel, query.invariants_enabled()));
+            let sel = Formula::bool_var(sel);
+            assumptions.push(if query.invariants_enabled() {
+                sel
+            } else {
+                Formula::not(sel)
+            });
         }
         let result = self.smt.check_assuming(&assumptions, config);
         let solver_stats = self.smt.stats();
         let profile = self.smt.take_profile();
-        self.smt.pop();
-        telemetry.event_with("smt.pop", || {
-            vec![("depth", self.smt.scope_depth().to_string())]
-        });
         // An ablated query used no invariants, whatever the template holds.
         let invariants = if query.invariants_enabled() {
             self.invariants

@@ -108,7 +108,7 @@ pub struct Analysis {
 ///
 /// This is the one-shot, fixed-capacity path: a fresh solver with the
 /// target's goal asserted permanently, checked once.  It shares nothing
-/// with [`crate::EncodingTemplate`] (no capacity variables, scopes,
+/// with [`crate::EncodingTemplate`] (no capacity variables, assumptions,
 /// selectors or query history), so it serves as an independent oracle for
 /// the template.  Use [`verify_with`] to supply a precomputed color map
 /// and invariant set or a custom solver configuration.

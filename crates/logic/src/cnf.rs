@@ -99,14 +99,10 @@ fn gcd(a: i64, b: i64) -> i64 {
 /// the atom ↔ SAT-variable correspondence so the SMT search can extract
 /// theory constraints from SAT assignments and block refuted ones.
 ///
-/// Formulas can be encoded under a *guard literal*
-/// ([`Encoder::encode_guarded`]): every definition clause the encoding
-/// emits carries the guard, so once the guard is asserted at level zero
-/// (e.g. the disabled activation literal of a popped solver scope) the
-/// whole encoding is permanently satisfied and the solver's
-/// garbage-collection pass can reclaim it.  Atom and Boolean variable
-/// mappings are shared across guards — they carry no clauses of their own,
-/// so sharing them is always sound.
+/// Atoms and Boolean variables are interned: encoding a comparison or a
+/// variable again returns the literal it got the first time and allocates
+/// nothing.  They carry no clauses of their own, so one literal serves
+/// every formula that mentions them and every assumption that pins them.
 #[derive(Clone, Debug, Default)]
 pub struct Encoder {
     bool_to_sat: HashMap<BoolVar, Var>,
@@ -136,7 +132,7 @@ impl Encoder {
 
     /// Returns the SAT variable associated with a Boolean SMT variable,
     /// allocating it on first use.
-    pub fn sat_var_for_bool(&mut self, v: BoolVar, sat: &mut SatSolver) -> Var {
+    fn sat_var_for_bool(&mut self, v: BoolVar, sat: &mut SatSolver) -> Var {
         if let Some(&sv) = self.bool_to_sat.get(&v) {
             return sv;
         }
@@ -162,20 +158,6 @@ impl Encoder {
         self.atoms.len()
     }
 
-    /// Adds a definition clause, extended by the guard literal when one is
-    /// in effect.
-    fn emit(&mut self, sat: &mut SatSolver, guard: Option<Lit>, lits: &[Lit]) {
-        match guard {
-            None => sat.add_clause(lits),
-            Some(g) => {
-                let mut guarded = Vec::with_capacity(lits.len() + 1);
-                guarded.push(g);
-                guarded.extend_from_slice(lits);
-                sat.add_clause(&guarded)
-            }
-        };
-    }
-
     fn atom_lit(&mut self, atom_or_const: Result<LinearAtom, bool>, sat: &mut SatSolver) -> Lit {
         match atom_or_const {
             Err(true) => self.constant_true(sat),
@@ -199,7 +181,6 @@ impl Encoder {
         lhs: &LinExpr,
         op: CmpOp,
         rhs: &LinExpr,
-        guard: Option<Lit>,
         pool: &VarPool,
         sat: &mut SatSolver,
     ) -> Lit {
@@ -217,97 +198,72 @@ impl Encoder {
                 self.atom_lit(LinearAtom::canonicalize(neg, constant - 1, pool), sat)
             }
             CmpOp::Eq => {
-                let le = self.encode_cmp(lhs, CmpOp::Le, rhs, guard, pool, sat);
-                let ge = self.encode_cmp(lhs, CmpOp::Ge, rhs, guard, pool, sat);
-                self.define_and(&[le, ge], guard, sat)
+                let le = self.encode_cmp(lhs, CmpOp::Le, rhs, pool, sat);
+                let ge = self.encode_cmp(lhs, CmpOp::Ge, rhs, pool, sat);
+                Self::define_and(&[le, ge], sat)
             }
             CmpOp::Ne => {
-                let eq = self.encode_cmp(lhs, CmpOp::Eq, rhs, guard, pool, sat);
+                let eq = self.encode_cmp(lhs, CmpOp::Eq, rhs, pool, sat);
                 eq.negated()
             }
         }
     }
 
-    fn define_and(&mut self, lits: &[Lit], guard: Option<Lit>, sat: &mut SatSolver) -> Lit {
+    fn define_and(lits: &[Lit], sat: &mut SatSolver) -> Lit {
         let y = Lit::positive(sat.new_var());
         let mut long: Vec<Lit> = vec![y];
         for &l in lits {
-            self.emit(sat, guard, &[y.negated(), l]);
+            sat.add_clause(&[y.negated(), l]);
             long.push(l.negated());
         }
-        self.emit(sat, guard, &long);
+        sat.add_clause(&long);
         y
     }
 
-    fn define_or(&mut self, lits: &[Lit], guard: Option<Lit>, sat: &mut SatSolver) -> Lit {
+    fn define_or(lits: &[Lit], sat: &mut SatSolver) -> Lit {
         let y = Lit::positive(sat.new_var());
         let mut long: Vec<Lit> = vec![y.negated()];
         for &l in lits {
-            self.emit(sat, guard, &[l.negated(), y]);
+            sat.add_clause(&[l.negated(), y]);
             long.push(l);
         }
-        self.emit(sat, guard, &long);
+        sat.add_clause(&long);
         y
     }
 
     /// Encodes a formula over the variables of `pool`, returning a literal
-    /// equisatisfiable with it.
+    /// equisatisfiable with it.  A Boolean variable, a `≤`/`<`/`≥`/`>`
+    /// comparison or the negation of one is its interned literal, with no
+    /// clause added; every other connective, `=` and `≠` included, defines
+    /// a fresh Tseitin variable.
     pub fn encode(&mut self, formula: &Formula, pool: &VarPool, sat: &mut SatSolver) -> Lit {
-        self.encode_guarded(formula, None, pool, sat)
-    }
-
-    /// Encodes a formula with every emitted definition clause extended by
-    /// `guard`, returning a literal equisatisfiable with the formula
-    /// whenever `guard` is false.
-    ///
-    /// The intended guard is the negation of a scope's activation literal:
-    /// while the scope is active the activation literal is assumed true
-    /// and the definitions behave exactly as unguarded ones; once the
-    /// scope is popped (the activation literal is forced false at level
-    /// zero) every clause of the encoding is permanently satisfied and can
-    /// be garbage-collected.  Tseitin variables are never reused across
-    /// `encode` calls, so guarding their definitions cannot leak into
-    /// later encodings.
-    pub fn encode_guarded(
-        &mut self,
-        formula: &Formula,
-        guard: Option<Lit>,
-        pool: &VarPool,
-        sat: &mut SatSolver,
-    ) -> Lit {
         match formula {
             Formula::True => self.constant_true(sat),
             Formula::False => self.constant_true(sat).negated(),
             Formula::Bool(v) => Lit::positive(self.sat_var_for_bool(*v, sat)),
-            Formula::Cmp(lhs, op, rhs) => self.encode_cmp(lhs, *op, rhs, guard, pool, sat),
-            Formula::Not(inner) => self.encode_guarded(inner, guard, pool, sat).negated(),
+            Formula::Cmp(lhs, op, rhs) => self.encode_cmp(lhs, *op, rhs, pool, sat),
+            Formula::Not(inner) => self.encode(inner, pool, sat).negated(),
             Formula::And(parts) => {
-                let lits: Vec<Lit> = parts
-                    .iter()
-                    .map(|p| self.encode_guarded(p, guard, pool, sat))
-                    .collect();
-                self.define_and(&lits, guard, sat)
+                let lits: Vec<Lit> = parts.iter().map(|p| self.encode(p, pool, sat)).collect();
+                Self::define_and(&lits, sat)
             }
             Formula::Or(parts) => {
-                let lits: Vec<Lit> = parts
-                    .iter()
-                    .map(|p| self.encode_guarded(p, guard, pool, sat))
-                    .collect();
-                self.define_or(&lits, guard, sat)
+                let lits: Vec<Lit> = parts.iter().map(|p| self.encode(p, pool, sat)).collect();
+                Self::define_or(&lits, sat)
             }
             Formula::Implies(a, b) => {
-                let la = self.encode_guarded(a, guard, pool, sat).negated();
-                let lb = self.encode_guarded(b, guard, pool, sat);
-                self.define_or(&[la, lb], guard, sat)
+                let la = self.encode(a, pool, sat).negated();
+                let lb = self.encode(b, pool, sat);
+                Self::define_or(&[la, lb], sat)
             }
             Formula::Iff(a, b) => {
-                let la = self.encode_guarded(a, guard, pool, sat);
-                let lb = self.encode_guarded(b, guard, pool, sat);
+                let la = self.encode(a, pool, sat);
+                let lb = self.encode(b, pool, sat);
                 let y = Lit::positive(sat.new_var());
-                self.emit(sat, guard, &[y.negated(), la.negated(), lb]);
-                self.emit(sat, guard, &[y.negated(), la, lb.negated()]);
-                self.emit(sat, guard, &[y, la, lb]);
-                self.emit(sat, guard, &[y, la.negated(), lb.negated()]);
+                sat.add_clause(&[y.negated(), la.negated(), lb]);
+                sat.add_clause(&[y.negated(), la, lb.negated()]);
+                sat.add_clause(&[y, la, lb]);
+                sat.add_clause(&[y, la.negated(), lb.negated()]);
                 y
             }
         }

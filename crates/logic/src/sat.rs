@@ -24,7 +24,9 @@
 //! solves under a set of assumed literals that are retracted when the call
 //! returns — learnt clauses, variable activities and the watcher state all
 //! survive into the next call, which is what makes closely related queries
-//! (such as a queue-size sweep) cheap after the first one.
+//! (such as a queue-size sweep) cheap after the first one.  The assumptions
+//! share one decision level, the first, so a restart or a backjump below
+//! it re-establishes all of them with one propagation.
 //!
 //! Long sessions pay for that persistence: every learnt clause lengthens
 //! the watcher lists every later propagation must scan.  The solver
@@ -33,9 +35,8 @@
 //! among its literals, a standard quality measure) and an activity score,
 //! and periodically deletes the worst half of the deletable learnt clauses
 //! ([`SolverConfig::clause_reduction`]).  The same sweep drops clauses that
-//! level-zero units have permanently satisfied — in an assumption-based
-//! session these are the encodings of popped scopes, which would otherwise
-//! accumulate forever.
+//! level-zero units have permanently satisfied — for instance every clause
+//! of a selector a caller retired by asserting its negation.
 //!
 //! # Examples
 //!
@@ -384,10 +385,10 @@ pub struct SatSolver {
     order: VarHeap,
     /// Occurrences of each variable across the live clauses of both
     /// arenas.  A variable with no occurrences is unconstrained: branching
-    /// skips it (its model value defaults to `false`), so variables whose
-    /// clauses the reduction pass reclaimed — e.g. the encodings of popped
-    /// session scopes — stop costing a decision and a propagation in every
-    /// later query.
+    /// skips it (its model value defaults to `false`), so variables no
+    /// clause mentions — atoms only ever assumed, or variables whose
+    /// clauses the reduction pass reclaimed — cost no decision and no
+    /// propagation in queries that do not assume them.
     occurs: Vec<u32>,
     /// Last polarity each variable held (phase saving); initially negative,
     /// which is a good default for the mostly-Horn deadlock encodings.
@@ -404,8 +405,8 @@ pub struct SatSolver {
     /// Conflict count at which the next database reduction fires.
     next_reduce: u64,
     /// Level-zero trail length at the last satisfied-clause sweep; new
-    /// permanent units (e.g. the disabled activation literal of a popped
-    /// session scope) trigger another sweep at the next solve.
+    /// permanent units (a learnt unit, a unit theory lemma, a retired
+    /// selector) trigger another sweep at the next solve.
     simplified_trail_len: usize,
     config: SolverConfig,
     /// Cached `config.telemetry.is_enabled()`: the only thing the hot
@@ -460,11 +461,11 @@ pub enum TheoryCheck {
 
 /// What one [`SatSolver::decide`] step did.
 enum Step {
-    /// Opened a decision level for an assumption or a branching decision.
+    /// Opened a decision level for the assumptions or a branching decision.
     Decided,
     /// Every constrained variable is assigned.
     Complete,
-    /// The next assumption is false under the current assignment.
+    /// An assumption is false at level zero or contradicts another.
     FailedAssumption,
 }
 
@@ -931,9 +932,9 @@ impl SatSolver {
     }
 
     /// Drops every clause a level-zero unit has permanently satisfied —
-    /// in an assumption-based session, the guarded encodings of popped
-    /// scopes.  Cheap bookkeeping makes it a no-op unless the level-zero
-    /// trail grew since the last sweep.
+    /// for instance every clause of a selector asserted false for good.
+    /// Cheap bookkeeping makes it a no-op unless the level-zero trail grew
+    /// since the last sweep.
     fn simplify(&mut self) {
         if self.trail.len() == self.simplified_trail_len {
             return;
@@ -1065,13 +1066,17 @@ impl SatSolver {
 
     /// Solves the current clause set under the given assumption literals.
     ///
-    /// The assumptions are treated as the first decisions of the search (in
-    /// order) and are retracted before the call returns, so the same solver
-    /// can answer a sequence of related queries while keeping every learnt
+    /// The assumptions together are the first decision of the search: all
+    /// of them are placed at decision level 1, followed by one propagation
+    /// (and, under [`SatSolver::solve_with_theory`], one theory check).
+    /// They are retracted before the call returns, so the same solver can
+    /// answer a sequence of related queries while keeping every learnt
     /// clause, the variable activities and the watcher state.
     ///
     /// `Err(Unsat)` means no assignment satisfies the clause set under the
-    /// assumptions.
+    /// assumptions: an assumption is false at level zero or contradicts
+    /// another, or a conflict arises at level 1.  Unlike a conflict at
+    /// level zero, that leaves the solver usable.
     ///
     /// # Panics
     ///
@@ -1104,6 +1109,9 @@ impl SatSolver {
     /// * a lemma with several literals at its highest level backtracks to
     ///   that level and goes through first-UIP analysis like any conflict
     ///   (and counts as one in [`SatStats::conflicts`]).
+    ///
+    /// A lemma over the assumptions and what they imply alone is a conflict
+    /// at level 1, which refutes the assumptions.
     ///
     /// Returns `Ok(Some(model))` for the first complete assignment `theory`
     /// accepts, `Ok(None)` when it stops the search, and `Err(Unsat)` when
@@ -1154,6 +1162,12 @@ impl SatSolver {
                 }
                 if self.decision_level() == 0 {
                     self.ok = false;
+                    return Err(Unsat);
+                }
+                if self.decision_level() == 1 && !assumptions.is_empty() {
+                    // The assumptions and what they imply conflict: they
+                    // are refuted, the clause set is not.
+                    self.cancel_until(0);
                     return Err(Unsat);
                 }
                 let analyze_start = self.profiling.then(Instant::now);
@@ -1304,24 +1318,24 @@ impl SatSolver {
         added
     }
 
-    /// Opens the next decision level: the next pending assumption if any,
-    /// else a branching decision.  Backjumps and restarts may retract
-    /// assumptions; they are re-established here because the decision
-    /// level tracks how many are currently on the trail.
+    /// Opens the next decision level: at level zero, level 1 with every
+    /// assumption on it, else a branching decision.  Restarts and
+    /// backjumps to level zero retract the assumptions; they are
+    /// re-established here, all at once.  Level 1 is opened even when
+    /// every assumption already holds at level zero, so a conflict at
+    /// level 1 always refutes the assumptions.
     fn decide(&mut self, assumptions: &[Lit]) -> Step {
-        if let Some(&p) = assumptions.get(self.decision_level() as usize) {
-            match self.value(p) {
-                Some(true) => {
-                    // Already implied: open an empty decision level so
-                    // assumption indices and decision levels stay aligned.
-                    self.trail_lim.push(self.trail.len());
-                }
-                Some(false) => return Step::FailedAssumption,
-                None => {
-                    self.stats.decisions += 1;
-                    self.trail_lim.push(self.trail.len());
-                    let ok = self.enqueue(p, None);
-                    debug_assert!(ok, "assumption variable was unassigned");
+        if self.decision_level() == 0 && !assumptions.is_empty() {
+            self.stats.decisions += 1;
+            self.trail_lim.push(self.trail.len());
+            for &p in assumptions {
+                match self.value(p) {
+                    Some(true) => {}
+                    Some(false) => return Step::FailedAssumption,
+                    None => {
+                        let ok = self.enqueue(p, None);
+                        debug_assert!(ok, "assumption variable was unassigned");
+                    }
                 }
             }
             return Step::Decided;
@@ -1801,33 +1815,45 @@ mod tests {
 
     #[test]
     fn lemmas_over_assumption_literals_refute_the_assumptions() {
-        // a ∨ b, c → x.  Assuming a and c, a theory refutes c with a unit
-        // lemma, an asserting one (a at level 1, c at level 2) and a
-        // conflicting one (c and x both at level 2).
+        // a ∨ b, c → x.  Assuming a and c puts both on level 1 and implies
+        // x there; b is decided at level 2.  A theory refutes c with a unit
+        // lemma, with an asserting one that pairs the assumption a with the
+        // decided b (b's value is asserted back at level 1, and the same
+        // lemma shape over level 1 alone then refutes the assumptions), or
+        // with a lemma over level 1 alone (c and x).
         for shape in 0..3 {
             let mut s = SatSolver::new();
             let [a, b, c, x] = [0, 1, 2, 3].map(|_| s.new_var());
             s.add_clause(&[lit(a, true), lit(b, true)]);
             s.add_clause(&[lit(c, false), lit(x, true)]);
-            let lemma = match shape {
-                0 => vec![lit(c, false)],
-                1 => vec![lit(a, false), lit(c, false)],
-                _ => vec![lit(a, false), lit(c, false), lit(x, false)],
-            };
             let assumptions = [lit(a, true), lit(c, true)];
+            let mut lemmas: Vec<Vec<Lit>> = Vec::new();
             let result = s.solve_with_theory(&assumptions, |at| {
-                if at.complete && at.assignment[c] == Some(true) {
-                    TheoryCheck::Lemma(lemma.clone())
-                } else {
-                    TheoryCheck::Consistent
+                if !at.complete || at.assignment[c] != Some(true) {
+                    return TheoryCheck::Consistent;
                 }
+                let b_value = at.assignment[b].expect("b occurs in a clause");
+                let lemma = match shape {
+                    0 => vec![lit(c, false)],
+                    1 => vec![lit(a, false), lit(b, !b_value)],
+                    _ => vec![lit(a, false), lit(c, false), lit(x, false)],
+                };
+                lemmas.push(lemma.clone());
+                TheoryCheck::Lemma(lemma)
             });
             assert_eq!(result, Err(Unsat), "shape {shape}");
-            let model = s.solve().expect("satisfiable without the assumptions");
-            assert!(
-                lemma.iter().any(|&l| model[l.var()] == l.is_positive()),
-                "shape {shape}: the lemma is permanent"
+            assert_eq!(
+                lemmas.len(),
+                if shape == 1 { 2 } else { 1 },
+                "shape {shape}"
             );
+            let model = s.solve().expect("satisfiable without the assumptions");
+            for lemma in &lemmas {
+                assert!(
+                    lemma.iter().any(|&l| model[l.var()] == l.is_positive()),
+                    "shape {shape}: the lemma {lemma:?} is permanent"
+                );
+            }
         }
     }
 

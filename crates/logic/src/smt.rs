@@ -18,12 +18,14 @@
 //! whole life.  Each [`SmtSolver::check`] encodes only the assertions
 //! added since the previous check; the SAT solver's learnt clauses,
 //! variable activities and watcher lists, and every theory lemma, survive
-//! into later checks.  Assertions made inside a
-//! [`SmtSolver::push`]/[`SmtSolver::pop`] scope are guarded by an
-//! activation literal the search assumes, so popping a scope retracts
-//! them without discarding anything the solver learnt.  Solvers
-//! share nothing, so a fresh solver checked once is an independent oracle
-//! for a long-lived one.
+//! into later checks.  Every assertion is permanent.  What changes between
+//! checks is assumed: [`SmtSolver::check_assuming`] holds literals —
+//! Boolean variables and linear comparisons — for one check only, and a
+//! compound constraint is made retractable by asserting `s → f` once and
+//! assuming the selector `s`.  Assumed atoms are interned, so asking the
+//! same question again allocates nothing.  Solvers share nothing, so a
+//! fresh solver checked once is an independent oracle for a long-lived
+//! one.
 //!
 //! Theory lemmas (blocking clauses derived from infeasible conjunctions of
 //! linear atoms) are consequences of the variable bounds alone, never of
@@ -31,7 +33,7 @@
 //! pruning the search in every later check.
 
 use crate::cnf::{Encoder, LinearAtom};
-use crate::expr::{BoolVar, Formula, IntVar, VarPool};
+use crate::expr::{BoolVar, CmpOp, Formula, IntVar, VarPool};
 use crate::model::Model;
 use crate::sat::{Fixpoint, Lit, SatSolver, SatStats, SolverConfig, TheoryCheck, Unsat, Var};
 use crate::theory::{self, Constraint, TheoryVerdict};
@@ -155,31 +157,25 @@ impl SmtResult {
 /// assert!(smt.check().is_unsat());
 /// ```
 ///
-/// One solver answers a sweep of related queries, retracting the
-/// per-query constraint between checks:
+/// One solver answers a sweep of related queries, assuming the per-query
+/// constraint for one check at a time:
 ///
 /// ```
-/// use advocat_logic::{Formula, LinExpr, SmtSolver};
+/// use advocat_logic::{CheckConfig, Formula, LinExpr, SmtSolver};
 ///
 /// let mut smt = SmtSolver::new();
 /// let x = smt.new_int_var("x", 0, 10);
 /// let y = smt.new_int_var("y", 0, 10);
 /// smt.assert(Formula::eq(LinExpr::var(x) + LinExpr::var(y), LinExpr::constant(6)));
 /// for cap in 0..3 {
-///     smt.push();
-///     smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(cap)));
-///     assert!(smt.check().is_sat());
-///     smt.pop();
+///     let pin = Formula::le(LinExpr::var(x), LinExpr::constant(cap));
+///     assert!(smt.check_assuming(&[pin], &CheckConfig::default()).is_sat());
 /// }
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SmtSolver {
     pool: VarPool,
     assertions: Vec<Formula>,
-    /// Assertion-count marks of the open scopes, innermost last.
-    scope_marks: Vec<usize>,
-    /// Activation literal of each open scope, innermost last.
-    scope_lits: Vec<Lit>,
     encoder: Encoder,
     sat: SatSolver,
     /// How many leading assertions have been encoded into `sat`.
@@ -192,8 +188,7 @@ pub struct SmtSolver {
 
 impl SmtSolver {
     /// Creates an empty solver: the encoding, learnt clauses and theory
-    /// lemmas survive across [`SmtSolver::check`] calls, and scoped
-    /// assertions are retracted via assumption literals.
+    /// lemmas survive across [`SmtSolver::check`] calls.
     pub fn new() -> Self {
         SmtSolver::default()
     }
@@ -213,46 +208,14 @@ impl SmtSolver {
         &self.pool
     }
 
-    /// Asserts a formula in the innermost open scope (or permanently when
-    /// no scope is open).
+    /// Asserts a formula permanently.
     pub fn assert(&mut self, formula: Formula) {
         self.assertions.push(formula);
     }
 
-    /// Returns the currently active assertions, outermost first.
+    /// Returns the assertions, oldest first.
     pub fn assertions(&self) -> &[Formula] {
         &self.assertions
-    }
-
-    /// Opens an assertion scope: assertions made until the matching
-    /// [`SmtSolver::pop`] are retracted by it.
-    pub fn push(&mut self) {
-        self.scope_marks.push(self.assertions.len());
-        self.scope_lits.push(Lit::positive(self.sat.new_var()));
-    }
-
-    /// Closes the innermost scope, retracting its assertions.  The scope's
-    /// activation literal is permanently disabled, which satisfies every
-    /// clause the scope contributed while keeping all learnt clauses and
-    /// theory lemmas.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no scope is open.
-    pub fn pop(&mut self) {
-        let mark = self.scope_marks.pop().expect("pop without a matching push");
-        self.assertions.truncate(mark);
-        self.encoded = self.encoded.min(mark);
-        let act = self
-            .scope_lits
-            .pop()
-            .expect("scope literal tracked per scope");
-        self.sat.add_clause(&[act.negated()]);
-    }
-
-    /// Returns the number of open scopes.
-    pub fn scope_depth(&self) -> usize {
-        self.scope_marks.len()
     }
 
     /// Returns statistics about the most recent check.
@@ -279,59 +242,64 @@ impl SmtSolver {
         self.check_with(&CheckConfig::default())
     }
 
-    /// Checks satisfiability of the active assertions with the given
-    /// resource limits.
+    /// Checks satisfiability of the assertions with the given resource
+    /// limits.
     pub fn check_with(&mut self, config: &CheckConfig) -> SmtResult {
         self.check_assuming(&[], config)
     }
 
-    /// Checks satisfiability of the active assertions **under assumptions**:
-    /// each `(variable, polarity)` pair is held at the given truth value for
-    /// this check only, without being asserted.
+    /// Checks satisfiability of the assertions **under assumptions**: each
+    /// assumed literal holds for this check only, without being asserted.
     ///
-    /// Assumptions are the cheaper of the two retraction mechanisms: unlike
-    /// a scope, nothing is encoded and nothing has to be garbage-collected
-    /// afterwards, and everything the solver learns under one assumption
-    /// set keeps pruning the search under every later one.  They are what
-    /// lets a verification session flip *specification selectors* (which
-    /// deadlock target is active, whether invariant strengthening applies)
-    /// between queries with no re-encode at all.
+    /// An assumption must be a literal: a Boolean variable, a `≤`, `<`,
+    /// `≥` or `>` comparison, or the negation of one.  Its atom is
+    /// interned, so assuming it again allocates nothing, and a comparison
+    /// the variable bounds decide is the constant literal.  Nothing is
+    /// encoded per assumption and nothing has to be garbage-collected
+    /// afterwards; everything the solver learns under one assumption set
+    /// keeps pruning the search under every later one.  That is what lets
+    /// a verification session pin queue capacities and flip
+    /// *specification selectors* (which deadlock target is active, whether
+    /// invariant strengthening applies) between queries with no
+    /// re-encode at all.  A compound constraint is made retractable the
+    /// same way: assert `s → f` once and assume `s`.
     ///
-    /// A variable that never occurs in any asserted formula is allocated a
-    /// SAT variable on the fly, so selector variables may be declared ahead
-    /// of the formulas they will eventually guard.
+    /// A variable or atom that occurs in no asserted formula is allocated
+    /// a SAT variable on the fly, so selector variables may be declared
+    /// ahead of the formulas they will eventually guard.
     ///
-    /// Only the assertions added since the last check are encoded; the
-    /// search runs under the activation literals of the open scopes plus
-    /// the caller's assumption literals.
-    pub fn check_assuming(
-        &mut self,
-        assumptions: &[(BoolVar, bool)],
-        config: &CheckConfig,
-    ) -> SmtResult {
+    /// Only the assertions added since the last check are encoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an assumption is not a literal: an `=`, a `≠` or a
+    /// connective would need a fresh Tseitin definition at every check.
+    pub fn check_assuming(&mut self, assumptions: &[Formula], config: &CheckConfig) -> SmtResult {
         for i in self.encoded..self.assertions.len() {
-            // The innermost scope whose mark covers assertion `i` guards
-            // it; assertions below every mark are permanent.  The guard
-            // extends every clause of the encoding — not just the
-            // top-level assertion — so popping the scope leaves nothing
-            // behind for the solver's garbage collection to keep.
-            let guard = self
-                .scope_marks
-                .iter()
-                .rposition(|&mark| mark <= i)
-                .map(|scope| self.scope_lits[scope]);
-            let lit = self.encoder.encode_guarded(
-                &self.assertions[i],
-                guard.map(|act| act.negated()),
-                &self.pool,
-                &mut self.sat,
-            );
-            match guard {
-                Some(act) => self.sat.add_clause(&[act.negated(), lit]),
-                None => self.sat.add_clause(&[lit]),
-            };
+            let lit = self
+                .encoder
+                .encode(&self.assertions[i], &self.pool, &mut self.sat);
+            self.sat.add_clause(&[lit]);
         }
         self.encoded = self.assertions.len();
+        let assumed: Vec<Lit> = assumptions
+            .iter()
+            .map(|formula| {
+                let atom = match formula {
+                    Formula::Not(inner) => &**inner,
+                    atom => atom,
+                };
+                assert!(
+                    matches!(
+                        atom,
+                        Formula::Bool(_)
+                            | Formula::Cmp(_, CmpOp::Le | CmpOp::Lt | CmpOp::Ge | CmpOp::Gt, _)
+                    ),
+                    "assumption {formula:?} is not a literal"
+                );
+                self.encoder.encode(formula, &self.pool, &mut self.sat)
+            })
+            .collect();
 
         self.stats = SolverStats {
             linear_atoms: self.encoder.atom_count(),
@@ -340,12 +308,6 @@ impl SmtSolver {
         };
         self.sat.set_config(config.solver.clone());
         let before = self.sat.stats();
-        let mut assumed = self.scope_lits.clone();
-        assumed.extend(
-            assumptions
-                .iter()
-                .map(|&(v, sign)| Lit::new(self.encoder.sat_var_for_bool(v, &mut self.sat), sign)),
-        );
         let result = self.refine(&assumed, config);
         let after = self.sat.stats();
         self.stats.sat_conflicts = after.conflicts - before.conflicts;
@@ -434,11 +396,12 @@ impl SmtSolver {
             atom_lits.clear();
             let (explanation, branched) = if bounded {
                 // Extract the theory constraints of a complete assignment.
-                // Atoms no live clause mentions (their scope was popped and
-                // garbage-collected) are unassigned and skipped: nothing
-                // propositional constrains them, so forcing a theory
-                // counterpart would only shrink — or wrongly empty — the
-                // feasible space of long-lived sessions.
+                // Atoms no live clause mentions and no assumption assigns
+                // (the pins other checks assumed) are unassigned and
+                // skipped: nothing propositional constrains them, so
+                // forcing a theory counterpart would only shrink — or
+                // wrongly empty — the feasible space of long-lived
+                // sessions.
                 for (both, &sat_var) in polarised.iter().zip(&atom_vars) {
                     let Some(assigned_true) = at.assignment[sat_var] else {
                         continue;
@@ -1023,34 +986,38 @@ mod tests {
         assert!(smt.stats().sat_variables >= 1);
     }
 
-    #[test]
-    fn push_pop_retracts_assertions() {
-        let mut smt = SmtSolver::new();
-        let x = smt.new_int_var("x", 0, 5);
-        smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(2)));
-        smt.push();
-        smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(1)));
-        assert!(smt.check().is_unsat());
-        smt.pop();
-        assert!(smt.check().is_sat());
-        assert_eq!(smt.scope_depth(), 0);
+    /// `x ≤ k` for the tests' capacity-style pins.
+    fn at_most(x: IntVar, k: i64) -> Formula {
+        Formula::le(LinExpr::var(x), LinExpr::constant(k))
     }
 
     #[test]
-    fn scoped_checks_match_a_fresh_solver_per_step() {
-        // A small sweep answered by one solver through scopes must agree
-        // with a fresh solver checked once at every step.
+    fn assumptions_are_retracted_after_the_check() {
+        let mut smt = SmtSolver::new();
+        let x = smt.new_int_var("x", 0, 5);
+        smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(2)));
+        let config = CheckConfig::default();
+        assert!(smt.check_assuming(&[at_most(x, 1)], &config).is_unsat());
+        assert!(smt.check().is_sat());
+    }
+
+    #[test]
+    fn assumed_checks_match_a_fresh_solver_per_step() {
+        // A small sweep answered by one solver through assumptions must
+        // agree with a fresh solver checked once at every step.
         let mut session = SmtSolver::new();
         let x = session.new_int_var("x", 0, 8);
         let y = session.new_int_var("y", 0, 8);
         let base = Formula::eq(LinExpr::var(x) + LinExpr::var(y), LinExpr::constant(5));
         session.assert(base.clone());
         for cap in 0..=6i64 {
-            session.push();
-            session.assert(Formula::le(LinExpr::var(x), LinExpr::constant(cap)));
-            session.assert(Formula::ge(LinExpr::var(y), LinExpr::constant(5 - cap)));
-            let scoped_sat = session.check().is_sat();
-            session.pop();
+            let pins = [
+                at_most(x, cap),
+                Formula::ge(LinExpr::var(y), LinExpr::constant(5 - cap)),
+            ];
+            let assumed_sat = session
+                .check_assuming(&pins, &CheckConfig::default())
+                .is_sat();
 
             let mut fresh = SmtSolver::new();
             let fx = fresh.new_int_var("x", 0, 8);
@@ -1059,61 +1026,39 @@ mod tests {
                 LinExpr::var(fx) + LinExpr::var(fy),
                 LinExpr::constant(5),
             ));
-            fresh.assert(Formula::le(LinExpr::var(fx), LinExpr::constant(cap)));
+            fresh.assert(at_most(fx, cap));
             fresh.assert(Formula::ge(LinExpr::var(fy), LinExpr::constant(5 - cap)));
-            assert_eq!(scoped_sat, fresh.check().is_sat(), "capacity {cap}");
+            assert_eq!(assumed_sat, fresh.check().is_sat(), "capacity {cap}");
         }
     }
 
     #[test]
-    fn scope_zero_assertions_are_permanent() {
+    fn assertions_are_permanent() {
         let mut smt = SmtSolver::new();
         let x = smt.new_int_var("x", 0, 3);
         smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(1)));
         assert!(smt.check().is_sat());
         // A permanently contradictory assertion flips the solver to unsat…
-        smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(0)));
+        smt.assert(at_most(x, 0));
         assert!(smt.check().is_unsat());
         // …and it stays unsat on re-check (nothing was retracted).
         assert!(smt.check().is_unsat());
     }
 
     #[test]
-    fn an_unsat_scope_does_not_poison_later_queries() {
+    fn an_unsat_assumption_does_not_poison_later_queries() {
         let mut smt = SmtSolver::new();
         let x = smt.new_int_var("x", 0, 4);
         smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(2)));
-        smt.push();
-        smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(1)));
-        assert!(smt.check().is_unsat());
-        smt.pop();
-        smt.push();
-        smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(3)));
-        let model = smt.check().expect_sat();
+        let config = CheckConfig::default();
+        assert!(smt.check_assuming(&[at_most(x, 1)], &config).is_unsat());
+        let model = smt.check_assuming(&[at_most(x, 3)], &config).expect_sat();
         let v = model.int_value(x);
         assert!((2..=3).contains(&v));
-        smt.pop();
     }
 
     #[test]
-    fn nested_scopes_retract_in_order() {
-        let mut smt = SmtSolver::new();
-        let x = smt.new_int_var("x", 0, 9);
-        smt.push();
-        smt.assert(Formula::ge(LinExpr::var(x), LinExpr::constant(4)));
-        smt.push();
-        smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(3)));
-        assert!(smt.check().is_unsat());
-        smt.pop();
-        let model = smt.check().expect_sat();
-        assert!(model.int_value(x) >= 4);
-        smt.pop();
-        let model = smt.check().expect_sat();
-        assert!(model.int_value(x) >= 0);
-    }
-
-    #[test]
-    fn solver_knobs_thread_through_scoped_checks() {
+    fn solver_knobs_thread_through_assumed_checks() {
         // The same sweep answered with and without clause reduction must
         // agree on every verdict, and the aggressively reduced session must
         // report reductions with a live count at or below the total.
@@ -1131,11 +1076,11 @@ mod tests {
             ));
             let mut verdicts = Vec::new();
             for cap in 0..=12i64 {
-                smt.push();
-                smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(cap)));
-                smt.assert(Formula::ge(LinExpr::var(y), LinExpr::constant(cap)));
-                verdicts.push(smt.check_with(&config).is_sat());
-                smt.pop();
+                let pins = [
+                    at_most(x, cap),
+                    Formula::ge(LinExpr::var(y), LinExpr::constant(cap)),
+                ];
+                verdicts.push(smt.check_assuming(&pins, &config).is_sat());
             }
             (verdicts, smt.stats())
         };
@@ -1160,54 +1105,29 @@ mod tests {
     #[test]
     fn assumptions_select_guarded_assertions_without_re_encoding() {
         let mut smt = SmtSolver::new();
-        let sel_a = smt.new_bool_var("sel_a");
-        let sel_b = smt.new_bool_var("sel_b");
+        let sel_a = Formula::bool_var(smt.new_bool_var("sel_a"));
+        let sel_b = Formula::bool_var(smt.new_bool_var("sel_b"));
         let x = smt.new_int_var("x", 0, 10);
         smt.assert(Formula::implies(
-            Formula::bool_var(sel_a),
+            sel_a.clone(),
             Formula::ge(LinExpr::var(x), LinExpr::constant(7)),
         ));
-        smt.assert(Formula::implies(
-            Formula::bool_var(sel_b),
-            Formula::le(LinExpr::var(x), LinExpr::constant(3)),
-        ));
+        smt.assert(Formula::implies(sel_b.clone(), at_most(x, 3)));
         let config = CheckConfig::default();
-        let m = smt.check_assuming(&[(sel_a, true)], &config).expect_sat();
+        let m = smt
+            .check_assuming(std::slice::from_ref(&sel_a), &config)
+            .expect_sat();
         assert!(m.int_value(x) >= 7);
-        let m = smt.check_assuming(&[(sel_b, true)], &config).expect_sat();
+        let variables = smt.stats().sat_variables;
+        let m = smt
+            .check_assuming(std::slice::from_ref(&sel_b), &config)
+            .expect_sat();
         assert!(m.int_value(x) <= 3);
-        assert!(smt
-            .check_assuming(&[(sel_a, true), (sel_b, true)], &config)
-            .is_unsat());
+        assert!(smt.check_assuming(&[sel_a, sel_b], &config).is_unsat());
+        assert_eq!(smt.stats().sat_variables, variables);
         // Nothing was asserted: retracting the assumptions restores
-        // satisfiability without a pop.
+        // satisfiability.
         assert!(smt.check().is_sat());
-    }
-
-    #[test]
-    fn assumptions_compose_with_scopes() {
-        let mut smt = SmtSolver::new();
-        let sel = smt.new_bool_var("sel");
-        let x = smt.new_int_var("x", 0, 9);
-        smt.assert(Formula::implies(
-            Formula::bool_var(sel),
-            Formula::ge(LinExpr::var(x), LinExpr::constant(5)),
-        ));
-        smt.push();
-        smt.assert(Formula::le(LinExpr::var(x), LinExpr::constant(4)));
-        assert!(smt
-            .check_assuming(&[(sel, true)], &CheckConfig::default())
-            .is_unsat());
-        // Same scope, selector retracted: satisfiable again.
-        let m = smt
-            .check_assuming(&[(sel, false)], &CheckConfig::default())
-            .expect_sat();
-        assert!(m.int_value(x) <= 4);
-        smt.pop();
-        let m = smt
-            .check_assuming(&[(sel, true)], &CheckConfig::default())
-            .expect_sat();
-        assert!(m.int_value(x) >= 5);
     }
 
     #[test]
@@ -1220,7 +1140,7 @@ mod tests {
             Formula::ge(LinExpr::var(x), LinExpr::constant(4)),
         ));
         let m = smt
-            .check_assuming(&[(sel, true)], &CheckConfig::default())
+            .check_assuming(&[Formula::bool_var(sel)], &CheckConfig::default())
             .expect_sat();
         assert!(m.int_value(x) >= 4);
         assert!(m.bool_value(sel));
@@ -1228,9 +1148,60 @@ mod tests {
         // assuming it merely pins its value.
         let free = smt.new_bool_var("free");
         let m = smt
-            .check_assuming(&[(free, false)], &CheckConfig::default())
+            .check_assuming(
+                &[Formula::not(Formula::bool_var(free))],
+                &CheckConfig::default(),
+            )
             .expect_sat();
         assert!(!m.bool_value(free));
+        // So is a comparison no assertion mentions.
+        let y = smt.new_int_var("y", 0, 5);
+        let m = smt
+            .check_assuming(
+                &[Formula::gt(LinExpr::var(y), LinExpr::constant(3))],
+                &CheckConfig::default(),
+            )
+            .expect_sat();
+        assert!(m.int_value(y) > 3);
+    }
+
+    #[test]
+    fn re_assuming_a_comparison_allocates_no_sat_variable() {
+        let mut smt = SmtSolver::new();
+        let x = smt.new_int_var("x", 0, 9);
+        let y = smt.new_int_var("y", 0, 9);
+        smt.assert(Formula::eq(
+            LinExpr::var(x) + LinExpr::var(y),
+            LinExpr::constant(9),
+        ));
+        let config = CheckConfig::default();
+        let sizes = |smt: &SmtSolver| (smt.stats().sat_variables, smt.stats().linear_atoms);
+        let pins = |k: i64| {
+            [
+                at_most(x, k),
+                Formula::ge(LinExpr::var(x), LinExpr::constant(k)),
+            ]
+        };
+        for k in 0..=9 {
+            assert!(smt.check_assuming(&pins(k), &config).is_sat());
+        }
+        let after_first_round = sizes(&smt);
+        for round in 0..3 {
+            for k in (0..=9).rev() {
+                let model = smt.check_assuming(&pins(k), &config).expect_sat();
+                assert_eq!(model.int_value(x), k);
+                assert_eq!(sizes(&smt), after_first_round, "round {round}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a literal")]
+    fn a_non_literal_assumption_panics() {
+        let mut smt = SmtSolver::new();
+        let x = smt.new_int_var("x", 0, 9);
+        let pin = Formula::eq(LinExpr::var(x), LinExpr::constant(4));
+        let _ = smt.check_assuming(&[pin], &CheckConfig::default());
     }
 
     #[test]

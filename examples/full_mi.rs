@@ -23,16 +23,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.primitives, stats.automata, stats.queues, stats.colors
     );
 
-    let report = QueryEngine::structural(system.clone()).check(&Query::new());
+    let mut engine = QueryEngine::structural(system.clone());
+    let report = engine.check(&Query::new());
+    let invariants = engine.invariants();
     println!(
         "\n{} cross-layer invariants derived, for example:",
-        report.invariants().len()
+        invariants.len()
     );
-    for line in report.invariant_text().iter().take(12) {
-        println!("  {line}");
+    for invariant in invariants.iter().take(12) {
+        println!("  {}", format_invariant(engine.system(), invariant));
     }
-    if report.invariant_text().len() > 12 {
-        println!("  … and {} more", report.invariant_text().len() - 12);
+    if invariants.len() > 12 {
+        println!("  … and {} more", invariants.len() - 12);
     }
 
     println!("\nverdict: {}", report.summary());

@@ -57,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = QueryEngine::structural(system.clone());
     let report = engine.check(&Query::new());
     println!("derived invariants:");
-    for line in report.invariant_text() {
-        println!("  {line}");
+    for invariant in engine.invariants().iter() {
+        println!("  {}", format_invariant(engine.system(), invariant));
     }
     println!("\nwith invariants:    {}", report.summary());
 

@@ -180,7 +180,7 @@ fn session_sweep_beats_sixteen_cold_analyzes_on_sat_effort() {
 ///   more than its early ones (sizes 3..=16, past the two deadlocking
 ///   sizes) times a small slack.  With the theory checked at every
 ///   propagation fixpoint the unbounded solver's late queries do not climb
-///   either (late/early SAT effort 0.71×, against 0.83× bounded), so this
+///   either (late/early SAT effort 0.65×, against 0.67× bounded), so this
 ///   bound alone does not separate the two configurations;
 /// * the bounded tail is strictly cheaper than the unbounded tail.
 #[test]
@@ -248,7 +248,7 @@ fn long_sweep_keeps_per_query_cost_bounded_with_clause_deletion() {
 /// Lemmas keep to the current query's capacity pins.  Sizes 1..=32 on the
 /// 2×2 directory mesh through one engine: every late query (sizes
 /// 17..=32) takes a handful of refinements (3–5 with any explanation
-/// order measured so far).  Lemmas that pin the capacity atoms of
+/// order measured so far, 4 today).  Lemmas that pin the capacity atoms of
 /// earlier queries are permanent and no later query can use them; when
 /// only complete assignments were checked, reasons taken oldest first
 /// did that, and the late queries climbed to about 35 refinements each.
@@ -345,4 +345,32 @@ fn re_asking_a_warm_engine_out_of_order_keeps_every_verdict() {
         assert_eq!(ask(cap), sweep[cap - 1], "capacity {cap} re-asked");
     }
     assert_eq!(engine.stats().templates_built, 1);
+}
+
+/// Asking a warm engine again leaves nothing behind: every query
+/// dimension is an assumption over interned atoms, so a question asked
+/// 200 times keeps the SAT variable and linear atom counts it had after
+/// its first answer, and a round-robin over the range's capacities keeps
+/// those it had after its first round.  Per-query solver scopes grew the
+/// 2×2 directory mesh by 9 SAT variables per query (one activation
+/// literal and one `cap(q) = k` definition per pinned queue).
+#[test]
+fn a_warm_engine_stops_growing_once_every_capacity_was_asked() {
+    let mut engine = warm_mesh_engine();
+    let mut ask = |cap: usize| {
+        let report = engine.check(&Query::new().capacity(cap));
+        assert_eq!(report.is_deadlock_free(), cap >= 3, "capacity {cap}");
+        let stats = report.analysis().stats;
+        (stats.sat_variables, stats.linear_atoms)
+    };
+    let first = ask(3);
+    for i in 1..200 {
+        assert_eq!(ask(3), first, "re-ask {i}");
+    }
+    let sizes: Vec<(usize, usize)> = (0..10).flat_map(|_| 1..=4).map(&mut ask).collect();
+    let (first_round, later_rounds) = sizes.split_at(4);
+    assert!(
+        later_rounds.iter().all(|&later| later == first_round[3]),
+        "(SAT variables, linear atoms) per query: {sizes:?}"
+    );
 }

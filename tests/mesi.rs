@@ -58,7 +58,7 @@ fn invariant_ablation_flips_the_mesi_verdict() {
         !ablated.is_deadlock_free(),
         "without invariants the shared-state candidates must survive"
     );
-    assert_eq!(ablated.invariants().len(), 0);
+    assert_eq!(ablated.analysis().stats.invariants, 0);
 
     assert!(engine.check(&Query::new().capacity(3)).is_deadlock_free());
     assert_eq!(engine.stats().templates_built, 1);

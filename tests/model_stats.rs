@@ -57,13 +57,13 @@ fn encoding_size_is_independent_of_queue_size() {
     let analyze = |qs| {
         let config = FabricConfig::new(Topology::mesh(2, 2).unwrap(), qs).with_directory(3);
         let system = build_fabric(&config).unwrap();
-        let report = QueryEngine::structural(system).check(&Query::new());
-        let stats = report.analysis().stats;
+        let mut engine = QueryEngine::structural(system);
+        let stats = engine.check(&Query::new()).analysis().stats;
         (
             stats.int_vars,
             stats.bool_vars,
             stats.sat_variables,
-            report.invariants().len(),
+            engine.invariants().len(),
         )
     };
     assert_eq!(analyze(3), analyze(12));

@@ -124,12 +124,16 @@ fn random_clause(gen: &mut XorShift64, ints: &[IntVar], bools: &[BoolVar]) -> Fo
 }
 
 /// One long-lived `SmtSolver` agrees with enumeration over a session of
-/// permanent assertions, `push`/`pop` scopes and `check_assuming`
-/// assumptions: unlike `smt_matches_brute_force`, its checks need theory
-/// lemmas, carry them into later checks and retract scopes whose
-/// encodings the SAT core garbage-collects.  Every model is evaluated here
-/// against every active assertion and assumption; the solver itself checks
-/// its models only under `debug_assert!`.
+/// permanent assertions, scopes and assumed Boolean and comparison
+/// literals: unlike `smt_matches_brute_force`, its checks need theory
+/// lemmas and carry them into later checks.  A scope is emulated with a
+/// selector, the way a caller retracts a compound constraint: opening one
+/// declares a fresh selector `s` and asserts `s → clause` for each of its
+/// clauses, every check assumes the open selectors, and closing it
+/// asserts `¬s` for good, which leaves its clauses for the SAT core's
+/// level-zero garbage collection.  Every model is evaluated here against
+/// every active assertion and assumption; the solver itself checks its
+/// models only under `debug_assert!`.
 #[test]
 fn a_long_lived_smt_session_matches_enumeration() {
     use advocat::logic::{CheckConfig, SmtResult, SolverConfig};
@@ -156,15 +160,17 @@ fn a_long_lived_smt_session_matches_enumeration() {
             },
             ..CheckConfig::default()
         };
-        // The active assertions, and where each open scope starts.
+        // The active assertions, where each open scope starts, and its
+        // selector.
         let mut active: Vec<Formula> = Vec::new();
         let mut marks: Vec<usize> = Vec::new();
+        let mut selectors: Vec<Formula> = Vec::new();
         let mut checks = 0;
         let mut permanent = 0;
         while checks < 50 {
-            // At depth zero mostly open a scope; inside one, assert, pop,
-            // open a nested scope or check.  At most four assertions are
-            // permanent (made at depth zero), so the session does not
+            // At depth zero mostly open a scope; inside one, assert, close
+            // it, open a nested scope or check.  At most four assertions
+            // are permanent (made at depth zero), so the session does not
             // turn unsatisfiable for good.
             let roll = gen.below(10);
             match (marks.len(), roll) {
@@ -175,32 +181,49 @@ fn a_long_lived_smt_session_matches_enumeration() {
                     active.push(clause);
                 }
                 (0, 1..=7) | (1 | 2, 0) => {
-                    smt.push();
+                    let name = format!("scope{session}.{}", marks.len());
+                    selectors.push(Formula::bool_var(smt.new_bool_var(name)));
                     marks.push(active.len());
                 }
                 (1.., 1 | 2) => {
-                    smt.pop();
+                    let selector = selectors.pop().expect("a scope is open");
+                    smt.assert(Formula::not(selector));
                     active.truncate(marks.pop().expect("a scope is open"));
                 }
                 (1.., 3..=6) => {
                     let clause = random_clause(&mut gen, &ints, &bools);
-                    smt.assert(clause.clone());
+                    let selector = selectors.last().expect("a scope is open");
+                    smt.assert(Formula::implies(selector.clone(), clause.clone()));
                     active.push(clause);
                 }
                 _ => {
                     checks += 1;
-                    let assumptions: Vec<(BoolVar, bool)> = (0..gen.int(0, 2))
+                    let assumptions: Vec<Formula> = (0..gen.int(0, 2))
                         .map(|_| {
-                            let b = bools[gen.below(bools.len() as u64) as usize];
-                            (b, gen.below(2) == 0)
+                            let literal = if gen.below(2) == 0 {
+                                Formula::bool_var(bools[gen.below(bools.len() as u64) as usize])
+                            } else {
+                                let x = LinExpr::var(ints[gen.below(ints.len() as u64) as usize]);
+                                let k = LinExpr::constant(gen.int(0, 3) as i64);
+                                if gen.below(2) == 0 {
+                                    Formula::le(x, k)
+                                } else {
+                                    Formula::ge(x, k)
+                                }
+                            };
+                            if gen.below(2) == 0 {
+                                literal
+                            } else {
+                                Formula::not(literal)
+                            }
                         })
                         .collect();
                     let holds = |bool_of: &dyn Fn(BoolVar) -> bool,
                                  int_of: &dyn Fn(IntVar) -> i64| {
-                        assumptions.iter().all(|&(b, value)| bool_of(b) == value)
-                            && active
-                                .iter()
-                                .all(|f| f.evaluate(&mut |b| bool_of(b), &mut |x| int_of(x)))
+                        assumptions
+                            .iter()
+                            .chain(&active)
+                            .all(|f| f.evaluate(&mut |b| bool_of(b), &mut |x| int_of(x)))
                     };
                     let space = 4u32.pow(ints.len() as u32) << bools.len();
                     let expected = (0..space).any(|code| {
@@ -211,7 +234,9 @@ fn a_long_lived_smt_session_matches_enumeration() {
                     let case = format!(
                         "session {session} check {checks}: {active:?} assuming {assumptions:?}"
                     );
-                    match smt.check_assuming(&assumptions, &config) {
+                    let mut assumed = assumptions.clone();
+                    assumed.extend(selectors.iter().cloned());
+                    match smt.check_assuming(&assumed, &config) {
                         SmtResult::Sat(model) => {
                             assert!(expected, "{case}: model for an unsatisfiable check");
                             assert!(

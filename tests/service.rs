@@ -97,7 +97,12 @@ fn identical_fingerprints_share_one_engine() {
     assert_eq!(stats.warm_hits, 3);
     let built: u64 = outcomes
         .iter()
-        .map(|o| o.session_delta.expect("engine ran").templates_built)
+        .map(|o| {
+            let json = advocat::service::outcome_to_json(o);
+            let delta = json.split(",\"delta\":{\"templates_built\":").nth(1);
+            let built = delta.and_then(|rest| rest.split(',').next());
+            built.expect("engine ran").parse::<u64>().unwrap()
+        })
         .sum();
     assert_eq!(built, 1, "exactly one job paid for the template");
     assert_eq!(outcomes.iter().filter(|o| o.warm_hit).count(), 3);
@@ -360,6 +365,21 @@ fn json_jobs_round_trip_through_the_service() {
     assert!(json.contains("\"status\":\"deadlock-free\""));
     assert!(json.contains("\"warm_hit\":true"));
     assert!(json.contains("\"capacity\":3"));
+    // Each job's `delta` is its own query: the cold job built the template,
+    // and the SAT effort is its report's.
+    for (outcome, cold) in outcomes.iter().zip([true, false]) {
+        assert_eq!(outcome.warm_hit, !cold);
+        let stats = outcome.result.as_ref().expect("a report").analysis().stats;
+        assert!(stats.sat_propagations > 0);
+        let delta = format!(
+            ",\"delta\":{{\"templates_built\":{},\"queries\":1,\"sat_conflicts\":{},\"sat_propagations\":{}}}}}",
+            u8::from(cold),
+            stats.sat_conflicts,
+            stats.sat_propagations
+        );
+        let json = advocat::service::outcome_to_json(outcome);
+        assert!(json.ends_with(&delta), "{json} does not end with {delta}");
+    }
 
     assert!(service.try_submit_json("{\"nope\": 1").is_err());
     assert!(service
