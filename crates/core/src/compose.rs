@@ -576,6 +576,7 @@ fn accumulate(total: &mut AnalysisStats, delta: &AnalysisStats) {
     total.linear_atoms += delta.linear_atoms;
     total.sat_variables += delta.sat_variables;
     total.refinements += delta.refinements;
+    total.theory_propagations += delta.theory_propagations;
     total.sat_conflicts += delta.sat_conflicts;
     total.sat_propagations += delta.sat_propagations;
     total.sat_reduced_dbs += delta.sat_reduced_dbs;

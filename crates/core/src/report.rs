@@ -94,7 +94,8 @@ impl Report {
         };
         let mut summary = format!(
             "{} primitives, {} automata, {} queues; {} invariants; verdict: {}{} in {:.2?} \
-             ({} SAT variables, {} refinements; learnt DB {} live / {} total, {} reductions)",
+             ({} SAT variables, {} refinements, {} implied atoms; learnt DB {} live / {} total, \
+             {} reductions)",
             self.system_stats.primitives,
             self.system_stats.automata,
             self.system_stats.queues,
@@ -104,6 +105,7 @@ impl Report {
             self.analysis.stats.elapsed,
             self.analysis.stats.sat_variables,
             self.analysis.stats.refinements,
+            self.analysis.stats.theory_propagations,
             self.analysis.stats.sat_live_learnts,
             self.analysis.stats.sat_total_learnt,
             self.analysis.stats.sat_reduced_dbs,

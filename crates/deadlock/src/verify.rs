@@ -55,8 +55,13 @@ pub struct AnalysisStats {
     /// Number of propositional variables of the CNF encoding: indicators,
     /// linear atoms and Tseitin definitions.  This is the encoding's size.
     pub sat_variables: usize,
-    /// Number of SAT/theory refinement iterations performed.
+    /// Number of SAT/theory refinement iterations performed: one, plus
+    /// one per theory lemma ([`advocat_logic::SolverStats::refinements`]).
     pub refinements: u64,
+    /// Linear atoms the theory implied from the interval bounds kept
+    /// along the SAT trail, each with a checked explanation clause
+    /// ([`advocat_logic::SolverStats::theory_propagations`]).
+    pub theory_propagations: u64,
     /// SAT conflicts spent on this analysis (for session-based analyses the
     /// delta attributable to this query, not the session total).
     pub sat_conflicts: u64,
@@ -274,6 +279,7 @@ pub(crate) fn analysis_from_result(
             linear_atoms: solver_stats.linear_atoms,
             sat_variables: solver_stats.sat_variables,
             refinements: solver_stats.refinements,
+            theory_propagations: solver_stats.theory_propagations,
             sat_conflicts: solver_stats.sat_conflicts,
             sat_propagations: solver_stats.sat_propagations,
             sat_reduced_dbs: solver_stats.sat_reduced_dbs,

@@ -8,7 +8,9 @@
 //! keep state along the trail and undo only what was retracted.  A theory
 //! lemma refuting a partial or complete assignment acts as a conflict
 //! clause of the running search, which backjumps only as far as the lemma
-//! needs instead of starting over.  Without a theory
+//! needs instead of starting over.  At a consistent fixpoint the theory
+//! may also imply literals, each with a reason clause the search keeps
+//! and resolves on like any other.  Without a theory
 //! ([`SatSolver::solve_with_assumptions`]) the same loop accepts the first
 //! complete assignment.
 //!
@@ -442,6 +444,10 @@ pub struct Fixpoint<'a> {
     /// Whether every variable some live clause mentions is assigned.  The
     /// rest stay unassigned; their model value is `false`.
     pub complete: bool,
+    /// How many live clauses mention each variable.  An unassigned
+    /// variable none mentions is never decided and nothing propagates
+    /// from it, so implying it would only add a clause.
+    pub occurrences: &'a [u32],
 }
 
 /// A theory's answer to a fixpoint of the search (see
@@ -454,6 +460,12 @@ pub enum TheoryCheck {
     /// The assignment is refuted by this clause of distinct literals, every
     /// one of which it falsifies; the search adds the clause and goes on.
     Lemma(Vec<Lit>),
+    /// The assignment is consistent and implies the first literal of each
+    /// clause: that literal is unassigned, every other one is false, and
+    /// no two clauses imply the same variable.  The search adds each clause
+    /// for good, assigns its first literal with the clause as the reason,
+    /// propagates and checks the next fixpoint.
+    Imply(Vec<Vec<Lit>>),
     /// The search ends without an answer (a budget is spent or the theory
     /// gave up).
     Stop,
@@ -1113,6 +1125,12 @@ impl SatSolver {
     /// A lemma over the assumptions and what they imply alone is a conflict
     /// at level 1, which refutes the assumptions.
     ///
+    /// A [`TheoryCheck::Imply`] at a consistent fixpoint assigns the
+    /// literals the theory implies, each with its clause as the reason and
+    /// the clause kept as a problem clause, and the search propagates them
+    /// before it asks the theory again.  Conflict analysis resolves on
+    /// these reasons like on any other clause.
+    ///
     /// Returns `Ok(Some(model))` for the first complete assignment `theory`
     /// accepts, `Ok(None)` when it stops the search, and `Err(Unsat)` when
     /// no assignment is left.  The solver is back at decision level zero
@@ -1258,6 +1276,10 @@ impl SatSolver {
                     lemma_conflict = self.timed_add_lemma(lemma)?;
                     continue;
                 }
+                TheoryCheck::Imply(clauses) => {
+                    self.timed_imply(clauses)?;
+                    continue;
+                }
             }
             let decide_start = self.profiling.then(Instant::now);
             let step = self.decide(assumptions);
@@ -1286,6 +1308,7 @@ impl SatSolver {
                     TheoryCheck::Lemma(lemma) => {
                         lemma_conflict = self.timed_add_lemma(lemma)?;
                     }
+                    TheoryCheck::Imply(clauses) => self.timed_imply(clauses)?,
                 },
             }
         }
@@ -1303,6 +1326,7 @@ impl SatSolver {
             trail: &self.trail,
             kept: self.kept,
             complete,
+            occurrences: &self.occurs,
         });
         self.kept = self.trail.len();
         check
@@ -1316,6 +1340,66 @@ impl SatSolver {
             self.profile.block.add(start.elapsed());
         }
         added
+    }
+
+    /// [`SatSolver::imply`] charged to the `block` phase.
+    fn timed_imply(&mut self, clauses: Vec<Vec<Lit>>) -> Result<(), Unsat> {
+        let block_start = self.profiling.then(Instant::now);
+        let implied = self.imply(clauses);
+        if let Some(start) = block_start {
+            self.profile.block.add(start.elapsed());
+        }
+        implied
+    }
+
+    /// Assigns the literals a theory implies ([`TheoryCheck::Imply`]).
+    /// Each clause joins the problem clauses for good, watched on its
+    /// implied literal and its highest-level false literal, and is the
+    /// reason of the implied literal, which is assigned at the current
+    /// decision level even when its reason is false below it.  A backjump
+    /// that lands between those levels leaves the clause unit but
+    /// unwatched until the literal is implied again; a decision against
+    /// the literal still meets the clause as a conflict.  An implication
+    /// whose reason is false at level zero alone is a level-zero fact: it
+    /// is asserted there, like a unit lemma, once the others are assigned,
+    /// and `Err(Unsat)` means two such facts contradict each other.
+    fn imply(&mut self, clauses: Vec<Vec<Lit>>) -> Result<(), Unsat> {
+        let mut facts: Vec<Lit> = Vec::new();
+        for mut clause in clauses {
+            let implied = clause[0];
+            assert_eq!(
+                self.value(implied),
+                None,
+                "implied literal {implied:?} is already assigned"
+            );
+            for &lit in &clause[1..] {
+                assert_eq!(
+                    self.value(lit),
+                    Some(false),
+                    "reason literal {lit:?} is not false under the assignment"
+                );
+            }
+            if let Some(highest) = (1..clause.len()).max_by_key(|&k| self.levels[clause[k].var()]) {
+                clause.swap(1, highest);
+            }
+            if clause.len() == 1 || (self.levels[clause[1].var()] == 0 && self.decision_level() > 0)
+            {
+                facts.push(implied);
+                continue;
+            }
+            let cr = self.attach(clause, false, 0);
+            self.enqueue(implied, Some(cr));
+        }
+        if !facts.is_empty() {
+            self.cancel_until(0);
+            for fact in facts {
+                if !self.enqueue(fact, None) {
+                    self.ok = false;
+                    return Err(Unsat);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Opens the next decision level: at level zero, level 1 with every
@@ -1811,6 +1895,200 @@ mod tests {
                 "instance {instance}"
             );
         }
+    }
+
+    #[test]
+    fn implied_literals_with_late_reasons_agree_with_enumeration() {
+        // A toy theory holds 1–4 hidden clauses.  At a fixpoint it refutes
+        // a hidden clause the assignment falsifies with that clause as the
+        // lemma, and implies the one open literal of each hidden clause the
+        // assignment reduces to it, with the clause as the reason.  It
+        // skips about a third of the partial fixpoints that have
+        // implications, so the search decides past them and implies them
+        // a level above their
+        // reasons (above level zero alone, too: then the literal is a
+        // level-zero fact).  A complete assignment is accepted when some
+        // value of its unassigned variables satisfies every hidden clause,
+        // and refuted by its negation otherwise.  The answer must be
+        // `Unsat` exactly when enumeration finds no model of the clauses
+        // and the hidden clauses under the assumptions; every model must
+        // satisfy the clauses, the assumptions and every clause the theory
+        // returned, and the accepted completion the hidden clauses too.
+        // The theory's clauses are permanent: a plain solve afterwards
+        // agrees with enumeration over them and the clauses.
+        let mut next = xorshift(0x2F6B_1E3D_94A7_C0B5);
+        let (mut late, mut implied) = (0u64, 0u64);
+        for instance in 0..400usize {
+            let num_vars = 1 + instance % 9;
+            let num_clauses = (next() % (3 * num_vars as u64 + 1)) as usize;
+            // Some units and binaries, so reasons sit at level zero too.
+            let clauses: Vec<Vec<Lit>> = (0..num_clauses)
+                .map(|_| {
+                    let size = if next().is_multiple_of(8) {
+                        1
+                    } else {
+                        2 + next() % 2
+                    };
+                    random_lits(&mut next, num_vars, size as usize)
+                })
+                .collect();
+            let hidden: Vec<Vec<Lit>> = (0..1 + next() % 4)
+                .map(|_| {
+                    let size = 1 + (next() % num_vars.min(4) as u64) as usize;
+                    let mut vars: Vec<Var> = (0..num_vars).collect();
+                    (0..size)
+                        .map(|_| {
+                            let v = vars.swap_remove((next() % vars.len() as u64) as usize);
+                            Lit::new(v, next().is_multiple_of(2))
+                        })
+                        .collect()
+                })
+                .collect();
+            let assumptions = if instance % 2 == 1 {
+                let count = (next() % 3) as usize;
+                random_lits(&mut next, num_vars, count)
+            } else {
+                Vec::new()
+            };
+            let mut s = if instance % 4 < 2 {
+                SatSolver::new()
+            } else {
+                SatSolver::with_config(churn_config())
+            };
+            for _ in 0..num_vars {
+                s.new_var();
+            }
+            for c in &clauses {
+                s.add_clause(c);
+            }
+            let mut added: Vec<Vec<Lit>> = Vec::new();
+            let mut completion: Vec<bool> = Vec::new();
+            // The literals skipped at the previous call, and its trail.
+            let (mut skipped, mut seen) = (Vec::<Lit>::new(), 0usize);
+            let result = s.solve_with_theory(&assumptions, |at| {
+                let value = |l: Lit| at.assignment[l.var()].map(|v| v == l.is_positive());
+                let skipped_before = std::mem::take(&mut skipped);
+                let undisturbed = at.kept == seen;
+                seen = at.trail.len();
+                if let Some(h) = hidden
+                    .iter()
+                    .find(|h| h.iter().all(|&l| value(l) == Some(false)))
+                {
+                    added.push(h.clone());
+                    return TheoryCheck::Lemma(h.clone());
+                }
+                let mut implications: Vec<Vec<Lit>> = Vec::new();
+                for h in &hidden {
+                    let open: Vec<Lit> = h
+                        .iter()
+                        .copied()
+                        .filter(|&l| value(l) != Some(false))
+                        .collect();
+                    if let [open] = open[..] {
+                        if value(open).is_none()
+                            && implications.iter().all(|c| c[0].var() != open.var())
+                        {
+                            let mut clause = vec![open];
+                            clause.extend(h.iter().copied().filter(|&l| l != open));
+                            implications.push(clause);
+                        }
+                    }
+                }
+                if !implications.is_empty() {
+                    if !at.complete && next().is_multiple_of(3) {
+                        skipped = implications.iter().map(|c| c[0]).collect();
+                        return TheoryCheck::Consistent;
+                    }
+                    if undisturbed {
+                        late += implications
+                            .iter()
+                            .filter(|c| skipped_before.contains(&c[0]))
+                            .count() as u64;
+                    }
+                    implied += implications.len() as u64;
+                    added.extend(implications.iter().cloned());
+                    return TheoryCheck::Imply(implications);
+                }
+                if !at.complete {
+                    return TheoryCheck::Consistent;
+                }
+                let open: Vec<Var> = (0..num_vars)
+                    .filter(|&v| at.assignment[v].is_none())
+                    .collect();
+                let completed = (0..1u32 << open.len())
+                    .map(|bits| {
+                        let mut model: Vec<bool> =
+                            at.assignment.iter().map(|a| a.unwrap_or(false)).collect();
+                        for (i, &v) in open.iter().enumerate() {
+                            model[v] = (bits >> i) & 1 == 1;
+                        }
+                        model
+                    })
+                    .find(|model| {
+                        hidden
+                            .iter()
+                            .all(|h| h.iter().any(|&l| model[l.var()] == l.is_positive()))
+                    });
+                match completed {
+                    Some(model) => {
+                        completion = model;
+                        TheoryCheck::Consistent
+                    }
+                    None => {
+                        added.push(negation_of(at.assignment));
+                        TheoryCheck::Lemma(negation_of(at.assignment))
+                    }
+                }
+            });
+            let mut constraints = clauses.clone();
+            constraints.extend(hidden.iter().cloned());
+            let expected = brute_force_sat(num_vars, &constraints, &assumptions);
+            let satisfies = |model: &[bool], set: &[Vec<Lit>]| {
+                set.iter()
+                    .all(|c| c.iter().any(|&l| model[l.var()] == l.is_positive()))
+            };
+            match result {
+                Ok(Some(model)) => {
+                    assert!(
+                        expected,
+                        "instance {instance}: SAT, enumeration finds no model"
+                    );
+                    for model in [&model, &completion] {
+                        assert!(satisfies(model, &clauses), "instance {instance}");
+                        assert!(satisfies(model, &added), "instance {instance}");
+                        assert!(
+                            assumptions
+                                .iter()
+                                .all(|&l| model[l.var()] == l.is_positive()),
+                            "instance {instance}"
+                        );
+                    }
+                    assert!(satisfies(&completion, &hidden), "instance {instance}");
+                }
+                Ok(None) => panic!("instance {instance}: the theory never stops"),
+                Err(Unsat) => assert!(
+                    !expected,
+                    "instance {instance}: UNSAT, enumeration finds a model of \
+                     {clauses:?} ∧ {hidden:?} under {assumptions:?}"
+                ),
+            }
+            let mut kept = clauses.clone();
+            kept.extend(added);
+            assert_eq!(
+                s.solve().is_ok(),
+                brute_force_sat(num_vars, &kept, &[]),
+                "instance {instance}"
+            );
+            // No literal became a fact the kept clauses do not force.
+            for lit in (0..num_vars).flat_map(|v| [Lit::positive(v), Lit::negative(v)]) {
+                assert_eq!(
+                    s.solve_with_assumptions(&[lit]).is_ok(),
+                    brute_force_sat(num_vars, &kept, &[lit]),
+                    "instance {instance}: assuming {lit:?}"
+                );
+            }
+        }
+        assert!(implied > 0 && late > 0, "{implied} implied, {late} late");
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! branch & bound included.  An assignment the theory refutes yields an
 //! explained lemma, which the search treats as a conflict clause: it
 //! backjumps only as far as the lemma needs and continues, instead of
-//! starting a new SAT solve per lemma.
+//! starting a new SAT solve per lemma.  Bounds that hold imply the atoms
+//! they decide, each with a checked explanation clause as its reason.
 //! [`SolverStats::refinements`] counts the rounds of that search (the
-//! first, plus one per lemma).
+//! first, plus one per lemma), [`SolverStats::theory_propagations`] the
+//! implied atoms.
 //!
 //! One [`SmtSolver`] owns one CNF encoding and one SAT solver for its
 //! whole life.  Each [`SmtSolver::check`] encodes only the assertions
@@ -52,7 +54,9 @@ pub struct CheckConfig {
     /// each get this many nodes.  Explaining an assignment the bounds kept
     /// along the trail refute walks their reasons back, which counts as
     /// one node, so zero answers `Unknown` at the first theory conflict
-    /// or complete assignment.
+    /// or complete assignment.  Explaining an implied atom walks back the
+    /// same way; each walk is free on a positive budget, and zero implies
+    /// nothing.
     pub theory_node_budget: u64,
     /// CDCL search parameters: learnt-database reduction, restart schedule
     /// and phase saving.  Applied to the underlying SAT solver at every
@@ -77,11 +81,21 @@ pub struct SolverStats {
     /// per theory lemma the search went on after.  Lemmas refute partial
     /// as well as complete assignments, so this counts lemmas, not theory
     /// checks: the theory checks every propagation fixpoint of the search.
-    /// Zero only when [`CheckConfig::max_refinements`] is.
+    /// Literals the theory implies start no round and are counted in
+    /// [`SolverStats::theory_propagations`] instead.  Zero only when
+    /// [`CheckConfig::max_refinements`] is.
     pub refinements: u64,
     /// Assignments, partial or complete, the theory refuted; each became
-    /// a lemma except one that hit the refinement budget.
+    /// a lemma except one that hit the refinement budget.  An atom the
+    /// bounds decide before the search assigns it against them is implied
+    /// instead ([`SolverStats::theory_propagations`]) and costs no
+    /// conflict.
     pub theory_conflicts: u64,
+    /// Atoms the theory implied: unassigned atoms the interval bounds
+    /// kept along the trail decide at a consistent fixpoint, assigned
+    /// with an explanation clause as their reason.  An atom implied again
+    /// after a backjump counts again.
+    pub theory_propagations: u64,
     /// Number of distinct linear atoms in the encoding.
     pub linear_atoms: usize,
     /// Number of propositional variables allocated by the encoding.
@@ -184,6 +198,9 @@ pub struct SmtSolver {
     /// Phase attribution of the most recent check; empty unless the
     /// check's [`SolverConfig::telemetry`] handle was enabled.
     profile: SolverProfile,
+    /// The encoder's linear atoms as theory constraints, kept across
+    /// checks and extended as the encoder interns new ones.
+    atoms: Atoms,
 }
 
 impl SmtSolver {
@@ -301,6 +318,8 @@ impl SmtSolver {
             })
             .collect();
 
+        self.atoms
+            .extend(&self.pool, &self.encoder, self.sat.num_vars());
         self.stats = SolverStats {
             linear_atoms: self.encoder.atom_count(),
             sat_variables: self.sat.num_vars(),
@@ -347,8 +366,18 @@ impl SmtSolver {
     /// variable bounds alone, so they stay as permanent clauses: the
     /// "theory lemmas" that survive into later checks.
     ///
+    /// Bounds that hold propagate: each unassigned atom over a variable
+    /// the fixpoint's update moved that some live clause mentions and
+    /// that the bounds decide is implied ([`TheoryCheck::Imply`]).  Its
+    /// clause is the implied literal and the negation of every atom the
+    /// walk back from its refuted polarity's reads names, with no deletion
+    /// pass; plain propagation must refute those atoms together with the
+    /// refuted polarity before the clause is handed over.  The SAT solver
+    /// keeps it as a permanent clause and the literal's reason, so the
+    /// search never decides against an atom the bounds already decide.
+    ///
     /// The search runs in refinement rounds: the first, and one more
-    /// after each lemma.  A lemma that would start a round beyond
+    /// after each lemma; implied atoms start none.  A lemma that would start a round beyond
     /// [`CheckConfig::max_refinements`] stops the search with
     /// [`SmtResult::Unknown`], and so does a theory check that runs out of
     /// its node budget.
@@ -356,39 +385,71 @@ impl SmtSolver {
     /// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
     /// theory-side phases and lemma sizes are charged to the check's
     /// profile, next to the SAT core's CDCL phases; every fixpoint's
-    /// bound update counts as a theory check, and the walk back over the
-    /// bounds' reasons as an extraction.
+    /// bound update, with the scan for implied atoms, counts as a theory
+    /// check, the walk back over the bounds' reasons as an extraction,
+    /// and an implied atom's re-check as core work.
     fn refine(&mut self, assumptions: &[Lit], config: &CheckConfig) -> SmtResult {
         self.profile = SolverProfile::default();
         if config.max_refinements == 0 {
             return SmtResult::Unknown;
         }
         let (pool, encoder, assertions) = (&self.pool, &self.encoder, &self.assertions);
-        let refinements = &mut self.stats.refinements;
-        let theory_conflicts = &mut self.stats.theory_conflicts;
+        let stats = &mut self.stats;
         let profile = &mut self.profile;
-        let bounds: Vec<(i64, i64)> = pool.int_vars().map(|v| pool.int_bounds(v)).collect();
-        // Every linear atom as a theory constraint in both polarities, built
-        // once per check; each theory check picks one per atom by its value.
-        let polarised: Vec<[Constraint; 2]> = encoder
-            .linear_atoms()
-            .map(|(atom, _)| [constraint_of(&atom.negated()), constraint_of(atom)])
-            .collect();
-        let atom_vars: Vec<Var> = encoder.linear_atoms().map(|(_, v)| v).collect();
-        let mut trail_bounds =
-            TrailBounds::new(&bounds, &polarised, &atom_vars, self.sat.num_vars());
+        let atoms = &self.atoms;
+        let bounds = &atoms.bounds;
+        let mut trail_bounds = TrailBounds::new(atoms);
         let profiling = config.solver.telemetry.is_enabled();
         let mut constraints: Vec<&Constraint> = Vec::new();
         let mut atom_lits: Vec<Lit> = Vec::new();
         let mut explained: Vec<u32> = Vec::new();
+        let mut implied: Vec<(u32, bool)> = Vec::new();
         let mut found: Option<Model> = None;
 
         // The first round of the search; each lemma starts another.
-        *refinements = 1;
+        stats.refinements = 1;
         let searched = self.sat.solve_with_theory(assumptions, |at| {
             let mut start = profiling.then(Instant::now);
             let bounded = trail_bounds.update(at).is_ok();
+            implied.clear();
+            // Implications are explained like conflicts, so a budget that
+            // allows no walk back allows none.
+            if bounded && config.theory_node_budget > 0 {
+                trail_bounds.implied(at, &mut implied);
+            }
             start = lap(start, &mut profile.theory);
+            if !implied.is_empty() {
+                let mut clauses = Vec::with_capacity(implied.len());
+                for &(atom, value) in &implied {
+                    trail_bounds.explain_implied(atom, value, &mut explained);
+                    start = lap(start, &mut profile.extract);
+                    let mut clause = Vec::with_capacity(explained.len() + 1);
+                    clause.push(Lit::new(atoms.sat_var[atom as usize], value));
+                    constraints.clear();
+                    for &other in &explained {
+                        let sat_var = atoms.sat_var[other as usize];
+                        let value = at.assignment[sat_var].expect("explained atoms are assigned");
+                        constraints.push(&atoms.polarised[other as usize][usize::from(value)]);
+                        clause.push(Lit::new(sat_var, !value));
+                    }
+                    constraints.push(&atoms.polarised[atom as usize][usize::from(!value)]);
+                    // The clause must hold without the recorded reasons: an
+                    // unsound one would turn into a wrong "deadlock-free".
+                    assert!(
+                        theory::refuted_by_propagation(bounds, &constraints),
+                        "internal error: implication {:?} of {constraints:?} is not \
+                         refuted by propagation",
+                        clause[0]
+                    );
+                    start = lap(start, &mut profile.core);
+                    clauses.push(clause);
+                }
+                stats.theory_propagations += clauses.len() as u64;
+                if profiling {
+                    profile.implied += clauses.len() as u64;
+                }
+                return TheoryCheck::Imply(clauses);
+            }
             if bounded && !at.complete {
                 return TheoryCheck::Consistent;
             }
@@ -402,7 +463,7 @@ impl SmtSolver {
                 // forcing a theory counterpart would only shrink — or
                 // wrongly empty — the feasible space of long-lived
                 // sessions.
-                for (both, &sat_var) in polarised.iter().zip(&atom_vars) {
+                for (both, &sat_var) in atoms.polarised.iter().zip(&atoms.sat_var) {
                     let Some(assigned_true) = at.assignment[sat_var] else {
                         continue;
                     };
@@ -410,7 +471,7 @@ impl SmtSolver {
                     atom_lits.push(Lit::new(sat_var, assigned_true));
                 }
                 start = lap(start, &mut profile.extract);
-                let verdict = theory::solve(&bounds, &constraints, config.theory_node_budget);
+                let verdict = theory::solve(bounds, &constraints, config.theory_node_budget);
                 start = lap(start, &mut profile.theory);
                 match verdict {
                     TheoryVerdict::Sat(values) => {
@@ -448,24 +509,24 @@ impl SmtSolver {
                 }
                 trail_bounds.explain(&mut explained);
                 for &atom in &explained {
-                    let sat_var = atom_vars[atom as usize];
+                    let sat_var = atoms.sat_var[atom as usize];
                     let value = at.assignment[sat_var].expect("explained atoms are assigned");
-                    constraints.push(&polarised[atom as usize][usize::from(value)]);
+                    constraints.push(&atoms.polarised[atom as usize][usize::from(value)]);
                     atom_lits.push(Lit::new(sat_var, value));
                 }
                 start = lap(start, &mut profile.extract);
                 ((0..constraints.len()).collect(), false)
             };
-            *theory_conflicts += 1;
-            if *refinements >= config.max_refinements {
+            stats.theory_conflicts += 1;
+            if stats.refinements >= config.max_refinements {
                 return TheoryCheck::Stop;
             }
-            *refinements += 1;
+            stats.refinements += 1;
             let core = if branched {
                 // The lemma must have no integer point on its own: an
                 // unsound one would turn into a wrong "deadlock-free".
                 let lemma: Vec<&Constraint> = explanation.iter().map(|&i| constraints[i]).collect();
-                match theory::solve(&bounds, &lemma, config.theory_node_budget) {
+                match theory::solve(bounds, &lemma, config.theory_node_budget) {
                     TheoryVerdict::Sat(point) => panic!(
                         "internal error: branch-and-bound explanation {lemma:?} \
                          has the integer point {point:?}"
@@ -477,12 +538,12 @@ impl SmtSolver {
             } else {
                 // Ascending atoms: the deletion pass drops the oldest
                 // first and keeps the current query's capacity pins.
-                let core = theory::minimize_core(&bounds, &constraints, explanation);
+                let core = theory::minimize_core(bounds, &constraints, explanation);
                 // The lemma must be refuted without the recorded reasons:
                 // an unsound one would turn into a wrong "deadlock-free".
                 let lemma: Vec<&Constraint> = core.iter().map(|&i| constraints[i]).collect();
                 assert!(
-                    theory::refuted_by_propagation(&bounds, &lemma),
+                    theory::refuted_by_propagation(bounds, &lemma),
                     "internal error: theory core {lemma:?} is not refuted by propagation"
                 );
                 core
@@ -517,6 +578,56 @@ fn constraint_of(atom: &LinearAtom) -> Constraint {
 
 /// Marks a SAT variable that stands for no linear atom.
 const NO_ATOM: u32 = u32::MAX;
+
+/// The encoder's linear atoms as the theory sees them, with the indexes
+/// the bounds kept along the trail look them up by.  Kept across checks:
+/// [`Atoms::extend`] adds only what the encoder interned and the pool
+/// declared since the previous check.
+#[derive(Clone, Debug, Default)]
+struct Atoms {
+    /// Each integer variable's declared bounds.
+    bounds: Vec<(i64, i64)>,
+    /// Each atom's constraint, negated and as stated.
+    polarised: Vec<[Constraint; 2]>,
+    /// Each atom's SAT variable.
+    sat_var: Vec<Var>,
+    /// The atom each SAT variable stands for, or [`NO_ATOM`].
+    atom_of: Vec<u32>,
+    /// The atoms over each integer variable.
+    over: Vec<Vec<u32>>,
+}
+
+impl Atoms {
+    /// Catches up with the integer variables of `pool` and the atoms of
+    /// `encoder`, over `sat_vars` SAT variables.
+    fn extend(&mut self, pool: &VarPool, encoder: &Encoder, sat_vars: usize) {
+        for v in pool.int_vars().skip(self.bounds.len()) {
+            self.bounds.push(pool.int_bounds(v));
+            self.over.push(Vec::new());
+        }
+        self.atom_of.resize(sat_vars, NO_ATOM);
+        for (atom, sat_var) in encoder.linear_atoms().skip(self.polarised.len()) {
+            self.push(
+                [constraint_of(&atom.negated()), constraint_of(atom)],
+                sat_var,
+            );
+        }
+    }
+
+    /// Adds the atom `polarised` (negated, as stated) on `sat_var`.
+    fn push(&mut self, polarised: [Constraint; 2], sat_var: Var) {
+        let atom = self.polarised.len() as u32;
+        for &(_, v) in &polarised[1].terms {
+            self.over[v].push(atom);
+        }
+        if self.atom_of.len() <= sat_var {
+            self.atom_of.resize(sat_var + 1, NO_ATOM);
+        }
+        self.atom_of[sat_var] = atom;
+        self.polarised.push(polarised);
+        self.sat_var.push(sat_var);
+    }
+}
 
 /// A bound a theory check moved: the trail length the check saw, the
 /// variable, whether it was the upper bound, the value and the setter
@@ -553,13 +664,14 @@ struct Moved {
 /// bounds.  An undo restores those pointers and drops the reads with the
 /// entries, so the reasons always describe the bounds as they stand.  A
 /// failed update keeps the refuted atom and the entries its minimal sum
-/// read, and [`TrailBounds::explain`] walks back from them.
+/// read, and [`TrailBounds::explain`] walks back from them.  After a
+/// successful one, [`TrailBounds::implied`] finds the unassigned atoms
+/// over the variables it moved that the bounds decide, and
+/// [`TrailBounds::explain_implied`] walks back from the entries the
+/// refuted polarity's minimal sum reads.
 #[derive(Debug)]
 struct TrailBounds<'a> {
-    /// Each atom's constraint, negated and as stated.
-    polarised: &'a [[Constraint; 2]],
-    /// Each atom's SAT variable.
-    atom_vars: &'a [Var],
+    atoms: &'a Atoms,
     lo: Vec<i64>,
     hi: Vec<i64>,
     /// Per variable, the `undo` entry that set its current lower / upper
@@ -570,20 +682,24 @@ struct TrailBounds<'a> {
     undo: Vec<Moved>,
     /// The entries each move read, concatenated in `undo` order.
     reads: Vec<u32>,
-    /// After a failed update: the refuted atom and the entries its
-    /// minimal sum read.
+    /// The first `undo` entry the last update pushed.
+    fresh: usize,
+    /// After a failed update: the refuted atom.
     conflict: u32,
-    conflict_reads: Vec<u32>,
+    /// The entries the next walk back starts from: after a failed update,
+    /// those the refuted atom's minimal sum read.
+    pending: Vec<u32>,
     /// The walk that last visited each `undo` entry, and the current one.
     stamp: Vec<u32>,
     walk: u32,
+    /// The scan for implied atoms that last visited each variable and
+    /// each atom, and the current one.
+    var_scanned: Vec<u32>,
+    atom_scanned: Vec<u32>,
+    scan: u32,
     /// The trail lengths of the checks whose activations still stand,
     /// increasing.
     checked: Vec<usize>,
-    /// The atom each SAT variable stands for, or [`NO_ATOM`].
-    atom_of: Vec<u32>,
-    /// The atoms over each integer variable.
-    atoms_over: Vec<Vec<u32>>,
     /// Atoms to narrow; `queued` marks them.
     worklist: Vec<u32>,
     queued: Vec<bool>,
@@ -592,38 +708,28 @@ struct TrailBounds<'a> {
 }
 
 impl<'a> TrailBounds<'a> {
-    fn new(
-        bounds: &[(i64, i64)],
-        polarised: &'a [[Constraint; 2]],
-        atom_vars: &'a [Var],
-        sat_vars: usize,
-    ) -> Self {
-        let mut atom_of = vec![NO_ATOM; sat_vars];
-        let mut atoms_over = vec![Vec::new(); bounds.len()];
-        for (atom, (&sat_var, both)) in atom_vars.iter().zip(polarised).enumerate() {
-            atom_of[sat_var] = atom as u32;
-            for &(_, v) in &both[1].terms {
-                atoms_over[v].push(atom as u32);
-            }
-        }
+    /// The declared bounds, before any atom is assigned.
+    fn new(atoms: &'a Atoms) -> Self {
+        let (vars, count) = (atoms.bounds.len(), atoms.polarised.len());
         TrailBounds {
-            polarised,
-            atom_vars,
-            lo: bounds.iter().map(|b| b.0).collect(),
-            hi: bounds.iter().map(|b| b.1).collect(),
-            lo_by: vec![theory::NONE; bounds.len()],
-            hi_by: vec![theory::NONE; bounds.len()],
+            atoms,
+            lo: atoms.bounds.iter().map(|b| b.0).collect(),
+            hi: atoms.bounds.iter().map(|b| b.1).collect(),
+            lo_by: vec![theory::NONE; vars],
+            hi_by: vec![theory::NONE; vars],
             undo: Vec::new(),
             reads: Vec::new(),
+            fresh: 0,
             conflict: NO_ATOM,
-            conflict_reads: Vec::new(),
+            pending: Vec::new(),
             stamp: Vec::new(),
             walk: 0,
+            var_scanned: vec![0; vars],
+            atom_scanned: vec![0; count],
+            scan: 0,
             checked: Vec::new(),
-            atom_of,
-            atoms_over,
             worklist: Vec::new(),
-            queued: vec![false; atom_vars.len()],
+            queued: vec![false; count],
             moved: Vec::new(),
         }
     }
@@ -632,6 +738,7 @@ impl<'a> TrailBounds<'a> {
     /// when some assigned atom cannot hold within them: the assigned atoms
     /// have no integer point, and [`TrailBounds::explain`] says which.
     fn update(&mut self, at: Fixpoint<'_>) -> Result<(), ()> {
+        let atoms = self.atoms;
         while let Some(m) = self.undo.pop_if(|m| m.trail_len > at.kept) {
             let (bound, by) = if m.upper {
                 (&mut self.hi, &mut self.hi_by)
@@ -643,6 +750,7 @@ impl<'a> TrailBounds<'a> {
         }
         let reads_end = self.undo.last().map_or(0, |m| m.reads_end);
         self.reads.truncate(reads_end as usize);
+        self.fresh = self.undo.len();
         while self.checked.last().is_some_and(|&len| len > at.kept) {
             self.checked.pop();
         }
@@ -650,7 +758,7 @@ impl<'a> TrailBounds<'a> {
         // The worklist is empty between checks, and an atom is on the
         // trail at most once.
         for lit in &at.trail[active..] {
-            let atom = self.atom_of[lit.var()];
+            let atom = atoms.atom_of[lit.var()];
             if atom != NO_ATOM {
                 self.queued[atom as usize] = true;
                 self.worklist.push(atom);
@@ -663,8 +771,8 @@ impl<'a> TrailBounds<'a> {
         while let Some(atom) = self.worklist.pop() {
             self.queued[atom as usize] = false;
             let value =
-                at.assignment[self.atom_vars[atom as usize]].expect("queued atoms are assigned");
-            let c = &self.polarised[atom as usize][usize::from(value)];
+                at.assignment[atoms.sat_var[atom as usize]].expect("queued atoms are assigned");
+            let c = &atoms.polarised[atom as usize][usize::from(value)];
             let (undo, reads, moved) = (&mut self.undo, &mut self.reads, &mut self.moved);
             let (lo_by, hi_by) = (&mut self.lo_by, &mut self.hi_by);
             let narrowed = theory::narrow(&mut self.lo, &mut self.hi, c, |i, old| {
@@ -689,8 +797,8 @@ impl<'a> TrailBounds<'a> {
             });
             if narrowed.is_err() {
                 self.conflict = atom;
-                self.conflict_reads.clear();
-                theory::push_reads(c, None, &self.lo_by, &self.hi_by, &mut self.conflict_reads);
+                self.pending.clear();
+                theory::push_reads(c, None, &self.lo_by, &self.hi_by, &mut self.pending);
                 for atom in self.worklist.drain(..) {
                     self.queued[atom as usize] = false;
                 }
@@ -699,11 +807,11 @@ impl<'a> TrailBounds<'a> {
             // An atom's terms name distinct variables, so one step leaves
             // the atom itself at its fixpoint.
             while let Some(var) = self.moved.pop() {
-                for &other in &self.atoms_over[var] {
+                for &other in &atoms.over[var] {
                     let other_index = other as usize;
                     if other != atom
                         && !self.queued[other_index]
-                        && at.assignment[self.atom_vars[other_index]].is_some()
+                        && at.assignment[atoms.sat_var[other_index]].is_some()
                     {
                         self.queued[other_index] = true;
                         self.worklist.push(other);
@@ -714,18 +822,69 @@ impl<'a> TrailBounds<'a> {
         Ok(())
     }
 
+    /// After a successful [`TrailBounds::update`] to `at`: the atoms over
+    /// the variables it moved that `at` leaves unassigned, that some live
+    /// clause mentions and that the bounds decide, each with the value
+    /// they decide, into `found`.  An atom is implied false when its
+    /// minimal sum as stated exceeds its bound, and true when its
+    /// negation's does.  Atoms are visited once, in the order of the moves
+    /// and then of [`Atoms::over`].  An atom no clause mentions (a
+    /// capacity pin only an earlier check assumed) is left alone: nothing
+    /// would propagate from it, and its clause would make it live.
+    fn implied(&mut self, at: Fixpoint<'_>, found: &mut Vec<(u32, bool)>) {
+        let atoms = self.atoms;
+        self.scan += 1;
+        for m in &self.undo[self.fresh..] {
+            if std::mem::replace(&mut self.var_scanned[m.var], self.scan) == self.scan {
+                continue;
+            }
+            for &atom in &atoms.over[m.var] {
+                let a = atom as usize;
+                let sat_var = atoms.sat_var[a];
+                if std::mem::replace(&mut self.atom_scanned[a], self.scan) == self.scan
+                    || at.assignment[sat_var].is_some()
+                    || at.occurrences[sat_var] == 0
+                {
+                    continue;
+                }
+                let [negated, stated] = &atoms.polarised[a];
+                if theory::min_sum(&self.lo, &self.hi, stated) > stated.bound {
+                    found.push((atom, false));
+                } else if theory::min_sum(&self.lo, &self.hi, negated) > negated.bound {
+                    found.push((atom, true));
+                }
+            }
+        }
+    }
+
     /// Explains the last failed [`TrailBounds::update`] into `atoms`: the
     /// refuted atom and every atom whose bound moves its refutation read,
-    /// directly or through the moves those read, ascending.  Each undo
-    /// entry is visited at most once, so the walk costs what the
-    /// explanation reads, not what the log holds.
+    /// directly or through the moves those read, ascending.
     fn explain(&mut self, atoms: &mut Vec<u32>) {
-        self.walk += 1;
-        self.stamp.resize(self.undo.len(), 0);
         atoms.clear();
         atoms.push(self.conflict);
-        let mut pending = std::mem::take(&mut self.conflict_reads);
-        while let Some(entry) = pending.pop() {
+        self.walk_back(atoms);
+    }
+
+    /// Explains why the bounds imply `atom` has `value` into `atoms`:
+    /// every atom whose bound moves the refuted polarity's minimal sum
+    /// read, directly or through the moves those read, ascending.
+    fn explain_implied(&mut self, atom: u32, value: bool, atoms: &mut Vec<u32>) {
+        let refuted = &self.atoms.polarised[atom as usize][usize::from(!value)];
+        self.pending.clear();
+        theory::push_reads(refuted, None, &self.lo_by, &self.hi_by, &mut self.pending);
+        atoms.clear();
+        self.walk_back(atoms);
+    }
+
+    /// Adds to `atoms` the atom of every entry [`TrailBounds::pending`]
+    /// names and of every entry those read, then sorts and deduplicates
+    /// them.  Each undo entry is visited at most once, so the walk costs
+    /// what the explanation reads, not what the log holds.
+    fn walk_back(&mut self, atoms: &mut Vec<u32>) {
+        self.walk += 1;
+        self.stamp.resize(self.undo.len(), 0);
+        while let Some(entry) = self.pending.pop() {
             let e = entry as usize;
             if self.stamp[e] == self.walk {
                 continue;
@@ -733,10 +892,10 @@ impl<'a> TrailBounds<'a> {
             self.stamp[e] = self.walk;
             let start = e.checked_sub(1).map_or(0, |p| self.undo[p].reads_end);
             let m = &self.undo[e];
-            pending.extend_from_slice(&self.reads[start as usize..m.reads_end as usize]);
+            self.pending
+                .extend_from_slice(&self.reads[start as usize..m.reads_end as usize]);
             atoms.push(m.atom);
         }
-        self.conflict_reads = pending;
         atoms.sort_unstable();
         atoms.dedup();
     }
@@ -889,6 +1048,20 @@ mod tests {
         [constraint_of(&atom.negated()), constraint_of(&atom)]
     }
 
+    /// The table of `polarised` over the variables of `pool`, atom `i` on
+    /// SAT variable `i`.
+    fn table(pool: &VarPool, polarised: &[[Constraint; 2]]) -> Atoms {
+        let mut atoms = Atoms {
+            bounds: pool.int_vars().map(|v| pool.int_bounds(v)).collect(),
+            over: vec![Vec::new(); pool.int_vars().count()],
+            ..Atoms::default()
+        };
+        for (sat_var, both) in polarised.iter().enumerate() {
+            atoms.push(both.clone(), sat_var);
+        }
+        atoms
+    }
+
     #[test]
     fn trail_reasons_survive_backjumps() {
         // x, y ∈ 0..=9 and six atoms, atom i on SAT variable i:
@@ -904,12 +1077,12 @@ mod tests {
             polarise(vec![(1, x)], 2),
             polarise(vec![(1, y)], 3),
         ];
-        let atom_vars: Vec<Var> = (0..polarised.len()).collect();
         let [a, b, c, d, e, f] = [0, 1, 2, 3, 4, 5].map(Lit::positive);
-        let mut trail_bounds = TrailBounds::new(&bounds, &polarised, &atom_vars, atom_vars.len());
+        let atoms = table(&pool, &polarised);
+        let mut trail_bounds = TrailBounds::new(&atoms);
         // One theory check of `trail` after a backjump to `kept`.
         let mut check = |trail: &[Lit], kept: usize| {
-            let mut assignment = vec![None; atom_vars.len()];
+            let mut assignment = vec![None; polarised.len()];
             for lit in trail {
                 assignment[lit.var()] = Some(lit.is_positive());
             }
@@ -918,6 +1091,7 @@ mod tests {
                 trail,
                 kept,
                 complete: false,
+                occurrences: &[1; 6],
             };
             let explained = trail_bounds.update(at).err().map(|()| {
                 let mut atoms = Vec::new();
@@ -959,6 +1133,83 @@ mod tests {
                 "{expected:?}"
             );
         }
+    }
+
+    #[test]
+    fn trail_bounds_imply_the_atoms_they_decide() {
+        // x, y ∈ 0..=9 and seven atoms, atom i on SAT variable i:
+        // P: x ≤ 2, Q: x ≤ 4, R: x ≥ 3, S: y ≤ 5, T: y ≥ 7, U: x ≤ 3,
+        // and W: x ≤ 6, which no clause mentions.
+        let mut pool = VarPool::new();
+        let (x, y) = (pool.new_int("x", 0, 9), pool.new_int("y", 0, 9));
+        let bounds: Vec<(i64, i64)> = pool.int_vars().map(|v| pool.int_bounds(v)).collect();
+        let polarised = [
+            polarise(vec![(1, x)], 2),
+            polarise(vec![(1, x)], 4),
+            polarise(vec![(-1, x)], -3),
+            polarise(vec![(1, y)], 5),
+            polarise(vec![(-1, y)], -7),
+            polarise(vec![(1, x)], 3),
+            polarise(vec![(1, x)], 6),
+        ];
+        let [p, q, r, s, t, u] = [0, 1, 2, 3, 4, 5];
+        let occurrences = [1, 1, 1, 1, 1, 1, 0];
+        let atoms = table(&pool, &polarised);
+        let mut trail_bounds = TrailBounds::new(&atoms);
+        // One theory check of the atoms `trail` assigns true, after a
+        // backjump to `kept`: the bounds, and the atoms they imply with
+        // their values and explanations.
+        let mut check = |trail: &[u32], kept: usize| {
+            let trail: Vec<Lit> = trail.iter().map(|&a| Lit::positive(a as Var)).collect();
+            let mut assignment = vec![None; polarised.len()];
+            for lit in &trail {
+                assignment[lit.var()] = Some(true);
+            }
+            let at = Fixpoint {
+                assignment: &assignment,
+                trail: &trail,
+                kept,
+                complete: false,
+                occurrences: &occurrences,
+            };
+            assert_eq!(trail_bounds.update(at), Ok(()));
+            let mut found = Vec::new();
+            trail_bounds.implied(at, &mut found);
+            let implied: Vec<(u32, bool, Vec<u32>)> = found
+                .into_iter()
+                .map(|(atom, value)| {
+                    let mut explained = Vec::new();
+                    trail_bounds.explain_implied(atom, value, &mut explained);
+                    // The explanation refutes the other value on its own.
+                    let mut refuted: Vec<&Constraint> = explained
+                        .iter()
+                        .map(|&a| &polarised[a as usize][1])
+                        .collect();
+                    refuted.push(&polarised[atom as usize][usize::from(!value)]);
+                    assert!(theory::refuted_by_propagation(&bounds, &refuted));
+                    (atom, value, explained)
+                })
+                .collect();
+            (trail_bounds.hi.clone(), implied)
+        };
+        // P sets x ≤ 2: Q and U hold on every point left and R on none,
+        // each because of P; so does W, but nothing would propagate from
+        // it; y did not move, so nothing is said about S or T.
+        assert_eq!(
+            check(&[p], 0),
+            (
+                vec![2, 9],
+                vec![(q, true, vec![p]), (r, false, vec![p]), (u, true, vec![p])]
+            )
+        );
+        // S moves y alone: T fails because of S, and Q, R and U, which
+        // the search would have assigned meanwhile, are not offered again.
+        assert_eq!(check(&[p, s], 1), (vec![2, 5], vec![(t, false, vec![s])]));
+        // A backjump below P's move retracts it, and with it what it
+        // implied: S alone decides T again, but nothing over x.
+        assert_eq!(check(&[s], 0), (vec![9, 5], vec![(t, false, vec![s])]));
+        // U sets x ≤ 3: Q holds again, now because of U, and R is open.
+        assert_eq!(check(&[s, u], 1), (vec![3, 5], vec![(q, true, vec![u])]));
     }
 
     #[test]

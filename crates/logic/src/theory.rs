@@ -240,17 +240,13 @@ pub(crate) fn narrow(
     c: &Constraint,
     mut tightened: impl FnMut(usize, i64),
 ) -> Result<(), ()> {
-    // Minimal possible value of the weighted sum.
-    let mut min_sum: i64 = 0;
-    for &(a, v) in &c.terms {
-        min_sum += if a > 0 { a * lo[v] } else { a * hi[v] };
-    }
-    if min_sum > c.bound {
+    let sum = min_sum(lo, hi, c);
+    if sum > c.bound {
         return Err(());
     }
     for (i, &(a, v)) in c.terms.iter().enumerate() {
         let own_min = if a > 0 { a * lo[v] } else { a * hi[v] };
-        let others_min = min_sum - own_min;
+        let others_min = sum - own_min;
         let budget = c.bound - others_min;
         if a > 0 {
             // a·x ≤ budget  =>  x ≤ floor(budget / a)
@@ -269,6 +265,16 @@ pub(crate) fn narrow(
         }
     }
     Ok(())
+}
+
+/// The minimal value of `c`'s weighted sum over the box `lo..=hi`: the
+/// lower bound of a positive term, the upper bound of a negative one.
+/// Above `c.bound`, no point of the box satisfies `c`.
+pub(crate) fn min_sum(lo: &[i64], hi: &[i64], c: &Constraint) -> i64 {
+    c.terms
+        .iter()
+        .map(|&(a, v)| if a > 0 { a * lo[v] } else { a * hi[v] })
+        .sum()
 }
 
 /// Tightens the domains using interval propagation, newest constraint

@@ -64,23 +64,29 @@ pub struct SolverProfile {
     pub decide: PhaseCost,
     /// Theory explanation input: the walk back over the reasons the
     /// bounds kept along the trail hold, which names the atoms of a bound
-    /// conflict, and constraint extraction from each complete assignment
-    /// the bounds admit.
+    /// conflict or of an implied atom's explanation, and constraint
+    /// extraction from each complete assignment the bounds admit.
     pub extract: PhaseCost,
-    /// Theory checks: the bound update at every propagation fixpoint, and
-    /// each feasibility check of a complete assignment (propagation, the
-    /// walk back over its reasons after a conflict, and branch & bound).
+    /// Theory checks: the bound update at every propagation fixpoint with
+    /// the scan for the atoms it decides, and each feasibility check of a
+    /// complete assignment (propagation, the walk back over its reasons
+    /// after a conflict, and branch & bound).
     pub theory: PhaseCost,
     /// Core minimisation of theory conflicts: deletion over the
     /// explanation and the lemma's soundness re-check (plain
     /// propagation, or a fresh branch & bound for a branch & bound
-    /// explanation).
+    /// explanation); and the soundness re-check of each implied atom's
+    /// explanation clause.
     pub core: PhaseCost,
     /// Theory lemma insertion into the running SAT search: attaching the
-    /// clause and backjumping (a lemma's conflict analysis is `analyze`).
+    /// clause and backjumping (a lemma's conflict analysis is `analyze`);
+    /// and attaching the explanation clauses of implied atoms and
+    /// assigning those atoms.
     pub block: PhaseCost,
     /// Theory lemmas added.
     pub lemmas: u64,
+    /// Atoms the theory implied, each with an explanation clause.
+    pub implied: u64,
     /// Atoms over all theory lemmas (see
     /// [`SolverProfile::average_core_size`]).
     pub lemma_atoms: u64,
@@ -117,6 +123,7 @@ impl SolverProfile {
         self.core.merge(&other.core);
         self.block.merge(&other.block);
         self.lemmas += other.lemmas;
+        self.implied += other.implied;
         self.lemma_atoms += other.lemma_atoms;
         self.conflicts += other.conflicts;
         self.restarts.extend_from_slice(&other.restarts);
@@ -144,7 +151,8 @@ impl fmt::Display for SolverProfile {
     /// `Report::summary()`: each CDCL phase as `time/count`, then `decide`
     /// the same way, the final
     /// LBD-EMA point of the timeline, then each theory phase as
-    /// `time/count` with the lemma count and average core size.
+    /// `time/count` with the lemma count, average core size and the
+    /// number of implied atoms.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -171,7 +179,7 @@ impl fmt::Display for SolverProfile {
         write!(
             f,
             "; theory: extract {:.2?}/{}, check {:.2?}/{}, core {:.2?}/{}, block {:.2?}/{}; \
-             {} lemmas, avg core {:.1} atoms",
+             {} lemmas, avg core {:.1} atoms, {} implied",
             self.extract.time,
             self.extract.count,
             self.theory.time,
@@ -182,6 +190,7 @@ impl fmt::Display for SolverProfile {
             self.block.count,
             self.lemmas,
             self.average_core_size(),
+            self.implied,
         )
     }
 }
@@ -235,7 +244,9 @@ mod tests {
         b.core.add(Duration::from_micros(3));
         b.lemmas = 1;
         b.lemma_atoms = 2;
+        b.implied = 4;
         a.merge(&b);
+        assert_eq!(a.implied, 4);
         assert_eq!(a.attributed_time(), Duration::from_micros(5));
         assert_eq!(a.theory.time, Duration::from_micros(40));
         assert_eq!(a.core.count, 1);
@@ -266,6 +277,7 @@ mod tests {
             "core",
             "block",
             "lemmas",
+            "implied",
         ] {
             assert!(text.contains(phase), "{text}");
         }

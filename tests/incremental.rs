@@ -180,7 +180,7 @@ fn session_sweep_beats_sixteen_cold_analyzes_on_sat_effort() {
 ///   more than its early ones (sizes 3..=16, past the two deadlocking
 ///   sizes) times a small slack.  With the theory checked at every
 ///   propagation fixpoint the unbounded solver's late queries do not climb
-///   either (late/early SAT effort 0.65×, against 0.67× bounded), so this
+///   either (late/early SAT effort 0.99×, against 0.84× bounded), so this
 ///   bound alone does not separate the two configurations;
 /// * the bounded tail is strictly cheaper than the unbounded tail.
 #[test]
@@ -248,7 +248,8 @@ fn long_sweep_keeps_per_query_cost_bounded_with_clause_deletion() {
 /// Lemmas keep to the current query's capacity pins.  Sizes 1..=32 on the
 /// 2×2 directory mesh through one engine: every late query (sizes
 /// 17..=32) takes a handful of refinements (3–5 with any explanation
-/// order measured so far, 4 today).  Lemmas that pin the capacity atoms of
+/// order measured so far; 1 today, since the bounds imply the atoms those
+/// lemmas used to refute).  Lemmas that pin the capacity atoms of
 /// earlier queries are permanent and no later query can use them; when
 /// only complete assignments were checked, reasons taken oldest first
 /// did that, and the late queries climbed to about 35 refinements each.
