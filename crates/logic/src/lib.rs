@@ -22,12 +22,14 @@
 //! 2. [`sat`] — a CDCL SAT solver (two-watched literals, first-UIP conflict
 //!    analysis, heap-served activity-based branching with phase saving,
 //!    LBD-aware Luby restarts, learnt-database reduction),
-//! 3. [`theory`] — a bounded linear-integer-arithmetic solver based on
-//!    interval propagation and branch & bound, explaining every refutation,
+//! 3. `theory` (crate-private) — bounded linear integer arithmetic:
+//!    interval propagation and branch & bound, deciding a constraint set
+//!    from scratch without reasons, which re-checks every theory lemma,
 //! 4. [`smt`] — the search tying the two together: interval bounds kept
-//!    along the SAT trail cut off partial assignments, and a refuted
-//!    assignment's theory lemma becomes a conflict clause of the running
-//!    CDCL search.
+//!    along the SAT trail with the reason of every bound cut off partial
+//!    assignments, imply the atoms they decide and run branch & bound at
+//!    complete assignments, and a refuted assignment's explained theory
+//!    lemma becomes a conflict clause of the running CDCL search.
 //!
 //! # Examples
 //!
@@ -53,7 +55,7 @@ mod expr;
 mod model;
 pub mod sat;
 pub mod smt;
-pub mod theory;
+mod theory;
 
 pub use advocat_telemetry::{SolverProfile, Telemetry};
 pub use expr::{BoolVar, CmpOp, Formula, IntVar, LinExpr, VarPool};

@@ -3,15 +3,16 @@
 //!
 //! Each check is one CDCL search ([`crate::sat::SatSolver::solve_with_theory`])
 //! whose theory hook checks every unit-propagation fixpoint it reaches.
-//! At a partial assignment the hook checks the interval bounds of the
-//! integer variables under the atoms assigned so far, kept along the SAT
-//! trail with the reason of every bound and undone on backjump; a
-//! complete assignment the bounds admit is decided by the theory solver,
-//! branch & bound included.  An assignment the theory refutes yields an
-//! explained lemma, which the search treats as a conflict clause: it
-//! backjumps only as far as the lemma needs and continues, instead of
-//! starting a new SAT solve per lemma.  Bounds that hold imply the atoms
-//! they decide, each with a checked explanation clause as its reason.
+//! The hook keeps the interval bounds of the integer variables under the
+//! atoms assigned so far along the SAT trail, with the reason of every
+//! bound, undone on backjump.  Bounds that refute a partial assignment cut
+//! it off; bounds that hold imply the atoms they decide, each with a
+//! checked explanation clause as its reason; and at a complete assignment
+//! the bounds admit, branch & bound runs on those same bounds.  Every
+//! refutation is explained by walking the kept reasons back, and the
+//! lemma is re-checked by the reasonless theory solver before the search
+//! treats it as a conflict clause: it backjumps only as far as the lemma
+//! needs and continues, instead of starting a new SAT solve per lemma.
 //! [`SolverStats::refinements`] counts the rounds of that search (the
 //! first, plus one per lemma), [`SolverStats::theory_propagations`] the
 //! implied atoms.
@@ -49,14 +50,14 @@ pub struct CheckConfig {
     /// before the solver gives up with [`SmtResult::Unknown`]; zero
     /// answers `Unknown` without searching.
     pub max_refinements: u64,
-    /// Search-node budget for each theory feasibility check: deciding a
-    /// complete assignment and re-checking a branch & bound explanation
-    /// each get this many nodes.  Explaining an assignment the bounds kept
-    /// along the trail refute walks their reasons back, which counts as
-    /// one node, so zero answers `Unknown` at the first theory conflict
-    /// or complete assignment.  Explaining an implied atom walks back the
-    /// same way; each walk is free on a positive budget, and zero implies
-    /// nothing.
+    /// Search-node budget for each theory feasibility check: branch &
+    /// bound at a complete assignment and the re-check of its explanation
+    /// each get this many nodes, the root counted.  Explaining an
+    /// assignment the bounds kept along the trail refute walks their
+    /// reasons back, which counts as one node, so zero answers `Unknown`
+    /// at the first theory conflict or complete assignment.  Explaining an
+    /// implied atom walks back the same way; each walk is free on a
+    /// positive budget, and zero implies nothing.
     pub theory_node_budget: u64,
     /// CDCL search parameters: learnt-database reduction, restart schedule
     /// and phase saving.  Applied to the underlying SAT solver at every
@@ -346,25 +347,25 @@ impl SmtSolver {
     /// activates only the atoms assigned since the previous one and
     /// undoes only what a backjump retracted.  Bounds that refute a
     /// partial assignment cut it off before the search decides further.
-    /// A complete assignment the bounds admit is decided by
-    /// [`theory::solve`], which branches where intervals cannot decide.
+    /// A complete assignment the bounds admit is decided by branch & bound
+    /// on those bounds ([`TrailBounds::branch_and_bound`]), which splits
+    /// where intervals cannot decide and reads a model from the lower
+    /// bounds of its first consistent leaf.
     ///
-    /// An assignment the bounds refute is explained from the reasons they
-    /// keep: walking back from the conflict names the atoms whose bound
-    /// moves it read, with no extraction and no [`theory::solve`].  Those
-    /// atoms, ascending, are shrunk to an irreducible core
-    /// ([`theory::minimize_core`]), whose deletion pass drops the oldest
-    /// atoms first and so keeps the current query's capacity pins, and
-    /// the core is re-checked by plain propagation without the recorded
-    /// reasons.  A complete assignment that [`theory::solve`] refutes by
-    /// branch & bound is explained by the union of its leaves' reasons,
-    /// re-checked by a fresh [`theory::solve`] over those constraints
-    /// alone, and blocks every assigned atom when that check runs out of
-    /// nodes.  The lemma blocks the core's atoms.  The SAT solver treats
-    /// it as a conflict clause of the running search
-    /// ([`SatSolver::solve_with_theory`]).  Lemmas are justified by the
-    /// variable bounds alone, so they stay as permanent clauses: the
-    /// "theory lemmas" that survive into later checks.
+    /// Every refutation is explained from the reasons the bounds keep:
+    /// walking back from the conflict names the atoms whose bound moves it
+    /// read.  A bound conflict's atoms, ascending, are shrunk to an
+    /// irreducible core ([`theory::minimize_core`]), whose deletion pass
+    /// drops the oldest atoms first and so keeps the current query's
+    /// capacity pins, and the core is re-checked by plain propagation
+    /// without the recorded reasons.  A branch & bound refutation is
+    /// explained by the union of its refuted leaves' walks, re-checked by
+    /// a fresh [`theory::solve`] over those atoms alone, and blocks every
+    /// assigned atom when that check runs out of nodes.  The lemma blocks
+    /// the core's atoms.  The SAT solver treats it as a conflict clause of
+    /// the running search ([`SatSolver::solve_with_theory`]).  Lemmas are
+    /// justified by the variable bounds alone, so they stay as permanent
+    /// clauses: the "theory lemmas" that survive into later checks.
     ///
     /// Bounds that hold propagate: each unassigned atom over a variable
     /// the fixpoint's update moved that some live clause mentions and
@@ -377,17 +378,18 @@ impl SmtSolver {
     /// search never decides against an atom the bounds already decide.
     ///
     /// The search runs in refinement rounds: the first, and one more
-    /// after each lemma; implied atoms start none.  A lemma that would start a round beyond
-    /// [`CheckConfig::max_refinements`] stops the search with
-    /// [`SmtResult::Unknown`], and so does a theory check that runs out of
-    /// its node budget.
+    /// after each lemma; implied atoms start none.  A lemma that would
+    /// start a round beyond [`CheckConfig::max_refinements`] stops the
+    /// search with [`SmtResult::Unknown`], and so does a theory check that
+    /// runs out of its node budget.
     ///
     /// With profiling on (an enabled [`SolverConfig::telemetry`] handle) the
     /// theory-side phases and lemma sizes are charged to the check's
-    /// profile, next to the SAT core's CDCL phases; every fixpoint's
-    /// bound update, with the scan for implied atoms, counts as a theory
-    /// check, the walk back over the bounds' reasons as an extraction,
-    /// and an implied atom's re-check as core work.
+    /// profile, next to the SAT core's CDCL phases: every fixpoint's
+    /// bound update, with the scan for implied atoms, and branch & bound
+    /// count as theory checks, each walk back over the bounds' reasons as
+    /// an explanation (`extract`), and core minimisation and every
+    /// re-check as core work.
     fn refine(&mut self, assumptions: &[Lit], config: &CheckConfig) -> SmtResult {
         self.profile = SolverProfile::default();
         if config.max_refinements == 0 {
@@ -421,6 +423,7 @@ impl SmtSolver {
             if !implied.is_empty() {
                 let mut clauses = Vec::with_capacity(implied.len());
                 for &(atom, value) in &implied {
+                    explained.clear();
                     trail_bounds.explain_implied(atom, value, &mut explained);
                     start = lap(start, &mut profile.extract);
                     let mut clause = Vec::with_capacity(explained.len() + 1);
@@ -453,26 +456,26 @@ impl SmtSolver {
             if bounded && !at.complete {
                 return TheoryCheck::Consistent;
             }
-            constraints.clear();
-            atom_lits.clear();
-            let (explanation, branched) = if bounded {
-                // Extract the theory constraints of a complete assignment.
-                // Atoms no live clause mentions and no assumption assigns
-                // (the pins other checks assumed) are unassigned and
-                // skipped: nothing propositional constrains them, so
-                // forcing a theory counterpart would only shrink — or
-                // wrongly empty — the feasible space of long-lived
-                // sessions.
-                for (both, &sat_var) in atoms.polarised.iter().zip(&atoms.sat_var) {
-                    let Some(assigned_true) = at.assignment[sat_var] else {
-                        continue;
-                    };
-                    constraints.push(&both[usize::from(assigned_true)]);
-                    atom_lits.push(Lit::new(sat_var, assigned_true));
+            explained.clear();
+            if bounded {
+                // Branch & bound below the bounds of the complete
+                // assignment; each refuted leaf is explained by walking
+                // its reasons back before its split is undone.  The search
+                // between the walks counts as one theory check.
+                let mut searched = PhaseCost::default();
+                let verdict = trail_bounds.branch_and_bound(
+                    at,
+                    config.theory_node_budget,
+                    &mut |leaf: &mut TrailBounds<'_>| {
+                        start = lap(start, &mut searched);
+                        leaf.explain(&mut explained);
+                        start = lap(start, &mut profile.extract);
+                    },
+                );
+                start = lap(start, &mut searched);
+                if profiling {
+                    profile.theory.add(searched.time);
                 }
-                start = lap(start, &mut profile.extract);
-                let verdict = theory::solve(bounds, &constraints, config.theory_node_budget);
-                start = lap(start, &mut profile.theory);
                 match verdict {
                     TheoryVerdict::Sat(values) => {
                         let mut model = Model::new();
@@ -495,66 +498,65 @@ impl SmtSolver {
                         return TheoryCheck::Consistent;
                     }
                     TheoryVerdict::Unknown => return TheoryCheck::Stop,
-                    TheoryVerdict::Unsat {
-                        explanation,
-                        branched,
-                    } => (explanation, branched),
+                    TheoryVerdict::Unsat => {}
                 }
             } else {
                 // The bounds refute the assignment: walk their reasons
-                // back instead of solving again.  The walk counts as one
-                // theory node, like the root of the solve it replaces.
+                // back.  The walk counts as one theory node, like the root
+                // of branch & bound.
                 if config.theory_node_budget == 0 {
                     return TheoryCheck::Stop;
                 }
                 trail_bounds.explain(&mut explained);
-                for &atom in &explained {
-                    let sat_var = atoms.sat_var[atom as usize];
-                    let value = at.assignment[sat_var].expect("explained atoms are assigned");
-                    constraints.push(&atoms.polarised[atom as usize][usize::from(value)]);
-                    atom_lits.push(Lit::new(sat_var, value));
-                }
                 start = lap(start, &mut profile.extract);
-                ((0..constraints.len()).collect(), false)
-            };
+            }
+            constraints.clear();
+            atom_lits.clear();
+            for &atom in &explained {
+                let sat_var = atoms.sat_var[atom as usize];
+                let value = at.assignment[sat_var].expect("explained atoms are assigned");
+                constraints.push(&atoms.polarised[atom as usize][usize::from(value)]);
+                atom_lits.push(Lit::new(sat_var, value));
+            }
             stats.theory_conflicts += 1;
             if stats.refinements >= config.max_refinements {
                 return TheoryCheck::Stop;
             }
             stats.refinements += 1;
-            let core = if branched {
-                // The lemma must have no integer point on its own: an
-                // unsound one would turn into a wrong "deadlock-free".
-                let lemma: Vec<&Constraint> = explanation.iter().map(|&i| constraints[i]).collect();
-                match theory::solve(bounds, &lemma, config.theory_node_budget) {
+            // The lemma must have no integer point on its own: an unsound
+            // one would turn into a wrong "deadlock-free".
+            let lemma: Vec<Lit> = if bounded {
+                match theory::solve(bounds, &constraints, config.theory_node_budget) {
                     TheoryVerdict::Sat(point) => panic!(
-                        "internal error: branch-and-bound explanation {lemma:?} \
+                        "internal error: branch-and-bound explanation {constraints:?} \
                          has the integer point {point:?}"
                     ),
-                    TheoryVerdict::Unsat { .. } => explanation,
-                    // Unconfirmed: block all of the assignment's atoms.
-                    TheoryVerdict::Unknown => (0..constraints.len()).collect(),
+                    TheoryVerdict::Unsat => atom_lits.iter().map(|lit| lit.negated()).collect(),
+                    // Unconfirmed: block every assigned atom.
+                    TheoryVerdict::Unknown => atoms
+                        .sat_var
+                        .iter()
+                        .filter_map(|&sat_var| Some(Lit::new(sat_var, !at.assignment[sat_var]?)))
+                        .collect(),
                 }
             } else {
                 // Ascending atoms: the deletion pass drops the oldest
                 // first and keeps the current query's capacity pins.
-                let core = theory::minimize_core(bounds, &constraints, explanation);
-                // The lemma must be refuted without the recorded reasons:
-                // an unsound one would turn into a wrong "deadlock-free".
-                let lemma: Vec<&Constraint> = core.iter().map(|&i| constraints[i]).collect();
+                let core =
+                    theory::minimize_core(bounds, &constraints, (0..constraints.len()).collect());
+                let refuted: Vec<&Constraint> = core.iter().map(|&i| constraints[i]).collect();
                 assert!(
-                    theory::refuted_by_propagation(bounds, &lemma),
-                    "internal error: theory core {lemma:?} is not refuted by propagation"
+                    theory::refuted_by_propagation(bounds, &refuted),
+                    "internal error: theory core {refuted:?} is not refuted by propagation"
                 );
-                core
+                core.iter().map(|&i| atom_lits[i].negated()).collect()
             };
-            // An empty core refutes the bounds alone: the lemma is the
-            // empty clause, and every check is unsatisfiable.
-            let lemma: Vec<Lit> = core.iter().map(|&idx| atom_lits[idx].negated()).collect();
+            // An empty lemma refutes the bounds alone: it is the empty
+            // clause, and every check is unsatisfiable.
             if profiling {
                 lap(start, &mut profile.core);
                 profile.lemmas += 1;
-                profile.lemma_atoms += core.len() as u64;
+                profile.lemma_atoms += lemma.len() as u64;
             }
             TheoryCheck::Lemma(lemma)
         });
@@ -633,7 +635,9 @@ impl Atoms {
 /// variable, whether it was the upper bound, the value and the setter
 /// ([`TrailBounds::lo_by`]) it replaced, and its reason: the atom that
 /// moved it, and the end of its slice `reads[end(e-1)..reads_end]` of
-/// [`TrailBounds::reads`].
+/// [`TrailBounds::reads`].  A branching decision of
+/// [`TrailBounds::branch_and_bound`] has no atom ([`NO_ATOM`]) and reads
+/// nothing.
 #[derive(Debug)]
 struct Moved {
     trail_len: usize,
@@ -645,6 +649,30 @@ struct Moved {
     reads_end: u32,
 }
 
+/// Marks a bound that no undo entry set: the declared bound of its
+/// variable.
+const NONE: u32 = u32::MAX;
+
+/// Appends to `reads` the entries that set the bounds `c`'s terms
+/// contribute to its minimal sum, every term but `skip`: the lower bound
+/// of a positive term, the upper bound of a negative one.  `lo_by` and
+/// `hi_by` name each variable's setters; declared bounds ([`NONE`]) need
+/// no reason.
+fn push_reads(
+    c: &Constraint,
+    skip: Option<usize>,
+    lo_by: &[u32],
+    hi_by: &[u32],
+    reads: &mut Vec<u32>,
+) {
+    for (j, &(a, v)) in c.terms.iter().enumerate() {
+        let by = if a > 0 { lo_by[v] } else { hi_by[v] };
+        if Some(j) != skip && by != NONE {
+            reads.push(by);
+        }
+    }
+}
+
 /// The integer variables' interval bounds under the assigned atoms of one
 /// check, kept along the SAT trail with the reason of every bound.
 ///
@@ -654,28 +682,29 @@ struct Moved {
 /// then activates the atoms assigned since the last check that still
 /// stands, and narrows ([`theory::narrow`]) assigned atoms from a worklist
 /// until nothing moves.  The bounds are then the interval-propagation
-/// fixpoint of the assigned atoms: the one [`theory::solve`] computes
-/// from scratch, in time proportional to what changed.
+/// fixpoint of the assigned atoms, in time proportional to what changed.
 ///
-/// The undo log doubles as a reason trail, in the `(constraint, reads)`
-/// scheme of [`theory::solve`]'s: each entry names the atom that moved
-/// its bound and the entries that set the bounds that atom's minimal sum
-/// read, and each variable points at the entries that set its current
-/// bounds.  An undo restores those pointers and drops the reads with the
-/// entries, so the reasons always describe the bounds as they stand.  A
-/// failed update keeps the refuted atom and the entries its minimal sum
-/// read, and [`TrailBounds::explain`] walks back from them.  After a
-/// successful one, [`TrailBounds::implied`] finds the unassigned atoms
-/// over the variables it moved that the bounds decide, and
-/// [`TrailBounds::explain_implied`] walks back from the entries the
-/// refuted polarity's minimal sum reads.
+/// The undo log doubles as the reason trail: each entry names the atom
+/// that moved its bound and the entries that set the bounds that atom's
+/// minimal sum read, and each variable points at the entries that set its
+/// current bounds.  An undo restores those pointers and drops the reads
+/// with the entries, so the reasons always describe the bounds as they
+/// stand.  A failed narrowing keeps the refuted atom and the entries its
+/// minimal sum read, and [`TrailBounds::explain`] walks back from them.
+/// After a successful update, [`TrailBounds::implied`] finds the
+/// unassigned atoms over the variables it moved that the bounds decide,
+/// and [`TrailBounds::explain_implied`] walks back from the entries the
+/// refuted polarity's minimal sum reads.  At a complete assignment the
+/// bounds admit, [`TrailBounds::branch_and_bound`] searches below them:
+/// each split is one more entry, narrowed like an update, and each
+/// refuted leaf is explained by the same walk before it is undone.
 #[derive(Debug)]
 struct TrailBounds<'a> {
     atoms: &'a Atoms,
     lo: Vec<i64>,
     hi: Vec<i64>,
     /// Per variable, the `undo` entry that set its current lower / upper
-    /// bound, or [`theory::NONE`] for its declared bound.
+    /// bound, or [`NONE`] for its declared bound.
     lo_by: Vec<u32>,
     hi_by: Vec<u32>,
     /// Every bound moved and not undone, oldest first.
@@ -684,10 +713,10 @@ struct TrailBounds<'a> {
     reads: Vec<u32>,
     /// The first `undo` entry the last update pushed.
     fresh: usize,
-    /// After a failed update: the refuted atom.
+    /// After a failed narrowing: the refuted atom.
     conflict: u32,
-    /// The entries the next walk back starts from: after a failed update,
-    /// those the refuted atom's minimal sum read.
+    /// The entries the next walk back starts from: after a failed
+    /// narrowing, those the refuted atom's minimal sum read.
     pending: Vec<u32>,
     /// The walk that last visited each `undo` entry, and the current one.
     stamp: Vec<u32>,
@@ -715,8 +744,8 @@ impl<'a> TrailBounds<'a> {
             atoms,
             lo: atoms.bounds.iter().map(|b| b.0).collect(),
             hi: atoms.bounds.iter().map(|b| b.1).collect(),
-            lo_by: vec![theory::NONE; vars],
-            hi_by: vec![theory::NONE; vars],
+            lo_by: vec![NONE; vars],
+            hi_by: vec![NONE; vars],
             undo: Vec::new(),
             reads: Vec::new(),
             fresh: 0,
@@ -739,17 +768,12 @@ impl<'a> TrailBounds<'a> {
     /// have no integer point, and [`TrailBounds::explain`] says which.
     fn update(&mut self, at: Fixpoint<'_>) -> Result<(), ()> {
         let atoms = self.atoms;
-        while let Some(m) = self.undo.pop_if(|m| m.trail_len > at.kept) {
-            let (bound, by) = if m.upper {
-                (&mut self.hi, &mut self.hi_by)
-            } else {
-                (&mut self.lo, &mut self.lo_by)
-            };
-            bound[m.var] = m.old;
-            by[m.var] = m.old_by;
-        }
-        let reads_end = self.undo.last().map_or(0, |m| m.reads_end);
-        self.reads.truncate(reads_end as usize);
+        let standing = self
+            .undo
+            .iter()
+            .rposition(|m| m.trail_len <= at.kept)
+            .map_or(0, |e| e + 1);
+        self.undo_to(standing);
         self.fresh = self.undo.len();
         while self.checked.last().is_some_and(|&len| len > at.kept) {
             self.checked.pop();
@@ -768,7 +792,51 @@ impl<'a> TrailBounds<'a> {
         if active < now {
             self.checked.push(now);
         }
-        while let Some(atom) = self.worklist.pop() {
+        self.narrow(at, NO_ATOM)
+    }
+
+    /// Undoes every move from `undo` entry `len` on, newest first: restores
+    /// the bounds and their setters, and drops what the moves read.
+    fn undo_to(&mut self, len: usize) {
+        for m in self.undo.drain(len..).rev() {
+            let (bound, by) = if m.upper {
+                (&mut self.hi, &mut self.hi_by)
+            } else {
+                (&mut self.lo, &mut self.lo_by)
+            };
+            bound[m.var] = m.old;
+            by[m.var] = m.old_by;
+        }
+        let reads_end = self.undo.last().map_or(0, |m| m.reads_end);
+        self.reads.truncate(reads_end as usize);
+    }
+
+    /// Narrows the queued atoms, and every assigned atom over a variable
+    /// that moves, until nothing moves, logging each move with `at`'s
+    /// trail length.  The variables in `moved` have just moved, by the
+    /// atom `from` or by a split ([`NO_ATOM`]).  `Err(())` when some atom
+    /// cannot hold within the bounds, with the worklist emptied.
+    fn narrow(&mut self, at: Fixpoint<'_>, mut from: u32) -> Result<(), ()> {
+        let atoms = self.atoms;
+        let now = at.trail.len();
+        loop {
+            // An atom's terms name distinct variables, so one step leaves
+            // the atom itself at its fixpoint.
+            while let Some(var) = self.moved.pop() {
+                for &other in &atoms.over[var] {
+                    let other_index = other as usize;
+                    if other != from
+                        && !self.queued[other_index]
+                        && at.assignment[atoms.sat_var[other_index]].is_some()
+                    {
+                        self.queued[other_index] = true;
+                        self.worklist.push(other);
+                    }
+                }
+            }
+            let Some(atom) = self.worklist.pop() else {
+                return Ok(());
+            };
             self.queued[atom as usize] = false;
             let value =
                 at.assignment[atoms.sat_var[atom as usize]].expect("queued atoms are assigned");
@@ -777,7 +845,7 @@ impl<'a> TrailBounds<'a> {
             let (lo_by, hi_by) = (&mut self.lo_by, &mut self.hi_by);
             let narrowed = theory::narrow(&mut self.lo, &mut self.hi, c, |i, old| {
                 let (a, var) = c.terms[i];
-                theory::push_reads(c, Some(i), lo_by, hi_by, reads);
+                push_reads(c, Some(i), lo_by, hi_by, reads);
                 let by = if a > 0 {
                     &mut hi_by[var]
                 } else {
@@ -798,28 +866,90 @@ impl<'a> TrailBounds<'a> {
             if narrowed.is_err() {
                 self.conflict = atom;
                 self.pending.clear();
-                theory::push_reads(c, None, &self.lo_by, &self.hi_by, &mut self.pending);
+                push_reads(c, None, &self.lo_by, &self.hi_by, &mut self.pending);
                 for atom in self.worklist.drain(..) {
                     self.queued[atom as usize] = false;
                 }
                 return Err(());
             }
-            // An atom's terms name distinct variables, so one step leaves
-            // the atom itself at its fixpoint.
-            while let Some(var) = self.moved.pop() {
-                for &other in &atoms.over[var] {
-                    let other_index = other as usize;
-                    if other != atom
-                        && !self.queued[other_index]
-                        && at.assignment[atoms.sat_var[other_index]].is_some()
-                    {
-                        self.queued[other_index] = true;
-                        self.worklist.push(other);
-                    }
-                }
+            from = atom;
+        }
+    }
+
+    /// Branch & bound below the bounds of the complete assignment `at`,
+    /// which they admit, with [`theory::solve`]'s rule ([`theory::split`])
+    /// over the variables some assigned atom mentions and at most `budget`
+    /// nodes, the root counted.  Each split is an undo entry, narrowed by
+    /// [`TrailBounds::narrow`].  `refuted` sees the bounds at each refuted
+    /// leaf, before its split is undone, so it can
+    /// [`TrailBounds::explain`] the leaf; the leaves' explanations together
+    /// refute the assignment.  A model is the lower bounds at its leaf.
+    /// Every split is undone before this returns.
+    fn branch_and_bound(
+        &mut self,
+        at: Fixpoint<'_>,
+        budget: u64,
+        refuted: &mut impl FnMut(&mut Self),
+    ) -> TheoryVerdict {
+        let Some(mut budget) = budget.checked_sub(1) else {
+            return TheoryVerdict::Unknown;
+        };
+        let atoms = self.atoms;
+        let mentioned: Vec<usize> = (0..self.lo.len())
+            .filter(|&v| {
+                atoms.over[v]
+                    .iter()
+                    .any(|&atom| at.assignment[atoms.sat_var[atom as usize]].is_some())
+            })
+            .collect();
+        self.branch(at, &mentioned, &mut budget, refuted)
+    }
+
+    /// One node of [`TrailBounds::branch_and_bound`], already counted,
+    /// whose bounds hold: splits and searches each half, lower first.
+    fn branch(
+        &mut self,
+        at: Fixpoint<'_>,
+        mentioned: &[usize],
+        budget: &mut u64,
+        refuted: &mut impl FnMut(&mut Self),
+    ) -> TheoryVerdict {
+        let Some((var, mid)) = theory::split(&self.lo, &self.hi, mentioned) else {
+            return TheoryVerdict::Sat(self.lo.clone());
+        };
+        let mark = self.undo.len();
+        for (upper, value) in [(true, mid), (false, mid + 1)] {
+            let Some(left) = budget.checked_sub(1) else {
+                return TheoryVerdict::Unknown;
+            };
+            *budget = left;
+            let (bound, by) = if upper {
+                (&mut self.hi, &mut self.hi_by)
+            } else {
+                (&mut self.lo, &mut self.lo_by)
+            };
+            self.undo.push(Moved {
+                trail_len: at.trail.len(),
+                var,
+                upper,
+                old: std::mem::replace(&mut bound[var], value),
+                old_by: std::mem::replace(&mut by[var], mark as u32),
+                atom: NO_ATOM,
+                reads_end: self.reads.len() as u32,
+            });
+            self.moved.push(var);
+            let verdict = if self.narrow(at, NO_ATOM).is_ok() {
+                self.branch(at, mentioned, budget, refuted)
+            } else {
+                refuted(self);
+                TheoryVerdict::Unsat
+            };
+            self.undo_to(mark);
+            if verdict != TheoryVerdict::Unsat {
+                return verdict;
             }
         }
-        Ok(())
+        TheoryVerdict::Unsat
     }
 
     /// After a successful [`TrailBounds::update`] to `at`: the atoms over
@@ -857,30 +987,29 @@ impl<'a> TrailBounds<'a> {
         }
     }
 
-    /// Explains the last failed [`TrailBounds::update`] into `atoms`: the
+    /// Adds the explanation of the last failed narrowing to `atoms`: the
     /// refuted atom and every atom whose bound moves its refutation read,
-    /// directly or through the moves those read, ascending.
+    /// directly or through the moves those read.
     fn explain(&mut self, atoms: &mut Vec<u32>) {
-        atoms.clear();
         atoms.push(self.conflict);
         self.walk_back(atoms);
     }
 
-    /// Explains why the bounds imply `atom` has `value` into `atoms`:
-    /// every atom whose bound moves the refuted polarity's minimal sum
-    /// read, directly or through the moves those read, ascending.
+    /// Adds why the bounds imply `atom` has `value` to `atoms`: every atom
+    /// whose bound moves the refuted polarity's minimal sum read, directly
+    /// or through the moves those read.
     fn explain_implied(&mut self, atom: u32, value: bool, atoms: &mut Vec<u32>) {
         let refuted = &self.atoms.polarised[atom as usize][usize::from(!value)];
         self.pending.clear();
-        theory::push_reads(refuted, None, &self.lo_by, &self.hi_by, &mut self.pending);
-        atoms.clear();
+        push_reads(refuted, None, &self.lo_by, &self.hi_by, &mut self.pending);
         self.walk_back(atoms);
     }
 
     /// Adds to `atoms` the atom of every entry [`TrailBounds::pending`]
-    /// names and of every entry those read, then sorts and deduplicates
-    /// them.  Each undo entry is visited at most once, so the walk costs
-    /// what the explanation reads, not what the log holds.
+    /// names and of every entry those read (a split names none), then
+    /// sorts and deduplicates them.  Each undo entry is visited at most
+    /// once, so the walk costs what the explanation reads, not what the
+    /// log holds.
     fn walk_back(&mut self, atoms: &mut Vec<u32>) {
         self.walk += 1;
         self.stamp.resize(self.undo.len(), 0);
@@ -894,7 +1023,9 @@ impl<'a> TrailBounds<'a> {
             let m = &self.undo[e];
             self.pending
                 .extend_from_slice(&self.reads[start as usize..m.reads_end as usize]);
-            atoms.push(m.atom);
+            if m.atom != NO_ATOM {
+                atoms.push(m.atom);
+            }
         }
         atoms.sort_unstable();
         atoms.dedup();
@@ -914,6 +1045,7 @@ fn lap(start: Option<Instant>, phase: &mut PhaseCost) -> Option<Instant> {
 mod tests {
     use super::*;
     use crate::expr::LinExpr;
+    use crate::theory::tests::{has_integer_point, holds, XorShift};
 
     #[test]
     fn pure_boolean_problems_work() {
@@ -1051,9 +1183,16 @@ mod tests {
     /// The table of `polarised` over the variables of `pool`, atom `i` on
     /// SAT variable `i`.
     fn table(pool: &VarPool, polarised: &[[Constraint; 2]]) -> Atoms {
+        let bounds: Vec<(i64, i64)> = pool.int_vars().map(|v| pool.int_bounds(v)).collect();
+        table_over(&bounds, polarised)
+    }
+
+    /// The table of `polarised` over variables with the declared `bounds`,
+    /// atom `i` on SAT variable `i`.
+    fn table_over(bounds: &[(i64, i64)], polarised: &[[Constraint; 2]]) -> Atoms {
         let mut atoms = Atoms {
-            bounds: pool.int_vars().map(|v| pool.int_bounds(v)).collect(),
-            over: vec![Vec::new(); pool.int_vars().count()],
+            bounds: bounds.to_vec(),
+            over: vec![Vec::new(); bounds.len()],
             ..Atoms::default()
         };
         for (sat_var, both) in polarised.iter().enumerate() {
@@ -1210,6 +1349,286 @@ mod tests {
         assert_eq!(check(&[s], 0), (vec![9, 5], vec![(t, false, vec![s])]));
         // U sets x ≤ 3: Q holds again, now because of U, and R is open.
         assert_eq!(check(&[s, u], 1), (vec![3, 5], vec![(q, true, vec![u])]));
+    }
+
+    /// The atom `Σ terms ≤ bound` over variable indexes, negated and as
+    /// stated.
+    fn atom(terms: Vec<(i64, usize)>, bound: i64) -> [Constraint; 2] {
+        let negated = terms.iter().map(|&(a, v)| (-a, v)).collect();
+        [
+            Constraint::new(negated, -bound - 1),
+            Constraint::new(terms, bound),
+        ]
+    }
+
+    /// `Σ terms = value` as the two atoms `≤` and `≥`.
+    fn equal(terms: Vec<(i64, usize)>, value: i64) -> [[Constraint; 2]; 2] {
+        let negated = terms.iter().map(|&(a, v)| (-a, v)).collect();
+        [atom(terms, value), atom(negated, -value)]
+    }
+
+    /// x + y = 1 and x = y over variables `x` and `y`, as four atoms: they
+    /// force 2x = 1, which no integer satisfies, but a box of {0, 1}
+    /// domains is an interval fixpoint, so only branching refutes them.
+    fn parity(x: usize, y: usize) -> Vec<[Constraint; 2]> {
+        let mut atoms = equal(vec![(1, x), (1, y)], 1).to_vec();
+        atoms.extend(equal(vec![(1, x), (-1, y)], 0));
+        atoms
+    }
+
+    /// Decides the atoms `assignment` assigns, atom `i` of `polarised` on
+    /// SAT variable `i`, over `bounds` as `refine` decides a complete
+    /// assignment: the bounds kept along the trail, then branch & bound on
+    /// them when they hold.  Returns the verdict, its explanation (the
+    /// walk back from a bound conflict, or the union of the refuted
+    /// leaves' walks) and whether branch & bound ran, which must leave the
+    /// bounds and their reasons as it found them.
+    fn decide(
+        bounds: &[(i64, i64)],
+        polarised: &[[Constraint; 2]],
+        assignment: &[Option<bool>],
+    ) -> (TheoryVerdict, Vec<u32>, bool) {
+        let atoms = table_over(bounds, polarised);
+        let mut trail_bounds = TrailBounds::new(&atoms);
+        let trail: Vec<Lit> = (0..assignment.len())
+            .filter_map(|var| Some(Lit::new(var, assignment[var]?)))
+            .collect();
+        let occurrences = vec![1; assignment.len()];
+        let at = Fixpoint {
+            assignment,
+            trail: &trail,
+            kept: 0,
+            complete: true,
+            occurrences: &occurrences,
+        };
+        let mut explained = Vec::new();
+        if trail_bounds.update(at).is_err() {
+            trail_bounds.explain(&mut explained);
+            return (TheoryVerdict::Unsat, explained, false);
+        }
+        let snapshot = |tb: &TrailBounds<'_>| {
+            let log: Vec<_> = tb.undo.iter().map(|m| (m.var, m.old, m.atom)).collect();
+            let setters = (tb.lo_by.clone(), tb.hi_by.clone());
+            (tb.lo.clone(), tb.hi.clone(), setters, log, tb.reads.clone())
+        };
+        let before = snapshot(&trail_bounds);
+        let verdict =
+            trail_bounds.branch_and_bound(at, 100_000, &mut |leaf: &mut TrailBounds<'_>| {
+                leaf.explain(&mut explained)
+            });
+        assert_eq!(
+            snapshot(&trail_bounds),
+            before,
+            "a split outlived the search"
+        );
+        (verdict, explained, true)
+    }
+
+    #[test]
+    fn refutations_found_by_branching_are_explained() {
+        let atoms = parity(0, 1);
+        assert_eq!(
+            decide(&[(0, 1); 2], &atoms, &[Some(true); 4]),
+            (TheoryVerdict::Unsat, vec![0, 1, 2, 3], true)
+        );
+    }
+
+    #[test]
+    fn branch_explanations_leave_out_constraints_no_leaf_used() {
+        // The parity system over x0, x1 next to x2 ≤ 1, which tightens
+        // x2 at the root, but no leaf's refutation reads x2.
+        let mut atoms = parity(0, 1);
+        atoms.insert(2, atom(vec![(1, 2)], 1));
+        assert_eq!(
+            decide(&[(0, 1), (0, 1), (0, 3)], &atoms, &[Some(true); 5]),
+            (TheoryVerdict::Unsat, vec![0, 1, 3, 4], true)
+        );
+    }
+
+    #[test]
+    fn branching_skips_variables_no_constraint_mentions() {
+        // The parity system behind 30 binary variables no assigned atom
+        // mentions, only an unassigned one: splitting those first would
+        // take 2^30 nodes.
+        let unmentioned = 30;
+        let decoy = atom((0..unmentioned).map(|v| (1, v)).collect(), 1);
+        let bounds = [(0, 1); 32];
+        let mut atoms = parity(unmentioned, unmentioned + 1);
+        atoms.push(decoy.clone());
+        let assignment = [Some(true), Some(true), Some(true), Some(true), None];
+        assert_eq!(
+            decide(&bounds, &atoms, &assignment),
+            (TheoryVerdict::Unsat, vec![0, 1, 2, 3], true)
+        );
+        // A model leaves every unmentioned variable at its lower bound.
+        let mut atoms = equal(vec![(1, unmentioned), (1, unmentioned + 1)], 1).to_vec();
+        atoms.push(atom(vec![(-1, unmentioned)], -1));
+        atoms.push(decoy);
+        let mut bounds: Vec<(i64, i64)> = (0..unmentioned as i64).map(|v| (v % 3, 2)).collect();
+        bounds.extend([(0, 1), (0, 1)]);
+        match decide(&bounds, &atoms, &[Some(true), Some(true), Some(true), None]) {
+            (TheoryVerdict::Sat(model), explained, true) => {
+                assert!(
+                    (0..unmentioned).all(|v| model[v] == bounds[v].0),
+                    "{model:?}"
+                );
+                assert_eq!(model[unmentioned..], [1, 0]);
+                assert!(explained.is_empty());
+            }
+            other => panic!("expected Sat, got {other:?}"),
+        }
+    }
+
+    /// Terms over `vars` variables as [`branch_and_bound_on_the_trail_bounds_agrees_with_solve`]
+    /// draws them: two or three, a variable drawn twice merged into one
+    /// term, as the encoder's atoms have them.
+    fn draw_terms(rng: &mut XorShift, vars: usize) -> Vec<(i64, usize)> {
+        let mut terms: Vec<(i64, usize)> = Vec::new();
+        let want = (rng.range(2, 3) as usize).min(vars);
+        while terms.len() < want {
+            let a = [-2, -1, 1, 2][rng.range(0, 3) as usize];
+            let v = rng.range(0, vars as i64 - 1) as usize;
+            if terms.iter().all(|term| term.1 != v) {
+                terms.push((a, v));
+            }
+        }
+        terms
+    }
+
+    #[test]
+    fn branch_and_bound_on_the_trail_bounds_agrees_with_solve() {
+        // Interval fixpoints without an integer point are rare among
+        // random inequalities; equalities over small domains reach them
+        // far more often, and with them branch & bound refutations.
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        // Refutations by the bounds alone, and by branch & bound.
+        let mut refuted = [0usize; 2];
+        for _ in 0..EQUALITY_SYSTEMS {
+            let vars = rng.range(2, 6) as usize;
+            let bounds = vec![(0, 3); vars];
+            let mut atoms: Vec<[Constraint; 2]> = Vec::new();
+            for _ in 0..rng.range(1, 4) {
+                let terms = draw_terms(&mut rng, vars);
+                let value = rng.range(-3, 3);
+                if rng.range(0, 3) == 0 {
+                    atoms.push(atom(terms, value));
+                } else {
+                    atoms.extend(equal(terms, value));
+                }
+            }
+            // The drawn atoms hold; up to two more over the same variables
+            // are left unassigned or take either value.
+            let mut assignment = vec![Some(true); atoms.len()];
+            for _ in 0..rng.range(0, 2) {
+                let at = rng.range(0, atoms.len() as i64) as usize;
+                let terms = draw_terms(&mut rng, vars);
+                atoms.insert(at, atom(terms, rng.range(-3, 3)));
+                assignment.insert(
+                    at,
+                    [None, Some(false), Some(true)][rng.range(0, 2) as usize],
+                );
+            }
+            let holding = |atom: usize| &atoms[atom][usize::from(assignment[atom].unwrap())];
+            let assigned: Vec<&Constraint> = (0..atoms.len())
+                .filter(|&a| assignment[a].is_some())
+                .map(holding)
+                .collect();
+            let (verdict, explained, branched) = decide(&bounds, &atoms, &assignment);
+            assert_eq!(
+                verdict,
+                theory::solve(&bounds, &assigned, 100_000),
+                "{atoms:?} under {assignment:?} over {bounds:?}"
+            );
+            match verdict {
+                TheoryVerdict::Sat(model) => {
+                    assert!(assigned.iter().all(|c| holds(c, &model)), "{model:?}");
+                    continue;
+                }
+                TheoryVerdict::Unknown => panic!("budget exhausted on {atoms:?}"),
+                TheoryVerdict::Unsat => refuted[usize::from(branched)] += 1,
+            }
+            assert!(
+                explained.windows(2).all(|w| w[0] < w[1])
+                    && explained.iter().all(|&a| assignment[a as usize].is_some()),
+                "explanation {explained:?} is not a set of assigned atoms of {assignment:?}"
+            );
+            let lemma: Vec<&Constraint> = explained.iter().map(|&a| holding(a as usize)).collect();
+            assert!(
+                !has_integer_point(&bounds, &lemma),
+                "explanation {explained:?} of {atoms:?} over {bounds:?} has an integer point"
+            );
+            assert_eq!(
+                theory::solve(&bounds, &lemma, 100_000),
+                TheoryVerdict::Unsat,
+                "explanation {explained:?} of {atoms:?} over {bounds:?}"
+            );
+        }
+        let [by_bounds, by_branching] = refuted;
+        assert!(
+            by_branching > 300,
+            "only {by_branching} branch & bound refutations ({by_bounds} by the bounds)"
+        );
+    }
+
+    /// Equality-biased systems in the property test above.
+    const EQUALITY_SYSTEMS: usize = 30_000;
+
+    /// `x + y = 1` over `x, y ∈ {0, 1}`, with the equality `x = y` of the
+    /// parity system beside it.
+    fn parity_session() -> (SmtSolver, Formula) {
+        let mut smt = SmtSolver::new();
+        let x = smt.new_int_var("x", 0, 1);
+        let y = smt.new_int_var("y", 0, 1);
+        smt.assert(Formula::eq(
+            LinExpr::var(x) + LinExpr::var(y),
+            LinExpr::constant(1),
+        ));
+        (smt, Formula::eq(LinExpr::var(x), LinExpr::var(y)))
+    }
+
+    #[test]
+    fn branch_and_bound_refutes_the_parity_system_inside_the_search() {
+        // Every atom is forced at level zero and the bounds hold, so the
+        // first fixpoint is complete and only branch & bound refutes it.
+        let (mut smt, same) = parity_session();
+        smt.assert(same);
+        let (telemetry, _trace) = crate::Telemetry::ring(64);
+        let config = CheckConfig {
+            solver: SolverConfig {
+                telemetry,
+                ..SolverConfig::default()
+            },
+            ..CheckConfig::default()
+        };
+        assert!(smt.check_with(&config).is_unsat());
+        let stats = smt.stats();
+        assert_eq!((stats.refinements, stats.theory_conflicts), (2, 1));
+        // The lemma blocks all four atoms: each leaf read two of them.
+        // Branch & bound is one of the three theory checks, however many
+        // leaves it refuted.
+        let profile = smt.take_profile();
+        assert_eq!(
+            (profile.lemmas, profile.lemma_atoms, profile.theory.count),
+            (1, 4, 3)
+        );
+    }
+
+    #[test]
+    fn a_branch_and_bound_lemma_does_not_over_constrain_the_session() {
+        let (mut smt, same) = parity_session();
+        let s = smt.new_bool_var("s");
+        smt.assert(Formula::implies(Formula::bool_var(s), same));
+        let config = CheckConfig::default();
+        assert!(smt
+            .check_assuming(&[Formula::bool_var(s)], &config)
+            .is_unsat());
+        assert_eq!(smt.stats().theory_conflicts, 1);
+        let model = smt.check().expect_sat();
+        assert!(!model.bool_value(s));
+        assert!(smt
+            .assertions()
+            .iter()
+            .all(|f| f.evaluate(&mut |b| model.bool_value(b), &mut |i| model.int_value(i))));
     }
 
     #[test]

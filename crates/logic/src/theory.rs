@@ -10,30 +10,16 @@
 //! 2. **branch & bound** — split the domain of an undetermined variable
 //!    that some constraint mentions, and recurse.
 //!
-//! The solver returns an integer model when feasible.  Propagation keeps a
-//! trail of *reasons*: every bound it tightens records the constraint that
-//! tightened it and the trail entries of the bounds that constraint read.
-//! When the constraints are infeasible, [`solve`] walks those reasons back
-//! from each conflict and returns the constraints the refutation actually
-//! used with the [`TheoryVerdict::Unsat`] verdict.  Branch & bound keeps
-//! the trail along its path, truncates it on backtrack and records each
-//! branching bound as an entry with no reason, so a refutation that needed
-//! branching is explained too: by the union of what refuted its leaves.
-//! [`minimize_core`] shrinks a propagation explanation to an irreducible
-//! core with a deletion pass over its few constraints, which the SMT loop
-//! ([`crate::smt`]) turns into a blocking clause.  One propagation step,
-//! `narrow`, serves both [`solve`] and the SMT loop's bounds kept along
-//! the SAT trail, which record their reasons in the same scheme and
-//! explain their own conflicts; [`refuted_by_propagation`] narrows in
-//! [`solve`]'s order without recording anything, and re-checks every
-//! explanation.
-//!
-//! Propagation visits constraints newest first (highest index first), so
-//! the reason recorded for a bound is the most recently added constraint
-//! that implies it.  In a persistent session the newest atoms belong to
-//! the current query: explanations built from them stay specific to it
-//! instead of pinning stale capacity atoms of earlier queries into
-//! permanent lemmas.
+//! [`solve`] is that procedure from scratch: it returns an integer model
+//! when the constraints are feasible and keeps no reasons, so it
+//! independently re-checks what the SMT loop ([`crate::smt`]) derives.
+//! [`refuted_by_propagation`] is its propagation alone, and
+//! [`minimize_core`] shrinks a refuted constraint set to an irreducible
+//! core with a deletion pass over its few constraints.  The SMT loop keeps
+//! its own interval bounds along the SAT trail, with the reason of every
+//! bound they move, and explains its refutations from those reasons.  It
+//! shares the one propagation step, [`narrow`], and the one branching
+//! rule, [`split`], with [`solve`], so both search the same tree.
 
 use std::borrow::Borrow;
 
@@ -52,12 +38,6 @@ impl Constraint {
     pub fn new(terms: Vec<(i64, usize)>, bound: i64) -> Self {
         Constraint { terms, bound }
     }
-
-    /// Evaluates whether the constraint holds under the given assignment.
-    pub fn holds(&self, assignment: &[i64]) -> bool {
-        let sum: i64 = self.terms.iter().map(|(c, v)| c * assignment[*v]).sum();
-        sum <= self.bound
-    }
 }
 
 /// Result of a feasibility check.
@@ -65,16 +45,8 @@ impl Constraint {
 pub enum TheoryVerdict {
     /// The constraints are satisfiable; a witness assignment is returned.
     Sat(Vec<i64>),
-    /// The constraints are unsatisfiable.
-    Unsat {
-        /// The indices (ascending) of the constraints the refutation used:
-        /// they have no integer point on their own.
-        explanation: Vec<usize>,
-        /// Whether branch & bound was needed.  When it was not, interval
-        /// propagation refutes the explanation on its own; when it was,
-        /// the explanation is the union of what refuted its leaves.
-        branched: bool,
-    },
+    /// The constraints have no integer point.
+    Unsat,
     /// The search budget was exhausted before a verdict was reached.
     Unknown,
 }
@@ -92,136 +64,6 @@ impl Domains {
             hi: bounds.iter().map(|b| b.1).collect(),
         }
     }
-
-    fn is_fixed(&self, v: usize) -> bool {
-        self.lo[v] == self.hi[v]
-    }
-}
-
-/// Marks a bound that no trail entry set (the declared bound of its
-/// variable), and the constraint of a branching decision's entry.
-pub(crate) const NONE: u32 = u32::MAX;
-
-/// Appends to `reads` the entries that set the bounds `c`'s terms
-/// contribute to its minimal sum, every term but `skip`: the lower bound
-/// of a positive term, the upper bound of a negative one.  `lo_by` and
-/// `hi_by` name each variable's setters; declared bounds ([`NONE`]) need
-/// no reason.
-pub(crate) fn push_reads(
-    c: &Constraint,
-    skip: Option<usize>,
-    lo_by: &[u32],
-    hi_by: &[u32],
-    reads: &mut Vec<u32>,
-) {
-    for (j, &(a, v)) in c.terms.iter().enumerate() {
-        let by = if a > 0 { lo_by[v] } else { hi_by[v] };
-        if Some(j) != skip && by != NONE {
-            reads.push(by);
-        }
-    }
-}
-
-/// The reasons behind the bounds propagation tightened, in order.
-///
-/// Entry `e` is `(constraint, end)`: the index of the constraint that
-/// tightened a bound, and the end of its slice `reads[end(e-1)..end]`,
-/// the entries that set the bounds the constraint read.  Entries only
-/// read earlier entries.  A branching decision of branch & bound is an
-/// entry with constraint [`NONE`] and nothing read.  After a refutation
-/// the last entry is the conflict: the constraint whose minimal sum
-/// exceeded its bound.
-#[derive(Debug)]
-struct Trail {
-    entries: Vec<(u32, u32)>,
-    reads: Vec<u32>,
-    /// Per variable, the entry that set its current lower / upper bound.
-    lo_by: Vec<u32>,
-    hi_by: Vec<u32>,
-}
-
-impl Trail {
-    fn new(vars: usize) -> Self {
-        Trail {
-            entries: Vec::new(),
-            reads: Vec::new(),
-            lo_by: vec![NONE; vars],
-            hi_by: vec![NONE; vars],
-        }
-    }
-
-    /// Records that constraint `index` derived something from the bounds
-    /// its terms contribute to its minimal sum (every term but `skip`):
-    /// the lower bound of a positive term, the upper bound of a negative
-    /// one.  Returns the new entry.
-    fn record(&mut self, index: usize, c: &Constraint, skip: Option<usize>) -> u32 {
-        push_reads(c, skip, &self.lo_by, &self.hi_by, &mut self.reads);
-        self.entries.push((index as u32, self.reads.len() as u32));
-        (self.entries.len() - 1) as u32
-    }
-
-    /// Records a branching decision that set variable `v`'s upper bound
-    /// (`upper`) or lower bound: an entry no constraint explains.
-    fn branch(&mut self, v: usize, upper: bool) {
-        self.entries.push((NONE, self.reads.len() as u32));
-        let entry = (self.entries.len() - 1) as u32;
-        if upper {
-            self.hi_by[v] = entry;
-        } else {
-            self.lo_by[v] = entry;
-        }
-    }
-
-    /// What [`Trail::backtrack`] needs to forget everything recorded
-    /// after this call.
-    fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            entries: self.entries.len(),
-            reads: self.reads.len(),
-            lo_by: self.lo_by.clone(),
-            hi_by: self.hi_by.clone(),
-        }
-    }
-
-    /// Forgets every entry recorded since `checkpoint` was taken.
-    fn backtrack(&mut self, checkpoint: &Checkpoint) {
-        self.entries.truncate(checkpoint.entries);
-        self.reads.truncate(checkpoint.reads);
-        self.lo_by.copy_from_slice(&checkpoint.lo_by);
-        self.hi_by.copy_from_slice(&checkpoint.hi_by);
-    }
-
-    /// Walks the reasons back from the last entry (the conflict) and adds
-    /// the constraints it depends on to `used`; branching decisions add
-    /// nothing.
-    fn explain_into(&self, used: &mut Vec<usize>) {
-        let mut needed = vec![false; self.entries.len()];
-        if let Some(last) = needed.last_mut() {
-            *last = true;
-        }
-        for e in (0..self.entries.len()).rev() {
-            if !needed[e] {
-                continue;
-            }
-            let (constraint, end) = self.entries[e];
-            let start = if e == 0 { 0 } else { self.entries[e - 1].1 };
-            for &read in &self.reads[start as usize..end as usize] {
-                needed[read as usize] = true;
-            }
-            if constraint != NONE {
-                used.push(constraint as usize);
-            }
-        }
-    }
-}
-
-/// A [`Trail`]'s length and bound setters at one node of branch & bound.
-#[derive(Debug)]
-struct Checkpoint {
-    entries: usize,
-    reads: usize,
-    lo_by: Vec<u32>,
-    hi_by: Vec<u32>,
 }
 
 /// One interval-propagation step of constraint `c` over the box
@@ -277,42 +119,36 @@ pub(crate) fn min_sum(lo: &[i64], hi: &[i64], c: &Constraint) -> i64 {
         .sum()
 }
 
-/// Tightens the domains using interval propagation, newest constraint
-/// first, recording the reason of every tightened bound on `trail` when
-/// there is one.
+/// The branching rule of branch & bound over the box `lo..=hi`: among the
+/// `mentioned` variables (ascending) not yet fixed, the one with the
+/// smallest domain, the lowest on ties, and the last value of its lower
+/// half, which is searched first (flow-style systems usually admit small
+/// solutions).  `None` when every mentioned variable is fixed.
+pub(crate) fn split(lo: &[i64], hi: &[i64], mentioned: &[usize]) -> Option<(usize, i64)> {
+    let mut pick: Option<(usize, i64)> = None;
+    for &v in mentioned {
+        let width = hi[v] - lo[v];
+        if width > 0 && pick.is_none_or(|(_, w)| width < w) {
+            pick = Some((v, width));
+        }
+    }
+    pick.map(|(v, width)| (v, lo[v] + width / 2))
+}
+
+/// Tightens the domains using interval propagation until a fixpoint.
 ///
 /// Returns `Err(())` when some constraint's minimal sum exceeds its bound
-/// (a sound proof of infeasibility, whose reasons end the trail),
-/// `Ok(())` at fixpoint otherwise.  No domain empties before some minimal
-/// sum exceeds its bound (see [`narrow`]).  The trail only records: the
-/// fixpoint and the verdict are the same without it.
-fn propagate<C: Borrow<Constraint>>(
-    domains: &mut Domains,
-    constraints: &[C],
-    mut trail: Option<&mut Trail>,
-) -> Result<(), ()> {
+/// (a sound proof of infeasibility), `Ok(())` at fixpoint otherwise.  No
+/// domain empties before some minimal sum exceeds its bound (see
+/// [`narrow`]).  The fixpoint does not depend on the order the constraints
+/// are visited in.
+fn propagate<C: Borrow<Constraint>>(domains: &mut Domains, constraints: &[C]) -> Result<(), ()> {
     loop {
         let mut changed = false;
-        for (index, c) in constraints.iter().enumerate().rev() {
-            let c = c.borrow();
-            let narrowed = narrow(&mut domains.lo, &mut domains.hi, c, |i, _| {
-                if let Some(trail) = trail.as_deref_mut() {
-                    let (a, v) = c.terms[i];
-                    let entry = trail.record(index, c, Some(i));
-                    if a > 0 {
-                        trail.hi_by[v] = entry;
-                    } else {
-                        trail.lo_by[v] = entry;
-                    }
-                }
-                changed = true;
-            });
-            if narrowed.is_err() {
-                if let Some(trail) = trail {
-                    trail.record(index, c, None);
-                }
-                return Err(());
-            }
+        for c in constraints {
+            narrow(&mut domains.lo, &mut domains.hi, c.borrow(), |_, _| {
+                changed = true
+            })?;
         }
         if !changed {
             return Ok(());
@@ -342,19 +178,19 @@ pub fn refuted_by_propagation<C: Borrow<Constraint>>(
     bounds: &[(i64, i64)],
     constraints: &[C],
 ) -> bool {
-    propagate(&mut Domains::new(bounds), constraints, None).is_err()
+    propagate(&mut Domains::new(bounds), constraints).is_err()
 }
 
-/// Shrinks the explanation of a propagation refutation to an irreducible
-/// core.
+/// Shrinks an explanation that propagation refutes to an irreducible core.
 ///
-/// `explanation` indexes the constraints a refutation used, as returned
-/// with [`TheoryVerdict::Unsat`] when it did not branch.  Each is dropped
-/// in turn, lowest index first, whenever propagation still refutes the
-/// rest.  Because propagation is monotone in the constraint set, the
-/// result is irreducible: dropping any one more constraint leaves a set
-/// that propagation no longer refutes.  Explanations hold a handful of
-/// constraints, so the quadratic number of propagations is cheap.
+/// `explanation` indexes the constraints a refutation used, ascending, as
+/// the walk back over the SMT loop's recorded reasons names them.  Each
+/// is dropped in turn, lowest index first, whenever propagation still
+/// refutes the rest.  Because propagation is monotone in the constraint
+/// set, the result is irreducible: dropping any one more constraint
+/// leaves a set that propagation no longer refutes.  Explanations hold a
+/// handful of constraints, so the quadratic number of propagations is
+/// cheap.
 pub fn minimize_core<C: Borrow<Constraint>>(
     bounds: &[(i64, i64)],
     constraints: &[C],
@@ -382,10 +218,10 @@ pub fn minimize_core<C: Borrow<Constraint>>(
 /// Decides feasibility of `constraints` over variables with the given
 /// inclusive `bounds`.
 ///
-/// Branch & bound splits only variables some constraint mentions; every
-/// other variable keeps its lower bound in a model.  `node_budget` bounds
-/// the number of search nodes explored; when exhausted the verdict is
-/// [`TheoryVerdict::Unknown`].
+/// Branch & bound splits only variables some constraint mentions
+/// ([`split`]); every other variable keeps its lower bound in a model.
+/// `node_budget` bounds the number of search nodes explored, the root
+/// counted; when exhausted the verdict is [`TheoryVerdict::Unknown`].
 pub fn solve<C: Borrow<Constraint>>(
     bounds: &[(i64, i64)],
     constraints: &[C],
@@ -403,93 +239,48 @@ pub fn solve<C: Borrow<Constraint>>(
     let mut search = Search {
         constraints,
         mentioned,
-        trail: Trail::new(bounds.len()),
         budget: node_budget,
-        explanation: Vec::new(),
     };
-    match search.node(Domains::new(bounds)) {
-        Node::Sat(model) => TheoryVerdict::Sat(model),
-        Node::Unknown => TheoryVerdict::Unknown,
-        Node::Refuted => {
-            let mut explanation = search.explanation;
-            explanation.sort_unstable();
-            explanation.dedup();
-            TheoryVerdict::Unsat {
-                explanation,
-                // The root is one node; a refutation below it branched.
-                branched: node_budget - search.budget > 1,
-            }
-        }
-    }
+    search.node(Domains::new(bounds))
 }
 
-/// The outcome of one node of branch & bound.
-enum Node {
-    Sat(Vec<i64>),
-    Refuted,
-    Unknown,
-}
-
-/// Branch & bound over one constraint set, with the reason trail kept
-/// along the current path.
+/// Branch & bound over one constraint set.
 struct Search<'a, C> {
     constraints: &'a [C],
     /// The variables some constraint mentions, ascending.
     mentioned: Vec<usize>,
-    trail: Trail,
     budget: u64,
-    /// The constraints that refuted the leaves so far (unsorted).
-    explanation: Vec<usize>,
 }
 
 impl<C: Borrow<Constraint>> Search<'_, C> {
-    fn node(&mut self, mut domains: Domains) -> Node {
+    fn node(&mut self, mut domains: Domains) -> TheoryVerdict {
         if self.budget == 0 {
-            return Node::Unknown;
+            return TheoryVerdict::Unknown;
         }
         self.budget -= 1;
-        if propagate(&mut domains, self.constraints, Some(&mut self.trail)).is_err() {
-            self.trail.explain_into(&mut self.explanation);
-            return Node::Refuted;
+        if propagate(&mut domains, self.constraints).is_err() {
+            return TheoryVerdict::Unsat;
         }
-        // Pick the unfixed mentioned variable with the smallest domain.
-        let mut pick: Option<(usize, i64)> = None;
-        for &v in &self.mentioned {
-            if !domains.is_fixed(v) {
-                let width = domains.hi[v] - domains.lo[v];
-                match pick {
-                    Some((_, w)) if w <= width => {}
-                    _ => pick = Some((v, width)),
-                }
-            }
-        }
-        let Some((v, _)) = pick else {
+        let Some((v, mid)) = split(&domains.lo, &domains.hi, &self.mentioned) else {
             // Every mentioned variable fixed: propagation guarantees every
             // constraint's minimal sum is within bounds, which for fixed
             // domains is the exact sum, so this is a model.
-            return Node::Sat(domains.lo);
+            return TheoryVerdict::Sat(domains.lo);
         };
-        let mid = domains.lo[v] + (domains.hi[v] - domains.lo[v]) / 2;
-        let path = self.trail.checkpoint();
-
-        // Lower half first: flow-style systems usually admit small solutions.
         let mut lower = domains.clone();
         lower.hi[v] = mid;
-        self.trail.branch(v, true);
         match self.node(lower) {
-            Node::Refuted => {}
+            TheoryVerdict::Unsat => {}
             decided => return decided,
         }
-        self.trail.backtrack(&path);
         let mut upper = domains;
         upper.lo[v] = mid + 1;
-        self.trail.branch(v, false);
         self.node(upper)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn le(terms: Vec<(i64, usize)>, bound: i64) -> Constraint {
@@ -499,6 +290,12 @@ mod tests {
     fn eq(terms: Vec<(i64, usize)>, value: i64) -> Vec<Constraint> {
         let neg: Vec<(i64, usize)> = terms.iter().map(|(c, v)| (-c, *v)).collect();
         vec![le(terms, value), le(neg, -value)]
+    }
+
+    /// Whether `c` holds at `point`.
+    pub(crate) fn holds(c: &Constraint, point: &[i64]) -> bool {
+        let sum: i64 = c.terms.iter().map(|(a, v)| a * point[*v]).sum();
+        sum <= c.bound
     }
 
     #[test]
@@ -528,7 +325,7 @@ mod tests {
     fn contradictory_bounds_are_unsat() {
         // x <= 1 and x >= 2 on domain [0, 5].
         let cs = vec![le(vec![(1, 0)], 1), le(vec![(-1, 0)], -2)];
-        assert_eq!(solve(&[(0, 5)], &cs, 1_000), propagated(vec![0, 1]));
+        assert_eq!(solve(&[(0, 5)], &cs, 1_000), TheoryVerdict::Unsat);
         assert!(refuted_by_propagation(&[(0, 5)], &cs));
     }
 
@@ -536,11 +333,11 @@ mod tests {
     fn infeasible_sum_over_binary_variables() {
         // x0 + x1 + x2 = 5 with all domains {0, 1}.
         let cs = eq(vec![(1, 0), (1, 1), (1, 2)], 5);
-        assert_eq!(solve(&[(0, 1); 3], &cs, 1_000), propagated(vec![1]));
+        assert_eq!(solve(&[(0, 1); 3], &cs, 1_000), TheoryVerdict::Unsat);
     }
 
     #[test]
-    fn explanations_leave_out_constraints_the_refutation_never_read() {
+    fn cores_leave_out_constraints_the_refutation_never_needs() {
         // x0 ≤ 1 (0), an unrelated x2 ≤ 2 (1), x1 − x0 ≤ 0 (2) and
         // x1 ≥ 2 (3): the refutation chains 0 → 2 → 3 and skips 1.
         let cs = vec![
@@ -550,96 +347,8 @@ mod tests {
             le(vec![(-1, 1)], -2),
         ];
         let bounds = [(0, 5); 3];
-        assert_eq!(solve(&bounds, &cs, 1_000), propagated(vec![0, 2, 3]));
+        assert_eq!(minimize_core(&bounds, &cs, vec![0, 1, 2, 3]), vec![0, 2, 3]);
         assert_eq!(minimize_core(&bounds, &cs, vec![0, 2, 3]), vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn newest_constraints_explain_first() {
-        // Constraints 0 and 2 both bound x ≤ 1; 1 demands x ≥ 3.  Visiting
-        // the newest first, 2 sets the bound and 0 is never read.
-        let cs = vec![
-            le(vec![(1, 0)], 1),
-            le(vec![(-1, 0)], -3),
-            le(vec![(1, 0)], 1),
-        ];
-        assert_eq!(solve(&[(0, 5)], &cs, 1_000), propagated(vec![1, 2]));
-    }
-
-    /// A refutation by propagation alone with this explanation.
-    fn propagated(explanation: Vec<usize>) -> TheoryVerdict {
-        TheoryVerdict::Unsat {
-            explanation,
-            branched: false,
-        }
-    }
-
-    /// x + y = 1 and x = y over variables `x` and `y`: they force 2x = 1,
-    /// which no integer satisfies, but a box of {0, 1} domains is an
-    /// interval fixpoint, so only branching refutes them.
-    fn parity(x: usize, y: usize) -> Vec<Constraint> {
-        let mut cs = eq(vec![(1, x), (1, y)], 1);
-        cs.extend(eq(vec![(1, x), (-1, y)], 0));
-        cs
-    }
-
-    #[test]
-    fn refutations_found_by_branching_are_explained() {
-        let cs = parity(0, 1);
-        assert!(!refuted_by_propagation(&[(0, 1); 2], &cs));
-        assert_eq!(
-            solve(&[(0, 1); 2], &cs, 1_000),
-            TheoryVerdict::Unsat {
-                explanation: vec![0, 1, 2, 3],
-                branched: true,
-            }
-        );
-    }
-
-    #[test]
-    fn branch_explanations_leave_out_constraints_no_leaf_used() {
-        // The parity system over x0, x1 next to x2 ≤ 1, which tightens
-        // x2 at the root, but no leaf's refutation reads x2.
-        let mut cs = parity(0, 1);
-        cs.insert(2, le(vec![(1, 2)], 1));
-        assert_eq!(
-            solve(&[(0, 1), (0, 1), (0, 3)], &cs, 1_000),
-            TheoryVerdict::Unsat {
-                explanation: vec![0, 1, 3, 4],
-                branched: true,
-            }
-        );
-    }
-
-    #[test]
-    fn branching_skips_variables_no_constraint_mentions() {
-        // The parity system behind 30 binary variables no constraint
-        // mentions: splitting those first would take 2^30 nodes.
-        let unmentioned = 30;
-        let bounds = [(0, 1); 32];
-        let cs = parity(unmentioned, unmentioned + 1);
-        assert_eq!(
-            solve(&bounds, &cs, 1_000),
-            TheoryVerdict::Unsat {
-                explanation: vec![0, 1, 2, 3],
-                branched: true,
-            }
-        );
-        // A model leaves every unmentioned variable at its lower bound.
-        let mut cs = eq(vec![(1, unmentioned), (1, unmentioned + 1)], 1);
-        cs.push(le(vec![(-1, unmentioned)], -1));
-        let mut bounds: Vec<(i64, i64)> = (0..unmentioned as i64).map(|v| (v % 3, 2)).collect();
-        bounds.extend([(0, 1), (0, 1)]);
-        match solve(&bounds, &cs, 1_000) {
-            TheoryVerdict::Sat(model) => {
-                assert!(
-                    (0..unmentioned).all(|v| model[v] == bounds[v].0),
-                    "{model:?}"
-                );
-                assert_eq!(model[unmentioned..], [1, 0]);
-            }
-            other => panic!("expected Sat, got {other:?}"),
-        }
     }
 
     #[test]
@@ -673,7 +382,7 @@ mod tests {
         match solve(&[(0, 6); 4], &cs, 10_000) {
             TheoryVerdict::Sat(m) => {
                 for c in &cs {
-                    assert!(c.holds(&m), "violated constraint {c:?} by model {m:?}");
+                    assert!(holds(c, &m), "violated constraint {c:?} by model {m:?}");
                 }
             }
             other => panic!("expected Sat, got {other:?}"),
@@ -681,7 +390,7 @@ mod tests {
     }
 
     /// A deterministic xorshift64 stream.
-    struct XorShift(u64);
+    pub(crate) struct XorShift(pub(crate) u64);
 
     impl XorShift {
         fn next(&mut self) -> u64 {
@@ -692,17 +401,17 @@ mod tests {
         }
 
         /// Uniform in `lo..=hi`.
-        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+        pub(crate) fn range(&mut self, lo: i64, hi: i64) -> i64 {
             lo + (self.next() % (hi - lo + 1) as u64) as i64
         }
     }
 
     /// Whether some integer point of the box `bounds` satisfies every
     /// constraint, by exhaustive enumeration.
-    fn has_integer_point(bounds: &[(i64, i64)], cs: &[&Constraint]) -> bool {
+    pub(crate) fn has_integer_point(bounds: &[(i64, i64)], cs: &[&Constraint]) -> bool {
         let mut point: Vec<i64> = bounds.iter().map(|b| b.0).collect();
         loop {
-            if cs.iter().all(|c| c.holds(&point)) {
+            if cs.iter().all(|c| holds(c, &point)) {
                 return true;
             }
             let mut v = 0;
@@ -717,72 +426,34 @@ mod tests {
         }
     }
 
-    /// How often [`check_verdict`] saw each kind of refutation.
-    #[derive(Default)]
-    struct Refutations {
-        propagated: usize,
-        branched: usize,
-    }
-
-    /// Checks `solve`'s verdict on `cs` over `bounds`: the reasonless
-    /// [`refuted_by_propagation`] refutes exactly what `solve` refutes
-    /// without branching; a model satisfies every constraint; a
-    /// propagation explanation is a subset propagation refutes, whose core
-    /// is irreducible; a branch & bound explanation is a subset with no
-    /// integer point, which `solve` refutes on its own.
-    fn check_verdict(bounds: &[(i64, i64)], cs: &[Constraint], seen: &mut Refutations) {
+    /// Checks `solve`'s verdict on `cs` over `bounds` against enumeration:
+    /// a model satisfies every constraint, and the verdict is `Unsat`
+    /// exactly when no integer point exists.  A set the reasonless
+    /// [`refuted_by_propagation`] refutes is `Unsat`, and its core is
+    /// irreducible.  Returns whether propagation refuted the set.
+    fn check_verdict(bounds: &[(i64, i64)], cs: &[Constraint]) -> bool {
         let verdict = solve(bounds, cs, 100_000);
-        assert_eq!(
-            refuted_by_propagation(bounds, cs),
-            matches!(
-                verdict,
-                TheoryVerdict::Unsat {
-                    branched: false,
-                    ..
-                }
+        let all: Vec<&Constraint> = cs.iter().collect();
+        match &verdict {
+            TheoryVerdict::Sat(model) => assert!(
+                cs.iter().all(|c| holds(c, model)),
+                "model {model:?} violates {cs:?}"
             ),
-            "propagation and solve disagree on {cs:?} over {bounds:?}: {verdict:?}"
-        );
-        let (explanation, branched) = match verdict {
-            TheoryVerdict::Sat(model) => {
-                assert!(
-                    cs.iter().all(|c| c.holds(&model)),
-                    "model {model:?} violates {cs:?}"
-                );
-                return;
-            }
+            TheoryVerdict::Unsat => assert!(
+                !has_integer_point(bounds, &all),
+                "{cs:?} over {bounds:?} has an integer point"
+            ),
             TheoryVerdict::Unknown => panic!("budget exhausted on {cs:?}"),
-            TheoryVerdict::Unsat {
-                explanation,
-                branched,
-            } => (explanation, branched),
-        };
-        assert!(
-            explanation.windows(2).all(|w| w[0] < w[1])
-                && explanation.iter().all(|&i| i < cs.len()),
-            "explanation {explanation:?} is not a subset of 0..{}",
-            cs.len()
-        );
-        let subset: Vec<&Constraint> = explanation.iter().map(|&i| &cs[i]).collect();
-        assert!(
-            !has_integer_point(bounds, &subset),
-            "explanation {explanation:?} of {cs:?} over {bounds:?} has an integer point"
-        );
-        if branched {
-            seen.branched += 1;
-            assert!(
-                matches!(solve(bounds, &subset, 100_000), TheoryVerdict::Unsat { .. }),
-                "explanation {explanation:?} of {cs:?} over {bounds:?} is not refuted"
-            );
-            return;
         }
-        seen.propagated += 1;
-        assert!(
-            refuted_by_propagation(bounds, &subset),
-            "explanation {explanation:?} of {cs:?} over {bounds:?} is not refuted"
+        if !refuted_by_propagation(bounds, cs) {
+            return false;
+        }
+        assert_eq!(
+            verdict,
+            TheoryVerdict::Unsat,
+            "propagation refutes {cs:?} over {bounds:?}"
         );
-        let core = minimize_core(bounds, cs, explanation.clone());
-        assert!(core.iter().all(|i| explanation.contains(i)));
+        let core = minimize_core(bounds, cs, (0..cs.len()).collect());
         let core_cs: Vec<&Constraint> = core.iter().map(|&i| &cs[i]).collect();
         assert!(refuted_by_propagation(bounds, &core_cs));
         for left_out in 0..core_cs.len() {
@@ -793,12 +464,13 @@ mod tests {
                 "core {core:?} of {cs:?} is reducible at position {left_out}"
             );
         }
+        true
     }
 
     #[test]
-    fn propagation_explanations_are_sound_and_cores_irreducible() {
+    fn solve_agrees_with_enumeration_and_cores_are_irreducible() {
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
-        let mut seen = Refutations::default();
+        let mut propagated = 0;
         for _ in 0..4_000 {
             let vars = rng.range(1, 5) as usize;
             let bounds: Vec<(i64, i64)> = (0..vars)
@@ -810,7 +482,7 @@ mod tests {
             let cs: Vec<Constraint> = (0..rng.range(1, 6))
                 .map(|_| {
                     // Terms may repeat a variable: propagation must stay
-                    // sound (and explained) on unnormalised input too.
+                    // sound on unnormalised input too.
                     let terms = (0..rng.range(1, 3))
                         .map(|_| {
                             let a = [-3, -2, -1, 1, 2, 3][rng.range(0, 5) as usize];
@@ -820,45 +492,13 @@ mod tests {
                     le(terms, rng.range(-6, 6))
                 })
                 .collect();
-            check_verdict(&bounds, &cs, &mut seen);
+            propagated += usize::from(check_verdict(&bounds, &cs));
         }
         assert!(
-            seen.propagated > 500,
-            "only {} explained refutations",
-            seen.propagated
-        );
-        // Interval fixpoints without an integer point are rare among
-        // random inequalities; equalities over small domains reach them
-        // far more often, and with them the branch & bound explanations.
-        for _ in 0..EQUALITY_SYSTEMS {
-            let vars = rng.range(2, 6) as usize;
-            let bounds = vec![(0, 3); vars];
-            let mut cs: Vec<Constraint> = Vec::new();
-            for _ in 0..rng.range(1, 4) {
-                let terms: Vec<(i64, usize)> = (0..rng.range(2, 3))
-                    .map(|_| {
-                        let a = [-2, -1, 1, 2][rng.range(0, 3) as usize];
-                        (a, rng.range(0, vars as i64 - 1) as usize)
-                    })
-                    .collect();
-                let value = rng.range(-3, 3);
-                if rng.range(0, 3) == 0 {
-                    cs.push(le(terms, value));
-                } else {
-                    cs.extend(eq(terms, value));
-                }
-            }
-            check_verdict(&bounds, &cs, &mut seen);
-        }
-        assert!(
-            seen.branched > 300,
-            "only {} branch & bound refutations",
-            seen.branched
+            propagated > 500,
+            "only {propagated} propagation refutations"
         );
     }
-
-    /// Equality-biased systems in the property test above.
-    const EQUALITY_SYSTEMS: usize = 20_000;
 
     #[test]
     fn ceil_div_matches_mathematical_ceiling() {

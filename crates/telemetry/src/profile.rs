@@ -62,15 +62,15 @@ pub struct SolverProfile {
     /// Opening decision levels: establishing the pending assumptions and
     /// picking each branching variable from the activity heap.
     pub decide: PhaseCost,
-    /// Theory explanation input: the walk back over the reasons the
-    /// bounds kept along the trail hold, which names the atoms of a bound
-    /// conflict or of an implied atom's explanation, and constraint
-    /// extraction from each complete assignment the bounds admit.
+    /// Theory explanations: each walk back over the reasons the bounds
+    /// kept along the trail hold, which names the atoms of a bound
+    /// conflict, of an implied atom's explanation or of a refuted leaf of
+    /// branch & bound.
     pub extract: PhaseCost,
     /// Theory checks: the bound update at every propagation fixpoint with
-    /// the scan for the atoms it decides, and each feasibility check of a
-    /// complete assignment (propagation, the walk back over its reasons
-    /// after a conflict, and branch & bound).
+    /// the scan for the atoms it decides, and branch & bound on those
+    /// bounds at each complete assignment they admit (its walks back are
+    /// `extract`).
     pub theory: PhaseCost,
     /// Core minimisation of theory conflicts: deletion over the
     /// explanation and the lemma's soundness re-check (plain
